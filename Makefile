@@ -1,8 +1,8 @@
 # Tier-1 gate: everything `make check` runs must pass before a change
 # lands. CI and the pre-merge driver run exactly this target.
-.PHONY: check lint vet fmt build test race bench-overhead bench-smoke bench-all bench-scaling bench-batch bench-latency bench-executor stress soak soak-short
+.PHONY: check lint vet fmt build test sqperf race bench-overhead bench-smoke bench-all bench-scaling bench-batch bench-latency bench-executor stress soak soak-short
 
-check: lint build test race bench-smoke bench-scaling bench-batch bench-latency bench-executor soak-short
+check: lint build test sqperf race bench-smoke bench-scaling bench-batch bench-latency bench-executor soak-short
 
 # Static tier: vet plus a gofmt cleanliness check (gofmt -l prints the
 # offending files; grep inverts that into a pass/fail).
@@ -20,6 +20,12 @@ build:
 
 test:
 	go test ./...
+
+# The committed benchmark (cmd/sqperf) is its own module, which the root
+# `./...` patterns skip; vet and test it separately so a cut to the
+# exported API cannot break the benchmark unnoticed.
+sqperf:
+	cd cmd/sqperf && go vet ./... && go test ./...
 
 # Race pass in short mode over the concurrent internals: the stress-to-
 # verify bridge, cancel storms, and metrics integration tests all shrink

@@ -14,8 +14,9 @@ import (
 // observed. A Closed() probe is inherently stale (the answer can change
 // before the attempt starts), and pre-screening it made the context
 // operations spuriously reject hand-offs that the core would have
-// completed — e.g. an elimination-arena pairing racing a shutdown, or a
-// buffered element a closing TransferQueue still owes its consumers.
+// completed — e.g. an elimination-arena pairing racing a shutdown (see
+// TestEliminationWinsOverClose), or a buffered element a closing
+// TransferQueue still owes its consumers.
 
 // stubImpl reports Closed()==true while still completing transfers — the
 // shape of a queue mid-shutdown whose in-flight hand-offs must win. Only
@@ -83,33 +84,5 @@ func TestContextOpsAttemptFirst(t *testing.T) {
 	v, err := q.TakeContext(context.Background())
 	if err != nil || v != 7 {
 		t.Fatalf("TakeContext = (%d, %v), want (7, nil)", v, err)
-	}
-}
-
-// TestEliminationWinsOverClose is the end-to-end form: on a closed
-// EliminatingQueue, a PutContext and a TakeContext that meet in the
-// elimination arena must still complete — the arena pairing never touches
-// the closed backing queue, and the attempt-first contract means nobody
-// pre-rejects it. A single-slot arena with generous patience makes the
-// meeting deterministic.
-func TestEliminationWinsOverClose(t *testing.T) {
-	q := NewEliminatingQueue[int](Eliminating(1, 500*time.Millisecond))
-	q.Close()
-
-	done := make(chan error, 1)
-	go func() { done <- q.PutContext(context.Background(), 42) }()
-
-	v, err := q.TakeContext(context.Background())
-	if err != nil || v != 42 {
-		t.Fatalf("TakeContext on closed eliminating queue = (%d, %v), want arena hit (42, nil)", v, err)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("PutContext on closed eliminating queue = %v, want arena hit (nil)", err)
-	}
-
-	// Without a partner the arena attempt expires and the backing queue's
-	// closed state is still reported faithfully.
-	if err := q.PutContext(context.Background(), 1); err != ErrClosed {
-		t.Fatalf("unpaired PutContext on closed queue = %v, want ErrClosed", err)
 	}
 }

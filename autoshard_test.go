@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestAutoShardQuietWidthOne: an adaptive queue with no contention stays
@@ -167,60 +166,5 @@ func TestFabricStatsJSON(t *testing.T) {
 	}
 	if _, ok := plain.Metrics().FabricStats(); ok {
 		t.Error("unsharded queue's Metrics reported fabric stats")
-	}
-}
-
-// TestCompatConstructors: the deprecated wrappers in compat.go still hand
-// off items end to end.
-func TestCompatConstructors(t *testing.T) {
-	for _, name := range []string{
-		"NewFair", "NewUnfair", "NewEliminating", "NewEliminatingAdaptive",
-	} {
-		t.Run(name, func(t *testing.T) {
-			var put func(int)
-			var take func() int
-			switch name {
-			case "NewFair":
-				q := NewFair[int]()
-				if !q.Fair() {
-					t.Fatal("NewFair built an unfair queue")
-				}
-				put, take = q.Put, q.Take
-			case "NewUnfair":
-				q := NewUnfair[int]()
-				if q.Fair() {
-					t.Fatal("NewUnfair built a fair queue")
-				}
-				put, take = q.Put, q.Take
-			case "NewEliminating":
-				e := NewEliminating(New[int](), 0, 2*time.Microsecond)
-				if e.Adaptive() {
-					t.Fatal("NewEliminating built an adaptive arena")
-				}
-				put, take = e.Put, e.Take
-			case "NewEliminatingAdaptive":
-				e := NewEliminatingAdaptive(New[int]())
-				if !e.Adaptive() {
-					t.Fatal("NewEliminatingAdaptive built a static arena")
-				}
-				put, take = e.Put, e.Take
-			}
-			done := make(chan int, 1)
-			go func() {
-				sum := 0
-				for i := 0; i < 100; i++ {
-					sum += take()
-				}
-				done <- sum
-			}()
-			want := 0
-			for i := 0; i < 100; i++ {
-				put(i)
-				want += i
-			}
-			if got := <-done; got != want {
-				t.Fatalf("transfer sum = %d, want %d", got, want)
-			}
-		})
 	}
 }

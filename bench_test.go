@@ -132,26 +132,18 @@ func BenchmarkAblationClean(b *testing.B) {
 	})
 }
 
-// eliminatingSQ adapts EliminatingQueue to the bench.SQ surface.
-type eliminatingSQ struct {
-	q *synchq.EliminatingQueue[int64]
-}
-
-func (e eliminatingSQ) Put(v int64) { e.q.Put(v) }
-func (e eliminatingSQ) Take() int64 { return e.q.Take() }
-
 // BenchmarkAblationElimination compares the plain dual stack against the
-// same stack behind an elimination arena front-end at increasing
-// contention (DESIGN.md Ablation C). The paper predicts elimination pays
-// only under extreme contention.
+// same stack behind the EliminatingAdaptive front-end at increasing
+// contention (DESIGN.md Ablation C measures the static arena the same way).
+// The paper predicts elimination pays only under extreme contention.
 func BenchmarkAblationElimination(b *testing.B) {
 	for _, pairs := range []int{4, 16, 64} {
 		b.Run(fmt.Sprintf("plain/pairs=%d", pairs), func(b *testing.B) {
 			bench.RunHandoff(core.NewDualStack[int64](core.WaitConfig{}), pairs, pairs, int64(b.N), nil)
 		})
 		b.Run(fmt.Sprintf("eliminating/pairs=%d", pairs), func(b *testing.B) {
-			q := synchq.NewEliminating(synchq.NewUnfair[int64](), 0, 5*time.Microsecond)
-			bench.RunHandoff(eliminatingSQ{q}, pairs, pairs, int64(b.N), nil)
+			q := synchq.New[int64](synchq.EliminatingAdaptive())
+			bench.RunHandoff(q, pairs, pairs, int64(b.N), nil)
 		})
 	}
 }

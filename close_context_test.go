@@ -18,8 +18,8 @@ import (
 func newBoth(t *testing.T) map[string]*synchq.SynchronousQueue[int] {
 	t.Helper()
 	return map[string]*synchq.SynchronousQueue[int]{
-		"fair":   synchq.NewFair[int](),
-		"unfair": synchq.NewUnfair[int](),
+		"fair":   synchq.New[int](synchq.Fair(true)),
+		"unfair": synchq.New[int](synchq.Fair(false)),
 	}
 }
 
@@ -131,7 +131,7 @@ func TestCloseUnblocksContextOps(t *testing.T) {
 }
 
 func TestCloseDemandOpsPanic(t *testing.T) {
-	q := synchq.NewUnfair[int]()
+	q := synchq.New[int](synchq.Fair(false))
 	q.Close()
 	for _, tc := range []struct {
 		name string
@@ -206,7 +206,7 @@ func TestTransferQueueCloseAndDrainPublic(t *testing.T) {
 // TestCloseConcurrentWithTransfers closes the public queue mid-storm: no
 // goroutine may hang, and completed hand-offs must balance.
 func TestCloseConcurrentWithTransfers(t *testing.T) {
-	q := synchq.NewFair[int]()
+	q := synchq.New[int](synchq.Fair(true))
 	var put, taken int64
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -256,5 +256,24 @@ func waitBlocked(t *testing.T, cond func() bool) {
 			t.Fatal("goroutine did not block in time")
 		}
 		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestExchangeContextCancelBeforeDeadline: an exchange under a context
+// with a distant deadline must still end as soon as the context is
+// canceled, reporting the cancellation rather than waiting out the
+// deadline.
+func TestExchangeContextCancelBeforeDeadline(t *testing.T) {
+	x := synchq.NewExchanger[int]()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	time.AfterFunc(10*time.Millisecond, cancel)
+	t0 := time.Now()
+	_, err := x.ExchangeContext(ctx, 1)
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("ExchangeContext after cancel = %v, want context.Canceled", err)
+	}
+	if d := time.Since(t0); d > time.Second {
+		t.Errorf("ExchangeContext returned after %v: cancellation ignored until the deadline", d)
 	}
 }

@@ -269,8 +269,8 @@ func (a elimChaos) ChaosPoll(d time.Duration, cancel <-chan struct{}) (int64, co
 func (a elimChaos) Close()       { a.q.Close() }
 func (a elimChaos) Closed() bool { return a.q.Closed() }
 
-// Batched operations bypass the arena, like the public EliminatingQueue
-// batch entry points: an arena exchange pairs exactly one producer with
+// Batched operations bypass the arena, as on a queue built with
+// EliminatingAdaptive: an arena exchange pairs exactly one producer with
 // one consumer, so a batch gains nothing from it.
 func (a elimChaos) ChaosOfferBatch(vs []int64, d time.Duration, cancel <-chan struct{}) (int, core.Status) {
 	return a.q.PutBatch(vs, time.Now().Add(d), cancel)

@@ -65,7 +65,7 @@ func (a transferSQ) OfferTimeout(v int64, d time.Duration) bool { return a.tq.Tr
 func (a transferSQ) PollTimeout(d time.Duration) (int64, bool)  { return a.tq.PollTimeout(d) }
 
 // elimSQ fronts a dual queue with the adaptive elimination arena, like
-// synchq.NewEliminatingAdaptive, so the stress mix covers the arena's
+// synchq's EliminatingAdaptive option, so the stress mix covers the arena's
 // retract/hand-off races (and, under -chaos, its XArenaPause site).
 type elimSQ struct {
 	arena *exchanger.Arena[int64]

@@ -19,8 +19,8 @@ import (
 
 func demandImpls() map[string]func() synchq.Queue[int] {
 	return map[string]func() synchq.Queue[int]{
-		"fair":        func() synchq.Queue[int] { return synchq.NewFair[int]() },
-		"unfair":      func() synchq.Queue[int] { return synchq.NewUnfair[int]() },
+		"fair":        func() synchq.Queue[int] { return synchq.New[int](synchq.Fair(true)) },
+		"unfair":      func() synchq.Queue[int] { return synchq.New[int](synchq.Fair(false)) },
 		"naive":       func() synchq.Queue[int] { return synchq.NewNaive[int]() },
 		"hanson":      func() synchq.Queue[int] { return synchq.NewHanson[int]() },
 		"hansonfast":  func() synchq.Queue[int] { return synchq.NewHansonFast[int]() },
@@ -28,14 +28,21 @@ func demandImpls() map[string]func() synchq.Queue[int] {
 		"java5unfair": func() synchq.Queue[int] { return synchq.NewJava5Unfair[int]() },
 		"gochannel":   func() synchq.Queue[int] { return synchq.NewGoChannel[int]() },
 		"eliminating": func() synchq.Queue[int] {
-			return synchq.NewEliminating(synchq.NewUnfair[int](), 2, 20*time.Microsecond)
+			return synchq.New[int](synchq.Fair(false), synchq.EliminatingAdaptive())
 		},
 		"transfer":  func() synchq.Queue[int] { return transferAsQueue{synchq.NewTransferQueue[int]()} },
 		"segmented": func() synchq.Queue[int] { return synchq.New[int](synchq.Segmented()) },
 		"segmented+sharded": func() synchq.Queue[int] {
 			return synchq.New[int](synchq.Segmented(), synchq.Sharded(4))
 		},
+		"segmented+autoshard+eliminating": func() synchq.Queue[int] { return newSegAutoElim() },
 	}
+}
+
+// newSegAutoElim stacks every composable layer: the elimination front-end
+// over a self-scaling fabric of segmented cores.
+func newSegAutoElim() *synchq.SynchronousQueue[int] {
+	return synchq.New[int](synchq.Segmented(), synchq.AutoShard(), synchq.EliminatingAdaptive())
 }
 
 // transferAsQueue narrows TransferQueue to the demand contract using its
@@ -47,19 +54,20 @@ func (t transferAsQueue) Take() int { return t.q.Take() }
 
 func timedImpls() map[string]func() synchq.TimedQueue[int] {
 	return map[string]func() synchq.TimedQueue[int]{
-		"fair":        func() synchq.TimedQueue[int] { return synchq.NewFair[int]() },
-		"unfair":      func() synchq.TimedQueue[int] { return synchq.NewUnfair[int]() },
+		"fair":        func() synchq.TimedQueue[int] { return synchq.New[int](synchq.Fair(true)) },
+		"unfair":      func() synchq.TimedQueue[int] { return synchq.New[int](synchq.Fair(false)) },
 		"java5fair":   func() synchq.TimedQueue[int] { return synchq.NewJava5Fair[int]() },
 		"java5unfair": func() synchq.TimedQueue[int] { return synchq.NewJava5Unfair[int]() },
 		"gochannel":   func() synchq.TimedQueue[int] { return synchq.NewGoChannel[int]() },
 		"eliminating": func() synchq.TimedQueue[int] {
-			return synchq.NewEliminating(synchq.NewUnfair[int](), 2, 20*time.Microsecond)
+			return synchq.New[int](synchq.Fair(false), synchq.EliminatingAdaptive())
 		},
 		"transfer":  func() synchq.TimedQueue[int] { return synchq.NewTransferQueue[int]() },
 		"segmented": func() synchq.TimedQueue[int] { return synchq.New[int](synchq.Segmented()) },
 		"segmented+sharded": func() synchq.TimedQueue[int] {
 			return synchq.New[int](synchq.Segmented(), synchq.Sharded(4))
 		},
+		"segmented+autoshard+eliminating": func() synchq.TimedQueue[int] { return newSegAutoElim() },
 	}
 }
 
@@ -186,8 +194,8 @@ func TestConformanceTimedRace(t *testing.T) {
 }
 
 // batchAPI narrows every batch-capable surface (SynchronousQueue with any
-// option set, TransferQueue, EliminatingQueue) to one shape so a single
-// contract suite runs over all of them.
+// option set, TransferQueue) to one shape so a single contract suite runs
+// over all of them.
 type batchAPI struct {
 	putAllCtx    func(ctx context.Context, items []int) (int, error)
 	takeBatchCtx func(ctx context.Context, max int) ([]int, error)
@@ -222,18 +230,10 @@ func batchImpls() map[string]func() batchAPI {
 		"fair+sharded":      mkSQ(false, synchq.Fair(true), synchq.Sharded(4)),
 		"unfair+sharded":    mkSQ(false, synchq.Sharded(4)),
 		"segmented+sharded": mkSQ(false, synchq.Segmented(), synchq.Sharded(4)),
-		"eliminating": func() batchAPI {
-			e := synchq.NewEliminating(synchq.NewFair[int](), 2, 20*time.Microsecond)
-			return batchAPI{
-				putAllCtx:    e.PutAllContext,
-				takeBatchCtx: e.TakeBatchContext,
-				drainTo:      e.DrainTo,
-				take:         e.Take,
-				put:          e.Put,
-				close:        e.Close,
-				fifo:         true,
-			}
-		},
+		// Batches bypass the arena, so in-batch FIFO survives elimination.
+		"eliminating": mkSQ(true, synchq.Fair(true), synchq.EliminatingAdaptive()),
+		"segmented+autoshard+eliminating": mkSQ(false, synchq.Segmented(), synchq.AutoShard(),
+			synchq.EliminatingAdaptive()),
 		"transfer": func() batchAPI {
 			q := synchq.NewTransferQueue[int]()
 			return batchAPI{
@@ -369,6 +369,86 @@ func TestConformanceBatchContract(t *testing.T) {
 					<-done
 				})
 			}
+		})
+	}
+}
+
+func reservationImpls() map[string]func() *synchq.SynchronousQueue[int] {
+	return map[string]func() *synchq.SynchronousQueue[int]{
+		"fair":         func() *synchq.SynchronousQueue[int] { return synchq.New[int](synchq.Fair(true)) },
+		"unfair":       func() *synchq.SynchronousQueue[int] { return synchq.New[int]() },
+		"segmented":    func() *synchq.SynchronousQueue[int] { return synchq.New[int](synchq.Segmented()) },
+		"fair+sharded": func() *synchq.SynchronousQueue[int] { return synchq.New[int](synchq.Fair(true), synchq.Sharded(4)) },
+		"fair+eliminating": func() *synchq.SynchronousQueue[int] {
+			return synchq.New[int](synchq.Fair(true), synchq.EliminatingAdaptive())
+		},
+		"unfair+eliminating": func() *synchq.SynchronousQueue[int] {
+			return synchq.New[int](synchq.Fair(false), synchq.EliminatingAdaptive())
+		},
+		"segmented+autoshard+eliminating": newSegAutoElim,
+	}
+}
+
+// TestConformanceReservationContract runs the reservation (Ticket) contract
+// over every queue composition, eliminating ones included: reservations
+// reach the backing core past the arena, so they must behave exactly as on
+// a plain queue. await-closed pins Await's error mapping — a queue closed
+// under a pending ticket is ErrClosed, never ErrTimeout.
+func TestConformanceReservationContract(t *testing.T) {
+	for name, mk := range reservationImpls() {
+		name, mk := name, mk
+		t.Run(name, func(t *testing.T) {
+			t.Run("pending-take-fulfilled", func(t *testing.T) {
+				q := mk()
+				_, tk, ok := q.TakeReserve()
+				if ok || tk == nil {
+					t.Fatal("TakeReserve on an empty queue did not return a pending ticket")
+				}
+				if _, ok := tk.TryFollowup(); ok {
+					t.Fatal("TryFollowup succeeded with no producer")
+				}
+				go q.Put(42)
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				defer cancel()
+				if v, err := tk.Await(ctx); err != nil || v != 42 {
+					t.Fatalf("Await = (%d, %v), want (42, nil)", v, err)
+				}
+			})
+			t.Run("put-abort", func(t *testing.T) {
+				q := mk()
+				tk, ok := q.PutReserve(1)
+				if ok || tk == nil {
+					t.Fatal("PutReserve on an empty queue did not return a pending ticket")
+				}
+				if !tk.Abort() {
+					t.Fatal("Abort of an unfulfilled reservation failed")
+				}
+				if _, ok := q.Poll(); ok {
+					t.Fatal("aborted offer visible to Poll")
+				}
+			})
+			t.Run("await-timeout", func(t *testing.T) {
+				_, tk, _ := mk().TakeReserve()
+				if _, ok := tk.AwaitTimeout(10 * time.Millisecond); ok {
+					t.Fatal("AwaitTimeout succeeded with no producer")
+				}
+			})
+			t.Run("await-cancel", func(t *testing.T) {
+				_, tk, _ := mk().TakeReserve()
+				ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+				time.AfterFunc(10*time.Millisecond, cancel)
+				if _, err := tk.Await(ctx); !errors.Is(err, context.Canceled) {
+					t.Fatalf("Await after cancel = %v, want context.Canceled", err)
+				}
+			})
+			t.Run("await-closed", func(t *testing.T) {
+				q := mk()
+				_, tk, _ := q.TakeReserve()
+				time.AfterFunc(10*time.Millisecond, q.Close)
+				if _, err := tk.Await(context.Background()); !errors.Is(err, synchq.ErrClosed) {
+					t.Fatalf("Await across Close = %v, want ErrClosed", err)
+				}
+			})
 		})
 	}
 }

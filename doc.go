@@ -22,10 +22,10 @@
 // Further options compose on the same call: Sharded stripes the queue
 // across independent shards with cross-shard steals, AutoShard (or
 // Sharded(0)) lets the fabric pick its own effective width from observed
-// contention, Segmented bounds memory with a segment-backed core, and
-// Instrument attaches counters. The deprecated wrapper constructors
-// (NewFair, NewUnfair, NewEliminating, NewEliminatingAdaptive) remain in
-// compat.go.
+// contention, Segmented bounds memory with a segment-backed core,
+// EliminatingAdaptive puts a self-tuning elimination arena in front of the
+// waiting operations, and Instrument attaches counters. Every combination
+// is the same SynchronousQueue type.
 //
 // Both support demand operations (Put/Take block until a counterpart
 // arrives), polar operations (Offer/Poll succeed only if a counterpart is
@@ -40,8 +40,7 @@
 //
 // TransferQueue extends the fair queue with asynchronous puts (the paper's
 // §5 TransferQueue). Exchanger is the elimination-based swap channel the
-// paper's elimination discussion builds on; NewEliminatingQueue fronts a
-// synchronous queue with an elimination arena.
+// paper's elimination discussion builds on.
 //
 // The pool subpackage provides a cached thread pool — the Go analogue of
 // java.util.concurrent.ThreadPoolExecutor over a SynchronousQueue — used by

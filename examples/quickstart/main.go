@@ -18,7 +18,7 @@ import (
 )
 
 func main() {
-	q := synchq.NewUnfair[string]()
+	q := synchq.New[string](synchq.Fair(false))
 
 	// Demand operations: both sides wait for the handshake.
 	go func() {
@@ -50,7 +50,7 @@ func main() {
 	}
 
 	// The fair variant pairs waiters strictly first-come-first-served.
-	fair := synchq.NewFair[int]()
+	fair := synchq.New[int](synchq.Fair(true))
 	done := make(chan struct{})
 	go func() {
 		for i := 0; i < 3; i++ {

@@ -4,8 +4,8 @@ import (
 	"context"
 	"time"
 
+	"synchq/internal/core"
 	"synchq/internal/exchanger"
-	"synchq/internal/metrics"
 )
 
 // Exchanger is a synchronization point at which pairs of goroutines swap
@@ -24,22 +24,11 @@ type Exchanger[T any] struct {
 
 // NewExchanger returns an Exchanger with a platform-sized elimination
 // arena. Of the options, only Instrument applies; the queue-shaping options
-// (Fair, Sharded, Eliminating) are ignored.
+// (Fair, Sharded, EliminatingAdaptive, …) are ignored.
 func NewExchanger[T any](opts ...Option) *Exchanger[T] {
 	c := buildConfig(opts)
 	return &Exchanger[T]{
 		e:    exchanger.New[T]().SetMetrics(c.wait.Metrics),
-		inst: c.inst,
-	}
-}
-
-// NewExchangerSize returns an Exchanger with an arena of exactly slots
-// cells (minimum 1); exposed so the arena size can be studied. Options
-// follow the NewExchanger contract.
-func NewExchangerSize[T any](slots int, opts ...Option) *Exchanger[T] {
-	c := buildConfig(opts)
-	return &Exchanger[T]{
-		e:    exchanger.NewSize[T](slots).SetMetrics(c.wait.Metrics),
 		inst: c.inst,
 	}
 }
@@ -55,342 +44,20 @@ func (x *Exchanger[T]) Exchange(v T) T { return x.e.Exchange(v) }
 // ExchangeTimeout is Exchange with patience d; ok is false if no partner
 // arrived in time.
 func (x *Exchanger[T]) ExchangeTimeout(v T, d time.Duration) (T, bool) {
-	return x.e.ExchangeTimeout(v, d)
+	got, st := x.e.ExchangeDeadline(v, time.Now().Add(d), nil)
+	return got, st == exchanger.OK
 }
 
-// ExchangeContext is Exchange abandoned when ctx is done; it returns
-// ctx.Err() on cancellation and ErrTimeout on context deadline expiry.
+// ExchangeContext is Exchange abandoned when ctx is done. Errors follow the
+// SynchronousQueue.PutContext contract: ErrTimeout when the context's own
+// deadline expired, and the context's cancellation cause otherwise.
 func (x *Exchanger[T]) ExchangeContext(ctx context.Context, v T) (T, error) {
-	if deadline, ok := ctx.Deadline(); ok {
-		// Race the deadline and the cancel channel exactly as the
-		// queues do: patience first, cancellation checked throughout.
-		got, ok := x.e.ExchangeTimeout(v, time.Until(deadline))
-		if ok {
-			return got, nil
-		}
-		var zero T
-		if err := ctx.Err(); err != nil {
-			return zero, err
-		}
-		return zero, ErrTimeout
-	}
-	got, st := x.e.ExchangeCancel(v, ctx.Done())
+	deadline, _ := ctx.Deadline()
+	got, st := x.e.ExchangeDeadline(v, deadline, ctx.Done())
 	if st == exchanger.OK {
 		return got, nil
 	}
 	var zero T
-	return zero, ctx.Err()
+	// An exchanger never closes, so any miss is a timeout or a cancel.
+	return zero, ctxError(ctx, core.Timeout)
 }
-
-// EliminatingQueue wraps a synchronous queue with an elimination arena
-// front-end: Put and Take first try, with a very short patience, to meet a
-// counterpart in the arena, and only fall back to the underlying queue on
-// failure. This is the paper's §5 future-work experiment; as the paper
-// anticipates, it pays off only under extreme contention (see Ablation C
-// in EXPERIMENTS.md).
-//
-// The front-end is a drop-in wrapper: it exposes the full SynchronousQueue
-// surface (contexts, low-level waits, state probes, Close), delegating
-// everything the arena cannot accelerate to the underlying queue.
-type EliminatingQueue[T any] struct {
-	q        *SynchronousQueue[T]
-	arena    *exchanger.Arena[T]
-	patience time.Duration
-	m        *metrics.Handle // for FallbackNs; nil when uninstrumented
-	inst     *Metrics
-}
-
-// Eliminating selects a static elimination front-end for
-// NewEliminatingQueue: slots fixed arena cells (0 for the platform
-// default) and patience per arena attempt (non-positive: 5µs). Ignored by
-// New.
-func Eliminating(slots int, patience time.Duration) Option {
-	return func(c *config) {
-		c.elim, c.elimAdaptive = true, false
-		c.elimSlots, c.elimPatience = slots, patience
-	}
-}
-
-// EliminatingAdaptive selects the self-tuning elimination front-end for
-// NewEliminatingQueue: the arena's active width and per-attempt patience
-// adapt online to the observed contention, and the arena collapses to
-// direct hand-off — no detour at all beyond a periodic re-probe — when the
-// queue is quiet. This removes the main drawback Ablation C found in the
-// static front-end (a fixed latency tax at low contention) while keeping
-// its benefit at high contention. It is the default front-end of
-// NewEliminatingQueue; the option exists to override an earlier
-// Eliminating in an options slice. Ignored by New.
-func EliminatingAdaptive() Option {
-	return func(c *config) {
-		c.elim, c.elimAdaptive = true, true
-	}
-}
-
-// NewEliminatingQueue returns a synchronous queue with an elimination
-// front-end, configured by the same options as New (Fair, Sharded, Spins,
-// Instrument) plus the front-end selectors Eliminating and
-// EliminatingAdaptive. With neither selector it uses the adaptive
-// front-end. The backing queue is built from the same options, so
-//
-//	q := synchq.NewEliminatingQueue[int](synchq.Fair(true), synchq.Instrument(m))
-//
-// is an instrumented fair queue behind an adaptive arena: arena hits show
-// up in m as ElimHits and the "elim" histogram, arena misses that complete
-// on the backing queue as the "fallback" histogram.
-func NewEliminatingQueue[T any](opts ...Option) *EliminatingQueue[T] {
-	c := buildConfig(opts)
-	e := &EliminatingQueue[T]{
-		q:    newFromConfig[T](c),
-		m:    c.inst.handle(),
-		inst: c.inst,
-	}
-	if c.elim && !c.elimAdaptive {
-		e.patience = c.elimPatience
-		if e.patience <= 0 {
-			e.patience = 5 * time.Microsecond
-		}
-		e.arena = exchanger.NewArena[T](c.elimSlots)
-	} else {
-		e.arena = exchanger.NewArenaAdaptive[T](c.elimSlots)
-	}
-	e.arena.SetMetrics(c.wait.Metrics)
-	return e
-}
-
-// Metrics returns the instrumentation set attached with the Instrument
-// option (covering both the arena and the backing queue), or nil for an
-// uninstrumented queue.
-func (e *EliminatingQueue[T]) Metrics() *Metrics { return e.inst }
-
-// Fair reports whether the backing queue pairs waiters in FIFO order.
-// Arena hits are pairing-order-free regardless: elimination trades order
-// for contention relief even on a fair backing queue.
-func (e *EliminatingQueue[T]) Fair() bool { return e.q.Fair() }
-
-// Shards returns the backing queue's current effective shard width (one
-// unless built with the Sharded or AutoShard option).
-func (e *EliminatingQueue[T]) Shards() int { return e.q.Shards() }
-
-// MaxShards returns the backing queue's shard-width ceiling.
-func (e *EliminatingQueue[T]) MaxShards() int { return e.q.MaxShards() }
-
-// FabricStats snapshots the backing queue's shard fabric (ok false when
-// the backing queue is unsharded).
-func (e *EliminatingQueue[T]) FabricStats() (FabricStats, bool) { return e.q.FabricStats() }
-
-// Adaptive reports whether the arena self-tunes (the EliminatingAdaptive
-// option, the default front-end) rather than using fixed knobs (the
-// Eliminating option).
-func (e *EliminatingQueue[T]) Adaptive() bool { return e.arena.Adaptive() }
-
-// tryGive makes one arena attempt to hand off v, under whichever patience
-// policy the queue was built with.
-func (e *EliminatingQueue[T]) tryGive(v T) bool {
-	if e.arena.Adaptive() {
-		return e.arena.TryGiveAdaptive(v)
-	}
-	return e.arena.TryGive(v, e.patience)
-}
-
-// tryTake makes one arena attempt to receive a value.
-func (e *EliminatingQueue[T]) tryTake() (T, bool) {
-	if e.arena.Adaptive() {
-		return e.arena.TryTakeAdaptive()
-	}
-	return e.arena.TryTake(e.patience)
-}
-
-// arenaPatience is the longest one arena attempt may currently wait, used
-// to decide whether a bounded operation can afford the detour.
-func (e *EliminatingQueue[T]) arenaPatience() time.Duration {
-	if e.arena.Adaptive() {
-		return e.arena.Patience()
-	}
-	return e.patience
-}
-
-// Put transfers v to a consumer — via the arena if one is met there in
-// time, otherwise through the underlying queue.
-func (e *EliminatingQueue[T]) Put(v T) {
-	t0 := e.m.Start()
-	if e.tryGive(v) {
-		return
-	}
-	e.q.Put(v)
-	e.m.Since(metrics.FallbackNs, t0)
-}
-
-// Take receives a value from a producer — via the arena if one is met
-// there in time, otherwise through the underlying queue.
-func (e *EliminatingQueue[T]) Take() T {
-	t0 := e.m.Start()
-	if v, ok := e.tryTake(); ok {
-		return v
-	}
-	v := e.q.Take()
-	e.m.Since(metrics.FallbackNs, t0)
-	return v
-}
-
-// Offer transfers v only if a counterpart is immediately available in the
-// underlying queue (the arena requires waiting, so it takes no part in
-// zero-patience operations).
-func (e *EliminatingQueue[T]) Offer(v T) bool { return e.q.Offer(v) }
-
-// Poll receives a value only if a counterpart is immediately available in
-// the underlying queue.
-func (e *EliminatingQueue[T]) Poll() (T, bool) { return e.q.Poll() }
-
-// OfferTimeout transfers v, trying the arena first and then waiting on the
-// underlying queue for the remaining patience.
-func (e *EliminatingQueue[T]) OfferTimeout(v T, d time.Duration) bool {
-	deadline := time.Now().Add(d)
-	if d > e.arenaPatience() {
-		t0 := e.m.Start()
-		if e.tryGive(v) {
-			return true
-		}
-		if e.q.OfferTimeout(v, time.Until(deadline)) {
-			e.m.Since(metrics.FallbackNs, t0)
-			return true
-		}
-		return false
-	}
-	return e.q.OfferTimeout(v, time.Until(deadline))
-}
-
-// PollTimeout receives a value, trying the arena first and then waiting on
-// the underlying queue for the remaining patience.
-func (e *EliminatingQueue[T]) PollTimeout(d time.Duration) (T, bool) {
-	deadline := time.Now().Add(d)
-	if d > e.arenaPatience() {
-		t0 := e.m.Start()
-		if v, ok := e.tryTake(); ok {
-			return v, true
-		}
-		if v, ok := e.q.PollTimeout(time.Until(deadline)); ok {
-			e.m.Since(metrics.FallbackNs, t0)
-			return v, true
-		}
-		var zero T
-		return zero, false
-	}
-	return e.q.PollTimeout(time.Until(deadline))
-}
-
-// PutContext transfers v to a consumer — via the arena when a partner is
-// met there within the arena patience — abandoning the attempt if ctx is
-// done first. Errors follow the SynchronousQueue.PutContext contract.
-func (e *EliminatingQueue[T]) PutContext(ctx context.Context, v T) error {
-	t0 := e.m.Start()
-	if e.tryGive(v) {
-		return nil
-	}
-	err := e.q.PutContext(ctx, v)
-	if err == nil {
-		e.m.Since(metrics.FallbackNs, t0)
-	}
-	return err
-}
-
-// TakeContext receives a value — via the arena when a partner is met there
-// within the arena patience — abandoning the attempt if ctx is done first.
-// Errors follow the SynchronousQueue.TakeContext contract.
-func (e *EliminatingQueue[T]) TakeContext(ctx context.Context) (T, error) {
-	t0 := e.m.Start()
-	if v, ok := e.tryTake(); ok {
-		return v, nil
-	}
-	v, err := e.q.TakeContext(ctx)
-	if err == nil {
-		e.m.Since(metrics.FallbackNs, t0)
-	}
-	return v, err
-}
-
-// OfferWait transfers v, trying the arena first when the deadline leaves
-// room for the detour, then waiting on the underlying queue until the
-// deadline passes (zero: no deadline) or cancel fires (nil: never).
-func (e *EliminatingQueue[T]) OfferWait(v T, deadline time.Time, cancel <-chan struct{}) bool {
-	if deadline.IsZero() || time.Until(deadline) > e.arenaPatience() {
-		t0 := e.m.Start()
-		if e.tryGive(v) {
-			return true
-		}
-		if e.q.OfferWait(v, deadline, cancel) {
-			e.m.Since(metrics.FallbackNs, t0)
-			return true
-		}
-		return false
-	}
-	return e.q.OfferWait(v, deadline, cancel)
-}
-
-// PollWait receives a value, trying the arena first when the deadline
-// leaves room for the detour, then waiting on the underlying queue until
-// the deadline passes (zero: no deadline) or cancel fires (nil: never).
-func (e *EliminatingQueue[T]) PollWait(deadline time.Time, cancel <-chan struct{}) (T, bool) {
-	if deadline.IsZero() || time.Until(deadline) > e.arenaPatience() {
-		t0 := e.m.Start()
-		if v, ok := e.tryTake(); ok {
-			return v, true
-		}
-		if v, ok := e.q.PollWait(deadline, cancel); ok {
-			e.m.Since(metrics.FallbackNs, t0)
-			return v, true
-		}
-		var zero T
-		return zero, false
-	}
-	return e.q.PollWait(deadline, cancel)
-}
-
-// HasWaitingConsumer reports whether a consumer was observed waiting in
-// the underlying queue. Arena waiters are not counted: their patience is
-// microseconds, too short to act on.
-func (e *EliminatingQueue[T]) HasWaitingConsumer() bool { return e.q.HasWaitingConsumer() }
-
-// HasWaitingProducer reports whether a producer was observed waiting in
-// the underlying queue.
-func (e *EliminatingQueue[T]) HasWaitingProducer() bool { return e.q.HasWaitingProducer() }
-
-// IsEmpty reports whether the underlying queue was observed with no
-// waiting producers or consumers.
-func (e *EliminatingQueue[T]) IsEmpty() bool { return e.q.IsEmpty() }
-
-// PutAll transfers every item to consumers through the backing queue,
-// bypassing the elimination arena: an arena exchange pairs exactly one
-// producer with one consumer, so a k-item burst gains nothing from it,
-// while the backing queue's batch path amortizes the per-item claims.
-func (e *EliminatingQueue[T]) PutAll(items []T) { e.q.PutAll(items) }
-
-// PutAllContext transfers items through the backing queue until ctx is
-// done; see SynchronousQueue.PutAllContext for the partial-fill contract.
-func (e *EliminatingQueue[T]) PutAllContext(ctx context.Context, items []T) (int, error) {
-	return e.q.PutAllContext(ctx, items)
-}
-
-// TakeBatch receives up to max values through the backing queue (the
-// arena is bypassed; see PutAll).
-func (e *EliminatingQueue[T]) TakeBatch(max int) []T { return e.q.TakeBatch(max) }
-
-// TakeBatchContext receives up to max values through the backing queue
-// until ctx is done.
-func (e *EliminatingQueue[T]) TakeBatchContext(ctx context.Context, max int) ([]T, error) {
-	return e.q.TakeBatchContext(ctx, max)
-}
-
-// DrainTo appends up to max immediately available values to buf without
-// waiting, through the backing queue.
-func (e *EliminatingQueue[T]) DrainTo(buf []T, max int) []T { return e.q.DrainTo(buf, max) }
-
-// Close shuts the underlying queue down (see SynchronousQueue.Close).
-// Arena waiters are not woken: every arena attempt is patience-bounded to
-// microseconds, after which the party falls through to the queue and
-// observes the closed state there.
-func (e *EliminatingQueue[T]) Close() { e.q.Close() }
-
-// Closed reports whether Close has been called.
-func (e *EliminatingQueue[T]) Closed() bool { return e.q.Closed() }
-
-var _ TimedQueue[int] = (*EliminatingQueue[int])(nil)

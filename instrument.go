@@ -13,10 +13,10 @@ import (
 // lock-free set of event counters and log₂-nanosecond latency histograms
 // that any structure built with the Instrument option records into.
 //
-// Create one with NewMetrics, pass it to New, NewTransferQueue,
-// NewEliminatingQueue, or NewExchanger via Instrument, and read it back
-// with Stats (or the structure's Metrics accessor). One Metrics may be
-// shared by several structures, in which case their events aggregate.
+// Create one with NewMetrics, pass it to New, NewTransferQueue, or
+// NewExchanger via Instrument, and read it back with Stats (or the
+// structure's Metrics accessor). One Metrics may be shared by several
+// structures, in which case their events aggregate.
 // Recording is allocation-free and wait-free; an uninstrumented structure
 // pays one predictable branch per would-be event and reads no clocks.
 //

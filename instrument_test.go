@@ -127,7 +127,7 @@ func TestInstrumentTransferQueue(t *testing.T) {
 
 func TestInstrumentExchanger(t *testing.T) {
 	m := synchq.NewMetrics()
-	x := synchq.NewExchangerSize[int](1, synchq.Instrument(m))
+	x := synchq.NewExchanger[int](synchq.Instrument(m))
 	if x.Metrics() != m {
 		t.Fatal("Metrics() did not return the instrumented set")
 	}
@@ -148,77 +148,21 @@ func TestInstrumentExchanger(t *testing.T) {
 	}
 }
 
-func TestInstrumentEliminatingQueue(t *testing.T) {
+func TestDeprecatedEliminatingConstructors(t *testing.T) {
+	// NewEliminatingQueue survives as an alias for New plus
+	// EliminatingAdaptive; the caller's options still apply.
 	m := synchq.NewMetrics()
-	q := synchq.NewEliminatingQueue[int](
-		synchq.Eliminating(1, 100*time.Millisecond),
-		synchq.Instrument(m),
-	)
-	if q.Metrics() != m {
-		t.Fatal("Metrics() did not return the instrumented set")
-	}
-	if q.Adaptive() {
-		t.Error("Eliminating option built an adaptive arena")
-	}
-	if q.Fair() {
-		t.Error("default backing queue should be unfair")
-	}
-	if q.Shards() != 1 {
-		t.Errorf("Shards = %d, want 1", q.Shards())
-	}
-	pairN(t, q, 300)
-	s := m.Stats()
-	elim := s.Latency["elim"].Count
-	fallback := s.Latency["fallback"].Count
-	if elim == 0 && fallback == 0 {
-		t.Errorf("no elim or fallback latency recorded: %+v", s.Latency)
-	}
-	// Every pair went one way or the other; elim counts both parties of an
-	// arena hit, fallback counts each party that completed on the queue.
-	// Under 1-in-SampleRate sampling a small hit count can legitimately
-	// leave the histogram empty, so only a large hit count demands samples.
-	if hits := s.Counters["elim-hits"]; hits >= 100 && elim == 0 {
-		t.Errorf("elim-hits = %d but elim histogram empty", hits)
-	}
-}
-
-func TestEliminatingDefaultIsAdaptive(t *testing.T) {
-	q := synchq.NewEliminatingQueue[int]()
-	if !q.Adaptive() {
-		t.Error("NewEliminatingQueue without options should be adaptive")
-	}
-	if q.Metrics() != nil {
-		t.Error("uninstrumented eliminating queue has non-nil Metrics()")
+	q := synchq.NewEliminatingQueue[int](synchq.Fair(true), synchq.Instrument(m))
+	if !q.Fair() || q.Metrics() != m {
+		t.Fatalf("alias dropped options: Fair() = %v, Metrics() = %p, want true, %p", q.Fair(), q.Metrics(), m)
 	}
 	pairN(t, q, 20)
-}
-
-func TestDeprecatedEliminatingConstructors(t *testing.T) {
-	// The deprecated wrappers must keep compiling and behaving as before.
-	q1 := synchq.NewEliminating[int](synchq.NewUnfair[int](), 2, time.Microsecond)
-	if q1.Adaptive() {
-		t.Error("NewEliminating built an adaptive arena")
+	s := m.Stats()
+	if s.Counters["fulfillments"] == 0 {
+		t.Error("no hand-offs recorded through the alias")
 	}
-	pairN(t, q1, 20)
-
-	q2 := synchq.NewEliminatingAdaptive[int](synchq.NewFair[int]())
-	if !q2.Adaptive() {
-		t.Error("NewEliminatingAdaptive built a static arena")
-	}
-	if !q2.Fair() {
-		t.Error("Fair() should reflect the wrapped queue")
-	}
-	pairN(t, q2, 20)
-
-	// A wrapped instrumented queue keeps recording through the wrapper.
-	m := synchq.NewMetrics()
-	q3 := synchq.NewEliminatingAdaptive[int](synchq.New[int](synchq.Instrument(m)))
-	if q3.Metrics() != m {
-		t.Error("wrapper did not inherit the wrapped queue's Metrics")
-	}
-	pairN(t, q3, 20)
-	if s := m.Stats(); s.Counters["fulfillments"] == 0 && s.Counters["elim-hits"] == 0 {
-		t.Error("no events recorded through deprecated wrapper")
+	if s.Counters["elim-hits"]+s.Counters["elim-misses"] == 0 {
+		t.Error("alias built a queue without the elimination front-end")
 	}
 }
 

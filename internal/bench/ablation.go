@@ -77,7 +77,7 @@ func AblationClean(o SweepOpts) *stats.Table {
 	return t
 }
 
-// elimSQ pairs an arena with a dual stack, mirroring synchq.EliminatingQueue
+// elimSQ pairs an arena with a dual stack, mirroring synchq's front-end
 // without importing the public package (internal packages stay acyclic).
 type elimSQ struct {
 	q        *core.DualStack[int64]

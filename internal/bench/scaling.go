@@ -49,7 +49,7 @@ func newAutoFabricSQ() fabricSQ {
 }
 
 // adaptiveElimSQ fronts any pairing surface with a self-tuning elimination
-// arena, mirroring synchq.NewEliminatingAdaptive.
+// arena, mirroring synchq's EliminatingAdaptive option.
 type adaptiveElimSQ struct {
 	arena *exchanger.Arena[int64]
 	q     SQ

@@ -56,7 +56,7 @@ func BenchmarkManyPairsExchange(b *testing.B) {
 				go func() {
 					defer wg.Done()
 					for done.Load() < target {
-						if _, ok := e.ExchangeTimeout(1, time.Millisecond); ok {
+						if _, st := e.ExchangeDeadline(1, time.Now().Add(time.Millisecond), nil); st == OK {
 							done.Add(1)
 						}
 					}

@@ -182,28 +182,16 @@ func (e *Exchanger[T]) Exchange(v T) T {
 	return out
 }
 
-// ExchangeTimeout is Exchange with patience d; ok is false on timeout.
-func (e *Exchanger[T]) ExchangeTimeout(v T, d time.Duration) (T, bool) {
+// ExchangeDeadline is Exchange abandoned when the deadline passes (zero:
+// no deadline) or cancel fires (nil: never), whichever comes first. The
+// status says which ended an unsuccessful wait.
+func (e *Exchanger[T]) ExchangeDeadline(v T, deadline time.Time, cancel <-chan struct{}) (T, Status) {
 	b := e.getBox(v)
-	x, st := e.exchange(b, true, time.Now().Add(d), nil)
+	x, st := e.exchange(b, true, deadline, cancel)
 	if st != OK {
 		// The hole was poisoned before any fulfiller could deposit, so
 		// our datum never transferred and the box is still ours.
 		e.putBox(b)
-		var zero T
-		return zero, false
-	}
-	out := x.v
-	e.putBox(x)
-	return out, true
-}
-
-// ExchangeCancel is Exchange abandoned when cancel fires.
-func (e *Exchanger[T]) ExchangeCancel(v T, cancel <-chan struct{}) (T, Status) {
-	b := e.getBox(v)
-	x, st := e.exchange(b, true, time.Time{}, cancel)
-	if st != OK {
-		e.putBox(b) // never transferred (see ExchangeTimeout)
 		var zero T
 		return zero, st
 	}

@@ -20,11 +20,11 @@ func TestExchangeSwapsValues(t *testing.T) {
 func TestExchangeTimeoutExpires(t *testing.T) {
 	e := New[int]()
 	t0 := time.Now()
-	if _, ok := e.ExchangeTimeout(1, 20*time.Millisecond); ok {
-		t.Fatal("ExchangeTimeout succeeded with no partner")
+	if _, st := e.ExchangeDeadline(1, t0.Add(20*time.Millisecond), nil); st != Timeout {
+		t.Fatalf("ExchangeDeadline with no partner = %v, want Timeout", st)
 	}
 	if time.Since(t0) < 15*time.Millisecond {
-		t.Fatal("ExchangeTimeout returned early")
+		t.Fatal("ExchangeDeadline returned early")
 	}
 }
 
@@ -32,27 +32,36 @@ func TestExchangeTimeoutSucceedsWithPartner(t *testing.T) {
 	e := New[int]()
 	done := make(chan int)
 	go func() { done <- e.Exchange(10) }()
-	v, ok := e.ExchangeTimeout(20, 5*time.Second)
-	if !ok || v != 10 {
-		t.Fatalf("ExchangeTimeout = (%d,%v), want (10,true)", v, ok)
+	v, st := e.ExchangeDeadline(20, time.Now().Add(5*time.Second), nil)
+	if st != OK || v != 10 {
+		t.Fatalf("ExchangeDeadline = (%d,%v), want (10,OK)", v, st)
 	}
 	if got := <-done; got != 20 {
 		t.Fatalf("partner received %d, want 20", got)
 	}
 }
 
+// TestExchangeCancel: cancel ends the wait even when a far deadline is
+// also set — the two bounds are watched together, not one or the other.
 func TestExchangeCancel(t *testing.T) {
-	e := New[int]()
-	cancel := make(chan struct{})
-	done := make(chan Status)
-	go func() {
-		_, st := e.ExchangeCancel(1, cancel)
-		done <- st
-	}()
-	time.Sleep(10 * time.Millisecond)
-	close(cancel)
-	if st := <-done; st != Canceled {
-		t.Fatalf("ExchangeCancel status = %v, want Canceled", st)
+	for _, deadline := range []time.Time{{}, time.Now().Add(time.Minute)} {
+		e := New[int]()
+		cancel := make(chan struct{})
+		done := make(chan Status)
+		go func() {
+			_, st := e.ExchangeDeadline(1, deadline, cancel)
+			done <- st
+		}()
+		time.Sleep(10 * time.Millisecond)
+		close(cancel)
+		select {
+		case st := <-done:
+			if st != Canceled {
+				t.Fatalf("deadline %v: ExchangeDeadline status = %v, want Canceled", deadline, st)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("deadline %v: ExchangeDeadline ignored cancel", deadline)
+		}
 	}
 }
 
@@ -208,8 +217,8 @@ func TestArenaConservationUnderLoad(t *testing.T) {
 func TestZeroSizedExchange(t *testing.T) {
 	// Regression: zero-sized T must not confuse the hole sentinels.
 	e := New[struct{}]()
-	if _, ok := e.ExchangeTimeout(struct{}{}, 2*time.Millisecond); ok {
-		t.Fatal("ExchangeTimeout succeeded with no partner")
+	if _, st := e.ExchangeDeadline(struct{}{}, time.Now().Add(2*time.Millisecond), nil); st == OK {
+		t.Fatal("ExchangeDeadline succeeded with no partner")
 	}
 	done := make(chan struct{})
 	go func() {

@@ -247,3 +247,22 @@ func TestParkUnparkCycleDoesNotAllocate(t *testing.T) {
 	}
 	close(stop)
 }
+
+// TestWaitIgnoresStaleTimerTick: a pooled timer can carry a tick from its
+// previous owner (a fire that raced that owner's Stop-and-drain). A wait
+// that recycles it must not report its own deadline as exceeded early.
+func TestWaitIgnoresStaleTimerTick(t *testing.T) {
+	stale := time.NewTimer(0)
+	time.Sleep(5 * time.Millisecond) // fired; the tick sits undrained in C
+	timerPool.Put(stale)
+
+	p := New()
+	const d = 50 * time.Millisecond
+	t0 := time.Now()
+	if r := p.Wait(t0.Add(d), nil); r != DeadlineExceeded {
+		t.Fatalf("Wait = %v, want DeadlineExceeded", r)
+	}
+	if got := time.Since(t0); got < d {
+		t.Fatalf("Wait returned DeadlineExceeded after %v, before its %v deadline", got, d)
+	}
+}

@@ -51,16 +51,20 @@ func (p *Parker) wait(deadline time.Time, cancel <-chan struct{}, faulty bool) W
 		return Unparked
 	}
 
+	var t *time.Timer
 	var timerC <-chan time.Time
+	var due time.Time // when our own timer fires; earlier ticks are stale
 	if !deadline.IsZero() {
-		d := time.Until(deadline)
+		d0 := time.Until(deadline)
+		d := d0
 		if faulty {
 			d = p.f.SkewTimer(d)
 		}
 		if d <= 0 {
 			return DeadlineExceeded
 		}
-		t := timerPool.Get().(*time.Timer)
+		due = deadline.Add(d - d0)
+		t = timerPool.Get().(*time.Timer)
 		t.Reset(d)
 		defer func() {
 			if !t.Stop() {
@@ -111,6 +115,17 @@ func (p *Parker) wait(deadline time.Time, cancel <-chan struct{}, faulty bool) W
 			// next iteration consumes the permit.
 			p.state.CompareAndSwap(pParked, pEmpty)
 		case <-timerC:
+			if now := time.Now(); now.Before(due) {
+				// A stale tick: a recycled timer's previous fire can land
+				// in its channel after that owner's Stop-and-drain (the
+				// pre-1.23 timer channel semantics this module runs
+				// under), and Reset does not discard it. Re-arm for the
+				// remainder, disarm, and re-park; a disarm lost to an
+				// unparker is consumed as a permit on the next iteration.
+				t.Reset(due.Sub(now))
+				p.state.CompareAndSwap(pParked, pEmpty)
+				continue
+			}
 			// Disarm. If the disarm loses, an unparker delivered a
 			// permit concurrently with the timeout: keep it stored for
 			// the owner's next wait (the same outcome the old

@@ -1,6 +1,6 @@
 // Package stats provides the small statistics toolkit used by the
-// benchmark harness: summaries (mean/median/percentiles), fixed-bucket
-// histograms, and plain-text table/CSV rendering of benchmark series.
+// benchmark harness: summaries (mean/median/percentiles) and plain-text
+// table/CSV rendering of benchmark series.
 package stats
 
 import (
@@ -81,72 +81,4 @@ func Quantile(s []float64, q float64) float64 {
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.1f sd=%.1f min=%.1f p50=%.1f p90=%.1f p99=%.1f max=%.1f",
 		s.N, s.Mean, s.Stddev, s.Min, s.P50, s.P90, s.P99, s.Max)
-}
-
-// Histogram is a fixed-bucket histogram over [Lo, Hi) with uniform bucket
-// width; observations outside the range are clamped into the end buckets.
-type Histogram struct {
-	Lo, Hi  float64
-	Buckets []int64
-	count   int64
-}
-
-// NewHistogram returns a histogram with n buckets spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n < 1 {
-		n = 1
-	}
-	if hi <= lo {
-		hi = lo + 1
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]int64, n)}
-}
-
-// Observe records x.
-func (h *Histogram) Observe(x float64) {
-	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Buckets)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Buckets) {
-		i = len(h.Buckets) - 1
-	}
-	h.Buckets[i]++
-	h.count++
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count }
-
-// Render draws the histogram as rows of "lo..hi | #### count", width
-// columns wide at the longest bar.
-func (h *Histogram) Render(width int) string {
-	if width < 1 {
-		width = 40
-	}
-	var max int64
-	for _, b := range h.Buckets {
-		if b > max {
-			max = b
-		}
-	}
-	out := ""
-	bw := (h.Hi - h.Lo) / float64(len(h.Buckets))
-	for i, b := range h.Buckets {
-		bar := 0
-		if max > 0 {
-			bar = int(float64(b) / float64(max) * float64(width))
-		}
-		out += fmt.Sprintf("%10.1f..%-10.1f |%-*s %d\n",
-			h.Lo+float64(i)*bw, h.Lo+float64(i+1)*bw, width, repeat('#', bar), b)
-	}
-	return out
-}
-
-func repeat(c byte, n int) string {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = c
-	}
-	return string(b)
 }

@@ -80,27 +80,6 @@ func TestQuantilePanicsOnEmpty(t *testing.T) {
 	Quantile(nil, 0.5)
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1, 5, 9.9, 100} {
-		h.Observe(x)
-	}
-	if h.Count() != 6 {
-		t.Fatalf("Count = %d, want 6", h.Count())
-	}
-	// -1 clamps into bucket 0; 100 clamps into the last bucket.
-	if h.Buckets[0] != 3 { // -1, 0, 1
-		t.Fatalf("bucket 0 = %d, want 3", h.Buckets[0])
-	}
-	if h.Buckets[4] != 2 { // 9.9, 100
-		t.Fatalf("bucket 4 = %d, want 2", h.Buckets[4])
-	}
-	out := h.Render(20)
-	if !strings.Contains(out, "#") {
-		t.Fatal("Render drew no bars")
-	}
-}
-
 func TestTableRenderAndCSV(t *testing.T) {
 	tb := NewTable("T", "x", "ns", []string{"a", "b"})
 	tb.Set("1", "a", 100)

@@ -12,7 +12,7 @@ import (
 )
 
 func newQueue() Queue {
-	return synchq.NewUnfair[Task]()
+	return synchq.New[Task](synchq.Fair(false))
 }
 
 func TestSubmitRunsTask(t *testing.T) {
@@ -228,8 +228,8 @@ func TestManySubmittersAllTasksRun(t *testing.T) {
 
 func TestPoolOverEveryQueueKind(t *testing.T) {
 	kinds := map[string]func() Queue{
-		"fair":   func() Queue { return synchq.NewFair[Task]() },
-		"unfair": func() Queue { return synchq.NewUnfair[Task]() },
+		"fair":   func() Queue { return synchq.New[Task](synchq.Fair(true)) },
+		"unfair": func() Queue { return synchq.New[Task](synchq.Fair(false)) },
 	}
 	for name, mk := range kinds {
 		t.Run(name, func(t *testing.T) {

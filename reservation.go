@@ -30,23 +30,18 @@ type Ticket[T any] struct {
 func (t *Ticket[T]) TryFollowup() (T, bool) { return t.t.TryFollowup() }
 
 // Await blocks until the reservation is fulfilled or ctx is done. On error
-// the reservation has been aborted and the ticket is spent.
+// the reservation has been aborted and the ticket is spent; errors follow
+// the SynchronousQueue.PutContext contract (ErrClosed when the queue was
+// closed under the reservation, ErrTimeout when the context's deadline
+// expired, and the context's cancellation cause otherwise).
 func (t *Ticket[T]) Await(ctx context.Context) (T, error) {
 	deadline, _ := ctx.Deadline()
 	v, st := t.t.Await(deadline, ctx.Done())
-	switch st {
-	case core.OK:
+	if st == core.OK {
 		return v, nil
-	case core.Canceled:
-		var zero T
-		return zero, ctx.Err()
-	default:
-		var zero T
-		if err := ctx.Err(); err != nil {
-			return zero, err
-		}
-		return zero, ErrTimeout
 	}
+	var zero T
+	return zero, ctxError(ctx, st)
 }
 
 // AwaitTimeout blocks until the reservation is fulfilled, waiting at most

@@ -7,9 +7,9 @@ import (
 	"time"
 )
 
-// Public-surface tests for the Sharded option and the adaptive eliminating
-// queue: the compositions the multi-core PR added on top of the core
-// structures, exercised through the same API the README documents.
+// Public-surface tests for the Sharded and EliminatingAdaptive options: the
+// compositions layered on top of the core structures, exercised through
+// the same API the README documents.
 
 func TestShardedOptionRoundTrip(t *testing.T) {
 	q := New[int](Fair(true), Sharded(4))
@@ -126,9 +126,9 @@ func TestShardedUnfair(t *testing.T) {
 }
 
 func TestEliminatingAdaptiveRoundTrip(t *testing.T) {
-	e := NewEliminatingAdaptive(NewFair[int]())
-	if !e.Adaptive() {
-		t.Fatal("NewEliminatingAdaptive reports Adaptive() = false")
+	e := New[int](Fair(true), EliminatingAdaptive())
+	if _, ok := e.impl.(*elimFront[int]); !ok {
+		t.Fatalf("EliminatingAdaptive built %T, want the elimination front-end", e.impl)
 	}
 	const n = 1000
 	done := make(chan int)
@@ -151,7 +151,7 @@ func TestEliminatingAdaptiveRoundTrip(t *testing.T) {
 }
 
 func TestEliminatingAdaptiveParitySurface(t *testing.T) {
-	e := NewEliminatingAdaptive(NewFair[int]())
+	e := New[int](Fair(true), EliminatingAdaptive())
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
@@ -191,7 +191,7 @@ func TestEliminatingAdaptiveParitySurface(t *testing.T) {
 func TestEliminatingAdaptiveSharded(t *testing.T) {
 	// The two features compose: an adaptive arena in front of a sharded
 	// fair queue — the configuration the scaling benchmark headlines.
-	e := NewEliminatingAdaptive(New[int](Fair(true), Sharded(2)))
+	e := New[int](Fair(true), Sharded(2), EliminatingAdaptive())
 	const n = 500
 	done := make(chan struct{})
 	go func() {

@@ -68,7 +68,8 @@ type TimedQueue[T any] interface {
 	PollTimeout(d time.Duration) (T, bool)
 }
 
-// impl is the method set shared by the two core algorithms.
+// impl is the method set every queue core provides — and the elimination
+// front-end, which wraps one.
 type impl[T any] interface {
 	Put(T)
 	Take() T
@@ -92,7 +93,7 @@ type impl[T any] interface {
 // SynchronousQueue is a nonblocking, contention-free synchronous queue. It
 // pairs producers and consumers with no buffering: each Put waits for a
 // Take and vice versa. Construct one with New (see the Fair, Sharded,
-// AutoShard, Segmented and Instrument options).
+// AutoShard, Segmented, EliminatingAdaptive and Instrument options).
 type SynchronousQueue[T any] struct {
 	impl impl[T]
 	fair bool
@@ -125,14 +126,9 @@ type config struct {
 	autoShard bool
 	segmented bool
 	shards    int
+	elim      bool
 	wait      core.WaitConfig
 	inst      *Metrics
-
-	// Elimination front-end (NewEliminatingQueue / Eliminating options).
-	elim         bool
-	elimAdaptive bool
-	elimSlots    int
-	elimPatience time.Duration
 }
 
 // buildConfig folds opts into a config.
@@ -149,14 +145,6 @@ func buildConfig(opts []Option) config {
 // java.util.concurrent.SynchronousQueue.
 func Fair(fair bool) Option {
 	return func(c *config) { c.fair = fair }
-}
-
-// Spins overrides the spin-then-park budgets: timed is the spin count
-// before parking for deadline-bounded waits, untimed for unbounded waits.
-// Negative values disable spinning entirely; zero keeps the platform
-// default (no spinning on uniprocessors).
-func Spins(timed, untimed int) Option {
-	return func(c *config) { c.wait = core.WaitConfig{TimedSpins: timed, UntimedSpins: untimed} }
 }
 
 // Segmented selects the segment-backed hand-off core: waiters live in
@@ -214,14 +202,14 @@ func AutoShard() Option {
 }
 
 // New returns a synchronous queue configured by opts; with no options it is
-// equivalent to NewUnfair.
+// the paper's unfair queue (nonblocking dual stack).
 func New[T any](opts ...Option) *SynchronousQueue[T] {
 	return newFromConfig[T](buildConfig(opts))
 }
 
-// newFromConfig builds the queue a config describes. It is the shared back
-// half of New and NewEliminatingQueue, so every option (including
-// Instrument) means the same thing under both constructors.
+// newFromConfig builds the queue a config describes: the backing core the
+// structural options select, behind the elimination front-end when
+// EliminatingAdaptive asked for one.
 func newFromConfig[T any](c config) *SynchronousQueue[T] {
 	q := &SynchronousQueue[T]{fair: c.fair || c.segmented, inst: c.inst}
 	switch {
@@ -267,6 +255,9 @@ func newFromConfig[T any](c config) *SynchronousQueue[T] {
 		q.impl = core.NewDualQueue[T](c.wait)
 	default:
 		q.impl = core.NewDualStack[T](c.wait)
+	}
+	if c.elim {
+		q.impl = newElimFront(q.impl, c.wait.Metrics)
 	}
 	return q
 }
