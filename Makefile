@@ -37,11 +37,15 @@ race:
 bench-overhead:
 	go test -run - -bench MetricsOverhead -count 5 ./internal/core/
 
-# Allocation smoke gate: the budget test fails if a steady-state hand-off
-# exceeds one allocation per operation per side, and the short benchmark
-# run prints the allocs/op figures for eyeballing regressions.
+# Allocation smoke gate: the core budget test fails if a steady-state
+# hand-off exceeds one allocation per operation per side, the fabric budget
+# test fails if a hand-off through the shard fabric (one shard or
+# self-scaling, over each core) allocates anything beyond the bare core's
+# budget, and the short benchmark run prints the allocs/op figures for
+# eyeballing regressions.
 bench-smoke:
 	go test -run TestHandoffAllocBudget -count 1 ./internal/core/
+	go test -run TestFabricAllocBudget -count 1 ./internal/shard/
 	go test -run - -bench BenchmarkHandoffAllocs -benchtime 100x -benchmem ./internal/core/
 
 # Scaling smoke gate: a short producer×consumer sweep reduced (via -cores)

@@ -117,7 +117,8 @@ type FabricShardStats struct {
 	// hold waiters committed before a collapse; they drain through the
 	// ordinary sweep/steal path.
 	Active bool `json:"active"`
-	// Depth gauges the shard's committed demand-path waiters.
+	// Depth gauges the demand-path operations committing to or waiting on
+	// the shard.
 	Depth int64 `json:"depth"`
 	// Steals counts hand-offs completed on this shard by operations homed
 	// elsewhere.

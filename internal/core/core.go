@@ -50,7 +50,23 @@ const (
 	// operation arrived after the close, or the caller was waiting in
 	// the structure when the close happened.
 	Closed
+	// Withdrawn means a commit step declined (see PutCommit): the waiter
+	// was taken back out before anything transferred, and the caller may
+	// retry. Only composing callers that pass a commit step see it.
+	Withdrawn
 )
+
+// A commit step is the hook PutCommit and TakeCommit run inside a waiting
+// operation, for composing callers such as the shard fabric, whose Dekker
+// commit must announce a waiter only once it is linked. The step runs
+// exactly once, after the operation has linked its waiter and passed the
+// post-link close re-check, and before it spins or parks; an operation
+// that completes or fails without linking never runs it. Returning true
+// lets the wait proceed as PutDeadline/TakeDeadline would. Returning false
+// withdraws the waiter with the same CAS a reservation's Abort uses, and
+// the call reports Withdrawn — unless a fulfiller or Close resolved the
+// waiter first, in which case the call completes as that ordinary OK or
+// Closed transfer. The step may itself operate on the structure.
 
 // String returns a human-readable form of s.
 func (s Status) String() string {
@@ -63,6 +79,8 @@ func (s Status) String() string {
 		return "canceled"
 	case Closed:
 		return "closed"
+	case Withdrawn:
+		return "withdrawn"
 	default:
 		return "invalid"
 	}

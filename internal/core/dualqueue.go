@@ -197,13 +197,14 @@ func isOffList[T any](n *qnode[T]) bool { return n.next.Load() == n }
 // makes the operation a pure offer/poll. If async is true a data node is
 // deposited without waiting for a consumer (the paper's TransferQueue
 // extension). On success the returned value is the transferred datum for
-// takes and v echoed back for puts.
+// takes and v echoed back for puts. commit, if non-nil, is the commit step
+// (see Withdrawn).
 //
 // Box ownership: a datum rides in a pooled item box obtained here. Whichever
 // side ends up reading the value out of a pooled box — the taker, for both
 // queue orientations — recycles it; a datum that never transferred (timeout,
-// cancel, close, refused engage) is reclaimed by its producer.
-func (q *DualQueue[T]) transfer(isData bool, v T, deadline time.Time, cancel <-chan struct{}, async bool) (T, Status) {
+// cancel, close, withdrawal, refused engage) is reclaimed by its producer.
+func (q *DualQueue[T]) transfer(isData bool, v T, deadline time.Time, cancel <-chan struct{}, async bool, commit func() bool) (T, Status) {
 	t0 := q.m.Start() // arrival timestamp (zero — no clock read — when uninstrumented)
 	var zero T
 	var e *qitem[T]
@@ -240,6 +241,14 @@ func (q *DualQueue[T]) transfer(isData bool, v T, deadline time.Time, cancel <-c
 		// is never stranded. If a fulfiller got here first the CAS
 		// fails and the transfer completes normally.
 		s.item.CompareAndSwap(e, q.closedSent)
+	}
+	if commit != nil && !commit() && s.item.CompareAndSwap(e, q.canceled) {
+		// Declined: withdraw as a reservation abort does. A lost CAS
+		// means a fulfiller or Close got here first, and the wait below
+		// returns at once with that outcome.
+		q.clean(pred, s)
+		q.putBox(e)
+		return zero, Withdrawn
 	}
 	x, status := q.awaitFulfill(s, e, deadline, cancel, t0)
 	if q.isDead(x) {
@@ -622,7 +631,7 @@ func (q *DualQueue[T]) Closed() bool { return q.closed.Load() }
 // arrive. Put panics if the queue is closed while waiting (or was already
 // closed), since it has no status channel to report Closed through.
 func (q *DualQueue[T]) Put(v T) {
-	if _, st := q.transfer(true, v, time.Time{}, nil, false); st == Closed {
+	if _, st := q.transfer(true, v, time.Time{}, nil, false, nil); st == Closed {
 		panic(errClosedDemand)
 	}
 }
@@ -630,20 +639,27 @@ func (q *DualQueue[T]) Put(v T) {
 // PutDeadline transfers v to a consumer, giving up at the deadline (zero
 // means never) or when cancel fires (nil means never).
 func (q *DualQueue[T]) PutDeadline(v T, deadline time.Time, cancel <-chan struct{}) Status {
-	_, st := q.transfer(true, v, deadline, cancel, false)
+	_, st := q.transfer(true, v, deadline, cancel, false, nil)
+	return st
+}
+
+// PutCommit is PutDeadline with a commit step run once the producer has
+// linked (see Withdrawn).
+func (q *DualQueue[T]) PutCommit(v T, deadline time.Time, cancel <-chan struct{}, commit func() bool) Status {
+	_, st := q.transfer(true, v, deadline, cancel, false, commit)
 	return st
 }
 
 // Offer transfers v only if a consumer is already waiting; it reports
 // whether the transfer happened.
 func (q *DualQueue[T]) Offer(v T) bool {
-	_, st := q.transfer(true, v, deadlineFor(0), nil, false)
+	_, st := q.transfer(true, v, deadlineFor(0), nil, false, nil)
 	return st == OK
 }
 
 // OfferTimeout transfers v, waiting up to d for a consumer.
 func (q *DualQueue[T]) OfferTimeout(v T, d time.Duration) bool {
-	_, st := q.transfer(true, v, deadlineFor(d), nil, false)
+	_, st := q.transfer(true, v, deadlineFor(d), nil, false, nil)
 	return st == OK
 }
 
@@ -652,7 +668,7 @@ func (q *DualQueue[T]) OfferTimeout(v T, d time.Duration) bool {
 // It reports OK, or Closed when the queue has been shut down (the deposit
 // is refused so closed queues cannot accumulate unreachable data).
 func (q *DualQueue[T]) PutAsync(v T) Status {
-	_, st := q.transfer(true, v, time.Time{}, nil, true)
+	_, st := q.transfer(true, v, time.Time{}, nil, true, nil)
 	return st
 }
 
@@ -660,7 +676,7 @@ func (q *DualQueue[T]) PutAsync(v T) Status {
 // one to arrive. Take panics if the queue is closed while waiting (or was
 // already closed), rather than inventing a zero value.
 func (q *DualQueue[T]) Take() T {
-	v, st := q.transfer(false, *new(T), time.Time{}, nil, false)
+	v, st := q.transfer(false, *new(T), time.Time{}, nil, false, nil)
 	if st == Closed {
 		panic(errClosedDemand)
 	}
@@ -670,19 +686,25 @@ func (q *DualQueue[T]) Take() T {
 // TakeDeadline receives a value, giving up at the deadline (zero means
 // never) or when cancel fires (nil means never).
 func (q *DualQueue[T]) TakeDeadline(deadline time.Time, cancel <-chan struct{}) (T, Status) {
-	return q.transfer(false, *new(T), deadline, cancel, false)
+	return q.transfer(false, *new(T), deadline, cancel, false, nil)
+}
+
+// TakeCommit is TakeDeadline with a commit step run once the consumer has
+// linked (see Withdrawn).
+func (q *DualQueue[T]) TakeCommit(deadline time.Time, cancel <-chan struct{}, commit func() bool) (T, Status) {
+	return q.transfer(false, *new(T), deadline, cancel, false, commit)
 }
 
 // Poll receives a value only if a producer is already waiting (or a datum
 // was deposited asynchronously).
 func (q *DualQueue[T]) Poll() (T, bool) {
-	v, st := q.transfer(false, *new(T), deadlineFor(0), nil, false)
+	v, st := q.transfer(false, *new(T), deadlineFor(0), nil, false, nil)
 	return v, st == OK
 }
 
 // PollTimeout receives a value, waiting up to d for a producer.
 func (q *DualQueue[T]) PollTimeout(d time.Duration) (T, bool) {
-	v, st := q.transfer(false, *new(T), deadlineFor(d), nil, false)
+	v, st := q.transfer(false, *new(T), deadlineFor(d), nil, false, nil)
 	return v, st == OK
 }
 

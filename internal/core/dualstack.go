@@ -163,8 +163,9 @@ func (q *DualStack[T]) isDead(n *snode[T]) bool {
 // forever; an expired deadline makes the operation a pure offer/poll. On
 // success the returned value is the transferred datum for takes (the zero
 // value for puts). The datum rides in the waiting or fulfilling node's
-// embedded box, so no separate box circulates.
-func (q *DualStack[T]) transfer(isData bool, v T, deadline time.Time, cancel <-chan struct{}) (T, Status) {
+// embedded box, so no separate box circulates. commit, if non-nil, is the
+// commit step (see Withdrawn).
+func (q *DualStack[T]) transfer(isData bool, v T, deadline time.Time, cancel <-chan struct{}, commit func() bool) (T, Status) {
 	t0 := q.m.Start() // arrival timestamp (zero — no clock read — when uninstrumented)
 	var zero T
 	mode := modeRequest
@@ -191,6 +192,12 @@ func (q *DualStack[T]) transfer(isData bool, v T, deadline time.Time, cancel <-c
 		// fails and the transfer completes normally.
 		s.match.CompareAndSwap(nil, q.closedMark)
 	}
+	if commit != nil && !commit() && s.match.CompareAndSwap(nil, s) {
+		// Declined: withdraw as a reservation abort does; a lost CAS
+		// leaves the match for the wait below to collect at once.
+		q.clean(s)
+		return zero, Withdrawn
+	}
 	m, status := q.awaitFulfill(s, deadline, cancel, t0)
 	if m == s || m == q.closedMark {
 		q.clean(s)
@@ -204,11 +211,11 @@ func (q *DualStack[T]) transfer(isData bool, v T, deadline time.Time, cancel <-c
 }
 
 // engageReserve is engageWait with unconditional waiting, for the ticket
-// API. A closed stack is reported as the Closed status (node nil).
-func (q *DualStack[T]) engageReserve(v T, mode uint8) (T, *snode[T], Status) {
+// API. It panics if the stack is closed, like the demand operations.
+func (q *DualStack[T]) engageReserve(v T, mode uint8) (T, *snode[T]) {
 	imm, s, st := q.engageWait(v, mode, func() bool { return true })
 	if st == Closed {
-		return imm, nil, Closed
+		panic(errClosedDemand)
 	}
 	if s != nil && q.closed.Load() {
 		// Close may have raced our push and finished its eviction
@@ -218,7 +225,7 @@ func (q *DualStack[T]) engageReserve(v T, mode uint8) (T, *snode[T], Status) {
 		// normally; otherwise Await reports Closed and Abort succeeds.
 		s.match.CompareAndSwap(nil, q.closedMark)
 	}
-	return imm, s, OK
+	return imm, s
 }
 
 // engageWait is the lock-free half of a transfer: it either completes
@@ -564,7 +571,7 @@ func (q *DualStack[T]) Closed() bool { return q.closed.Load() }
 // arrive. Put panics if the stack is closed while waiting (or was already
 // closed), since it has no status channel to report Closed through.
 func (q *DualStack[T]) Put(v T) {
-	if _, st := q.transfer(true, v, time.Time{}, nil); st == Closed {
+	if _, st := q.transfer(true, v, time.Time{}, nil, nil); st == Closed {
 		panic(errClosedDemand)
 	}
 }
@@ -572,19 +579,26 @@ func (q *DualStack[T]) Put(v T) {
 // PutDeadline transfers v to a consumer, giving up at the deadline (zero
 // means never) or when cancel fires (nil means never).
 func (q *DualStack[T]) PutDeadline(v T, deadline time.Time, cancel <-chan struct{}) Status {
-	_, st := q.transfer(true, v, deadline, cancel)
+	_, st := q.transfer(true, v, deadline, cancel, nil)
+	return st
+}
+
+// PutCommit is PutDeadline with a commit step run once the producer has
+// been pushed (see Withdrawn).
+func (q *DualStack[T]) PutCommit(v T, deadline time.Time, cancel <-chan struct{}, commit func() bool) Status {
+	_, st := q.transfer(true, v, deadline, cancel, commit)
 	return st
 }
 
 // Offer transfers v only if a consumer is already waiting.
 func (q *DualStack[T]) Offer(v T) bool {
-	_, st := q.transfer(true, v, deadlineFor(0), nil)
+	_, st := q.transfer(true, v, deadlineFor(0), nil, nil)
 	return st == OK
 }
 
 // OfferTimeout transfers v, waiting up to d for a consumer.
 func (q *DualStack[T]) OfferTimeout(v T, d time.Duration) bool {
-	_, st := q.transfer(true, v, deadlineFor(d), nil)
+	_, st := q.transfer(true, v, deadlineFor(d), nil, nil)
 	return st == OK
 }
 
@@ -592,7 +606,7 @@ func (q *DualStack[T]) OfferTimeout(v T, d time.Duration) bool {
 // one to arrive. Take panics if the stack is closed while waiting (or was
 // already closed), rather than inventing a zero value.
 func (q *DualStack[T]) Take() T {
-	v, st := q.transfer(false, *new(T), time.Time{}, nil)
+	v, st := q.transfer(false, *new(T), time.Time{}, nil, nil)
 	if st == Closed {
 		panic(errClosedDemand)
 	}
@@ -602,18 +616,24 @@ func (q *DualStack[T]) Take() T {
 // TakeDeadline receives a value, giving up at the deadline (zero means
 // never) or when cancel fires (nil means never).
 func (q *DualStack[T]) TakeDeadline(deadline time.Time, cancel <-chan struct{}) (T, Status) {
-	return q.transfer(false, *new(T), deadline, cancel)
+	return q.transfer(false, *new(T), deadline, cancel, nil)
+}
+
+// TakeCommit is TakeDeadline with a commit step run once the consumer has
+// been pushed (see Withdrawn).
+func (q *DualStack[T]) TakeCommit(deadline time.Time, cancel <-chan struct{}, commit func() bool) (T, Status) {
+	return q.transfer(false, *new(T), deadline, cancel, commit)
 }
 
 // Poll receives a value only if a producer is already waiting.
 func (q *DualStack[T]) Poll() (T, bool) {
-	v, st := q.transfer(false, *new(T), deadlineFor(0), nil)
+	v, st := q.transfer(false, *new(T), deadlineFor(0), nil, nil)
 	return v, st == OK
 }
 
 // PollTimeout receives a value, waiting up to d for a producer.
 func (q *DualStack[T]) PollTimeout(d time.Duration) (T, bool) {
-	v, st := q.transfer(false, *new(T), deadlineFor(d), nil)
+	v, st := q.transfer(false, *new(T), deadlineFor(d), nil, nil)
 	return v, st == OK
 }
 

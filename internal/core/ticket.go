@@ -37,26 +37,24 @@ type QueueTicket[T any] struct {
 	done bool      // a follow-up already consumed the outcome
 }
 
-// TakeReserveStatus registers a request for a value (the request
-// operation, which linearizes the caller's place in line). If a producer
-// was already waiting, its value is returned at once with ok true and a
-// nil ticket; otherwise ok is false and the ticket tracks the pending
-// reservation. A closed queue is reported as the Closed status — the
-// variant for callers (such as the shard fabric) that compose reservations
-// inside status-reporting operations.
-func (q *DualQueue[T]) TakeReserveStatus() (T, *QueueTicket[T], bool, Status) {
+// TakeReserve registers a request for a value (the request operation,
+// which linearizes the caller's place in line). If a producer was already
+// waiting, its value is returned at once with ok true and a nil ticket;
+// otherwise ok is false and the ticket tracks the pending reservation. It
+// panics if the queue is closed, like the demand operations.
+func (q *DualQueue[T]) TakeReserve() (T, *QueueTicket[T], bool) {
 	t0 := q.m.Start()
 	var zero T
 	imm, node, pred, st := q.engage(nil, func() bool { return true }, false)
 	if st == Closed {
-		return zero, nil, false, Closed
+		panic(errClosedDemand)
 	}
 	if node == nil {
 		// Consume the delivered value and recycle the fulfiller's box.
 		q.m.Since(metrics.HandoffNs, t0)
 		v := imm.v
 		q.putBox(imm)
-		return v, nil, true, OK
+		return v, nil, true
 	}
 	if q.closed.Load() {
 		// Close may have raced our enqueue and finished its eviction
@@ -66,51 +64,31 @@ func (q *DualQueue[T]) TakeReserveStatus() (T, *QueueTicket[T], bool, Status) {
 		// normally; otherwise Await reports Closed and Abort succeeds.
 		node.item.CompareAndSwap(nil, q.closedSent)
 	}
-	return zero, &QueueTicket[T]{q: q, node: node, pred: pred, e: nil, t0: t0}, false, OK
+	return zero, &QueueTicket[T]{q: q, node: node, pred: pred, e: nil, t0: t0}, false
 }
 
-// TakeReserve is TakeReserveStatus for callers with no status channel: it
-// panics if the queue is closed, like the demand operations.
-func (q *DualQueue[T]) TakeReserve() (T, *QueueTicket[T], bool) {
-	v, tk, ok, st := q.TakeReserveStatus()
-	if st == Closed {
-		panic(errClosedDemand)
-	}
-	return v, tk, ok
-}
-
-// PutReserveStatus offers v to a future consumer (the request operation).
-// If a consumer was already waiting, v is delivered at once and ok is true
-// with a nil ticket; otherwise ok is false and the ticket tracks the
-// pending offer. A closed queue is reported as the Closed status.
-func (q *DualQueue[T]) PutReserveStatus(v T) (*QueueTicket[T], bool, Status) {
+// PutReserve offers v to a future consumer (the request operation). If a
+// consumer was already waiting, v is delivered at once and ok is true with
+// a nil ticket; otherwise ok is false and the ticket tracks the pending
+// offer. It panics if the queue is closed.
+func (q *DualQueue[T]) PutReserve(v T) (*QueueTicket[T], bool) {
 	t0 := q.m.Start()
 	e := q.getBox(v)
 	_, node, pred, st := q.engage(e, func() bool { return true }, false)
 	if st == Closed {
 		q.putBox(e)
-		return nil, false, Closed
+		panic(errClosedDemand)
 	}
 	if node == nil {
 		q.m.Since(metrics.HandoffNs, t0)
-		return nil, true, OK
+		return nil, true
 	}
 	if q.closed.Load() {
-		// Same enqueue-vs-sweep window as TakeReserveStatus: self-evict
-		// so the offer is never stranded by a Close that missed it.
+		// Same enqueue-vs-sweep window as TakeReserve: self-evict so the
+		// offer is never stranded by a Close that missed it.
 		node.item.CompareAndSwap(e, q.closedSent)
 	}
-	return &QueueTicket[T]{q: q, node: node, pred: pred, e: e, t0: t0}, false, OK
-}
-
-// PutReserve is PutReserveStatus for callers with no status channel: it
-// panics if the queue is closed.
-func (q *DualQueue[T]) PutReserve(v T) (*QueueTicket[T], bool) {
-	tk, ok, st := q.PutReserveStatus(v)
-	if st == Closed {
-		panic(errClosedDemand)
-	}
-	return tk, ok
+	return &QueueTicket[T]{q: q, node: node, pred: pred, e: e, t0: t0}, false
 }
 
 // TryFollowup checks, without blocking, whether the reservation has been
@@ -197,58 +175,32 @@ type StackTicket[T any] struct {
 	done bool
 }
 
-// TakeReserveStatus registers a request for a value on the stack. If a
-// producer was already waiting (or a fulfillment completed during the
-// attempt), the value is returned at once with ok true and a nil ticket. A
-// closed stack is reported as the Closed status.
-func (q *DualStack[T]) TakeReserveStatus() (T, *StackTicket[T], bool, Status) {
+// TakeReserve registers a request for a value on the stack. If a producer
+// was already waiting (or a fulfillment completed during the attempt), the
+// value is returned at once with ok true and a nil ticket. It panics if
+// the stack is closed.
+func (q *DualStack[T]) TakeReserve() (T, *StackTicket[T], bool) {
 	t0 := q.m.Start()
 	var zero T
-	imm, node, st := q.engageReserve(*new(T), modeRequest)
-	if st == Closed {
-		return zero, nil, false, Closed
-	}
+	imm, node := q.engageReserve(*new(T), modeRequest)
 	if node == nil {
 		q.m.Since(metrics.HandoffNs, t0)
-		return imm, nil, true, OK
+		return imm, nil, true
 	}
-	return zero, &StackTicket[T]{q: q, node: node, t0: t0}, false, OK
+	return zero, &StackTicket[T]{q: q, node: node, t0: t0}, false
 }
 
-// TakeReserve is TakeReserveStatus for callers with no status channel: it
-// panics if the stack is closed.
-func (q *DualStack[T]) TakeReserve() (T, *StackTicket[T], bool) {
-	v, tk, ok, st := q.TakeReserveStatus()
-	if st == Closed {
-		panic(errClosedDemand)
-	}
-	return v, tk, ok
-}
-
-// PutReserveStatus offers v on the stack. If a consumer was already
-// waiting, v is delivered at once and ok is true with a nil ticket. A
-// closed stack is reported as the Closed status.
-func (q *DualStack[T]) PutReserveStatus(v T) (*StackTicket[T], bool, Status) {
-	t0 := q.m.Start()
-	_, node, st := q.engageReserve(v, modeData)
-	if st == Closed {
-		return nil, false, Closed
-	}
-	if node == nil {
-		q.m.Since(metrics.HandoffNs, t0)
-		return nil, true, OK
-	}
-	return &StackTicket[T]{q: q, node: node, t0: t0}, false, OK
-}
-
-// PutReserve is PutReserveStatus for callers with no status channel: it
-// panics if the stack is closed.
+// PutReserve offers v on the stack. If a consumer was already waiting, v
+// is delivered at once and ok is true with a nil ticket. It panics if the
+// stack is closed.
 func (q *DualStack[T]) PutReserve(v T) (*StackTicket[T], bool) {
-	tk, ok, st := q.PutReserveStatus(v)
-	if st == Closed {
-		panic(errClosedDemand)
+	t0 := q.m.Start()
+	_, node := q.engageReserve(v, modeData)
+	if node == nil {
+		q.m.Since(metrics.HandoffNs, t0)
+		return nil, true
 	}
-	return tk, ok
+	return &StackTicket[T]{q: q, node: node, t0: t0}, false
 }
 
 // TryFollowup checks, without blocking, whether the reservation has been
@@ -362,44 +314,4 @@ func (q *DualStack[T]) ReservePut(v T) (Ticket[T], bool) {
 		return nil, ok
 	}
 	return tk, ok
-}
-
-// ReserveTakeStatus is TakeReserveStatus with the ticket as the shared
-// Ticket interface (nil ticket when ok is true or the status is Closed).
-func (q *DualQueue[T]) ReserveTakeStatus() (T, Ticket[T], bool, Status) {
-	v, tk, ok, st := q.TakeReserveStatus()
-	if tk == nil {
-		return v, nil, ok, st
-	}
-	return v, tk, ok, st
-}
-
-// ReservePutStatus is PutReserveStatus with the ticket as the shared
-// Ticket interface.
-func (q *DualQueue[T]) ReservePutStatus(v T) (Ticket[T], bool, Status) {
-	tk, ok, st := q.PutReserveStatus(v)
-	if tk == nil {
-		return nil, ok, st
-	}
-	return tk, ok, st
-}
-
-// ReserveTakeStatus is TakeReserveStatus with the ticket as the shared
-// Ticket interface (nil ticket when ok is true or the status is Closed).
-func (q *DualStack[T]) ReserveTakeStatus() (T, Ticket[T], bool, Status) {
-	v, tk, ok, st := q.TakeReserveStatus()
-	if tk == nil {
-		return v, nil, ok, st
-	}
-	return v, tk, ok, st
-}
-
-// ReservePutStatus is PutReserveStatus with the ticket as the shared
-// Ticket interface.
-func (q *DualStack[T]) ReservePutStatus(v T) (Ticket[T], bool, Status) {
-	tk, ok, st := q.PutReserveStatus(v)
-	if tk == nil {
-		return nil, ok, st
-	}
-	return tk, ok, st
 }

@@ -302,7 +302,7 @@ func (q *Queue[T]) TakeBatch(buf []T, max int, deadline time.Time, cancel <-chan
 	if max <= 0 {
 		return buf, core.OK
 	}
-	v, st := q.transfer(false, *new(T), deadline, cancel)
+	v, st := q.transfer(false, *new(T), deadline, cancel, nil)
 	if st != core.OK {
 		return buf, st
 	}
@@ -352,7 +352,7 @@ func (q *Queue[T]) takeRun(buf *[]T, max int) (int, Status) {
 			continue // unlinked: dead index
 		}
 		c := &s.cells[i&segMask]
-		v, st, ok := q.resolveArrival(s, c, i, false, zero, expired, nil, 0, &q.putc)
+		v, st, ok := q.resolveArrival(s, c, i, false, zero, expired, nil, nil, 0, &q.putc)
 		if !ok {
 			continue // BROKEN on arrival: dead index
 		}

@@ -367,8 +367,9 @@ func (q *Queue[T]) advanceHead(to *segment[T]) {
 // attempt-first: expired patience poisons only when no counterpart has
 // committed an index ≥ ours (otherC ≤ i); a committed counterpart is on
 // its way to this very cell, so even a zero-patience operation installs
-// and briefly waits for it.
-func (q *Queue[T]) transfer(isPut bool, v T, deadline time.Time, cancel <-chan struct{}) (T, Status) {
+// and briefly waits for it. commit, if non-nil, is the commit step (see
+// core.Withdrawn).
+func (q *Queue[T]) transfer(isPut bool, v T, deadline time.Time, cancel <-chan struct{}, commit func() bool) (T, Status) {
 	t0 := q.m.Start()
 	var zero T
 	if q.closed.Load() {
@@ -386,7 +387,7 @@ func (q *Queue[T]) transfer(isPut bool, v T, deadline time.Time, cancel <-chan s
 			continue
 		}
 		c := &s.cells[i&segMask]
-		if v2, st, ok := q.resolveArrival(s, c, i, isPut, v, deadline, cancel, t0, other); ok {
+		if v2, st, ok := q.resolveArrival(s, c, i, isPut, v, deadline, cancel, commit, t0, other); ok {
 			return v2, st
 		}
 		// The cell was BROKEN before we arrived (the counterpart
@@ -404,7 +405,7 @@ func (q *Queue[T]) side(isPut bool) (ctr, other *atomic.Uint64, hint *atomic.Poi
 // resolveArrival plays this operation's claimed cell through the state
 // machine. ok is false only for the BROKEN-on-arrival case, which retries
 // with a fresh index.
-func (q *Queue[T]) resolveArrival(s *segment[T], c *cell[T], i uint64, isPut bool, v T, deadline time.Time, cancel <-chan struct{}, t0 int64, other *atomic.Uint64) (T, Status, bool) {
+func (q *Queue[T]) resolveArrival(s *segment[T], c *cell[T], i uint64, isPut bool, v T, deadline time.Time, cancel <-chan struct{}, commit func() bool, t0 int64, other *atomic.Uint64) (T, Status, bool) {
 	var zero T
 	for {
 		switch st := c.state.Load(); st {
@@ -456,6 +457,11 @@ func (q *Queue[T]) resolveArrival(s *segment[T], c *cell[T], i uint64, isPut boo
 					}
 					return zero, core.Closed, true
 				}
+			}
+			if commit != nil && !commit() && q.withdraw(s, c, installed, isPut) {
+				// Declined; a lost withdrawal leaves the resolution for
+				// awaitCell to collect at once.
+				return zero, core.Withdrawn, true
 			}
 			v2, st2 := q.awaitCell(s, c, i, installed, isPut, deadline, cancel, t0, other)
 			return v2, st2, true
@@ -648,7 +654,7 @@ type Status = core.Status
 // Put transfers v to a consumer, waiting as long as necessary; it panics
 // if the queue is closed (the analogue of sending on a closed channel).
 func (q *Queue[T]) Put(v T) {
-	if _, st := q.transfer(true, v, time.Time{}, nil); st == core.Closed {
+	if _, st := q.transfer(true, v, time.Time{}, nil, nil); st == core.Closed {
 		panic(errClosedDemand)
 	}
 }
@@ -656,7 +662,7 @@ func (q *Queue[T]) Put(v T) {
 // Take receives a value from a producer, waiting as long as necessary; it
 // panics if the queue is closed.
 func (q *Queue[T]) Take() T {
-	v, st := q.transfer(false, *new(T), time.Time{}, nil)
+	v, st := q.transfer(false, *new(T), time.Time{}, nil, nil)
 	if st == core.Closed {
 		panic(errClosedDemand)
 	}
@@ -666,39 +672,52 @@ func (q *Queue[T]) Take() T {
 // PutDeadline transfers v, waiting until the deadline (zero: forever) or
 // until cancel fires (nil: never).
 func (q *Queue[T]) PutDeadline(v T, deadline time.Time, cancel <-chan struct{}) Status {
-	_, st := q.transfer(true, v, deadline, cancel)
+	_, st := q.transfer(true, v, deadline, cancel, nil)
 	return st
 }
 
 // TakeDeadline receives a value, waiting until the deadline (zero:
 // forever) or until cancel fires (nil: never).
 func (q *Queue[T]) TakeDeadline(deadline time.Time, cancel <-chan struct{}) (T, Status) {
-	return q.transfer(false, *new(T), deadline, cancel)
+	return q.transfer(false, *new(T), deadline, cancel, nil)
+}
+
+// PutCommit is PutDeadline with a commit step run once the producer has
+// installed its cell (see core.Withdrawn).
+func (q *Queue[T]) PutCommit(v T, deadline time.Time, cancel <-chan struct{}, commit func() bool) Status {
+	_, st := q.transfer(true, v, deadline, cancel, commit)
+	return st
+}
+
+// TakeCommit is TakeDeadline with a commit step run once the consumer has
+// installed its cell (see core.Withdrawn).
+func (q *Queue[T]) TakeCommit(deadline time.Time, cancel <-chan struct{}, commit func() bool) (T, Status) {
+	return q.transfer(false, *new(T), deadline, cancel, commit)
 }
 
 // Offer transfers v only if a consumer already committed to this hand-off;
 // it never blocks beyond a bounded spin.
 func (q *Queue[T]) Offer(v T) bool {
-	_, st := q.transfer(true, v, core.DeadlineFor(0), nil)
+	_, st := q.transfer(true, v, core.DeadlineFor(0), nil, nil)
 	return st == core.OK
 }
 
 // OfferTimeout transfers v, waiting up to d for a consumer.
 func (q *Queue[T]) OfferTimeout(v T, d time.Duration) bool {
-	_, st := q.transfer(true, v, core.DeadlineFor(d), nil)
+	_, st := q.transfer(true, v, core.DeadlineFor(d), nil, nil)
 	return st == core.OK
 }
 
 // Poll receives a value only if a producer already committed to this
 // hand-off; it never blocks beyond a bounded spin.
 func (q *Queue[T]) Poll() (T, bool) {
-	v, st := q.transfer(false, *new(T), core.DeadlineFor(0), nil)
+	v, st := q.transfer(false, *new(T), core.DeadlineFor(0), nil, nil)
 	return v, st == core.OK
 }
 
 // PollTimeout receives a value, waiting up to d for a producer.
 func (q *Queue[T]) PollTimeout(d time.Duration) (T, bool) {
-	v, st := q.transfer(false, *new(T), core.DeadlineFor(d), nil)
+	v, st := q.transfer(false, *new(T), core.DeadlineFor(d), nil, nil)
 	return v, st == core.OK
 }
 

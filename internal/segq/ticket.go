@@ -10,8 +10,8 @@ import (
 
 // Reservation tickets: the request half of a split transfer, mirroring
 // internal/core's QueueTicket/StackTicket so the segmented core satisfies
-// the same composition surfaces (the shard fabric's rescue scans, the
-// public SynchronousQueue reservation API).
+// the same composition surfaces (the shard fabric's pinned reservations,
+// the public SynchronousQueue reservation API).
 //
 // A reservation is just an installed cell whose owner walked away instead
 // of waiting: the ticket remembers the cell, and TryFollowup/Await/Abort
@@ -171,35 +171,42 @@ func (t *Ticket[T]) Abort() bool {
 	if t.done {
 		panic("segq: abort on a spent ticket")
 	}
-	var zero T
-	for {
-		switch st := t.c.state.Load(); st {
-		case t.installed:
-			if t.c.state.CompareAndSwap(t.installed, cBroken) {
-				t.q.resolveCell(t.s)
-				if t.isPut {
-					t.c.v = zero
-				}
-				t.q.m.Inc(metrics.Cancellations)
-				t.done = true
-				return true
-			}
-		case cClosed:
-			t.done = true
-			return true
-		default: // cDone
-			return false
-		}
+	// Only the owner breaks its own cell, so a lost withdrawal means the
+	// cell is DONE (fulfilled first) or CLOSED (evicted: nothing to collect).
+	if t.q.withdraw(t.s, t.c, t.installed, t.isPut) || t.c.state.Load() == cClosed {
+		t.done = true
+		return true
 	}
+	return false
+}
+
+// withdraw breaks a cell this operation installed and nobody resolved yet,
+// reclaiming an undelivered value — the arc a reservation's Abort and a
+// declined commit step share. It reports false when a resolver or Close
+// got to the cell first.
+func (q *Queue[T]) withdraw(s *segment[T], c *cell[T], installed uint32, isPut bool) bool {
+	if !c.state.CompareAndSwap(installed, cBroken) {
+		return false
+	}
+	q.resolveCell(s)
+	if isPut {
+		var zero T
+		c.v = zero
+	}
+	q.m.Inc(metrics.Cancellations)
+	return true
 }
 
 // ReserveTake registers a request for a value; if a producer was already
 // waiting its value is returned at once with ok true and a nil ticket. It
 // panics if the queue is closed, like the demand operations.
 func (q *Queue[T]) ReserveTake() (T, core.Ticket[T], bool) {
-	v, tk, ok, st := q.ReserveTakeStatus()
+	v, tk, ok, st := q.reserve(false, *new(T))
 	if st == core.Closed {
 		panic(errClosedDemand)
+	}
+	if tk == nil {
+		return v, nil, ok
 	}
 	return v, tk, ok
 }
@@ -208,30 +215,12 @@ func (q *Queue[T]) ReserveTake() (T, core.Ticket[T], bool) {
 // waiting, v is delivered at once with ok true and a nil ticket. It
 // panics if the queue is closed.
 func (q *Queue[T]) ReservePut(v T) (core.Ticket[T], bool) {
-	tk, ok, st := q.ReservePutStatus(v)
+	_, tk, ok, st := q.reserve(true, v)
 	if st == core.Closed {
 		panic(errClosedDemand)
 	}
+	if tk == nil {
+		return nil, ok
+	}
 	return tk, ok
-}
-
-// ReserveTakeStatus is ReserveTake with a status channel for composing
-// callers (the shard fabric): a closed queue reports Closed instead of
-// panicking.
-func (q *Queue[T]) ReserveTakeStatus() (T, core.Ticket[T], bool, Status) {
-	v, tk, ok, st := q.reserve(false, *new(T))
-	if tk == nil {
-		return v, nil, ok, st
-	}
-	return v, tk, ok, st
-}
-
-// ReservePutStatus is ReservePut with a status channel for composing
-// callers.
-func (q *Queue[T]) ReservePutStatus(v T) (core.Ticket[T], bool, Status) {
-	_, tk, ok, st := q.reserve(true, v)
-	if tk == nil {
-		return nil, ok, st
-	}
-	return tk, ok, st
 }

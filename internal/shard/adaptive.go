@@ -91,9 +91,14 @@ type shardState struct {
 	// through anyway.
 	reprobe atomic.Uint32
 	_       uint32
-	// depth gauges the shard's committed demand-path waiters (pinned
-	// Reserve tickets are owned by the caller past the fabric's sight and
-	// are not gauged).
+	// depth gauges the demand-path operations inside the shard's commit
+	// call: each found no counterpart in its sweep and is linking, running
+	// the commit step, or waiting there. The engine brackets the call
+	// itself rather than counting in the commit step, because a declined
+	// step whose withdrawal loses to a fulfiller returns plain OK, and the
+	// engine could not tell whether to undo a count the step had made.
+	// Pinned Reserve tickets are owned by the caller past the fabric's
+	// sight and are not gauged.
 	depth atomic.Int64
 	// steals counts hand-offs completed on this shard by an operation
 	// homed elsewhere.

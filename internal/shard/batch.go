@@ -15,14 +15,14 @@ import (
 // (re-drawing a home, re-loading the summary) per item. Only the items the
 // burst sweep cannot pair fall back to the blocking single-item engines,
 // which is unavoidable: a synchronous hand-off with no counterpart must
-// wait, and waiting is per-reservation.
+// wait, and each waiting item needs its own linked waiter.
 //
 // The fabric's ordering contract ("per-shard FIFO, globally none") extends
 // to batches: items of one burst delivered to the same shard keep their
 // slice order, items spilled across shards may pair in any order.
 
 // PutBatch transfers items in order of dispatch, burst-sweeping flagged
-// shards first and committing the remainder one reservation at a time. It
+// shards first and committing the remainder one waiter at a time. It
 // returns the count delivered and OK when all of items transferred; on
 // Timeout/Canceled/Closed the count is the partial fill.
 func (f *Fabric[T]) PutBatch(items []T, deadline time.Time, cancel <-chan struct{}) (int, core.Status) {

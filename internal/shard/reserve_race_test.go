@@ -19,17 +19,24 @@ import (
 // every future sweep — a counterpart then commits to waiting on its own
 // shard and both strand forever, with no rescue.
 //
-// The second is Close linearization: Close shuts shards down in index
+// The second is its demand-path sibling: the commit step announces only
+// after the waiter has linked, so a counterpart that links and announces
+// inside our link-to-announce window is caught by nothing but our Dekker
+// reload.
+//
+// The third is Close linearization: Close shuts shards down in index
 // order, so Closed() must not report true (from shard 0) while transfers
 // can still complete on higher-index shards.
 
 // hookedDual wraps a shard and runs a callback immediately before the
 // reservation links — i.e., inside the fabric's announce-to-link window —
-// and before Close.
+// at the start of a producer's commit step (after the link, before the
+// announce), and before Close.
 type hookedDual struct {
 	Dual[int64]
 	beforeReserveTake func()
 	beforeReservePut  func()
+	beforePutCommit   func()
 	beforeClose       func()
 }
 
@@ -45,6 +52,16 @@ func (h *hookedDual) ReservePut(v int64) (core.Ticket[int64], bool) {
 		h.beforeReservePut()
 	}
 	return h.Dual.ReservePut(v)
+}
+
+func (h *hookedDual) PutCommit(v int64, deadline time.Time, cancel <-chan struct{}, commit func() bool) core.Status {
+	if h.beforePutCommit == nil {
+		return h.Dual.PutCommit(v, deadline, cancel, commit)
+	}
+	return h.Dual.PutCommit(v, deadline, cancel, func() bool {
+		h.beforePutCommit()
+		return commit()
+	})
 }
 
 func (h *hookedDual) Close() {
@@ -134,6 +151,39 @@ func TestReservePutSurvivesPreLinkSweepClear(t *testing.T) {
 		return
 	}
 	t.Fatal("Abort succeeded on a fulfilled reservation")
+}
+
+func TestPutCommitReloadFindsLateConsumer(t *testing.T) {
+	f, hooks := newHookedFabric(2)
+	var tkt core.Ticket[int64]
+	fired := false
+	for i, h := range hooks {
+		other := 1 - i
+		h.beforePutCommit = func() {
+			if fired {
+				return
+			}
+			fired = true
+			// The producer's sweep is over and its node is linked on shard
+			// i, but its bit is not yet announced: a consumer that links and
+			// announces on the other shard now is invisible to that sweep,
+			// and its own reload would have missed the producer.
+			var ok bool
+			if _, tkt, ok = f.Shard(other).ReserveTake(); ok {
+				t.Fatal("consumer paired on an empty shard")
+			}
+			setBit(&f.cons, 1<<uint(other))
+		}
+	}
+	if st := f.PutDeadline(5, time.Now().Add(100*time.Millisecond), nil); st != core.OK {
+		t.Fatalf("PutDeadline = %v, want OK: the Dekker reload missed the announced consumer", st)
+	}
+	if !fired {
+		t.Fatal("commit hook never fired")
+	}
+	if v, ok := tkt.TryFollowup(); !ok || v != 5 {
+		t.Fatalf("consumer TryFollowup = (%d,%v), want (5,true)", v, ok)
+	}
 }
 
 func TestClosedNotObservedBeforeLastShardCloses(t *testing.T) {

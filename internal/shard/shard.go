@@ -10,14 +10,17 @@
 // a foreign shard is a steal: the operation rescued a waiter another
 // stripe left behind, counted by metrics.ShardSteals. Only when the sweep
 // finds no counterpart anywhere does the operation commit to waiting on
-// its home shard, through a Dekker-style protocol — link a reservation,
+// its home shard, through a Dekker-style protocol — link a waiter,
 // announce the shard's bit in the own-side summary, reload the opposite
 // summary — that makes cross-shard stranding impossible without any
 // timer-based rescue: of two parties racing to commit on different
 // shards, at least one's reload observes the other's announced bit, and
-// the probe it then launches finds the other's already-linked
-// reservation. The observer aborts its own reservation and pairs; the
-// observed party is fulfilled where it waits.
+// the probe it then launches finds the other's already-linked waiter.
+// The observer withdraws its own waiter and pairs; the observed party is
+// fulfilled where it waits. The announce and reload run as the shard's
+// commit step (core.Withdrawn documents the contract), inside the one
+// waiting call, so a committed wait costs the shard's own node and
+// nothing more.
 //
 // The price of sharding is the pairing discipline: FIFO (fair) order holds
 // only per shard. Two producers that wait on different shards may be
@@ -53,12 +56,15 @@ import (
 )
 
 // Dual is the surface the fabric requires of each shard — exactly the
-// method set both core dual structures provide.
+// method set the hand-off cores (core.DualQueue, core.DualStack,
+// segq.Queue) provide.
 type Dual[T any] interface {
 	Put(T)
 	Take() T
 	PutDeadline(T, time.Time, <-chan struct{}) core.Status
 	TakeDeadline(time.Time, <-chan struct{}) (T, core.Status)
+	PutCommit(T, time.Time, <-chan struct{}, func() bool) core.Status
+	TakeCommit(time.Time, <-chan struct{}, func() bool) (T, core.Status)
 	Offer(T) bool
 	OfferTimeout(T, time.Duration) bool
 	Poll() (T, bool)
@@ -68,8 +74,6 @@ type Dual[T any] interface {
 	IsEmpty() bool
 	ReserveTake() (T, core.Ticket[T], bool)
 	ReservePut(T) (core.Ticket[T], bool)
-	ReserveTakeStatus() (T, core.Ticket[T], bool, core.Status)
-	ReservePutStatus(T) (core.Ticket[T], bool, core.Status)
 	Close()
 	Closed() bool
 }
@@ -88,6 +92,10 @@ type Fabric[T any] struct {
 	// st is the per-shard controller state (probe-skip streaks, depth and
 	// steal gauges), one padded cache line per shard; see adaptive.go.
 	st []shardState
+	// putStep[i] and takeStep[i] are shard i's commit steps for each side
+	// (see commitStep), built once in New so a committed wait allocates
+	// nothing in the fabric.
+	putStep, takeStep []func() bool
 	// ctl is the self-scaling width controller; nil on fixed-width
 	// fabrics, which then never touch a controller word.
 	ctl *widthCtl
@@ -162,10 +170,19 @@ func New[T any](n int, mk func(i int) Dual[T]) *Fabric[T] {
 	} else {
 		n = ceilPow2(n)
 	}
-	f := &Fabric[T]{shards: make([]Dual[T], n), mask: n - 1, st: make([]shardState, n)}
+	f := &Fabric[T]{
+		shards:   make([]Dual[T], n),
+		mask:     n - 1,
+		st:       make([]shardState, n),
+		putStep:  make([]func() bool, n),
+		takeStep: make([]func() bool, n),
+	}
 	f.wmask.Store(int32(n - 1))
 	for i := range f.shards {
 		f.shards[i] = mk(i)
+		bit, st := uint64(1)<<uint(i), &f.st[i]
+		f.putStep[i] = func() bool { return commitStep(&f.prod, &f.cons, bit, &st.emptyProd) }
+		f.takeStep[i] = func() bool { return commitStep(&f.cons, &f.prod, bit, &st.emptyCons) }
 	}
 	return f
 }
@@ -358,24 +375,37 @@ func clearBit(w *atomic.Uint64, bit uint64) {
 	}
 }
 
+// commitStep is the announce-then-reload half of the commit protocol, run
+// by the home shard as its commit step — after our waiter has linked and
+// before it spins or parks. It sets the shard's bit in our own summary
+// (the announce doubles as the steal-weighting reset: a linked waiter
+// makes the shard worth probing again immediately) and reports whether
+// the opposite summary is still empty, i.e. whether it is safe to wait.
+func commitStep(own, opp *atomic.Uint64, bit uint64, streak *atomic.Int32) bool {
+	setBit(own, bit)
+	resetStreak(streak)
+	return opp.Load() == 0
+}
+
 // put is the producer engine, built on the commit protocol that makes
 // cross-shard stranding impossible without any timer-based rescue:
 //
 //  1. Opportunistic sweep: pair with a consumer already flagged anywhere.
-//  2. Reserve on the home shard — the node is LINKED before anything is
-//     announced.
-//  3. Announce: set home's bit in the prod summary.
-//  4. Dekker reload: re-read the cons summary. Because every waiter links
-//     then announces then reloads, of any producer/consumer pair racing to
-//     commit on different shards, at least one's reload observes the
-//     other's already-set bit (the bit-sets and reloads are totally
-//     ordered), and the shard it then probes already holds the other's
-//     linked node. A flagged consumer means our datum must come back out
-//     of the reservation first: abort the ticket (an abort that fails
-//     means a fulfiller beat us — we are done) and retry from the sweep.
-//  5. Await the reservation — untimed for a demand put, so the steady
-//     state costs one reservation and one park, with no timer and no
-//     periodic rescue wakeups.
+//  2. Wait on the home shard through PutCommit — the node is LINKED
+//     before anything is announced.
+//  3. The commit step announces (sets home's bit in the prod summary) and
+//     runs the Dekker reload (re-reads the cons summary). Because every
+//     waiter links then announces then reloads, of any producer/consumer
+//     pair racing to commit on different shards, at least one's reload
+//     observes the other's already-set bit (the bit-sets and reloads are
+//     totally ordered), and the shard it then probes already holds the
+//     other's linked node. A flagged consumer means our datum must come
+//     back out first: the step declines, the shard withdraws our node (a
+//     withdrawal that loses to a fulfiller means we are done), and we
+//     retry from the sweep.
+//  4. Otherwise the same call goes on to wait — untimed for a demand put,
+//     so the steady state costs one node and one park, with no timer and
+//     no periodic rescue wakeups.
 func (f *Fabric[T]) put(v T, deadline time.Time, cancel <-chan struct{}) core.Status {
 	var ss sweepStat
 	st := f.putEngine(v, deadline, cancel, &ss)
@@ -396,51 +426,27 @@ func (f *Fabric[T]) putEngine(v T, deadline time.Time, cancel <-chan struct{}, s
 			// zero to begin with: a pure Offer).
 			return core.Timeout
 		}
-		tkt, ok, st := f.shards[home].ReservePutStatus(v)
-		if st == core.Closed {
-			return core.Closed
-		}
-		if ok {
-			return core.OK
-		}
 		f.st[home].depth.Add(1)
-		bit := uint64(1) << uint(home)
-		setBit(&f.prod, bit)
-		// The announce doubles as the steal-weighting reset: a linked
-		// producer makes the shard worth probing again immediately.
-		resetStreak(&f.st[home].emptyProd)
-		if f.cons.Load() != 0 {
-			// The Dekker reload flags a consumer somewhere. Reclaim the
-			// datum and retry through the sweep; critical from here on —
-			// these probes carry the no-stranding guarantee.
-			f.st[home].depth.Add(-1)
-			if !tkt.Abort() {
-				// A fulfiller took the reservation first.
-				tkt.TryFollowup()
-				return core.OK
-			}
-			if !f.shards[home].HasWaitingProducer() {
-				clearBit(&f.prod, bit)
-			}
-			// Losing the commit to a cross-shard race is contention
-			// evidence just like a lost probe.
-			ss.fails++
-			critical = true
-			continue
-		}
-		_, st = tkt.Await(deadline, cancel)
+		st := f.shards[home].PutCommit(v, deadline, cancel, f.putStep[home])
 		f.st[home].depth.Add(-1)
-		if st != core.OK && !f.shards[home].HasWaitingProducer() {
-			// Our bit may now be stale; drop it so sweeps stay tight.
-			clearBit(&f.prod, bit)
+		if st == core.OK {
+			return st
 		}
-		return st
+		// Our bit may now be stale; drop it so sweeps stay tight.
+		f.retireBit(home, true)
+		if st != core.Withdrawn {
+			return st
+		}
+		// The Dekker reload flagged a consumer somewhere: retry through
+		// the sweep, critical from here on — these probes carry the
+		// no-stranding guarantee. Losing the commit to a cross-shard race
+		// is contention evidence just like a lost probe.
+		ss.fails++
+		critical = true
 	}
 }
 
-// take is the consumer engine, symmetric to put (with the simplification
-// that a request reservation holds no datum, so the abort arm collects the
-// value directly when a fulfiller wins the race).
+// take is the consumer engine, symmetric to put.
 func (f *Fabric[T]) take(deadline time.Time, cancel <-chan struct{}) (T, core.Status) {
 	var ss sweepStat
 	v, st := f.takeEngine(deadline, cancel, &ss)
@@ -450,7 +456,6 @@ func (f *Fabric[T]) take(deadline time.Time, cancel <-chan struct{}) (T, core.St
 
 func (f *Fabric[T]) takeEngine(deadline time.Time, cancel <-chan struct{}, ss *sweepStat) (T, core.Status) {
 	t0 := f.m.Start()
-	var zero T
 	home := f.home()
 	critical := false
 	for {
@@ -458,39 +463,49 @@ func (f *Fabric[T]) takeEngine(deadline time.Time, cancel <-chan struct{}, ss *s
 			return v, core.OK
 		}
 		if !deadline.IsZero() && !time.Now().Before(deadline) {
+			var zero T
 			return zero, core.Timeout
 		}
-		v, tkt, ok, st := f.shards[home].ReserveTakeStatus()
-		if st == core.Closed {
-			return zero, core.Closed
-		}
-		if ok {
-			return v, core.OK
-		}
 		f.st[home].depth.Add(1)
-		bit := uint64(1) << uint(home)
-		setBit(&f.cons, bit)
-		resetStreak(&f.st[home].emptyCons)
-		if f.prod.Load() != 0 {
-			f.st[home].depth.Add(-1)
-			if !tkt.Abort() {
-				v, _ := tkt.TryFollowup()
-				return v, core.OK
-			}
-			if !f.shards[home].HasWaitingConsumer() {
-				clearBit(&f.cons, bit)
-			}
-			ss.fails++
-			critical = true
-			continue
-		}
-		v, st = tkt.Await(deadline, cancel)
+		v, st := f.shards[home].TakeCommit(deadline, cancel, f.takeStep[home])
 		f.st[home].depth.Add(-1)
-		if st != core.OK && !f.shards[home].HasWaitingConsumer() {
-			clearBit(&f.cons, bit)
+		if st == core.OK {
+			return v, st
 		}
-		return v, st
+		f.retireBit(home, false)
+		if st != core.Withdrawn {
+			return v, st
+		}
+		ss.fails++
+		critical = true
 	}
+}
+
+// retireBit drops shard i's bit from the prod (or cons) summary once the
+// shard no longer holds a waiting producer (consumer). Like the sweeps, it
+// re-checks after the clear and restores the bit if a waiter linked and
+// announced in between — that announce may have been a no-op on the
+// still-set bit, and a set bit with a waiter behind it must stay durable.
+func (f *Fabric[T]) retireBit(i int, prod bool) {
+	w, bit := &f.cons, uint64(1)<<uint(i)
+	if prod {
+		w = &f.prod
+	}
+	if f.waiting(i, prod) {
+		return
+	}
+	clearBit(w, bit)
+	if f.waiting(i, prod) {
+		setBit(w, bit)
+	}
+}
+
+// waiting reports whether shard i holds a waiting producer (or consumer).
+func (f *Fabric[T]) waiting(i int, prod bool) bool {
+	if prod {
+		return f.shards[i].HasWaitingProducer()
+	}
+	return f.shards[i].HasWaitingConsumer()
 }
 
 // closedStatus reports Closed for operations that must refuse a shut-down
@@ -605,30 +620,24 @@ func (f *Fabric[T]) ReserveTake() (T, core.Ticket[T], bool) {
 		v, tkt, ok := f.shards[home].ReserveTake()
 		if ok {
 			// Paired immediately; drop our announce if it is now stale.
-			if !f.shards[home].HasWaitingConsumer() {
-				clearBit(&f.cons, bit)
-			}
+			f.retireBit(home, false)
 			return v, nil, true
 		}
-		// The reservation is linked. Re-establish the bit to repair any
-		// clear that raced the pre-link window: from here on announced
-		// implies linked, so the pinned reservation is durably visible to
-		// every producer's sweep (the sweeps restore a set bit they clear
-		// while a waiter is present).
-		setBit(&f.cons, bit)
-		resetStreak(&f.st[home].emptyCons)
-		if f.prod.Load() != 0 {
+		// The reservation is linked. Run the demand path's commit step:
+		// re-establishing the bit repairs any clear that raced the pre-link
+		// window — from here on announced implies linked, so the pinned
+		// reservation is durably visible to every producer's sweep (the
+		// sweeps restore a set bit they clear while a waiter is present).
+		if !f.takeStep[home]() {
 			// Dekker reload flags a producer somewhere: it may have
 			// committed to waiting before our announce was visible, so no
 			// rescue would find either of us. Abort and retry through the
-			// sweep, exactly as the demand path does.
+			// sweep, exactly as the demand path withdraws and retries.
 			if !tkt.Abort() {
 				v, _ := tkt.TryFollowup()
 				return v, nil, true
 			}
-			if !f.shards[home].HasWaitingConsumer() {
-				clearBit(&f.cons, bit)
-			}
+			f.retireBit(home, false)
 			critical = true
 			continue
 		}
@@ -654,23 +663,17 @@ func (f *Fabric[T]) ReservePut(v T) (core.Ticket[T], bool) {
 		resetStreak(&f.st[home].emptyProd)
 		tkt, ok := f.shards[home].ReservePut(v)
 		if ok {
-			if !f.shards[home].HasWaitingProducer() {
-				clearBit(&f.prod, bit)
-			}
+			f.retireBit(home, true)
 			return nil, true
 		}
-		// Linked: re-establish the bit so a clear that raced the pre-link
-		// window cannot leave the pinned reservation invisible.
-		setBit(&f.prod, bit)
-		resetStreak(&f.st[home].emptyProd)
-		if f.cons.Load() != 0 {
+		// Linked: the commit step re-establishes the bit so a clear that
+		// raced the pre-link window cannot leave the reservation invisible.
+		if !f.putStep[home]() {
 			if !tkt.Abort() {
 				tkt.TryFollowup()
 				return nil, true
 			}
-			if !f.shards[home].HasWaitingProducer() {
-				clearBit(&f.prod, bit)
-			}
+			f.retireBit(home, true)
 			critical = true
 			continue
 		}
