@@ -38,13 +38,17 @@ bench-overhead:
 	go test -run - -bench MetricsOverhead -count 5 ./internal/core/
 
 # Allocation smoke gate: the core budget test fails if a steady-state
-# hand-off exceeds one allocation per operation per side, the fabric budget
-# test fails if a hand-off through the shard fabric (one shard or
+# hand-off allocates more than its measured steady state (one per pair on
+# the queues, two on the stack and the exchanger — an escaping waiter in
+# the shared wait loop shows up here), the segmented budget test fails if
+# a segq transfer stops amortizing its segment allocation, the fabric
+# budget test fails if a hand-off through the shard fabric (one shard or
 # self-scaling, over each core) allocates anything beyond the bare core's
 # budget, and the short benchmark run prints the allocs/op figures for
 # eyeballing regressions.
 bench-smoke:
 	go test -run TestHandoffAllocBudget -count 1 ./internal/core/
+	go test -run TestSegmentedAllocBudget -count 1 ./internal/segq/
 	go test -run TestFabricAllocBudget -count 1 ./internal/shard/
 	go test -run - -bench BenchmarkHandoffAllocs -benchtime 100x -benchmem ./internal/core/
 

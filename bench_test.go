@@ -97,8 +97,8 @@ func BenchmarkAblationSpin(b *testing.B) {
 		cfg  core.WaitConfig
 	}{
 		{"default", core.WaitConfig{}},
-		{"park-only", core.WaitConfig{TimedSpins: -1, UntimedSpins: -1}},
-		{"spin-heavy", core.WaitConfig{TimedSpins: 512, UntimedSpins: 4096}},
+		{"park-only", core.WaitConfig{Spins: -1}},
+		{"spin-heavy", core.WaitConfig{Spins: 4096}},
 	}
 	for _, pol := range policies {
 		cfg := pol.cfg

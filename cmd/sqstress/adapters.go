@@ -104,8 +104,7 @@ type optDef struct {
 var optDefs = []optDef{
 	{key: "default", apply: func(cfg core.WaitConfig) core.WaitConfig { return cfg }},
 	{key: "nospin", apply: func(cfg core.WaitConfig) core.WaitConfig {
-		cfg.TimedSpins = -1
-		cfg.UntimedSpins = -1
+		cfg.Spins = -1
 		return cfg
 	}},
 }

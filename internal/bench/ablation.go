@@ -20,8 +20,8 @@ func AblationSpin(o SweepOpts) *stats.Table {
 		cfg  core.WaitConfig
 	}{
 		{"default", core.WaitConfig{}},
-		{"park-only", core.WaitConfig{TimedSpins: -1, UntimedSpins: -1}},
-		{"spin-heavy", core.WaitConfig{TimedSpins: 512, UntimedSpins: 4096}},
+		{"park-only", core.WaitConfig{Spins: -1}},
+		{"spin-heavy", core.WaitConfig{Spins: 4096}},
 	}
 	var cols []string
 	for _, pol := range policies {

@@ -11,7 +11,7 @@ import (
 // cancelStorm drives producers whose waits are asynchronously canceled at
 // random moments — the Go analogue of the paper's thread interruption —
 // and checks that exactly the successful puts are received, no more, no
-// less. This exercises the cancel-channel path of awaitFulfill (distinct
+// less. This exercises the cancel-channel path of the shared wait loop (distinct
 // from the deadline path the timeout tests cover).
 func cancelStorm(t *testing.T, put func(int64, <-chan struct{}) Status, poll func(time.Duration) (int64, bool)) {
 	t.Helper()

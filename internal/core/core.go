@@ -21,9 +21,10 @@
 //
 // The implementations are ports of the algorithms as adopted into Java 6
 // (java.util.concurrent.SynchronousQueue), adapted to Go: goroutines park
-// on a channel-based permit (internal/park) instead of LockSupport, and
-// since Go generics preclude the JDK's "item == this" self-sentinels, each
-// structure carries typed sentinel pointers with identical roles.
+// on a three-state atomic permit word (internal/park) instead of
+// LockSupport, every wait runs the shared spin-then-park loop park.Await,
+// and since Go generics preclude the JDK's "item == this" self-sentinels,
+// each structure carries typed sentinel pointers with identical roles.
 package core
 
 import (
@@ -31,7 +32,7 @@ import (
 
 	"synchq/internal/fault"
 	"synchq/internal/metrics"
-	"synchq/internal/spin"
+	"synchq/internal/park"
 )
 
 // Status is the outcome of a transfer attempt.
@@ -98,13 +99,11 @@ const errClosedDemand = "synchq: queue closed"
 // value selects the paper's defaults: spin briefly before parking on
 // multiprocessors, park immediately on uniprocessors.
 type WaitConfig struct {
-	// TimedSpins is the spin budget before parking for operations with a
-	// deadline. Negative disables spinning; zero selects the platform
-	// default.
-	TimedSpins int
-	// UntimedSpins is the spin budget for unbounded waits. Negative
-	// disables spinning; zero selects the platform default.
-	UntimedSpins int
+	// Spins sets the structure's spin calibrator (spin.NewCalibrator): zero
+	// adapts the spin-before-park budget at runtime within the platform
+	// defaults, a negative value never spins, and n > 0 pins unbounded
+	// waits at n spins and deadline waits at n>>4.
+	Spins int
 	// Metrics, if non-nil, receives the queue's event counters (CAS
 	// failures per loop site, spins, parks, unparks, fulfillments,
 	// timeouts, cancellations, cleaning sweeps). Nil disables
@@ -117,43 +116,18 @@ type WaitConfig struct {
 	Fault *fault.Injector
 }
 
-// calibrator returns the adaptive spin calibrator for the zero-value spin
-// policy, or nil when either budget was set explicitly (an explicit budget
-// — including the "disable spinning" negatives — pins the static policy).
-// With a calibrator attached the structure's wait loops consult it instead
-// of the resolved static budgets, and feed every fulfilled wait back into
-// it.
-func (c WaitConfig) calibrator() *spin.Calibrator {
-	if c.TimedSpins != 0 || c.UntimedSpins != 0 {
-		return nil
+// StatusOf maps how a shared-loop wait (park.Await) ended onto the
+// operation's status; why matters only for an aborted wait.
+func StatusOf(o park.Outcome, why park.WaitResult) Status {
+	switch {
+	case o == park.Fulfilled:
+		return OK
+	case o == park.Evicted:
+		return Closed
+	case why == park.Canceled:
+		return Canceled
 	}
-	return spin.NewCalibrator()
-}
-
-// resolve returns the effective spin budgets.
-func (c WaitConfig) resolve() (timed, untimed int) {
-	timed, untimed = c.TimedSpins, c.UntimedSpins
-	if timed == 0 {
-		timed = spin.TimedSpins()
-	} else if timed < 0 {
-		timed = 0
-	}
-	if untimed == 0 {
-		untimed = spin.UntimedSpins()
-	} else if untimed < 0 {
-		untimed = 0
-	}
-	return timed, untimed
-}
-
-// SpinPolicy resolves the config into the effective static spin budgets
-// and, for the zero-value policy, the adaptive calibrator — the same
-// resolution NewDualQueue and NewDualStack apply internally, exported so
-// hand-off cores outside this package (internal/segq) share one waiting
-// policy. cal is nil whenever either budget was set explicitly.
-func (c WaitConfig) SpinPolicy() (timed, untimed int, cal *spin.Calibrator) {
-	timed, untimed = c.resolve()
-	return timed, untimed, c.calibrator()
+	return Timeout
 }
 
 // DeadlineFor converts a patience duration into an absolute deadline with

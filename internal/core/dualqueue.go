@@ -95,10 +95,7 @@ type DualQueue[T any] struct {
 	ipool sync.Pool
 	npool sync.Pool
 
-	timedSpins   int
-	untimedSpins int
-	// cal, when non-nil, adapts the spin budgets at runtime (zero-value
-	// WaitConfig); explicit budgets pin the static policy instead.
+	// cal sets every wait's spin budget (WaitConfig.Spins).
 	cal *spin.Calibrator
 	// m receives the instrumentation counters; nil disables them.
 	m *metrics.Handle
@@ -109,9 +106,7 @@ type DualQueue[T any] struct {
 // NewDualQueue returns an empty fair synchronous queue with the given wait
 // policy (use the zero WaitConfig for the paper's defaults).
 func NewDualQueue[T any](cfg WaitConfig) *DualQueue[T] {
-	q := &DualQueue[T]{canceled: new(qitem[T]), closedSent: new(qitem[T]), m: cfg.Metrics, f: cfg.Fault}
-	q.timedSpins, q.untimedSpins = cfg.resolve()
-	q.cal = cfg.calibrator()
+	q := &DualQueue[T]{canceled: new(qitem[T]), closedSent: new(qitem[T]), cal: spin.NewCalibrator(cfg.Spins), m: cfg.Metrics, f: cfg.Fault}
 	dummy := &qnode[T]{}
 	q.head.Store(dummy)
 	q.tail.Store(dummy)
@@ -197,8 +192,9 @@ func isOffList[T any](n *qnode[T]) bool { return n.next.Load() == n }
 // makes the operation a pure offer/poll. If async is true a data node is
 // deposited without waiting for a consumer (the paper's TransferQueue
 // extension). On success the returned value is the transferred datum for
-// takes and v echoed back for puts. commit, if non-nil, is the commit step
-// (see Withdrawn).
+// takes. commit, if non-nil, is the commit step (see Withdrawn). A transfer
+// that has to wait is a reservation awaited on the spot: arrive links it,
+// the commit step runs, and the ticket's wait completes it.
 //
 // Box ownership: a datum rides in a pooled item box obtained here. Whichever
 // side ends up reading the value out of a pooled box — the taker, for both
@@ -206,75 +202,70 @@ func isOffList[T any](n *qnode[T]) bool { return n.next.Load() == n }
 // cancel, close, withdrawal, refused engage) is reclaimed by its producer.
 func (q *DualQueue[T]) transfer(isData bool, v T, deadline time.Time, cancel <-chan struct{}, async bool, commit func() bool) (T, Status) {
 	t0 := q.m.Start() // arrival timestamp (zero — no clock read — when uninstrumented)
-	var zero T
 	var e *qitem[T]
 	if isData {
 		e = q.getBox(v)
 	}
-	canWait := func() bool {
-		return async || deadline.IsZero() || time.Now().Before(deadline)
-	}
-	imm, s, pred, st := q.engage(e, canWait, async)
-	if st != OK {
-		q.putBox(e) // the datum never entered the structure
-		q.m.Since(metrics.WastedNs, t0)
-		return zero, st
-	}
-	if s == nil {
-		// Completed immediately: fulfilled a waiter, or async deposit.
-		// For a take, imm is the counterpart's box — consume and
-		// recycle it. For a put (and an async deposit) the box now
-		// belongs to its eventual taker.
-		if !async {
-			q.m.Since(metrics.HandoffNs, t0) // a deposit is not a pairing
-		}
-		if !isData {
+	imm, s, pred, st := q.engage(e, deadline, async)
+	tk := q.arrive(t0, e, s, pred, st, async)
+	if tk.node == nil {
+		// Completed, or refused, at arrival: fulfilled a waiter, or async
+		// deposit. For a take, imm is the counterpart's box — consume and
+		// recycle it. For a put (and an async deposit) the box now belongs
+		// to its eventual taker.
+		if st == OK && !isData {
 			v = imm.v
 			q.putBox(imm)
 		}
-		return v, OK
+		return v, st
 	}
-
-	if q.closed.Load() {
-		// Close may have raced our enqueue and finished its eviction
-		// sweep before our node was linked; self-evict so the waiter
-		// is never stranded. If a fulfiller got here first the CAS
-		// fails and the transfer completes normally.
-		s.item.CompareAndSwap(e, q.closedSent)
-	}
-	if commit != nil && !commit() && s.item.CompareAndSwap(e, q.canceled) {
+	if commit != nil && !commit() && tk.waiter().Abort() {
 		// Declined: withdraw as a reservation abort does. A lost CAS
-		// means a fulfiller or Close got here first, and the wait below
-		// returns at once with that outcome.
-		q.clean(pred, s)
-		q.putBox(e)
-		return zero, Withdrawn
+		// means a fulfiller or Close got here first, and Await returns at
+		// once with that outcome.
+		tk.drop()
+		return *new(T), Withdrawn
 	}
-	x, status := q.awaitFulfill(s, e, deadline, cancel, t0)
-	if q.isDead(x) {
-		q.clean(pred, s)
-		q.putBox(e) // abandoned put: the datum never transferred
-		return zero, status
+	return tk.Await(deadline, cancel)
+}
+
+// arrive completes an arrival once engage (run in the caller's frame, so
+// a fresh goroutine's deepest path — the node pool's first Get — stays
+// shallow) has played it: the arrival's latency accounting and, for a node
+// that linked, the post-link close re-check. It returns the pending
+// reservation (tk.node non-nil) for the caller to await or hand out. A
+// refused arrival's box e is reclaimed here.
+func (q *DualQueue[T]) arrive(t0 int64, e *qitem[T], s, pred *qnode[T], st Status, async bool) (tk QueueTicket[T]) {
+	switch {
+	case st != OK:
+		q.putBox(e) // the datum never entered the structure
+		q.m.Since(metrics.WastedNs, t0)
+	case s == nil:
+		if !async {
+			q.m.Since(metrics.HandoffNs, t0) // a deposit is not a pairing
+		}
+	default:
+		if q.closed.Load() {
+			// Close may have raced our enqueue and finished its eviction
+			// sweep before our node was linked; self-evict so the waiter
+			// is never stranded. If a fulfiller got here first the CAS
+			// fails and the wait completes normally.
+			s.item.CompareAndSwap(e, q.closedSent)
+		}
+		tk = QueueTicket[T]{q: q, node: s, pred: pred, e: e, t0: t0}
 	}
-	q.finish(s, pred, x)
-	if x != nil {
-		// Fulfilled take: x is the putter's box; consume and recycle.
-		// (finish already swung our item word off x, so the retired
-		// dummy does not pin the recycled box.)
-		v = x.v
-		q.putBox(x)
-	}
-	return v, OK
+	return tk
 }
 
 // engage is the lock-free half of a transfer (the paper's request
 // linearization): it either fulfills a complementary waiter immediately
 // (returning the exchanged item with node nil), deposits an async data
 // node (node nil, item e), or enqueues a waiting node s with predecessor
-// pred for the caller to await. canWait is consulted at the moment
-// enqueueing becomes necessary; if it reports false, engage returns
-// Timeout without touching the queue.
-func (q *DualQueue[T]) engage(e *qitem[T], canWait func() bool, async bool) (imm *qitem[T], node, pred *qnode[T], st Status) {
+// pred for the caller to await. The deadline (zero: none; an async
+// deposit never waits) is consulted at the moment enqueueing becomes
+// necessary; if it has passed, engage returns Timeout without touching
+// the queue.
+func (q *DualQueue[T]) engage(e *qitem[T], deadline time.Time, async bool) (imm *qitem[T], node, pred *qnode[T], st Status) {
 	var s *qnode[T]
 	isData := e != nil
 
@@ -297,14 +288,14 @@ func (q *DualQueue[T]) engage(e *qitem[T], canWait func() bool, async bool) (imm
 			if q.closed.Load() {
 				// The queue is shut down: nothing may wait (and
 				// async deposits are refused). Checked before
-				// canWait so a poll on a closed empty queue
+				// the deadline so a poll on a closed empty queue
 				// reports Closed, not Timeout.
 				if s != nil {
 					q.putSpare(s) // built on an earlier lap, never linked
 				}
 				return nil, nil, nil, Closed
 			}
-			if !canWait() {
+			if !async && !deadline.IsZero() && !time.Now().Before(deadline) {
 				q.m.Inc(metrics.Timeouts)
 				if s != nil {
 					q.putSpare(s) // built on an earlier lap, never linked
@@ -389,114 +380,40 @@ func (q *DualQueue[T]) finish(s, pred *qnode[T], x *qitem[T]) {
 	}
 }
 
-// awaitFulfill waits (spin-then-park) until node s is fulfilled or
-// canceled, returning the observed item and, if canceled, why. The parker
-// is the node's own (wp), initialized in place and published through the
-// waiter word, so entering the slow path allocates nothing; fulfilled waits
-// feed the adaptive spin calibrator when one is attached.
-//
-// t0 is the operation's arrival timestamp (from Handle.Start; zero when
-// uninstrumented). awaitFulfill owns the wait's latency accounting: the
-// spin phase ends at the spin→park transition (or at fulfillment if the
-// wait never armed), and the exit records hand-off or wasted time from t0
-// with a single clock read shared by both histograms.
-func (q *DualQueue[T]) awaitFulfill(s *qnode[T], e *qitem[T], deadline time.Time, cancel <-chan struct{}, t0 int64) (*qitem[T], Status) {
-	spins := 0
-	if q.head.Load().next.Load() == s {
-		// Only the node next in line for fulfillment spins; deeper
-		// nodes park immediately (§Pragmatics).
-		if q.cal != nil {
-			if deadline.IsZero() {
-				spins = q.cal.Untimed()
-			} else {
-				spins = q.cal.Timed()
-			}
-		} else if deadline.IsZero() {
-			spins = q.untimedSpins
-		} else {
-			spins = q.timedSpins
-		}
+// qwait is a linked node's wait as park.Await drives it: the node is
+// pending while its item word still holds e, and a fulfiller, the owner's
+// abort, or Close each resolve it with one CAS moving the word off e.
+type qwait[T any] struct {
+	q *DualQueue[T]
+	s *qnode[T]
+	e *qitem[T]
+	// front records whether the node was next in line for fulfillment
+	// when the wait began (see QueueTicket.Await).
+	front bool
+}
+
+func (w qwait[T]) Settled() park.Outcome {
+	switch w.s.item.Load() {
+	case w.e:
+		return park.Pending
+	case w.q.canceled:
+		return park.Aborted
+	case w.q.closedSent:
+		return park.Evicted
 	}
-	armed := false  // wp initialized and published
-	parked := false // entered at least one slow-path wait
-	status := Timeout
-	spun := int64(0) // spins batched locally; one Add on exit keeps the hot loop free of atomics
-	for i := 0; ; i++ {
-		x := s.item.Load()
-		if x != e {
-			q.m.Add(metrics.Spins, spun)
-			if t0 != 0 {
-				// One clock read serves both views of the wait: the
-				// spin phase (if the wait never armed its parker, the
-				// whole wait was the spin phase) and the operation's
-				// end-to-end outcome.
-				d := time.Duration(metrics.Nanos() - t0)
-				if !armed {
-					q.m.Record(metrics.SpinNs, d)
-				}
-				if q.isDead(x) {
-					q.m.Record(metrics.WastedNs, d)
-				} else {
-					q.m.Record(metrics.HandoffNs, d)
-				}
-			}
-			if x == q.closedSent {
-				q.m.Inc(metrics.ClosedWakeups)
-				return x, Closed
-			}
-			if x == q.canceled {
-				if status == Canceled {
-					q.m.Inc(metrics.Cancellations)
-				} else {
-					q.m.Inc(metrics.Timeouts)
-				}
-				return x, status
-			}
-			if q.cal != nil {
-				q.cal.Observe(int(spun), parked)
-				q.m.Set(metrics.SpinBudget, int64(q.cal.Untimed()))
-			}
-			return x, OK
-		}
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			status = Timeout
-			s.item.CompareAndSwap(e, q.canceled)
-			continue // reload item: cancel may have lost to a fulfiller
-		}
-		if cancel != nil {
-			select {
-			case <-cancel:
-				status = Canceled
-				s.item.CompareAndSwap(e, q.canceled)
-				continue
-			default:
-			}
-		}
-		if spins > 0 {
-			spins--
-			spun++
-			spin.Pause(i)
-			continue
-		}
-		if !armed {
-			spin.EndPhase(q.m, t0) // spin budget exhausted: the busy phase ends here
-			s.wp.Init(q.m, q.f)
-			s.waiter.Store(&s.wp)
-			armed = true
-			continue // re-check item before first park
-		}
-		parked = true
-		switch s.wp.Wait(deadline, cancel) {
-		case park.Unparked:
-			// Re-read item.
-		case park.DeadlineExceeded:
-			status = Timeout
-			s.item.CompareAndSwap(e, q.canceled)
-		case park.Canceled:
-			status = Canceled
-			s.item.CompareAndSwap(e, q.canceled)
-		}
-	}
+	return park.Fulfilled
+}
+
+func (w qwait[T]) Abort() bool { return w.s.item.CompareAndSwap(w.e, w.q.canceled) }
+
+func (w qwait[T]) SpinOK() bool { return w.front }
+
+// Arm initializes the node's own parker in place and publishes it through
+// the waiter word, so entering the slow path allocates nothing.
+func (w qwait[T]) Arm() *park.Parker {
+	w.s.wp.Init(w.q.m, w.q.f)
+	w.s.waiter.Store(&w.s.wp)
+	return &w.s.wp
 }
 
 // clean unlinks the canceled node s with predecessor pred. A canceled node

@@ -29,7 +29,7 @@ const (
 // unlike the queue's circulating boxes, a stack node's datum rides in the
 // node's own embedded box, stored into item before the publishing push.
 //
-// wp is the embedded parker, initialized in place by awaitFulfill, and box
+// wp is the embedded parker, initialized in place when the wait arms, and box
 // the embedded item box, so a push-and-wait allocates only the node itself.
 // A node that has been linked into the stack (its push CAS succeeded) is
 // reclaimed only by the garbage collector — never pooled — because stale
@@ -96,10 +96,7 @@ type DualStack[T any] struct {
 	// thread.
 	npool sync.Pool
 
-	timedSpins   int
-	untimedSpins int
-	// cal, when non-nil, adapts the spin budgets at runtime (zero-value
-	// WaitConfig); explicit budgets pin the static policy instead.
+	// cal sets every wait's spin budget (WaitConfig.Spins).
 	cal *spin.Calibrator
 	// m receives the instrumentation counters; nil disables them.
 	m *metrics.Handle
@@ -110,10 +107,7 @@ type DualStack[T any] struct {
 // NewDualStack returns an empty unfair synchronous queue with the given
 // wait policy (use the zero WaitConfig for the paper's defaults).
 func NewDualStack[T any](cfg WaitConfig) *DualStack[T] {
-	s := &DualStack[T]{closedMark: &snode[T]{}, m: cfg.Metrics, f: cfg.Fault}
-	s.timedSpins, s.untimedSpins = cfg.resolve()
-	s.cal = cfg.calibrator()
-	return s
+	return &DualStack[T]{closedMark: &snode[T]{}, cal: spin.NewCalibrator(cfg.Spins), m: cfg.Metrics, f: cfg.Fault}
 }
 
 // Metrics returns the stack's instrumentation handle (nil when disabled).
@@ -164,74 +158,57 @@ func (q *DualStack[T]) isDead(n *snode[T]) bool {
 // success the returned value is the transferred datum for takes (the zero
 // value for puts). The datum rides in the waiting or fulfilling node's
 // embedded box, so no separate box circulates. commit, if non-nil, is the
-// commit step (see Withdrawn).
+// commit step (see Withdrawn). A transfer that has to wait is a
+// reservation awaited on the spot, as in the queue.
 func (q *DualStack[T]) transfer(isData bool, v T, deadline time.Time, cancel <-chan struct{}, commit func() bool) (T, Status) {
-	t0 := q.m.Start() // arrival timestamp (zero — no clock read — when uninstrumented)
-	var zero T
 	mode := modeRequest
 	if isData {
 		mode = modeData
 	}
-	canWait := func() bool {
-		return deadline.IsZero() || time.Now().Before(deadline)
+	imm, tk, st := q.arrive(v, mode, deadline)
+	if tk.node == nil {
+		return imm, st // completed, or refused, at arrival
 	}
-	imm, s, st := q.engageWait(v, mode, canWait)
-	if st != OK {
-		q.m.Since(metrics.WastedNs, t0)
-		return zero, st
-	}
-	if s == nil {
-		q.m.Since(metrics.HandoffNs, t0)
-		return imm, OK // fulfilled a waiting counterpart directly
-	}
-
-	if q.closed.Load() {
-		// Close may have raced our push and finished its eviction
-		// sweep before our node was visible; self-evict so the waiter
-		// is never stranded. If a fulfiller matched us first the CAS
-		// fails and the transfer completes normally.
-		s.match.CompareAndSwap(nil, q.closedMark)
-	}
-	if commit != nil && !commit() && s.match.CompareAndSwap(nil, s) {
+	if commit != nil && !commit() && tk.waiter().Abort() {
 		// Declined: withdraw as a reservation abort does; a lost CAS
-		// leaves the match for the wait below to collect at once.
-		q.clean(s)
+		// leaves the match for Await to collect at once.
+		q.clean(tk.node)
+		var zero T
 		return zero, Withdrawn
 	}
-	m, status := q.awaitFulfill(s, deadline, cancel, t0)
-	if m == s || m == q.closedMark {
-		q.clean(s)
-		return zero, status // canceled or evicted by Close
-	}
-	q.finishMatch(s)
-	if mode == modeRequest {
-		return m.item.Load().v, OK
-	}
-	return zero, OK
+	return tk.Await(deadline, cancel)
 }
 
-// engageReserve is engageWait with unconditional waiting, for the ticket
-// API. It panics if the stack is closed, like the demand operations.
-func (q *DualStack[T]) engageReserve(v T, mode uint8) (T, *snode[T]) {
-	imm, s, st := q.engageWait(v, mode, func() bool { return true })
-	if st == Closed {
-		panic(errClosedDemand)
+// arrive is the first half of every operation: engageWait, then — for a
+// node that was pushed — the post-push close re-check. It returns the
+// counterpart's datum for a take that annihilated directly, or the pending
+// reservation (tk.node non-nil) for the caller to await or hand out.
+func (q *DualStack[T]) arrive(v T, mode uint8, deadline time.Time) (imm T, tk StackTicket[T], st Status) {
+	t0 := q.m.Start() // arrival timestamp (zero — no clock read — when uninstrumented)
+	imm, s, st := q.engageWait(v, mode, deadline)
+	switch {
+	case st != OK:
+		q.m.Since(metrics.WastedNs, t0)
+	case s == nil:
+		q.m.Since(metrics.HandoffNs, t0) // fulfilled a waiting counterpart directly
+	default:
+		if q.closed.Load() {
+			// Close may have raced our push and finished its eviction
+			// sweep before our node was visible; self-evict so the waiter
+			// is never stranded. If a fulfiller matched us first the CAS
+			// fails and the wait completes normally.
+			s.match.CompareAndSwap(nil, q.closedMark)
+		}
+		tk = StackTicket[T]{q: q, node: s, t0: t0}
 	}
-	if s != nil && q.closed.Load() {
-		// Close may have raced our push and finished its eviction
-		// sweep before the node was visible; self-evict (as transfer
-		// does) so the reservation is never stranded. If a fulfiller
-		// matched us first the CAS fails and the ticket completes
-		// normally; otherwise Await reports Closed and Abort succeeds.
-		s.match.CompareAndSwap(nil, q.closedMark)
-	}
-	return imm, s
+	return imm, tk, st
 }
 
 // engageWait is the lock-free half of a transfer: it either completes
 // immediately by annihilating with a complementary node (returning the
 // exchanged value, node nil) or pushes a waiting node s for the caller to
-// await. canWait is consulted at the moment pushing becomes necessary.
+// await. The deadline (zero: none) is consulted at the moment pushing
+// becomes necessary.
 //
 // The waiting node s and the fulfilling node f are each built at most once
 // and carried across retry laps. Either may be recycled through the spare
@@ -239,7 +216,7 @@ func (q *DualStack[T]) engageReserve(v T, mode uint8) (T, *snode[T]) {
 // the garbage collector the moment its push succeeds — helpers observed its
 // address, so reusing it could match a later wait against a stale helper's
 // CAS (the same position ABA the queue's doctrine forbids).
-func (q *DualStack[T]) engageWait(v T, mode uint8, canWait func() bool) (T, *snode[T], Status) {
+func (q *DualStack[T]) engageWait(v T, mode uint8, deadline time.Time) (T, *snode[T], Status) {
 	var zero T
 	var s, f *snode[T] // hoisted spares; never linked while held here
 
@@ -251,13 +228,13 @@ func (q *DualStack[T]) engageWait(v T, mode uint8, canWait func() bool) (T, *sno
 			// Empty or same-mode: push and wait (lines 07–16).
 			if q.closed.Load() {
 				// Shut down: nothing may wait. Checked before
-				// canWait so a poll on a closed empty stack
+				// the deadline so a poll on a closed empty stack
 				// reports Closed, not Timeout.
 				q.putSpare(s)
 				q.putSpare(f)
 				return zero, nil, Closed
 			}
-			if !canWait() {
+			if !deadline.IsZero() && !time.Now().Before(deadline) {
 				if h != nil && q.isDead(h) {
 					if q.head.CompareAndSwap(h, h.next.Load()) {
 						q.m.Inc(metrics.CleanSweeps)
@@ -373,123 +350,41 @@ func (q *DualStack[T]) finishMatch(s *snode[T]) {
 	s.waiter.Store(nil)
 }
 
-// awaitFulfill waits (spin-then-park) until node s is matched or canceled.
-// It returns the match; a self-match means canceled, with status saying
-// why. The parker is the node's own (wp), initialized in place and
-// published through the waiter word, so entering the slow path allocates
-// nothing; fulfilled waits feed the adaptive spin calibrator when one is
-// attached.
-//
-// t0 is the operation's arrival timestamp (from Handle.Start; zero when
-// uninstrumented); awaitFulfill owns the wait's latency accounting exactly
-// as the queue's does — spin phase at the arming transition, hand-off or
-// wasted time at exit with one shared clock read.
-func (q *DualStack[T]) awaitFulfill(s *snode[T], deadline time.Time, cancel <-chan struct{}, t0 int64) (*snode[T], Status) {
-	spins := 0
-	if q.shouldSpin(s) {
-		if q.cal != nil {
-			if deadline.IsZero() {
-				spins = q.cal.Untimed()
-			} else {
-				spins = q.cal.Timed()
-			}
-		} else if deadline.IsZero() {
-			spins = q.untimedSpins
-		} else {
-			spins = q.timedSpins
-		}
-	}
-	armed := false  // wp initialized and published
-	parked := false // entered at least one slow-path wait
-	status := Timeout
-	spun := int64(0) // spins batched locally; one Add on exit keeps the hot loop free of atomics
-	for i := 0; ; i++ {
-		if m := s.match.Load(); m != nil {
-			q.m.Add(metrics.Spins, spun)
-			if t0 != 0 {
-				// One clock read for both views of the wait (see the
-				// queue's awaitFulfill).
-				d := time.Duration(metrics.Nanos() - t0)
-				if !armed {
-					q.m.Record(metrics.SpinNs, d)
-				}
-				if m == q.closedMark || m == s {
-					q.m.Record(metrics.WastedNs, d)
-				} else {
-					q.m.Record(metrics.HandoffNs, d)
-				}
-			}
-			if m == q.closedMark {
-				q.m.Inc(metrics.ClosedWakeups)
-				return m, Closed
-			}
-			if m == s {
-				if status == Canceled {
-					q.m.Inc(metrics.Cancellations)
-				} else {
-					q.m.Inc(metrics.Timeouts)
-				}
-				return m, status
-			}
-			if q.cal != nil {
-				q.cal.Observe(int(spun), parked)
-				q.m.Set(metrics.SpinBudget, int64(q.cal.Untimed()))
-			}
-			return m, OK
-		}
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			status = Timeout
-			s.match.CompareAndSwap(nil, s)
-			continue // reload match: cancel may have lost the race
-		}
-		if cancel != nil {
-			select {
-			case <-cancel:
-				status = Canceled
-				s.match.CompareAndSwap(nil, s)
-				continue
-			default:
-			}
-		}
-		if spins > 0 {
-			// Keep spinning while we remain plausibly next in
-			// line; the budget still decays so a preempted
-			// fulfiller cannot strand us spinning.
-			if q.shouldSpin(s) {
-				spins--
-				spun++
-				spin.Pause(i)
-				continue
-			}
-			spins = 0
-			continue
-		}
-		if !armed {
-			spin.EndPhase(q.m, t0) // spin budget exhausted: the busy phase ends here
-			s.wp.Init(q.m, q.f)
-			s.waiter.Store(&s.wp)
-			armed = true
-			continue // re-check match before first park
-		}
-		parked = true
-		switch s.wp.Wait(deadline, cancel) {
-		case park.Unparked:
-			// Re-read match.
-		case park.DeadlineExceeded:
-			status = Timeout
-			s.match.CompareAndSwap(nil, s)
-		case park.Canceled:
-			status = Canceled
-			s.match.CompareAndSwap(nil, s)
-		}
-	}
+// swait is a pushed node's wait as park.Await drives it: the node is
+// pending while its match word is nil; a fulfiller installs itself there,
+// the owner's abort self-matches, and Close installs the closed sentinel.
+type swait[T any] struct {
+	q *DualStack[T]
+	s *snode[T]
 }
 
-// shouldSpin reports whether node s is at or adjacent to the top of the
+func (w swait[T]) Settled() park.Outcome {
+	switch w.s.match.Load() {
+	case nil:
+		return park.Pending
+	case w.s:
+		return park.Aborted
+	case w.q.closedMark:
+		return park.Evicted
+	}
+	return park.Fulfilled
+}
+
+func (w swait[T]) Abort() bool { return w.s.match.CompareAndSwap(nil, w.s) }
+
+// SpinOK reports whether the node is at or adjacent to the top of the
 // stack, i.e. likely to be fulfilled imminently.
-func (q *DualStack[T]) shouldSpin(s *snode[T]) bool {
-	h := q.head.Load()
-	return h == s || h == nil || h.mode&modeFulfilling != 0
+func (w swait[T]) SpinOK() bool {
+	h := w.q.head.Load()
+	return h == w.s || h == nil || h.mode&modeFulfilling != 0
+}
+
+// Arm initializes the node's own parker in place and publishes it through
+// the waiter word, so entering the slow path allocates nothing.
+func (w swait[T]) Arm() *park.Parker {
+	w.s.wp.Init(w.q.m, w.q.f)
+	w.s.waiter.Store(&w.s.wp)
+	return &w.s.wp
 }
 
 // clean unlinks the canceled node s from the stack. Unlike the queue there

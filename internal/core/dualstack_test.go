@@ -299,9 +299,9 @@ func TestDualStackSpinConfigVariants(t *testing.T) {
 	// The queue must behave identically under every wait policy; this
 	// exercises the spin paths (Always) and the park-only path (Never).
 	for _, cfg := range []WaitConfig{
-		{},                                  // platform default
-		{TimedSpins: -1, UntimedSpins: -1},  // park immediately
-		{TimedSpins: 64, UntimedSpins: 512}, // force spinning
+		{},            // platform default
+		{Spins: -1},   // park immediately
+		{Spins: 4096}, // force spinning
 	} {
 		q := NewDualStack[int](cfg)
 		done := make(chan int)

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"synchq/internal/spin"
 )
 
 // TestQuickConservationRandomShapes drives randomized producer/consumer
@@ -143,18 +145,52 @@ func TestQuickPolarOpsNeverBlockOrInvent(t *testing.T) {
 	}
 }
 
-// TestQuickWaitConfigResolution checks the resolve() contract: negatives
-// disable, zero picks platform defaults, positives pass through.
-func TestQuickWaitConfigResolution(t *testing.T) {
-	f := func(timed, untimed int16) bool {
-		cfg := WaitConfig{TimedSpins: int(timed), UntimedSpins: int(untimed)}
-		rt, ru := cfg.resolve()
-		okT := (timed > 0 && rt == int(timed)) || (timed < 0 && rt == 0) || (timed == 0 && rt >= 0)
-		okU := (untimed > 0 && ru == int(untimed)) || (untimed < 0 && ru == 0) || (untimed == 0 && ru >= 0)
-		return okT && okU
+// TestQuickWaitConfigSpins checks the one spin value's mapping onto the
+// structure's calibrator: n > 0 pins untimed waits at n spins and timed
+// waits at n>>4, a negative value never spins, and zero adapts between the
+// floor MaxTimedSpins and the ceiling MaxUntimedSpins, starting at the
+// ceiling (or never spins on a uniprocessor).
+func TestQuickWaitConfigSpins(t *testing.T) {
+	pinned := func(n int16) bool {
+		if n == 0 {
+			return true // adaptive: checked below
+		}
+		c := NewDualQueue[int](WaitConfig{Spins: int(n)}).cal
+		want := max(int(n), 0)
+		for i := 0; i < 32; i++ {
+			if c.Untimed() != want || c.Timed() != want>>4 {
+				return false
+			}
+			c.Observe(i, i%2 == 0) // a pinned budget learns nothing
+		}
+		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(pinned, nil); err != nil {
 		t.Fatal(err)
+	}
+
+	c := NewDualStack[int](WaitConfig{}).cal
+	if !spin.Multicore() {
+		if c.Untimed() != 0 || c.Timed() != 0 {
+			t.Fatalf("uniprocessor default budgets = (%d, %d), want (0, 0)", c.Untimed(), c.Timed())
+		}
+		return
+	}
+	if c.Untimed() != spin.MaxUntimedSpins || c.Timed() != spin.MaxTimedSpins {
+		t.Fatalf("default budgets start at (%d, %d), want the ceiling (%d, %d)",
+			c.Untimed(), c.Timed(), spin.MaxUntimedSpins, spin.MaxTimedSpins)
+	}
+	for i := 0; i < 200; i++ {
+		c.Observe(0, false)
+	}
+	if c.Untimed() != spin.MaxTimedSpins {
+		t.Fatalf("default budget after instant fulfillments = %d, want the floor %d", c.Untimed(), spin.MaxTimedSpins)
+	}
+	for i := 0; i < 200; i++ {
+		c.Observe(0, true)
+	}
+	if c.Untimed() != spin.MaxUntimedSpins {
+		t.Fatalf("default budget after parked waits = %d, want the ceiling %d", c.Untimed(), spin.MaxUntimedSpins)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"synchq/internal/metrics"
+	"synchq/internal/park"
 )
 
 // This file exposes the paper's §2.2 dual-data-structure interface as
@@ -44,27 +45,20 @@ type QueueTicket[T any] struct {
 // panics if the queue is closed, like the demand operations.
 func (q *DualQueue[T]) TakeReserve() (T, *QueueTicket[T], bool) {
 	t0 := q.m.Start()
-	var zero T
-	imm, node, pred, st := q.engage(nil, func() bool { return true }, false)
+	imm, s, pred, st := q.engage(nil, time.Time{}, false)
+	tk := q.arrive(t0, nil, s, pred, st, false)
 	if st == Closed {
 		panic(errClosedDemand)
 	}
-	if node == nil {
+	if tk.node == nil {
 		// Consume the delivered value and recycle the fulfiller's box.
-		q.m.Since(metrics.HandoffNs, t0)
 		v := imm.v
 		q.putBox(imm)
 		return v, nil, true
 	}
-	if q.closed.Load() {
-		// Close may have raced our enqueue and finished its eviction
-		// sweep before the node was linked; self-evict (as transfer
-		// does) so the reservation is never stranded. If a fulfiller
-		// got here first the CAS fails and the ticket completes
-		// normally; otherwise Await reports Closed and Abort succeeds.
-		node.item.CompareAndSwap(nil, q.closedSent)
-	}
-	return zero, &QueueTicket[T]{q: q, node: node, pred: pred, e: nil, t0: t0}, false
+	var zero T
+	t := tk // only a pending reservation pays for a heap ticket
+	return zero, &t, false
 }
 
 // PutReserve offers v to a future consumer (the request operation). If a
@@ -74,21 +68,39 @@ func (q *DualQueue[T]) TakeReserve() (T, *QueueTicket[T], bool) {
 func (q *DualQueue[T]) PutReserve(v T) (*QueueTicket[T], bool) {
 	t0 := q.m.Start()
 	e := q.getBox(v)
-	_, node, pred, st := q.engage(e, func() bool { return true }, false)
+	_, s, pred, st := q.engage(e, time.Time{}, false)
+	tk := q.arrive(t0, e, s, pred, st, false)
 	if st == Closed {
-		q.putBox(e)
 		panic(errClosedDemand)
 	}
-	if node == nil {
-		q.m.Since(metrics.HandoffNs, t0)
+	if tk.node == nil {
 		return nil, true
 	}
-	if q.closed.Load() {
-		// Same enqueue-vs-sweep window as TakeReserve: self-evict so the
-		// offer is never stranded by a Close that missed it.
-		node.item.CompareAndSwap(e, q.closedSent)
+	t := tk
+	return &t, false
+}
+
+// waiter is the reservation's node as the shared wait loop sees it.
+func (t *QueueTicket[T]) waiter() qwait[T] { return qwait[T]{q: t.q, s: t.node, e: t.e} }
+
+// collect completes a fulfilled reservation whose item word reads x: help
+// dequeue the node, then — for a take — consume and recycle the producer's
+// box (a put's box belongs to its taker).
+func (t *QueueTicket[T]) collect(x *qitem[T]) T {
+	t.q.finish(t.node, t.pred, x)
+	var v T
+	if x != nil {
+		v = x.v
+		t.q.putBox(x)
 	}
-	return &QueueTicket[T]{q: q, node: node, pred: pred, e: e, t0: t0}, false
+	return v
+}
+
+// drop disposes of an abandoned reservation: unlink its dead node and
+// reclaim the datum, which never transferred.
+func (t *QueueTicket[T]) drop() {
+	t.q.clean(t.pred, t.node)
+	t.q.putBox(t.e)
 }
 
 // TryFollowup checks, without blocking, whether the reservation has been
@@ -98,28 +110,19 @@ func (q *DualQueue[T]) PutReserve(v T) (*QueueTicket[T], bool) {
 // the ticket's own node. After a successful TryFollowup the ticket is
 // spent.
 func (t *QueueTicket[T]) TryFollowup() (T, bool) {
-	var zero T
 	if t.done {
 		panic("core: follow-up on a spent ticket")
 	}
-	x := t.node.item.Load()
-	if x == t.e || t.q.isDead(x) {
+	if t.waiter().Settled() != park.Fulfilled {
 		// Still pending, aborted, or evicted by Close. A closed
 		// reservation never reports true; collect the Closed status
 		// with Await, which returns immediately.
+		var zero T
 		return zero, false
 	}
 	t.done = true
 	t.q.m.Since(metrics.HandoffNs, t.t0)
-	t.q.finish(t.node, t.pred, x)
-	if x != nil {
-		// Take ticket: consume the delivered value and recycle the
-		// fulfiller's box.
-		v := x.v
-		t.q.putBox(x)
-		return v, true
-	}
-	return zero, true // put ticket: delivered (the taker recycles the box)
+	return t.collect(t.node.item.Load()), true
 }
 
 // Await blocks until the reservation is fulfilled, the deadline passes
@@ -127,24 +130,22 @@ func (t *QueueTicket[T]) TryFollowup() (T, bool) {
 // completion built from spin-then-park waiting. On Timeout/Canceled the
 // reservation has been aborted and the ticket is spent.
 func (t *QueueTicket[T]) Await(deadline time.Time, cancel <-chan struct{}) (T, Status) {
-	var zero T
 	if t.done {
 		panic("core: await on a spent ticket")
 	}
-	x, status := t.q.awaitFulfill(t.node, t.e, deadline, cancel, t.t0)
 	t.done = true
-	if t.q.isDead(x) {
-		t.q.clean(t.pred, t.node)
-		t.q.putBox(t.e) // abandoned offer: the datum never transferred
-		return zero, status
+	w := t.waiter()
+	// Only the node next in line for fulfillment spins; deeper nodes park
+	// immediately (§Pragmatics). A node next in line stays so until it is
+	// resolved, so this is sampled once rather than re-read from the
+	// contended head on every spin.
+	w.front = t.q.head.Load().next.Load() == t.node
+	if o, why := park.Await(w, park.Policy{Cal: t.q.cal, M: t.q.m}, deadline, cancel, t.t0); o != park.Fulfilled {
+		t.drop()
+		var zero T
+		return zero, StatusOf(o, why)
 	}
-	t.q.finish(t.node, t.pred, x)
-	if x != nil {
-		v := x.v
-		t.q.putBox(x)
-		return v, OK
-	}
-	return zero, OK
+	return t.collect(t.node.item.Load()), OK
 }
 
 // Abort attempts to cancel the reservation. It returns true if the
@@ -157,11 +158,9 @@ func (t *QueueTicket[T]) Abort() bool {
 	if t.done {
 		panic("core: abort of a spent ticket")
 	}
-	if t.node.item.CompareAndSwap(t.e, t.q.canceled) ||
-		t.node.item.Load() == t.q.closedSent {
+	if w := t.waiter(); w.Abort() || w.Settled() == park.Evicted {
 		t.done = true
-		t.q.clean(t.pred, t.node)
-		t.q.putBox(t.e) // aborted offer: the datum never transferred
+		t.drop()
 		return true
 	}
 	return false
@@ -180,71 +179,78 @@ type StackTicket[T any] struct {
 // value is returned at once with ok true and a nil ticket. It panics if
 // the stack is closed.
 func (q *DualStack[T]) TakeReserve() (T, *StackTicket[T], bool) {
-	t0 := q.m.Start()
-	var zero T
-	imm, node := q.engageReserve(*new(T), modeRequest)
-	if node == nil {
-		q.m.Since(metrics.HandoffNs, t0)
+	imm, tk, st := q.arrive(*new(T), modeRequest, time.Time{})
+	if st == Closed {
+		panic(errClosedDemand)
+	}
+	if tk.node == nil {
 		return imm, nil, true
 	}
-	return zero, &StackTicket[T]{q: q, node: node, t0: t0}, false
+	t := tk // only a pending reservation pays for a heap ticket
+	return imm, &t, false
 }
 
 // PutReserve offers v on the stack. If a consumer was already waiting, v
 // is delivered at once and ok is true with a nil ticket. It panics if the
 // stack is closed.
 func (q *DualStack[T]) PutReserve(v T) (*StackTicket[T], bool) {
-	t0 := q.m.Start()
-	_, node := q.engageReserve(v, modeData)
-	if node == nil {
-		q.m.Since(metrics.HandoffNs, t0)
+	_, tk, st := q.arrive(v, modeData, time.Time{})
+	if st == Closed {
+		panic(errClosedDemand)
+	}
+	if tk.node == nil {
 		return nil, true
 	}
-	return &StackTicket[T]{q: q, node: node, t0: t0}, false
+	t := tk
+	return &t, false
+}
+
+// waiter is the reservation's node as the shared wait loop sees it.
+func (t *StackTicket[T]) waiter() swait[T] { return swait[T]{q: t.q, s: t.node} }
+
+// collect completes a matched reservation: help the fulfiller pop the
+// pair, then — for a request — read the fulfiller's datum.
+func (t *StackTicket[T]) collect() T {
+	t.q.finishMatch(t.node)
+	var v T
+	if t.node.mode == modeRequest {
+		v = t.node.match.Load().item.Load().v
+	}
+	return v
 }
 
 // TryFollowup checks, without blocking, whether the reservation has been
 // annihilated with a counterpart. Unsuccessful follow-ups read only the
 // ticket's own node's match word.
 func (t *StackTicket[T]) TryFollowup() (T, bool) {
-	var zero T
 	if t.done {
 		panic("core: follow-up on a spent ticket")
 	}
-	m := t.node.match.Load()
-	if m == nil || m == t.node || m == t.q.closedMark {
+	if t.waiter().Settled() != park.Fulfilled {
 		// Pending, aborted, or evicted by Close; a closed reservation
 		// reports its Closed status through Await.
+		var zero T
 		return zero, false
 	}
 	t.done = true
 	t.q.m.Since(metrics.HandoffNs, t.t0)
-	t.q.finishMatch(t.node)
-	if t.node.mode == modeRequest {
-		return m.item.Load().v, true
-	}
-	return zero, true
+	return t.collect(), true
 }
 
 // Await blocks until the reservation is matched, the deadline passes, or
 // cancel fires. On Timeout/Canceled the reservation has been aborted and
 // the ticket is spent.
 func (t *StackTicket[T]) Await(deadline time.Time, cancel <-chan struct{}) (T, Status) {
-	var zero T
 	if t.done {
 		panic("core: await on a spent ticket")
 	}
-	m, status := t.q.awaitFulfill(t.node, deadline, cancel, t.t0)
 	t.done = true
-	if m == t.node || m == t.q.closedMark {
+	if o, why := park.Await(t.waiter(), park.Policy{Cal: t.q.cal, M: t.q.m}, deadline, cancel, t.t0); o != park.Fulfilled {
 		t.q.clean(t.node)
-		return zero, status
+		var zero T
+		return zero, StatusOf(o, why)
 	}
-	t.q.finishMatch(t.node)
-	if t.node.mode == modeRequest {
-		return m.item.Load().v, OK
-	}
-	return zero, OK
+	return t.collect(), OK
 }
 
 // Abort attempts to cancel the reservation; false means a counterpart
@@ -255,8 +261,7 @@ func (t *StackTicket[T]) Abort() bool {
 	if t.done {
 		panic("core: abort of a spent ticket")
 	}
-	if t.node.match.CompareAndSwap(nil, t.node) ||
-		t.node.match.Load() == t.q.closedMark {
+	if w := t.waiter(); w.Abort() || w.Settled() == park.Evicted {
 		t.done = true
 		t.q.clean(t.node)
 		return true

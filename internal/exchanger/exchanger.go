@@ -94,6 +94,11 @@ type Exchanger[T any] struct {
 	// patience to observed contention (see adaptor); nil pins the static
 	// full-width policy.
 	ad *adaptor
+	// cal sets the main-slot wait's spin budget, pinned at the platform
+	// defaults (MaxUntimedSpins untimed, MaxTimedSpins timed; none on a
+	// uniprocessor). brief pins an outer-slot excursion, which is timed,
+	// at MaxUntimedSpins spins on any host.
+	cal, brief *spin.Calibrator
 	// bpool recycles pooled value boxes (see xbox).
 	bpool sync.Pool
 	// m receives the instrumentation counters; nil disables them.
@@ -145,7 +150,7 @@ func NewSize[T any](slots int) *Exchanger[T] {
 	if slots < 1 {
 		slots = 1
 	}
-	return &Exchanger[T]{arena: make([]slot[T], slots), canceled: new(xbox[T]), taken: new(xbox[T])}
+	return &Exchanger[T]{arena: make([]slot[T], slots), canceled: new(xbox[T]), taken: new(xbox[T]), cal: spin.NewCalibrator(spin.UntimedSpins()), brief: spin.NewCalibrator(spin.MaxUntimedSpins << 4)}
 }
 
 // getBox returns a value box holding v, recycled from the box pool when
@@ -266,11 +271,7 @@ func (e *Exchanger[T]) exchangeCounting(v *xbox[T], isData bool, deadline time.T
 				continue
 			}
 			if s.n.CompareAndSwap(nil, me) {
-				x, st := e.await(me, s, deadline, cancel, t0)
-				if st == OK {
-					return x, OK
-				}
-				return nil, st
+				return e.await(me, s, park.Policy{Cal: e.cal, M: e.m, SpinPhaseOnly: true}, deadline, cancel, t0)
 			}
 			// Collision on the main slot: brief excursion. The pause
 			// site holds this window — collision observed, excursion
@@ -281,7 +282,10 @@ func (e *Exchanger[T]) exchangeCounting(v *xbox[T], isData bool, deadline time.T
 			idx = e.outerSlot()
 		case cur == nil:
 			if s.n.CompareAndSwap(nil, me) {
-				if x, ok := e.awaitBrief(me, s); ok {
+				// An excursion never parks: its deadline has passed on
+				// arrival, so its whole patience is the grace an unspent
+				// spin budget gets.
+				if x, st := e.await(me, s, park.Policy{Cal: e.brief, M: e.m, Grace: true}, time.Unix(0, 1), nil, 0); st == OK {
 					return x, OK
 				}
 				// Withdrew; the node's hole is poisoned, so
@@ -346,34 +350,6 @@ func (e *Exchanger[T]) outerSlot() int {
 	return 1 + rand.IntN(w-1)
 }
 
-// awaitBrief spins for a bounded interval waiting for a partner at an
-// outer slot, then withdraws. It never parks: outer slots are purely for
-// contention spreading, so waits there stay cheap and bounded.
-func (e *Exchanger[T]) awaitBrief(me *xnode[T], s *slot[T]) (*xbox[T], bool) {
-	for i := 0; i < spin.MaxUntimedSpins; i++ {
-		x := me.hole.Load()
-		if x != nil && x != e.canceled {
-			if x == e.taken {
-				return nil, true
-			}
-			return x, true
-		}
-		// Outer slots are off the hot path, so the per-iteration
-		// metered tick is fine here.
-		spin.MeteredPause(i, e.m)
-	}
-	if me.hole.CompareAndSwap(nil, e.canceled) {
-		s.n.CompareAndSwap(me, nil) // withdraw
-		return nil, false
-	}
-	// A partner fulfilled us as we were giving up.
-	x := me.hole.Load()
-	if x == e.taken {
-		return nil, true
-	}
-	return x, true
-}
-
 // fulfillValue is what we deposit into the partner's hole: our value, or —
 // for a pure consumer bringing no value — the "taken" sentinel.
 func (e *Exchanger[T]) fulfillValue(v *xbox[T]) *xbox[T] {
@@ -383,76 +359,53 @@ func (e *Exchanger[T]) fulfillValue(v *xbox[T]) *xbox[T] {
 	return e.taken
 }
 
-// await waits for our hole to be filled, spin-then-park, cancelling on
+// await waits for our hole to be filled through the shared spin-then-park
+// loop, under the main slot's or an excursion's policy, cancelling on
 // deadline/cancel. On cancellation it also withdraws the node from its
 // slot so later arrivals do not claim a dead node. t0 is the exchange's
 // arrival timestamp for the spin-vs-park breakdown (zero when
 // uninstrumented); the end-to-end outcome is recorded by exchange.
-func (e *Exchanger[T]) await(me *xnode[T], s *slot[T], deadline time.Time, cancel <-chan struct{}, t0 int64) (*xbox[T], Status) {
-	spins := spin.UntimedSpins()
-	if !deadline.IsZero() {
-		spins = spin.TimedSpins()
+func (e *Exchanger[T]) await(me *xnode[T], s *slot[T], p park.Policy, deadline time.Time, cancel <-chan struct{}, t0 int64) (*xbox[T], Status) {
+	o, why := park.Await(xwait[T]{e: e, me: me}, p, deadline, cancel, t0)
+	if o != park.Fulfilled {
+		s.n.CompareAndSwap(me, nil) // withdraw
+		if why == park.Canceled {
+			return nil, Canceled
+		}
+		return nil, Timeout
 	}
-	armed := false
-	status := Timeout
-	spun := int64(0)
-	for i := 0; ; i++ {
-		x := me.hole.Load()
-		if x != nil {
-			e.m.Add(metrics.Spins, spun)
-			if !armed {
-				spin.EndPhase(e.m, t0) // the whole wait was the spin phase
-			}
-			switch x {
-			case e.canceled:
-				if status == Canceled {
-					e.m.Inc(metrics.Cancellations)
-				} else {
-					e.m.Inc(metrics.Timeouts)
-				}
-				s.n.CompareAndSwap(me, nil) // withdraw
-				return nil, status
-			case e.taken:
-				return nil, OK // matched by a pure consumer
-			default:
-				return x, OK
-			}
-		}
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			status = Timeout
-			me.hole.CompareAndSwap(nil, e.canceled)
-			continue
-		}
-		if cancel != nil {
-			select {
-			case <-cancel:
-				status = Canceled
-				me.hole.CompareAndSwap(nil, e.canceled)
-				continue
-			default:
-			}
-		}
-		if spins > 0 {
-			spins--
-			spun++
-			spin.Pause(i)
-			continue
-		}
-		if !armed {
-			spin.EndPhase(e.m, t0) // spin budget exhausted: the busy phase ends here
-			me.wp.Init(e.m, e.f)
-			me.waiter.Store(&me.wp)
-			armed = true
-			continue
-		}
-		switch me.wp.Wait(deadline, cancel) {
-		case park.Unparked:
-		case park.DeadlineExceeded:
-			status = Timeout
-			me.hole.CompareAndSwap(nil, e.canceled)
-		case park.Canceled:
-			status = Canceled
-			me.hole.CompareAndSwap(nil, e.canceled)
-		}
+	if x := me.hole.Load(); x != e.taken {
+		return x, OK
 	}
+	return nil, OK // matched by a pure consumer
+}
+
+// xwait is a main-slot party's wait as park.Await drives it: pending while
+// the hole is empty; a partner fills it, and the owner's abort poisons it
+// with the canceled sentinel. Any party at the main slot may spin.
+type xwait[T any] struct {
+	e  *Exchanger[T]
+	me *xnode[T]
+}
+
+func (w xwait[T]) Settled() park.Outcome {
+	switch w.me.hole.Load() {
+	case nil:
+		return park.Pending
+	case w.e.canceled:
+		return park.Aborted
+	}
+	return park.Fulfilled
+}
+
+func (w xwait[T]) Abort() bool { return w.me.hole.CompareAndSwap(nil, w.e.canceled) }
+
+func (w xwait[T]) SpinOK() bool { return true }
+
+// Arm initializes the node's own parker in place and publishes it through
+// the waiter word, so entering the slow path allocates nothing.
+func (w xwait[T]) Arm() *park.Parker {
+	w.me.wp.Init(w.e.m, w.e.f)
+	w.me.waiter.Store(&w.me.wp)
+	return &w.me.wp
 }

@@ -239,7 +239,8 @@ sweep:
 	}
 	for _, p := range pending {
 		if st == core.OK {
-			if _, st2 := q.awaitCell(p.s, p.c, p.i, cItem, true, deadline, cancel, 0, &q.takec); st2 == core.OK {
+			tk := Ticket[T]{q: q, s: p.s, c: p.c, i: p.i, installed: cItem, isPut: true}
+			if _, st2 := tk.Await(deadline, cancel); st2 == core.OK {
 				delivered++
 				done[p.idx] = true
 			} else {
@@ -322,7 +323,7 @@ func (q *Queue[T]) TakeBatch(buf []T, max int, deadline time.Time, cancel <-chan
 }
 
 // takeRun claims up to max already-committed producer indexes with one F&A
-// and resolves each cell through resolveArrival with an expired deadline —
+// and resolves each cell through arriveAt with an expired deadline —
 // the per-cell semantics of a poll (attempt-first: an installed producer en
 // route to a claimed cell still gets a bounded spin to arrive). The claim
 // is bounded by the committed-producer surplus read just before the F&A,
@@ -351,10 +352,12 @@ func (q *Queue[T]) takeRun(buf *[]T, max int) (int, Status) {
 			q.m.Inc(metrics.CleanSweeps)
 			continue // unlinked: dead index
 		}
-		c := &s.cells[i&segMask]
-		v, st, ok := q.resolveArrival(s, c, i, false, zero, expired, nil, nil, 0, &q.putc)
+		v, tk, st, ok := q.arriveAt(s, &s.cells[i&segMask], i, false, zero, expired, 0, &q.putc)
 		if !ok {
 			continue // BROKEN on arrival: dead index
+		}
+		if tk.c != nil {
+			v, st = tk.Await(expired, nil)
 		}
 		switch st {
 		case core.OK:

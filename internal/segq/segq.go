@@ -154,18 +154,15 @@ type Queue[T any] struct {
 	// (append-race losers) — see the package comment's recycling rules.
 	spare chan *segment[T]
 
-	timedSpins   int
-	untimedSpins int
-	cal          *spin.Calibrator
-	m            *metrics.Handle
-	f            *fault.Injector
+	cal *spin.Calibrator
+	m   *metrics.Handle
+	f   *fault.Injector
 }
 
 // New returns an empty segmented synchronous queue with the given wait
 // policy (use the zero WaitConfig for the paper's defaults).
 func New[T any](cfg core.WaitConfig) *Queue[T] {
-	q := &Queue[T]{m: cfg.Metrics, f: cfg.Fault, spare: make(chan *segment[T], spareCap)}
-	q.timedSpins, q.untimedSpins, q.cal = cfg.SpinPolicy()
+	q := &Queue[T]{cal: spin.NewCalibrator(cfg.Spins), m: cfg.Metrics, f: cfg.Fault, spare: make(chan *segment[T], spareCap)}
 	first := q.newSegment(0)
 	q.head.Store(first)
 	q.putSeg.Store(first)
@@ -361,19 +358,31 @@ func (q *Queue[T]) advanceHead(to *segment[T]) {
 
 // ---- the transfer engine --------------------------------------------------
 
-// transfer is the shared engine behind every public operation: claim an
-// index, find its cell, and resolve it against the state machine in the
-// package comment. The wait-vs-poison decision at an EMPTY cell is
-// attempt-first: expired patience poisons only when no counterpart has
-// committed an index ≥ ours (otherC ≤ i); a committed counterpart is on
-// its way to this very cell, so even a zero-patience operation installs
-// and briefly waits for it. commit, if non-nil, is the commit step (see
-// core.Withdrawn).
+// transfer is the shared engine behind every public operation: arrive at
+// a cell, then — if the operation installed itself — run the commit step
+// (see core.Withdrawn) and wait exactly as a reservation's Await does.
 func (q *Queue[T]) transfer(isPut bool, v T, deadline time.Time, cancel <-chan struct{}, commit func() bool) (T, Status) {
+	v, tk, st := q.arrive(isPut, v, deadline)
+	if tk.c == nil {
+		return v, st // completed, or refused, at arrival
+	}
+	if commit != nil && !commit() && tk.withdraw() {
+		// Declined; a lost withdrawal leaves the resolution for Await to
+		// collect at once.
+		return *new(T), core.Withdrawn
+	}
+	return tk.Await(deadline, cancel)
+}
+
+// arrive claims an index and plays its cell through the state machine in
+// the package comment until the operation has either completed or
+// installed itself; an installed operation gets back the pending
+// reservation (tk.c non-nil). A cell found BROKEN (the counterpart
+// poisoned it or aborted) sends it round for a fresh index.
+func (q *Queue[T]) arrive(isPut bool, v T, deadline time.Time) (T, Ticket[T], Status) {
 	t0 := q.m.Start()
-	var zero T
 	if q.closed.Load() {
-		return zero, core.Closed
+		return *new(T), Ticket[T]{}, core.Closed
 	}
 	ctr, other, hint := q.side(isPut)
 	for {
@@ -386,12 +395,9 @@ func (q *Queue[T]) transfer(isPut bool, v T, deadline time.Time, cancel <-chan s
 			q.skipTo(ctr, s.id<<segShift)
 			continue
 		}
-		c := &s.cells[i&segMask]
-		if v2, st, ok := q.resolveArrival(s, c, i, isPut, v, deadline, cancel, commit, t0, other); ok {
-			return v2, st
+		if v2, tk, st, ok := q.arriveAt(s, &s.cells[i&segMask], i, isPut, v, deadline, t0, other); ok {
+			return v2, tk, st
 		}
-		// The cell was BROKEN before we arrived (the counterpart
-		// poisoned it or aborted): take a fresh index.
 	}
 }
 
@@ -402,10 +408,14 @@ func (q *Queue[T]) side(isPut bool) (ctr, other *atomic.Uint64, hint *atomic.Poi
 	return &q.takec, &q.putc, &q.takeSeg
 }
 
-// resolveArrival plays this operation's claimed cell through the state
-// machine. ok is false only for the BROKEN-on-arrival case, which retries
-// with a fresh index.
-func (q *Queue[T]) resolveArrival(s *segment[T], c *cell[T], i uint64, isPut bool, v T, deadline time.Time, cancel <-chan struct{}, commit func() bool, t0 int64, other *atomic.Uint64) (T, Status, bool) {
+// arriveAt resolves this operation's claimed cell i. The wait-vs-poison
+// decision at an EMPTY cell is attempt-first: expired patience (a zero
+// deadline never expires) poisons only when no counterpart has committed
+// an index ≥ ours (other ≤ i); a committed counterpart is on its way to
+// this very cell, so even a zero-patience operation installs, and the
+// wait's spin budget is that counterpart's window to arrive. ok is false
+// only for the BROKEN-on-arrival case, which retries with a fresh index.
+func (q *Queue[T]) arriveAt(s *segment[T], c *cell[T], i uint64, isPut bool, v T, deadline time.Time, t0 int64, other *atomic.Uint64) (T, Ticket[T], Status, bool) {
 	var zero T
 	for {
 		switch st := c.state.Load(); st {
@@ -420,10 +430,8 @@ func (q *Queue[T]) resolveArrival(s *segment[T], c *cell[T], i uint64, isPut boo
 				}
 				q.resolveCell(s)
 				q.m.Inc(metrics.Timeouts)
-				if t0 != 0 {
-					q.m.Record(metrics.WastedNs, time.Duration(metrics.Nanos()-t0))
-				}
-				return zero, core.Timeout, true
+				q.m.Since(metrics.WastedNs, t0)
+				return zero, Ticket[T]{}, core.Timeout, true
 			}
 			// Install: value first — the counterpart reads it after
 			// acquiring our state CAS. The shared parker is already
@@ -431,11 +439,9 @@ func (q *Queue[T]) resolveArrival(s *segment[T], c *cell[T], i uint64, isPut boo
 			// the install CAS below loses, the counterpart may already
 			// be parked on it, and a reset would wipe its park state
 			// and lose the fulfilling Unpark.
-			if isPut {
-				c.v = v
-			}
 			installed := cWaiter
 			if isPut {
+				c.v = v
 				installed = cItem
 			}
 			q.f.Preempt(fault.SegCloseRacePause)
@@ -443,28 +449,16 @@ func (q *Queue[T]) resolveArrival(s *segment[T], c *cell[T], i uint64, isPut boo
 				q.m.Inc(metrics.CASFailEnqueue)
 				continue
 			}
-			if q.closed.Load() {
-				// Close may have swept past this cell before our
-				// install was visible; only we can evict it now.
-				if c.state.CompareAndSwap(installed, cClosed) {
-					q.resolveCell(s)
-					if isPut {
-						c.v = zero
-					}
-					q.m.Inc(metrics.ClosedWakeups)
-					if t0 != 0 {
-						q.m.Record(metrics.WastedNs, time.Duration(metrics.Nanos()-t0))
-					}
-					return zero, core.Closed, true
+			if q.closed.Load() && c.state.CompareAndSwap(installed, cClosed) {
+				// Close may have swept past this cell before our install
+				// was visible; only we can evict it now. The wait reports
+				// the eviction.
+				q.resolveCell(s)
+				if isPut {
+					c.v = zero
 				}
 			}
-			if commit != nil && !commit() && q.withdraw(s, c, installed, isPut) {
-				// Declined; a lost withdrawal leaves the resolution for
-				// awaitCell to collect at once.
-				return zero, core.Withdrawn, true
-			}
-			v2, st2 := q.awaitCell(s, c, i, installed, isPut, deadline, cancel, t0, other)
-			return v2, st2, true
+			return zero, Ticket[T]{q: q, s: s, c: c, i: i, installed: installed, isPut: isPut, t0: t0}, core.OK, true
 
 		case cItem:
 			// A producer deposited and waits: claim the cell, then read
@@ -482,10 +476,8 @@ func (q *Queue[T]) resolveArrival(s *segment[T], c *cell[T], i uint64, isPut boo
 			q.m.Inc(metrics.Fulfillments)
 			q.f.Preempt(fault.SegResolvePause)
 			c.wp.Unpark()
-			if t0 != 0 {
-				q.m.Record(metrics.HandoffNs, time.Duration(metrics.Nanos()-t0))
-			}
-			return val, core.OK, true
+			q.m.Since(metrics.HandoffNs, t0)
+			return val, Ticket[T]{}, core.OK, true
 
 		case cWaiter:
 			// A consumer waits: deposit, publish with the CAS, unpark.
@@ -507,144 +499,60 @@ func (q *Queue[T]) resolveArrival(s *segment[T], c *cell[T], i uint64, isPut boo
 			q.m.Inc(metrics.Fulfillments)
 			q.f.Preempt(fault.SegResolvePause)
 			c.wp.Unpark()
-			if t0 != 0 {
-				q.m.Record(metrics.HandoffNs, time.Duration(metrics.Nanos()-t0))
-			}
-			return v, core.OK, true
+			q.m.Since(metrics.HandoffNs, t0)
+			return zero, Ticket[T]{}, core.OK, true
 
 		case cBroken:
-			return zero, core.Timeout, false
+			return zero, Ticket[T]{}, core.Timeout, false
 
 		case cDone:
 			panic("segq: cell resolved twice")
 
 		default: // cClosed
-			if t0 != 0 {
-				q.m.Record(metrics.WastedNs, time.Duration(metrics.Nanos()-t0))
-			}
-			return zero, core.Closed, true
+			q.m.Since(metrics.WastedNs, t0)
+			return zero, Ticket[T]{}, core.Closed, true
 		}
 	}
 }
 
-// awaitCell waits (spin-then-park) on a cell this operation installed
-// itself in, until the counterpart resolves it or the wait aborts. The
-// spin budget is granted only when the counterpart already committed an
-// index past ours (it is on its way to this very cell); deeper waiters
-// park immediately, mirroring the paper's "spin only at the head" rule.
-// The deadline arm yields to an unspent spin budget so a zero-patience
-// operation that installed against a committed counterpart gives it a
-// bounded burst to arrive before poisoning the cell.
-func (q *Queue[T]) awaitCell(s *segment[T], c *cell[T], i uint64, installed uint32, isPut bool, deadline time.Time, cancel <-chan struct{}, t0 int64, other *atomic.Uint64) (T, Status) {
-	var zero T
-	spins := 0
-	if other.Load() > i {
-		if q.cal != nil {
-			if deadline.IsZero() {
-				spins = q.cal.Untimed()
-			} else {
-				spins = q.cal.Timed()
-			}
-		} else if deadline.IsZero() {
-			spins = q.untimedSpins
-		} else {
-			spins = q.timedSpins
-		}
-	}
-	armed := false // the spin phase ended and the parker took over
-	parked := false
-	status := core.Timeout
-	spun := int64(0) // spins batched locally; one Add on exit
-	for it := 0; ; it++ {
-		if st := c.state.Load(); st != installed {
-			q.m.Add(metrics.Spins, spun)
-			if t0 != 0 {
-				d := time.Duration(metrics.Nanos() - t0)
-				if !armed {
-					q.m.Record(metrics.SpinNs, d)
-				}
-				if st == cDone {
-					q.m.Record(metrics.HandoffNs, d)
-				} else {
-					q.m.Record(metrics.WastedNs, d)
-				}
-			}
-			switch st {
-			case cDone:
-				if q.cal != nil {
-					q.cal.Observe(int(spun), parked)
-					q.m.Set(metrics.SpinBudget, int64(q.cal.Untimed()))
-				}
-				if isPut {
-					return zero, core.OK
-				}
-				val := c.v
-				c.v = zero
-				return val, core.OK
-			case cBroken:
-				// Only the installer aborts its own cell, so this is
-				// our abort winning; reclaim the undelivered value.
-				if isPut {
-					c.v = zero
-				}
-				if status == core.Canceled {
-					q.m.Inc(metrics.Cancellations)
-				} else {
-					q.m.Inc(metrics.Timeouts)
-				}
-				return zero, status
-			default: // cClosed: evicted by the Close sweep
-				if isPut {
-					c.v = zero
-				}
-				q.m.Inc(metrics.ClosedWakeups)
-				return zero, core.Closed
-			}
-		}
-		if spins <= 0 && !deadline.IsZero() && !time.Now().Before(deadline) {
-			status = core.Timeout
-			if c.state.CompareAndSwap(installed, cBroken) {
-				q.resolveCell(s)
-			}
-			continue // reload state: the abort may have lost to a fulfiller
-		}
-		if cancel != nil {
-			select {
-			case <-cancel:
-				status = core.Canceled
-				if c.state.CompareAndSwap(installed, cBroken) {
-					q.resolveCell(s)
-				}
-				continue
-			default:
-			}
-		}
-		if spins > 0 {
-			spins--
-			spun++
-			spin.Pause(it)
-			continue
-		}
-		if !armed {
-			spin.EndPhase(q.m, t0) // spin budget exhausted: busy phase ends
-			armed = true
-			continue // re-check state before the first park
-		}
-		parked = true
-		switch c.wp.Wait(deadline, cancel) {
-		case park.DeadlineExceeded:
-			status = core.Timeout
-			if c.state.CompareAndSwap(installed, cBroken) {
-				q.resolveCell(s)
-			}
-		case park.Canceled:
-			status = core.Canceled
-			if c.state.CompareAndSwap(installed, cBroken) {
-				q.resolveCell(s)
-			}
-		}
-	}
+// cellWait is an installed cell's wait as park.Await drives it: the cell
+// is pending while it holds the installed state; the counterpart resolves
+// it DONE, the installer's own abort BROKEN, and Close CLOSED.
+type cellWait[T any] struct {
+	q         *Queue[T]
+	s         *segment[T]
+	c         *cell[T]
+	installed uint32
+	// committed records whether the counterpart had committed an index
+	// past ours when the wait began (see Ticket.Await).
+	committed bool
 }
+
+func (w cellWait[T]) Settled() park.Outcome {
+	switch w.c.state.Load() {
+	case w.installed:
+		return park.Pending
+	case cDone:
+		return park.Fulfilled
+	case cBroken:
+		return park.Aborted // only the installer breaks its own cell
+	}
+	return park.Evicted
+}
+
+func (w cellWait[T]) Abort() bool {
+	if !w.c.state.CompareAndSwap(w.installed, cBroken) {
+		return false
+	}
+	w.q.resolveCell(w.s)
+	return true
+}
+
+func (w cellWait[T]) SpinOK() bool { return w.committed }
+
+// Arm returns the cell's shared parker, armed once at segment birth (see
+// the cell comment) and never reset.
+func (w cellWait[T]) Arm() *park.Parker { return &w.c.wp }
 
 // ---- public operation surface ---------------------------------------------
 

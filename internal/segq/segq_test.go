@@ -1,6 +1,7 @@
 package segq
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -317,5 +318,37 @@ func waitCond(t *testing.T, cond func() bool) {
 			t.Fatal("condition not reached")
 		}
 		time.Sleep(50 * time.Microsecond)
+	}
+}
+
+// TestZeroPatienceOfferWaitsForCommittedConsumer pins the attempt-first
+// grace: a consumer has committed index 0 but not yet arrived, so a
+// zero-patience Offer installs its cell, and the spin budget — not the
+// already-expired deadline — must bound how long it waits there. The
+// shared wait loop's deadline arm has to yield to the unspent budget on
+// this core; without that the Offer would break the cell within
+// microseconds and report a miss although its consumer was on its way.
+func TestZeroPatienceOfferWaitsForCommittedConsumer(t *testing.T) {
+	q := New[int](core.WaitConfig{Spins: 1 << 30}) // timed budget 1<<26: far beyond the window below
+	q.takec.Add(1)                                 // a consumer committed index 0
+	s := q.head.Load()
+	c := &s.cells[0]
+	offered := make(chan bool)
+	go func() { offered <- q.Offer(7) }()
+	for c.state.Load() == cEmpty {
+		runtime.Gosched()
+	}
+	for end := time.Now().Add(2 * time.Millisecond); time.Now().Before(end); runtime.Gosched() {
+		if st := c.state.Load(); st != cItem {
+			t.Fatalf("cell state %d while the committed consumer was still on its way; the Offer gave up its cell", st)
+		}
+	}
+	// Arrive as the consumer that committed index 0.
+	v, tk, st, ok := q.arriveAt(s, c, 0, false, 0, time.Time{}, 0, &q.putc)
+	if !ok || st != core.OK || tk.c != nil || v != 7 {
+		t.Fatalf("consumer arrival = (%d, pending=%v, %v, %v), want (7, false, OK, true)", v, tk.c != nil, st, ok)
+	}
+	if !<-offered {
+		t.Fatal("Offer reported a miss although its committed consumer took the value")
 	}
 }

@@ -4,8 +4,8 @@ import (
 	"time"
 
 	"synchq/internal/core"
-	"synchq/internal/fault"
 	"synchq/internal/metrics"
+	"synchq/internal/park"
 )
 
 // Reservation tickets: the request half of a split transfer, mirroring
@@ -14,8 +14,8 @@ import (
 // the public SynchronousQueue reservation API).
 //
 // A reservation is just an installed cell whose owner walked away instead
-// of waiting: the ticket remembers the cell, and TryFollowup/Await/Abort
-// play the same state-machine arcs awaitCell plays inline.
+// of waiting: arrive hands the ticket out, and a transfer that has to wait
+// awaits the very same ticket on the spot.
 
 // Ticket tracks one pending reservation on a segmented queue.
 type Ticket[T any] struct {
@@ -33,124 +33,46 @@ type Ticket[T any] struct {
 // waiting. Unlike transfer it never poisons: a reservation's patience is
 // decided later, by Await or Abort.
 func (q *Queue[T]) reserve(isPut bool, v T) (T, *Ticket[T], bool, Status) {
-	t0 := q.m.Start()
-	var zero T
-	if q.closed.Load() {
-		return zero, nil, false, core.Closed
+	v, tk, st := q.arrive(isPut, v, time.Time{})
+	if st != core.OK {
+		return v, nil, false, st
 	}
-	ctr, _, hint := q.side(isPut)
-	for {
-		i := ctr.Add(1) - 1
-		s := q.findSeg(hint, i>>segShift)
-		if s.id != i>>segShift {
-			q.m.Inc(metrics.CleanSweeps)
-			q.skipTo(ctr, s.id<<segShift)
-			continue
-		}
-		c := &s.cells[i&segMask]
-	resolve:
-		for {
-			switch st := c.state.Load(); st {
-			case cEmpty:
-				// Value first; never touch the shared parker — it was
-				// armed at segment birth, and a reset by an install-CAS
-				// loser would wipe a parked counterpart's state (see
-				// resolveArrival).
-				if isPut {
-					c.v = v
-				}
-				installed := cWaiter
-				if isPut {
-					installed = cItem
-				}
-				q.f.Preempt(fault.SegCloseRacePause)
-				if q.f.FailCAS(fault.SegInstallCAS) || !c.state.CompareAndSwap(cEmpty, installed) {
-					q.m.Inc(metrics.CASFailEnqueue)
-					continue
-				}
-				if q.closed.Load() {
-					// Same install-vs-sweep window as transfer: self-
-					// evict so the reservation is never stranded. If a
-					// fulfiller got here first the CAS fails and the
-					// ticket completes normally; otherwise Await
-					// reports Closed and Abort succeeds.
-					if c.state.CompareAndSwap(installed, cClosed) {
-						q.resolveCell(s)
-						if isPut {
-							c.v = zero
-						}
-					}
-				}
-				return zero, &Ticket[T]{q: q, s: s, c: c, i: i, installed: installed, isPut: isPut, t0: t0}, false, core.OK
-
-			case cItem:
-				if isPut {
-					panic("segq: producer cell claimed twice")
-				}
-				if q.f.FailCAS(fault.SegResolveCAS) || !c.state.CompareAndSwap(cItem, cDone) {
-					q.m.Inc(metrics.CASFailFulfill)
-					continue
-				}
-				q.resolveCell(s)
-				val := c.v
-				c.v = zero
-				q.m.Inc(metrics.Fulfillments)
-				q.f.Preempt(fault.SegResolvePause)
-				c.wp.Unpark()
-				q.m.Since(metrics.HandoffNs, t0)
-				return val, nil, true, core.OK
-
-			case cWaiter:
-				if !isPut {
-					panic("segq: consumer cell claimed twice")
-				}
-				c.v = v
-				if q.f.FailCAS(fault.SegResolveCAS) || !c.state.CompareAndSwap(cWaiter, cDone) {
-					q.m.Inc(metrics.CASFailFulfill)
-					if st := c.state.Load(); st == cBroken || st == cClosed {
-						c.v = zero
-					}
-					continue
-				}
-				q.resolveCell(s)
-				q.m.Inc(metrics.Fulfillments)
-				q.f.Preempt(fault.SegResolvePause)
-				c.wp.Unpark()
-				q.m.Since(metrics.HandoffNs, t0)
-				return zero, nil, true, core.OK
-
-			case cBroken:
-				break resolve // fresh index
-
-			case cDone:
-				panic("segq: cell resolved twice")
-
-			default: // cClosed
-				return zero, nil, false, core.Closed
-			}
-		}
+	if tk.c == nil {
+		return v, nil, true, core.OK
 	}
+	t := tk // only a pending reservation pays for a heap ticket
+	return v, &t, false, core.OK
+}
+
+// waiter is the reservation's cell as the shared wait loop sees it.
+func (t *Ticket[T]) waiter() cellWait[T] {
+	return cellWait[T]{q: t.q, s: t.s, c: t.c, installed: t.installed}
+}
+
+// collect takes the delivered value out of a fulfilled take reservation's
+// cell; a put reservation has nothing to collect.
+func (t *Ticket[T]) collect() T {
+	var v T
+	if !t.isPut {
+		v = t.c.v
+		t.c.v = *new(T)
+	}
+	return v
 }
 
 // TryFollowup checks, without blocking, whether the reservation has been
 // fulfilled. A closed or aborted reservation never reports true; collect
 // the status with Await, which returns immediately.
 func (t *Ticket[T]) TryFollowup() (T, bool) {
-	var zero T
 	if t.done {
 		panic("segq: follow-up on a spent ticket")
 	}
 	if t.c.state.Load() != cDone {
-		return zero, false
+		return *new(T), false
 	}
 	t.done = true
 	t.q.m.Since(metrics.HandoffNs, t.t0)
-	if t.isPut {
-		return zero, true
-	}
-	v := t.c.v
-	t.c.v = zero
-	return v, true
+	return t.collect(), true
 }
 
 // Await blocks until fulfillment, the deadline (zero: never), or cancel
@@ -160,8 +82,22 @@ func (t *Ticket[T]) Await(deadline time.Time, cancel <-chan struct{}) (T, Status
 		panic("segq: await on a spent ticket")
 	}
 	t.done = true
+	w := t.waiter()
+	// Spins are granted only once the counterpart has committed an index
+	// past ours — it is on its way to this very cell; deeper waiters park
+	// immediately, mirroring the paper's "spin only at the head" rule. The
+	// counter only grows, so this is sampled once, when the wait begins.
 	_, other, _ := t.q.side(t.isPut)
-	return t.q.awaitCell(t.s, t.c, t.i, t.installed, t.isPut, deadline, cancel, t.t0, other)
+	w.committed = other.Load() > t.i
+	o, why := park.Await(w, park.Policy{Cal: t.q.cal, M: t.q.m, Grace: true}, deadline, cancel, t.t0)
+	if o == park.Fulfilled {
+		return t.collect(), core.OK
+	}
+	var zero T
+	if t.isPut {
+		t.c.v = zero // the value was never delivered: reclaim it
+	}
+	return zero, core.StatusOf(o, why)
 }
 
 // Abort cancels the reservation; false means it was fulfilled first and
@@ -173,27 +109,25 @@ func (t *Ticket[T]) Abort() bool {
 	}
 	// Only the owner breaks its own cell, so a lost withdrawal means the
 	// cell is DONE (fulfilled first) or CLOSED (evicted: nothing to collect).
-	if t.q.withdraw(t.s, t.c, t.installed, t.isPut) || t.c.state.Load() == cClosed {
+	if t.withdraw() || t.c.state.Load() == cClosed {
 		t.done = true
 		return true
 	}
 	return false
 }
 
-// withdraw breaks a cell this operation installed and nobody resolved yet,
-// reclaiming an undelivered value — the arc a reservation's Abort and a
-// declined commit step share. It reports false when a resolver or Close
-// got to the cell first.
-func (q *Queue[T]) withdraw(s *segment[T], c *cell[T], installed uint32, isPut bool) bool {
-	if !c.state.CompareAndSwap(installed, cBroken) {
+// withdraw breaks the reservation's cell if nobody resolved it yet,
+// reclaiming an undelivered value — the arc Abort and a declined commit
+// step share. It reports false when a resolver or Close got to the cell
+// first.
+func (t *Ticket[T]) withdraw() bool {
+	if !t.waiter().Abort() {
 		return false
 	}
-	q.resolveCell(s)
-	if isPut {
-		var zero T
-		c.v = zero
+	if t.isPut {
+		t.c.v = *new(T)
 	}
-	q.m.Inc(metrics.Cancellations)
+	t.q.m.Inc(metrics.Cancellations)
 	return true
 }
 

@@ -64,7 +64,7 @@ func measureModes(t *testing.T, mk func() *Fabric[int64]) (untimed, timed float6
 // enormous spin budgets keep parking and timers out of the measurement, as
 // there.
 func TestFabricAllocBudget(t *testing.T) {
-	cfg := core.WaitConfig{TimedSpins: 1 << 30, UntimedSpins: 1 << 30}
+	cfg := core.WaitConfig{Spins: 1 << 30}
 	cores := []struct {
 		name   string
 		budget float64

@@ -13,8 +13,6 @@ import (
 	"runtime"
 	"sync/atomic"
 	"time"
-
-	"synchq/internal/metrics"
 )
 
 // multicore records whether more than one logical CPU is available to the
@@ -65,27 +63,6 @@ func Pause(i int) {
 	if i&15 == 15 {
 		runtime.Gosched()
 	}
-}
-
-// MeteredPause is Pause plus a spin-counter tick on h (nil-safe). Spin
-// loops that already batch their own counts should keep doing so and call
-// Pause directly — per-iteration atomics on an instrumented hot loop are
-// exactly the overhead batching avoids; this helper is for loops that are
-// not themselves throughput-critical.
-func MeteredPause(i int, h *metrics.Handle) {
-	h.Inc(metrics.Spins)
-	Pause(i)
-}
-
-// EndPhase records a completed busy-wait phase — from the wait's start t0
-// to now — into h's spin-time histogram. Wait loops call it exactly once
-// per wait: at the spin→park transition when the budget runs out, or at
-// fulfillment when the wait never parked (then the whole wait was the spin
-// phase). Together with the parker's park-time recording this yields the
-// spin-vs-park breakdown of the waiting policy. Nil-safe on h and a no-op
-// on a zero t0, so uninstrumented loops pay only the branch.
-func EndPhase(h *metrics.Handle, t0 int64) {
-	h.Since(metrics.SpinNs, t0)
 }
 
 // Backoff implements randomized-free exponential backoff for CAS retry

@@ -100,7 +100,7 @@ func TestCalibratorAdaptsWithinBounds(t *testing.T) {
 	if !Multicore() {
 		t.Skip("calibrator is inert on a uniprocessor")
 	}
-	c := NewCalibrator()
+	c := NewCalibrator(0)
 	if got := c.Untimed(); got != MaxUntimedSpins {
 		t.Fatalf("initial untimed budget = %d, want ceiling %d", got, MaxUntimedSpins)
 	}
