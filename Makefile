@@ -76,10 +76,13 @@ bench-batch:
 	go run ./cmd/sqbench -figure batch -transfers 3000 -repeats 2 -levels 1,8 \
 		-cores seg,transfer -quiet -gate
 
-# Regenerate every committed BENCH_*.json in one pass, each with the
-# settings recorded in its committed header, printing per-figure headline
-# deltas against the files being replaced. Run on a quiet host; commit the
-# refreshed artifacts together with the delta summary in the PR body.
+# Regenerate the four committed report artifacts (BENCH_scaling.json,
+# BENCH_batch.json, BENCH_latency.json, BENCH_executor.json) in one pass,
+# each with the settings recorded in its committed header, printing
+# per-figure headline deltas against the files being replaced. Run on a
+# quiet host; commit the refreshed artifacts together with the delta
+# summary in the PR body. Hand-off allocation figures have no artifact:
+# bench-smoke prints and gates them.
 bench-all:
 	go run ./cmd/sqbench -artifacts
 

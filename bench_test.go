@@ -43,7 +43,7 @@ func BenchmarkFigure3(b *testing.B) {
 	for _, a := range bench.Algorithms(false) {
 		for _, pairs := range benchLevels {
 			b.Run(fmt.Sprintf("%s/pairs=%d", sanitize(a.Name), pairs), func(b *testing.B) {
-				bench.RunHandoff(a.New(), pairs, pairs, int64(b.N), nil)
+				bench.RunHandoff(a.New(), pairs, pairs, 1, int64(b.N), nil)
 			})
 		}
 	}
@@ -54,7 +54,7 @@ func BenchmarkFigure4(b *testing.B) {
 	for _, a := range bench.Algorithms(false) {
 		for _, consumers := range benchLevels {
 			b.Run(fmt.Sprintf("%s/consumers=%d", sanitize(a.Name), consumers), func(b *testing.B) {
-				bench.RunHandoff(a.New(), 1, consumers, int64(b.N), nil)
+				bench.RunHandoff(a.New(), 1, consumers, 1, int64(b.N), nil)
 			})
 		}
 	}
@@ -65,7 +65,7 @@ func BenchmarkFigure5(b *testing.B) {
 	for _, a := range bench.Algorithms(false) {
 		for _, producers := range benchLevels {
 			b.Run(fmt.Sprintf("%s/producers=%d", sanitize(a.Name), producers), func(b *testing.B) {
-				bench.RunHandoff(a.New(), producers, 1, int64(b.N), nil)
+				bench.RunHandoff(a.New(), producers, 1, 1, int64(b.N), nil)
 			})
 		}
 	}
@@ -103,10 +103,10 @@ func BenchmarkAblationSpin(b *testing.B) {
 	for _, pol := range policies {
 		cfg := pol.cfg
 		b.Run("stack/"+pol.name, func(b *testing.B) {
-			bench.RunHandoff(core.NewDualStack[int64](cfg), 4, 4, int64(b.N), nil)
+			bench.RunHandoff(core.NewDualStack[int64](cfg), 4, 4, 1, int64(b.N), nil)
 		})
 		b.Run("queue/"+pol.name, func(b *testing.B) {
-			bench.RunHandoff(core.NewDualQueue[int64](cfg), 4, 4, int64(b.N), nil)
+			bench.RunHandoff(core.NewDualQueue[int64](cfg), 4, 4, 1, int64(b.N), nil)
 		})
 	}
 }
@@ -139,11 +139,11 @@ func BenchmarkAblationClean(b *testing.B) {
 func BenchmarkAblationElimination(b *testing.B) {
 	for _, pairs := range []int{4, 16, 64} {
 		b.Run(fmt.Sprintf("plain/pairs=%d", pairs), func(b *testing.B) {
-			bench.RunHandoff(core.NewDualStack[int64](core.WaitConfig{}), pairs, pairs, int64(b.N), nil)
+			bench.RunHandoff(core.NewDualStack[int64](core.WaitConfig{}), pairs, pairs, 1, int64(b.N), nil)
 		})
 		b.Run(fmt.Sprintf("eliminating/pairs=%d", pairs), func(b *testing.B) {
 			q := synchq.New[int64](synchq.EliminatingAdaptive())
-			bench.RunHandoff(q, pairs, pairs, int64(b.N), nil)
+			bench.RunHandoff(q, pairs, pairs, 1, int64(b.N), nil)
 		})
 	}
 }
@@ -154,7 +154,7 @@ func BenchmarkAblationElimination(b *testing.B) {
 func BenchmarkUncontendedRoundTrip(b *testing.B) {
 	for _, a := range bench.Algorithms(true) {
 		b.Run(sanitize(a.Name), func(b *testing.B) {
-			bench.RunHandoff(a.New(), 1, 1, int64(b.N), nil)
+			bench.RunHandoff(a.New(), 1, 1, 1, int64(b.N), nil)
 		})
 	}
 }

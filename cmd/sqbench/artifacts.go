@@ -8,6 +8,7 @@ package main
 // wall of changed JSON.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -17,31 +18,13 @@ import (
 	"synchq/internal/bench"
 )
 
-// Committed artifact settings; these mirror the headers of the checked-in
-// files and are deliberately longer than the quick `make check` gates.
-const (
-	artifactHandoffPairs     = 50000
-	artifactScalingTransfers = 10000
-	// Five repeats (best-of) because the committed sweep runs on a
-	// single-CPU CI host where 8-pair cells are scheduler-noisy.
-	artifactScalingRepeats    = 5
-	artifactLatencyTransfers  = 20000
-	artifactLatencyRepeats    = 7
-	artifactExecutorTransfers = 20000
-	artifactBatchTransfers    = 20000
-	// Best-of-five, like scaling: the batched cells at high pair counts
-	// are park/unpark-bound and scheduler-noisy on shared CI hosts.
-	artifactBatchRepeats = 5
-)
-
-// jsonReport is the surface every bench report shares.
-type jsonReport interface{ JSON() ([]byte, error) }
-
-// artifactJob regenerates one committed file and names the headline
-// metrics its delta report tracks, as paths into the JSON document.
+// artifactJob regenerates one committed BENCH_<figure>.json with the
+// settings recorded in its committed header — deliberately longer than the
+// quick `make check` gates — and names the headline metrics its delta
+// report tracks, as paths into the JSON document.
 type artifactJob struct {
-	file      string
-	run       func(progress func(int, string, int)) (jsonReport, error)
+	figure    string
+	opts      bench.SweepOpts
 	headlines []headline
 }
 
@@ -58,24 +41,10 @@ type headline struct {
 func artifactJobs() []artifactJob {
 	return []artifactJob{
 		{
-			file: "BENCH_handoff.json",
-			run: func(func(int, string, int)) (jsonReport, error) {
-				return bench.HandoffAllocs(artifactHandoffPairs), nil
-			},
-			headlines: []headline{
-				{label: "allocs/pair", path: []string{"results", "[]", "allocs_per_pair"}, keyField: "algo"},
-			},
-		},
-		{
-			file: "BENCH_scaling.json",
-			run: func(p func(int, string, int)) (jsonReport, error) {
-				_, r := bench.Scaling(bench.SweepOpts{
-					Transfers: artifactScalingTransfers,
-					Repeats:   artifactScalingRepeats,
-					Progress:  p,
-				})
-				return r, nil
-			},
+			figure: "scaling",
+			// Five repeats (best-of) because the committed sweep runs on
+			// a single-CPU CI host where 8-pair cells are scheduler-noisy.
+			opts: bench.SweepOpts{Transfers: 10000, Repeats: 5},
 			headlines: []headline{
 				{label: "queue ns/transfer", path: []string{"summary", "baseline_ns_per_transfer"}},
 				{label: "queue+shard+elim ns/transfer", path: []string{"summary", "sharded_ns_per_transfer"}},
@@ -88,15 +57,11 @@ func artifactJobs() []artifactJob {
 			},
 		},
 		{
-			file: "BENCH_batch.json",
-			run: func(p func(int, string, int)) (jsonReport, error) {
-				_, r := bench.Batch(bench.SweepOpts{
-					Transfers: artifactBatchTransfers,
-					Repeats:   artifactBatchRepeats,
-					Progress:  p,
-				})
-				return r, nil
-			},
+			figure: "batch",
+			// Best-of-five, like scaling: the batched cells at high pair
+			// counts are park/unpark-bound and scheduler-noisy on shared
+			// CI hosts.
+			opts: bench.SweepOpts{Transfers: 20000, Repeats: 5},
 			headlines: []headline{
 				{label: "seg single ns/item", path: []string{"summary", "seg_single_ns_per_item"}},
 				{label: "seg batch ns/item", path: []string{"summary", "seg_batch_ns_per_item"}},
@@ -107,28 +72,15 @@ func artifactJobs() []artifactJob {
 			},
 		},
 		{
-			file: "BENCH_latency.json",
-			run: func(p func(int, string, int)) (jsonReport, error) {
-				_, r := bench.Latency(bench.SweepOpts{
-					Transfers: artifactLatencyTransfers,
-					Repeats:   artifactLatencyRepeats,
-					Progress:  p,
-				})
-				return r, nil
-			},
+			figure: "latency",
+			opts:   bench.SweepOpts{Transfers: 20000, Repeats: 7},
 			headlines: []headline{
 				{label: "max metrics-on overhead", path: []string{"summary", "max_overhead"}},
 			},
 		},
 		{
-			file: "BENCH_executor.json",
-			run: func(p func(int, string, int)) (jsonReport, error) {
-				_, r := bench.Executor(bench.SweepOpts{
-					Transfers: artifactExecutorTransfers,
-					Progress:  p,
-				})
-				return r, nil
-			},
+			figure: "executor",
+			opts:   bench.SweepOpts{Transfers: 20000},
 			headlines: []headline{
 				{label: "queue-wait p99 ns", path: []string{"runs", "[]", "queue_wait_p99_ns"}, keyField: "series"},
 			},
@@ -141,35 +93,29 @@ func artifactJobs() []artifactJob {
 func runArtifacts(dir string, quiet bool) int {
 	failed := false
 	for _, job := range artifactJobs() {
-		path := filepath.Join(dir, job.file)
-		var progress func(int, string, int)
+		file := "BENCH_" + job.figure + ".json"
+		path := filepath.Join(dir, file)
 		if !quiet {
 			fmt.Fprintf(os.Stderr, "sqbench: regenerating %s\n", path)
-			progress = func(_ int, algo string, level int) {
+			job.opts.Progress = func(_ int, algo string, level int) {
 				fmt.Fprintf(os.Stderr, "  %-28s level %d\n", algo, level)
 			}
 		}
-		report, err := job.run(progress)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sqbench: %s: %v\n", job.file, err)
-			failed = true
-			continue
-		}
-		out, err := report.JSON()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sqbench: %s: %v\n", job.file, err)
+		var out bytes.Buffer
+		if err := runReport(&out, job.figure, job.opts, true, false, false); err != nil {
+			fmt.Fprintf(os.Stderr, "sqbench: %s: %v\n", file, err)
 			failed = true
 			continue
 		}
 		old, readErr := os.ReadFile(path)
-		fmt.Printf("%s:\n", job.file)
+		fmt.Printf("%s:\n", file)
 		if readErr != nil {
 			fmt.Printf("  (no committed baseline to diff against)\n")
 		} else {
-			printDeltas(old, out, job.headlines)
+			printDeltas(old, out.Bytes(), job.headlines)
 		}
-		if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "sqbench: %s: %v\n", job.file, err)
+		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+			fmt.Fprintf(os.Stderr, "sqbench: %s: %v\n", file, err)
 			failed = true
 		}
 	}

@@ -13,11 +13,13 @@
 //	sqbench -figure all
 //	sqbench -figure 3 -transfers 50000 -repeats 5
 //	sqbench -figure 6 -levels 1,2,4,8 -csv > fig6.csv
+//	sqbench -figure scaling -json > BENCH_scaling.json
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -38,6 +40,47 @@ func simTransfers(o bench.SweepOpts) int64 {
 	return o.Transfers
 }
 
+// report is what each JSON-emitting sweep returns: the artifact document,
+// its regression gate, and the headline lines printed under its table.
+type report interface {
+	JSON() ([]byte, error)
+	Gate() error
+	Headlines() string
+}
+
+// reports maps each report figure to its sweep; every committed
+// BENCH_<figure>.json is one of these documents.
+var reports = map[string]func(bench.SweepOpts) (*stats.Table, report){
+	"scaling":  func(o bench.SweepOpts) (*stats.Table, report) { return bench.Scaling(o) },
+	"batch":    func(o bench.SweepOpts) (*stats.Table, report) { return bench.Batch(o) },
+	"latency":  func(o bench.SweepOpts) (*stats.Table, report) { return bench.Latency(o) },
+	"executor": func(o bench.SweepOpts) (*stats.Table, report) { return bench.Executor(o) },
+}
+
+// runReport runs one report figure and writes it to w — the JSON document
+// with asJSON, CSV with asCSV, otherwise the aligned table and its
+// headlines — and then, with gate, returns the gate's verdict.
+func runReport(w io.Writer, figure string, o bench.SweepOpts, asJSON, asCSV, gate bool) error {
+	t, r := reports[figure](o)
+	switch {
+	case asJSON:
+		out, err := r.JSON()
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "%s\n", out)
+	case asCSV:
+		fmt.Fprint(w, t.CSV())
+	default:
+		fmt.Fprint(w, t.Render())
+		fmt.Fprint(w, "\n"+r.Headlines())
+	}
+	if gate {
+		return r.Gate()
+	}
+	return nil
+}
+
 func main() {
 	var (
 		figure    = flag.String("figure", "all", `figure to regenerate: "3", "4", "5", "6", "all", an ablation ("spin", "clean", "elim", "procsweep", "ablations"), "scaling" (the producer×consumer scaling sweep), "batch" (k-item batch ops vs k single ops), "latency" (the latency-histogram overhead benchmark), "executor" (the bursty RPC-frontend executor macro-benchmark), or "sim3" (Figure 3 on the simulated multiprocessor)`)
@@ -48,9 +91,8 @@ func main() {
 		csv       = flag.Bool("csv", false, "emit CSV instead of an aligned table")
 		chart     = flag.Bool("chart", false, "emit ASCII bar charts instead of tables")
 		speedup   = flag.String("speedup", "", "append a speedup table relative to the named series (e.g. \"SynchronousQueue\")")
-		metricsF  = flag.Bool("metrics", false, "append, for live figures 3-5, the instrumented-counter table (CAS failures, spins, parks, unparks, cleaning sweeps per 1000 transfers) recorded alongside throughput")
-		jsonF     = flag.Bool("json", false, "emit a JSON report instead of a figure: the hand-off allocation benchmark (BENCH_handoff.json) by default, the scaling sweep (BENCH_scaling.json) with -figure scaling, the batch sweep (BENCH_batch.json) with -figure batch, or the latency-observability overhead benchmark (BENCH_latency.json) with -figure latency")
-		gate      = flag.Bool("gate", false, "exit nonzero on a failed regression gate: with -figure scaling, the sharded+adaptive fair queue must not be slower than the plain fair queue at the maximum pair count; with -figure batch, k=8 batches must beat the equivalent single-op loop on the seg and transfer cores; with -figure latency, enabling the latency histograms must not exceed the overhead budget")
+		jsonF     = flag.Bool("json", false, "with -figure scaling, batch, latency or executor: emit the JSON report (the document committed as BENCH_<figure>.json) instead of the table")
+		gate      = flag.Bool("gate", false, "exit nonzero on a failed regression gate: with -figure scaling, the sharded+adaptive fair queue must not be slower than the plain fair queue at the maximum pair count; with -figure batch, k=8 batches must beat the equivalent single-op loop on the seg and transfer cores; with -figure latency, enabling the latency histograms must not exceed the overhead budget; with -figure executor, the ledgers must balance and the burst must bite")
 		coresF    = flag.String("cores", "", `with -figure scaling or batch: comma-separated series names restricting the sweep (e.g. "queue,seg"), so CI can gate a reduced comparison quickly; the gate checks whichever headline pairs the selection includes`)
 		artifacts = flag.Bool("artifacts", false, "regenerate every committed BENCH_*.json with its committed settings (the `make bench-all` entry point), printing per-figure headline deltas vs the files being replaced")
 		dirF      = flag.String("dir", ".", "with -artifacts: directory holding the BENCH_*.json files")
@@ -76,15 +118,10 @@ func main() {
 		os.Exit(runArtifacts(*dirF, *quiet))
 	}
 
-	if *jsonF && *figure != "scaling" && *figure != "batch" && *figure != "latency" && *figure != "executor" {
-		report := bench.HandoffAllocs(*transfers)
-		out, err := report.JSON()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sqbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("%s\n", out)
-		return
+	_, isReport := reports[*figure]
+	if *jsonF && !isReport {
+		fmt.Fprintf(os.Stderr, "sqbench: -json needs -figure scaling, batch, latency or executor\n")
+		os.Exit(2)
 	}
 
 	var lv []int
@@ -109,11 +146,7 @@ func main() {
 		for _, part := range strings.Split(*coresF, ",") {
 			opts.Cores = append(opts.Cores, strings.TrimSpace(part))
 		}
-		validate := bench.ValidateScalingCores
-		if *figure == "batch" {
-			validate = bench.ValidateBatchCores
-		}
-		if err := validate(opts.Cores); err != nil {
+		if err := bench.ValidateCores(*figure, opts.Cores); err != nil {
 			fmt.Fprintf(os.Stderr, "sqbench: %v\n", err)
 			os.Exit(2)
 		}
@@ -124,140 +157,13 @@ func main() {
 		}
 	}
 
-	if *figure == "scaling" {
-		t, report := bench.Scaling(opts)
-		if *jsonF {
-			out, err := report.JSON()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "sqbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("%s\n", out)
-		} else if *csv {
-			fmt.Print(t.CSV())
-		} else {
-			fmt.Print(t.Render())
-			if report.Summary.ShardedNs > 0 {
-				fmt.Printf("\nsummary: queue+shard+elim at %d pairs: %.0f ns/transfer vs %.0f unsharded (%.2fx)\n",
-					report.Summary.MaxPairs, report.Summary.ShardedNs,
-					report.Summary.BaselineNs, report.Summary.Speedup)
-			}
-			if report.Summary.SegNs > 0 {
-				fmt.Printf("summary: seg at %d pairs: %.0f ns/transfer vs %.0f plain queue (%.2fx)\n",
-					report.Summary.MaxPairs, report.Summary.SegNs,
-					report.Summary.BaselineNs, report.Summary.SegSpeedup)
-			}
-			if report.Summary.AutoNs > 0 {
-				fmt.Printf("summary: auto at %d pairs: %.0f ns/transfer vs %.0f plain queue (%.2fx)\n",
-					report.Summary.MaxPairs, report.Summary.AutoNs,
-					report.Summary.BaselineNs, report.Summary.AutoSpeedup)
-			}
-			if report.Summary.AutoTax > 0 {
-				fmt.Printf("summary: auto at 1 pair: %.0f ns/transfer vs %.0f plain queue (collapse tax %.2fx, collapsed in %d/%d repeats)\n",
-					report.Summary.Auto1Ns, report.Summary.Baseline1Ns, report.Summary.AutoTax,
-					report.Summary.Auto1Collapsed, report.Repeats)
-			}
+	if isReport {
+		if err := runReport(os.Stdout, *figure, opts, *jsonF, *csv, *gate); err != nil {
+			fmt.Fprintf(os.Stderr, "sqbench: %v\n", err)
+			os.Exit(1)
 		}
 		if *gate {
-			if err := report.Gate(); err != nil {
-				fmt.Fprintf(os.Stderr, "sqbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "sqbench: scaling gate passed (shard %.2fx, seg %.2fx, auto %.2fx, 1-pair tax %.2fx at %d pairs)\n",
-				report.Summary.Speedup, report.Summary.SegSpeedup,
-				report.Summary.AutoSpeedup, report.Summary.AutoTax, report.Summary.MaxPairs)
-		}
-		return
-	}
-
-	if *figure == "batch" {
-		t, report := bench.Batch(opts)
-		if *jsonF {
-			out, err := report.JSON()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "sqbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("%s\n", out)
-		} else if *csv {
-			fmt.Print(t.CSV())
-		} else {
-			fmt.Print(t.Render())
-			if report.Summary.SegBatchNs > 0 {
-				fmt.Printf("\nsummary: seg k=%d at %d pairs: %.0f ns/item vs %.0f single-op (%.2fx)\n",
-					report.Summary.K, report.Summary.MaxPairs, report.Summary.SegBatchNs,
-					report.Summary.SegSingleNs, report.Summary.SegGain)
-			}
-			if report.Summary.TransferBatchNs > 0 {
-				fmt.Printf("summary: transfer k=%d at %d pairs: %.0f ns/item vs %.0f single-op (%.2fx)\n",
-					report.Summary.K, report.Summary.MaxPairs, report.Summary.TransferBatchNs,
-					report.Summary.TransferSingleNs, report.Summary.TransferGain)
-			}
-		}
-		if *gate {
-			if err := report.Gate(); err != nil {
-				fmt.Fprintf(os.Stderr, "sqbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "sqbench: batch gate passed (seg %.2fx, transfer %.2fx at k=%d, %d pairs)\n",
-				report.Summary.SegGain, report.Summary.TransferGain, report.Summary.K, report.Summary.MaxPairs)
-		}
-		return
-	}
-
-	if *figure == "executor" {
-		t, report := bench.Executor(opts)
-		if *jsonF {
-			out, err := report.JSON()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "sqbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("%s\n", out)
-		} else if *csv {
-			fmt.Print(t.CSV())
-		} else {
-			fmt.Print(t.Render())
-			for _, run := range report.Runs {
-				fmt.Printf("\n%s: burst shed %d, rejected %d; drain %.1fms (forced=%v, returned %d); queue-wait p99 %dns\n",
-					run.Series, run.Burst.Shed, run.Burst.Rejected,
-					float64(run.DrainNs)/1e6, run.DrainForced, run.Returned, run.QueueWaitP99Ns)
-			}
-		}
-		if *gate {
-			if err := report.Gate(); err != nil {
-				fmt.Fprintf(os.Stderr, "sqbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "sqbench: executor gate passed (%d runs, ledgers exact, overload bit)\n",
-				len(report.Runs))
-		}
-		return
-	}
-
-	if *figure == "latency" {
-		t, report := bench.Latency(opts)
-		if *jsonF {
-			out, err := report.JSON()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "sqbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("%s\n", out)
-		} else if *csv {
-			fmt.Print(t.CSV())
-		} else {
-			fmt.Print(t.Render())
-			fmt.Printf("\nsummary: worst metrics-on overhead %.1f%%\n",
-				report.Summary.MaxOverhead*100)
-		}
-		if *gate {
-			if err := report.Gate(); err != nil {
-				fmt.Fprintf(os.Stderr, "sqbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "sqbench: latency gate passed (worst overhead %.1f%%)\n",
-				report.Summary.MaxOverhead*100)
+			fmt.Fprintf(os.Stderr, "sqbench: %s gate passed\n", *figure)
 		}
 		return
 	}
@@ -319,17 +225,6 @@ func main() {
 		if *speedup != "" && !*csv {
 			fmt.Println()
 			fmt.Print(t.SpeedupTable(*speedup).Render())
-		}
-		if *metricsF {
-			if fig, err := strconv.Atoi(f); err == nil && fig >= 3 && fig <= 5 {
-				mt := bench.FigureMetrics(fig, opts)
-				if *csv {
-					fmt.Print(mt.CSV())
-				} else {
-					fmt.Println()
-					fmt.Print(mt.Render())
-				}
-			}
 		}
 	}
 }

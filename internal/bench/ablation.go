@@ -31,12 +31,10 @@ func AblationSpin(o SweepOpts) *stats.Table {
 	for _, level := range o.Levels {
 		for _, pol := range policies {
 			cfg := pol.cfg
-			stack := Algorithm{New: func() SQ { return core.NewDualStack[int64](cfg) }}
-			queue := Algorithm{New: func() SQ { return core.NewDualQueue[int64](cfg) }}
-			t.Set(fmt.Sprint(level), "stack/"+pol.name,
-				measure(stack, level, level, o.Transfers, o.Repeats))
-			t.Set(fmt.Sprint(level), "queue/"+pol.name,
-				measure(queue, level, level, o.Transfers, o.Repeats))
+			t.Set(fmt.Sprint(level), "stack/"+pol.name, bestOf(o.Repeats,
+				handoffNs(func() SQ { return core.NewDualStack[int64](cfg) }, level, level, 1, o.Transfers))[0])
+			t.Set(fmt.Sprint(level), "queue/"+pol.name, bestOf(o.Repeats,
+				handoffNs(func() SQ { return core.NewDualQueue[int64](cfg) }, level, level, 1, o.Transfers))[0])
 		}
 	}
 	return t
@@ -77,8 +75,9 @@ func AblationClean(o SweepOpts) *stats.Table {
 	return t
 }
 
-// elimSQ pairs an arena with a dual stack, mirroring synchq's front-end
-// without importing the public package (internal packages stay acyclic).
+// elimSQ pairs a static arena of fixed patience with a dual stack: the
+// paper's §5 elimination experiment as Ablation C measures it, without the
+// adaptive width and patience of synchq's EliminatingAdaptive front-end.
 type elimSQ struct {
 	q        *core.DualStack[int64]
 	arena    *exchanger.Arena[int64]
@@ -115,12 +114,10 @@ func AblationElimination(o SweepOpts) *stats.Table {
 	t := stats.NewTable("Ablation C: elimination front-end", "pairs", "ns/transfer",
 		[]string{"plain stack", "eliminating"})
 	for _, level := range o.Levels {
-		plain := Algorithm{New: func() SQ { return core.NewDualStack[int64](core.WaitConfig{}) }}
-		elim := Algorithm{New: func() SQ { return newElimSQ(0, 5*time.Microsecond) }}
-		t.Set(fmt.Sprint(level), "plain stack",
-			measure(plain, level, level, o.Transfers, o.Repeats))
-		t.Set(fmt.Sprint(level), "eliminating",
-			measure(elim, level, level, o.Transfers, o.Repeats))
+		t.Set(fmt.Sprint(level), "plain stack", bestOf(o.Repeats,
+			handoffNs(func() SQ { return core.NewDualStack[int64](core.WaitConfig{}) }, level, level, 1, o.Transfers))[0])
+		t.Set(fmt.Sprint(level), "eliminating", bestOf(o.Repeats,
+			handoffNs(func() SQ { return newElimSQ(0, 5*time.Microsecond) }, level, level, 1, o.Transfers))[0])
 	}
 	return t
 }
@@ -150,7 +147,7 @@ func ProcsSweep(o SweepOpts, pairs int) *stats.Table {
 				o.Progress(0, a.Name, procs)
 			}
 			t.Set(fmt.Sprint(procs), a.Name,
-				measure(a, pairs, pairs, o.Transfers, o.Repeats))
+				bestOf(o.Repeats, handoffNs(a.New, pairs, pairs, 1, o.Transfers))[0])
 		}
 	}
 	return t

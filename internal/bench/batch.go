@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"synchq/internal/core"
@@ -21,26 +20,12 @@ import (
 // (the segmented core's multi-cell claim and the transfer queue's burst
 // splice), and `make bench-batch` runs its regression gate.
 
-// batchSQ is the surface the batch sweep drives: the single-op pairing
-// surface plus blocking batch variants. PutBatch must deliver every item
-// (the sweep never closes or cancels); TakeBatch appends at least one and
-// at most max items to buf.
-type batchSQ interface {
-	Put(v int64)
-	Take() int64
-	PutBatch(items []int64)
-	TakeBatch(buf []int64, max int) []int64
-}
-
 // segBatchSQ drives the segmented core's native multi-cell claim.
-type segBatchSQ struct{ q *segq.Queue[int64] }
-
-func (s segBatchSQ) Put(v int64) { s.q.Put(v) }
-func (s segBatchSQ) Take() int64 { return s.q.Take() }
+type segBatchSQ struct{ *segq.Queue[int64] }
 
 func (s segBatchSQ) PutBatch(items []int64) {
 	for len(items) > 0 {
-		d, st := s.q.PutBatch(items, time.Time{}, nil)
+		d, st := s.Queue.PutBatch(items, time.Time{}, nil)
 		if st != core.OK {
 			panic(fmt.Sprintf("bench: seg PutBatch status %v", st))
 		}
@@ -49,7 +34,7 @@ func (s segBatchSQ) PutBatch(items []int64) {
 }
 
 func (s segBatchSQ) TakeBatch(buf []int64, max int) []int64 {
-	out, st := s.q.TakeBatch(buf, max, time.Time{}, nil)
+	out, st := s.Queue.TakeBatch(buf, max, time.Time{}, nil)
 	if st != core.OK {
 		panic(fmt.Sprintf("bench: seg TakeBatch status %v", st))
 	}
@@ -59,19 +44,18 @@ func (s segBatchSQ) TakeBatch(buf []int64, max int) []int64 {
 // transferBatchSQ drives the transfer queue's asynchronous deposit path:
 // the single-op baseline enqueues one node per Put (one tail CAS each),
 // the batched path links a privately built chain with a single splice.
-type transferBatchSQ struct{ q *core.TransferQueue[int64] }
+type transferBatchSQ struct{ *core.TransferQueue[int64] }
 
-func (s transferBatchSQ) Put(v int64) { s.q.Put(v) }
-func (s transferBatchSQ) Take() int64 { return s.q.Take() }
+func (s transferBatchSQ) Put(v int64) { s.TransferQueue.Put(v) }
 
 func (s transferBatchSQ) PutBatch(items []int64) {
-	if _, st := s.q.PutAll(items); st != core.OK {
+	if _, st := s.TransferQueue.PutAll(items); st != core.OK {
 		panic(fmt.Sprintf("bench: transfer PutAll status %v", st))
 	}
 }
 
 func (s transferBatchSQ) TakeBatch(buf []int64, max int) []int64 {
-	out, st := s.q.TakeBatch(buf, max, time.Time{}, nil)
+	out, st := s.TransferQueue.TakeBatch(buf, max, time.Time{}, nil)
 	if st != core.OK {
 		panic(fmt.Sprintf("bench: transfer TakeBatch status %v", st))
 	}
@@ -81,77 +65,45 @@ func (s transferBatchSQ) TakeBatch(buf []int64, max int) []int64 {
 // queueBatchSQ drives the plain fair dual queue through the generic
 // loop-with-single-arrival fallback — the reference series showing what
 // batching buys when the core has no native multi-item path.
-type queueBatchSQ struct{ q *core.DualQueue[int64] }
-
-func (s queueBatchSQ) Put(v int64) { s.q.Put(v) }
-func (s queueBatchSQ) Take() int64 { return s.q.Take() }
+type queueBatchSQ struct{ *core.DualQueue[int64] }
 
 func (s queueBatchSQ) PutBatch(items []int64) {
-	if _, st := s.q.PutBatch(items, time.Time{}, nil); st != core.OK {
+	if _, st := s.DualQueue.PutBatch(items, time.Time{}, nil); st != core.OK {
 		panic(fmt.Sprintf("bench: queue PutBatch status %v", st))
 	}
 }
 
 func (s queueBatchSQ) TakeBatch(buf []int64, max int) []int64 {
-	out, st := s.q.TakeBatch(buf, max, time.Time{}, nil)
+	out, st := s.DualQueue.TakeBatch(buf, max, time.Time{}, nil)
 	if st != core.OK {
 		panic(fmt.Sprintf("bench: queue TakeBatch status %v", st))
 	}
 	return out
 }
 
-// batchCore is one swept implementation.
+// batchCore is one swept implementation; New returns a queue that also
+// implements batchSQ.
 type batchCore struct {
-	Name string
-	New  func() batchSQ
+	name string
+	New  func() SQ
 }
 
 // batchCores enumerates the swept cores. Names are stable — they are the
 // JSON artifact's series keys. "seg" and "transfer" are the gated pair;
-// "queue" is the ungated loop-fallback reference.
+// "queue" is the ungated loop-fallback reference. transfer's single Put
+// and PutAll are asynchronous deposits, so its series buffers.
 func batchCores() []batchCore {
 	return []batchCore{
-		{Name: "seg", New: func() batchSQ {
+		{name: "seg", New: func() SQ {
 			return segBatchSQ{segq.New[int64](core.WaitConfig{})}
 		}},
-		{Name: "transfer", New: func() batchSQ {
+		{name: "transfer", New: func() SQ {
 			return transferBatchSQ{core.NewTransferQueue[int64](core.WaitConfig{})}
 		}},
-		{Name: "queue", New: func() batchSQ {
+		{name: "queue", New: func() SQ {
 			return queueBatchSQ{core.NewDualQueue[int64](core.WaitConfig{})}
 		}},
 	}
-}
-
-func filterBatchCores(cores []batchCore, names []string) ([]batchCore, error) {
-	if len(names) == 0 {
-		return cores, nil
-	}
-	byName := make(map[string]bool, len(names))
-	for _, n := range names {
-		byName[n] = true
-	}
-	var kept []batchCore
-	all := make([]string, len(cores))
-	for i, c := range cores {
-		all[i] = c.Name
-		if byName[c.Name] {
-			kept = append(kept, c)
-			delete(byName, c.Name)
-		}
-	}
-	for n := range byName {
-		return nil, fmt.Errorf("unknown batch series %q (have: %s)", n, strings.Join(all, ","))
-	}
-	return kept, nil
-}
-
-// ValidateBatchCores checks a -cores selection against the sweep's series
-// names, so CLI entry points can reject a typo with a friendly message
-// instead of the panic Batch reserves for programmer error.
-func ValidateBatchCores(names []string) error {
-	_, err := filterBatchCores(batchCores(), names)
-	return err
 }
 
 // BatchSizes is the sweep's batch-size axis. 1 is the single-op baseline
@@ -161,85 +113,6 @@ func BatchSizes() []int { return []int{1, 8, 32} }
 
 // gateBatchK is the headline batch size the summary and gate compare at.
 const gateBatchK = 8
-
-// runBatchHandoff transfers exactly `transfers` values through q with
-// `pairs` producers and consumers and reports the elapsed wall time. With
-// k == 1 it is the single-op loop (the baseline the batch paths must
-// beat); with k > 1 producers push k-item batches and consumers drain
-// with TakeBatch(max=k).
-func runBatchHandoff(q batchSQ, pairs, k int, transfers int64) time.Duration {
-	putQuota := split(transfers, pairs)
-	takeQuota := split(transfers, pairs)
-
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-
-	for i := 0; i < pairs; i++ {
-		wg.Add(1)
-		go func(id int, quota int64) {
-			defer wg.Done()
-			<-start
-			if k <= 1 {
-				for seq := int64(0); seq < quota; seq++ {
-					q.Put(encode(id, seq))
-				}
-				return
-			}
-			buf := make([]int64, k)
-			for seq := int64(0); seq < quota; {
-				n := int64(k)
-				if rem := quota - seq; rem < n {
-					n = rem
-				}
-				for j := int64(0); j < n; j++ {
-					buf[j] = encode(id, seq+j)
-				}
-				q.PutBatch(buf[:n])
-				seq += n
-			}
-		}(i, putQuota[i])
-	}
-	for i := 0; i < pairs; i++ {
-		wg.Add(1)
-		go func(quota int64) {
-			defer wg.Done()
-			<-start
-			if k <= 1 {
-				for seq := int64(0); seq < quota; seq++ {
-					q.Take()
-				}
-				return
-			}
-			var buf []int64
-			for taken := int64(0); taken < quota; {
-				max := int64(k)
-				if rem := quota - taken; rem < max {
-					max = rem
-				}
-				buf = q.TakeBatch(buf[:0], int(max))
-				taken += int64(len(buf))
-			}
-		}(takeQuota[i])
-	}
-
-	t0 := time.Now()
-	close(start)
-	wg.Wait()
-	return time.Since(t0)
-}
-
-// measureBatch reports the best-of-repeats ns/item for one cell.
-func measureBatch(c batchCore, pairs, k int, transfers int64, repeats int) float64 {
-	best := 0.0
-	for r := 0; r < repeats; r++ {
-		el := runBatchHandoff(c.New(), pairs, k, transfers)
-		ns := float64(el.Nanoseconds()) / float64(transfers)
-		if r == 0 || ns < best {
-			best = ns
-		}
-	}
-	return best
-}
 
 // BatchCell is one series' measurement at one (pairs, batch size) point.
 // K == 1 is the single-op baseline.
@@ -286,6 +159,21 @@ type BatchReport struct {
 // artifact diffs cleanly across regenerations.
 func (r BatchReport) JSON() ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
+}
+
+// Headlines renders the headline comparisons printed under the table.
+func (r BatchReport) Headlines() string {
+	var b strings.Builder
+	s := r.Summary
+	if s.SegBatchNs > 0 {
+		fmt.Fprintf(&b, "summary: seg k=%d at %d pairs: %.0f ns/item vs %.0f single-op (%.2fx)\n",
+			s.K, s.MaxPairs, s.SegBatchNs, s.SegSingleNs, s.SegGain)
+	}
+	if s.TransferBatchNs > 0 {
+		fmt.Fprintf(&b, "summary: transfer k=%d at %d pairs: %.0f ns/item vs %.0f single-op (%.2fx)\n",
+			s.K, s.MaxPairs, s.TransferBatchNs, s.TransferSingleNs, s.TransferGain)
+	}
+	return b.String()
 }
 
 // gateBatchGain is the gain floor on multicore hosts: a k≥8 batch must
@@ -358,7 +246,7 @@ func (r BatchReport) Gate() error {
 // is validated here).
 func Batch(o SweepOpts) (*stats.Table, BatchReport) {
 	o = o.withDefaults(ScalingLevels(), 20000)
-	cores, err := filterBatchCores(batchCores(), o.Cores)
+	cores, err := selectSeries("batch", batchCores(), func(c batchCore) string { return c.name }, o.Cores)
 	if err != nil {
 		panic(err)
 	}
@@ -367,7 +255,7 @@ func Batch(o SweepOpts) (*stats.Table, BatchReport) {
 	cols := make([]string, 0, len(cores)*len(sizes))
 	for _, c := range cores {
 		for _, k := range sizes {
-			cols = append(cols, fmt.Sprintf("%s k=%d", c.Name, k))
+			cols = append(cols, fmt.Sprintf("%s k=%d", c.name, k))
 		}
 	}
 	t := stats.NewTable("Batch: k-item batch ops vs k single ops, N producers : N consumers",
@@ -384,48 +272,40 @@ func Batch(o SweepOpts) (*stats.Table, BatchReport) {
 	for _, level := range o.Levels {
 		for _, c := range cores {
 			for _, k := range sizes {
+				col := fmt.Sprintf("%s k=%d", c.name, k)
 				if o.Progress != nil {
-					o.Progress(0, fmt.Sprintf("%s k=%d [batch]", c.Name, k), level)
+					o.Progress(0, col+" [batch]", level)
 				}
-				ns := measureBatch(c, level, k, o.Transfers, o.Repeats)
-				t.Set(fmt.Sprint(level), fmt.Sprintf("%s k=%d", c.Name, k), ns)
-				cells[c.Name] = append(cells[c.Name], BatchCell{Pairs: level, K: k, NsPerItem: ns})
+				ns := bestOf(o.Repeats, handoffNs(c.New, level, level, k, o.Transfers))[0]
+				t.Set(fmt.Sprint(level), col, ns)
+				cells[c.name] = append(cells[c.name], BatchCell{Pairs: level, K: k, NsPerItem: ns})
 			}
 		}
 	}
 	for _, c := range cores {
-		report.Series = append(report.Series, BatchSeries{Name: c.Name, Cells: cells[c.Name]})
+		report.Series = append(report.Series, BatchSeries{Name: c.name, Cells: cells[c.name]})
 	}
 
 	max := o.Levels[len(o.Levels)-1]
-	report.Summary = BatchSummary{MaxPairs: max, K: gateBatchK}
 	at := func(name string, k int) float64 {
-		for _, s := range report.Series {
-			if s.Name == name {
-				for _, c := range s.Cells {
-					if c.Pairs == max && c.K == k {
-						return c.NsPerItem
-					}
-				}
+		for _, c := range cells[name] {
+			if c.Pairs == max && c.K == k {
+				return c.NsPerItem
 			}
 		}
 		return 0
 	}
-	report.Summary.SegSingleNs = at("seg", 1)
-	report.Summary.SegBatchNs = at("seg", gateBatchK)
-	if report.Summary.SegBatchNs > 0 {
-		report.Summary.SegGain = report.Summary.SegSingleNs / report.Summary.SegBatchNs
+	sum := BatchSummary{MaxPairs: max, K: gateBatchK}
+	sum.SegSingleNs = at("seg", 1)
+	sum.SegBatchNs = at("seg", gateBatchK)
+	if sum.SegBatchNs > 0 {
+		sum.SegGain = sum.SegSingleNs / sum.SegBatchNs
 	}
-	report.Summary.TransferSingleNs = at("transfer", 1)
-	report.Summary.TransferBatchNs = at("transfer", gateBatchK)
-	if report.Summary.TransferBatchNs > 0 {
-		report.Summary.TransferGain = report.Summary.TransferSingleNs / report.Summary.TransferBatchNs
+	sum.TransferSingleNs = at("transfer", 1)
+	sum.TransferBatchNs = at("transfer", gateBatchK)
+	if sum.TransferBatchNs > 0 {
+		sum.TransferGain = sum.TransferSingleNs / sum.TransferBatchNs
 	}
+	report.Summary = sum
 	return t, report
-}
-
-// BatchFigure adapts Batch to the figure registry (table only).
-func BatchFigure(o SweepOpts) *stats.Table {
-	t, _ := Batch(o)
-	return t
 }

@@ -143,14 +143,34 @@ func split(total int64, n int) []int64 {
 // encode packs a producer ID and sequence number into a unique value.
 func encode(producer int, seq int64) int64 { return int64(producer)<<40 | seq }
 
+// batchSQ is the optional batch surface RunHandoff drives when k > 1.
+// PutBatch must deliver every item (the harness never closes or cancels);
+// TakeBatch appends at least one and at most max items to buf.
+type batchSQ interface {
+	PutBatch(items []int64)
+	TakeBatch(buf []int64, max int) []int64
+}
+
 // RunHandoff drives producers and consumers that transfer exactly
 // `transfers` values through q as fast as they can — the paper's limiting
 // case of producer-consumer applications as per-element processing cost
-// approaches zero — and reports the elapsed wall time. If rec is non-nil,
-// every operation is recorded for verification.
-func RunHandoff(q SQ, producers, consumers int, transfers int64, rec *verify.Recorder) HandoffResult {
+// approaches zero — and reports the elapsed wall time. With k == 1 every
+// party runs single Put/Take operations; with k > 1 producers push k-item
+// batches and consumers drain with TakeBatch(max=k), which q must support
+// (batchSQ). If rec is non-nil, every operation is recorded for
+// verification, a batch as one entry per item spanning the whole call.
+//
+// This is the package's one hand-off timing loop: every figure, sweep and
+// gate that times hand-offs runs through it.
+func RunHandoff(q SQ, producers, consumers, k int, transfers int64, rec *verify.Recorder) HandoffResult {
 	putQuota := split(transfers, producers)
 	takeQuota := split(transfers, consumers)
+	var bq batchSQ
+	if k > 1 {
+		bq = q.(batchSQ)
+	} else {
+		k = 1
+	}
 
 	var wg sync.WaitGroup
 	start := make(chan struct{})
@@ -163,16 +183,28 @@ func RunHandoff(q SQ, producers, consumers int, transfers int64, rec *verify.Rec
 			if rec != nil {
 				log = rec.NewThread()
 			}
+			buf := make([]int64, k)
 			<-start
-			for seq := int64(0); seq < quota; seq++ {
-				v := encode(id, seq)
-				if log != nil {
-					inv := log.Begin()
-					q.Put(v)
-					log.End(verify.Put, v, inv, true)
-				} else {
-					q.Put(v)
+			for seq := int64(0); seq < quota; {
+				n := min(int64(k), quota-seq)
+				for j := range buf[:n] {
+					buf[j] = encode(id, seq+int64(j))
 				}
+				var inv time.Duration
+				if log != nil {
+					inv = log.Begin()
+				}
+				if bq != nil {
+					bq.PutBatch(buf[:n])
+				} else {
+					q.Put(buf[0])
+				}
+				if log != nil {
+					for _, v := range buf[:n] {
+						log.End(verify.Put, v, inv, true)
+					}
+				}
+				seq += n
 			}
 		}(i, putQuota[i])
 	}
@@ -184,14 +216,22 @@ func RunHandoff(q SQ, producers, consumers int, transfers int64, rec *verify.Rec
 			if rec != nil {
 				log = rec.NewThread()
 			}
+			buf := make([]int64, 1, k)
 			<-start
-			for seq := int64(0); seq < quota; seq++ {
+			for taken := int64(0); taken < quota; taken += int64(len(buf)) {
+				var inv time.Duration
 				if log != nil {
-					inv := log.Begin()
-					v := q.Take()
-					log.End(verify.Take, v, inv, true)
+					inv = log.Begin()
+				}
+				if bq != nil {
+					buf = bq.TakeBatch(buf[:0], int(min(int64(k), quota-taken)))
 				} else {
-					q.Take()
+					buf[0] = q.Take()
+				}
+				if log != nil {
+					for _, v := range buf {
+						log.End(verify.Take, v, inv, true)
+					}
 				}
 			}
 		}(takeQuota[i])
@@ -206,4 +246,28 @@ func RunHandoff(q SQ, producers, consumers int, transfers int64, rec *verify.Rec
 		Transfers: transfers,
 		Elapsed:   time.Since(t0),
 	}
+}
+
+// handoffNs is one timed cell for bestOf: a fresh queue from newQ per run,
+// ns per transferred item.
+func handoffNs(newQ func() SQ, producers, consumers, k int, transfers int64) func() float64 {
+	return func() float64 {
+		return RunHandoff(newQ(), producers, consumers, k, transfers, nil).NsPerTransfer()
+	}
+}
+
+// bestOf runs every cell once per repeat, interleaved repeat by repeat so
+// slow host drift decorrelates from any comparison between cells, and
+// returns each cell's minimum: the least-noise estimator for a fixed
+// amount of work. It is the package's one best-of-repeats helper.
+func bestOf(repeats int, cells ...func() float64) []float64 {
+	best := make([]float64, len(cells))
+	for r := 0; r < repeats; r++ {
+		for i, cell := range cells {
+			if v := cell(); r == 0 || v < best[i] {
+				best[i] = v
+			}
+		}
+	}
+	return best
 }

@@ -1,10 +1,12 @@
 package bench
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
 
+	"synchq"
 	"synchq/internal/verify"
 )
 
@@ -77,20 +79,62 @@ func TestAlgorithmsRegistry(t *testing.T) {
 }
 
 func TestEveryAlgorithmPassesVerification(t *testing.T) {
-	// Each implementation transfers 600 values through 3:2 ratio threads
-	// with full history recording; the verifier checks conservation and
-	// synchrony for every transfer.
+	// Each input transfers 600 values through 3:2 ratio threads with full
+	// history recording; the verifier checks conservation and synchrony
+	// for every transfer. The inputs are every queue the timing kernel
+	// drives: the paper's algorithms, the twelve scaling compositions, and
+	// the batch cores on both the single-op (k=1) and batched (k=8) paths.
+	type input struct {
+		name string
+		newQ func() SQ
+		k    int
+		// buffered marks asynchronous deposits (the transfer queue's Put
+		// and PutAll return before a consumer arrives): conservation is
+		// checked, synchrony is not a property of the structure.
+		buffered bool
+	}
+	var inputs []input
 	for _, a := range Algorithms(true) {
-		a := a
-		t.Run(a.Name, func(t *testing.T) {
+		inputs = append(inputs, input{name: a.Name, newQ: a.New, k: 1})
+	}
+	for _, c := range scalingSeries() {
+		opts := c.opts
+		inputs = append(inputs, input{
+			name: "scaling/" + c.name,
+			newQ: func() SQ { return synchq.New[int64](opts...) },
+			k:    1,
+		})
+	}
+	for _, c := range batchCores() {
+		for _, k := range []int{1, 8} {
+			inputs = append(inputs, input{
+				name:     fmt.Sprintf("batch/%s/k=%d", c.name, k),
+				newQ:     c.New,
+				k:        k,
+				buffered: c.name == "transfer",
+			})
+		}
+	}
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
 			rec := verify.NewRecorder()
-			res := RunHandoff(a.New(), 3, 2, 600, rec)
+			res := RunHandoff(in.newQ(), 3, 2, in.k, 600, rec)
 			if res.Transfers != 600 {
 				t.Fatalf("Transfers = %d, want 600", res.Transfers)
 			}
-			vres := verify.Check(rec.History(), true)
-			if !vres.Ok() {
-				t.Fatalf("verification failed: %v", vres.Errors)
+			h := rec.History()
+			if len(h) != 1200 {
+				t.Fatalf("recorded %d operations, want 600 puts + 600 takes", len(h))
+			}
+			vres := verify.CheckClassified(h, true)
+			if len(vres.Conservation) > 0 {
+				t.Fatalf("conservation failed: %v", vres.Conservation)
+			}
+			if in.buffered {
+				return
+			}
+			if len(vres.Synchrony) > 0 {
+				t.Fatalf("synchrony failed: %v", vres.Synchrony)
 			}
 			if vres.Transfers != 600 {
 				t.Fatalf("verified %d transfers, want 600", vres.Transfers)
@@ -102,7 +146,7 @@ func TestEveryAlgorithmPassesVerification(t *testing.T) {
 func TestRunHandoffRatios(t *testing.T) {
 	a, _ := ByName("New SynchQueue (fair)")
 	for _, ratio := range [][2]int{{1, 1}, {1, 4}, {4, 1}, {3, 5}} {
-		res := RunHandoff(a.New(), ratio[0], ratio[1], 400, nil)
+		res := RunHandoff(a.New(), ratio[0], ratio[1], 1, 400, nil)
 		if res.Transfers != 400 || res.Elapsed <= 0 {
 			t.Fatalf("ratio %v: bad result %+v", ratio, res)
 		}

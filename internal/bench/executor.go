@@ -5,10 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
-	"synchq/internal/core"
+	"synchq"
 	"synchq/internal/metrics"
 	"synchq/internal/stats"
 	"synchq/pool"
@@ -26,22 +27,6 @@ import (
 // that an overload burst genuinely outruns the workers, short enough that
 // a leg finishes in benchmark timescales.
 const executorService = 20 * time.Microsecond
-
-// executorWaitQueue adapts the dual queue to pool.WaitQueue, so the
-// cached configuration measures the executor over the paper's hand-off
-// fabric with real blocking offers and cancelable idle polls.
-type executorWaitQueue struct{ q *core.DualQueue[pool.Task] }
-
-func (e executorWaitQueue) Offer(t pool.Task) bool                        { return e.q.Offer(t) }
-func (e executorWaitQueue) PollTimeout(d time.Duration) (pool.Task, bool) { return e.q.PollTimeout(d) }
-func (e executorWaitQueue) Close()                                        { e.q.Close() }
-func (e executorWaitQueue) OfferWait(t pool.Task, deadline time.Time, cancel <-chan struct{}) bool {
-	return e.q.PutDeadline(t, deadline, cancel) == core.OK
-}
-func (e executorWaitQueue) PollWait(deadline time.Time, cancel <-chan struct{}) (pool.Task, bool) {
-	v, st := e.q.TakeDeadline(deadline, cancel)
-	return v, st == core.OK
-}
 
 // ExecutorLeg is one arrival-pattern phase of a run.
 type ExecutorLeg struct {
@@ -85,6 +70,17 @@ type ExecutorReport struct {
 // artifact diffs cleanly across regenerations.
 func (r ExecutorReport) JSON() ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
+}
+
+// Headlines renders one line per run under the table.
+func (r ExecutorReport) Headlines() string {
+	var b strings.Builder
+	for _, run := range r.Runs {
+		fmt.Fprintf(&b, "%s: burst shed %d, rejected %d; drain %.1fms (forced=%v, returned %d); queue-wait p99 %dns\n",
+			run.Series, run.Burst.Shed, run.Burst.Rejected,
+			float64(run.DrainNs)/1e6, run.DrainForced, run.Returned, run.QueueWaitP99Ns)
+	}
+	return b.String()
 }
 
 // Gate is the regression check `make bench-executor` enforces. It is
@@ -135,8 +131,7 @@ func executorSeriesDefs(procs int) []executorSeries {
 			// hand-off queue, with bounded blocking backpressure.
 			name: "cached-synchronous",
 			build: func(h *metrics.Handle, _ int) *pool.Pool {
-				q := executorWaitQueue{core.NewDualQueue[pool.Task](core.WaitConfig{})}
-				return pool.New(q, pool.Config{
+				return pool.New(synchq.New[pool.Task](synchq.Fair(true)), pool.Config{
 					KeepAlive:          50 * time.Millisecond,
 					MaxWorkers:         maxWorkers,
 					OnSaturation:       pool.BlockWithDeadline,

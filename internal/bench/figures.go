@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 
 	"synchq/internal/stats"
 )
@@ -26,10 +27,10 @@ type SweepOpts struct {
 	Repeats int
 	// Extras adds the Go channel and naive queue series.
 	Extras bool
-	// Cores, when non-empty, restricts the scaling sweep to the named
-	// series (by exact series name, e.g. "queue", "seg",
-	// "queue+shard+elim") so CI can gate a reduced sweep quickly. Figures
-	// other than scaling ignore it.
+	// Cores, when non-empty, restricts the scaling or batch sweep to the
+	// named series (by exact series name, e.g. "queue", "seg",
+	// "queue+shard+elim") so CI can gate a reduced sweep quickly. Other
+	// figures ignore it.
 	Cores []string
 	// Progress, if non-nil, is called before each cell is measured.
 	Progress func(figure int, algo string, level int)
@@ -48,19 +49,6 @@ func (o SweepOpts) withDefaults(defaultLevels []int, defaultTransfers int64) Swe
 	return o
 }
 
-// measure runs one cell: repeats runs, minimum ns/transfer.
-func measure(a Algorithm, producers, consumers int, transfers int64, repeats int) float64 {
-	best := 0.0
-	for r := 0; r < repeats; r++ {
-		res := RunHandoff(a.New(), producers, consumers, transfers, nil)
-		ns := res.NsPerTransfer()
-		if r == 0 || ns < best {
-			best = ns
-		}
-	}
-	return best
-}
-
 // columnNames lists the series labels for a sweep.
 func columnNames(algos []Algorithm) []string {
 	names := make([]string, len(algos))
@@ -70,55 +58,85 @@ func columnNames(algos []Algorithm) []string {
 	return names
 }
 
+// handoffFigure sweeps the paper's algorithms over o.Levels, shaping each
+// level into a producer:consumer count.
+func handoffFigure(fig int, title, xlabel string, defaults []int, shape func(level int) (producers, consumers int), o SweepOpts) *stats.Table {
+	o = o.withDefaults(defaults, 20000)
+	algos := Algorithms(o.Extras)
+	t := stats.NewTable(title, xlabel, "ns/transfer", columnNames(algos))
+	for _, level := range o.Levels {
+		producers, consumers := shape(level)
+		for _, a := range algos {
+			if o.Progress != nil {
+				o.Progress(fig, a.Name, level)
+			}
+			t.Set(fmt.Sprint(level), a.Name,
+				bestOf(o.Repeats, handoffNs(a.New, producers, consumers, 1, o.Transfers))[0])
+		}
+	}
+	return t
+}
+
 // Figure3 regenerates "Synchronous handoff: N producers, N consumers":
 // ns/transfer as the number of producer/consumer pairs sweeps the paper's
 // levels.
 func Figure3(o SweepOpts) *stats.Table {
-	o = o.withDefaults(PairLevels, 20000)
-	algos := Algorithms(o.Extras)
-	t := stats.NewTable("Figure 3: synchronous handoff, N producers : N consumers", "pairs", "ns/transfer", columnNames(algos))
-	for _, level := range o.Levels {
-		for _, a := range algos {
-			if o.Progress != nil {
-				o.Progress(3, a.Name, level)
-			}
-			ns := measure(a, level, level, o.Transfers, o.Repeats)
-			t.Set(fmt.Sprint(level), a.Name, ns)
-		}
-	}
-	return t
+	return handoffFigure(3, "Figure 3: synchronous handoff, N producers : N consumers", "pairs",
+		PairLevels, func(l int) (int, int) { return l, l }, o)
 }
 
 // Figure4 regenerates "Synchronous handoff: 1 producer, N consumers".
 func Figure4(o SweepOpts) *stats.Table {
-	o = o.withDefaults(SingleLevels, 20000)
-	algos := Algorithms(o.Extras)
-	t := stats.NewTable("Figure 4: synchronous handoff, 1 producer : N consumers", "consumers", "ns/transfer", columnNames(algos))
-	for _, level := range o.Levels {
-		for _, a := range algos {
-			if o.Progress != nil {
-				o.Progress(4, a.Name, level)
-			}
-			ns := measure(a, 1, level, o.Transfers, o.Repeats)
-			t.Set(fmt.Sprint(level), a.Name, ns)
-		}
-	}
-	return t
+	return handoffFigure(4, "Figure 4: synchronous handoff, 1 producer : N consumers", "consumers",
+		SingleLevels, func(l int) (int, int) { return 1, l }, o)
 }
 
 // Figure5 regenerates "Synchronous handoff: N producers, 1 consumer".
 func Figure5(o SweepOpts) *stats.Table {
-	o = o.withDefaults(SingleLevels, 20000)
-	algos := Algorithms(o.Extras)
-	t := stats.NewTable("Figure 5: synchronous handoff, N producers : 1 consumer", "producers", "ns/transfer", columnNames(algos))
-	for _, level := range o.Levels {
-		for _, a := range algos {
-			if o.Progress != nil {
-				o.Progress(5, a.Name, level)
-			}
-			ns := measure(a, level, 1, o.Transfers, o.Repeats)
-			t.Set(fmt.Sprint(level), a.Name, ns)
+	return handoffFigure(5, "Figure 5: synchronous handoff, N producers : 1 consumer", "producers",
+		SingleLevels, func(l int) (int, int) { return l, 1 }, o)
+}
+
+// selectSeries restricts a sweep's series to the named subset (exact
+// names), preserving sweep order; no names keeps them all. An unknown name
+// is reported rather than silently dropped so a typo in a CI -cores flag
+// cannot quietly gate nothing.
+func selectSeries[S any](figure string, all []S, name func(S) string, names []string) ([]S, error) {
+	if len(names) == 0 {
+		return all, nil
+	}
+	want := make(map[string]bool, len(names))
+	for _, n := range names {
+		want[n] = true
+	}
+	var kept []S
+	have := make([]string, len(all))
+	for i, s := range all {
+		have[i] = name(s)
+		if want[have[i]] {
+			kept = append(kept, s)
+			delete(want, have[i])
 		}
 	}
-	return t
+	for n := range want {
+		return nil, fmt.Errorf("unknown %s series %q (have: %s)", figure, n, strings.Join(have, ","))
+	}
+	return kept, nil
+}
+
+// ValidateCores checks a -cores selection against the series of the named
+// sweep ("scaling" or "batch"), so CLI entry points can reject a typo with
+// a friendly message instead of the panic the sweeps reserve for
+// programmer error.
+func ValidateCores(figure string, names []string) error {
+	var err error
+	switch figure {
+	case "scaling":
+		_, err = selectSeries(figure, scalingSeries(), func(c composition) string { return c.name }, names)
+	case "batch":
+		_, err = selectSeries(figure, batchCores(), func(c batchCore) string { return c.name }, names)
+	default:
+		err = fmt.Errorf("-cores applies to the scaling and batch sweeps, not %q", figure)
+	}
+	return err
 }

@@ -5,8 +5,7 @@ import (
 	"fmt"
 	"runtime"
 
-	"synchq/internal/core"
-	"synchq/internal/metrics"
+	"synchq"
 	"synchq/internal/stats"
 )
 
@@ -29,20 +28,14 @@ type LatencyDigest struct {
 	Max   int64 `json:"max_ns"`
 }
 
-// digestOf summarizes bucket counts, nil when nothing was recorded (so
-// empty histograms vanish from the JSON artifact).
-func digestOf(c metrics.BucketCounts) *LatencyDigest {
-	n := c.Count()
-	if n == 0 {
+// digestOf summarizes one histogram of a Metrics snapshot, nil when
+// nothing was recorded (so empty histograms vanish from the JSON artifact).
+func digestOf(st synchq.Stats, name string) *LatencyDigest {
+	l, ok := st.Latency[name]
+	if !ok || l.Count == 0 {
 		return nil
 	}
-	return &LatencyDigest{
-		Count: n,
-		P50:   c.Percentile(0.50),
-		P99:   c.Percentile(0.99),
-		P999:  c.Percentile(0.999),
-		Max:   c.Max(),
-	}
+	return &LatencyDigest{Count: l.Count, P50: l.P50, P99: l.P99, P999: l.P999, Max: l.Max}
 }
 
 // LatencyCell is one structure's measurement: throughput with the
@@ -83,6 +76,11 @@ func (r LatencyReport) JSON() ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
 }
 
+// Headlines renders the headline printed under the table.
+func (r LatencyReport) Headlines() string {
+	return fmt.Sprintf("summary: worst metrics-on overhead %.1f%%\n", r.Summary.MaxOverhead*100)
+}
+
 // latencyGateMaxOverhead is the regression budget: turning the latency
 // histograms on may cost at most this fraction of hand-off throughput. The
 // instrumented steady state pays a per-thread PRNG draw per operation for
@@ -115,25 +113,14 @@ func (r LatencyReport) Gate() error {
 	return nil
 }
 
-// instrumentedSQ builds the selected dual structure recording into h (nil
-// h: uninstrumented).
-func instrumentedSQ(fair bool, h *metrics.Handle) SQ {
-	w := core.WaitConfig{Metrics: h}
-	if fair {
-		return core.NewDualQueue[int64](w)
-	}
-	return core.NewDualStack[int64](w)
-}
-
 // Latency runs the overhead measurement and returns both renderings: the
 // aligned table for the terminal and the JSON report for the artifact.
 //
-// Within each cell the uninstrumented and instrumented runs are
-// interleaved repeat by repeat, so slow drift of the host (thermal,
-// timeshared neighbors) decorrelates from the on/off comparison; the
-// minimum of the repeats is reported, the least-noise estimator for a
-// fixed amount of work. The instrumented runs of a cell share one handle,
-// so the digests summarize every sample from every repeat.
+// Each cell times New(Fair(b)) against New(Fair(b), Instrument(m)),
+// interleaved repeat by repeat (bestOf), so slow drift of the host
+// (thermal, timeshared neighbors) decorrelates from the on/off comparison.
+// The instrumented runs of a cell share one Metrics, so the digests
+// summarize every sample from every repeat.
 func Latency(o SweepOpts) (*stats.Table, LatencyReport) {
 	o = o.withDefaults([]int{1}, 20000)
 	pairs := o.Levels[0]
@@ -153,38 +140,31 @@ func Latency(o SweepOpts) (*stats.Table, LatencyReport) {
 		name string
 		fair bool
 	}{{"queue", true}, {"stack", false}} {
-		h := metrics.New()
-		var offBest, onBest float64
-		for r := 0; r < o.Repeats; r++ {
-			if o.Progress != nil {
-				o.Progress(0, cfg.name+" [latency]", r+1)
-			}
-			off := RunHandoff(instrumentedSQ(cfg.fair, nil), pairs, pairs, o.Transfers, nil).NsPerTransfer()
-			on := RunHandoff(instrumentedSQ(cfg.fair, h), pairs, pairs, o.Transfers, nil).NsPerTransfer()
-			if r == 0 || off < offBest {
-				offBest = off
-			}
-			if r == 0 || on < onBest {
-				onBest = on
-			}
+		if o.Progress != nil {
+			o.Progress(0, cfg.name+" [latency]", pairs)
 		}
+		m := synchq.NewMetrics()
+		fair := synchq.Fair(cfg.fair)
+		best := bestOf(o.Repeats,
+			handoffNs(func() SQ { return synchq.New[int64](fair) }, pairs, pairs, 1, o.Transfers),
+			handoffNs(func() SQ { return synchq.New[int64](fair, synchq.Instrument(m)) }, pairs, pairs, 1, o.Transfers))
+		offBest, onBest := best[0], best[1]
 		overhead := 0.0
 		if offBest > 0 {
 			overhead = onBest/offBest - 1
 		}
-		hs := h.Histograms()
-		cell := LatencyCell{
+		st := m.Stats()
+		report.Cells = append(report.Cells, LatencyCell{
 			Name:             cfg.name,
 			Fair:             cfg.fair,
 			UninstrumentedNs: offBest,
 			InstrumentedNs:   onBest,
 			Overhead:         overhead,
-			Handoff:          digestOf(hs.Get(metrics.HandoffNs)),
-			Spin:             digestOf(hs.Get(metrics.SpinNs)),
-			Park:             digestOf(hs.Get(metrics.ParkNs)),
-			Wasted:           digestOf(hs.Get(metrics.WastedNs)),
-		}
-		report.Cells = append(report.Cells, cell)
+			Handoff:          digestOf(st, "handoff"),
+			Spin:             digestOf(st, "spin"),
+			Park:             digestOf(st, "park"),
+			Wasted:           digestOf(st, "wasted"),
+		})
 		if overhead > report.Summary.MaxOverhead {
 			report.Summary.MaxOverhead = overhead
 		}
@@ -193,10 +173,4 @@ func Latency(o SweepOpts) (*stats.Table, LatencyReport) {
 		t.Set(cfg.name, "overhead %", overhead*100)
 	}
 	return t, report
-}
-
-// LatencyFigure adapts Latency to the figure registry (table only).
-func LatencyFigure(o SweepOpts) *stats.Table {
-	t, _ := Latency(o)
-	return t
 }

@@ -93,15 +93,9 @@ func Figure6(o SweepOpts) *stats.Table {
 			if o.Progress != nil {
 				o.Progress(6, a.Name, level)
 			}
-			best := 0.0
-			for r := 0; r < o.Repeats; r++ {
-				res := RunPool(a.NewPoolQueue(), level, o.Transfers)
-				ns := res.NsPerTask()
-				if r == 0 || ns < best {
-					best = ns
-				}
-			}
-			t.Set(fmt.Sprint(level), a.Name, best)
+			t.Set(fmt.Sprint(level), a.Name, bestOf(o.Repeats, func() float64 {
+				return RunPool(a.NewPoolQueue(), level, o.Transfers).NsPerTask()
+			})[0])
 		}
 	}
 	return t

@@ -6,9 +6,7 @@ import (
 	"runtime"
 	"strings"
 
-	"synchq/internal/core"
-	"synchq/internal/exchanger"
-	"synchq/internal/segq"
+	"synchq"
 	"synchq/internal/shard"
 	"synchq/internal/stats"
 )
@@ -16,143 +14,47 @@ import (
 // This file is the producer×consumer scaling sweep behind `sqbench -figure
 // scaling` and the committed BENCH_scaling.json artifact: both dual
 // structures, each plain, elimination-fronted (adaptive arena), sharded,
-// and sharded+elimination, swept from one pair up to GOMAXPROCS pairs.
-// It is the evaluation for the PR that added the adaptive arena and the
-// shard fabric, and `make bench-scaling` runs its coarse regression gate.
+// and sharded+elimination, the segmented core, and the self-scaling
+// fabric, swept from one pair up to GOMAXPROCS pairs. Every series is a
+// composition the public constructor ships, built through synchq.New, so
+// a gate ratio's baseline and its subject pay the same facade cost. `make
+// bench-scaling` runs its coarse regression gate.
 
-// fabricSQ drives a shard fabric through the pairing surface. The adapter
-// lives here, like elimSQ, so internal packages stay acyclic (bench must
-// not import the public synchq package).
-type fabricSQ struct{ f *shard.Fabric[int64] }
-
-func (s fabricSQ) Put(v int64) { s.f.Put(v) }
-func (s fabricSQ) Take() int64 { return s.f.Take() }
-
-// newFabricSQ stripes the selected dual structure across the default
-// (GOMAXPROCS-sized) shard count.
-func newFabricSQ(fair bool) fabricSQ {
-	return fabricSQ{shard.New(0, func(int) shard.Dual[int64] {
-		if fair {
-			return core.NewDualQueue[int64](core.WaitConfig{})
-		}
-		return core.NewDualStack[int64](core.WaitConfig{})
-	})}
-}
-
-// newAutoFabricSQ builds the self-scaling fabric: same ceiling as the
-// static stripe, but the effective width follows observed contention —
-// collapsed to one shard at one pair, widening as pairs are added.
-func newAutoFabricSQ() fabricSQ {
-	return fabricSQ{shard.NewAuto(0, func(int) shard.Dual[int64] {
-		return core.NewDualQueue[int64](core.WaitConfig{})
-	})}
-}
-
-// adaptiveElimSQ fronts any pairing surface with a self-tuning elimination
-// arena, mirroring synchq's EliminatingAdaptive option.
-type adaptiveElimSQ struct {
-	arena *exchanger.Arena[int64]
-	q     SQ
-}
-
-func newAdaptiveElimSQ(q SQ) adaptiveElimSQ {
-	return adaptiveElimSQ{arena: exchanger.NewArenaAdaptive[int64](0), q: q}
-}
-
-func (e adaptiveElimSQ) Put(v int64) {
-	if e.arena.TryGiveAdaptive(v) {
-		return
-	}
-	e.q.Put(v)
-}
-
-func (e adaptiveElimSQ) Take() int64 {
-	if v, ok := e.arena.TryTakeAdaptive(); ok {
-		return v
-	}
-	return e.q.Take()
+// composition is one scaling series: a stable name (the JSON artifact's
+// series key) and the synchq options that build it.
+type composition struct {
+	name string
+	opts []synchq.Option
 }
 
 // scalingSeries enumerates the twelve swept configurations: {stack,
 // queue} × {plain, +elim, +shard, +shard+elim}, the segmented core plain
 // and sharded, and the self-scaling fabric over the fair queue ("auto")
-// and over segmented shards ("auto+seg"). Names are stable — they are the
-// JSON artifact's series keys.
-func scalingSeries() []Algorithm {
-	series := make([]Algorithm, 0, 12)
+// and over segmented shards ("auto+seg"). The static stripe is as wide as
+// GOMAXPROCS, the default ceiling the self-scaling fabric grows to.
+func scalingSeries() []composition {
+	width := synchq.Sharded(runtime.GOMAXPROCS(0))
+	elim := synchq.EliminatingAdaptive()
+	series := make([]composition, 0, 12)
 	for _, base := range []struct {
 		name string
 		fair bool
 	}{{"stack", false}, {"queue", true}} {
-		fair := base.fair
-		plain := func() SQ {
-			if fair {
-				return core.NewDualQueue[int64](core.WaitConfig{})
-			}
-			return core.NewDualStack[int64](core.WaitConfig{})
-		}
+		fair := synchq.Fair(base.fair)
 		series = append(series,
-			Algorithm{Name: base.name, New: plain},
-			Algorithm{Name: base.name + "+elim", New: func() SQ { return newAdaptiveElimSQ(plain()) }},
-			Algorithm{Name: base.name + "+shard", New: func() SQ { return newFabricSQ(fair) }},
-			Algorithm{Name: base.name + "+shard+elim", New: func() SQ { return newAdaptiveElimSQ(newFabricSQ(fair)) }},
+			composition{base.name, []synchq.Option{fair}},
+			composition{base.name + "+elim", []synchq.Option{fair, elim}},
+			composition{base.name + "+shard", []synchq.Option{fair, width}},
+			composition{base.name + "+shard+elim", []synchq.Option{fair, width, elim}},
 		)
 	}
-	series = append(series,
-		Algorithm{Name: "seg", New: func() SQ { return segq.New[int64](core.WaitConfig{}) }},
-		Algorithm{Name: "seg+shard", New: func() SQ {
-			return fabricSQ{shard.New(0, func(int) shard.Dual[int64] {
-				return segq.New[int64](core.WaitConfig{})
-			})}
-		}},
-		Algorithm{Name: "auto", New: func() SQ { return newAutoFabricSQ() }},
-		Algorithm{Name: "auto+seg", New: func() SQ {
-			return fabricSQ{shard.NewAuto(0, func(int) shard.Dual[int64] {
-				return segq.New[int64](core.WaitConfig{})
-			})}
-		}},
+	seg := synchq.Segmented()
+	return append(series,
+		composition{"seg", []synchq.Option{seg}},
+		composition{"seg+shard", []synchq.Option{seg, width}},
+		composition{"auto", []synchq.Option{synchq.Fair(true), synchq.AutoShard()}},
+		composition{"auto+seg", []synchq.Option{seg, synchq.AutoShard()}},
 	)
-	return series
-}
-
-// filterSeries restricts series to the named subset (exact series names),
-// preserving sweep order. An unknown name is reported rather than silently
-// dropped so a typo in a CI -cores flag cannot quietly gate nothing.
-func filterSeries(series []Algorithm, names []string) ([]Algorithm, error) {
-	if len(names) == 0 {
-		return series, nil
-	}
-	byName := make(map[string]bool, len(names))
-	for _, n := range names {
-		byName[n] = true
-	}
-	var kept []Algorithm
-	for _, a := range series {
-		if byName[a.Name] {
-			kept = append(kept, a)
-			delete(byName, a.Name)
-		}
-	}
-	for n := range byName {
-		return nil, fmt.Errorf("unknown scaling series %q (have: %s)", n, strings.Join(seriesNames(series), ","))
-	}
-	return kept, nil
-}
-
-func seriesNames(series []Algorithm) []string {
-	names := make([]string, len(series))
-	for i, a := range series {
-		names[i] = a.Name
-	}
-	return names
-}
-
-// ValidateScalingCores checks a -cores selection against the sweep's
-// series names, so CLI entry points can reject a typo with a friendly
-// message instead of the panic Scaling reserves for programmer error.
-func ValidateScalingCores(names []string) error {
-	_, err := filterSeries(scalingSeries(), names)
-	return err
 }
 
 // ScalingLevels is the sweep's default x-axis: powers of two from one pair
@@ -223,6 +125,29 @@ type ScalingReport struct {
 // diffs cleanly across regenerations.
 func (r ScalingReport) JSON() ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
+}
+
+// Headlines renders the headline comparisons printed under the table.
+func (r ScalingReport) Headlines() string {
+	var b strings.Builder
+	s := r.Summary
+	if s.ShardedNs > 0 {
+		fmt.Fprintf(&b, "summary: queue+shard+elim at %d pairs: %.0f ns/transfer vs %.0f unsharded (%.2fx)\n",
+			s.MaxPairs, s.ShardedNs, s.BaselineNs, s.Speedup)
+	}
+	if s.SegNs > 0 {
+		fmt.Fprintf(&b, "summary: seg at %d pairs: %.0f ns/transfer vs %.0f plain queue (%.2fx)\n",
+			s.MaxPairs, s.SegNs, s.BaselineNs, s.SegSpeedup)
+	}
+	if s.AutoNs > 0 {
+		fmt.Fprintf(&b, "summary: auto at %d pairs: %.0f ns/transfer vs %.0f plain queue (%.2fx)\n",
+			s.MaxPairs, s.AutoNs, s.BaselineNs, s.AutoSpeedup)
+	}
+	if s.AutoTax > 0 {
+		fmt.Fprintf(&b, "summary: auto at 1 pair: %.0f ns/transfer vs %.0f plain queue (collapse tax %.2fx, collapsed in %d/%d repeats)\n",
+			s.Auto1Ns, s.Baseline1Ns, s.AutoTax, s.Auto1Collapsed, r.Repeats)
+	}
+	return b.String()
 }
 
 // gateFloorSingleCPU is the speedup floor on hosts with one hardware
@@ -319,16 +244,20 @@ func (r ScalingReport) Gate() error {
 
 // Scaling runs the sweep and returns both renderings: the aligned table
 // for the terminal and the JSON report for the artifact. It panics on an
-// unknown Cores name (the callers are CLI entry points whose -cores input
-// is validated here).
+// unknown Cores name (the callers are CLI entry points, which check their
+// -cores input with ValidateCores first).
 func Scaling(o SweepOpts) (*stats.Table, ScalingReport) {
 	o = o.withDefaults(ScalingLevels(), 20000)
-	series, err := filterSeries(scalingSeries(), o.Cores)
+	series, err := selectSeries("scaling", scalingSeries(), func(c composition) string { return c.name }, o.Cores)
 	if err != nil {
 		panic(err)
 	}
+	names := make([]string, len(series))
+	for i, c := range series {
+		names[i] = c.name
+	}
 	t := stats.NewTable("Scaling: N producers : N consumers, ± elimination ± sharding",
-		"pairs", "ns/transfer", columnNames(series))
+		"pairs", "ns/transfer", names)
 
 	report := ScalingReport{
 		Benchmark:  "scaling",
@@ -341,95 +270,62 @@ func Scaling(o SweepOpts) (*stats.Table, ScalingReport) {
 	cells := make(map[string][]ScalingCell)
 	autoCollapsed := 0
 	for _, level := range o.Levels {
-		for _, a := range series {
+		for _, c := range series {
 			if o.Progress != nil {
-				o.Progress(0, a.Name+" [scaling]", level)
+				o.Progress(0, c.name+" [scaling]", level)
 			}
-			var ns float64
-			if a.Name == "auto" && level == 1 {
-				ns, autoCollapsed = measureAutoCollapse(a, o.Transfers, o.Repeats)
-			} else {
-				ns = measure(a, level, level, o.Transfers, o.Repeats)
+			// Each repeat also records whether the queue finished at
+			// effective width one: the one-pair auto cell's collapse count,
+			// which the single-CPU gate falls back on (see Gate).
+			collapsed := 0
+			ns := bestOf(o.Repeats, func() float64 {
+				q := synchq.New[int64](c.opts...)
+				ns := RunHandoff(q, level, level, 1, o.Transfers, nil).NsPerTransfer()
+				if q.Shards() == 1 {
+					collapsed++
+				}
+				return ns
+			})[0]
+			if c.name == "auto" && level == 1 {
+				autoCollapsed = collapsed
 			}
-			t.Set(fmt.Sprint(level), a.Name, ns)
-			cells[a.Name] = append(cells[a.Name], ScalingCell{Pairs: level, NsPerTransfer: ns})
+			t.Set(fmt.Sprint(level), c.name, ns)
+			cells[c.name] = append(cells[c.name], ScalingCell{Pairs: level, NsPerTransfer: ns})
 		}
 	}
-	for _, a := range series {
-		report.Series = append(report.Series, ScalingSeries{Name: a.Name, Cells: cells[a.Name]})
+	for _, c := range series {
+		report.Series = append(report.Series, ScalingSeries{Name: c.name, Cells: cells[c.name]})
 	}
 
 	max := o.Levels[len(o.Levels)-1]
-	report.Summary = ScalingSummary{MaxPairs: max}
-	last := func(name string) float64 {
-		for _, s := range report.Series {
-			if s.Name == name {
-				for _, c := range s.Cells {
-					if c.Pairs == max {
-						return c.NsPerTransfer
-					}
-				}
+	at := func(name string, pairs int) float64 {
+		for _, c := range cells[name] {
+			if c.Pairs == pairs {
+				return c.NsPerTransfer
 			}
 		}
 		return 0
 	}
-	report.Summary.BaselineNs = last("queue")
-	report.Summary.ShardedNs = last("queue+shard+elim")
-	if report.Summary.ShardedNs > 0 {
-		report.Summary.Speedup = report.Summary.BaselineNs / report.Summary.ShardedNs
-	}
-	report.Summary.SegNs = last("seg")
-	if report.Summary.SegNs > 0 {
-		report.Summary.SegSpeedup = report.Summary.BaselineNs / report.Summary.SegNs
-	}
-	report.Summary.AutoNs = last("auto")
-	if report.Summary.AutoNs > 0 {
-		report.Summary.AutoSpeedup = report.Summary.BaselineNs / report.Summary.AutoNs
-	}
-	at1 := func(name string) float64 {
-		for _, s := range report.Series {
-			if s.Name == name {
-				for _, c := range s.Cells {
-					if c.Pairs == 1 {
-						return c.NsPerTransfer
-					}
-				}
-			}
+	ratio := func(num, den float64) float64 {
+		if den > 0 {
+			return num / den
 		}
 		return 0
 	}
-	report.Summary.Baseline1Ns = at1("queue")
-	report.Summary.Auto1Ns = at1("auto")
-	if report.Summary.Auto1Ns > 0 && report.Summary.Baseline1Ns > 0 {
-		report.Summary.AutoTax = report.Summary.Auto1Ns / report.Summary.Baseline1Ns
-		report.Summary.Auto1Collapsed = autoCollapsed
+	sum := &report.Summary
+	sum.MaxPairs = max
+	sum.BaselineNs = at("queue", max)
+	sum.ShardedNs = at("queue+shard+elim", max)
+	sum.Speedup = ratio(sum.BaselineNs, sum.ShardedNs)
+	sum.SegNs = at("seg", max)
+	sum.SegSpeedup = ratio(sum.BaselineNs, sum.SegNs)
+	sum.AutoNs = at("auto", max)
+	sum.AutoSpeedup = ratio(sum.BaselineNs, sum.AutoNs)
+	sum.Baseline1Ns = at("queue", 1)
+	sum.Auto1Ns = at("auto", 1)
+	sum.AutoTax = ratio(sum.Auto1Ns, sum.Baseline1Ns)
+	if sum.AutoTax > 0 {
+		sum.Auto1Collapsed = autoCollapsed
 	}
 	return t, report
-}
-
-// measureAutoCollapse is measure for the self-scaling fabric's one-pair
-// cell: the same timing discipline (repeats runs, minimum ns/transfer),
-// plus a per-repeat record of whether the fabric finished the run folded
-// back to effective width one — the Auto1Collapsed count the single-CPU
-// gate falls back on when the wall-clock tax ratio is noise-dominated.
-func measureAutoCollapse(a Algorithm, transfers int64, repeats int) (float64, int) {
-	best, collapsed := 0.0, 0
-	for r := 0; r < repeats; r++ {
-		q := a.New()
-		res := RunHandoff(q, 1, 1, transfers, nil)
-		if fs, ok := q.(fabricSQ); ok && fs.f.Shards() == 1 {
-			collapsed++
-		}
-		ns := res.NsPerTransfer()
-		if r == 0 || ns < best {
-			best = ns
-		}
-	}
-	return best, collapsed
-}
-
-// ScalingFigure adapts Scaling to the figure registry (table only).
-func ScalingFigure(o SweepOpts) *stats.Table {
-	t, _ := Scaling(o)
-	return t
 }
