@@ -41,15 +41,20 @@ bench-overhead:
 # hand-off allocates more than its measured steady state (one per pair on
 # the queues, two on the stack and the exchanger — an escaping waiter in
 # the shared wait loop shows up here), the segmented budget test fails if
-# a segq transfer stops amortizing its segment allocation, the fabric
-# budget test fails if a hand-off through the shard fabric (one shard or
-# self-scaling, over each core) allocates anything beyond the bare core's
-# budget, and the short benchmark run prints the allocs/op figures for
-# eyeballing regressions.
+# a segq transfer stops amortizing its segment allocation or a batch
+# grows per-item bookkeeping on the heap, the fabric budget test fails if
+# a hand-off through the shard fabric (one shard or self-scaling, over
+# each core) allocates anything beyond the bare core's budget, the pool
+# tests fail if the task envelope leaves the 48-byte class or an accepted
+# task on the executor's hand-off path costs more heap bytes than the
+# envelope, its dispatch wrapper and the worker's queue node, and the
+# short benchmark run prints the allocs/op figures for eyeballing
+# regressions.
 bench-smoke:
 	go test -run TestHandoffAllocBudget -count 1 ./internal/core/
 	go test -run TestSegmentedAllocBudget -count 1 ./internal/segq/
 	go test -run TestFabricAllocBudget -count 1 ./internal/shard/
+	go test -run 'TestEnvelopeSize|TestHandoffAllocBudget' -count 1 -v ./pool/
 	go test -run - -bench BenchmarkHandoffAllocs -benchtime 100x -benchmem ./internal/core/
 
 # Scaling smoke gate: a short producer×consumer sweep reduced (via -cores)

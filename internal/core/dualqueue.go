@@ -626,21 +626,34 @@ func (q *DualQueue[T]) PollTimeout(d time.Duration) (T, bool) {
 }
 
 // observe classifies the queue's current content. The answer may be stale
-// immediately; it is intended for tests, monitoring and heuristics.
+// immediately; it is intended for tests, monitoring and heuristics — and
+// for the shard fabric's occupancy probe, which must never read a linked
+// live waiter as absent. A canceled node can reach the front with live
+// waiters behind it: a tail withdrawal defers its unlink to cleanMe, and
+// once the nodes ahead of it are fulfilled it sits at head.next until
+// some later clean or engage dequeues it. So observe helps dequeue dead
+// front nodes, as engage's fulfill arm and clean do, before it classifies.
 func (q *DualQueue[T]) observe() (data, reservations bool) {
-	h := q.head.Load()
-	t := q.tail.Load()
-	if h == t {
-		return false, false
+	for {
+		h := q.head.Load()
+		t := q.tail.Load()
+		if h == t {
+			return false, false
+		}
+		n := h.next.Load()
+		if n == nil {
+			return false, false
+		}
+		if n == h {
+			continue // h was retired under us: reread head
+		}
+		if !q.isCancelled(n) {
+			return t.isData, !t.isData
+		}
+		if q.advanceHead(h, n) {
+			q.m.Inc(metrics.CleanSweeps)
+		}
 	}
-	n := h.next.Load()
-	if n == nil || n == h {
-		return false, false
-	}
-	if q.isCancelled(n) {
-		return false, false
-	}
-	return t.isData, !t.isData
 }
 
 // HasWaitingProducer reports whether a producer was observed waiting.

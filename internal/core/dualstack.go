@@ -532,17 +532,29 @@ func (q *DualStack[T]) PollTimeout(d time.Duration) (T, bool) {
 	return v, st == OK
 }
 
-// observe classifies the stack's current content (tests/monitoring only).
+// observe classifies the stack's current content. Like the queue's, it is
+// the shard fabric's occupancy probe as well as a monitoring read, so a
+// dead top must not hide the live waiters beneath it.
 func (q *DualStack[T]) observe() (data, reservations bool) {
-	h := q.head.Load()
-	if h == nil || q.isDead(h) {
-		return false, false
-	}
-	switch h.mode &^ modeFulfilling {
-	case modeData:
-		return true, false
-	default:
-		return false, true
+	for {
+		h := q.head.Load()
+		if h == nil {
+			return false, false
+		}
+		if q.isDead(h) {
+			// A dead top can cover live waiters until its aborter's clean
+			// runs; pop it, as transfer does, rather than read "empty".
+			if q.head.CompareAndSwap(h, h.next.Load()) {
+				q.m.Inc(metrics.CleanSweeps)
+			}
+			continue
+		}
+		switch h.mode &^ modeFulfilling {
+		case modeData:
+			return true, false
+		default:
+			return false, true
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -35,47 +34,23 @@ func assertBridgeCounters(t *testing.T, h *metrics.Handle) {
 // paper's cleaning protocol with a deterministic interleaving: a waiter
 // that times out while an *interior* node (a live waiter sits behind it)
 // must be unlinked by its own clean() call, and the unlink must be
-// counted.
+// counted. Three reservations fix the line-up on one goroutine, and the
+// middle one times out at a deadline that has already passed, so no
+// waiter's patience races the others' arrival.
 func TestMetricsQueueCleanSweepDeterministic(t *testing.T) {
 	h := metrics.New()
 	q := NewDualQueue[int](WaitConfig{Metrics: h})
 
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(2)
-	// g1: long-patience waiter at the front.
-	go func() {
-		defer wg.Done()
-		<-release
-		if _, st := q.TakeDeadline(time.Now().Add(2*time.Second), nil); st != OK {
-			t.Errorf("front waiter: status %v, want OK", st)
-		}
-	}()
-	close(release)
-	waitFor(t, func() bool { return q.Len() == 1 })
+	_, front, ok1 := q.TakeReserve()
+	_, middle, ok2 := q.TakeReserve()
+	_, back, ok3 := q.TakeReserve()
+	if ok1 || ok2 || ok3 || q.Len() != 3 {
+		t.Fatalf("reservations fulfilled on an empty queue (Len = %d)", q.Len())
+	}
 
-	// g2: short-patience waiter behind it — this node will cancel.
-	timedOut := make(chan struct{})
-	go func() {
-		_, st := q.TakeDeadline(time.Now().Add(3*time.Millisecond), nil)
-		if st != Timeout {
-			t.Errorf("middle waiter: status %v, want Timeout", st)
-		}
-		close(timedOut)
-	}()
-	waitFor(t, func() bool { return q.Len() == 2 })
-
-	// g3: another long waiter so the canceled node is interior, not tail.
-	go func() {
-		defer wg.Done()
-		<-release
-		if _, st := q.TakeDeadline(time.Now().Add(2*time.Second), nil); st != OK {
-			t.Errorf("back waiter: status %v, want OK", st)
-		}
-	}()
-	waitFor(t, func() bool { return q.Len() == 3 })
-
-	<-timedOut
+	if _, st := middle.Await(time.Now().Add(-time.Millisecond), nil); st != Timeout {
+		t.Fatalf("middle waiter: status %v, want Timeout", st)
+	}
 	if got := h.Load(metrics.Timeouts); got == 0 {
 		t.Error("timeout not counted")
 	}
@@ -87,7 +62,11 @@ func TestMetricsQueueCleanSweepDeterministic(t *testing.T) {
 
 	q.Put(1)
 	q.Put(2)
-	wg.Wait()
+	for i, tk := range []*QueueTicket[int]{front, back} {
+		if v, ok := tk.TryFollowup(); !ok || v != i+1 {
+			t.Errorf("waiter %d: TryFollowup = (%d,%v), want (%d,true)", i, v, ok, i+1)
+		}
+	}
 	if got := h.Load(metrics.Fulfillments); got != 2 {
 		t.Errorf("fulfillments = %d, want 2", got)
 	}

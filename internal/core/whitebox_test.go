@@ -311,3 +311,65 @@ func TestStackTryMatchHelpedSemantics(t *testing.T) {
 		t.Fatal("tryMatch succeeded with a different fulfiller")
 	}
 }
+
+// A withdrawn tail waiter defers its unlink to cleanMe; once the nodes
+// ahead of it are fulfilled it reaches the front with a live waiter
+// behind it. The occupancy probe must see that waiter: the shard fabric
+// clears its presence bit on a false read, and a cleared bit over a
+// live waiter strands both sides.
+func TestObserveSeesPastCanceledFrontNode(t *testing.T) {
+	q := NewDualQueue[int](WaitConfig{})
+	_, x, ok := q.TakeReserve()
+	if ok {
+		t.Fatal("TakeReserve x fulfilled on an empty queue")
+	}
+	_, w, _ := q.TakeReserve()
+	if !w.Abort() {
+		t.Fatal("Abort of the pending tail reservation failed")
+	}
+	_, b, _ := q.TakeReserve()
+	if !q.Offer(1) {
+		t.Fatal("Offer did not fulfil the front reservation")
+	}
+	if v, ok := x.TryFollowup(); !ok || v != 1 {
+		t.Fatalf("x.TryFollowup = (%d,%v), want (1,true)", v, ok)
+	}
+	if n := q.Len(); n != 1 {
+		t.Fatalf("Len = %d, want 1 (b still waiting)", n)
+	}
+	if !q.HasWaitingConsumer() {
+		t.Fatal("HasWaitingConsumer = false with a live reservation behind a canceled front node")
+	}
+	if q.HasWaitingProducer() || q.IsEmpty() {
+		t.Fatal("queue holding one reservation reads as data or empty")
+	}
+	if !q.Offer(2) {
+		t.Fatal("Offer did not fulfil b")
+	}
+	if v, ok := b.TryFollowup(); !ok || v != 2 {
+		t.Fatalf("b.TryFollowup = (%d,%v), want (2,true)", v, ok)
+	}
+}
+
+// The stack's counterpart: between an aborter's self-match and its clean,
+// the dead top covers a live waiter, which the probe must still report.
+func TestStackObserveSeesPastDeadTop(t *testing.T) {
+	q := NewDualStack[int](WaitConfig{})
+	_, b, ok := q.TakeReserve()
+	if ok {
+		t.Fatal("TakeReserve b fulfilled on an empty stack")
+	}
+	_, w, _ := q.TakeReserve()
+	if !w.waiter().Abort() { // self-match only: the clean has not run yet
+		t.Fatal("self-match of the top reservation failed")
+	}
+	if !q.HasWaitingConsumer() {
+		t.Fatal("HasWaitingConsumer = false with a live reservation under a dead top")
+	}
+	if !q.Offer(3) {
+		t.Fatal("Offer did not fulfil b")
+	}
+	if v, ok := b.TryFollowup(); !ok || v != 3 {
+		t.Fatalf("b.TryFollowup = (%d,%v), want (3,true)", v, ok)
+	}
+}

@@ -293,6 +293,11 @@ var latencyBase = time.Now()
 // histograms. It is never zero (the base predates any caller).
 func Nanos() int64 { return int64(time.Since(latencyBase)) }
 
+// NanosAt converts t to the Nanos clock, so a deadline can be stored as one
+// word and checked with a single Nanos read. A t before the base comes out
+// zero or negative.
+func NanosAt(t time.Time) int64 { return int64(t.Sub(latencyBase)) }
+
 // SampleShift sets the latency layer's sampling rate: Start times one in
 // every SampleRate = 2^SampleShift operations, chosen uniformly at random
 // per operation (a per-thread PRNG costing a few nanoseconds, no shared

@@ -1,6 +1,7 @@
 package segq
 
 import (
+	"slices"
 	"time"
 
 	"synchq/internal/core"
@@ -35,9 +36,9 @@ import (
 // worth of poisoned cells for the unlinker to reap.
 
 // pendingInstall records one cell this batch installed an ITEM into and
-// has not yet seen resolved. The slice of these lives in the claimant's
-// stack frame — batch bookkeeping is local memory; only the cells
-// themselves are shared.
+// has not yet seen resolved. A run installs at most SegSize of these, so
+// putRun keeps them in a fixed array in its own stack frame — batch
+// bookkeeping is local memory; only the cells themselves are shared.
 type pendingInstall[T any] struct {
 	s *segment[T]
 	c *cell[T]
@@ -115,14 +116,16 @@ func (q *Queue[T]) putRun(chunk []T, deadline time.Time, cancel <-chan struct{})
 	base := q.putc.Add(k) - k
 	q.f.Preempt(fault.SegBatchPause)
 
-	var pending []pendingInstall[T]
+	// Runs are capped at SegSize, so fixed arrays keep the bookkeeping on
+	// the stack: pendBuf backs the run's pending installs, and done marks
+	// which chunk positions were delivered, for the partial-fill
+	// compaction below.
+	var pendBuf [SegSize]pendingInstall[T]
+	pending := pendBuf[:0]
+	var done [SegSize]bool
 	itemIdx := 0
 	closedHit := false
 	timedOut := false
-	// done marks which chunk positions were delivered, for the partial-fill
-	// compaction below. Runs are capped at SegSize, so a fixed array keeps
-	// the bookkeeping on the stack.
-	var done [SegSize]bool
 
 sweep:
 	for j := uint64(0); j < k && itemIdx < len(chunk); j++ {
@@ -299,6 +302,11 @@ sweep:
 // OK when the batch ended normally, Timeout/Canceled when the first wait
 // aborted with nothing taken, Closed when the queue shut down (values
 // already taken stay in buf).
+//
+// Once the first take succeeds, buf is grown once to hold that value plus
+// the committed-producer surplus (capped at max-1) the fill will claim, so
+// a nil buf costs one allocation rather than a doubling per item; only
+// producers that commit during the fill can grow it again.
 func (q *Queue[T]) TakeBatch(buf []T, max int, deadline time.Time, cancel <-chan struct{}) ([]T, Status) {
 	if max <= 0 {
 		return buf, core.OK
@@ -307,6 +315,14 @@ func (q *Queue[T]) TakeBatch(buf []T, max int, deadline time.Time, cancel <-chan
 	if st != core.OK {
 		return buf, st
 	}
+	room := int64(max - 1)
+	if avail := int64(q.putc.Load() - q.takec.Load()); avail < room {
+		room = avail
+	}
+	if room < 0 {
+		room = 0
+	}
+	buf = slices.Grow(buf, 1+int(room))
 	buf = append(buf, v)
 	taken := 1
 	for taken < max {

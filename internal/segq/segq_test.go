@@ -263,30 +263,80 @@ func TestTicketClosedWhileWaiting(t *testing.T) {
 	}
 }
 
-// TestSegmentedAllocBudget checks the core's headline memory claim: the
+// TestSegmentedAllocBudget checks the core's headline memory claims: the
 // segment amortizes its allocation across SegSize hand-offs, so a
-// steady-state transfer allocates well under one object per operation.
+// steady-state transfer allocates well under one object per operation,
+// and a batch adds no per-item bookkeeping on top of its segments.
 func TestSegmentedAllocBudget(t *testing.T) {
-	q := New[int64](core.WaitConfig{})
-	var consumed sync.WaitGroup
-	consumed.Add(1)
-	go func() {
-		defer consumed.Done()
-		for {
-			if _, st := q.TakeDeadline(time.Now().Add(time.Second), nil); st != core.OK {
-				return
+	const batch = 32
+	for _, tc := range []struct {
+		name string
+		// take is the consumer's loop body; round is one measured
+		// producer round.
+		take  func(q *Queue[int64]) core.Status
+		round func(q *Queue[int64], items []int64)
+		// budget bounds objects per round, consumer side included;
+		// raceSlack widens it under -race.
+		budget, raceSlack float64
+		why               string
+	}{
+		{
+			name: "put",
+			take: func(q *Queue[int64]) core.Status {
+				_, st := q.TakeDeadline(time.Now().Add(time.Second), nil)
+				return st
+			},
+			round: func(q *Queue[int64], _ []int64) { q.Put(1) },
+			// Two parked sides can each allocate timers/notifiers
+			// occasionally; the budget just has to stay clearly below
+			// one-object-per-op to prove amortization works.
+			budget: 0.75,
+			why:    "want amortized < 0.75",
+		},
+		{
+			// A 32-item PutBatch against TakeBatch(nil, 32): the
+			// segments the items pass through (two per round) and one
+			// result slice per TakeBatch call are all that may reach
+			// the heap. Growing putRun's pending installs or the result
+			// by doubling costs about five objects per 16-cell run.
+			name: "batch",
+			take: func(q *Queue[int64]) core.Status {
+				_, st := q.TakeBatch(nil, batch, time.Now().Add(time.Second), nil)
+				return st
+			},
+			round: func(q *Queue[int64], items []int64) {
+				if n, st := q.PutBatch(items, time.Time{}, nil); n != len(items) || st != core.OK {
+					panic("PutBatch did not deliver the whole batch")
+				}
+			},
+			budget:    6,
+			raceSlack: 6,
+			why:       "want the segments plus one result slice per take, not a doubling per item",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := New[int64](core.WaitConfig{})
+			var consumed sync.WaitGroup
+			consumed.Add(1)
+			go func() {
+				defer consumed.Done()
+				for tc.take(q) == core.OK {
+				}
+			}()
+			items := make([]int64, batch)
+			const rounds = 2000
+			allocs := testing.AllocsPerRun(rounds, func() { tc.round(q, items) })
+			q.Close()
+			consumed.Wait()
+			budget := tc.budget
+			if raceEnabled {
+				budget += tc.raceSlack
 			}
-		}
-	}()
-	const rounds = 2000
-	allocs := testing.AllocsPerRun(rounds, func() { q.Put(1) })
-	q.Close()
-	consumed.Wait()
-	// Two parked sides can each allocate timers/notifiers occasionally;
-	// the budget just has to stay clearly below one-object-per-op to
-	// prove amortization works.
-	if allocs > 0.75 {
-		t.Fatalf("Put allocates %.2f objects/op, want amortized < 0.75", allocs)
+			if allocs > budget {
+				t.Fatalf("%s allocates %.2f objects/round, %s (budget %.2f)", tc.name, allocs, tc.why, budget)
+			}
+			t.Logf("%s: %.2f objects/round", tc.name, allocs)
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -87,7 +88,16 @@ func TestPutTakePairsAcrossShards(t *testing.T) {
 			}
 		}(int64(w) * (n / workers))
 	}
-	wg.Wait()
+	// A stranded pair parks both sides forever; bound the wait so the hang
+	// fails with every goroutine's stack instead of stalling the run.
+	finished := make(chan struct{})
+	go func() { wg.Wait(); close(finished) }()
+	select {
+	case <-finished:
+	case <-time.After(30 * time.Second):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("workers still blocked after 30s (stranded hand-off); goroutines:\n%s", buf[:runtime.Stack(buf, true)])
+	}
 	if want := int64(n) * (n - 1) / 2; sum != want {
 		t.Errorf("sum of transferred values = %d, want %d (lost or duplicated hand-off)", sum, want)
 	}

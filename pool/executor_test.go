@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"synchq"
 	"synchq/internal/fault"
 )
 
@@ -164,6 +165,71 @@ func TestWaitPolicyHonorsCancellation(t *testing.T) {
 	close(gate)
 	p.Shutdown()
 	p.Wait()
+}
+
+// TestBlockedSubmitContextParksNoExtraGoroutine: a SubmitContext blocked
+// under the Wait policy must cost only its own goroutine. Its context and
+// the pool's shutdown both wake it through context.AfterFunc
+// registrations, not a merger goroutine per submission; half the blocked
+// submitters here are woken by cancellation and the rest by Shutdown.
+func TestBlockedSubmitContextParksNoExtraGoroutine(t *testing.T) {
+	q := &offerCountingQueue{SynchronousQueue: synchq.New[Task](synchq.Fair(false))}
+	p := New(q, Config{KeepAlive: time.Minute, MaxWorkers: 1, OnSaturation: Wait})
+	gate := make(chan struct{})
+	if err := p.Submit(func() { <-gate }); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "worker busy", func() bool { return p.Stats().Active == 1 })
+
+	const n = 16
+	before := runtime.NumGoroutine()
+	cancels := make([]context.CancelFunc, n)
+	res := make(chan error, n)
+	for i := range cancels {
+		var ctx context.Context
+		ctx, cancels[i] = context.WithCancel(context.Background())
+		go func() { res <- p.SubmitContext(ctx, func() {}) }()
+	}
+	waitFor(t, "submitters blocked in OfferWait", func() bool { return q.offering.Load() == n })
+	if grew := runtime.NumGoroutine() - before; grew > n+n/4 {
+		t.Fatalf("%d blocked SubmitContext calls added %d goroutines, want about %d (one each)", n, grew, n)
+	}
+
+	for _, cancel := range cancels[:n/2] {
+		cancel()
+	}
+	for i := 0; i < n/2; i++ {
+		if err := <-res; !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled blocked Submit = %v, want Canceled", err)
+		}
+	}
+	p.Shutdown()
+	for i := 0; i < n/2; i++ {
+		if err := <-res; !errors.Is(err, ErrShutdown) {
+			t.Fatalf("blocked Submit at Shutdown = %v, want ErrShutdown", err)
+		}
+	}
+	for _, cancel := range cancels[n/2:] {
+		cancel()
+	}
+	close(gate)
+	p.Wait()
+	waitFor(t, "goroutines to settle", func() bool {
+		return runtime.NumGoroutine() <= before-1 // the gated worker has exited too
+	})
+}
+
+// offerCountingQueue counts the OfferWait calls in progress, so a test
+// can wait until every blocked submitter has reached its blocking offer.
+type offerCountingQueue struct {
+	*synchq.SynchronousQueue[Task]
+	offering atomic.Int64
+}
+
+func (q *offerCountingQueue) OfferWait(t Task, deadline time.Time, cancel <-chan struct{}) bool {
+	q.offering.Add(1)
+	defer q.offering.Add(-1)
+	return q.SynchronousQueue.OfferWait(t, deadline, cancel)
 }
 
 // TestBlockWithDeadlinePolicy bounds backpressure: the blocked offer gives

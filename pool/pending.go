@@ -2,7 +2,6 @@ package pool
 
 import (
 	"sync/atomic"
-	"time"
 
 	"synchq/internal/metrics"
 )
@@ -27,15 +26,18 @@ const (
 	envAborted
 )
 
-// taskEnv is the admission envelope of one submitted task.
+// taskEnv is the admission envelope of one submitted task. Every accepted
+// task allocates one, so it is kept to 48 bytes: the deadline is a single
+// word on the metrics.Nanos clock rather than a 24-byte time.Time, and
+// state and linked share the last word.
 type taskEnv struct {
-	t        Task
-	deadline time.Time
-	enq      int64 // sampled queue-wait clock (metrics.Handle.Start)
-	state    atomic.Int32
+	t   Task
+	due int64 // metrics.Nanos deadline; 0 means none
+	enq int64 // sampled queue-wait clock (metrics.Handle.Start)
 
 	prev, next *taskEnv // intrusive pending list, guarded by Pool.pendMu
-	linked     bool
+	state      atomic.Int32
+	linked     bool // guarded by Pool.pendMu
 }
 
 // claim attempts to move the envelope from pending to the given terminal

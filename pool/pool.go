@@ -193,7 +193,9 @@ type Pool struct {
 	workers  atomic.Int64 // live worker goroutines
 	shut     atomic.Bool
 	draining atomic.Bool
-	shutCh   chan struct{} // closed by Shutdown; wakes blocking queue ops
+	shutCtx  context.Context    // canceled by Shutdown
+	shutDown context.CancelFunc // cancels shutCtx
+	shutCh   <-chan struct{}    // shutCtx.Done(); wakes blocking queue ops
 	wg       sync.WaitGroup
 
 	// Admission budget: a semaphore of MaxPending tokens (nil when
@@ -257,8 +259,9 @@ func New(q Queue, cfg Config) *Pool {
 		patience:  patience,
 		h:         cfg.Metrics,
 		inj:       cfg.Fault,
-		shutCh:    make(chan struct{}),
 	}
+	p.shutCtx, p.shutDown = context.WithCancel(context.Background())
+	p.shutCh = p.shutCtx.Done()
 	if wq, ok := q.(WaitQueue); ok {
 		p.wq = wq
 	}
@@ -348,7 +351,11 @@ func (p *Pool) submit(ctx context.Context, t Task) error {
 		return err
 	}
 
-	env := &taskEnv{t: t, deadline: deadline}
+	env := &taskEnv{t: t}
+	if !deadline.IsZero() {
+		// Positive: the deadline was checked unexpired above.
+		env.due = metrics.NanosAt(deadline)
+	}
 	p.link(env)
 	p.inj.Preempt(fault.PoolAdmitPause)
 
@@ -527,30 +534,23 @@ func (p *Pool) offerBlocking(env *taskEnv, wrapper Task, ctx context.Context, bo
 	}
 }
 
-// mergedCancel returns a channel that fires when either the context or
-// the pool's shutdown channel fires, plus a release for the merger
-// goroutine. When the context can never fire, the shutdown channel is
-// used directly and no goroutine is spawned.
+// mergedCancel returns a channel that fires when either the context is
+// done or the pool shuts down, plus a release for the two registrations.
+// Both wake-ups are context.AfterFunc callbacks, so a blocked submission
+// costs no goroutine beyond the submitter's. When the context can never
+// fire, the shutdown channel is used directly.
 func (p *Pool) mergedCancel(ctx context.Context) (<-chan struct{}, func()) {
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	if done == nil {
+	if ctx == nil || ctx.Done() == nil {
 		return p.shutCh, func() {}
 	}
 	out := make(chan struct{})
-	stop := make(chan struct{})
-	go func() {
-		select {
-		case <-done:
-			close(out)
-		case <-p.shutCh:
-			close(out)
-		case <-stop:
-		}
-	}()
-	return out, func() { close(stop) }
+	fire := sync.OnceFunc(func() { close(out) })
+	stopCtx := context.AfterFunc(ctx, fire)
+	stopShut := context.AfterFunc(p.shutCtx, fire)
+	return out, func() {
+		stopCtx()
+		stopShut()
+	}
 }
 
 // refuse tallies an admission refusal (expired deadlines doubly so).
@@ -681,7 +681,7 @@ func (p *Pool) dispatch(env *taskEnv) {
 	}
 	p.settle(env)
 	p.h.Since(metrics.QueueWaitNs, env.enq)
-	if !env.deadline.IsZero() && !time.Now().Before(env.deadline) {
+	if env.due != 0 && metrics.Nanos() >= env.due {
 		p.shedN.Add(1)
 		p.h.Inc(metrics.TasksShed)
 		return
@@ -750,7 +750,7 @@ func (p *Pool) Shutdown() {
 	if p.shut.Swap(true) {
 		return
 	}
-	close(p.shutCh)
+	p.shutDown()
 	if p.wq != nil {
 		return // blocking polls observe shutCh directly
 	}
