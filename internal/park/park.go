@@ -179,17 +179,3 @@ func (p *Parker) ParkDeadline(deadline time.Time) bool {
 	}
 	return p.wait(deadline, nil, true) == Unparked
 }
-
-// ParkChan blocks until the permit is available or the given channel is
-// closed/receives (typically ctx.Done()). It returns true if the permit was
-// consumed, false if the channel fired first. Like ParkTimeout it honors
-// the injector's spurious-unpark site, so context-cancel waits are
-// chaos-testable: a faulty ParkChan may return true without a permit and
-// callers must re-validate.
-func (p *Parker) ParkChan(cancel <-chan struct{}) bool {
-	if cancel == nil {
-		p.Park()
-		return true
-	}
-	return p.wait(time.Time{}, cancel, true) == Unparked
-}

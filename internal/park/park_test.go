@@ -105,23 +105,6 @@ func TestParkDeadlineZeroMeansForever(t *testing.T) {
 	}
 }
 
-func TestParkChan(t *testing.T) {
-	p := New()
-	cancel := make(chan struct{})
-	done := make(chan bool)
-	go func() { done <- p.ParkChan(cancel) }()
-	time.Sleep(10 * time.Millisecond)
-	close(cancel)
-	if ok := <-done; ok {
-		t.Fatal("ParkChan reported a permit when the cancel fired")
-	}
-	// nil channel waits for the permit.
-	p.Unpark()
-	if !p.ParkChan(nil) {
-		t.Fatal("ParkChan(nil) missed a stored permit")
-	}
-}
-
 func TestWaitResults(t *testing.T) {
 	p := New()
 	p.Unpark()
@@ -143,6 +126,15 @@ func TestWaitResults(t *testing.T) {
 	p.Unpark()
 	if r := p.Wait(time.Now().Add(time.Hour), cancel); r != Unparked {
 		t.Fatalf("Wait = %v, want Unparked (fast path)", r)
+	}
+	// A cancel closed while the waiter is blocked wakes it as Canceled.
+	blocked := make(chan struct{})
+	done := make(chan WaitResult)
+	go func() { done <- p.Wait(time.Time{}, blocked) }()
+	time.Sleep(10 * time.Millisecond)
+	close(blocked)
+	if r := <-done; r != Canceled {
+		t.Fatalf("Wait = %v, want Canceled (cancel while blocked)", r)
 	}
 }
 

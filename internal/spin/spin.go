@@ -1,5 +1,5 @@
-// Package spin provides bounded busy-wait and backoff helpers used by the
-// synchronous queue implementations.
+// Package spin provides the spin budgets and the busy-wait step used by the
+// synchronous queue implementations' spin-then-park waits.
 //
 // The paper's pragmatics section prescribes a spin-then-park waiting policy:
 // on multiprocessors, a thread next in line for fulfillment spins briefly
@@ -9,11 +9,7 @@
 // collapses to zero there.
 package spin
 
-import (
-	"runtime"
-	"sync/atomic"
-	"time"
-)
+import "runtime"
 
 // multicore records whether more than one logical CPU is available to the
 // scheduler. It is sampled once at startup; GOMAXPROCS changes at runtime are
@@ -37,15 +33,6 @@ const (
 	MaxUntimedSpins = MaxTimedSpins * 16
 )
 
-// TimedSpins returns the platform-appropriate spin budget for a timed wait:
-// zero on a uniprocessor, MaxTimedSpins otherwise.
-func TimedSpins() int {
-	if !multicore {
-		return 0
-	}
-	return MaxTimedSpins
-}
-
 // UntimedSpins returns the platform-appropriate spin budget for an untimed
 // wait: zero on a uniprocessor, MaxUntimedSpins otherwise.
 func UntimedSpins() int {
@@ -64,70 +51,3 @@ func Pause(i int) {
 		runtime.Gosched()
 	}
 }
-
-// Backoff implements randomized-free exponential backoff for CAS retry
-// loops. The zero value is ready to use.
-type Backoff struct {
-	n    int
-	caps int // consecutive waits spent at the cap since the last reset
-}
-
-// backoffMaxShift caps the exponential ramp (a 1<<backoffMaxShift ns sleep);
-// backoffCapResets is how many consecutive cap-level waits are tolerated
-// before the ramp restarts from the beginning.
-const (
-	backoffMaxShift  = 8
-	backoffCapResets = 4
-)
-
-// Wait backs off for a duration that doubles with each call, starting from a
-// single yield and capping at a small sleep. It resets automatically after
-// the cap is reached several times, which avoids unbounded punishment of an
-// unlucky thread: after backoffCapResets consecutive cap-level sleeps the
-// ramp restarts from a single yield, so a thread that was merely unlucky
-// gets to probe cheaply again instead of sleeping at the cap forever.
-func (b *Backoff) Wait() {
-	if b.n < backoffMaxShift {
-		b.n++
-	} else {
-		b.caps++
-		if b.caps >= backoffCapResets {
-			b.caps = 0
-			b.n = 1 // restart the ramp at the initial yield
-		}
-	}
-	if b.n <= 3 {
-		runtime.Gosched()
-		return
-	}
-	// 1<<4 .. 1<<8 iterations of yielding, then a timed sleep as a last
-	// resort under pathological contention.
-	if b.n < backoffMaxShift {
-		for i := 0; i < 1<<b.n; i++ {
-			runtime.Gosched()
-		}
-		return
-	}
-	time.Sleep(time.Duration(1<<b.n) * time.Nanosecond)
-}
-
-// Reset clears the backoff state after a successful operation.
-func (b *Backoff) Reset() { b.n, b.caps = 0, 0 }
-
-// Counter is a cache-padded event counter used by the benchmark harness and
-// the stress tester to tally transfers without introducing false sharing
-// between threads that would distort the measurements.
-type Counter struct {
-	_ [64]byte
-	v atomic.Int64
-	_ [64]byte
-}
-
-// Add increments the counter by delta.
-func (c *Counter) Add(delta int64) { c.v.Add(delta) }
-
-// Load returns the current value.
-func (c *Counter) Load() int64 { return c.v.Load() }
-
-// Store sets the counter to v.
-func (c *Counter) Store(v int64) { c.v.Store(v) }

@@ -277,9 +277,10 @@ func New(q Queue, cfg Config) *Pool {
 }
 
 // NewFixed returns a fixed-size pool of n workers fed through an unbounded
-// buffered queue (the nonblocking dual queue of Scherer & Scott 2004 in
-// its data-buffering mode): Submit never blocks and never spawns beyond n,
-// and the n workers never expire. It is the analogue of
+// buffered queue (NewBuffered: the transfer queue's asynchronous deposits,
+// which make it the nonblocking dual queue of Scherer & Scott 2004 in its
+// data-buffering mode): Submit never blocks and never spawns beyond n, and
+// the n workers never expire. It is the analogue of
 // java.util.concurrent.newFixedThreadPool, provided as the buffered
 // counterpoint to the synchronous cached pool.
 func NewFixed(n int) *Pool {

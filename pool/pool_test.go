@@ -460,4 +460,58 @@ func TestBufferedQueueFIFO(t *testing.T) {
 	if _, ok := q.PollTimeout(5 * time.Millisecond); ok {
 		t.Fatal("PollTimeout succeeded on drained buffer")
 	}
+
+	// DrainTo claims exactly the oldest max deposits, in order.
+	for i := 1; i <= 3; i++ {
+		i := i
+		q.Offer(func() { order <- i })
+	}
+	batch := q.(BatchQueue).DrainTo(nil, 2)
+	if len(batch) != 2 {
+		t.Fatalf("DrainTo(nil, 2) over 3 deposits returned %d tasks", len(batch))
+	}
+	for i, task := range batch {
+		task()
+		if got := <-order; got != i+1 {
+			t.Fatalf("DrainTo task %d ran %d, want %d", i, got, i+1)
+		}
+	}
+	if task, ok := q.PollTimeout(time.Second); !ok {
+		t.Fatal("the deposit DrainTo left behind is missing")
+	} else if task(); <-order != 3 {
+		t.Fatal("the deposit DrainTo left behind is not the newest")
+	}
+
+	// A PollWait with no deadline withdraws when its cancel fires while
+	// it waits, and the withdrawn reservation swallows nothing: the next
+	// offer goes to the next poll.
+	wq := q.(WaitQueue)
+	cancel := make(chan struct{})
+	type polled struct {
+		task Task
+		ok   bool
+	}
+	res := make(chan polled)
+	go func() {
+		task, ok := wq.PollWait(time.Time{}, cancel)
+		res <- polled{task, ok}
+	}()
+	time.Sleep(10 * time.Millisecond)
+	close(cancel)
+	select {
+	case r := <-res:
+		if r.ok || r.task != nil {
+			t.Fatalf("canceled PollWait = (%v, %v), want (nil, false)", r.task, r.ok)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("PollWait never observed its cancel")
+	}
+	q.Offer(func() { order <- 4 })
+	task, ok := wq.PollWait(time.Now().Add(time.Second), nil)
+	if !ok {
+		t.Fatal("offer after a canceled PollWait was not delivered to the next poll")
+	}
+	if task(); <-order != 4 {
+		t.Fatal("next poll after a canceled PollWait ran the wrong task")
+	}
 }
