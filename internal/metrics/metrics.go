@@ -55,7 +55,9 @@ const (
 	Parks
 	// Unparks counts permits delivered to blocked or about-to-block
 	// waiters (coalesced unparks of an already-available permit are not
-	// counted).
+	// counted). The segmented core unparks only waiters that published a
+	// parker, so a hand-off whose waiter was resolved before its spin
+	// phase ended counts no unpark.
 	Unparks
 	// Fulfillments counts matched put/take pairs, tallied once per pair
 	// by the fulfilling side.

@@ -138,7 +138,7 @@ sweep:
 			q.m.Inc(metrics.CleanSweeps)
 			continue
 		}
-		c := &s.cells[i&segMask]
+		c := s.at(i)
 	cell:
 		for {
 			switch c.state.Load() {
@@ -211,7 +211,7 @@ sweep:
 				q.resolveCell(s)
 				q.m.Inc(metrics.Fulfillments)
 				q.f.Preempt(fault.SegResolvePause)
-				c.wp.Unpark()
+				c.wake()
 				delivered++
 				done[itemIdx] = true
 				itemIdx++
@@ -368,7 +368,7 @@ func (q *Queue[T]) takeRun(buf *[]T, max int) (int, Status) {
 			q.m.Inc(metrics.CleanSweeps)
 			continue // unlinked: dead index
 		}
-		v, tk, st, ok := q.arriveAt(s, &s.cells[i&segMask], i, false, zero, expired, 0, &q.putc)
+		v, tk, st, ok := q.arriveAt(s, s.at(i), i, false, zero, expired, 0, &q.putc)
 		if !ok {
 			continue // BROKEN on arrival: dead index
 		}

@@ -18,7 +18,7 @@ func TestCommitDeclineWithdraws(t *testing.T) {
 		q := New[*int](core.WaitConfig{})
 		var c *cell[*int]
 		st := q.PutCommit(new(int), time.Time{}, nil, func() bool {
-			c = &q.head.Load().cells[0]
+			c = q.head.Load().at(0)
 			return false
 		})
 		if st != core.Withdrawn {

@@ -5,40 +5,54 @@ import (
 	"unsafe"
 )
 
-// Whitebox layout audit for the segmented core: the whole point of the
-// segment is that adjacent claimants touch adjacent memory *on purpose*,
-// so each cell must own a full cache line and the shared header must not
-// share a line with cells[0]. These assertions are what "cache-line-
-// aligned segments" means, checked rather than assumed; a field added
-// without re-padding fails here, not in a benchmark regression.
+// Whitebox layout audit for the segmented core. Cells are packed two to a
+// cache line, so a segment is one small allocation; the remap in
+// segment.at keeps adjacent claimants — who touch their cells at the same
+// moment — on different lines, and the shared header must not share a
+// line with the cells. These assertions check that layout rather than
+// assume it; a field added without re-padding fails here, not in a
+// benchmark regression.
 
 const cacheLine = 64
 
-func TestCellOwnsACacheLine(t *testing.T) {
+func TestHalfLineCellsRemapped(t *testing.T) {
 	var c cell[int64]
-	if got := unsafe.Sizeof(c); got != cacheLine {
-		t.Fatalf("cell[int64] size = %d, want exactly %d: a waiter's state+parker must not share a line with its neighbor's", got, cacheLine)
+	if got := unsafe.Sizeof(c); got != cacheLine/2 {
+		t.Fatalf("cell[int64] size = %d, want exactly %d: two cells must fill one line", got, cacheLine/2)
 	}
-	// The hot fields of one hand-off sit together at the front of the line.
 	if off := unsafe.Offsetof(c.state); off != 0 {
 		t.Fatalf("cell.state offset = %d, want 0", off)
 	}
-	if off := unsafe.Offsetof(c.v); off >= cacheLine {
-		t.Fatalf("cell.v offset = %d, spills past the cell's line", off)
+	s := new(segment[int64])
+	if got := unsafe.Sizeof(*s); got != 576 {
+		t.Fatalf("segment[int64] size = %d, want 576: one size class, 36 bytes per transfer", got)
+	}
+	line := func(i uint64) uintptr {
+		return (uintptr(unsafe.Pointer(s.at(i))) - uintptr(unsafe.Pointer(s))) / cacheLine
+	}
+	seen := make(map[*cell[int64]]bool, SegSize)
+	for j := uint64(0); j < SegSize; j++ {
+		if seen[s.at(j)] {
+			t.Fatalf("at(%d) maps onto a cell already used by a lower index", j)
+		}
+		seen[s.at(j)] = true
+		if a, b := line(j), line(j+1); a == b {
+			t.Errorf("at(%d) and at(%d) share cache line %d: neighboring claimants would false-share", j, j+1, a)
+		}
 	}
 }
 
 func TestSegmentHeaderIsolatedFromCells(t *testing.T) {
 	var s segment[int64]
 	if off := unsafe.Offsetof(s.cells); off%cacheLine != 0 {
-		t.Fatalf("segment.cells offset = %d, want a multiple of %d so cell i lands on line i", off, cacheLine)
+		t.Fatalf("segment.cells offset = %d, want a multiple of %d so cell pairs fill whole lines", off, cacheLine)
 	}
 	if off := unsafe.Offsetof(s.cells); off < cacheLine {
 		t.Fatalf("segment.cells offset = %d: header (next/prev/resolved, all CASed during unlink) shares a line with cells[0]", off)
 	}
 	want := unsafe.Offsetof(s.cells) + SegSize*unsafe.Sizeof(s.cells[0])
 	if got := unsafe.Sizeof(s); got != want {
-		t.Fatalf("segment size = %d, want %d (header padding + %d full-line cells)", got, want, SegSize)
+		t.Fatalf("segment size = %d, want %d (header padding + %d half-line cells)", got, want, SegSize)
 	}
 }
 
@@ -58,5 +72,10 @@ func TestQueueCountersOnDistinctLines(t *testing.T) {
 			t.Errorf("%s (offset %d) shares cache line %d with %s: every F&A on one side would invalidate the other", name, off, line, prev)
 		}
 		lines[line] = name
+	}
+	// The parker free list is written on every parked wait; the fields
+	// before it are read on every operation.
+	if unsafe.Offsetof(q.parkers)/cacheLine <= unsafe.Offsetof(q.f)/cacheLine {
+		t.Errorf("parkers (offset %d) shares a cache line with the read-mostly fields before it", unsafe.Offsetof(q.parkers))
 	}
 }

@@ -6,13 +6,21 @@
 // and chase pointers on every hand-off, this core follows the F&A designs
 // that came after the paper (Nikolaev's SCQ/LCRQ family and the CQS
 // cancellable-synchronizer framework, see PAPERS.md): the structure is an
-// infinite logical array of hand-off cells, emulated by fixed-size,
-// cache-line-aligned segments in a linked list. Two fetch-and-add counters
-// claim indexes into the array — the i-th producer and the i-th consumer
-// rendezvous at cell i — so the hot path is one F&A plus one CAS per
-// side, with no head/tail CAS retry storm and no per-operation node
-// allocation (a segment of segSize cells amortizes one allocation across
-// segSize transfers).
+// infinite logical array of hand-off cells, emulated by fixed-size
+// segments in a linked list. Two fetch-and-add counters claim indexes into
+// the array — the i-th producer and the i-th consumer rendezvous at cell
+// i — so the hot path is one F&A plus one CAS per side, with no head/tail
+// CAS retry storm and no per-operation node allocation (a segment of
+// SegSize cells amortizes one allocation across SegSize transfers).
+//
+// # Cell layout
+//
+// Cells are packed two to a cache line (32 bytes for word-sized payloads),
+// so a segment is one 576-byte allocation: 36 bytes per transfer. To keep
+// neighboring claimants off each other's line anyway, the segment stores
+// logical cell j in slot (j&7)<<1 | j>>3 (SCQ's cache remap): consecutive
+// indexes always land on different lines, and the two cells that do share
+// a line are eight claims apart.
 //
 // # Cell state machine
 //
@@ -27,8 +35,12 @@
 //
 // DONE, BROKEN, and CLOSED are terminal. The first arrival installs
 // itself (depositing its value first, for the producer) and waits
-// spin-then-park on the cell's embedded parker; the second arrival
-// resolves the cell with a single CAS and unparks. An aborting waiter
+// spin-then-park; the second arrival resolves the cell with a single CAS
+// and then unparks whatever parker the waiter has published in the cell.
+// A cell carries no parker of its own: a waiter whose spin phase ends
+// borrows one from the queue's free list, stores it into the cell, and
+// re-reads the state before blocking (see cellWait.Arm), so a waiter that
+// never parks never touches a parker at all. An aborting waiter
 // (timeout, cancel) CASes its own installed state to BROKEN — exactly one
 // of {resolver, aborter} wins, which is the linearization the paper's
 // timed operations need. A party that arrives at an already-BROKEN cell
@@ -77,6 +89,10 @@ const (
 	segMask = SegSize - 1
 	// spareCap bounds the free list of never-linked spare segments.
 	spareCap = 4
+	// parkerCap bounds the free list of lent parkers. It only has to cover
+	// the waiters that are parked at once in steady state; a burst beyond
+	// it allocates fresh parkers and drops the surplus on return.
+	parkerCap = 8
 )
 
 // Cell states. EMPTY must be zero: fresh segments are zeroed allocations.
@@ -93,24 +109,18 @@ const (
 // every closed-queue panic reads the same regardless of core.
 const errClosedDemand = "synchq: queue closed"
 
-// cell is one hand-off rendezvous. The embedded parker makes the slow
-// path allocation-free (its notifier channel is pooled by internal/park),
-// and the trailing pad keeps cells on distinct cache lines for word-sized
-// payloads, so a spinning waiter does not share its line with the
-// neighboring cells' resolution CASes (the layout test pins this down).
-//
-// The parker is shared by both sides of the rendezvous, so it is armed
-// once when the segment is created and never reset afterward: an
-// installer that called Init before its install CAS could lose that CAS
-// to the counterpart and wipe the winner's live park state — the winner
-// would then sleep through its own fulfillment's Unpark. Cells are
-// single-install (exactly one EMPTY→ITEM/WAITER winner ever), so a
-// birth-time arming is all the preparation a parker needs.
+// cell is one hand-off rendezvous. w is the parker the installed waiter
+// borrowed for its slow path (nil until its spin phase ends); every
+// resolver makes its terminal CAS on state first and only then loads w,
+// the mirror of the waiter's store-w-then-reload-state (see cellWait.Arm).
+// The trailing pad makes the cell 32 bytes for word-sized payloads, so two
+// cells fill one cache line exactly (the layout test pins this down, and
+// segment.at keeps neighboring indexes on different lines).
 type cell[T any] struct {
 	state atomic.Uint32
-	wp    park.Parker
+	w     atomic.Pointer[park.Parker]
 	v     T
-	_     [16]byte
+	_     [8]byte
 }
 
 // segment is one fixed-size block of the infinite cell array. The header
@@ -123,6 +133,14 @@ type segment[T any] struct {
 	resolved atomic.Int32
 	_        [64 - 3*8 - 4]byte
 	cells    [SegSize]cell[T]
+}
+
+// at returns the cell for claim index i. Logical cell j lives in slot
+// (j&7)<<1 | j>>3: slots 2k and 2k+1 share a line, and they hold cells k
+// and k+8, so consecutive claimants never touch the same line.
+func (s *segment[T]) at(i uint64) *cell[T] {
+	j := i & segMask
+	return &s.cells[(j&7)<<1|j>>3]
 }
 
 // removed reports whether every cell in s reached a terminal state — the
@@ -157,13 +175,26 @@ type Queue[T any] struct {
 	cal *spin.Calibrator
 	m   *metrics.Handle
 	f   *fault.Injector
+
+	// parkers is the bounded free list of parkers lent to waiting cells:
+	// a nil slot is empty. Slots rather than a channel, because a channel
+	// takes its lock on every lend and return, and every parked wait
+	// makes both. The pad keeps those writes off the line of the fields
+	// above, which every operation reads.
+	_       [64]byte
+	parkers [parkerCap]atomic.Pointer[park.Parker]
 }
 
 // New returns an empty segmented synchronous queue with the given wait
 // policy (use the zero WaitConfig for the paper's defaults).
 func New[T any](cfg core.WaitConfig) *Queue[T] {
-	q := &Queue[T]{cal: spin.NewCalibrator(cfg.Spins), m: cfg.Metrics, f: cfg.Fault, spare: make(chan *segment[T], spareCap)}
-	first := q.newSegment(0)
+	q := &Queue[T]{
+		cal:   spin.NewCalibrator(cfg.Spins),
+		m:     cfg.Metrics,
+		f:     cfg.Fault,
+		spare: make(chan *segment[T], spareCap),
+	}
+	first := &segment[T]{}
 	q.head.Store(first)
 	q.putSeg.Store(first)
 	q.takeSeg.Store(first)
@@ -176,20 +207,8 @@ func (q *Queue[T]) Metrics() *metrics.Handle { return q.m }
 
 // ---- segment list maintenance ---------------------------------------------
 
-// newSegment allocates a segment for id and arms every cell's parker
-// while the segment is still private (see the cell comment: the shared
-// parkers must never be touched again after the segment is published).
-func (q *Queue[T]) newSegment(id uint64) *segment[T] {
-	s := &segment[T]{id: id}
-	for j := range s.cells {
-		s.cells[j].wp.Init(q.m, q.f)
-	}
-	return s
-}
-
 // getSegment serves a fresh segment for id, preferring the spare list.
-// A recycled spare was never linked, so its cells — parkers included —
-// are still in their armed birth state.
+// A recycled spare was never linked, so its cells are still zero.
 func (q *Queue[T]) getSegment(id uint64) *segment[T] {
 	select {
 	case s := <-q.spare:
@@ -199,7 +218,7 @@ func (q *Queue[T]) getSegment(id uint64) *segment[T] {
 	default:
 	}
 	q.m.Inc(metrics.NodeAllocs)
-	return q.newSegment(id)
+	return &segment[T]{id: id}
 }
 
 // putSpare recycles a segment that lost its append race. Only such
@@ -395,7 +414,7 @@ func (q *Queue[T]) arrive(isPut bool, v T, deadline time.Time) (T, Ticket[T], St
 			q.skipTo(ctr, s.id<<segShift)
 			continue
 		}
-		if v2, tk, st, ok := q.arriveAt(s, &s.cells[i&segMask], i, isPut, v, deadline, t0, other); ok {
+		if v2, tk, st, ok := q.arriveAt(s, s.at(i), i, isPut, v, deadline, t0, other); ok {
 			return v2, tk, st
 		}
 	}
@@ -434,11 +453,7 @@ func (q *Queue[T]) arriveAt(s *segment[T], c *cell[T], i uint64, isPut bool, v T
 				return zero, Ticket[T]{}, core.Timeout, true
 			}
 			// Install: value first — the counterpart reads it after
-			// acquiring our state CAS. The shared parker is already
-			// armed (at segment birth) and must NOT be reset here: if
-			// the install CAS below loses, the counterpart may already
-			// be parked on it, and a reset would wipe its park state
-			// and lose the fulfilling Unpark.
+			// acquiring our state CAS.
 			installed := cWaiter
 			if isPut {
 				c.v = v
@@ -475,7 +490,7 @@ func (q *Queue[T]) arriveAt(s *segment[T], c *cell[T], i uint64, isPut bool, v T
 			c.v = zero
 			q.m.Inc(metrics.Fulfillments)
 			q.f.Preempt(fault.SegResolvePause)
-			c.wp.Unpark()
+			c.wake()
 			q.m.Since(metrics.HandoffNs, t0)
 			return val, Ticket[T]{}, core.OK, true
 
@@ -498,7 +513,7 @@ func (q *Queue[T]) arriveAt(s *segment[T], c *cell[T], i uint64, isPut bool, v T
 			q.resolveCell(s)
 			q.m.Inc(metrics.Fulfillments)
 			q.f.Preempt(fault.SegResolvePause)
-			c.wp.Unpark()
+			c.wake()
 			q.m.Since(metrics.HandoffNs, t0)
 			return zero, Ticket[T]{}, core.OK, true
 
@@ -550,9 +565,53 @@ func (w cellWait[T]) Abort() bool {
 
 func (w cellWait[T]) SpinOK() bool { return w.committed }
 
-// Arm returns the cell's shared parker, armed once at segment birth (see
-// the cell comment) and never reset.
-func (w cellWait[T]) Arm() *park.Parker { return &w.c.wp }
+// Arm publishes a lent parker in the cell. park.Await re-reads Settled
+// before it first blocks, and every resolver CASes the state before it
+// loads w (cell.wake): with sequentially consistent atomics, either the
+// resolver sees the parker and unparks it, or the waiter sees the
+// terminal state and never blocks — the Dekker step the dual queue's
+// waiter field relies on too. Ticket.Await returns the parker.
+func (w cellWait[T]) Arm() *park.Parker {
+	p := w.q.lend()
+	w.c.w.Store(p)
+	return p
+}
+
+// lend hands a waiter a parker for its slow path, preferring the free
+// list. A parker is prepared with the queue's metrics and fault injector
+// once, when it is created, and never re-initialized: a late Unpark from a
+// previous borrower's resolver may still reach it, and re-initializing
+// would race that Unpark. The stray permit such an Unpark leaves costs the
+// next borrower one spurious wake-up, which park.Await re-validates like
+// any other.
+func (q *Queue[T]) lend() *park.Parker {
+	for i := range q.parkers {
+		if p := q.parkers[i].Load(); p != nil && q.parkers[i].CompareAndSwap(p, nil) {
+			return p
+		}
+	}
+	return park.NewFaulty(q.m, q.f)
+}
+
+// giveBack returns a lent parker to the free list once its borrower's wait
+// is over, dropping it when the list is full.
+func (q *Queue[T]) giveBack(p *park.Parker) {
+	for i := range q.parkers {
+		if q.parkers[i].Load() == nil && q.parkers[i].CompareAndSwap(nil, p) {
+			return
+		}
+	}
+}
+
+// wake unparks the cell's waiter, if it has published a parker. The
+// caller must have made the cell terminal with its own CAS first (see
+// cellWait.Arm); a waiter that has not armed yet will see that state
+// before it blocks.
+func (c *cell[T]) wake() {
+	if p := c.w.Load(); p != nil {
+		p.Unpark()
+	}
+}
 
 // ---- public operation surface ---------------------------------------------
 
@@ -695,7 +754,7 @@ func (q *Queue[T]) Close() {
 				}
 				if c.state.CompareAndSwap(st, cClosed) {
 					q.resolveCell(s)
-					c.wp.Unpark()
+					c.wake()
 					break
 				}
 			}

@@ -266,7 +266,9 @@ func TestTicketClosedWhileWaiting(t *testing.T) {
 // TestSegmentedAllocBudget checks the core's headline memory claims: the
 // segment amortizes its allocation across SegSize hand-offs, so a
 // steady-state transfer allocates well under one object per operation,
-// and a batch adds no per-item bookkeeping on top of its segments.
+// and a batch adds no per-item bookkeeping on top of its segments. The
+// byte limits pin the cell size: a 576-byte segment is 36 bytes per
+// transfer, where 64-byte cells with an embedded parker cost 72.
 func TestSegmentedAllocBudget(t *testing.T) {
 	const batch = 32
 	for _, tc := range []struct {
@@ -279,6 +281,14 @@ func TestSegmentedAllocBudget(t *testing.T) {
 		// raceSlack widens it under -race.
 		budget, raceSlack float64
 		why               string
+		// items is the number of transfers per round; maxBytes bounds
+		// heap bytes per transferred item (TotalAlloc delta / items),
+		// consumer side included, and raceBytes widens it under -race.
+		// Each limit sits halfway between the 36-byte cells and the
+		// former 72-byte ones (plus 8 bytes of result slice per batch
+		// item).
+		items               int
+		maxBytes, raceBytes float64
 	}{
 		{
 			name: "put",
@@ -290,8 +300,11 @@ func TestSegmentedAllocBudget(t *testing.T) {
 			// Two parked sides can each allocate timers/notifiers
 			// occasionally; the budget just has to stay clearly below
 			// one-object-per-op to prove amortization works.
-			budget: 0.75,
-			why:    "want amortized < 0.75",
+			budget:    0.75,
+			why:       "want amortized < 0.75",
+			items:     1,
+			maxBytes:  54,
+			raceBytes: 66,
 		},
 		{
 			// A 32-item PutBatch against TakeBatch(nil, 32): the
@@ -312,6 +325,9 @@ func TestSegmentedAllocBudget(t *testing.T) {
 			budget:    6,
 			raceSlack: 6,
 			why:       "want the segments plus one result slice per take, not a doubling per item",
+			items:     batch,
+			maxBytes:  62,
+			raceBytes: 16,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -325,17 +341,26 @@ func TestSegmentedAllocBudget(t *testing.T) {
 			}()
 			items := make([]int64, batch)
 			const rounds = 2000
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			allocs := testing.AllocsPerRun(rounds, func() { tc.round(q, items) })
+			runtime.ReadMemStats(&after)
+			// AllocsPerRun makes one warm-up round on top of rounds.
+			bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64((rounds+1)*tc.items)
 			q.Close()
 			consumed.Wait()
-			budget := tc.budget
+			budget, maxBytes := tc.budget, tc.maxBytes
 			if raceEnabled {
 				budget += tc.raceSlack
+				maxBytes += tc.raceBytes
 			}
 			if allocs > budget {
 				t.Fatalf("%s allocates %.2f objects/round, %s (budget %.2f)", tc.name, allocs, tc.why, budget)
 			}
-			t.Logf("%s: %.2f objects/round", tc.name, allocs)
+			if bytes > maxBytes {
+				t.Errorf("%s allocates %.1f bytes/item, want <= %.0f: the segment no longer packs two cells per cache line", tc.name, bytes, maxBytes)
+			}
+			t.Logf("%s: %.2f objects/round, %.1f bytes/item", tc.name, allocs, bytes)
 		})
 	}
 }
@@ -382,7 +407,7 @@ func TestZeroPatienceOfferWaitsForCommittedConsumer(t *testing.T) {
 	q := New[int](core.WaitConfig{Spins: 1 << 30}) // timed budget 1<<26: far beyond the window below
 	q.takec.Add(1)                                 // a consumer committed index 0
 	s := q.head.Load()
-	c := &s.cells[0]
+	c := s.at(0)
 	offered := make(chan bool)
 	go func() { offered <- q.Offer(7) }()
 	for c.state.Load() == cEmpty {

@@ -90,6 +90,9 @@ func (t *Ticket[T]) Await(deadline time.Time, cancel <-chan struct{}) (T, Status
 	_, other, _ := t.q.side(t.isPut)
 	w.committed = other.Load() > t.i
 	o, why := park.Await(w, park.Policy{Cal: t.q.cal, M: t.q.m, Grace: true}, deadline, cancel, t.t0)
+	if p := t.c.w.Load(); p != nil {
+		t.q.giveBack(p) // the wait is over; a late Unpark is a stray permit
+	}
 	if o == park.Fulfilled {
 		return t.collect(), core.OK
 	}
