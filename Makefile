@@ -27,13 +27,14 @@ test:
 sqperf:
 	cd cmd/sqperf && go vet ./... && go test ./...
 
-# Race pass in short mode over the concurrent internals and the executor
-# tier: the stress-to-verify bridge, cancel storms, and metrics integration
-# tests all shrink their iteration counts under -short so the race detector
-# finishes fast, and the pool's race-tagged budgets (pool/race_test.go)
-# run here.
+# Race pass in short mode over the facade, the concurrent internals and
+# the executor tier: the root package owns the derived forms and the
+# elimination front-end, the stress-to-verify bridge, cancel storms, and
+# metrics integration tests all shrink their iteration counts under -short
+# so the race detector finishes fast, and the pool's race-tagged budgets
+# (pool/race_test.go) run here.
 race:
-	go test -race -short ./internal/... ./pool/
+	go test -race -short . ./internal/... ./pool/
 
 # Paired-handoff cost of the instrumentation layer, disabled vs enabled.
 bench-overhead:

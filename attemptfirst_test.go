@@ -26,17 +26,6 @@ type stubImpl[T any] struct {
 	puts int
 }
 
-func (f *stubImpl[T]) Put(v T)        { f.v = v }
-func (f *stubImpl[T]) Take() T        { return f.v }
-func (f *stubImpl[T]) Offer(v T) bool { return false }
-func (f *stubImpl[T]) OfferTimeout(v T, d time.Duration) bool {
-	return false
-}
-func (f *stubImpl[T]) Poll() (T, bool) { var z T; return z, false }
-func (f *stubImpl[T]) PollTimeout(d time.Duration) (T, bool) {
-	var z T
-	return z, false
-}
 func (f *stubImpl[T]) PutDeadline(v T, _ time.Time, _ <-chan struct{}) core.Status {
 	f.v = v
 	f.puts++
@@ -47,7 +36,6 @@ func (f *stubImpl[T]) TakeDeadline(_ time.Time, _ <-chan struct{}) (T, core.Stat
 }
 func (f *stubImpl[T]) HasWaitingConsumer() bool               { return false }
 func (f *stubImpl[T]) HasWaitingProducer() bool               { return false }
-func (f *stubImpl[T]) IsEmpty() bool                          { return true }
 func (f *stubImpl[T]) ReserveTake() (T, core.Ticket[T], bool) { var z T; return z, nil, false }
 func (f *stubImpl[T]) ReservePut(v T) (core.Ticket[T], bool)  { return nil, false }
 func (f *stubImpl[T]) PutBatch(items []T, _ time.Time, _ <-chan struct{}) (int, core.Status) {

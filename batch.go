@@ -41,7 +41,7 @@ import (
 // before the close stay delivered), mirroring Put.
 func (q *SynchronousQueue[T]) PutAll(items []T) {
 	if _, st := q.impl.PutBatch(items, time.Time{}, nil); st == core.Closed {
-		panic(ErrClosed.Error())
+		panic(errClosedText)
 	}
 }
 
@@ -66,7 +66,7 @@ func (q *SynchronousQueue[T]) PutAllContext(ctx context.Context, items []T) (int
 func (q *SynchronousQueue[T]) TakeBatch(max int) []T {
 	buf, st := q.impl.TakeBatch(nil, max, time.Time{}, nil)
 	if st == core.Closed && len(buf) == 0 {
-		panic(ErrClosed.Error())
+		panic(errClosedText)
 	}
 	return buf
 }
@@ -92,7 +92,7 @@ func (q *SynchronousQueue[T]) TakeBatchContext(ctx context.Context, max int) ([]
 // buf however many that yielded, zero included. A closed queue yields
 // nothing; DrainTo never panics.
 func (q *SynchronousQueue[T]) DrainTo(buf []T, max int) []T {
-	buf, _ = q.impl.TakeBatch(buf, max, core.DeadlineFor(0), nil)
+	buf, _ = q.impl.TakeBatch(buf, max, core.Expired, nil)
 	return buf
 }
 
@@ -104,8 +104,8 @@ func (q *SynchronousQueue[T]) DrainTo(buf []T, max int) []T {
 // delivered, and nothing is buffered into a closed queue); use PutAllErr
 // when racing a shutdown.
 func (t *TransferQueue[T]) PutAll(items []T) {
-	if _, st := t.tq.PutAll(items); st == core.Closed {
-		panic(ErrClosed.Error())
+	if _, st := t.q.PutAllAsync(items); st == core.Closed {
+		panic(errClosedText)
 	}
 }
 
@@ -113,7 +113,7 @@ func (t *TransferQueue[T]) PutAll(items []T) {
 // of a panic. It returns the number of items accepted (delivered or
 // buffered) — on nil error that is len(items).
 func (t *TransferQueue[T]) PutAllErr(items []T) (int, error) {
-	n, st := t.tq.PutAll(items)
+	n, st := t.q.PutAllAsync(items)
 	if st == core.Closed {
 		return n, ErrClosed
 	}
@@ -126,7 +126,7 @@ func (t *TransferQueue[T]) PutAllErr(items []T) (int, error) {
 // partial fill and an error following the TransferContext contract.
 func (t *TransferQueue[T]) TransferAllContext(ctx context.Context, items []T) (int, error) {
 	deadline, _ := ctx.Deadline()
-	n, st := t.tq.TransferBatch(items, deadline, ctx.Done())
+	n, st := t.q.PutBatch(items, deadline, ctx.Done())
 	if st == core.OK {
 		return n, nil
 	}
@@ -139,9 +139,9 @@ func (t *TransferQueue[T]) TransferAllContext(ctx context.Context, items []T) (i
 // it keeps returning buffered deposits after Close and panics only once a
 // closed queue's buffer is empty before the first value.
 func (t *TransferQueue[T]) TakeBatch(max int) []T {
-	buf, st := t.tq.TakeBatch(nil, max, time.Time{}, nil)
+	buf, st := t.q.TakeBatch(nil, max, time.Time{}, nil)
 	if st == core.Closed && len(buf) == 0 {
-		panic(ErrClosed.Error())
+		panic(errClosedText)
 	}
 	return buf
 }
@@ -153,7 +153,7 @@ func (t *TransferQueue[T]) TakeBatch(max int) []T {
 // alongside a partial fill) means the buffer truly ran dry.
 func (t *TransferQueue[T]) TakeBatchContext(ctx context.Context, max int) ([]T, error) {
 	deadline, _ := ctx.Deadline()
-	buf, st := t.tq.TakeBatch(nil, max, deadline, ctx.Done())
+	buf, st := t.q.TakeBatch(nil, max, deadline, ctx.Done())
 	if st == core.OK {
 		return buf, nil
 	}
@@ -167,7 +167,8 @@ func (t *TransferQueue[T]) TakeBatchContext(ctx context.Context, max int) ([]T, 
 // a promise the close keeps, so DrainTo never reports ErrClosed while one
 // remains (the same contract as Take and Poll).
 func (t *TransferQueue[T]) DrainTo(buf []T, max int) ([]T, error) {
-	buf, st := t.tq.DrainTo(buf, max)
+	// A zero-patience batch: Timeout only means "nothing more to give".
+	buf, st := t.q.TakeBatch(buf, max, core.Expired, nil)
 	if st == core.Closed {
 		return buf, ErrClosed
 	}

@@ -120,14 +120,14 @@ func BenchmarkAblationClean(b *testing.B) {
 		q := core.NewDualQueue[int64](core.WaitConfig{})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			q.OfferTimeout(int64(i), time.Microsecond)
+			q.PutDeadline(int64(i), core.DeadlineFor(time.Microsecond), nil)
 		}
 	})
 	b.Run("stack", func(b *testing.B) {
 		q := core.NewDualStack[int64](core.WaitConfig{})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			q.OfferTimeout(int64(i), time.Microsecond)
+			q.PutDeadline(int64(i), core.DeadlineFor(time.Microsecond), nil)
 		}
 	})
 }

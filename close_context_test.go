@@ -130,24 +130,30 @@ func TestCloseUnblocksContextOps(t *testing.T) {
 	}
 }
 
+// TestCloseDemandOpsPanic checks the derived demand forms on every queue
+// configuration: a closed queue panics Put and Take with ErrClosed's text,
+// as a send on a closed channel panics.
 func TestCloseDemandOpsPanic(t *testing.T) {
-	q := synchq.New[int](synchq.Fair(false))
-	q.Close()
-	for _, tc := range []struct {
-		name string
-		f    func()
-	}{
-		{"Put", func() { q.Put(1) }},
-		{"Take", func() { q.Take() }},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s on closed queue did not panic", tc.name)
-				}
+	for name, mk := range queueConfigs() {
+		q := mk()
+		q.Close()
+		for _, tc := range []struct {
+			name string
+			f    func()
+		}{
+			{"Put", func() { q.Put(1) }},
+			{"Take", func() { q.Take() }},
+		} {
+			func() {
+				defer func() {
+					if r := recover(); r != synchq.ErrClosed.Error() {
+						t.Errorf("%s: %s on closed queue panicked with %v, want %q",
+							name, tc.name, r, synchq.ErrClosed.Error())
+					}
+				}()
+				tc.f()
 			}()
-			tc.f()
-		}()
+		}
 	}
 }
 

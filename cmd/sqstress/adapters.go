@@ -46,11 +46,11 @@ type quiescer interface {
 // chaosBatcher is the optional batched surface: adapters over cores with
 // PutBatch/TakeBatch implement it, and the workload engine mixes k-item
 // batch operations into the traffic of every scenario. Offers must stay
-// synchronous per item on syncPair cores (the transfer adapter uses
-// TransferBatch, not the asynchronous PutAll burst, so the synchrony
-// property still holds for batched values). ChaosOfferBatch reports the
-// partial-fill count n; per the batch contract, vs[n:] afterwards holds
-// exactly the undelivered values.
+// synchronous per item on syncPair cores (the transfer row uses the dual
+// queue's PutBatch, not the asynchronous PutAllAsync burst, so the
+// synchrony property still holds for batched values). ChaosOfferBatch
+// reports the partial-fill count n; per the batch contract, vs[n:]
+// afterwards holds exactly the undelivered values.
 type chaosBatcher interface {
 	ChaosOfferBatch(vs []int64, patience time.Duration, cancel <-chan struct{}) (int, core.Status)
 	ChaosPollBatch(max int, patience time.Duration, cancel <-chan struct{}) ([]int64, core.Status)
@@ -118,113 +118,36 @@ func optByKey(key string) (optDef, bool) {
 	return optDef{}, false
 }
 
-// ---- dual queue -----------------------------------------------------------
+// ---- the hand-off contract ------------------------------------------------
 
-type queueChaos struct{ q *core.DualQueue[int64] }
+// handoffChaos drives any core — dual queue, dual stack, segmented core,
+// shard fabric — through the hand-off contract alone. The transfer row is
+// this adapter over a dual queue: its synchronous Transfer is the queue's
+// PutDeadline, its batch the queue's PutBatch, so the synchrony property
+// still holds for batched values.
+type handoffChaos struct{ h core.Handoff[int64] }
 
-func (a queueChaos) ChaosOffer(v int64, d time.Duration, cancel <-chan struct{}) core.Status {
-	return a.q.PutDeadline(v, time.Now().Add(d), cancel)
+func (a handoffChaos) ChaosOffer(v int64, d time.Duration, cancel <-chan struct{}) core.Status {
+	return a.h.PutDeadline(v, time.Now().Add(d), cancel)
 }
-func (a queueChaos) ChaosPoll(d time.Duration, cancel <-chan struct{}) (int64, core.Status) {
-	return a.q.TakeDeadline(time.Now().Add(d), cancel)
+func (a handoffChaos) ChaosPoll(d time.Duration, cancel <-chan struct{}) (int64, core.Status) {
+	return a.h.TakeDeadline(time.Now().Add(d), cancel)
 }
-func (a queueChaos) Close()       { a.q.Close() }
-func (a queueChaos) Closed() bool { return a.q.Closed() }
+func (a handoffChaos) Close()       { a.h.Close() }
+func (a handoffChaos) Closed() bool { return a.h.Closed() }
 
-func (a queueChaos) ChaosOfferBatch(vs []int64, d time.Duration, cancel <-chan struct{}) (int, core.Status) {
-	return a.q.PutBatch(vs, time.Now().Add(d), cancel)
+func (a handoffChaos) ChaosOfferBatch(vs []int64, d time.Duration, cancel <-chan struct{}) (int, core.Status) {
+	return a.h.PutBatch(vs, time.Now().Add(d), cancel)
 }
-func (a queueChaos) ChaosPollBatch(max int, d time.Duration, cancel <-chan struct{}) ([]int64, core.Status) {
-	return a.q.TakeBatch(nil, max, time.Now().Add(d), cancel)
-}
-
-// ---- dual stack -----------------------------------------------------------
-
-type stackChaos struct{ s *core.DualStack[int64] }
-
-func (a stackChaos) ChaosOffer(v int64, d time.Duration, cancel <-chan struct{}) core.Status {
-	return a.s.PutDeadline(v, time.Now().Add(d), cancel)
-}
-func (a stackChaos) ChaosPoll(d time.Duration, cancel <-chan struct{}) (int64, core.Status) {
-	return a.s.TakeDeadline(time.Now().Add(d), cancel)
-}
-func (a stackChaos) Close()       { a.s.Close() }
-func (a stackChaos) Closed() bool { return a.s.Closed() }
-
-func (a stackChaos) ChaosOfferBatch(vs []int64, d time.Duration, cancel <-chan struct{}) (int, core.Status) {
-	return a.s.PutBatch(vs, time.Now().Add(d), cancel)
-}
-func (a stackChaos) ChaosPollBatch(max int, d time.Duration, cancel <-chan struct{}) ([]int64, core.Status) {
-	return a.s.TakeBatch(nil, max, time.Now().Add(d), cancel)
+func (a handoffChaos) ChaosPollBatch(max int, d time.Duration, cancel <-chan struct{}) ([]int64, core.Status) {
+	return a.h.TakeBatch(nil, max, time.Now().Add(d), cancel)
 }
 
-// ---- transfer queue -------------------------------------------------------
-
-type transferChaos struct{ t *core.TransferQueue[int64] }
-
-func (a transferChaos) ChaosOffer(v int64, d time.Duration, cancel <-chan struct{}) core.Status {
-	return a.t.TransferDeadline(v, time.Now().Add(d), cancel)
-}
-func (a transferChaos) ChaosPoll(d time.Duration, cancel <-chan struct{}) (int64, core.Status) {
-	return a.t.TakeDeadline(time.Now().Add(d), cancel)
-}
-func (a transferChaos) Close()       { a.t.Close() }
-func (a transferChaos) Closed() bool { return a.t.Closed() }
-
-func (a transferChaos) ChaosOfferBatch(vs []int64, d time.Duration, cancel <-chan struct{}) (int, core.Status) {
-	return a.t.TransferBatch(vs, time.Now().Add(d), cancel)
-}
-func (a transferChaos) ChaosPollBatch(max int, d time.Duration, cancel <-chan struct{}) ([]int64, core.Status) {
-	return a.t.TakeBatch(nil, max, time.Now().Add(d), cancel)
-}
-
-// ---- segmented core -------------------------------------------------------
-
-type segChaos struct{ q *segq.Queue[int64] }
-
-func (a segChaos) ChaosOffer(v int64, d time.Duration, cancel <-chan struct{}) core.Status {
-	return a.q.PutDeadline(v, time.Now().Add(d), cancel)
-}
-func (a segChaos) ChaosPoll(d time.Duration, cancel <-chan struct{}) (int64, core.Status) {
-	return a.q.TakeDeadline(time.Now().Add(d), cancel)
-}
-func (a segChaos) Close()       { a.q.Close() }
-func (a segChaos) Closed() bool { return a.q.Closed() }
-
-func (a segChaos) ChaosOfferBatch(vs []int64, d time.Duration, cancel <-chan struct{}) (int, core.Status) {
-	return a.q.PutBatch(vs, time.Now().Add(d), cancel)
-}
-func (a segChaos) ChaosPollBatch(max int, d time.Duration, cancel <-chan struct{}) ([]int64, core.Status) {
-	return a.q.TakeBatch(nil, max, time.Now().Add(d), cancel)
-}
-
-// ---- sharded fabric -------------------------------------------------------
-
-type fabricChaos struct{ f *shard.Fabric[int64] }
-
-func (a fabricChaos) ChaosOffer(v int64, d time.Duration, cancel <-chan struct{}) core.Status {
-	return a.f.PutDeadline(v, time.Now().Add(d), cancel)
-}
-func (a fabricChaos) ChaosPoll(d time.Duration, cancel <-chan struct{}) (int64, core.Status) {
-	return a.f.TakeDeadline(time.Now().Add(d), cancel)
-}
-func (a fabricChaos) Close()       { a.f.Close() }
-func (a fabricChaos) Closed() bool { return a.f.Closed() }
-
-func (a fabricChaos) ChaosOfferBatch(vs []int64, d time.Duration, cancel <-chan struct{}) (int, core.Status) {
-	return a.f.PutBatch(vs, time.Now().Add(d), cancel)
-}
-func (a fabricChaos) ChaosPollBatch(max int, d time.Duration, cancel <-chan struct{}) ([]int64, core.Status) {
-	return a.f.TakeBatch(nil, max, time.Now().Add(d), cancel)
-}
-
-// widthShifter marks adapters whose fabric can be forced through width
-// transitions; the width-shift scenario oscillates them mid-workload. On
-// a fixed-width fabric ShiftWidth is a no-op, so the scenario degrades to
-// a plain steady run there.
-type widthShifter interface{ ShiftWidth(contended bool) }
-
-func (a fabricChaos) ShiftWidth(contended bool) { a.f.DriveWidth(contended) }
+// widthShifter is the fabric's width drive; the width-shift scenario
+// oscillates adapters whose core provides it mid-workload. On a
+// fixed-width fabric DriveWidth is a no-op, so the scenario degrades to a
+// plain steady run there.
+type widthShifter interface{ DriveWidth(contended bool) }
 
 // ---- eliminating composition ----------------------------------------------
 
@@ -235,10 +158,12 @@ func (a fabricChaos) ShiftWidth(contended bool) { a.f.DriveWidth(contended) }
 // and elimination would never fire — so every other operation dwells in
 // the arena long enough for a race-slowed partner to arrive, keeping the
 // slot CAS/fulfill/retract sites and the elimination-fires event exercised
-// in both regimes.
+// in both regimes. Batches, Close and Closed are the embedded adapter's:
+// batches bypass the arena, as on a queue built with EliminatingAdaptive,
+// since an arena exchange pairs exactly one producer with one consumer.
 type elimChaos struct {
+	handoffChaos
 	arena *exchanger.Arena[int64]
-	q     *core.DualQueue[int64]
 	alt   *atomic.Int64
 }
 
@@ -253,7 +178,7 @@ func (a elimChaos) ChaosOffer(v int64, d time.Duration, cancel <-chan struct{}) 
 	} else if a.arena.TryGive(v, elimStaticPatience) {
 		return core.OK
 	}
-	return a.q.PutDeadline(v, time.Now().Add(d), cancel)
+	return a.handoffChaos.ChaosOffer(v, d, cancel)
 }
 func (a elimChaos) ChaosPoll(d time.Duration, cancel <-chan struct{}) (int64, core.Status) {
 	if a.alt.Add(1)%2 == 0 {
@@ -263,19 +188,7 @@ func (a elimChaos) ChaosPoll(d time.Duration, cancel <-chan struct{}) (int64, co
 	} else if v, ok := a.arena.TryTake(elimStaticPatience); ok {
 		return v, core.OK
 	}
-	return a.q.TakeDeadline(time.Now().Add(d), cancel)
-}
-func (a elimChaos) Close()       { a.q.Close() }
-func (a elimChaos) Closed() bool { return a.q.Closed() }
-
-// Batched operations bypass the arena, as on a queue built with
-// EliminatingAdaptive: an arena exchange pairs exactly one producer with
-// one consumer, so a batch gains nothing from it.
-func (a elimChaos) ChaosOfferBatch(vs []int64, d time.Duration, cancel <-chan struct{}) (int, core.Status) {
-	return a.q.PutBatch(vs, time.Now().Add(d), cancel)
-}
-func (a elimChaos) ChaosPollBatch(max int, d time.Duration, cancel <-chan struct{}) ([]int64, core.Status) {
-	return a.q.TakeBatch(nil, max, time.Now().Add(d), cancel)
+	return a.handoffChaos.ChaosPoll(d, cancel)
 }
 
 // ---- executor pool --------------------------------------------------------
@@ -325,9 +238,12 @@ const poolPatience = 500 * time.Microsecond
 // pool.Closer: a forced drain closes the queue to release the blocked.
 type poolQueue struct{ q *core.DualQueue[pool.Task] }
 
-func (pq poolQueue) Offer(t pool.Task) bool                        { return pq.q.Offer(t) }
-func (pq poolQueue) PollTimeout(d time.Duration) (pool.Task, bool) { return pq.q.PollTimeout(d) }
-func (pq poolQueue) Close()                                        { pq.q.Close() }
+func (pq poolQueue) Offer(t pool.Task) bool { return pq.OfferWait(t, core.Expired, nil) }
+func (pq poolQueue) Close()                 { pq.q.Close() }
+
+func (pq poolQueue) PollTimeout(d time.Duration) (pool.Task, bool) {
+	return pq.PollWait(core.DeadlineFor(d), nil)
+}
 
 func (pq poolQueue) OfferWait(t pool.Task, deadline time.Time, cancel <-chan struct{}) bool {
 	return pq.q.PutDeadline(t, deadline, cancel) == core.OK
@@ -510,7 +426,7 @@ var coreDefs = []coreDef{
 		syncPair: true, cancelable: true, batch: true,
 		classes: []fault.Class{fault.ClassStack, fault.ClassWait},
 		build: func(cfg core.WaitConfig) chaosStruct {
-			return stackChaos{core.NewDualStack[int64](cfg)}
+			return handoffChaos{core.NewDualStack[int64](cfg)}
 		},
 	},
 	{
@@ -518,7 +434,7 @@ var coreDefs = []coreDef{
 		fifo: true, syncPair: true, cancelable: true, batch: true,
 		classes: []fault.Class{fault.ClassQueue, fault.ClassWait},
 		build: func(cfg core.WaitConfig) chaosStruct {
-			return queueChaos{core.NewDualQueue[int64](cfg)}
+			return handoffChaos{core.NewDualQueue[int64](cfg)}
 		},
 	},
 	{
@@ -526,7 +442,7 @@ var coreDefs = []coreDef{
 		fifo: true, syncPair: true, cancelable: true, batch: true,
 		classes: []fault.Class{fault.ClassQueue, fault.ClassWait},
 		build: func(cfg core.WaitConfig) chaosStruct {
-			return transferChaos{core.NewTransferQueue[int64](cfg)}
+			return handoffChaos{core.NewDualQueue[int64](cfg)}
 		},
 	},
 	{
@@ -543,7 +459,7 @@ var coreDefs = []coreDef{
 			metrics.SegUnlinks: "segment-unlinked",
 		},
 		build: func(cfg core.WaitConfig) chaosStruct {
-			return segChaos{segq.New[int64](cfg)}
+			return handoffChaos{segq.New[int64](cfg)}
 		},
 	},
 	{
@@ -557,7 +473,7 @@ var coreDefs = []coreDef{
 			fab := shard.New(0, func(int) shard.Dual[int64] {
 				return core.NewDualQueue[int64](cfg)
 			}).SetMetrics(cfg.Metrics).SetFault(cfg.Fault)
-			return fabricChaos{fab}
+			return handoffChaos{fab}
 		},
 	},
 	{
@@ -577,7 +493,7 @@ var coreDefs = []coreDef{
 			fab := shard.NewAuto(0, func(int) shard.Dual[int64] {
 				return core.NewDualQueue[int64](cfg)
 			}).SetMetrics(cfg.Metrics).SetFault(cfg.Fault)
-			return fabricChaos{fab}
+			return handoffChaos{fab}
 		},
 	},
 	{
@@ -590,7 +506,7 @@ var coreDefs = []coreDef{
 		build: func(cfg core.WaitConfig) chaosStruct {
 			arena := exchanger.NewArenaAdaptive[int64](0).
 				SetMetrics(cfg.Metrics).SetFault(cfg.Fault)
-			return elimChaos{arena: arena, q: core.NewDualQueue[int64](cfg), alt: new(atomic.Int64)}
+			return elimChaos{handoffChaos{core.NewDualQueue[int64](cfg)}, arena, new(atomic.Int64)}
 		},
 	},
 	{

@@ -56,20 +56,26 @@ type timedSQ interface {
 	PollTimeout(d time.Duration) (int64, bool)
 }
 
-// transferSQ adapts the §5 transfer queue to the stress mix: an offer is a
-// synchronous transfer with bounded patience, so the workload exercises the
-// same dual-queue hand-off paths plus the transfer queue's wrappers.
-type transferSQ struct{ tq *core.TransferQueue[int64] }
+// timedHandoff drives any core through the hand-off contract, deriving
+// the timed offer and poll the way the synchq facade does: a transfer at
+// patience d.
+type timedHandoff struct{ h core.Handoff[int64] }
 
-func (a transferSQ) OfferTimeout(v int64, d time.Duration) bool { return a.tq.TransferTimeout(v, d) }
-func (a transferSQ) PollTimeout(d time.Duration) (int64, bool)  { return a.tq.PollTimeout(d) }
+func (a timedHandoff) OfferTimeout(v int64, d time.Duration) bool {
+	return a.h.PutDeadline(v, core.DeadlineFor(d), nil) == core.OK
+}
+
+func (a timedHandoff) PollTimeout(d time.Duration) (int64, bool) {
+	v, st := a.h.TakeDeadline(core.DeadlineFor(d), nil)
+	return v, st == core.OK
+}
 
 // elimSQ fronts a dual queue with the adaptive elimination arena, like
 // synchq's EliminatingAdaptive option, so the stress mix covers the arena's
 // retract/hand-off races (and, under -chaos, its XArenaPause site).
 type elimSQ struct {
 	arena *exchanger.Arena[int64]
-	q     *core.DualQueue[int64]
+	q     timedHandoff
 }
 
 func (e elimSQ) OfferTimeout(v int64, d time.Duration) bool {
@@ -97,19 +103,19 @@ func newTimed(name string, h *metrics.Handle, f *fault.Injector) (q timedSQ, met
 	case "SynchronousQueue (fair)":
 		return baseline.NewJava5[int64](true), false
 	case "New SynchQueue":
-		return core.NewDualStack[int64](cfg), h != nil
-	case "New SynchQueue (fair)":
-		return core.NewDualQueue[int64](cfg), h != nil
-	case "New TransferQueue":
-		return transferSQ{core.NewTransferQueue[int64](cfg)}, h != nil
+		return timedHandoff{core.NewDualStack[int64](cfg)}, h != nil
+	case "New SynchQueue (fair)", "New TransferQueue":
+		// The transfer queue's synchronous paths are the fair queue's:
+		// its offer is a Transfer with bounded patience.
+		return timedHandoff{core.NewDualQueue[int64](cfg)}, h != nil
 	case "Sharded SynchQueue (fair)":
 		fab := shard.New(0, func(int) shard.Dual[int64] {
 			return core.NewDualQueue[int64](cfg)
 		}).SetMetrics(h).SetFault(f)
-		return fab, h != nil
+		return timedHandoff{fab}, h != nil
 	case "Eliminating SynchQueue (fair)":
 		arena := exchanger.NewArenaAdaptive[int64](0).SetMetrics(h).SetFault(f)
-		return elimSQ{arena: arena, q: core.NewDualQueue[int64](cfg)}, h != nil
+		return elimSQ{arena: arena, q: timedHandoff{core.NewDualQueue[int64](cfg)}}, h != nil
 	case "GoChannel":
 		return baseline.NewChannel[int64](), false
 	default:

@@ -164,7 +164,8 @@ var scenarioLib = []scenarioDef{
 			adapter := rc.build()
 			stop := make(chan struct{})
 			var wg sync.WaitGroup
-			if ws, ok := adapter.(widthShifter); ok {
+			hc, _ := adapter.(handoffChaos)
+			if ws, ok := hc.h.(widthShifter); ok {
 				// Oscillate between a saturating contention signal and a
 				// quiet one: each burst walks the controller through its
 				// grow (or hysteresis-paced shrink) transitions, and every
@@ -181,7 +182,7 @@ var scenarioLib = []scenarioDef{
 							return
 						case <-time.After(150 * time.Microsecond):
 							for i := 0; i < 64; i++ {
-								ws.ShiftWidth(contended)
+								ws.DriveWidth(contended)
 							}
 							contended = !contended
 						}

@@ -17,26 +17,48 @@ import (
 // get the demand contract; TimedQueue implementations additionally get the
 // polar/timed contract.
 
+// queueConfigs is every SynchronousQueue configuration the demand and
+// timed contracts (and TestObservers) run over: each core, alone and under
+// the fabric and the elimination front-end.
+func queueConfigs() map[string]func() *synchq.SynchronousQueue[int] {
+	return map[string]func() *synchq.SynchronousQueue[int]{
+		"fair":   func() *synchq.SynchronousQueue[int] { return synchq.New[int](synchq.Fair(true)) },
+		"unfair": func() *synchq.SynchronousQueue[int] { return synchq.New[int](synchq.Fair(false)) },
+		"eliminating": func() *synchq.SynchronousQueue[int] {
+			return synchq.New[int](synchq.Fair(false), synchq.EliminatingAdaptive())
+		},
+		"fair+eliminating": func() *synchq.SynchronousQueue[int] {
+			return synchq.New[int](synchq.Fair(true), synchq.EliminatingAdaptive())
+		},
+		// The timed-fanout benchmark workload's configuration.
+		"fair+autoshard": func() *synchq.SynchronousQueue[int] {
+			return synchq.New[int](synchq.Fair(true), synchq.AutoShard())
+		},
+		"unfair+sharded": func() *synchq.SynchronousQueue[int] {
+			return synchq.New[int](synchq.Fair(false), synchq.Sharded(4))
+		},
+		"segmented": func() *synchq.SynchronousQueue[int] { return synchq.New[int](synchq.Segmented()) },
+		"segmented+sharded": func() *synchq.SynchronousQueue[int] {
+			return synchq.New[int](synchq.Segmented(), synchq.Sharded(4))
+		},
+		"segmented+autoshard+eliminating": newSegAutoElim,
+	}
+}
+
 func demandImpls() map[string]func() synchq.Queue[int] {
-	return map[string]func() synchq.Queue[int]{
-		"fair":        func() synchq.Queue[int] { return synchq.New[int](synchq.Fair(true)) },
-		"unfair":      func() synchq.Queue[int] { return synchq.New[int](synchq.Fair(false)) },
+	impls := map[string]func() synchq.Queue[int]{
 		"naive":       func() synchq.Queue[int] { return synchq.NewNaive[int]() },
 		"hanson":      func() synchq.Queue[int] { return synchq.NewHanson[int]() },
 		"hansonfast":  func() synchq.Queue[int] { return synchq.NewHansonFast[int]() },
 		"java5fair":   func() synchq.Queue[int] { return synchq.NewJava5Fair[int]() },
 		"java5unfair": func() synchq.Queue[int] { return synchq.NewJava5Unfair[int]() },
 		"gochannel":   func() synchq.Queue[int] { return synchq.NewGoChannel[int]() },
-		"eliminating": func() synchq.Queue[int] {
-			return synchq.New[int](synchq.Fair(false), synchq.EliminatingAdaptive())
-		},
-		"transfer":  func() synchq.Queue[int] { return transferAsQueue{synchq.NewTransferQueue[int]()} },
-		"segmented": func() synchq.Queue[int] { return synchq.New[int](synchq.Segmented()) },
-		"segmented+sharded": func() synchq.Queue[int] {
-			return synchq.New[int](synchq.Segmented(), synchq.Sharded(4))
-		},
-		"segmented+autoshard+eliminating": func() synchq.Queue[int] { return newSegAutoElim() },
+		"transfer":    func() synchq.Queue[int] { return transferAsQueue{synchq.NewTransferQueue[int]()} },
 	}
+	for name, mk := range queueConfigs() {
+		impls[name] = func() synchq.Queue[int] { return mk() }
+	}
+	return impls
 }
 
 // newSegAutoElim stacks every composable layer: the elimination front-end
@@ -53,22 +75,16 @@ func (t transferAsQueue) Put(v int) { t.q.Transfer(v) }
 func (t transferAsQueue) Take() int { return t.q.Take() }
 
 func timedImpls() map[string]func() synchq.TimedQueue[int] {
-	return map[string]func() synchq.TimedQueue[int]{
-		"fair":        func() synchq.TimedQueue[int] { return synchq.New[int](synchq.Fair(true)) },
-		"unfair":      func() synchq.TimedQueue[int] { return synchq.New[int](synchq.Fair(false)) },
+	impls := map[string]func() synchq.TimedQueue[int]{
 		"java5fair":   func() synchq.TimedQueue[int] { return synchq.NewJava5Fair[int]() },
 		"java5unfair": func() synchq.TimedQueue[int] { return synchq.NewJava5Unfair[int]() },
 		"gochannel":   func() synchq.TimedQueue[int] { return synchq.NewGoChannel[int]() },
-		"eliminating": func() synchq.TimedQueue[int] {
-			return synchq.New[int](synchq.Fair(false), synchq.EliminatingAdaptive())
-		},
-		"transfer":  func() synchq.TimedQueue[int] { return synchq.NewTransferQueue[int]() },
-		"segmented": func() synchq.TimedQueue[int] { return synchq.New[int](synchq.Segmented()) },
-		"segmented+sharded": func() synchq.TimedQueue[int] {
-			return synchq.New[int](synchq.Segmented(), synchq.Sharded(4))
-		},
-		"segmented+autoshard+eliminating": func() synchq.TimedQueue[int] { return newSegAutoElim() },
+		"transfer":    func() synchq.TimedQueue[int] { return synchq.NewTransferQueue[int]() },
 	}
+	for name, mk := range queueConfigs() {
+		impls[name] = func() synchq.TimedQueue[int] { return mk() }
+	}
+	return impls
 }
 
 func TestConformanceDemandContract(t *testing.T) {
@@ -459,14 +475,22 @@ func TestConformanceReservationContract(t *testing.T) {
 // (and alongside what) the buffer finally yields.
 func TestTransferBatchClosedDrain(t *testing.T) {
 	q := synchq.NewTransferQueue[int]()
-	q.PutAll([]int{1, 2, 3})
+	// The core reports an empty zero-patience batch as a timeout; DrainTo
+	// reads that as "nothing more to give", never as an error.
+	if buf, err := q.DrainTo(nil, 5); len(buf) != 0 || err != nil {
+		t.Fatalf("DrainTo on an empty open queue = (%v, %v), want ([], nil)", buf, err)
+	}
+	q.PutAll([]int{1, 2, 3, 4})
 	q.Close()
+	if buf, err := q.DrainTo(nil, 1); len(buf) != 1 || buf[0] != 1 || err != nil {
+		t.Fatalf("DrainTo with deposits left after Close = (%v, %v), want ([1], nil)", buf, err)
+	}
 	buf, err := q.TakeBatchContext(context.Background(), 5)
 	if !errors.Is(err, synchq.ErrClosed) {
 		t.Fatalf("TakeBatchContext err = %v, want ErrClosed once the buffer ran dry", err)
 	}
-	if len(buf) != 3 || buf[0] != 1 || buf[1] != 2 || buf[2] != 3 {
-		t.Fatalf("TakeBatchContext kept %v, want the buffered deposits [1 2 3]", buf)
+	if len(buf) != 3 || buf[0] != 2 || buf[1] != 3 || buf[2] != 4 {
+		t.Fatalf("TakeBatchContext kept %v, want the buffered deposits [2 3 4]", buf)
 	}
 	if buf, err := q.DrainTo(nil, 5); len(buf) != 0 || !errors.Is(err, synchq.ErrClosed) {
 		t.Fatalf("DrainTo after full drain = (%v, %v), want ([], ErrClosed)", buf, err)

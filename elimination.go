@@ -43,21 +43,23 @@ func NewEliminatingQueue[T any](opts ...Option) *SynchronousQueue[T] {
 }
 
 // elimFront is the front-end EliminatingAdaptive installs over any backing
-// core, sharded or not. It embeds the core, so everything that never waits
-// — Offer/Poll, batches, reservations, the probes, Close — reaches it
-// unchanged, and overrides only the six waiting entry points to try the
-// arena first.
+// core, sharded or not. It embeds the core, so batches, reservations, the
+// probes and Close reach it unchanged, and overrides only the contract's
+// two transfers to try the arena first. Every waiting form the facade
+// derives (Put, Take, the timed and context forms, OfferWait/PollWait)
+// runs through those two; Offer and Poll, at zero patience, leave no room
+// for an arena attempt and go straight to the core.
 type elimFront[T any] struct {
-	impl[T]
+	core.Handoff[T]
 	arena *exchanger.Arena[T]
 	m     *metrics.Handle // for FallbackNs; nil when uninstrumented
 }
 
-func newElimFront[T any](backing impl[T], m *metrics.Handle) *elimFront[T] {
+func newElimFront[T any](backing core.Handoff[T], m *metrics.Handle) *elimFront[T] {
 	return &elimFront[T]{
-		impl:  backing,
-		arena: exchanger.NewArenaAdaptive[T](0).SetMetrics(m),
-		m:     m,
+		Handoff: backing,
+		arena:   exchanger.NewArenaAdaptive[T](0).SetMetrics(m),
+		m:       m,
 	}
 }
 
@@ -67,34 +69,15 @@ func (e *elimFront[T]) detour(deadline time.Time) bool {
 	return deadline.IsZero() || time.Until(deadline) > e.arena.Patience()
 }
 
-func (e *elimFront[T]) Put(v T) {
-	t0 := e.m.Start()
-	if e.arena.TryGiveAdaptive(v) {
-		return
-	}
-	e.impl.Put(v)
-	e.m.Since(metrics.FallbackNs, t0)
-}
-
-func (e *elimFront[T]) Take() T {
-	t0 := e.m.Start()
-	if v, ok := e.arena.TryTakeAdaptive(); ok {
-		return v
-	}
-	v := e.impl.Take()
-	e.m.Since(metrics.FallbackNs, t0)
-	return v
-}
-
 func (e *elimFront[T]) PutDeadline(v T, deadline time.Time, cancel <-chan struct{}) core.Status {
 	if !e.detour(deadline) {
-		return e.impl.PutDeadline(v, deadline, cancel)
+		return e.Handoff.PutDeadline(v, deadline, cancel)
 	}
 	t0 := e.m.Start()
 	if e.arena.TryGiveAdaptive(v) {
 		return core.OK
 	}
-	st := e.impl.PutDeadline(v, deadline, cancel)
+	st := e.Handoff.PutDeadline(v, deadline, cancel)
 	if st == core.OK {
 		e.m.Since(metrics.FallbackNs, t0)
 	}
@@ -103,47 +86,15 @@ func (e *elimFront[T]) PutDeadline(v T, deadline time.Time, cancel <-chan struct
 
 func (e *elimFront[T]) TakeDeadline(deadline time.Time, cancel <-chan struct{}) (T, core.Status) {
 	if !e.detour(deadline) {
-		return e.impl.TakeDeadline(deadline, cancel)
+		return e.Handoff.TakeDeadline(deadline, cancel)
 	}
 	t0 := e.m.Start()
 	if v, ok := e.arena.TryTakeAdaptive(); ok {
 		return v, core.OK
 	}
-	v, st := e.impl.TakeDeadline(deadline, cancel)
+	v, st := e.Handoff.TakeDeadline(deadline, cancel)
 	if st == core.OK {
 		e.m.Since(metrics.FallbackNs, t0)
 	}
 	return v, st
-}
-
-func (e *elimFront[T]) OfferTimeout(v T, d time.Duration) bool {
-	if d <= e.arena.Patience() {
-		return e.impl.OfferTimeout(v, d)
-	}
-	deadline := time.Now().Add(d)
-	t0 := e.m.Start()
-	if e.arena.TryGiveAdaptive(v) {
-		return true
-	}
-	ok := e.impl.OfferTimeout(v, time.Until(deadline))
-	if ok {
-		e.m.Since(metrics.FallbackNs, t0)
-	}
-	return ok
-}
-
-func (e *elimFront[T]) PollTimeout(d time.Duration) (T, bool) {
-	if d <= e.arena.Patience() {
-		return e.impl.PollTimeout(d)
-	}
-	deadline := time.Now().Add(d)
-	t0 := e.m.Start()
-	if v, ok := e.arena.TryTakeAdaptive(); ok {
-		return v, true
-	}
-	v, ok := e.impl.PollTimeout(time.Until(deadline))
-	if ok {
-		e.m.Since(metrics.FallbackNs, t0)
-	}
-	return v, ok
 }

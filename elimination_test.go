@@ -37,7 +37,7 @@ func TestEliminatingDefaultIsAdaptive(t *testing.T) {
 		t.Error("uninstrumented eliminating queue has non-nil Metrics()")
 	}
 	// The option wraps whatever core the other options select.
-	if _, ok := front(t, New[int](Segmented(), AutoShard(), EliminatingAdaptive())).impl.(*shard.Fabric[int]); !ok {
+	if _, ok := front(t, New[int](Segmented(), AutoShard(), EliminatingAdaptive())).Handoff.(*shard.Fabric[int]); !ok {
 		t.Error("front-end does not wrap the sharded fabric")
 	}
 }
@@ -144,7 +144,7 @@ func TestInstrumentEliminatingQueue(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < puts; i++ {
-			f.impl.Take()
+			take(f.Handoff)
 		}
 	}()
 	for i := 0; i < puts; i++ {

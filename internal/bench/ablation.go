@@ -58,7 +58,7 @@ func AblationClean(o SweepOpts) *stats.Table {
 			q := core.NewDualQueue[int64](core.WaitConfig{})
 			t0 := time.Now()
 			for i := int64(0); i < o.Transfers; i++ {
-				q.OfferTimeout(i, p)
+				q.PutDeadline(i, core.DeadlineFor(p), nil)
 			}
 			t.Set(fmt.Sprint(level), "queue/"+p.String(),
 				float64(time.Since(t0).Nanoseconds())/float64(o.Transfers))
@@ -66,7 +66,7 @@ func AblationClean(o SweepOpts) *stats.Table {
 			s := core.NewDualStack[int64](core.WaitConfig{})
 			t0 = time.Now()
 			for i := int64(0); i < o.Transfers; i++ {
-				s.OfferTimeout(i, p)
+				s.PutDeadline(i, core.DeadlineFor(p), nil)
 			}
 			t.Set(fmt.Sprint(level), "stack/"+p.String(),
 				float64(time.Since(t0).Nanoseconds())/float64(o.Transfers))

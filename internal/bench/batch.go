@@ -44,18 +44,19 @@ func (s segBatchSQ) TakeBatch(buf []int64, max int) []int64 {
 // transferBatchSQ drives the transfer queue's asynchronous deposit path:
 // the single-op baseline enqueues one node per Put (one tail CAS each),
 // the batched path links a privately built chain with a single splice.
-type transferBatchSQ struct{ *core.TransferQueue[int64] }
+type transferBatchSQ struct{ q *core.DualQueue[int64] }
 
-func (s transferBatchSQ) Put(v int64) { s.TransferQueue.Put(v) }
+func (s transferBatchSQ) Put(v int64) { s.q.PutAsync(v) }
+func (s transferBatchSQ) Take() int64 { return s.q.Take() }
 
 func (s transferBatchSQ) PutBatch(items []int64) {
-	if _, st := s.TransferQueue.PutAll(items); st != core.OK {
+	if _, st := s.q.PutAllAsync(items); st != core.OK {
 		panic(fmt.Sprintf("bench: transfer PutAll status %v", st))
 	}
 }
 
 func (s transferBatchSQ) TakeBatch(buf []int64, max int) []int64 {
-	out, st := s.TransferQueue.TakeBatch(buf, max, time.Time{}, nil)
+	out, st := s.q.TakeBatch(buf, max, time.Time{}, nil)
 	if st != core.OK {
 		panic(fmt.Sprintf("bench: transfer TakeBatch status %v", st))
 	}
@@ -98,7 +99,7 @@ func batchCores() []batchCore {
 			return segBatchSQ{segq.New[int64](core.WaitConfig{})}
 		}},
 		{name: "transfer", New: func() SQ {
-			return transferBatchSQ{core.NewTransferQueue[int64](core.WaitConfig{})}
+			return transferBatchSQ{core.NewDualQueue[int64](core.WaitConfig{})}
 		}},
 		{name: "queue", New: func() SQ {
 			return queueBatchSQ{core.NewDualQueue[int64](core.WaitConfig{})}

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"synchq"
 	"synchq/internal/baseline"
 	"synchq/internal/core"
 	"synchq/internal/verify"
@@ -62,12 +63,12 @@ func Algorithms(extras bool) []Algorithm {
 		{
 			Name:         "New SynchQueue",
 			New:          func() SQ { return core.NewDualStack[int64](core.WaitConfig{}) },
-			NewPoolQueue: func() pool.Queue { return core.NewDualStack[pool.Task](core.WaitConfig{}) },
+			NewPoolQueue: func() pool.Queue { return synchq.New[pool.Task]() },
 		},
 		{
 			Name:         "New SynchQueue (fair)",
 			New:          func() SQ { return core.NewDualQueue[int64](core.WaitConfig{}) },
-			NewPoolQueue: func() pool.Queue { return core.NewDualQueue[pool.Task](core.WaitConfig{}) },
+			NewPoolQueue: func() pool.Queue { return synchq.New[pool.Task](synchq.Fair(true)) },
 		},
 	}
 	if extras {

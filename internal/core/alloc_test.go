@@ -45,8 +45,8 @@ func BenchmarkHandoffAllocs(b *testing.B) {
 		benchPairs(b, q.Put, q.Take)
 	})
 	b.Run("TransferQueue", func(b *testing.B) {
-		q := NewTransferQueue[int64](WaitConfig{})
-		benchPairs(b, q.Transfer, q.Take)
+		q := NewDualQueue[int64](WaitConfig{}) // Transfer is the queue's Put
+		benchPairs(b, q.Put, q.Take)
 	})
 	b.Run("Exchanger", func(b *testing.B) {
 		e := exchanger.New[int64]()
@@ -112,8 +112,8 @@ func TestHandoffAllocBudget(t *testing.T) {
 		budget(t, "put/take", measurePairAllocs(t, q.Put, q.Take), 2)
 	})
 	t.Run("TransferQueue", func(t *testing.T) {
-		q := NewTransferQueue[int64](cfg)
-		budget(t, "transfer/take", measurePairAllocs(t, q.Transfer, q.Take), 1)
+		q := NewDualQueue[int64](cfg) // Transfer is the queue's Put
+		budget(t, "transfer/take", measurePairAllocs(t, q.Put, q.Take), 1)
 	})
 	t.Run("Exchanger", func(t *testing.T) {
 		// The exchanger's boxes are pooled like the dual structures' item
@@ -136,11 +136,11 @@ func TestOfferPollMissesDoNotAllocate(t *testing.T) {
 	t.Run("DualQueue", func(t *testing.T) {
 		q := NewDualQueue[int64](WaitConfig{})
 		for i := 0; i < 10; i++ { // prime the item pool
-			q.Offer(1)
+			offer(q, 1)
 		}
 		if got := testing.AllocsPerRun(100, func() {
-			q.Offer(2)
-			q.Poll()
+			offer(q, 2)
+			poll(q)
 		}); got > 0 {
 			t.Errorf("allocs per missed offer+poll = %v, want 0", got)
 		}
@@ -148,11 +148,11 @@ func TestOfferPollMissesDoNotAllocate(t *testing.T) {
 	t.Run("DualStack", func(t *testing.T) {
 		q := NewDualStack[int64](WaitConfig{})
 		for i := 0; i < 10; i++ {
-			q.Offer(1)
+			offer(q, 1)
 		}
 		if got := testing.AllocsPerRun(100, func() {
-			q.Offer(2)
-			q.Poll()
+			offer(q, 2)
+			poll(q)
 		}); got > 0 {
 			t.Errorf("allocs per missed offer+poll = %v, want 0", got)
 		}

@@ -7,8 +7,7 @@ import (
 	"synchq/internal/metrics"
 )
 
-// This file is the batched-operation layer of the two dual structures and
-// the transfer queue.
+// This file is the batched-operation layer of the two dual structures.
 //
 // The per-node cores have no multi-slot claim to exploit — every hand-off
 // is one CAS-visible node — so their PutBatch/TakeBatch are the documented
@@ -16,8 +15,9 @@ import (
 // fill, status reporting) without the amortization. The segmented core
 // (internal/segq) overrides both with a true multi-cell claim.
 //
-// The one native batch path a linked structure does offer is the producer
-// side of the TransferQueue: asynchronous deposits need no per-item
+// The one native batch path a linked structure does offer is the
+// asynchronous deposit side of the dual queue (PutAsync, the paper's §5
+// TransferQueue extension): asynchronous deposits need no per-item
 // rendezvous, so a burst can be assembled as a private chain of data nodes
 // in local memory and published with a single tail splice — one CAS for k
 // items instead of k tail CASes. PutAllAsync below implements it.
@@ -57,7 +57,7 @@ func takeBatchLoop[T any](take batchTake[T], buf []T, max int, deadline time.Tim
 	}
 	buf = append(buf, v)
 	for taken := 1; taken < max; taken++ {
-		v, st := take(deadlineFor(0), nil)
+		v, st := take(Expired, nil)
 		if st == Closed {
 			return buf, Closed
 		}
@@ -245,41 +245,4 @@ func (q *DualQueue[T]) recycleChain(first *qnode[T], box *qitem[T]) {
 		q.putSpare(n)
 		n = next
 	}
-}
-
-// PutAll deposits items asynchronously as one burst: waiting consumers are
-// served in order from the front, the rest is linked in with a single tail
-// splice. See DualQueue.PutAllAsync for the status contract.
-func (t *TransferQueue[T]) PutAll(items []T) (int, Status) {
-	return t.q.PutAllAsync(items)
-}
-
-// TransferBatch hands items to consumers synchronously, in order, under
-// one shared deadline; it returns the count transferred and OK when all of
-// items were taken.
-func (t *TransferQueue[T]) TransferBatch(items []T, deadline time.Time, cancel <-chan struct{}) (int, Status) {
-	return t.q.PutBatch(items, deadline, cancel)
-}
-
-// TakeBatch appends up to max values to buf, waiting for the first under
-// the deadline and filling the rest from whatever is immediately available
-// (buffered deposits and waiting synchronous producers, FIFO). Like Take
-// and Poll, it keeps returning buffered deposits after Close and reports
-// Closed only once the buffer is empty.
-func (t *TransferQueue[T]) TakeBatch(buf []T, max int, deadline time.Time, cancel <-chan struct{}) ([]T, Status) {
-	return takeBatchLoop(t.q.TakeDeadline, buf, max, deadline, cancel)
-}
-
-// DrainTo appends up to max immediately available values to buf without
-// waiting: the bounded form of Drain. The status is OK when the queue
-// simply had nothing more to give, and Closed only once a closed queue's
-// buffered deposits have all been drained — an accepted deposit is a
-// promise the close keeps, so DrainTo never reports Closed while one
-// remains.
-func (t *TransferQueue[T]) DrainTo(buf []T, max int) ([]T, Status) {
-	buf, st := takeBatchLoop(t.q.TakeDeadline, buf, max, deadlineFor(0), nil)
-	if st == Timeout || st == Canceled {
-		st = OK
-	}
-	return buf, st
 }

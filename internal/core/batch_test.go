@@ -7,24 +7,24 @@ import (
 )
 
 func TestPutAllAsyncBuffersInOrder(t *testing.T) {
-	q := NewTransferQueue[int](WaitConfig{})
-	n, st := q.PutAll([]int{1, 2, 3, 4, 5})
+	q := NewDualQueue[int](WaitConfig{})
+	n, st := q.PutAllAsync([]int{1, 2, 3, 4, 5})
 	if n != 5 || st != OK {
 		t.Fatalf("PutAll = (%d, %v), want (5, OK)", n, st)
 	}
 	for want := 1; want <= 5; want++ {
-		v, ok := q.Poll()
+		v, ok := poll(q)
 		if !ok || v != want {
 			t.Fatalf("Poll = (%d, %v), want (%d, true)", v, ok, want)
 		}
 	}
-	if _, ok := q.Poll(); ok {
+	if _, ok := poll(q); ok {
 		t.Fatal("queue not empty after draining the burst")
 	}
 }
 
 func TestPutAllAsyncServesWaitingConsumersFirst(t *testing.T) {
-	q := NewTransferQueue[int](WaitConfig{})
+	q := NewDualQueue[int](WaitConfig{})
 	got := make(chan int, 2)
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
@@ -37,7 +37,7 @@ func TestPutAllAsyncServesWaitingConsumersFirst(t *testing.T) {
 	for !q.HasWaitingConsumer() {
 		time.Sleep(time.Millisecond)
 	}
-	n, st := q.PutAll([]int{10, 20, 30, 40})
+	n, st := q.PutAllAsync([]int{10, 20, 30, 40})
 	if n != 4 || st != OK {
 		t.Fatalf("PutAll = (%d, %v), want (4, OK)", n, st)
 	}
@@ -53,35 +53,35 @@ func TestPutAllAsyncServesWaitingConsumersFirst(t *testing.T) {
 		t.Fatalf("waiting consumers got %v, want the front of the batch {10, 20}", seen)
 	}
 	for _, want := range []int{30, 40} {
-		if v, ok := q.Poll(); !ok || v != want {
+		if v, ok := poll(q); !ok || v != want {
 			t.Fatalf("Poll = (%d, %v), want (%d, true)", v, ok, want)
 		}
 	}
 }
 
 func TestPutAllAsyncEmptyAndClosed(t *testing.T) {
-	q := NewTransferQueue[int](WaitConfig{})
-	if n, st := q.PutAll(nil); n != 0 || st != OK {
+	q := NewDualQueue[int](WaitConfig{})
+	if n, st := q.PutAllAsync(nil); n != 0 || st != OK {
 		t.Fatalf("PutAll(nil) = (%d, %v), want (0, OK)", n, st)
 	}
 	q.Close()
-	if n, st := q.PutAll([]int{1, 2}); n != 0 || st != Closed {
+	if n, st := q.PutAllAsync([]int{1, 2}); n != 0 || st != Closed {
 		t.Fatalf("PutAll on closed = (%d, %v), want (0, Closed)", n, st)
 	}
 	// Nothing from the refused burst may have been buffered.
-	if _, ok := q.Poll(); ok {
+	if _, ok := poll(q); ok {
 		t.Fatal("closed queue buffered part of a refused burst")
 	}
 }
 
 func TestTransferBatchPartialFillOnTimeout(t *testing.T) {
-	q := NewTransferQueue[int](WaitConfig{})
+	q := NewDualQueue[int](WaitConfig{})
 	taken := make(chan int, 2)
 	go func() {
 		taken <- q.Take()
 		taken <- q.Take()
 	}()
-	n, st := q.TransferBatch([]int{1, 2, 3, 4}, time.Now().Add(100*time.Millisecond), nil)
+	n, st := q.PutBatch([]int{1, 2, 3, 4}, time.Now().Add(100*time.Millisecond), nil)
 	if n != 2 || st != Timeout {
 		t.Fatalf("TransferBatch = (%d, %v), want (2, Timeout)", n, st)
 	}
@@ -89,14 +89,14 @@ func TestTransferBatchPartialFillOnTimeout(t *testing.T) {
 		t.Fatalf("consumers got (%d, %d), want (1, 2)", a, b)
 	}
 	// Aborted items are reclaimed: nothing buffered, nothing pollable.
-	if v, ok := q.Poll(); ok {
+	if v, ok := poll(q); ok {
 		t.Fatalf("Poll after aborted batch = %d, want miss", v)
 	}
 }
 
 func TestTakeBatchMixesBufferedAndOrder(t *testing.T) {
-	q := NewTransferQueue[int](WaitConfig{})
-	q.PutAll([]int{1, 2, 3, 4, 5})
+	q := NewDualQueue[int](WaitConfig{})
+	q.PutAllAsync([]int{1, 2, 3, 4, 5})
 	buf, st := q.TakeBatch(nil, 3, time.Time{}, nil)
 	if st != OK || len(buf) != 3 {
 		t.Fatalf("TakeBatch = (%v, %v), want 3 values, OK", buf, st)
@@ -113,38 +113,45 @@ func TestTakeBatchMixesBufferedAndOrder(t *testing.T) {
 	}
 }
 
+// drainTo is the transfer queue's DrainTo as the facade builds it: a
+// zero-patience TakeBatch, whose Timeout the facade reads as "nothing more
+// to give" and only whose Closed it reports.
+func drainTo(q *DualQueue[int], max int) ([]int, Status) {
+	return q.TakeBatch(nil, max, DeadlineFor(0), nil)
+}
+
 // TestDrainToClosedDrainsBufferedFirst is the regression test for the
 // closed-drain contract: DrainTo on a closed TransferQueue must keep
 // returning buffered asynchronous deposits — the promise Take and Poll
 // already keep — and report Closed only once the buffer is empty.
 func TestDrainToClosedDrainsBufferedFirst(t *testing.T) {
-	q := NewTransferQueue[int](WaitConfig{})
-	q.PutAll([]int{1, 2, 3})
+	q := NewDualQueue[int](WaitConfig{})
+	q.PutAllAsync([]int{1, 2, 3})
 	q.Close()
 
-	buf, st := q.DrainTo(nil, 2)
+	buf, st := drainTo(q, 2)
 	if st != OK || len(buf) != 2 || buf[0] != 1 || buf[1] != 2 {
 		t.Fatalf("DrainTo on closed queue with buffered deposits = (%v, %v), want ([1 2], OK)", buf, st)
 	}
 	// The last deposit comes out even as the drain hits the closed end.
-	buf, st = q.DrainTo(nil, 2)
+	buf, st = drainTo(q, 2)
 	if len(buf) != 1 || buf[0] != 3 {
 		t.Fatalf("second DrainTo = (%v, %v), want the final deposit [3]", buf, st)
 	}
 	// Only now — buffer empty — may DrainTo report Closed.
-	buf, st = q.DrainTo(nil, 2)
+	buf, st = drainTo(q, 2)
 	if len(buf) != 0 || st != Closed {
 		t.Fatalf("DrainTo on drained closed queue = (%v, %v), want ([], Closed)", buf, st)
 	}
 }
 
 func TestDrainToOpenQueueNeverReportsClosed(t *testing.T) {
-	q := NewTransferQueue[int](WaitConfig{})
-	if buf, st := q.DrainTo(nil, 4); len(buf) != 0 || st != OK {
-		t.Fatalf("DrainTo on empty open queue = (%v, %v), want ([], OK)", buf, st)
+	q := NewDualQueue[int](WaitConfig{})
+	if buf, st := drainTo(q, 4); len(buf) != 0 || st != Timeout {
+		t.Fatalf("DrainTo on empty open queue = (%v, %v), want ([], Timeout)", buf, st)
 	}
-	q.PutAll([]int{7})
-	if buf, st := q.DrainTo(nil, 4); st != OK || len(buf) != 1 || buf[0] != 7 {
+	q.PutAllAsync([]int{7})
+	if buf, st := drainTo(q, 4); st != OK || len(buf) != 1 || buf[0] != 7 {
 		t.Fatalf("DrainTo = (%v, %v), want ([7], OK)", buf, st)
 	}
 }

@@ -66,7 +66,7 @@ func TestDualQueueCancelStormConservation(t *testing.T) {
 	q := NewDualQueue[int64](WaitConfig{})
 	cancelStorm(t,
 		func(v int64, c <-chan struct{}) Status { return q.PutDeadline(v, time.Time{}, c) },
-		q.PollTimeout,
+		func(d time.Duration) (int64, bool) { return pollTimeout(q, d) },
 	)
 	if n := q.Len(); n != 0 {
 		t.Fatalf("Len = %d after storm, want 0", n)
@@ -77,7 +77,7 @@ func TestDualStackCancelStormConservation(t *testing.T) {
 	q := NewDualStack[int64](WaitConfig{})
 	cancelStorm(t,
 		func(v int64, c <-chan struct{}) Status { return q.PutDeadline(v, time.Time{}, c) },
-		q.PollTimeout,
+		func(d time.Duration) (int64, bool) { return pollTimeout(q, d) },
 	)
 	if n := q.Len(); n != 0 {
 		t.Fatalf("Len = %d after storm, want 0", n)
@@ -109,10 +109,10 @@ func TestCancelRaceWithFulfillAgreement(t *testing.T) {
 	}
 	t.Run("queue", func(t *testing.T) {
 		q := NewDualQueue[int64](WaitConfig{})
-		run(t, func(v int64, c <-chan struct{}) Status { return q.PutDeadline(v, time.Time{}, c) }, q.PollTimeout)
+		run(t, func(v int64, c <-chan struct{}) Status { return q.PutDeadline(v, time.Time{}, c) }, func(d time.Duration) (int64, bool) { return pollTimeout(q, d) })
 	})
 	t.Run("stack", func(t *testing.T) {
 		q := NewDualStack[int64](WaitConfig{})
-		run(t, func(v int64, c <-chan struct{}) Status { return q.PutDeadline(v, time.Time{}, c) }, q.PollTimeout)
+		run(t, func(v int64, c <-chan struct{}) Status { return q.PutDeadline(v, time.Time{}, c) }, func(d time.Duration) (int64, bool) { return pollTimeout(q, d) })
 	})
 }

@@ -15,49 +15,12 @@ import (
 // transfer (each hand-off completes in both parties or in neither), and —
 // for the transfer queue — keep every asynchronous deposit it accepted.
 
-// closeOps is the shutdown surface shared by the three structures,
-// expressed as funcs so one storm harness covers all of them. put and
-// take block until fulfilled or closed (zero deadline).
-type closeOps struct {
-	put    func(v int64) Status
-	take   func() (int64, Status)
-	close  func()
-	closed func() bool
-}
-
-func queueCloseOps(q *DualQueue[int64]) closeOps {
-	return closeOps{
-		put:    func(v int64) Status { return q.PutDeadline(v, time.Time{}, nil) },
-		take:   func() (int64, Status) { return q.TakeDeadline(time.Time{}, nil) },
-		close:  q.Close,
-		closed: q.Closed,
-	}
-}
-
-func stackCloseOps(q *DualStack[int64]) closeOps {
-	return closeOps{
-		put:    func(v int64) Status { return q.PutDeadline(v, time.Time{}, nil) },
-		take:   func() (int64, Status) { return q.TakeDeadline(time.Time{}, nil) },
-		close:  q.Close,
-		closed: q.Closed,
-	}
-}
-
-func transferCloseOps(tq *TransferQueue[int64]) closeOps {
-	return closeOps{
-		put:    func(v int64) Status { return tq.TransferDeadline(v, time.Time{}, nil) },
-		take:   func() (int64, Status) { return tq.TakeDeadline(time.Time{}, nil) },
-		close:  tq.Close,
-		closed: tq.Closed,
-	}
-}
-
 // runCloseStorm closes the structure in the middle of a full-throttle
 // producer/consumer storm of unbounded (block-until-closed) operations,
 // then checks that every goroutine returned, that the recorded history is
 // conserving and synchronous, and that the two sides agree on how many
 // transfers completed — i.e. close never tears a hand-off in half.
-func runCloseStorm(t *testing.T, ops closeOps, producers, consumers int) {
+func runCloseStorm(t *testing.T, ops Handoff[int64], producers, consumers int) {
 	t.Helper()
 	rec := verify.NewRecorder()
 	var wg sync.WaitGroup
@@ -69,7 +32,7 @@ func runCloseStorm(t *testing.T, ops closeOps, producers, consumers int) {
 			for seq := int64(0); ; seq++ {
 				v := id<<40 | seq
 				inv := log.Begin()
-				st := ops.put(v)
+				st := ops.PutDeadline(v, time.Time{}, nil)
 				log.End(verify.Put, v, inv, st == OK)
 				if st == Closed {
 					return
@@ -88,7 +51,7 @@ func runCloseStorm(t *testing.T, ops closeOps, producers, consumers int) {
 			log := rec.NewThread()
 			for {
 				inv := log.Begin()
-				v, st := ops.take()
+				v, st := ops.TakeDeadline(time.Time{}, nil)
 				log.End(verify.Take, v, inv, st == OK)
 				if st == Closed {
 					return
@@ -102,19 +65,19 @@ func runCloseStorm(t *testing.T, ops closeOps, producers, consumers int) {
 	}
 
 	time.Sleep(20 * time.Millisecond)
-	ops.close()
+	ops.Close()
 	// The acceptance criterion "every waiter returns Closed" is this Wait
 	// terminating: a missed wakeup would hang the test.
 	wg.Wait()
 
-	if !ops.closed() {
+	if !ops.Closed() {
 		t.Fatal("Closed() false after Close")
 	}
-	ops.close() // idempotent
-	if st := ops.put(99); st != Closed {
+	ops.Close() // idempotent
+	if st := ops.PutDeadline(99, time.Time{}, nil); st != Closed {
 		t.Fatalf("put after close: got %v, want Closed", st)
 	}
-	if _, st := ops.take(); st != Closed {
+	if _, st := ops.TakeDeadline(time.Time{}, nil); st != Closed {
 		t.Fatalf("take after close: got %v, want Closed", st)
 	}
 
@@ -130,15 +93,15 @@ func runCloseStorm(t *testing.T, ops closeOps, producers, consumers int) {
 }
 
 func TestDualQueueCloseUnderLoad(t *testing.T) {
-	runCloseStorm(t, queueCloseOps(NewDualQueue[int64](WaitConfig{})), 6, 6)
+	runCloseStorm(t, NewDualQueue[int64](WaitConfig{}), 6, 6)
 }
 
 func TestDualStackCloseUnderLoad(t *testing.T) {
-	runCloseStorm(t, stackCloseOps(NewDualStack[int64](WaitConfig{})), 6, 6)
+	runCloseStorm(t, NewDualStack[int64](WaitConfig{}), 6, 6)
 }
 
 func TestTransferQueueCloseUnderLoad(t *testing.T) {
-	runCloseStorm(t, transferCloseOps(NewTransferQueue[int64](WaitConfig{})), 6, 6)
+	runCloseStorm(t, NewDualQueue[int64](WaitConfig{}), 6, 6)
 }
 
 // TestCloseWakesParkedWaiters parks waiters on both sides (producers on
@@ -148,16 +111,16 @@ func TestTransferQueueCloseUnderLoad(t *testing.T) {
 func TestCloseWakesParkedWaiters(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
-		fresh func(h *metrics.Handle) closeOps
+		fresh func(h *metrics.Handle) Handoff[int64]
 	}{
-		{"queue", func(h *metrics.Handle) closeOps {
-			return queueCloseOps(NewDualQueue[int64](WaitConfig{Metrics: h}))
+		{"queue", func(h *metrics.Handle) Handoff[int64] {
+			return NewDualQueue[int64](WaitConfig{Metrics: h})
 		}},
-		{"stack", func(h *metrics.Handle) closeOps {
-			return stackCloseOps(NewDualStack[int64](WaitConfig{Metrics: h}))
+		{"stack", func(h *metrics.Handle) Handoff[int64] {
+			return NewDualStack[int64](WaitConfig{Metrics: h})
 		}},
-		{"transfer", func(h *metrics.Handle) closeOps {
-			return transferCloseOps(NewTransferQueue[int64](WaitConfig{Metrics: h}))
+		{"transfer", func(h *metrics.Handle) Handoff[int64] {
+			return NewDualQueue[int64](WaitConfig{Metrics: h})
 		}},
 	} {
 		for _, side := range []string{"producers", "consumers"} {
@@ -169,16 +132,16 @@ func TestCloseWakesParkedWaiters(t *testing.T) {
 				for i := 0; i < waiters; i++ {
 					go func(v int64) {
 						if side == "producers" {
-							results <- ops.put(v)
+							results <- ops.PutDeadline(v, time.Time{}, nil)
 						} else {
-							_, st := ops.take()
+							_, st := ops.TakeDeadline(time.Time{}, nil)
 							results <- st
 						}
 					}(int64(i))
 				}
 				// Let the waiters engage and park before closing.
 				time.Sleep(10 * time.Millisecond)
-				ops.close()
+				ops.Close()
 				for i := 0; i < waiters; i++ {
 					select {
 					case st := <-results:
@@ -202,7 +165,7 @@ func TestCloseWakesParkedWaiters(t *testing.T) {
 // surface exactly once — through a consumer or through Drain — and every
 // Put that reported Closed must never surface.
 func TestTransferQueueCloseKeepsDeposits(t *testing.T) {
-	tq := NewTransferQueue[int64](WaitConfig{})
+	tq := NewDualQueue[int64](WaitConfig{})
 	const producers, perProducer = 4, 2000
 
 	accepted := make([]map[int64]bool, producers)
@@ -214,7 +177,7 @@ func TestTransferQueueCloseKeepsDeposits(t *testing.T) {
 			defer wg.Done()
 			for seq := int64(0); seq < perProducer; seq++ {
 				v := id<<40 | seq
-				if tq.Put(v) == OK {
+				if tq.PutAsync(v) == OK {
 					accepted[id][v] = true
 				} else {
 					return // closed: all later Puts would be refused too
@@ -250,14 +213,14 @@ func TestTransferQueueCloseKeepsDeposits(t *testing.T) {
 	wg.Wait()  // producers stop accepting
 	cwg.Wait() // consumers drain the rest, then observe Closed
 
-	drained := tq.Drain()
+	drained := drain(tq)
 	for _, v := range drained {
 		if taken[v] {
 			t.Errorf("value %d both taken and drained", v)
 		}
 		taken[v] = true
 	}
-	if tq.Put(12345) != Closed {
+	if tq.PutAsync(12345) != Closed {
 		t.Error("Put accepted after Close")
 	}
 
@@ -296,22 +259,22 @@ func TestDemandOpsPanicAfterClose(t *testing.T) {
 	q.Close()
 	mustPanic("queue.Put", func() { q.Put(1) })
 	mustPanic("queue.Take", func() { q.Take() })
-	mustPanic("queue.PutReserve", func() { q.PutReserve(1) })
-	mustPanic("queue.TakeReserve", func() { q.TakeReserve() })
+	mustPanic("queue.PutReserve", func() { q.ReservePut(1) })
+	mustPanic("queue.TakeReserve", func() { q.ReserveTake() })
 
 	s := NewDualStack[int](WaitConfig{})
 	s.Close()
 	mustPanic("stack.Put", func() { s.Put(1) })
 	mustPanic("stack.Take", func() { s.Take() })
-	mustPanic("stack.PutReserve", func() { s.PutReserve(1) })
-	mustPanic("stack.TakeReserve", func() { s.TakeReserve() })
+	mustPanic("stack.PutReserve", func() { s.ReservePut(1) })
+	mustPanic("stack.TakeReserve", func() { s.ReserveTake() })
 
 	// Zero-patience probes stay non-panicking: they report "nothing
 	// available" rather than tearing down pollers racing a shutdown.
-	if ok := q.Offer(1); ok {
+	if ok := offer(q, 1); ok {
 		t.Error("queue.Offer succeeded on closed queue")
 	}
-	if _, ok := s.Poll(); ok {
+	if _, ok := poll(s); ok {
 		t.Error("stack.Poll succeeded on closed stack")
 	}
 }
@@ -322,7 +285,7 @@ func TestDemandOpsPanicAfterClose(t *testing.T) {
 func TestTicketCloseSemantics(t *testing.T) {
 	t.Run("queue-await", func(t *testing.T) {
 		q := NewDualQueue[int](WaitConfig{})
-		tk, ok := q.PutReserve(7)
+		tk, ok := q.ReservePut(7)
 		if ok {
 			t.Fatal("immediate fulfillment on empty queue")
 		}
@@ -336,7 +299,7 @@ func TestTicketCloseSemantics(t *testing.T) {
 	})
 	t.Run("queue-abort", func(t *testing.T) {
 		q := NewDualQueue[int](WaitConfig{})
-		tk, _ := q.PutReserve(7)
+		tk, _ := q.ReservePut(7)
 		q.Close()
 		if !tk.Abort() {
 			t.Error("Abort of a close-evicted reservation failed")
@@ -344,7 +307,7 @@ func TestTicketCloseSemantics(t *testing.T) {
 	})
 	t.Run("stack-await", func(t *testing.T) {
 		s := NewDualStack[int](WaitConfig{})
-		tk, ok := s.PutReserve(7)
+		tk, ok := s.ReservePut(7)
 		if ok {
 			t.Fatal("immediate fulfillment on empty stack")
 		}
@@ -358,7 +321,7 @@ func TestTicketCloseSemantics(t *testing.T) {
 	})
 	t.Run("stack-abort", func(t *testing.T) {
 		s := NewDualStack[int](WaitConfig{})
-		tk, _ := s.PutReserve(7)
+		tk, _ := s.ReservePut(7)
 		s.Close()
 		if !tk.Abort() {
 			t.Error("Abort of a close-evicted reservation failed")

@@ -16,12 +16,10 @@ import (
 // its datum slot no longer pins the value.
 type commitCore struct {
 	q interface {
+		Handoff[*int]
 		PutCommit(*int, time.Time, <-chan struct{}, func() bool) Status
 		TakeCommit(time.Time, <-chan struct{}, func() bool) (*int, Status)
-		Offer(*int) bool
-		Poll() (*int, bool)
-		Close()
-		IsEmpty() bool
+		vacant() bool
 	}
 	scrubbed func() func() bool
 	// reservePut links a waiting producer without blocking.
@@ -35,14 +33,14 @@ func commitCores() map[string]func() commitCore {
 			return commitCore{q, func() func() bool {
 				box := q.tail.Load().item.Load()
 				return func() bool { return box.v == nil }
-			}, func(v *int) { q.PutReserve(v) }}
+			}, func(v *int) { q.ReservePut(v) }}
 		},
 		"stack": func() commitCore {
 			q := NewDualStack[*int](WaitConfig{})
 			return commitCore{q, func() func() bool {
 				n := q.head.Load()
 				return func() bool { return n.box.v == nil }
-			}, func(v *int) { q.PutReserve(v) }}
+			}, func(v *int) { q.ReservePut(v) }}
 		},
 	}
 }
@@ -59,10 +57,10 @@ func TestCommitDeclineWithdraws(t *testing.T) {
 			if st != Withdrawn {
 				t.Fatalf("PutCommit = %v, want Withdrawn", st)
 			}
-			if !c.q.IsEmpty() {
+			if !c.q.vacant() {
 				t.Error("structure not empty after the withdrawal")
 			}
-			if _, ok := c.q.Poll(); ok {
+			if _, ok := poll(c.q); ok {
 				t.Error("withdrawn datum delivered to a later Poll")
 			}
 			if !scrubbed() {
@@ -74,10 +72,10 @@ func TestCommitDeclineWithdraws(t *testing.T) {
 			if _, st := c.q.TakeCommit(time.Time{}, nil, func() bool { return false }); st != Withdrawn {
 				t.Fatalf("TakeCommit = %v, want Withdrawn", st)
 			}
-			if !c.q.IsEmpty() {
+			if !c.q.vacant() {
 				t.Error("structure not empty after the withdrawal")
 			}
-			if c.q.Offer(new(int)) {
+			if offer(c.q, new(int)) {
 				t.Error("Offer paired with a withdrawn consumer")
 			}
 		})
@@ -94,7 +92,7 @@ func TestCommitDeclineLosesToFulfillment(t *testing.T) {
 			st := c.q.PutCommit(v, time.Time{}, nil, func() bool {
 				calls++
 				var ok bool
-				if got, ok = c.q.Poll(); !ok {
+				if got, ok = poll(c.q); !ok {
 					t.Error("Poll inside the step missed the linked producer")
 				}
 				return false
@@ -102,7 +100,7 @@ func TestCommitDeclineLosesToFulfillment(t *testing.T) {
 			if st != OK || calls != 1 || got != v {
 				t.Fatalf("PutCommit = %v after %d steps, Poll got %p; want OK, 1, %p", st, calls, got, v)
 			}
-			if !c.q.IsEmpty() {
+			if !c.q.vacant() {
 				t.Error("structure not empty after the hand-off")
 			}
 		})
@@ -110,7 +108,7 @@ func TestCommitDeclineLosesToFulfillment(t *testing.T) {
 			c := mk()
 			v := new(int)
 			got, st := c.q.TakeCommit(time.Time{}, nil, func() bool {
-				if !c.q.Offer(v) {
+				if !offer(c.q, v) {
 					t.Error("Offer inside the step missed the linked consumer")
 				}
 				return false
@@ -118,7 +116,7 @@ func TestCommitDeclineLosesToFulfillment(t *testing.T) {
 			if st != OK || got != v {
 				t.Fatalf("TakeCommit = (%p, %v), want (%p, OK)", got, st, v)
 			}
-			if c.q.Offer(v) {
+			if offer(c.q, v) {
 				t.Error("the consumer was fulfilled twice")
 			}
 		})
@@ -133,7 +131,7 @@ func TestCommitDeclineLosesToClose(t *testing.T) {
 			if st != Closed {
 				t.Fatalf("PutCommit = %v, want Closed", st)
 			}
-			if !c.q.IsEmpty() {
+			if !c.q.vacant() {
 				t.Error("closed producer's node stranded in the structure")
 			}
 		})
@@ -142,7 +140,7 @@ func TestCommitDeclineLosesToClose(t *testing.T) {
 			if _, st := c.q.TakeCommit(time.Time{}, nil, func() bool { c.q.Close(); return false }); st != Closed {
 				t.Fatalf("TakeCommit = %v, want Closed", st)
 			}
-			if !c.q.IsEmpty() {
+			if !c.q.vacant() {
 				t.Error("closed consumer's node stranded in the structure")
 			}
 		})

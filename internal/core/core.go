@@ -10,14 +10,16 @@
 //     stack": a Treiber-style stack in which a fulfilling node is pushed on
 //     top of a complementary node and the adjacent pair "annihilates".
 //
-// Both support the full rich interface the paper calls for: demand
-// operations (block until paired), poll/offer (succeed only if a
-// counterpart is already waiting), timed operations with a patience
-// interval, and asynchronous cancellation (the Go analogue of thread
-// interruption), plus the pragmatics the paper describes — spin-then-park
-// waiting, reference forgetting for the garbage collector, and cleaning of
-// canceled nodes (lazy cleanMe unlinking in the queue, traversal unlinking
-// in the stack).
+// Both implement Handoff, the one contract the public queues consume: a
+// transfer with a patience deadline and asynchronous cancellation (the Go
+// analogue of thread interruption), from which the facade derives demand
+// operations (no deadline) and poll/offer (an expired one); the paper's
+// reservation split; batches; and Close. They carry the pragmatics the
+// paper describes — spin-then-park waiting, reference forgetting for the
+// garbage collector, and cleaning of canceled nodes (lazy cleanMe
+// unlinking in the queue, traversal unlinking in the stack). The queue
+// also takes asynchronous deposits (PutAsync, PutAllAsync): the paper's §5
+// TransferQueue extension.
 //
 // The implementations are ports of the algorithms as adopted into Java 6
 // (java.util.concurrent.SynchronousQueue), adapted to Go: goroutines park
@@ -134,15 +136,56 @@ func StatusOf(o park.Outcome, why park.WaitResult) Status {
 // the poll/offer convention shared by every core: zero patience yields an
 // already-expired deadline (pure poll/offer), negative patience is treated
 // as zero.
-func DeadlineFor(d time.Duration) time.Time { return deadlineFor(d) }
-
-// deadlineFor converts a patience duration into an absolute deadline; zero
-// patience yields an already-expired deadline (pure poll/offer), negative
-// patience is treated as zero.
-func deadlineFor(d time.Duration) time.Time {
+func DeadlineFor(d time.Duration) time.Time {
 	if d <= 0 {
-		// Any non-zero time in the past: expired immediately.
-		return time.Unix(0, 1)
+		return Expired
 	}
 	return time.Now().Add(d)
 }
+
+// Expired is the deadline of zero patience: a non-zero time in the past, so
+// a transfer at Expired pairs only with a counterpart already waiting.
+// Pure poll and offer paths pass it directly, skipping DeadlineFor's call.
+var Expired = time.Unix(0, 1)
+
+// Handoff is the hand-off contract every core implements — the dual
+// queue, the dual stack, the segmented core and the shard fabric over any
+// of them — and the only surface the public queues consume. It holds the
+// primitives alone: the deadline-and-cancel transfer pair, the split
+// reservation pair, the batch pair, the two occupancy probes and Close.
+// The classic forms derive from them in one place, the synchq facade:
+// Put and Take are the transfers with no deadline, Offer and Poll the
+// transfers at DeadlineFor(0), OfferTimeout and PollTimeout at
+// DeadlineFor(d), and IsEmpty is "neither probe sees a waiter".
+type Handoff[T any] interface {
+	// PutDeadline transfers v to a consumer, giving up at the deadline
+	// (zero: never; already passed: only a waiting consumer will do) or
+	// when cancel fires (nil: never).
+	PutDeadline(v T, deadline time.Time, cancel <-chan struct{}) Status
+	// TakeDeadline receives a value under the same patience rules.
+	TakeDeadline(deadline time.Time, cancel <-chan struct{}) (T, Status)
+	// ReservePut offers v to a future consumer: delivered at once (ok
+	// true, nil ticket) or pending on the returned ticket. Panics on a
+	// closed structure.
+	ReservePut(v T) (Ticket[T], bool)
+	// ReserveTake registers a request for a value with the same split.
+	ReserveTake() (T, Ticket[T], bool)
+	// PutBatch transfers items in order under one deadline, reporting
+	// the count delivered (see the batch contract in batch.go).
+	PutBatch(items []T, deadline time.Time, cancel <-chan struct{}) (int, Status)
+	// TakeBatch appends up to max values to buf, waiting only for the
+	// first.
+	TakeBatch(buf []T, max int, deadline time.Time, cancel <-chan struct{}) ([]T, Status)
+	// HasWaitingConsumer and HasWaitingProducer report whether a waiter
+	// of that side was observed; a linked live waiter is never missed.
+	HasWaitingConsumer() bool
+	HasWaitingProducer() bool
+	// Close wakes every waiter with Closed and refuses later arrivals.
+	Close()
+	Closed() bool
+}
+
+var (
+	_ Handoff[int] = (*DualQueue[int])(nil)
+	_ Handoff[int] = (*DualStack[int])(nil)
+)

@@ -567,19 +567,6 @@ func (q *DualQueue[T]) PutCommit(v T, deadline time.Time, cancel <-chan struct{}
 	return st
 }
 
-// Offer transfers v only if a consumer is already waiting; it reports
-// whether the transfer happened.
-func (q *DualQueue[T]) Offer(v T) bool {
-	_, st := q.transfer(true, v, deadlineFor(0), nil, false, nil)
-	return st == OK
-}
-
-// OfferTimeout transfers v, waiting up to d for a consumer.
-func (q *DualQueue[T]) OfferTimeout(v T, d time.Duration) bool {
-	_, st := q.transfer(true, v, deadlineFor(d), nil, false, nil)
-	return st == OK
-}
-
 // PutAsync deposits v without waiting for a consumer: the paper's
 // TransferQueue extension ("releasing producers before items are taken").
 // It reports OK, or Closed when the queue has been shut down (the deposit
@@ -610,19 +597,6 @@ func (q *DualQueue[T]) TakeDeadline(deadline time.Time, cancel <-chan struct{}) 
 // linked (see Withdrawn).
 func (q *DualQueue[T]) TakeCommit(deadline time.Time, cancel <-chan struct{}, commit func() bool) (T, Status) {
 	return q.transfer(false, *new(T), deadline, cancel, false, commit)
-}
-
-// Poll receives a value only if a producer is already waiting (or a datum
-// was deposited asynchronously).
-func (q *DualQueue[T]) Poll() (T, bool) {
-	v, st := q.transfer(false, *new(T), deadlineFor(0), nil, false, nil)
-	return v, st == OK
-}
-
-// PollTimeout receives a value, waiting up to d for a producer.
-func (q *DualQueue[T]) PollTimeout(d time.Duration) (T, bool) {
-	v, st := q.transfer(false, *new(T), deadlineFor(d), nil, false, nil)
-	return v, st == OK
 }
 
 // observe classifies the queue's current content. The answer may be stale
@@ -661,13 +635,6 @@ func (q *DualQueue[T]) HasWaitingProducer() bool { d, _ := q.observe(); return d
 
 // HasWaitingConsumer reports whether a consumer was observed waiting.
 func (q *DualQueue[T]) HasWaitingConsumer() bool { _, r := q.observe(); return r }
-
-// IsEmpty reports whether the queue was observed holding neither data nor
-// reservations.
-func (q *DualQueue[T]) IsEmpty() bool {
-	h := q.head.Load()
-	return h == q.tail.Load() && h.next.Load() == nil
-}
 
 // Len counts the live (non-canceled) waiting nodes by walking the list. It
 // is linear time and only a snapshot under concurrency; intended for tests

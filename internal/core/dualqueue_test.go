@@ -91,10 +91,10 @@ func TestDualQueueTakeBlocksUntilProducer(t *testing.T) {
 
 func TestDualQueueOfferWithoutConsumerFails(t *testing.T) {
 	q := NewDualQueue[int](WaitConfig{})
-	if q.Offer(1) {
+	if offer(q, 1) {
 		t.Fatal("Offer succeeded with no waiting consumer")
 	}
-	if !q.IsEmpty() {
+	if !q.vacant() {
 		t.Fatal("queue not empty after failed Offer")
 	}
 }
@@ -104,7 +104,7 @@ func TestDualQueueOfferToWaitingConsumer(t *testing.T) {
 	done := make(chan int)
 	go func() { done <- q.Take() }()
 	waitLen[int](t, q, 1)
-	if !q.Offer(9) {
+	if !offer(q, 9) {
 		t.Fatal("Offer failed with a waiting consumer")
 	}
 	if got := <-done; got != 9 {
@@ -114,7 +114,7 @@ func TestDualQueueOfferToWaitingConsumer(t *testing.T) {
 
 func TestDualQueuePollWithoutProducerFails(t *testing.T) {
 	q := NewDualQueue[int](WaitConfig{})
-	if _, ok := q.Poll(); ok {
+	if _, ok := poll(q); ok {
 		t.Fatal("Poll succeeded on empty queue")
 	}
 }
@@ -123,7 +123,7 @@ func TestDualQueuePollFromWaitingProducer(t *testing.T) {
 	q := NewDualQueue[int](WaitConfig{})
 	go q.Put(3)
 	waitLen[int](t, q, 1)
-	v, ok := q.Poll()
+	v, ok := poll(q)
 	if !ok || v != 3 {
 		t.Fatalf("Poll = (%d,%v), want (3,true)", v, ok)
 	}
@@ -132,7 +132,7 @@ func TestDualQueuePollFromWaitingProducer(t *testing.T) {
 func TestDualQueueOfferTimeoutExpires(t *testing.T) {
 	q := NewDualQueue[int](WaitConfig{})
 	t0 := time.Now()
-	if q.OfferTimeout(1, 20*time.Millisecond) {
+	if offerTimeout(q, 1, 20*time.Millisecond) {
 		t.Fatal("OfferTimeout succeeded with no consumer")
 	}
 	if elapsed := time.Since(t0); elapsed < 15*time.Millisecond {
@@ -148,14 +148,14 @@ func TestDualQueueOfferTimeoutSucceedsWithinPatience(t *testing.T) {
 			t.Errorf("Take = %d, want 5", got)
 		}
 	}()
-	if !q.OfferTimeout(5, 5*time.Second) {
+	if !offerTimeout(q, 5, 5*time.Second) {
 		t.Fatal("OfferTimeout expired despite a consumer arriving")
 	}
 }
 
 func TestDualQueuePollTimeoutExpires(t *testing.T) {
 	q := NewDualQueue[int](WaitConfig{})
-	if _, ok := q.PollTimeout(20 * time.Millisecond); ok {
+	if _, ok := pollTimeout(q, 20*time.Millisecond); ok {
 		t.Fatal("PollTimeout succeeded with no producer")
 	}
 }
@@ -166,7 +166,7 @@ func TestDualQueuePollTimeoutSucceedsWithinPatience(t *testing.T) {
 		waitLen[int](t, q, 1)
 		q.Put(11)
 	}()
-	v, ok := q.PollTimeout(5 * time.Second)
+	v, ok := pollTimeout(q, 5*time.Second)
 	if !ok || v != 11 {
 		t.Fatalf("PollTimeout = (%d,%v), want (11,true)", v, ok)
 	}
@@ -254,12 +254,12 @@ func TestDualQueuePutAsyncBuffersFIFO(t *testing.T) {
 		t.Fatalf("Len = %d, want 3 buffered", q.Len())
 	}
 	for want := 1; want <= 3; want++ {
-		v, ok := q.Poll()
+		v, ok := poll(q)
 		if !ok || v != want {
 			t.Fatalf("Poll = (%d,%v), want (%d,true)", v, ok, want)
 		}
 	}
-	if _, ok := q.Poll(); ok {
+	if _, ok := poll(q); ok {
 		t.Fatal("Poll succeeded on drained queue")
 	}
 }
@@ -282,13 +282,13 @@ func TestDualQueueCancellationDoesNotLoseValues(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		got := make(chan int, 1)
 		go func() {
-			if v, ok := q.PollTimeout(time.Millisecond); ok {
+			if v, ok := pollTimeout(q, time.Millisecond); ok {
 				got <- v
 			} else {
 				got <- -1
 			}
 		}()
-		sent := q.OfferTimeout(i, time.Millisecond)
+		sent := offerTimeout(q, i, time.Millisecond)
 		v := <-got
 		if sent && v == -1 {
 			t.Fatalf("iteration %d: producer reported success but consumer got nothing", i)
@@ -308,7 +308,7 @@ func TestDualQueueTimeoutStormLeavesNoGarbage(t *testing.T) {
 	// leftover canceled nodes to a small constant.
 	q := NewDualQueue[int](WaitConfig{})
 	for i := 0; i < 500; i++ {
-		q.OfferTimeout(i, 10*time.Microsecond)
+		offerTimeout(q, i, 10*time.Microsecond)
 	}
 	if n := countQueueNodes(q); n > 2 {
 		t.Fatalf("%d nodes linger after timeout storm; cleaning failed", n)
@@ -330,7 +330,7 @@ func TestDualQueueCanceledTailThenTransfer(t *testing.T) {
 	q := NewDualQueue[int](WaitConfig{})
 	go q.Put(1)
 	waitLen[int](t, q, 1)
-	if q.OfferTimeout(2, 10*time.Millisecond) {
+	if offerTimeout(q, 2, 10*time.Millisecond) {
 		t.Fatal("second offer unexpectedly matched")
 	}
 	if got := q.Take(); got != 1 {
@@ -383,7 +383,7 @@ func TestDualQueueConservationUnderLoad(t *testing.T) {
 	if len(seen) != producers*perProducer {
 		t.Fatalf("delivered %d distinct values, want %d", len(seen), producers*perProducer)
 	}
-	if !q.IsEmpty() {
+	if !q.vacant() {
 		t.Fatal("queue not empty after balanced run")
 	}
 }
@@ -399,7 +399,7 @@ func TestDualQueueMixedTimedUntimedStress(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := int64(0); i < n; i++ {
-			if q.OfferTimeout(i, time.Millisecond) {
+			if offerTimeout(q, i, time.Millisecond) {
 				produced.Add(1)
 			}
 		}
@@ -407,7 +407,7 @@ func TestDualQueueMixedTimedUntimedStress(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for {
-			if _, ok := q.PollTimeout(20 * time.Millisecond); !ok {
+			if _, ok := pollTimeout(q, 20*time.Millisecond); !ok {
 				return // producer exhausted
 			}
 			consumed.Add(1)
@@ -430,7 +430,7 @@ func TestDualQueueStatusString(t *testing.T) {
 
 func TestDualQueueObservers(t *testing.T) {
 	q := NewDualQueue[int](WaitConfig{})
-	if q.HasWaitingProducer() || q.HasWaitingConsumer() || !q.IsEmpty() {
+	if q.HasWaitingProducer() || q.HasWaitingConsumer() || !q.vacant() {
 		t.Fatal("fresh queue misreports state")
 	}
 	go q.Put(1)

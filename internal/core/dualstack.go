@@ -485,18 +485,6 @@ func (q *DualStack[T]) PutCommit(v T, deadline time.Time, cancel <-chan struct{}
 	return st
 }
 
-// Offer transfers v only if a consumer is already waiting.
-func (q *DualStack[T]) Offer(v T) bool {
-	_, st := q.transfer(true, v, deadlineFor(0), nil, nil)
-	return st == OK
-}
-
-// OfferTimeout transfers v, waiting up to d for a consumer.
-func (q *DualStack[T]) OfferTimeout(v T, d time.Duration) bool {
-	_, st := q.transfer(true, v, deadlineFor(d), nil, nil)
-	return st == OK
-}
-
 // Take receives a value from a producer, waiting as long as necessary for
 // one to arrive. Take panics if the stack is closed while waiting (or was
 // already closed), rather than inventing a zero value.
@@ -518,18 +506,6 @@ func (q *DualStack[T]) TakeDeadline(deadline time.Time, cancel <-chan struct{}) 
 // been pushed (see Withdrawn).
 func (q *DualStack[T]) TakeCommit(deadline time.Time, cancel <-chan struct{}, commit func() bool) (T, Status) {
 	return q.transfer(false, *new(T), deadline, cancel, commit)
-}
-
-// Poll receives a value only if a producer is already waiting.
-func (q *DualStack[T]) Poll() (T, bool) {
-	v, st := q.transfer(false, *new(T), deadlineFor(0), nil, nil)
-	return v, st == OK
-}
-
-// PollTimeout receives a value, waiting up to d for a producer.
-func (q *DualStack[T]) PollTimeout(d time.Duration) (T, bool) {
-	v, st := q.transfer(false, *new(T), deadlineFor(d), nil, nil)
-	return v, st == OK
 }
 
 // observe classifies the stack's current content. Like the queue's, it is
@@ -563,9 +539,6 @@ func (q *DualStack[T]) HasWaitingProducer() bool { d, _ := q.observe(); return d
 
 // HasWaitingConsumer reports whether a consumer was observed waiting.
 func (q *DualStack[T]) HasWaitingConsumer() bool { _, r := q.observe(); return r }
-
-// IsEmpty reports whether the stack was observed empty.
-func (q *DualStack[T]) IsEmpty() bool { return q.head.Load() == nil }
 
 // Len counts the live (unmatched, non-canceled) waiting nodes by walking
 // the stack. Linear time and only a snapshot under concurrency; intended

@@ -44,16 +44,16 @@ func TestDualStackPutBlocksUntilConsumer(t *testing.T) {
 
 func TestDualStackOfferPollSemantics(t *testing.T) {
 	q := NewDualStack[int](WaitConfig{})
-	if q.Offer(1) {
+	if offer(q, 1) {
 		t.Fatal("Offer succeeded with no waiting consumer")
 	}
-	if _, ok := q.Poll(); ok {
+	if _, ok := poll(q); ok {
 		t.Fatal("Poll succeeded on empty stack")
 	}
 	done := make(chan int)
 	go func() { done <- q.Take() }()
 	waitLen[int](t, q, 1)
-	if !q.Offer(9) {
+	if !offer(q, 9) {
 		t.Fatal("Offer failed with a waiting consumer")
 	}
 	if got := <-done; got != 9 {
@@ -61,7 +61,7 @@ func TestDualStackOfferPollSemantics(t *testing.T) {
 	}
 	go q.Put(3)
 	waitLen[int](t, q, 1)
-	if v, ok := q.Poll(); !ok || v != 3 {
+	if v, ok := poll(q); !ok || v != 3 {
 		t.Fatalf("Poll = (%d,%v), want (3,true)", v, ok)
 	}
 }
@@ -69,13 +69,13 @@ func TestDualStackOfferPollSemantics(t *testing.T) {
 func TestDualStackTimeoutsExpire(t *testing.T) {
 	q := NewDualStack[int](WaitConfig{})
 	t0 := time.Now()
-	if q.OfferTimeout(1, 20*time.Millisecond) {
+	if offerTimeout(q, 1, 20*time.Millisecond) {
 		t.Fatal("OfferTimeout succeeded with no consumer")
 	}
 	if elapsed := time.Since(t0); elapsed < 15*time.Millisecond {
 		t.Fatalf("OfferTimeout returned after %v, before its patience elapsed", elapsed)
 	}
-	if _, ok := q.PollTimeout(20 * time.Millisecond); ok {
+	if _, ok := pollTimeout(q, 20*time.Millisecond); ok {
 		t.Fatal("PollTimeout succeeded with no producer")
 	}
 }
@@ -88,14 +88,14 @@ func TestDualStackTimeoutsSucceedWithinPatience(t *testing.T) {
 			t.Errorf("Take = %d, want 5", got)
 		}
 	}()
-	if !q.OfferTimeout(5, 5*time.Second) {
+	if !offerTimeout(q, 5, 5*time.Second) {
 		t.Fatal("OfferTimeout expired despite a consumer arriving")
 	}
 	go func() {
 		waitLen[int](t, q, 1)
 		q.Put(11)
 	}()
-	if v, ok := q.PollTimeout(5 * time.Second); !ok || v != 11 {
+	if v, ok := pollTimeout(q, 5*time.Second); !ok || v != 11 {
 		t.Fatalf("PollTimeout = (%d,%v), want (11,true)", v, ok)
 	}
 }
@@ -111,7 +111,7 @@ func TestDualStackCancel(t *testing.T) {
 		t.Fatalf("PutDeadline = %v, want Canceled", st)
 	}
 	// Canceled node must not satisfy a later consumer.
-	if _, ok := q.PollTimeout(10 * time.Millisecond); ok {
+	if _, ok := pollTimeout(q, 10*time.Millisecond); ok {
 		t.Fatal("Poll received a value from a canceled producer")
 	}
 }
@@ -196,7 +196,7 @@ func TestDualStackInteriorCancellationIsCleaned(t *testing.T) {
 func TestDualStackTimeoutStormLeavesNoGarbage(t *testing.T) {
 	q := NewDualStack[int](WaitConfig{})
 	for i := 0; i < 500; i++ {
-		q.OfferTimeout(i, 10*time.Microsecond)
+		offerTimeout(q, i, 10*time.Microsecond)
 	}
 	if n := countStackNodes(q); n > 2 {
 		t.Fatalf("%d nodes linger after timeout storm; cleaning failed", n)
@@ -215,13 +215,13 @@ func TestDualStackCancellationDoesNotLoseValues(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		got := make(chan int, 1)
 		go func() {
-			if v, ok := q.PollTimeout(time.Millisecond); ok {
+			if v, ok := pollTimeout(q, time.Millisecond); ok {
 				got <- v
 			} else {
 				got <- -1
 			}
 		}()
-		sent := q.OfferTimeout(i, time.Millisecond)
+		sent := offerTimeout(q, i, time.Millisecond)
 		v := <-got
 		if sent && v == -1 {
 			t.Fatalf("iteration %d: producer succeeded but consumer got nothing", i)
@@ -267,14 +267,14 @@ func TestDualStackConservationUnderLoad(t *testing.T) {
 	if len(seen) != producers*perProducer {
 		t.Fatalf("delivered %d distinct values, want %d", len(seen), producers*perProducer)
 	}
-	if !q.IsEmpty() {
+	if !q.vacant() {
 		t.Fatal("stack not empty after balanced run")
 	}
 }
 
 func TestDualStackObservers(t *testing.T) {
 	q := NewDualStack[int](WaitConfig{})
-	if q.HasWaitingProducer() || q.HasWaitingConsumer() || !q.IsEmpty() {
+	if q.HasWaitingProducer() || q.HasWaitingConsumer() || !q.vacant() {
 		t.Fatal("fresh stack misreports state")
 	}
 	go q.Put(1)

@@ -36,27 +36,15 @@ func TestOfferSurvivesInjectedFulfillCASFailure(t *testing.T) {
 		name string
 		site fault.Site
 		ctr  metrics.ID
-		new  func(h *metrics.Handle, f *fault.Injector) interface {
-			Offer(int) bool
-			TakeDeadline(time.Time, <-chan struct{}) (int, Status)
-			HasWaitingConsumer() bool
-		}
+		new  func(h *metrics.Handle, f *fault.Injector) Handoff[int]
 	}
 	for _, tc := range []mk{
 		{"queue", fault.QFulfillCAS, metrics.CASFailFulfill,
-			func(h *metrics.Handle, f *fault.Injector) interface {
-				Offer(int) bool
-				TakeDeadline(time.Time, <-chan struct{}) (int, Status)
-				HasWaitingConsumer() bool
-			} {
+			func(h *metrics.Handle, f *fault.Injector) Handoff[int] {
 				return NewDualQueue[int](WaitConfig{Metrics: h, Fault: f})
 			}},
 		{"stack", fault.SFulfillCAS, metrics.CASFailFulfill,
-			func(h *metrics.Handle, f *fault.Injector) interface {
-				Offer(int) bool
-				TakeDeadline(time.Time, <-chan struct{}) (int, Status)
-				HasWaitingConsumer() bool
-			} {
+			func(h *metrics.Handle, f *fault.Injector) Handoff[int] {
 				return NewDualStack[int](WaitConfig{Metrics: h, Fault: f})
 			}},
 	} {
@@ -73,7 +61,7 @@ func TestOfferSurvivesInjectedFulfillCASFailure(t *testing.T) {
 				got <- v
 			}()
 			waitFor(t, q.HasWaitingConsumer)
-			if !q.Offer(42) {
+			if !offer(q, 42) {
 				t.Fatal("Offer missed a waiting consumer after injected CAS failure")
 			}
 			if v := <-got; v != 42 {
@@ -98,7 +86,7 @@ func TestPollSurvivesInjectedFulfillCASFailure(t *testing.T) {
 		done := make(chan Status, 1)
 		go func() { done <- q.PutDeadline(7, time.Now().Add(5*time.Second), nil) }()
 		waitFor(t, q.HasWaitingProducer)
-		v, ok := q.Poll()
+		v, ok := poll(q)
 		if !ok || v != 7 {
 			t.Fatalf("Poll = (%d,%v), want (7,true)", v, ok)
 		}
@@ -115,7 +103,7 @@ func TestPollSurvivesInjectedFulfillCASFailure(t *testing.T) {
 		done := make(chan Status, 1)
 		go func() { done <- q.PutDeadline(7, time.Now().Add(5*time.Second), nil) }()
 		waitFor(t, q.HasWaitingProducer)
-		v, ok := q.Poll()
+		v, ok := poll(q)
 		if !ok || v != 7 {
 			t.Fatalf("Poll = (%d,%v), want (7,true)", v, ok)
 		}
@@ -141,20 +129,16 @@ func TestEnqueueSurvivesInjectedCASFailure(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			inj := oneShot(tc.site)
-			var q interface {
-				OfferTimeout(int, time.Duration) bool
-				PollTimeout(time.Duration) (int, bool)
-				HasWaitingProducer() bool
-			}
+			var q Handoff[int]
 			if tc.name == "queue" {
 				q = NewDualQueue[int](WaitConfig{Fault: inj})
 			} else {
 				q = NewDualStack[int](WaitConfig{Fault: inj})
 			}
 			done := make(chan bool, 1)
-			go func() { done <- q.OfferTimeout(9, 5*time.Second) }()
+			go func() { done <- offerTimeout(q, 9, 5*time.Second) }()
 			waitFor(t, q.HasWaitingProducer)
-			if v, ok := q.PollTimeout(5 * time.Second); !ok || v != 9 {
+			if v, ok := pollTimeout(q, 5*time.Second); !ok || v != 9 {
 				t.Fatalf("PollTimeout = (%d,%v), want (9,true)", v, ok)
 			}
 			if !<-done {
@@ -205,7 +189,7 @@ func TestStackHelpingPathDeterministic(t *testing.T) {
 	<-entered // B has won its fulfilling push and is frozen pre-match
 
 	before := h.Snapshot().Get(metrics.HelpCollisions)
-	ok := q.Offer(2) // must help B's match to completion, then miss
+	ok := offer(q, 2) // must help B's match to completion, then miss
 	if got := h.Snapshot().Get(metrics.HelpCollisions); got <= before {
 		t.Errorf("help-collisions = %d after Offer, want > %d", got, before)
 	}
@@ -259,10 +243,10 @@ func scriptedEvents(t *testing.T, seed uint64, stack bool) []fault.Site {
 	}
 	if stack {
 		q := NewDualStack[int](WaitConfig{Fault: inj})
-		run(stackScript{q})
+		run(handoffScript{q})
 	} else {
 		q := NewDualQueue[int](WaitConfig{Fault: inj})
-		run(queueScript{q})
+		run(handoffScript{q})
 	}
 	ev := inj.Events()
 	if len(ev) == 0 {
@@ -271,36 +255,19 @@ func scriptedEvents(t *testing.T, seed uint64, stack bool) []fault.Site {
 	return ev
 }
 
-// queueScript / stackScript adapt the reservation API to the script's
-// tiny surface (PutReserve returning an abort thunk).
-type queueScript struct{ q *DualQueue[int] }
+// handoffScript adapts the reservation API to the script's tiny surface
+// (PutReserve returning an abort thunk).
+type handoffScript struct{ q Handoff[int] }
 
-func (s queueScript) PutReserve(v int) (bool, func() bool) {
-	tk, ok := s.q.PutReserve(v)
+func (s handoffScript) PutReserve(v int) (bool, func() bool) {
+	tk, ok := s.q.ReservePut(v)
 	if ok {
 		return true, nil
 	}
 	return false, tk.Abort
 }
-func (s queueScript) TakeReserve() (int, bool) {
-	v, tk, ok := s.q.TakeReserve()
-	if tk != nil {
-		tk.Abort()
-	}
-	return v, ok
-}
-
-type stackScript struct{ q *DualStack[int] }
-
-func (s stackScript) PutReserve(v int) (bool, func() bool) {
-	tk, ok := s.q.PutReserve(v)
-	if ok {
-		return true, nil
-	}
-	return false, tk.Abort
-}
-func (s stackScript) TakeReserve() (int, bool) {
-	v, tk, ok := s.q.TakeReserve()
+func (s handoffScript) TakeReserve() (int, bool) {
+	v, tk, ok := s.q.ReserveTake()
 	if tk != nil {
 		tk.Abort()
 	}

@@ -19,13 +19,24 @@ import (
 // ground where untested cancellation paths hide bugs.
 
 // bridgeOps is the operation surface the bridge drives, expressed as
-// funcs so one harness covers DualQueue, DualStack, and TransferQueue's
-// synchronous face.
+// funcs so one harness covers every core (contractOps builds it from the
+// hand-off contract).
 type bridgeOps struct {
 	offerTimeout func(v int64, d time.Duration) bool
 	putCancel    func(v int64, cancel <-chan struct{}) Status
 	pollTimeout  func(d time.Duration) (int64, bool)
 	takeCancel   func(cancel <-chan struct{}) (int64, Status)
+}
+
+// contractOps drives h through the hand-off contract, with the timed forms
+// derived as the synchq facade derives them.
+func contractOps(h Handoff[int64]) bridgeOps {
+	return bridgeOps{
+		offerTimeout: func(v int64, d time.Duration) bool { return offerTimeout(h, v, d) },
+		putCancel:    func(v int64, cancel <-chan struct{}) Status { return h.PutDeadline(v, time.Time{}, cancel) },
+		pollTimeout:  func(d time.Duration) (int64, bool) { return pollTimeout(h, d) },
+		takeCancel:   func(cancel <-chan struct{}) (int64, Status) { return h.TakeDeadline(time.Time{}, cancel) },
+	}
 }
 
 // runHistoryBridge stresses ops with producers×consumers goroutines mixing
@@ -133,12 +144,7 @@ func bridgeSizes(t *testing.T) (producers, consumers, perProducer int) {
 func TestHistoryBridgeDualQueue(t *testing.T) {
 	p, c, n := bridgeSizes(t)
 	q := NewDualQueue[int64](WaitConfig{})
-	runHistoryBridge(t, bridgeOps{
-		offerTimeout: q.OfferTimeout,
-		putCancel:    func(v int64, cancel <-chan struct{}) Status { return q.PutDeadline(v, time.Time{}, cancel) },
-		pollTimeout:  q.PollTimeout,
-		takeCancel:   func(cancel <-chan struct{}) (int64, Status) { return q.TakeDeadline(time.Time{}, cancel) },
-	}, p, c, n)
+	runHistoryBridge(t, contractOps(q), p, c, n)
 	if got := q.Len(); got != 0 {
 		t.Fatalf("queue Len = %d after bridge run, want 0", got)
 	}
@@ -147,12 +153,7 @@ func TestHistoryBridgeDualQueue(t *testing.T) {
 func TestHistoryBridgeDualStack(t *testing.T) {
 	p, c, n := bridgeSizes(t)
 	q := NewDualStack[int64](WaitConfig{})
-	runHistoryBridge(t, bridgeOps{
-		offerTimeout: q.OfferTimeout,
-		putCancel:    func(v int64, cancel <-chan struct{}) Status { return q.PutDeadline(v, time.Time{}, cancel) },
-		pollTimeout:  q.PollTimeout,
-		takeCancel:   func(cancel <-chan struct{}) (int64, Status) { return q.TakeDeadline(time.Time{}, cancel) },
-	}, p, c, n)
+	runHistoryBridge(t, contractOps(q), p, c, n)
 	if got := q.Len(); got != 0 {
 		t.Fatalf("stack Len = %d after bridge run, want 0", got)
 	}
@@ -160,19 +161,12 @@ func TestHistoryBridgeDualStack(t *testing.T) {
 
 func TestHistoryBridgeTransferQueue(t *testing.T) {
 	p, c, n := bridgeSizes(t)
-	q := NewTransferQueue[int64](WaitConfig{})
+	q := NewDualQueue[int64](WaitConfig{})
 	// The synchronous face only: asynchronous Puts deliberately violate
 	// synchrony (the producer returns before the take), so the async/sync
 	// interplay is covered by the cancellation-interleaving tests instead.
-	runHistoryBridge(t, bridgeOps{
-		offerTimeout: q.TransferTimeout,
-		putCancel: func(v int64, cancel <-chan struct{}) Status {
-			return q.TransferDeadline(v, time.Time{}, cancel)
-		},
-		pollTimeout: q.PollTimeout,
-		takeCancel:  func(cancel <-chan struct{}) (int64, Status) { return q.TakeDeadline(time.Time{}, cancel) },
-	}, p, c, n)
-	if q.HasBufferedData() {
+	runHistoryBridge(t, contractOps(q), p, c, n)
+	if q.HasWaitingProducer() {
 		t.Fatal("transfer queue still holds buffered data after bridge run")
 	}
 }
@@ -186,11 +180,6 @@ func TestHistoryBridgeMetered(t *testing.T) {
 	p, c, n := bridgeSizes(t)
 	h := metricsHandleForTest()
 	q := NewDualQueue[int64](WaitConfig{Metrics: h})
-	runHistoryBridge(t, bridgeOps{
-		offerTimeout: q.OfferTimeout,
-		putCancel:    func(v int64, cancel <-chan struct{}) Status { return q.PutDeadline(v, time.Time{}, cancel) },
-		pollTimeout:  q.PollTimeout,
-		takeCancel:   func(cancel <-chan struct{}) (int64, Status) { return q.TakeDeadline(time.Time{}, cancel) },
-	}, p, c, n)
+	runHistoryBridge(t, contractOps(q), p, c, n)
 	assertBridgeCounters(t, h)
 }

@@ -45,8 +45,8 @@ func TestDualQueueNoGoroutineLeak(t *testing.T) {
 	}
 	// Timed waiters that expire must also vanish.
 	for i := 0; i < 20; i++ {
-		go q.OfferTimeout(i, time.Millisecond)
-		go q.PollTimeout(time.Millisecond)
+		go offerTimeout(q, i, time.Millisecond)
+		go pollTimeout(q, time.Millisecond)
 	}
 	expectGoroutinesBelow(t, base+2)
 }
@@ -68,8 +68,8 @@ func TestDualStackNoGoroutineLeak(t *testing.T) {
 		<-done
 	}
 	for i := 0; i < 20; i++ {
-		go q.OfferTimeout(i, time.Millisecond)
-		go q.PollTimeout(time.Millisecond)
+		go offerTimeout(q, i, time.Millisecond)
+		go pollTimeout(q, time.Millisecond)
 	}
 	expectGoroutinesBelow(t, base+2)
 }
@@ -83,7 +83,7 @@ func TestDualQueueCleanMeChain(t *testing.T) {
 	go q.Put(1)
 	waitLen[int](t, q, 1)
 	for i := 0; i < 10; i++ {
-		if q.OfferTimeout(100+i, 2*time.Millisecond) {
+		if offerTimeout(q, 100+i, 2*time.Millisecond) {
 			t.Fatalf("offer %d unexpectedly matched", i)
 		}
 	}
@@ -106,7 +106,7 @@ func TestDualQueueCleanMeChain(t *testing.T) {
 	}
 	// A subsequent operation drains the remaining canceled debris from
 	// the head; after it, the structure is clean.
-	if _, ok := q.Poll(); ok {
+	if _, ok := poll(q); ok {
 		t.Fatal("Poll fabricated a value from canceled nodes")
 	}
 	if n := countQueueNodes(q); n > 1 {
@@ -165,14 +165,14 @@ func TestDualQueuePoolsRetainNoUserValues(t *testing.T) {
 	<-done
 
 	abandoned, c2 := leakProbe()
-	if q.OfferTimeout(abandoned, time.Millisecond) {
+	if offerTimeout(q, abandoned, time.Millisecond) {
 		t.Fatal("offer on an empty queue unexpectedly matched")
 	}
 
 	transferred, abandoned = nil, nil
 	expectCollected(t, "transferred value", c1)
 	expectCollected(t, "abandoned offer's value", c2)
-	q.Offer(nil) // keep q alive past the GC loop, and prove it still works
+	offer(q, nil) // keep q alive past the GC loop, and prove it still works
 }
 
 // TestDualStackDeadNodesRetainNoUserValues is the stack-side scrub proof:
@@ -194,14 +194,14 @@ func TestDualStackDeadNodesRetainNoUserValues(t *testing.T) {
 	// Bury an abandoned offer beneath a live waiter so its node plausibly
 	// lingers linked; the embedded box must be scrubbed regardless.
 	abandoned, c2 := leakProbe()
-	if q.OfferTimeout(abandoned, time.Millisecond) {
+	if offerTimeout(q, abandoned, time.Millisecond) {
 		t.Fatal("offer on an empty stack unexpectedly matched")
 	}
 
 	transferred, abandoned = nil, nil
 	expectCollected(t, "transferred value", c1)
 	expectCollected(t, "abandoned offer's value", c2)
-	q.Offer(nil)
+	offer(q, nil)
 }
 
 // TestPoolScrubbingWhitebox checks the scrub invariants at the pool
@@ -256,7 +256,7 @@ func TestDualStackCancellationBurstThenUse(t *testing.T) {
 	go q.Put(1)
 	waitLen[int](t, q, 1)
 	for i := 0; i < 10; i++ {
-		if q.OfferTimeout(100+i, 2*time.Millisecond) {
+		if offerTimeout(q, 100+i, 2*time.Millisecond) {
 			t.Fatalf("offer %d unexpectedly matched", i)
 		}
 	}

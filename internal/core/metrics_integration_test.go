@@ -41,9 +41,9 @@ func TestMetricsQueueCleanSweepDeterministic(t *testing.T) {
 	h := metrics.New()
 	q := NewDualQueue[int](WaitConfig{Metrics: h})
 
-	_, front, ok1 := q.TakeReserve()
-	_, middle, ok2 := q.TakeReserve()
-	_, back, ok3 := q.TakeReserve()
+	_, front, ok1 := q.ReserveTake()
+	_, middle, ok2 := q.ReserveTake()
+	_, back, ok3 := q.ReserveTake()
 	if ok1 || ok2 || ok3 || q.Len() != 3 {
 		t.Fatalf("reservations fulfilled on an empty queue (Len = %d)", q.Len())
 	}
@@ -62,7 +62,7 @@ func TestMetricsQueueCleanSweepDeterministic(t *testing.T) {
 
 	q.Put(1)
 	q.Put(2)
-	for i, tk := range []*QueueTicket[int]{front, back} {
+	for i, tk := range []Ticket[int]{front, back} {
 		if v, ok := tk.TryFollowup(); !ok || v != i+1 {
 			t.Errorf("waiter %d: TryFollowup = (%d,%v), want (%d,true)", i, v, ok, i+1)
 		}
@@ -95,7 +95,7 @@ func TestMetricsStackCountersFire(t *testing.T) {
 	q := NewDualStack[int](WaitConfig{Metrics: h})
 
 	// Timeout path (pure poll: nothing waiting).
-	if _, ok := q.Poll(); ok {
+	if _, ok := poll(q); ok {
 		t.Fatal("Poll on empty stack succeeded")
 	}
 	if got := h.Load(metrics.Timeouts); got == 0 {
@@ -143,7 +143,7 @@ func TestMetricsDisabledStructuresWork(t *testing.T) {
 	if s.Metrics() != nil {
 		t.Fatal("zero WaitConfig attached a metrics handle to the stack")
 	}
-	if _, ok := s.Poll(); ok {
+	if _, ok := poll(s); ok {
 		t.Fatal("Poll on empty stack succeeded")
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync/atomic"
-	"time"
 
 	"testing"
 
@@ -51,12 +50,7 @@ func TestPoolingChurnHistoryDualQueue(t *testing.T) {
 	p, c, n := bridgeSizes(t)
 	h := metrics.New()
 	q := NewDualQueue[int64](churnConfig(h))
-	runHistoryBridge(t, bridgeOps{
-		offerTimeout: q.OfferTimeout,
-		putCancel:    func(v int64, cancel <-chan struct{}) Status { return q.PutDeadline(v, time.Time{}, cancel) },
-		pollTimeout:  q.PollTimeout,
-		takeCancel:   func(cancel <-chan struct{}) (int64, Status) { return q.TakeDeadline(time.Time{}, cancel) },
-	}, p, c, n)
+	runHistoryBridge(t, contractOps(q), p, c, n)
 	assertPoolCycled(t, h)
 }
 
@@ -64,12 +58,7 @@ func TestPoolingChurnHistoryDualStack(t *testing.T) {
 	p, c, n := bridgeSizes(t)
 	h := metrics.New()
 	q := NewDualStack[int64](churnConfig(h))
-	runHistoryBridge(t, bridgeOps{
-		offerTimeout: q.OfferTimeout,
-		putCancel:    func(v int64, cancel <-chan struct{}) Status { return q.PutDeadline(v, time.Time{}, cancel) },
-		pollTimeout:  q.PollTimeout,
-		takeCancel:   func(cancel <-chan struct{}) (int64, Status) { return q.TakeDeadline(time.Time{}, cancel) },
-	}, p, c, n)
+	runHistoryBridge(t, contractOps(q), p, c, n)
 	// The stack's datum rides in its node, so no item boxes circulate, and
 	// a spare node is pooled only when an engage switches arms after a lost
 	// push — too interleaving-dependent to demand from a randomized run.
@@ -167,14 +156,7 @@ func dualStackSparePoolingCycle(t *testing.T) bool {
 func TestPoolingChurnHistoryTransferQueue(t *testing.T) {
 	p, c, n := bridgeSizes(t)
 	h := metrics.New()
-	q := NewTransferQueue[int64](churnConfig(h))
-	runHistoryBridge(t, bridgeOps{
-		offerTimeout: q.TransferTimeout,
-		putCancel: func(v int64, cancel <-chan struct{}) Status {
-			return q.TransferDeadline(v, time.Time{}, cancel)
-		},
-		pollTimeout: q.PollTimeout,
-		takeCancel:  func(cancel <-chan struct{}) (int64, Status) { return q.TakeDeadline(time.Time{}, cancel) },
-	}, p, c, n)
+	q := NewDualQueue[int64](churnConfig(h))
+	runHistoryBridge(t, contractOps(q), p, c, n)
 	assertPoolCycled(t, h)
 }

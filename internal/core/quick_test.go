@@ -94,7 +94,7 @@ func TestQuickAsyncQueueMatchesFIFOModel(t *testing.T) {
 				q.PutAsync(op)
 				model = append(model, op)
 			} else {
-				v, ok := q.Poll()
+				v, ok := poll(q)
 				if len(model) == 0 {
 					if ok {
 						return false
@@ -119,26 +119,23 @@ func TestQuickAsyncQueueMatchesFIFOModel(t *testing.T) {
 // (there is never a waiting counterpart) and leave the structure empty.
 func TestQuickPolarOpsNeverBlockOrInvent(t *testing.T) {
 	f := func(ops []bool, fair bool) bool {
-		var offer func(int) bool
-		var poll func() (int, bool)
-		var empty func() bool
+		var q interface {
+			Handoff[int]
+			vacant() bool
+		} = NewDualStack[int](WaitConfig{})
 		if fair {
-			q := NewDualQueue[int](WaitConfig{})
-			offer, poll, empty = q.Offer, q.Poll, q.IsEmpty
-		} else {
-			q := NewDualStack[int](WaitConfig{})
-			offer, poll, empty = q.Offer, q.Poll, q.IsEmpty
+			q = NewDualQueue[int](WaitConfig{})
 		}
 		for i, isOffer := range ops {
 			if isOffer {
-				if offer(i) {
+				if offer(q, i) {
 					return false
 				}
-			} else if _, ok := poll(); ok {
+			} else if _, ok := poll(q); ok {
 				return false
 			}
 		}
-		return empty()
+		return q.vacant()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -247,14 +244,14 @@ func TestZeroSizedAndPointerPayloads(t *testing.T) {
 // mistaken for fulfillment.
 func TestZeroSizedSentinelsRemainDistinct(t *testing.T) {
 	q := NewDualQueue[struct{}](WaitConfig{})
-	if q.OfferTimeout(struct{}{}, 5*time.Millisecond) {
+	if offerTimeout(q, struct{}{}, 5*time.Millisecond) {
 		t.Fatal("OfferTimeout succeeded with no consumer (sentinel confusion?)")
 	}
-	if _, ok := q.PollTimeout(5 * time.Millisecond); ok {
+	if _, ok := pollTimeout(q, 5*time.Millisecond); ok {
 		t.Fatal("PollTimeout succeeded with no producer (sentinel confusion?)")
 	}
 	s := NewDualStack[struct{}](WaitConfig{})
-	if s.OfferTimeout(struct{}{}, 5*time.Millisecond) {
+	if offerTimeout(s, struct{}{}, 5*time.Millisecond) {
 		t.Fatal("stack OfferTimeout succeeded (sentinel confusion?)")
 	}
 }

@@ -11,7 +11,7 @@ import (
 // first-class operations: partial methods split into a request that
 // registers a reservation and follow-ups that check it (Listing 2).
 //
-//	reservation r = Q.dequeue_reserve();     ->  v, tk, ok := q.TakeReserve()
+//	reservation r = Q.dequeue_reserve();     ->  v, tk, ok := q.ReserveTake()
 //	d = Q.dequeue_followup(r);               ->  v, ok := tk.TryFollowup()
 //	Q.dequeue_abort(r);                      ->  tk.Abort()
 //
@@ -27,8 +27,8 @@ import (
 // itself performs the follow-ups.
 
 // QueueTicket is a pending reservation on a DualQueue — either a request
-// for a value (from TakeReserve) or an offered value awaiting a consumer
-// (from PutReserve).
+// for a value (from ReserveTake) or an offered value awaiting a consumer
+// (from ReservePut).
 type QueueTicket[T any] struct {
 	q    *DualQueue[T]
 	node *qnode[T]
@@ -38,12 +38,12 @@ type QueueTicket[T any] struct {
 	done bool      // a follow-up already consumed the outcome
 }
 
-// TakeReserve registers a request for a value (the request operation,
+// ReserveTake registers a request for a value (the request operation,
 // which linearizes the caller's place in line). If a producer was already
 // waiting, its value is returned at once with ok true and a nil ticket;
 // otherwise ok is false and the ticket tracks the pending reservation. It
 // panics if the queue is closed, like the demand operations.
-func (q *DualQueue[T]) TakeReserve() (T, *QueueTicket[T], bool) {
+func (q *DualQueue[T]) ReserveTake() (T, Ticket[T], bool) {
 	t0 := q.m.Start()
 	imm, s, pred, st := q.engage(nil, time.Time{}, false)
 	tk := q.arrive(t0, nil, s, pred, st, false)
@@ -61,11 +61,11 @@ func (q *DualQueue[T]) TakeReserve() (T, *QueueTicket[T], bool) {
 	return zero, &t, false
 }
 
-// PutReserve offers v to a future consumer (the request operation). If a
+// ReservePut offers v to a future consumer (the request operation). If a
 // consumer was already waiting, v is delivered at once and ok is true with
 // a nil ticket; otherwise ok is false and the ticket tracks the pending
 // offer. It panics if the queue is closed.
-func (q *DualQueue[T]) PutReserve(v T) (*QueueTicket[T], bool) {
+func (q *DualQueue[T]) ReservePut(v T) (Ticket[T], bool) {
 	t0 := q.m.Start()
 	e := q.getBox(v)
 	_, s, pred, st := q.engage(e, time.Time{}, false)
@@ -174,11 +174,11 @@ type StackTicket[T any] struct {
 	done bool
 }
 
-// TakeReserve registers a request for a value on the stack. If a producer
+// ReserveTake registers a request for a value on the stack. If a producer
 // was already waiting (or a fulfillment completed during the attempt), the
 // value is returned at once with ok true and a nil ticket. It panics if
 // the stack is closed.
-func (q *DualStack[T]) TakeReserve() (T, *StackTicket[T], bool) {
+func (q *DualStack[T]) ReserveTake() (T, Ticket[T], bool) {
 	imm, tk, st := q.arrive(*new(T), modeRequest, time.Time{})
 	if st == Closed {
 		panic(errClosedDemand)
@@ -190,10 +190,10 @@ func (q *DualStack[T]) TakeReserve() (T, *StackTicket[T], bool) {
 	return imm, &t, false
 }
 
-// PutReserve offers v on the stack. If a consumer was already waiting, v
+// ReservePut offers v on the stack. If a consumer was already waiting, v
 // is delivered at once and ok is true with a nil ticket. It panics if the
 // stack is closed.
-func (q *DualStack[T]) PutReserve(v T) (*StackTicket[T], bool) {
+func (q *DualStack[T]) ReservePut(v T) (Ticket[T], bool) {
 	_, tk, st := q.arrive(v, modeData, time.Time{})
 	if st == Closed {
 		panic(errClosedDemand)
@@ -281,42 +281,4 @@ type Ticket[T any] interface {
 	// Abort cancels the reservation; false means it was fulfilled first
 	// and TryFollowup must collect the outcome.
 	Abort() bool
-}
-
-// ReserveTake is TakeReserve with the ticket as the shared Ticket
-// interface (nil ticket when ok is true).
-func (q *DualQueue[T]) ReserveTake() (T, Ticket[T], bool) {
-	v, tk, ok := q.TakeReserve()
-	if tk == nil {
-		return v, nil, ok
-	}
-	return v, tk, ok
-}
-
-// ReservePut is PutReserve with the ticket as the shared Ticket interface.
-func (q *DualQueue[T]) ReservePut(v T) (Ticket[T], bool) {
-	tk, ok := q.PutReserve(v)
-	if tk == nil {
-		return nil, ok
-	}
-	return tk, ok
-}
-
-// ReserveTake is TakeReserve with the ticket as the shared Ticket
-// interface (nil ticket when ok is true).
-func (q *DualStack[T]) ReserveTake() (T, Ticket[T], bool) {
-	v, tk, ok := q.TakeReserve()
-	if tk == nil {
-		return v, nil, ok
-	}
-	return v, tk, ok
-}
-
-// ReservePut is PutReserve with the ticket as the shared Ticket interface.
-func (q *DualStack[T]) ReservePut(v T) (Ticket[T], bool) {
-	tk, ok := q.PutReserve(v)
-	if tk == nil {
-		return nil, ok
-	}
-	return tk, ok
 }

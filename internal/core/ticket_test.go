@@ -5,66 +5,19 @@ import (
 	"time"
 )
 
-// ticketSide abstracts queue/stack so the reserve/followup/abort contract
-// is tested identically on both structures.
+// ticketSide is either structure, so the reserve/followup/abort contract
+// is tested identically on both.
 type ticketSide interface {
-	takeReserve() (int, ticket, bool)
-	putReserve(v int) (ticket, bool)
-	put(v int)
-	take() int
-	len() int
+	Handoff[int]
+	Put(int)
+	Take() int
+	Len() int
 }
-
-type ticket interface {
-	TryFollowup() (int, bool)
-	Await(deadline time.Time, cancel <-chan struct{}) (int, Status)
-	Abort() bool
-}
-
-type queueSide struct{ q *DualQueue[int] }
-
-func (s queueSide) takeReserve() (int, ticket, bool) {
-	v, t, ok := s.q.TakeReserve()
-	if t == nil {
-		return v, nil, ok
-	}
-	return v, t, ok
-}
-func (s queueSide) putReserve(v int) (ticket, bool) {
-	t, ok := s.q.PutReserve(v)
-	if t == nil {
-		return nil, ok
-	}
-	return t, ok
-}
-func (s queueSide) put(v int) { s.q.Put(v) }
-func (s queueSide) take() int { return s.q.Take() }
-func (s queueSide) len() int  { return s.q.Len() }
-
-type stackSide struct{ q *DualStack[int] }
-
-func (s stackSide) takeReserve() (int, ticket, bool) {
-	v, t, ok := s.q.TakeReserve()
-	if t == nil {
-		return v, nil, ok
-	}
-	return v, t, ok
-}
-func (s stackSide) putReserve(v int) (ticket, bool) {
-	t, ok := s.q.PutReserve(v)
-	if t == nil {
-		return nil, ok
-	}
-	return t, ok
-}
-func (s stackSide) put(v int) { s.q.Put(v) }
-func (s stackSide) take() int { return s.q.Take() }
-func (s stackSide) len() int  { return s.q.Len() }
 
 func ticketSides() map[string]func() ticketSide {
 	return map[string]func() ticketSide{
-		"queue": func() ticketSide { return queueSide{NewDualQueue[int](WaitConfig{})} },
-		"stack": func() ticketSide { return stackSide{NewDualStack[int](WaitConfig{})} },
+		"queue": func() ticketSide { return NewDualQueue[int](WaitConfig{}) },
+		"stack": func() ticketSide { return NewDualStack[int](WaitConfig{}) },
 	}
 }
 
@@ -72,14 +25,14 @@ func TestTicketTakeReserveThenProducerArrives(t *testing.T) {
 	for name, mk := range ticketSides() {
 		t.Run(name, func(t *testing.T) {
 			s := mk()
-			_, tk, ok := s.takeReserve()
+			_, tk, ok := s.ReserveTake()
 			if ok || tk == nil {
 				t.Fatal("expected a pending ticket on an empty structure")
 			}
 			if _, ok := tk.TryFollowup(); ok {
 				t.Fatal("TryFollowup succeeded before any producer")
 			}
-			go s.put(42)
+			go s.Put(42)
 			deadline := time.Now().Add(5 * time.Second)
 			for {
 				if v, ok := tk.TryFollowup(); ok {
@@ -102,15 +55,15 @@ func TestTicketImmediateFulfillment(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			s := mk()
 			// A waiting producer means TakeReserve completes at once.
-			go s.put(7)
+			go s.Put(7)
 			deadline := time.Now().Add(5 * time.Second)
-			for s.len() != 1 {
+			for s.Len() != 1 {
 				if time.Now().After(deadline) {
 					t.Fatal("producer never queued")
 				}
 				time.Sleep(100 * time.Microsecond)
 			}
-			v, tk, ok := s.takeReserve()
+			v, tk, ok := s.ReserveTake()
 			if !ok || tk != nil || v != 7 {
 				t.Fatalf("TakeReserve = (%d,%v,%v), want immediate 7", v, tk, ok)
 			}
@@ -122,12 +75,12 @@ func TestTicketPutReserveDelivered(t *testing.T) {
 	for name, mk := range ticketSides() {
 		t.Run(name, func(t *testing.T) {
 			s := mk()
-			tk, ok := s.putReserve(9)
+			tk, ok := s.ReservePut(9)
 			if ok || tk == nil {
 				t.Fatal("expected a pending put ticket")
 			}
 			got := make(chan int)
-			go func() { got <- s.take() }()
+			go func() { got <- s.Take() }()
 			if v := <-got; v != 9 {
 				t.Fatalf("consumer took %d, want 9", v)
 			}
@@ -150,7 +103,7 @@ func TestTicketAbort(t *testing.T) {
 	for name, mk := range ticketSides() {
 		t.Run(name, func(t *testing.T) {
 			s := mk()
-			tk, ok := s.putReserve(1)
+			tk, ok := s.ReservePut(1)
 			if ok {
 				t.Fatal("unexpected immediate delivery")
 			}
@@ -158,11 +111,11 @@ func TestTicketAbort(t *testing.T) {
 				t.Fatal("Abort failed on an unfulfilled reservation")
 			}
 			// The aborted offer must be invisible to consumers.
-			tk2, ok := s.putReserve(2)
+			tk2, ok := s.ReservePut(2)
 			if ok {
 				t.Fatal("unexpected immediate delivery of second offer")
 			}
-			if got := s.take(); got != 2 {
+			if got := s.Take(); got != 2 {
 				t.Fatalf("take = %d, want 2 (aborted 1 must be skipped)", got)
 			}
 			// tk2 was fulfilled by that take.
@@ -184,9 +137,9 @@ func TestTicketAbortLosesToFulfillment(t *testing.T) {
 	for name, mk := range ticketSides() {
 		t.Run(name, func(t *testing.T) {
 			s := mk()
-			tk, _ := s.putReserve(5)
+			tk, _ := s.ReservePut(5)
 			// Fulfill it...
-			if got := s.take(); got != 5 {
+			if got := s.Take(); got != 5 {
 				t.Fatalf("take = %d, want 5", got)
 			}
 			// ...then try to abort: must fail, and the follow-up must
@@ -205,13 +158,13 @@ func TestTicketAwaitBlocksAndDelivers(t *testing.T) {
 	for name, mk := range ticketSides() {
 		t.Run(name, func(t *testing.T) {
 			s := mk()
-			_, tk, ok := s.takeReserve()
+			_, tk, ok := s.ReserveTake()
 			if ok {
 				t.Fatal("unexpected immediate value")
 			}
 			go func() {
 				time.Sleep(5 * time.Millisecond)
-				s.put(11)
+				s.Put(11)
 			}()
 			v, st := tk.Await(time.Time{}, nil)
 			if st != OK || v != 11 {
@@ -225,15 +178,15 @@ func TestTicketAwaitTimesOut(t *testing.T) {
 	for name, mk := range ticketSides() {
 		t.Run(name, func(t *testing.T) {
 			s := mk()
-			_, tk, _ := s.takeReserve()
+			_, tk, _ := s.ReserveTake()
 			_, st := tk.Await(time.Now().Add(10*time.Millisecond), nil)
 			if st != Timeout {
 				t.Fatalf("Await = %v, want Timeout", st)
 			}
 			// The canceled reservation must not absorb a later put.
 			done := make(chan int)
-			go func() { done <- s.take() }()
-			s.put(3)
+			go func() { done <- s.Take() }()
+			s.Put(3)
 			if got := <-done; got != 3 {
 				t.Fatalf("take = %d, want 3", got)
 			}
@@ -243,7 +196,7 @@ func TestTicketAwaitTimesOut(t *testing.T) {
 
 func TestTicketSpentPanics(t *testing.T) {
 	s := ticketSides()["queue"]()
-	_, tk, _ := s.takeReserve()
+	_, tk, _ := s.ReserveTake()
 	if !tk.Abort() {
 		t.Fatal("abort failed")
 	}

@@ -35,7 +35,7 @@ func TestTransferQueueCancelAsyncConservation(t *testing.T) {
 		perProducer = 100
 	}
 
-	q := NewTransferQueue[int64](WaitConfig{})
+	q := NewDualQueue[int64](WaitConfig{})
 	var syncOK, asyncCount atomic.Int64
 	var wg sync.WaitGroup
 
@@ -47,7 +47,7 @@ func TestTransferQueueCancelAsyncConservation(t *testing.T) {
 			for seq := int64(0); seq < perProducer; seq++ {
 				v := id<<40 | seq
 				if rng.IntN(2) == 0 {
-					q.Put(v | asyncTag)
+					q.PutAsync(v | asyncTag)
 					asyncCount.Add(1)
 					continue
 				}
@@ -55,7 +55,7 @@ func TestTransferQueueCancelAsyncConservation(t *testing.T) {
 				timer := time.AfterFunc(time.Duration(rng.IntN(400))*time.Microsecond, func() {
 					close(cancel)
 				})
-				if q.TransferDeadline(v, time.Time{}, cancel) == OK {
+				if q.PutDeadline(v, time.Time{}, cancel) == OK {
 					syncOK.Add(1)
 				}
 				timer.Stop()
@@ -71,7 +71,7 @@ func TestTransferQueueCancelAsyncConservation(t *testing.T) {
 		go func(i int) {
 			defer cg.Done()
 			for {
-				v, ok := q.PollTimeout(20 * time.Millisecond)
+				v, ok := pollTimeout(q, 20*time.Millisecond)
 				if !ok {
 					return // producers exhausted and queue drained
 				}
@@ -98,7 +98,7 @@ func TestTransferQueueCancelAsyncConservation(t *testing.T) {
 	if asyncCount.Load() == 0 || syncOK.Load() == 0 {
 		t.Fatal("mix degenerated; both populations must be exercised")
 	}
-	if q.HasBufferedData() {
+	if q.HasWaitingProducer() {
 		t.Error("buffered data remains after full drain")
 	}
 	// Duplicates across consumers: merge the per-consumer sets.
@@ -127,7 +127,7 @@ func TestTransferQueueCancelAsyncOrdering(t *testing.T) {
 		perProducer = 150
 	}
 
-	q := NewTransferQueue[int64](WaitConfig{})
+	q := NewDualQueue[int64](WaitConfig{})
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
@@ -143,11 +143,11 @@ func TestTransferQueueCancelAsyncOrdering(t *testing.T) {
 					timer := time.AfterFunc(time.Duration(rng.IntN(200))*time.Microsecond, func() {
 						close(cancel)
 					})
-					q.TransferDeadline(id<<40|seq|asyncTag>>1, time.Time{}, cancel)
+					q.PutDeadline(id<<40|seq|asyncTag>>1, time.Time{}, cancel)
 					timer.Stop()
 					continue
 				}
-				q.Put(id<<40 | seq)
+				q.PutAsync(id<<40 | seq)
 			}
 		}(int64(p))
 	}
@@ -157,13 +157,13 @@ func TestTransferQueueCancelAsyncOrdering(t *testing.T) {
 
 	lastSeq := make(map[int64]int64)
 	for {
-		v, ok := q.PollTimeout(20 * time.Millisecond)
+		v, ok := pollTimeout(q, 20*time.Millisecond)
 		if !ok {
 			select {
 			case <-done:
 				// Producers finished and a full patience window passed
 				// empty: drained.
-				if v, ok = q.Poll(); !ok {
+				if v, ok = poll(q); !ok {
 					goto drained
 				}
 			default:
@@ -183,7 +183,7 @@ drained:
 	if len(lastSeq) != producers {
 		t.Fatalf("async data from %d producers observed, want %d", len(lastSeq), producers)
 	}
-	if q.HasBufferedData() {
+	if q.HasWaitingProducer() {
 		t.Error("buffered data remains after drain")
 	}
 }

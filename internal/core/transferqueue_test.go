@@ -7,11 +7,11 @@ import (
 )
 
 func TestTransferQueuePutIsAsync(t *testing.T) {
-	q := NewTransferQueue[int](WaitConfig{})
+	q := NewDualQueue[int](WaitConfig{})
 	done := make(chan struct{})
 	go func() {
 		for i := 0; i < 10; i++ {
-			q.Put(i)
+			q.PutAsync(i)
 		}
 		close(done)
 	}()
@@ -20,7 +20,7 @@ func TestTransferQueuePutIsAsync(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("asynchronous Put blocked")
 	}
-	if !q.HasBufferedData() {
+	if !q.HasWaitingProducer() {
 		t.Fatal("buffered data not observed")
 	}
 	for i := 0; i < 10; i++ {
@@ -31,10 +31,10 @@ func TestTransferQueuePutIsAsync(t *testing.T) {
 }
 
 func TestTransferQueueTransferIsSync(t *testing.T) {
-	q := NewTransferQueue[int](WaitConfig{})
+	q := NewDualQueue[int](WaitConfig{})
 	delivered := make(chan struct{})
 	go func() {
-		q.Transfer(42)
+		q.Put(42)
 		close(delivered)
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -54,8 +54,8 @@ func TestTransferQueueTransferIsSync(t *testing.T) {
 }
 
 func TestTransferQueueTryTransfer(t *testing.T) {
-	q := NewTransferQueue[int](WaitConfig{})
-	if q.TryTransfer(1) {
+	q := NewDualQueue[int](WaitConfig{})
+	if offer(q, 1) {
 		t.Fatal("TryTransfer succeeded with no waiting consumer")
 	}
 	done := make(chan int)
@@ -68,7 +68,7 @@ func TestTransferQueueTryTransfer(t *testing.T) {
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	if !q.TryTransfer(2) {
+	if !offer(q, 2) {
 		t.Fatal("TryTransfer failed with a waiting consumer")
 	}
 	if got := <-done; got != 2 {
@@ -77,32 +77,32 @@ func TestTransferQueueTryTransfer(t *testing.T) {
 }
 
 func TestTransferQueueTransferTimeout(t *testing.T) {
-	q := NewTransferQueue[int](WaitConfig{})
-	if q.TransferTimeout(1, 20*time.Millisecond) {
+	q := NewDualQueue[int](WaitConfig{})
+	if offerTimeout(q, 1, 20*time.Millisecond) {
 		t.Fatal("TransferTimeout succeeded with no consumer")
 	}
 	// The timed-out element must not be visible to a later Poll.
-	if _, ok := q.Poll(); ok {
+	if _, ok := poll(q); ok {
 		t.Fatal("Poll returned an element from a timed-out Transfer")
 	}
 }
 
 func TestTransferQueueMixedSyncAsyncFIFO(t *testing.T) {
 	// Async elements and waiting sync producers share one FIFO order.
-	q := NewTransferQueue[int](WaitConfig{})
-	q.Put(1)
-	q.Put(2)
+	q := NewDualQueue[int](WaitConfig{})
+	q.PutAsync(1)
+	q.PutAsync(2)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		q.Transfer(3)
+		q.Put(3)
 	}()
 	// Wait until the sync producer is queued behind the async data.
 	deadline := time.Now().Add(5 * time.Second)
-	for q.q.Len() != 3 {
+	for q.Len() != 3 {
 		if time.Now().After(deadline) {
-			t.Fatalf("sync producer never queued (Len=%d)", q.q.Len())
+			t.Fatalf("sync producer never queued (Len=%d)", q.Len())
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
@@ -115,18 +115,18 @@ func TestTransferQueueMixedSyncAsyncFIFO(t *testing.T) {
 }
 
 func TestTransferQueuePollTimeout(t *testing.T) {
-	q := NewTransferQueue[int](WaitConfig{})
-	if _, ok := q.PollTimeout(10 * time.Millisecond); ok {
+	q := NewDualQueue[int](WaitConfig{})
+	if _, ok := pollTimeout(q, 10*time.Millisecond); ok {
 		t.Fatal("PollTimeout succeeded on empty queue")
 	}
-	q.Put(7)
-	if v, ok := q.PollTimeout(time.Second); !ok || v != 7 {
+	q.PutAsync(7)
+	if v, ok := pollTimeout(q, time.Second); !ok || v != 7 {
 		t.Fatalf("PollTimeout = (%d,%v), want (7,true)", v, ok)
 	}
 }
 
 func TestTransferQueueTakeDeadlineCancel(t *testing.T) {
-	q := NewTransferQueue[int](WaitConfig{})
+	q := NewDualQueue[int](WaitConfig{})
 	cancel := make(chan struct{})
 	done := make(chan Status)
 	go func() {
@@ -141,7 +141,7 @@ func TestTransferQueueTakeDeadlineCancel(t *testing.T) {
 }
 
 func TestTransferQueueConcurrentMixedLoad(t *testing.T) {
-	q := NewTransferQueue[int64](WaitConfig{})
+	q := NewDualQueue[int64](WaitConfig{})
 	const producers, perProducer = 4, 500
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
@@ -150,9 +150,9 @@ func TestTransferQueueConcurrentMixedLoad(t *testing.T) {
 			defer wg.Done()
 			for i := int64(0); i < perProducer; i++ {
 				if i%2 == 0 {
-					q.Put(id<<32 | i) // async
+					q.PutAsync(id<<32 | i) // async
 				} else {
-					q.Transfer(id<<32 | i) // sync
+					q.Put(id<<32 | i) // sync
 				}
 			}
 		}(int64(p))
@@ -183,31 +183,31 @@ func TestTransferQueueConcurrentMixedLoad(t *testing.T) {
 }
 
 func TestTransferQueueDrain(t *testing.T) {
-	q := NewTransferQueue[int](WaitConfig{})
-	if got := q.Drain(); len(got) != 0 {
+	q := NewDualQueue[int](WaitConfig{})
+	if got := drain(q); len(got) != 0 {
 		t.Fatalf("Drain of empty queue = %v", got)
 	}
-	q.Put(1)
-	q.Put(2)
+	q.PutAsync(1)
+	q.PutAsync(2)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		q.Transfer(3) // waiting synchronous producer joins the FIFO
+		q.Put(3) // waiting synchronous producer joins the FIFO
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for q.q.Len() != 3 {
+	for q.Len() != 3 {
 		if time.Now().After(deadline) {
 			t.Fatal("sync producer never queued")
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	got := q.Drain()
+	got := drain(q)
 	wg.Wait()
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("Drain = %v, want [1 2 3]", got)
 	}
-	if !q.q.IsEmpty() {
+	if !q.vacant() {
 		t.Fatal("queue not empty after Drain")
 	}
 }

@@ -43,13 +43,13 @@ func TestCleanUnlinksInteriorNodeImmediately(t *testing.T) {
 		t.Fatal("interior canceled node not unlinked")
 	}
 	// The queue must still deliver both live values in order.
-	if v, ok := q.Poll(); !ok || v != 1 {
+	if v, ok := poll(q); !ok || v != 1 {
 		t.Fatalf("Poll = (%d,%v), want (1,true)", v, ok)
 	}
-	if v, ok := q.Poll(); !ok || v != 2 {
+	if v, ok := poll(q); !ok || v != 2 {
 		t.Fatalf("Poll = (%d,%v), want (2,true)", v, ok)
 	}
-	if _, ok := q.Poll(); ok {
+	if _, ok := poll(q); ok {
 		t.Fatal("Poll fabricated a third value")
 	}
 }
@@ -106,7 +106,7 @@ func TestCleanFlushesPreviousDeferredNode(t *testing.T) {
 		t.Fatal("new deferred record not installed")
 	}
 	// Delivery still works.
-	if v, ok := q.Poll(); !ok || v != 1 {
+	if v, ok := poll(q); !ok || v != 1 {
 		t.Fatalf("Poll = (%d,%v), want (1,true)", v, ok)
 	}
 }
@@ -159,7 +159,7 @@ func TestCleanSweepsCanceledHeadSuccessor(t *testing.T) {
 	if q.head.Load().next.Load() != live && q.head.Load() != dead {
 		t.Fatal("canceled head successor not retired")
 	}
-	if v, ok := q.Poll(); !ok || v != 5 {
+	if v, ok := poll(q); !ok || v != 5 {
 		t.Fatalf("Poll = (%d,%v), want (5,true)", v, ok)
 	}
 }
@@ -171,7 +171,7 @@ func TestEngageOfferFulfillsDespiteExpiredDeadline(t *testing.T) {
 	got := make(chan int)
 	go func() { got <- q.Take() }()
 	waitLen[int](t, q, 1)
-	if !q.Offer(3) {
+	if !offer(q, 3) {
 		t.Fatal("zero-patience Offer failed with a waiting consumer")
 	}
 	if v := <-got; v != 3 {
@@ -242,7 +242,7 @@ func TestStackCleanAbsorbsCanceledHead(t *testing.T) {
 	if h := q.head.Load(); h != live {
 		t.Fatalf("head = %p, want the live node", h)
 	}
-	if v, ok := q.Poll(); !ok || v != 5 {
+	if v, ok := poll(q); !ok || v != 5 {
 		t.Fatalf("Poll = (%d,%v), want (5,true)", v, ok)
 	}
 }
@@ -259,10 +259,10 @@ func TestStackCleanUnsplicesEmbeddedNode(t *testing.T) {
 		t.Fatal("embedded canceled node not unspliced")
 	}
 	// LIFO delivery of the two live values.
-	if v, ok := q.Poll(); !ok || v != 1 {
+	if v, ok := poll(q); !ok || v != 1 {
 		t.Fatalf("Poll = (%d,%v), want (1,true)", v, ok)
 	}
-	if v, ok := q.Poll(); !ok || v != 2 {
+	if v, ok := poll(q); !ok || v != 2 {
 		t.Fatalf("Poll = (%d,%v), want (2,true)", v, ok)
 	}
 }
@@ -286,10 +286,10 @@ func TestStackCleanBoundedByPast(t *testing.T) {
 	}
 	// And the live values are still deliverable (the deep canceled node
 	// is skipped when it surfaces).
-	if v, ok := q.Poll(); !ok || v != 7 {
+	if v, ok := poll(q); !ok || v != 7 {
 		t.Fatalf("Poll = (%d,%v), want (7,true)", v, ok)
 	}
-	if v, ok := q.Poll(); !ok || v != 8 {
+	if v, ok := poll(q); !ok || v != 8 {
 		t.Fatalf("Poll = (%d,%v), want (8,true)", v, ok)
 	}
 }
@@ -319,16 +319,16 @@ func TestStackTryMatchHelpedSemantics(t *testing.T) {
 // live waiter strands both sides.
 func TestObserveSeesPastCanceledFrontNode(t *testing.T) {
 	q := NewDualQueue[int](WaitConfig{})
-	_, x, ok := q.TakeReserve()
+	_, x, ok := q.ReserveTake()
 	if ok {
 		t.Fatal("TakeReserve x fulfilled on an empty queue")
 	}
-	_, w, _ := q.TakeReserve()
+	_, w, _ := q.ReserveTake()
 	if !w.Abort() {
 		t.Fatal("Abort of the pending tail reservation failed")
 	}
-	_, b, _ := q.TakeReserve()
-	if !q.Offer(1) {
+	_, b, _ := q.ReserveTake()
+	if !offer(q, 1) {
 		t.Fatal("Offer did not fulfil the front reservation")
 	}
 	if v, ok := x.TryFollowup(); !ok || v != 1 {
@@ -340,10 +340,10 @@ func TestObserveSeesPastCanceledFrontNode(t *testing.T) {
 	if !q.HasWaitingConsumer() {
 		t.Fatal("HasWaitingConsumer = false with a live reservation behind a canceled front node")
 	}
-	if q.HasWaitingProducer() || q.IsEmpty() {
+	if q.HasWaitingProducer() || q.vacant() {
 		t.Fatal("queue holding one reservation reads as data or empty")
 	}
-	if !q.Offer(2) {
+	if !offer(q, 2) {
 		t.Fatal("Offer did not fulfil b")
 	}
 	if v, ok := b.TryFollowup(); !ok || v != 2 {
@@ -355,18 +355,18 @@ func TestObserveSeesPastCanceledFrontNode(t *testing.T) {
 // the dead top covers a live waiter, which the probe must still report.
 func TestStackObserveSeesPastDeadTop(t *testing.T) {
 	q := NewDualStack[int](WaitConfig{})
-	_, b, ok := q.TakeReserve()
+	_, b, ok := q.ReserveTake()
 	if ok {
 		t.Fatal("TakeReserve b fulfilled on an empty stack")
 	}
-	_, w, _ := q.TakeReserve()
-	if !w.waiter().Abort() { // self-match only: the clean has not run yet
+	_, w, _ := q.ReserveTake()
+	if !w.(*StackTicket[int]).waiter().Abort() { // self-match only: the clean has not run yet
 		t.Fatal("self-match of the top reservation failed")
 	}
 	if !q.HasWaitingConsumer() {
 		t.Fatal("HasWaitingConsumer = false with a live reservation under a dead top")
 	}
-	if !q.Offer(3) {
+	if !offer(q, 3) {
 		t.Fatal("Offer did not fulfil b")
 	}
 	if v, ok := b.TryFollowup(); !ok || v != 3 {

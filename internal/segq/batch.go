@@ -360,7 +360,6 @@ func (q *Queue[T]) takeRun(buf *[]T, max int) (int, Status) {
 
 	var zero T
 	taken := 0
-	expired := core.DeadlineFor(0)
 	for j := int64(0); j < k; j++ {
 		i := base + uint64(j)
 		s := q.findSeg(&q.takeSeg, i>>segShift)
@@ -368,12 +367,12 @@ func (q *Queue[T]) takeRun(buf *[]T, max int) (int, Status) {
 			q.m.Inc(metrics.CleanSweeps)
 			continue // unlinked: dead index
 		}
-		v, tk, st, ok := q.arriveAt(s, s.at(i), i, false, zero, expired, 0, &q.putc)
+		v, tk, st, ok := q.arriveAt(s, s.at(i), i, false, zero, core.Expired, 0, &q.putc)
 		if !ok {
 			continue // BROKEN on arrival: dead index
 		}
 		if tk.c != nil {
-			v, st = tk.Await(expired, nil)
+			v, st = tk.Await(core.Expired, nil)
 		}
 		switch st {
 		case core.OK:

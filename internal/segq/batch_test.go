@@ -73,7 +73,7 @@ func TestPutBatchPartialFillOnTimeout(t *testing.T) {
 	}
 	// The unwind must reclaim the undelivered items: nothing may remain
 	// pollable, and the queue must still pair normally afterwards.
-	if v, ok := q.Poll(); ok {
+	if v, ok := poll(q); ok {
 		t.Fatalf("Poll after aborted batch = %d, want miss", v)
 	}
 	done := make(chan int)
@@ -243,7 +243,7 @@ func TestBatchConcurrentConservation(t *testing.T) {
 	if want := int64(total) * (total - 1) / 2; sum.Load() != want {
 		t.Fatalf("sum of delivered values = %d, want %d (conservation violated)", sum.Load(), want)
 	}
-	if !q.IsEmpty() {
+	if !isEmpty(q) {
 		t.Fatal("queue not empty after balanced batch run")
 	}
 }

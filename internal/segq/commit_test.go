@@ -24,10 +24,10 @@ func TestCommitDeclineWithdraws(t *testing.T) {
 		if st != core.Withdrawn {
 			t.Fatalf("PutCommit = %v, want Withdrawn", st)
 		}
-		if !q.IsEmpty() {
+		if !isEmpty(q) {
 			t.Error("queue not empty after the withdrawal")
 		}
-		if _, ok := q.Poll(); ok {
+		if _, ok := poll(q); ok {
 			t.Error("withdrawn datum delivered to a later Poll")
 		}
 		if c.state.Load() != cBroken || c.v != nil {
@@ -39,10 +39,10 @@ func TestCommitDeclineWithdraws(t *testing.T) {
 		if _, st := q.TakeCommit(time.Time{}, nil, func() bool { return false }); st != core.Withdrawn {
 			t.Fatalf("TakeCommit = %v, want Withdrawn", st)
 		}
-		if !q.IsEmpty() {
+		if !isEmpty(q) {
 			t.Error("queue not empty after the withdrawal")
 		}
-		if q.Offer(new(int)) {
+		if offer(q, new(int)) {
 			t.Error("Offer paired with a withdrawn consumer")
 		}
 	})
@@ -57,7 +57,7 @@ func TestCommitDeclineLosesToFulfillment(t *testing.T) {
 		st := q.PutCommit(v, time.Time{}, nil, func() bool {
 			calls++
 			var ok bool
-			if got, ok = q.Poll(); !ok {
+			if got, ok = poll(q); !ok {
 				t.Error("Poll inside the step missed the installed producer")
 			}
 			return false
@@ -70,7 +70,7 @@ func TestCommitDeclineLosesToFulfillment(t *testing.T) {
 		q := New[*int](core.WaitConfig{})
 		v := new(int)
 		got, st := q.TakeCommit(time.Time{}, nil, func() bool {
-			if !q.Offer(v) {
+			if !offer(q, v) {
 				t.Error("Offer inside the step missed the installed consumer")
 			}
 			return false
@@ -78,7 +78,7 @@ func TestCommitDeclineLosesToFulfillment(t *testing.T) {
 		if st != core.OK || got != v {
 			t.Fatalf("TakeCommit = (%p, %v), want (%p, OK)", got, st, v)
 		}
-		if q.Offer(v) {
+		if offer(q, v) {
 			t.Error("the consumer was fulfilled twice")
 		}
 	})

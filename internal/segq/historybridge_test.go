@@ -37,7 +37,7 @@ func runHistoryBridge(t *testing.T, q *Queue[int64], producers, consumers, perPr
 				var ok bool
 				if rng.IntN(5) < 3 {
 					patience := time.Duration(rng.IntN(800)) * time.Microsecond
-					ok = q.OfferTimeout(v, patience)
+					ok = offerTimeout(q, v, patience)
 				} else {
 					cancel := make(chan struct{})
 					timer := time.AfterFunc(time.Duration(rng.IntN(500))*time.Microsecond, func() {
@@ -69,7 +69,7 @@ func runHistoryBridge(t *testing.T, q *Queue[int64], producers, consumers, perPr
 				var ok bool
 				if rng.IntN(5) < 4 {
 					patience := time.Duration(rng.IntN(800)) * time.Microsecond
-					v, ok = q.PollTimeout(patience)
+					v, ok = pollTimeout(q, patience)
 				} else {
 					cancel := make(chan struct{})
 					timer := time.AfterFunc(time.Duration(rng.IntN(500))*time.Microsecond, func() {
@@ -95,7 +95,7 @@ func runHistoryBridge(t *testing.T, q *Queue[int64], producers, consumers, perPr
 	drainLog := rec.NewThread()
 	for {
 		inv := drainLog.Begin()
-		v, ok := q.PollTimeout(10 * time.Millisecond)
+		v, ok := pollTimeout(q, 10*time.Millisecond)
 		drainLog.End(verify.Take, v, inv, ok)
 		if !ok {
 			break

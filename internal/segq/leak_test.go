@@ -86,9 +86,9 @@ func TestCancellationStormSegmentBound(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			if i%2 == 0 {
-				q.OfferTimeout(i, time.Duration(1+i%5)*time.Millisecond)
+				offerTimeout(q, i, time.Duration(1+i%5)*time.Millisecond)
 			} else {
-				q.PollTimeout(time.Duration(1+i%5) * time.Millisecond)
+				pollTimeout(q, time.Duration(1+i%5)*time.Millisecond)
 			}
 		}(i)
 	}
@@ -124,7 +124,7 @@ func TestUnlinkedSegmentsAreCollected(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			q.PollTimeout(time.Duration(1+i%3) * time.Millisecond)
+			pollTimeout(q, time.Duration(1+i%3)*time.Millisecond)
 		}(i)
 	}
 	wg.Wait()
@@ -143,11 +143,11 @@ func TestCancelStormMixedWithTraffic(t *testing.T) {
 		wg.Add(2)
 		go func(i int) {
 			defer wg.Done()
-			q.OfferTimeout(i, time.Duration(1+i%3)*time.Millisecond)
+			offerTimeout(q, i, time.Duration(1+i%3)*time.Millisecond)
 		}(i)
 		go func(i int) {
 			defer wg.Done()
-			q.PollTimeout(time.Duration(1+(i+1)%3) * time.Millisecond)
+			pollTimeout(q, time.Duration(1+(i+1)%3)*time.Millisecond)
 		}(i)
 	}
 	wg.Wait()

@@ -185,6 +185,8 @@ type Queue[T any] struct {
 	parkers [parkerCap]atomic.Pointer[park.Parker]
 }
 
+var _ core.Handoff[int] = (*Queue[int])(nil)
+
 // New returns an empty segmented synchronous queue with the given wait
 // policy (use the zero WaitConfig for the paper's defaults).
 func New[T any](cfg core.WaitConfig) *Queue[T] {
@@ -662,32 +664,6 @@ func (q *Queue[T]) TakeCommit(deadline time.Time, cancel <-chan struct{}, commit
 	return q.transfer(false, *new(T), deadline, cancel, commit)
 }
 
-// Offer transfers v only if a consumer already committed to this hand-off;
-// it never blocks beyond a bounded spin.
-func (q *Queue[T]) Offer(v T) bool {
-	_, st := q.transfer(true, v, core.DeadlineFor(0), nil, nil)
-	return st == core.OK
-}
-
-// OfferTimeout transfers v, waiting up to d for a consumer.
-func (q *Queue[T]) OfferTimeout(v T, d time.Duration) bool {
-	_, st := q.transfer(true, v, core.DeadlineFor(d), nil, nil)
-	return st == core.OK
-}
-
-// Poll receives a value only if a producer already committed to this
-// hand-off; it never blocks beyond a bounded spin.
-func (q *Queue[T]) Poll() (T, bool) {
-	v, st := q.transfer(false, *new(T), core.DeadlineFor(0), nil, nil)
-	return v, st == core.OK
-}
-
-// PollTimeout receives a value, waiting up to d for a producer.
-func (q *Queue[T]) PollTimeout(d time.Duration) (T, bool) {
-	v, st := q.transfer(false, *new(T), core.DeadlineFor(d), nil, nil)
-	return v, st == core.OK
-}
-
 // scan walks the reachable segments looking for a cell in the given
 // state. It is a racy snapshot for monitoring, like the other cores'
 // observe helpers.
@@ -707,9 +683,6 @@ func (q *Queue[T]) HasWaitingProducer() bool { return q.scan(cItem) }
 
 // HasWaitingConsumer reports whether a consumer is installed and waiting.
 func (q *Queue[T]) HasWaitingConsumer() bool { return q.scan(cWaiter) }
-
-// IsEmpty reports whether no operation is installed and waiting.
-func (q *Queue[T]) IsEmpty() bool { return !q.scan(cItem) && !q.scan(cWaiter) }
 
 // Len returns the number of installed, still-waiting operations (both
 // sides), as a racy snapshot.

@@ -51,23 +51,23 @@ func TestConcurrentConservation(t *testing.T) {
 	if want := int64(n * (n - 1) / 2); sum.Load() != want {
 		t.Fatalf("sum of delivered values = %d, want %d", sum.Load(), want)
 	}
-	if !q.IsEmpty() {
+	if !isEmpty(q) {
 		t.Fatal("queue not empty after balanced run")
 	}
 }
 
 func TestOfferPollMisses(t *testing.T) {
 	q := New[int](core.WaitConfig{})
-	if q.Offer(1) {
+	if offer(q, 1) {
 		t.Fatal("Offer succeeded on an empty queue")
 	}
-	if _, ok := q.Poll(); ok {
+	if _, ok := poll(q); ok {
 		t.Fatal("Poll succeeded on an empty queue")
 	}
-	if q.OfferTimeout(2, 2*time.Millisecond) {
+	if offerTimeout(q, 2, 2*time.Millisecond) {
 		t.Fatal("OfferTimeout succeeded with no consumer")
 	}
-	if _, ok := q.PollTimeout(2 * time.Millisecond); ok {
+	if _, ok := pollTimeout(q, 2*time.Millisecond); ok {
 		t.Fatal("PollTimeout succeeded with no producer")
 	}
 }
@@ -76,7 +76,7 @@ func TestPollFindsWaitingProducer(t *testing.T) {
 	q := New[int](core.WaitConfig{})
 	go q.Put(7)
 	waitCond(t, q.HasWaitingProducer)
-	v, ok := q.Poll()
+	v, ok := poll(q)
 	if !ok || v != 7 {
 		t.Fatalf("Poll = (%d, %v), want (7, true)", v, ok)
 	}
@@ -87,7 +87,7 @@ func TestOfferFindsWaitingConsumer(t *testing.T) {
 	got := make(chan int)
 	go func() { got <- q.Take() }()
 	waitCond(t, q.HasWaitingConsumer)
-	if !q.Offer(9) {
+	if !offer(q, 9) {
 		t.Fatal("Offer missed a waiting consumer")
 	}
 	if v := <-got; v != 9 {
@@ -117,7 +117,7 @@ func TestCancel(t *testing.T) {
 func TestPoisonedRunThenPairing(t *testing.T) {
 	q := New[int](core.WaitConfig{})
 	for i := 0; i < 10*SegSize; i++ {
-		if _, ok := q.Poll(); ok {
+		if _, ok := poll(q); ok {
 			t.Fatal("Poll succeeded on an empty queue")
 		}
 	}
@@ -184,7 +184,7 @@ func TestReserveTicketLifecycle(t *testing.T) {
 	if _, ok := tk.TryFollowup(); ok {
 		t.Fatal("TryFollowup reported delivery before any producer")
 	}
-	if !q.Offer(11) {
+	if !offer(q, 11) {
 		t.Fatal("Offer missed the reservation")
 	}
 	v, ok := tk.TryFollowup()
@@ -200,7 +200,7 @@ func TestReserveTicketLifecycle(t *testing.T) {
 	if !tk2.Abort() {
 		t.Fatal("Abort of a pending reservation failed")
 	}
-	if q.Offer(12) {
+	if offer(q, 12) {
 		t.Fatal("Offer succeeded against an aborted reservation")
 	}
 
@@ -228,7 +228,7 @@ func TestReserveTicketLifecycle(t *testing.T) {
 	if ok {
 		t.Fatal("put reserve immediately fulfilled on empty queue")
 	}
-	v, ok = q.Poll()
+	v, ok = poll(q)
 	if !ok || v != 15 {
 		t.Fatalf("Poll vs put reservation = (%d, %v), want (15, true)", v, ok)
 	}
@@ -370,10 +370,10 @@ func TestMetricsWiring(t *testing.T) {
 	q := New[int](core.WaitConfig{Metrics: h})
 	go q.Put(1)
 	waitCond(t, q.HasWaitingProducer)
-	if v, ok := q.Poll(); !ok || v != 1 {
+	if v, ok := poll(q); !ok || v != 1 {
 		t.Fatalf("Poll = (%d, %v)", v, ok)
 	}
-	if q.OfferTimeout(2, time.Millisecond) {
+	if offerTimeout(q, 2, time.Millisecond) {
 		t.Fatal("OfferTimeout succeeded with no consumer")
 	}
 	if got := h.Load(metrics.Fulfillments); got != 1 {
@@ -409,7 +409,7 @@ func TestZeroPatienceOfferWaitsForCommittedConsumer(t *testing.T) {
 	s := q.head.Load()
 	c := s.at(0)
 	offered := make(chan bool)
-	go func() { offered <- q.Offer(7) }()
+	go func() { offered <- offer(q, 7) }()
 	for c.state.Load() == cEmpty {
 		runtime.Gosched()
 	}

@@ -75,7 +75,7 @@ func TestStealWeightingLiveness(t *testing.T) {
 	// waiter whose announce was not observed, the worst case for skipping).
 	done := make(chan struct{})
 	go func() {
-		f.shards[3].Put(42)
+		put(f.shards[3], 42)
 		close(done)
 	}()
 	for !f.shards[3].HasWaitingProducer() {
@@ -103,7 +103,7 @@ func TestStealWeightingLiveness(t *testing.T) {
 		setBit(&f.prod, 1<<3)
 		f.sweepTake(0, false, 0, &ss)
 	}
-	go func() { f.shards[3].Put(7) }()
+	go func() { put(f.shards[3], 7) }()
 	for !f.shards[3].HasWaitingProducer() {
 		runtime.Gosched()
 	}
@@ -137,13 +137,13 @@ func TestAutoFabricStartsCollapsed(t *testing.T) {
 	go func() {
 		var sum int64
 		for i := 0; i < 3000; i++ {
-			sum += f.Take()
+			sum += take(f)
 		}
 		done <- sum
 	}()
 	var want int64
 	for i := int64(0); i < 3000; i++ {
-		f.Put(i)
+		put(f, i)
 		want += i
 	}
 	if got := <-done; got != want {
@@ -205,7 +205,7 @@ func TestShrinkDrainsParkedWaiters(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			got.Store(c, f.Take())
+			got.Store(c, take(f))
 		}(c)
 	}
 	// Wait until every consumer is parked somewhere in the fabric.
@@ -217,7 +217,7 @@ func TestShrinkDrainsParkedWaiters(t *testing.T) {
 				n++
 			}
 		}
-		if n > 0 && !f.IsEmpty() {
+		if n > 0 && !isEmpty(f) {
 			time.Sleep(time.Millisecond)
 			break
 		}
@@ -237,7 +237,7 @@ func TestShrinkDrainsParkedWaiters(t *testing.T) {
 
 	// Producers homed on shard 0 must still reach every parked consumer.
 	for c := 0; c < consumers; c++ {
-		f.Put(int64(100 + c))
+		put(f, int64(100+c))
 	}
 	wgDone := make(chan struct{})
 	go func() { wg.Wait(); close(wgDone) }()

@@ -39,16 +39,16 @@ func measurePairAllocs(t *testing.T, put func(int64), take func() int64) float64
 // OfferTimeout/PollTimeout pairs on fresh fabrics from mk.
 func measureModes(t *testing.T, mk func() *Fabric[int64]) (untimed, timed float64) {
 	q := mk()
-	untimed = measurePairAllocs(t, q.Put, q.Take)
+	untimed = measurePairAllocs(t, func(v int64) { put(q, v) }, func() int64 { return take(q) })
 	q = mk()
 	timed = measurePairAllocs(t,
 		func(v int64) {
-			if !q.OfferTimeout(v, time.Minute) {
+			if !offerTimeout(q, v, time.Minute) {
 				t.Error("OfferTimeout timed out against a live partner")
 			}
 		},
 		func() int64 {
-			v, ok := q.PollTimeout(time.Minute)
+			v, ok := pollTimeout(q, time.Minute)
 			if !ok {
 				t.Error("PollTimeout timed out against a live partner")
 			}

@@ -105,7 +105,7 @@ func (f *Fabric[T]) sweepPutBurst(home int, items []T, t0 int64, ss *sweepStat) 
 		}
 		if f.shards[i].HasWaitingConsumer() {
 			resetStreak(&f.st[i].emptyCons)
-			for n < len(items) && f.shards[i].Offer(items[n]) {
+			for n < len(items) && f.probePut(i, items[n]) {
 				if i != home {
 					f.st[i].steals.Add(1)
 					ss.stole = true
@@ -147,7 +147,7 @@ func (f *Fabric[T]) sweepTakeBurst(home int, buf *[]T, max int, t0 int64, ss *sw
 		if f.shards[i].HasWaitingProducer() {
 			resetStreak(&f.st[i].emptyProd)
 			for n < max {
-				v, ok := f.shards[i].Poll()
+				v, ok := f.probeTake(i)
 				if !ok {
 					break
 				}

@@ -40,7 +40,7 @@ func runFabricBridge(t *testing.T, f *Fabric[int64], producers, consumers, perPr
 				var ok bool
 				if rng.IntN(5) < 3 {
 					patience := time.Duration(rng.IntN(800)) * time.Microsecond
-					ok = f.OfferTimeout(v, patience)
+					ok = offerTimeout(f, v, patience)
 				} else {
 					cancel := make(chan struct{})
 					timer := time.AfterFunc(time.Duration(rng.IntN(500))*time.Microsecond, func() {
@@ -72,7 +72,7 @@ func runFabricBridge(t *testing.T, f *Fabric[int64], producers, consumers, perPr
 				var ok bool
 				if rng.IntN(5) < 4 {
 					patience := time.Duration(rng.IntN(800)) * time.Microsecond
-					v, ok = f.PollTimeout(patience)
+					v, ok = pollTimeout(f, patience)
 				} else {
 					cancel := make(chan struct{})
 					timer := time.AfterFunc(time.Duration(rng.IntN(500))*time.Microsecond, func() {
@@ -95,7 +95,7 @@ func runFabricBridge(t *testing.T, f *Fabric[int64], producers, consumers, perPr
 	drainLog := rec.NewThread()
 	for {
 		inv := drainLog.Begin()
-		v, ok := f.PollTimeout(10 * time.Millisecond)
+		v, ok := pollTimeout(f, 10*time.Millisecond)
 		drainLog.End(verify.Take, v, inv, ok)
 		if !ok {
 			break

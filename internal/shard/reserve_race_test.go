@@ -90,7 +90,7 @@ func TestReserveTakeSurvivesPreLinkSweepClear(t *testing.T) {
 			// The racing producer sweep: the cons summary is flagged but
 			// the reservation has not linked yet, so the probe finds the
 			// shard empty, clears the "stale" bit, and misses.
-			if f.Offer(99) {
+			if offer(f, 99) {
 				t.Fatal("Offer paired inside the pre-link window")
 			}
 			if f.cons.Load() != 0 {
@@ -110,7 +110,7 @@ func TestReserveTakeSurvivesPreLinkSweepClear(t *testing.T) {
 	if f.cons.Load() == 0 {
 		t.Fatal("cons bit not re-established after link; pinned reservation invisible to sweeps")
 	}
-	if !f.Offer(42) {
+	if !offer(f, 42) {
 		t.Fatal("sweep missed the pinned reservation")
 	}
 	v, ok := tkt.TryFollowup()
@@ -125,7 +125,7 @@ func TestReservePutSurvivesPreLinkSweepClear(t *testing.T) {
 	for _, h := range hooks {
 		h.beforeReservePut = func() {
 			fired = true
-			if _, ok := f.Poll(); ok {
+			if _, ok := poll(f); ok {
 				t.Fatal("Poll paired inside the pre-link window")
 			}
 			if f.prod.Load() != 0 {
@@ -143,7 +143,7 @@ func TestReservePutSurvivesPreLinkSweepClear(t *testing.T) {
 	if f.prod.Load() == 0 {
 		t.Fatal("prod bit not re-established after link; pinned reservation invisible to sweeps")
 	}
-	if v, ok := f.Poll(); !ok || v != 7 {
+	if v, ok := poll(f); !ok || v != 7 {
 		t.Fatalf("Poll = (%d,%v), want (7,true)", v, ok)
 	}
 	if !tkt.Abort() {
@@ -204,7 +204,7 @@ func TestClosedNotObservedBeforeLastShardCloses(t *testing.T) {
 		if ok {
 			t.Fatal("immediate pairing on an empty shard")
 		}
-		if !f.Shard(last).Offer(11) {
+		if !offer(f.Shard(last), 11) {
 			t.Fatal("open shard refused a hand-off during Close")
 		}
 		if v, ok := tkt.TryFollowup(); !ok || v != 11 {

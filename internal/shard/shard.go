@@ -5,10 +5,11 @@
 //
 // Dispatch is striped: each operation draws a random home shard (per-P
 // randomness, so the choice itself contends on nothing) and first sweeps
-// the shards the presence summaries flag as occupied, probing with a
-// zero-patience Offer or Poll, starting at home. A probe that succeeds on
-// a foreign shard is a steal: the operation rescued a waiter another
-// stripe left behind, counted by metrics.ShardSteals. Only when the sweep
+// the shards the presence summaries flag as occupied, probing each with a
+// zero-patience PutDeadline or TakeDeadline (deadline core.Expired: only a
+// waiter already linked there can pair), starting at home. A probe that
+// succeeds on a foreign shard is a steal: the operation rescued a waiter
+// another stripe left behind, counted by metrics.ShardSteals. Only when the sweep
 // finds no counterpart anywhere does the operation commit to waiting on
 // its home shard, through a Dekker-style protocol — link a waiter,
 // announce the shard's bit in the own-side summary, reload the opposite
@@ -55,33 +56,17 @@ import (
 	"synchq/internal/metrics"
 )
 
-// Dual is the surface the fabric requires of each shard — exactly the
-// method set the hand-off cores (core.DualQueue, core.DualStack,
-// segq.Queue) provide.
+// Dual is the surface the fabric requires of each shard: the hand-off
+// contract every core provides (core.DualQueue, core.DualStack,
+// segq.Queue), plus the commit-step forms of the two waiting operations
+// that the commit protocol runs its announce-and-reload through.
 type Dual[T any] interface {
-	Put(T)
-	Take() T
-	PutDeadline(T, time.Time, <-chan struct{}) core.Status
-	TakeDeadline(time.Time, <-chan struct{}) (T, core.Status)
+	core.Handoff[T]
 	PutCommit(T, time.Time, <-chan struct{}, func() bool) core.Status
 	TakeCommit(time.Time, <-chan struct{}, func() bool) (T, core.Status)
-	Offer(T) bool
-	OfferTimeout(T, time.Duration) bool
-	Poll() (T, bool)
-	PollTimeout(time.Duration) (T, bool)
-	HasWaitingConsumer() bool
-	HasWaitingProducer() bool
-	IsEmpty() bool
-	ReserveTake() (T, core.Ticket[T], bool)
-	ReservePut(T) (core.Ticket[T], bool)
-	Close()
-	Closed() bool
 }
 
-// errClosedDemand matches the core structures' closed-demand panic text
-// (and the public ErrClosed message) so every closed-queue panic reads the
-// same regardless of sharding.
-const errClosedDemand = "synchq: queue closed"
+var _ core.Handoff[int] = (*Fabric[int])(nil)
 
 // Fabric composes n power-of-two shards behind the synchronous queue
 // surface. Create one with New; a Fabric must not be copied after first
@@ -269,7 +254,7 @@ func (f *Fabric[T]) sweepPut(home int, v T, critical bool, t0 int64, ss *sweepSt
 		// critical sweep's no-stranding guarantee survives the shortcut.
 		if f.shards[i].HasWaitingConsumer() {
 			resetStreak(&f.st[i].emptyCons)
-			if f.shards[i].Offer(v) {
+			if f.probePut(i, v) {
 				if i != home {
 					f.st[i].steals.Add(1)
 					ss.stole = true
@@ -317,7 +302,7 @@ func (f *Fabric[T]) sweepTake(home int, critical bool, t0 int64, ss *sweepStat) 
 		}
 		if f.shards[i].HasWaitingProducer() {
 			resetStreak(&f.st[i].emptyProd)
-			if v, ok := f.shards[i].Poll(); ok {
+			if v, ok := f.probeTake(i); ok {
 				if i != home {
 					f.st[i].steals.Add(1)
 					ss.stole = true
@@ -341,6 +326,18 @@ func (f *Fabric[T]) sweepTake(home int, critical bool, t0 int64, ss *sweepStat) 
 	}
 	var zero T
 	return zero, false
+}
+
+// probePut and probeTake are the sweeps' probes of shard i: the contract's
+// transfers at zero patience, which only a waiter already linked there
+// can pair with.
+func (f *Fabric[T]) probePut(i int, v T) bool {
+	return f.shards[i].PutDeadline(v, core.Expired, nil) == core.OK
+}
+
+func (f *Fabric[T]) probeTake(i int) (T, bool) {
+	v, st := f.shards[i].TakeDeadline(core.Expired, nil)
+	return v, st == core.OK
 }
 
 // nearestBit returns the index of a set bit of avail (avail != 0),
@@ -387,8 +384,10 @@ func commitStep(own, opp *atomic.Uint64, bit uint64, streak *atomic.Int32) bool 
 	return opp.Load() == 0
 }
 
-// put is the producer engine, built on the commit protocol that makes
-// cross-shard stranding impossible without any timer-based rescue:
+// PutDeadline transfers v, giving up at the deadline (zero: never) or when
+// cancel fires (nil: never). It is the producer engine, built on the
+// commit protocol that makes cross-shard stranding impossible without any
+// timer-based rescue:
 //
 //  1. Opportunistic sweep: pair with a consumer already flagged anywhere.
 //  2. Wait on the home shard through PutCommit — the node is LINKED
@@ -406,7 +405,10 @@ func commitStep(own, opp *atomic.Uint64, bit uint64, streak *atomic.Int32) bool 
 //  4. Otherwise the same call goes on to wait — untimed for a demand put,
 //     so the steady state costs one node and one park, with no timer and
 //     no periodic rescue wakeups.
-func (f *Fabric[T]) put(v T, deadline time.Time, cancel <-chan struct{}) core.Status {
+func (f *Fabric[T]) PutDeadline(v T, deadline time.Time, cancel <-chan struct{}) core.Status {
+	if f.closedStatus() {
+		return core.Closed
+	}
 	var ss sweepStat
 	st := f.putEngine(v, deadline, cancel, &ss)
 	f.observe(&ss)
@@ -446,8 +448,14 @@ func (f *Fabric[T]) putEngine(v T, deadline time.Time, cancel <-chan struct{}, s
 	}
 }
 
-// take is the consumer engine, symmetric to put.
-func (f *Fabric[T]) take(deadline time.Time, cancel <-chan struct{}) (T, core.Status) {
+// TakeDeadline receives a value, giving up at the deadline (zero: never)
+// or when cancel fires (nil: never): the consumer engine, symmetric to
+// PutDeadline.
+func (f *Fabric[T]) TakeDeadline(deadline time.Time, cancel <-chan struct{}) (T, core.Status) {
+	if f.closedStatus() {
+		var zero T
+		return zero, core.Closed
+	}
 	var ss sweepStat
 	v, st := f.takeEngine(deadline, cancel, &ss)
 	f.observe(&ss)
@@ -517,77 +525,6 @@ func (f *Fabric[T]) waiting(i int, prod bool) bool {
 // transfers still complete on not-yet-closed shards. Operations racing
 // the shard shutdowns themselves still get core.Closed from their shard.
 func (f *Fabric[T]) closedStatus() bool { return f.closed.Load() }
-
-// Put transfers v to a consumer, waiting as long as necessary. It panics
-// if the fabric is closed, mirroring the unsharded demand operations.
-func (f *Fabric[T]) Put(v T) {
-	if st := f.put(v, time.Time{}, nil); st == core.Closed {
-		panic(errClosedDemand)
-	}
-}
-
-// Take receives a value from a producer, waiting as long as necessary. It
-// panics if the fabric is closed.
-func (f *Fabric[T]) Take() T {
-	v, st := f.take(time.Time{}, nil)
-	if st == core.Closed {
-		panic(errClosedDemand)
-	}
-	return v
-}
-
-// PutDeadline transfers v, giving up at the deadline (zero: never) or when
-// cancel fires (nil: never).
-func (f *Fabric[T]) PutDeadline(v T, deadline time.Time, cancel <-chan struct{}) core.Status {
-	if f.closedStatus() {
-		return core.Closed
-	}
-	return f.put(v, deadline, cancel)
-}
-
-// TakeDeadline receives a value, giving up at the deadline (zero: never)
-// or when cancel fires (nil: never).
-func (f *Fabric[T]) TakeDeadline(deadline time.Time, cancel <-chan struct{}) (T, core.Status) {
-	if f.closedStatus() {
-		var zero T
-		return zero, core.Closed
-	}
-	return f.take(deadline, cancel)
-}
-
-// Offer transfers v only if a consumer is already waiting on some shard.
-func (f *Fabric[T]) Offer(v T) bool {
-	var ss sweepStat
-	ok := f.sweepPut(f.home(), v, false, f.m.Start(), &ss)
-	f.observe(&ss)
-	return ok
-}
-
-// OfferTimeout transfers v, waiting up to d for a consumer.
-func (f *Fabric[T]) OfferTimeout(v T, d time.Duration) bool {
-	if d <= 0 {
-		return f.Offer(v)
-	}
-	return f.put(v, time.Now().Add(d), nil) == core.OK
-}
-
-// Poll receives a value only if a producer is already waiting on some
-// shard.
-func (f *Fabric[T]) Poll() (T, bool) {
-	var ss sweepStat
-	v, ok := f.sweepTake(f.home(), false, f.m.Start(), &ss)
-	f.observe(&ss)
-	return v, ok
-}
-
-// PollTimeout receives a value, waiting up to d for a producer.
-func (f *Fabric[T]) PollTimeout(d time.Duration) (T, bool) {
-	if d <= 0 {
-		return f.Poll()
-	}
-	v, st := f.take(time.Now().Add(d), nil)
-	return v, st == core.OK
-}
 
 // ReserveTake registers a request for a value: an immediate counterpart on
 // any shard is consumed at once (nil ticket); otherwise the reservation is
@@ -715,14 +652,4 @@ func (f *Fabric[T]) HasWaitingProducer() bool {
 		}
 	}
 	return false
-}
-
-// IsEmpty reports whether every shard was observed empty.
-func (f *Fabric[T]) IsEmpty() bool {
-	for _, s := range f.shards {
-		if !s.IsEmpty() {
-			return false
-		}
-	}
-	return true
 }

@@ -63,7 +63,7 @@ func runWidthStorm(t *testing.T, f *Fabric[int64], procs int) {
 		go func(base int64) {
 			defer wg.Done()
 			for i := int64(0); i < perW; i++ {
-				f.Put(base + i)
+				put(f, base+i)
 				produced.Add(base + i)
 			}
 		}(int64(w) * perW)
@@ -71,7 +71,7 @@ func runWidthStorm(t *testing.T, f *Fabric[int64], procs int) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perW; i++ {
-				consumed.Add(f.Take())
+				consumed.Add(take(f))
 			}
 		}()
 	}
@@ -114,7 +114,7 @@ func TestWidthMatrixQueueFabric(t *testing.T) {
 		if w := f.Shards(); w != 1 {
 			t.Errorf("procs=%d: post-storm collapse stalled at width %d", procs, w)
 		}
-		if !f.IsEmpty() {
+		if !isEmpty(f) {
 			t.Errorf("procs=%d: fabric not empty after balanced storm", procs)
 		}
 		// Close ordering holds at whatever width the storm ended on.
@@ -144,13 +144,13 @@ func TestWidthMatrixSegFabric(t *testing.T) {
 		f.DriveWidth(true)
 	}
 	for i := 0; i < 200; i++ {
-		f.PollTimeout(10 * time.Microsecond)
+		pollTimeout(f, 10*time.Microsecond)
 	}
 	for i := 0; i < 512 && f.Shards() > 1; i++ {
 		f.DriveWidth(false)
 	}
 	for i := 0; i < 200; i++ {
-		f.PollTimeout(10 * time.Microsecond)
+		pollTimeout(f, 10*time.Microsecond)
 	}
 	if n := h.Snapshot().Get(metrics.SegUnlinks); n == 0 {
 		t.Error("segment-backed fabric retired no segments across the width cycle")

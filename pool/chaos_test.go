@@ -27,8 +27,14 @@ import (
 // chaosQueue adapts a fault-injected dual queue to the pool's Queue.
 type chaosQueue struct{ q *core.DualQueue[Task] }
 
-func (cq chaosQueue) Offer(t Task) bool                        { return cq.q.Offer(t) }
-func (cq chaosQueue) PollTimeout(d time.Duration) (Task, bool) { return cq.q.PollTimeout(d) }
+func (cq chaosQueue) Offer(t Task) bool {
+	return cq.q.PutDeadline(t, core.DeadlineFor(0), nil) == core.OK
+}
+
+func (cq chaosQueue) PollTimeout(d time.Duration) (Task, bool) {
+	v, st := cq.q.TakeDeadline(core.DeadlineFor(d), nil)
+	return v, st == core.OK
+}
 
 // bridgedPool runs a submission storm against a pool whose hand-off queue
 // is under chaos injection and returns the bridged history.
@@ -112,9 +118,11 @@ func TestPoolChaosWorkerChurn(t *testing.T) {
 // queue's deadline/cancel paths under injection (the production shape).
 type chaosWaitQueue struct{ q *core.DualQueue[Task] }
 
-func (cq chaosWaitQueue) Offer(t Task) bool                        { return cq.q.Offer(t) }
-func (cq chaosWaitQueue) PollTimeout(d time.Duration) (Task, bool) { return cq.q.PollTimeout(d) }
-func (cq chaosWaitQueue) Close()                                   { cq.q.Close() }
+func (cq chaosWaitQueue) Offer(t Task) bool { return chaosQueue(cq).Offer(t) }
+func (cq chaosWaitQueue) PollTimeout(d time.Duration) (Task, bool) {
+	return chaosQueue(cq).PollTimeout(d)
+}
+func (cq chaosWaitQueue) Close() { cq.q.Close() }
 func (cq chaosWaitQueue) OfferWait(t Task, deadline time.Time, cancel <-chan struct{}) bool {
 	return cq.q.PutDeadline(t, deadline, cancel) == core.OK
 }

@@ -436,9 +436,17 @@ func TestKeepAliveExpiryLeaksNoGoroutines(t *testing.T) {
 // tasks must trip the crash-loop breaker — pausing pool growth — without
 // killing workers, and one healthy task must re-arm normal operation.
 func TestPanicStormEngagesCrashLoopBackoff(t *testing.T) {
-	p := New(newQueue(), Config{KeepAlive: 200 * time.Millisecond, CoreWorkers: 1, MaxWorkers: 4})
-	// Serial panic storm through the single core worker.
+	q := synchq.New[Task](synchq.Fair(false))
+	p := New(q, Config{KeepAlive: 200 * time.Millisecond, CoreWorkers: 1, MaxWorkers: 4})
+	// Serial panic storm through the single core worker. A storm task
+	// closes done before its panic is recovered, so each next submission
+	// first waits for the core worker to be back in its poll: otherwise
+	// Submit can find no idle worker and grow the pool before the breaker
+	// has tripped.
 	for i := 0; i < crashLoopThreshold+2; i++ {
+		if i > 0 {
+			waitFor(t, "core worker back in its poll", q.HasWaitingConsumer)
+		}
 		done := make(chan struct{})
 		submitOne(t, p, func() { defer close(done); panic("storm") })
 		<-done

@@ -21,7 +21,12 @@ var ErrTimeout = errors.New("synchq: operation timed out")
 // waiting in) a queue that was shut down with Close. Demand operations
 // without an error return (Put, Take) panic instead, mirroring Go's
 // closed-channel semantics.
-var ErrClosed = errors.New("synchq: queue closed")
+var ErrClosed = errors.New(errClosedText)
+
+// errClosedText is ErrClosed's message and the panic value of every demand
+// operation on a closed queue. A constant, so the derived demand forms
+// stay small enough to inline.
+const errClosedText = "synchq: queue closed"
 
 // ctxError maps a non-OK status from a context-bounded operation to its
 // error, keeping deadline expiry and external cancellation distinct:
@@ -68,26 +73,38 @@ type TimedQueue[T any] interface {
 	PollTimeout(d time.Duration) (T, bool)
 }
 
-// impl is the method set every queue core provides — and the elimination
-// front-end, which wraps one.
-type impl[T any] interface {
-	Put(T)
-	Take() T
-	PutDeadline(T, time.Time, <-chan struct{}) core.Status
-	TakeDeadline(time.Time, <-chan struct{}) (T, core.Status)
-	Offer(T) bool
-	OfferTimeout(T, time.Duration) bool
-	Poll() (T, bool)
-	PollTimeout(time.Duration) (T, bool)
-	HasWaitingConsumer() bool
-	HasWaitingProducer() bool
-	IsEmpty() bool
-	ReserveTake() (T, core.Ticket[T], bool)
-	ReservePut(T) (core.Ticket[T], bool)
-	PutBatch([]T, time.Time, <-chan struct{}) (int, core.Status)
-	TakeBatch([]T, int, time.Time, <-chan struct{}) ([]T, core.Status)
-	Close()
-	Closed() bool
+// The derived forms. Every backing core — and the elimination front-end,
+// and the shard fabric — implements only the hand-off contract
+// (core.Handoff); these decide, once for every queue type in the package,
+// what the classic operations mean in terms of it.
+
+// put is Put: an untimed transfer, which panics on a closed queue like a
+// send on a closed channel.
+func put[T any](h core.Handoff[T], v T) {
+	if h.PutDeadline(v, time.Time{}, nil) == core.Closed {
+		panic(errClosedText)
+	}
+}
+
+// take is Take: an untimed receive, panicking on a closed queue.
+func take[T any](h core.Handoff[T]) T {
+	v, st := h.TakeDeadline(time.Time{}, nil)
+	if st == core.Closed {
+		panic(errClosedText)
+	}
+	return v
+}
+
+// offer is Offer (deadline core.Expired) and OfferTimeout (deadline
+// core.DeadlineFor(d)): a transfer that gives up at the deadline.
+func offer[T any](h core.Handoff[T], v T, deadline time.Time) bool {
+	return h.PutDeadline(v, deadline, nil) == core.OK
+}
+
+// poll is Poll and PollTimeout, likewise.
+func poll[T any](h core.Handoff[T], deadline time.Time) (T, bool) {
+	v, st := h.TakeDeadline(deadline, nil)
+	return v, st == core.OK
 }
 
 // SynchronousQueue is a nonblocking, contention-free synchronous queue. It
@@ -95,7 +112,7 @@ type impl[T any] interface {
 // Take and vice versa. Construct one with New (see the Fair, Sharded,
 // AutoShard, Segmented, EliminatingAdaptive and Instrument options).
 type SynchronousQueue[T any] struct {
-	impl impl[T]
+	impl core.Handoff[T]
 	fair bool
 	// fab is the sharding introspection surface, nil on unsharded queues.
 	// The hooks close over the fabric without making SynchronousQueue
@@ -309,30 +326,40 @@ func (q *SynchronousQueue[T]) Metrics() *Metrics { return q.inst }
 
 // Put transfers v to a consumer, waiting as long as necessary for one to
 // arrive.
-func (q *SynchronousQueue[T]) Put(v T) { q.impl.Put(v) }
+func (q *SynchronousQueue[T]) Put(v T) { put(q.impl, v) }
 
 // Take receives a value from a producer, waiting as long as necessary for
 // one to arrive.
-func (q *SynchronousQueue[T]) Take() T { return q.impl.Take() }
+//
+// Take spells out take rather than calling it: the call would push Take
+// past the inlining budget, and the extra frame on a fresh goroutine's
+// first hand-off costs a stack copy.
+func (q *SynchronousQueue[T]) Take() T {
+	v, st := q.impl.TakeDeadline(time.Time{}, nil)
+	if st == core.Closed {
+		panic(errClosedText)
+	}
+	return v
+}
 
 // Offer transfers v only if a consumer is already waiting; it reports
 // whether the transfer happened. Offer never blocks.
-func (q *SynchronousQueue[T]) Offer(v T) bool { return q.impl.Offer(v) }
+func (q *SynchronousQueue[T]) Offer(v T) bool { return offer(q.impl, v, core.Expired) }
 
 // OfferTimeout transfers v, waiting up to d for a consumer. A non-positive
 // d is equivalent to Offer.
 func (q *SynchronousQueue[T]) OfferTimeout(v T, d time.Duration) bool {
-	return q.impl.OfferTimeout(v, d)
+	return offer(q.impl, v, core.DeadlineFor(d))
 }
 
 // Poll receives a value only if a producer is already waiting. Poll never
 // blocks.
-func (q *SynchronousQueue[T]) Poll() (T, bool) { return q.impl.Poll() }
+func (q *SynchronousQueue[T]) Poll() (T, bool) { return poll(q.impl, core.Expired) }
 
 // PollTimeout receives a value, waiting up to d for a producer. A
 // non-positive d is equivalent to Poll.
 func (q *SynchronousQueue[T]) PollTimeout(d time.Duration) (T, bool) {
-	return q.impl.PollTimeout(d)
+	return poll(q.impl, core.DeadlineFor(d))
 }
 
 // PutContext transfers v to a consumer, abandoning the attempt if ctx is
@@ -393,8 +420,11 @@ func (q *SynchronousQueue[T]) HasWaitingConsumer() bool { return q.impl.HasWaiti
 func (q *SynchronousQueue[T]) HasWaitingProducer() bool { return q.impl.HasWaitingProducer() }
 
 // IsEmpty reports whether the queue was observed with no waiting producers
-// or consumers.
-func (q *SynchronousQueue[T]) IsEmpty() bool { return q.impl.IsEmpty() }
+// or consumers: it is exactly !HasWaitingConsumer() && !HasWaitingProducer(),
+// so the three observers never contradict each other.
+func (q *SynchronousQueue[T]) IsEmpty() bool {
+	return !q.impl.HasWaitingConsumer() && !q.impl.HasWaitingProducer()
+}
 
 // Close shuts the queue down: every parked or spinning waiter is woken and
 // observes the closed state (blocking demand operations panic with

@@ -127,21 +127,105 @@ func TestPollWaitOfferWait(t *testing.T) {
 	}
 }
 
+// observed is the surface TestObservers checks: demand operations, a
+// timed poll, and the three observers, which must never contradict each
+// other.
+type observed interface {
+	Put(int)
+	Take() int
+	PollTimeout(time.Duration) (int, bool)
+	HasWaitingConsumer() bool
+	HasWaitingProducer() bool
+	IsEmpty() bool
+}
+
+// transferObserved reads a TransferQueue through the observed surface: Put
+// is the synchronous Transfer (a producer that parks), a waiting producer
+// is buffered data, and empty means neither probe sees a waiter.
+type transferObserved struct{ *synchq.TransferQueue[int] }
+
+func (t transferObserved) Put(v int)                { t.Transfer(v) }
+func (t transferObserved) HasWaitingProducer() bool { return t.HasBufferedData() }
+func (t transferObserved) IsEmpty() bool {
+	return !t.HasWaitingConsumer() && !t.HasBufferedData()
+}
+
+// TestObservers runs the observers over every queue configuration: a
+// parked operation must be seen by its probe and make IsEmpty false, and
+// once every waiter has gone IsEmpty must agree with the probes on the
+// first read. The two-timeouts case is the fair queue's trap: the tail
+// poll times out first and defers its unlink, the front one times out
+// second, and a structural emptiness check would then see the dead tail
+// node the probes already read past.
 func TestObservers(t *testing.T) {
-	q := synchq.New[int](synchq.Fair(true))
-	if !q.IsEmpty() || q.HasWaitingConsumer() || q.HasWaitingProducer() {
-		t.Fatal("fresh queue misreports state")
+	impls := map[string]func() observed{
+		"transfer": func() observed { return transferObserved{synchq.NewTransferQueue[int]()} },
 	}
-	go q.Put(1)
-	deadline := time.Now().Add(5 * time.Second)
-	for !q.HasWaitingProducer() {
-		if time.Now().After(deadline) {
-			t.Fatal("producer never observed")
+	for name, mk := range queueConfigs() {
+		impls[name] = func() observed { return mk() }
+	}
+	waitFor := func(t *testing.T, what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never observed", what)
+			}
+			time.Sleep(100 * time.Microsecond)
 		}
-		time.Sleep(100 * time.Microsecond)
 	}
-	if v := q.Take(); v != 1 {
-		t.Fatalf("Take = %d", v)
+	for name, mk := range impls {
+		t.Run(name, func(t *testing.T) {
+			t.Run("fresh", func(t *testing.T) {
+				q := mk()
+				if !q.IsEmpty() || q.HasWaitingConsumer() || q.HasWaitingProducer() {
+					t.Fatal("fresh queue misreports state")
+				}
+			})
+			t.Run("parked-take", func(t *testing.T) {
+				q := mk()
+				got := make(chan int, 1)
+				go func() { got <- q.Take() }()
+				waitFor(t, "waiting consumer", q.HasWaitingConsumer)
+				if q.IsEmpty() || q.HasWaitingProducer() {
+					t.Error("parked Take: IsEmpty or HasWaitingProducer reads true")
+				}
+				q.Put(1)
+				if v := <-got; v != 1 {
+					t.Fatalf("Take = %d, want 1", v)
+				}
+			})
+			t.Run("parked-put", func(t *testing.T) {
+				q := mk()
+				go q.Put(2)
+				waitFor(t, "waiting producer", q.HasWaitingProducer)
+				if q.IsEmpty() || q.HasWaitingConsumer() {
+					t.Error("parked Put: IsEmpty or HasWaitingConsumer reads true")
+				}
+				if v := q.Take(); v != 2 {
+					t.Fatalf("Take = %d, want 2", v)
+				}
+			})
+			t.Run("two-timeouts", func(t *testing.T) {
+				q := mk()
+				front := make(chan bool, 1)
+				go func() { _, ok := q.PollTimeout(40 * time.Millisecond); front <- ok }()
+				waitFor(t, "front consumer", q.HasWaitingConsumer)
+				if _, ok := q.PollTimeout(5 * time.Millisecond); ok {
+					t.Fatal("tail PollTimeout received a value")
+				}
+				if <-front {
+					t.Fatal("front PollTimeout received a value")
+				}
+				// IsEmpty first: a later probe may tidy the structure.
+				empty := q.IsEmpty()
+				cons, prod := q.HasWaitingConsumer(), q.HasWaitingProducer()
+				if !empty || cons || prod {
+					t.Fatalf("after both timeouts IsEmpty = %v, HasWaitingConsumer = %v, HasWaitingProducer = %v; want true, false, false",
+						empty, cons, prod)
+				}
+			})
+		})
 	}
 }
 
