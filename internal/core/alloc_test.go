@@ -1,18 +1,19 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"synchq/internal/exchanger"
 )
 
 // This file pins the zero-allocation hand-off hot path: with pooled item
-// boxes, spare-node recycling, and embedded parkers, a steady-state paired
-// Put/Take costs one node allocation per pair on the queue (the waiter's
-// linked node, which the ABA doctrine forbids pooling) and two on the stack
-// (waiter plus fulfilling node) — at most one allocation per operation per
-// side, where the seed implementation paid four or more (node, item box,
-// parker, parker channel).
+// boxes, spare-node recycling, and parkers lent from a per-structure free
+// list, a steady-state paired Put/Take costs one node allocation per pair
+// on the queue (the waiter's linked node, which the ABA doctrine forbids
+// pooling) and two on the stack (waiter plus fulfilling node) — at most
+// one allocation per operation per side, where the seed implementation
+// paid four or more (node, item box, parker, parker channel).
 
 // benchPairs drives b.N paired hand-offs: a partner goroutine takes while
 // the benchmark goroutine puts.
@@ -56,12 +57,12 @@ func BenchmarkHandoffAllocs(b *testing.B) {
 	})
 }
 
-// measurePairAllocs reports the steady-state allocations per paired
-// put/take, with both sides' allocations counted (testing.AllocsPerRun
-// measures the global allocation counter). The structure is warmed first so
-// the pools are primed; -1 is the partner's stop sentinel and must not be
-// used as a payload.
-func measurePairAllocs(t *testing.T, put func(int64), take func() int64) float64 {
+// measurePairAllocs reports the steady-state allocations and heap bytes
+// per paired put/take, with both sides' allocations counted (both figures
+// come from the global allocation counters). The structure is warmed
+// first so the pools are primed; -1 is the partner's stop sentinel and
+// must not be used as a payload.
+func measurePairAllocs(t *testing.T, put func(int64), take func() int64) (allocs, bytes float64) {
 	t.Helper()
 	done := make(chan struct{})
 	go func() {
@@ -72,10 +73,21 @@ func measurePairAllocs(t *testing.T, put func(int64), take func() int64) float64
 	for i := 0; i < 200; i++ {
 		put(int64(i))
 	}
-	got := testing.AllocsPerRun(200, func() { put(7) })
+	const runs = 200
+	allocs = testing.AllocsPerRun(runs, func() { put(7) })
+	// Bytes under the same conditions AllocsPerRun sets up: one P, and
+	// one warm-up call.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	put(7)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		put(7)
+	}
+	runtime.ReadMemStats(&m1)
 	put(-1)
 	<-done
-	return got
+	return allocs, float64(m1.TotalAlloc-m0.TotalAlloc) / runs
 }
 
 // TestHandoffAllocBudget pins the steady state of BenchmarkHandoffAllocs
@@ -83,37 +95,47 @@ func measurePairAllocs(t *testing.T, put func(int64), take func() int64) float64
 // transfer queue (the waiter's linked node), two on the stack (waiter plus
 // fulfilling node) and at most two on the exchanger — so a wait that
 // started allocating, such as a waiter escaping through the shared wait
-// loop, fails here. An enormous pinned spin budget guarantees waits are
-// fulfilled while spinning (AllocsPerRun pins GOMAXPROCS to 1, but
-// spin.Pause yields periodically, so the pair still makes progress), which
-// keeps parking and timer machinery out of the measurement.
+// loop, fails here. The byte row pins the node sizes behind those counts:
+// 32 bytes per pair on the queues (one half-line node), 128 on the stack
+// (two one-line nodes) and 64 on the exchanger (two half-line nodes: each
+// party builds its node on arrival), so a regrown node fails here too. An enormous pinned spin budget guarantees
+// waits are fulfilled while spinning (AllocsPerRun pins GOMAXPROCS to 1,
+// but spin.Pause yields periodically, so the pair still makes progress),
+// which keeps parking and timer machinery out of the measurement.
 func TestHandoffAllocBudget(t *testing.T) {
 	cfg := WaitConfig{Spins: 1 << 30}
 	// Under -race sync.Pool drops a quarter of Puts by design; with a pool
-	// round trip per pair that costs up to one extra allocation, so the
-	// budgets widen there.
-	slack := 0.0
+	// round trip per pair that costs up to one extra allocation of up to
+	// a line, so the budgets widen there.
+	slack, byteSlack := 0.0, 0.0
 	if raceEnabled {
-		slack = 1
+		slack, byteSlack = 1, 64
 	}
-	budget := func(t *testing.T, what string, got, want float64) {
+	budget := func(t *testing.T, what string, allocs, bytes, wantAllocs, wantBytes float64) {
 		t.Helper()
-		if got > want+slack {
-			t.Errorf("allocs per %s pair = %v, want at most %v", what, got, want+slack)
+		t.Logf("%s pair: %v allocs, %.1f B", what, allocs, bytes)
+		if allocs > wantAllocs+slack {
+			t.Errorf("allocs per %s pair = %v, want at most %v", what, allocs, wantAllocs+slack)
+		}
+		if bytes > wantBytes+byteSlack {
+			t.Errorf("heap bytes per %s pair = %.1f, want at most %v", what, bytes, wantBytes+byteSlack)
 		}
 	}
 
 	t.Run("DualQueue", func(t *testing.T) {
 		q := NewDualQueue[int64](cfg)
-		budget(t, "put/take", measurePairAllocs(t, q.Put, q.Take), 1)
+		allocs, bytes := measurePairAllocs(t, q.Put, q.Take)
+		budget(t, "put/take", allocs, bytes, 1, 32)
 	})
 	t.Run("DualStack", func(t *testing.T) {
 		q := NewDualStack[int64](cfg)
-		budget(t, "put/take", measurePairAllocs(t, q.Put, q.Take), 2)
+		allocs, bytes := measurePairAllocs(t, q.Put, q.Take)
+		budget(t, "put/take", allocs, bytes, 2, 128)
 	})
 	t.Run("TransferQueue", func(t *testing.T) {
 		q := NewDualQueue[int64](cfg) // Transfer is the queue's Put
-		budget(t, "transfer/take", measurePairAllocs(t, q.Put, q.Take), 1)
+		allocs, bytes := measurePairAllocs(t, q.Put, q.Take)
+		budget(t, "transfer/take", allocs, bytes, 1, 32)
 	})
 	t.Run("Exchanger", func(t *testing.T) {
 		// The exchanger's boxes are pooled like the dual structures' item
@@ -121,10 +143,10 @@ func TestHandoffAllocBudget(t *testing.T) {
 		// and allocates at most the waiter node and the occasional pool
 		// refill.
 		e := exchanger.New[int64]()
-		got := measurePairAllocs(t,
+		allocs, bytes := measurePairAllocs(t,
 			func(v int64) { e.Exchange(v) },
 			func() int64 { return e.Exchange(0) })
-		budget(t, "exchange", got, 2)
+		budget(t, "exchange", allocs, bytes, 2, 64)
 	})
 }
 

@@ -21,19 +21,20 @@ import (
 //	data node:    item: &v ──taken──▶ nil        or ──canceled/closed──▶ sentinel
 //	request node: item: nil ──filled──▶ &v       or ──canceled/closed──▶ sentinel
 //
-// wp is the waiter's embedded parker: the waiter initializes it in place and
-// publishes it through the waiter word, so the steady park/unpark handshake
-// allocates nothing beyond the node itself. A node that has been linked into
-// the list is reclaimed only by the garbage collector — never pooled — because
-// stale traversers (losing fulfillers, helpers, cleaners, the close sweep)
-// may still hold its address for head/next CASes, and address reuse would
-// reintroduce exactly the ABA those CASes rely on pointer identity to avoid
-// (see DESIGN.md "Node and parker lifecycle").
+// waiter holds the parker the waiting goroutine borrowed from the queue's
+// lender when its spin phase ended (nil until then): like the paper's
+// node, which references its waiting thread, the node carries no permit of
+// its own, and so stays at 32 bytes — two to a cache line, none straddling
+// one. A node that has been linked into the list is reclaimed only by the
+// garbage collector — never pooled — because stale traversers (losing
+// fulfillers, helpers, cleaners, the close sweep) may still hold its
+// address for head/next CASes, and address reuse would reintroduce exactly
+// the ABA those CASes rely on pointer identity to avoid (see DESIGN.md
+// "Node and parker lifecycle").
 type qnode[T any] struct {
 	next   atomic.Pointer[qnode[T]]
 	item   atomic.Pointer[qitem[T]]
 	waiter atomic.Pointer[park.Parker]
-	wp     park.Parker
 	isData bool
 	// async marks a data node deposited without a waiting producer (the
 	// TransferQueue extension). Close leaves async nodes in place so
@@ -101,12 +102,15 @@ type DualQueue[T any] struct {
 	m *metrics.Handle
 	// f injects deterministic faults at the labeled sites; nil disables.
 	f *fault.Injector
+	// parkers lends waiters their parkers (see park.Lender).
+	parkers park.Lender
 }
 
 // NewDualQueue returns an empty fair synchronous queue with the given wait
 // policy (use the zero WaitConfig for the paper's defaults).
 func NewDualQueue[T any](cfg WaitConfig) *DualQueue[T] {
-	q := &DualQueue[T]{canceled: new(qitem[T]), closedSent: new(qitem[T]), cal: spin.NewCalibrator(cfg.Spins), m: cfg.Metrics, f: cfg.Fault}
+	q := &DualQueue[T]{canceled: new(qitem[T]), closedSent: new(qitem[T]), cal: spin.NewCalibrator(cfg.Spins), m: cfg.Metrics, f: cfg.Fault,
+		parkers: park.Lender{M: cfg.Metrics, F: cfg.Fault}}
 	dummy := &qnode[T]{}
 	q.head.Store(dummy)
 	q.tail.Store(dummy)
@@ -142,7 +146,7 @@ func (q *DualQueue[T]) putBox(x *qitem[T]) {
 }
 
 // getNode returns a fresh or recycled waiting node. Pooled nodes are spares
-// that were never linked (see putSpare), so their parker and link words are
+// that were never linked (see putSpare), so their waiter and link words are
 // pristine.
 func (q *DualQueue[T]) getNode(isData, async bool) *qnode[T] {
 	if n, _ := q.npool.Get().(*qnode[T]); n != nil {
@@ -408,13 +412,7 @@ func (w qwait[T]) Abort() bool { return w.s.item.CompareAndSwap(w.e, w.q.cancele
 
 func (w qwait[T]) SpinOK() bool { return w.front }
 
-// Arm initializes the node's own parker in place and publishes it through
-// the waiter word, so entering the slow path allocates nothing.
-func (w qwait[T]) Arm() *park.Parker {
-	w.s.wp.Init(w.q.m, w.q.f)
-	w.s.waiter.Store(&w.s.wp)
-	return &w.s.wp
-}
+func (w qwait[T]) Arm(p *park.Parker) { w.s.waiter.Store(p) }
 
 // clean unlinks the canceled node s with predecessor pred. A canceled node
 // at the tail cannot be unlinked (its predecessor's next pointer is the

@@ -29,8 +29,9 @@ const (
 // unlike the queue's circulating boxes, a stack node's datum rides in the
 // node's own embedded box, stored into item before the publishing push.
 //
-// wp is the embedded parker, initialized in place when the wait arms, and box
-// the embedded item box, so a push-and-wait allocates only the node itself.
+// waiter holds the parker the waiting goroutine borrowed from the stack's
+// lender when its spin phase ended (nil until then), and box is the
+// embedded item box, so a push-and-wait allocates only the node itself.
 // A node that has been linked into the stack (its push CAS succeeded) is
 // reclaimed only by the garbage collector — never pooled — because stale
 // traversers (helpers, cleaners, losing fulfillers, the close sweep) may
@@ -42,14 +43,12 @@ type snode[T any] struct {
 	match  atomic.Pointer[snode[T]]
 	waiter atomic.Pointer[park.Parker]
 	item   atomic.Pointer[qitem[T]]
-	wp     park.Parker
 	box    qitem[T]
 	mode   uint8
-	// Pad to the next cache-line multiple (88 → 128 bytes for word-sized
-	// T): at 88 the allocator's 96-byte size class leaves consecutive
-	// nodes straddling shared lines, so one waiter's match CAS invalidates
-	// its neighbor's spin on a different node.
-	_ [47]byte
+	// Pad to one cache line (49 → 64 bytes for word-sized T), the size
+	// class the allocator rounds the node up to anyway; the layout test
+	// pins it, so any field added later fails there, not in a benchmark.
+	_ [15]byte
 }
 
 // tryMatch attempts to match node m with fulfiller f, waking m's waiter on
@@ -102,12 +101,15 @@ type DualStack[T any] struct {
 	m *metrics.Handle
 	// f injects deterministic faults at the labeled sites; nil disables.
 	f *fault.Injector
+	// parkers lends waiters their parkers (see park.Lender).
+	parkers park.Lender
 }
 
 // NewDualStack returns an empty unfair synchronous queue with the given
 // wait policy (use the zero WaitConfig for the paper's defaults).
 func NewDualStack[T any](cfg WaitConfig) *DualStack[T] {
-	return &DualStack[T]{closedMark: &snode[T]{}, cal: spin.NewCalibrator(cfg.Spins), m: cfg.Metrics, f: cfg.Fault}
+	return &DualStack[T]{closedMark: &snode[T]{}, cal: spin.NewCalibrator(cfg.Spins), m: cfg.Metrics, f: cfg.Fault,
+		parkers: park.Lender{M: cfg.Metrics, F: cfg.Fault}}
 }
 
 // Metrics returns the stack's instrumentation handle (nil when disabled).
@@ -115,7 +117,7 @@ func (q *DualStack[T]) Metrics() *metrics.Handle { return q.m }
 
 // getNode returns a fresh or recycled node with the given mode, its datum
 // box empty. Pooled nodes are spares that were never linked (see putSpare),
-// so their match, waiter and parker words are pristine.
+// so their match and waiter words are pristine.
 func (q *DualStack[T]) getNode(mode uint8) *snode[T] {
 	if n, _ := q.npool.Get().(*snode[T]); n != nil {
 		q.m.Inc(metrics.NodeReuses)
@@ -379,13 +381,7 @@ func (w swait[T]) SpinOK() bool {
 	return h == w.s || h == nil || h.mode&modeFulfilling != 0
 }
 
-// Arm initializes the node's own parker in place and publishes it through
-// the waiter word, so entering the slow path allocates nothing.
-func (w swait[T]) Arm() *park.Parker {
-	w.s.wp.Init(w.q.m, w.q.f)
-	w.s.waiter.Store(&w.s.wp)
-	return &w.s.wp
-}
+func (w swait[T]) Arm(p *park.Parker) { w.s.waiter.Store(p) }
 
 // clean unlinks the canceled node s from the stack. Unlike the queue there
 // is no tail obstruction: we simply sweep from the top down to s's

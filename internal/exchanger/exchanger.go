@@ -39,15 +39,13 @@ const (
 
 // xnode is one party waiting in an arena slot: mine is the value it brings
 // (nil for a pure consumer in elimination mode), hole receives the
-// partner's value or a sentinel (canceled / taken-by-pure-consumer).
+// partner's value or a sentinel (canceled / taken-by-pure-consumer), and
+// waiter the parker the party borrowed from the exchanger's lender when
+// its spin phase ended (nil until then) — 32 bytes in all.
 type xnode[T any] struct {
 	mine   *xbox[T]
 	hole   atomic.Pointer[xbox[T]]
 	waiter atomic.Pointer[park.Parker]
-	// wp is the embedded parker, initialized in place by await and
-	// published through the waiter word, so slow-path waits allocate
-	// nothing beyond the node.
-	wp     park.Parker
 	isData bool
 }
 
@@ -105,12 +103,14 @@ type Exchanger[T any] struct {
 	m *metrics.Handle
 	// f injects deterministic faults at the CAS sites; nil disables.
 	f *fault.Injector
+	// parkers lends waiting parties their parkers (see park.Lender).
+	parkers park.Lender
 }
 
 // SetMetrics attaches an instrumentation handle (nil disables) and returns
 // e for chaining. Call before the exchanger is shared between goroutines.
 func (e *Exchanger[T]) SetMetrics(h *metrics.Handle) *Exchanger[T] {
-	e.m = h
+	e.m, e.parkers.M = h, h
 	if e.ad != nil {
 		h.Set(metrics.ArenaWidth, int64(e.ad.Width()))
 	}
@@ -120,7 +120,7 @@ func (e *Exchanger[T]) SetMetrics(h *metrics.Handle) *Exchanger[T] {
 // SetFault attaches a fault injector (nil disables) and returns e for
 // chaining. Call before the exchanger is shared between goroutines.
 func (e *Exchanger[T]) SetFault(f *fault.Injector) *Exchanger[T] {
-	e.f = f
+	e.f, e.parkers.F = f, f
 	return e
 }
 
@@ -271,7 +271,7 @@ func (e *Exchanger[T]) exchangeCounting(v *xbox[T], isData bool, deadline time.T
 				continue
 			}
 			if s.n.CompareAndSwap(nil, me) {
-				return e.await(me, s, park.Policy{Cal: e.cal, M: e.m, SpinPhaseOnly: true}, deadline, cancel, t0)
+				return e.await(me, s, park.Policy{Cal: e.cal, M: e.m, Lender: &e.parkers, SpinPhaseOnly: true}, deadline, cancel, t0)
 			}
 			// Collision on the main slot: brief excursion. The pause
 			// site holds this window — collision observed, excursion
@@ -285,7 +285,7 @@ func (e *Exchanger[T]) exchangeCounting(v *xbox[T], isData bool, deadline time.T
 				// An excursion never parks: its deadline has passed on
 				// arrival, so its whole patience is the grace an unspent
 				// spin budget gets.
-				if x, st := e.await(me, s, park.Policy{Cal: e.brief, M: e.m, Grace: true}, time.Unix(0, 1), nil, 0); st == OK {
+				if x, st := e.await(me, s, park.Policy{Cal: e.brief, M: e.m, Lender: &e.parkers, Grace: true}, time.Unix(0, 1), nil, 0); st == OK {
 					return x, OK
 				}
 				// Withdrew; the node's hole is poisoned, so
@@ -402,10 +402,4 @@ func (w xwait[T]) Abort() bool { return w.me.hole.CompareAndSwap(nil, w.e.cancel
 
 func (w xwait[T]) SpinOK() bool { return true }
 
-// Arm initializes the node's own parker in place and publishes it through
-// the waiter word, so entering the slow path allocates nothing.
-func (w xwait[T]) Arm() *park.Parker {
-	w.me.wp.Init(w.e.m, w.e.f)
-	w.me.waiter.Store(&w.me.wp)
-	return &w.me.wp
-}
+func (w xwait[T]) Arm(p *park.Parker) { w.me.waiter.Store(p) }

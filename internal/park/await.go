@@ -38,9 +38,9 @@ type Waiter interface {
 	// the wait — the paper's rule that only the waiter next in line spins.
 	// It grants the spin budget and is re-checked on every spin.
 	SpinOK() bool
-	// Arm publishes the wait's parker to fulfillers and returns it. It is
-	// called once, when the spin phase ends.
-	Arm() *Parker
+	// Arm publishes p, the parker lent to the wait when its spin phase
+	// ended, in the wait's waiter word (see Lender). It is called once.
+	Arm(p *Parker)
 }
 
 // Policy is the structure-wide half of a wait.
@@ -49,6 +49,9 @@ type Policy struct {
 	Cal *spin.Calibrator
 	// M receives the wait's counters and latency samples; nil disables.
 	M *metrics.Handle
+	// Lender lends the wait its parker when the spin phase ends and takes
+	// it back when the wait is over.
+	Lender *Lender
 	// Grace lets an unspent spin budget outlast the deadline. The
 	// segmented core sets it: its attempt-first arrival installs even a
 	// zero-patience operation when a counterpart has committed to the same
@@ -64,10 +67,11 @@ type Policy struct {
 
 // Await is the spin-then-park wait of every hand-off core (§Pragmatics): a
 // waiter next in line spins for its calibrated budget — about a quarter of
-// a context switch — then arms its parker and blocks, watching its deadline
-// (zero: none) and cancel channel (nil: none) throughout and aborting the
-// wait when either fires. It returns how the wait resolved and, for an
-// Aborted wait, why: DeadlineExceeded or Canceled.
+// a context switch — then borrows a parker from the policy's Lender, arms
+// it and blocks, watching its deadline (zero: none) and cancel channel
+// (nil: none) throughout and aborting the wait when either fires. It
+// returns how the wait resolved and, for an Aborted wait, why:
+// DeadlineExceeded or Canceled.
 //
 // Await owns the wait's accounting: the Spins counter (batched into one
 // Add on exit), the Timeouts, Cancellations and ClosedWakeups counters,
@@ -105,6 +109,9 @@ func Await[W Waiter](w W, p Policy, deadline time.Time, cancel <-chan struct{}, 
 						p.M.Record(metrics.WastedNs, d)
 					}
 				}
+			}
+			if pk != nil {
+				p.Lender.Return(pk) // a late Unpark is a stray permit (see Lender)
 			}
 			switch {
 			case o == Fulfilled:
@@ -149,7 +156,8 @@ func Await[W Waiter](w W, p Policy, deadline time.Time, cancel <-chan struct{}, 
 		}
 		if pk == nil {
 			p.M.Since(metrics.SpinNs, t0) // budget spent: the busy phase ends here
-			pk = w.Arm()
+			pk = p.Lender.Lend()
+			w.Arm(pk)
 			continue // re-check before the first park
 		}
 		parked = true

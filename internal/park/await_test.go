@@ -16,8 +16,9 @@ import (
 type fakeWait struct{ f *fake }
 
 type fake struct {
-	st      atomic.Uint32 // an Outcome
-	p       Parker
+	st      atomic.Uint32          // an Outcome
+	w       atomic.Pointer[Parker] // the waiter word Arm publishes in
+	l       Lender
 	spinOK  bool
 	onSpin  func(call int) // runs inside SpinOK; call counts from 1
 	onAbort func()         // runs inside Abort, before its CAS
@@ -42,23 +43,32 @@ func (w fakeWait) SpinOK() bool {
 	return w.f.spinOK
 }
 
-func (w fakeWait) Arm() *Parker {
+func (w fakeWait) Arm(p *Parker) {
 	w.f.arms++
-	return &w.f.p
+	w.f.w.Store(p)
 }
 
-// resolve settles the wait from outside, as a fulfiller or Close would.
+// resolve settles the wait from outside, as a fulfiller or Close would:
+// terminal CAS first, then unpark whatever parker the waiter published.
 func (f *fake) resolve(o Outcome) {
 	if f.st.CompareAndSwap(uint32(Pending), uint32(o)) {
-		f.p.Unpark()
+		if p := f.w.Load(); p != nil {
+			p.Unpark()
+		}
 	}
+}
+
+// parked reports whether the waiter is blocked in its lent parker.
+func (f *fake) parked() bool {
+	p := f.w.Load()
+	return p != nil && p.state.Load() == pParked
 }
 
 // resolveWhenParked settles the wait from another goroutine once the
 // waiter is blocked in its parker.
 func (f *fake) resolveWhenParked(o Outcome) {
 	go func() {
-		for f.p.state.Load() != pParked {
+		for !f.parked() {
 			runtime.Gosched()
 		}
 		f.resolve(o)
@@ -82,12 +92,12 @@ func TestAwaitOutcomes(t *testing.T) {
 		t.Helper()
 		h := metrics.New()
 		f := &fake{spinOK: spinOK}
-		f.p.Init(h, nil)
+		f.l.M = h
 		if setup != nil {
 			setup(f)
 		}
 		cal := spin.NewCalibrator(spins)
-		o, why := Await(fakeWait{f}, Policy{Cal: cal, M: h}, deadline, cancel, metrics.Nanos())
+		o, why := Await(fakeWait{f}, Policy{Cal: cal, M: h, Lender: &f.l}, deadline, cancel, metrics.Nanos())
 		// Exactly one spin-phase sample and one outcome sample per wait.
 		hs := h.Histograms()
 		if n := hs.Get(metrics.SpinNs).Count(); n != 1 {
@@ -180,7 +190,7 @@ func TestAwaitOutcomes(t *testing.T) {
 		cancel := make(chan struct{})
 		r := run(t, 0, false, time.Time{}, cancel, func(f *fake) {
 			go func() {
-				for f.p.state.Load() != pParked {
+				for !f.parked() {
 					runtime.Gosched()
 				}
 				close(cancel)
@@ -251,7 +261,7 @@ func TestAwaitGraceOutlastsDeadline(t *testing.T) {
 		h := metrics.New()
 		f := &fake{spinOK: true}
 		cal := spin.NewCalibrator(64) // timed budget 64>>4 = 4
-		o, _ := Await(fakeWait{f}, Policy{Cal: cal, M: h, Grace: grace}, time.Unix(0, 1), nil, 0)
+		o, _ := Await(fakeWait{f}, Policy{Cal: cal, M: h, Lender: &f.l, Grace: grace}, time.Unix(0, 1), nil, 0)
 		want := int64(0)
 		if grace {
 			want = 4

@@ -15,9 +15,9 @@
 // wait. The state word is the single source of truth: notifier tokens are
 // hints ("look at the state word again"), so a stale token straying into a
 // recycled notifier is at worst a spurious wakeup, which every caller must
-// tolerate anyway (see Wait). This makes the steady Park/Unpark cycle — and
-// a Parker embedded in a larger structure and prepared with Init —
-// allocation-free.
+// tolerate anyway (see Wait). This makes the steady Park/Unpark cycle
+// allocation-free, and lets a Lender recycle parkers that a late Unpark
+// may still reach.
 package park
 
 import (
@@ -56,11 +56,11 @@ var sigPool = sync.Pool{
 }
 
 // Parker blocks and unblocks a single goroutine with one-permit semantics.
-// A Parker must be created with New, NewMetered, or NewFaulty — or embedded
-// in an owning structure and prepared with Init — and must not be copied
-// after first use. Park, ParkTimeout, and the other waiting methods may
-// only be called by one goroutine at a time (the owner); Unpark may be
-// called by any goroutine.
+// A Parker must be created with New, NewMetered, or NewFaulty (a Lender
+// does so for hand-off waits) and must not be copied after first use.
+// Park, ParkTimeout, and the other waiting methods may only be called by
+// one goroutine at a time (the owner); Unpark may be called by any
+// goroutine.
 type Parker struct {
 	state atomic.Uint32
 	sig   atomic.Pointer[notifier]
@@ -85,16 +85,6 @@ func NewMetered(h *metrics.Handle) *Parker {
 // both valid; NewFaulty(h, nil) is equivalent to NewMetered(h).
 func NewFaulty(h *metrics.Handle, f *fault.Injector) *Parker {
 	return &Parker{m: h, f: f}
-}
-
-// Init prepares an embedded (zero-value) Parker in place, equivalent to
-// NewFaulty without the allocation. The owner must call it before
-// publishing the Parker to potential unparkers; it must not be called on a
-// Parker another goroutine may concurrently use.
-func (p *Parker) Init(h *metrics.Handle, f *fault.Injector) {
-	p.m = h
-	p.f = f
-	p.state.Store(pEmpty)
 }
 
 // Unpark makes the permit available, unblocking a current or future Park.

@@ -73,9 +73,4 @@ func TestQueueCountersOnDistinctLines(t *testing.T) {
 		}
 		lines[line] = name
 	}
-	// The parker free list is written on every parked wait; the fields
-	// before it are read on every operation.
-	if unsafe.Offsetof(q.parkers)/cacheLine <= unsafe.Offsetof(q.f)/cacheLine {
-		t.Errorf("parkers (offset %d) shares a cache line with the read-mostly fields before it", unsafe.Offsetof(q.parkers))
-	}
 }

@@ -15,7 +15,8 @@ import (
 // Regression tests for lent parkers: a cell carries no parker of its own,
 // so a waiter borrows one when its spin phase ends and publishes it in the
 // cell, and every resolver makes its terminal CAS before it looks for one
-// (see cellWait.Arm and cell.wake).
+// (see park.Waiter.Arm and cell.wake). The lender itself is tested in
+// internal/park.
 
 // armHook is a cell's wait with a hook run just before the wait publishes
 // its parker — the window between a waiter's install and its Arm.
@@ -24,9 +25,9 @@ type armHook[T any] struct {
 	before func()
 }
 
-func (w armHook[T]) Arm() *park.Parker {
+func (w armHook[T]) Arm(p *park.Parker) {
 	w.before()
-	return w.cellWait.Arm()
+	w.cellWait.Arm(p)
 }
 
 // TestResolveBeforeArm: a counterpart that resolves the cell after the
@@ -42,7 +43,7 @@ func TestResolveBeforeArm(t *testing.T) {
 	}
 	st := tk.(*Ticket[int])
 	w := armHook[int]{cellWait: st.waiter(), before: func() { q.Put(7) }}
-	if o, _ := park.Await(w, park.Policy{Cal: q.cal, M: h, Grace: true}, time.Time{}, nil, 0); o != park.Fulfilled {
+	if o, _ := park.Await(w, park.Policy{Cal: q.cal, M: h, Lender: &q.parkers, Grace: true}, time.Time{}, nil, 0); o != park.Fulfilled {
 		t.Fatalf("wait resolved %v, want Fulfilled", o)
 	}
 	if v := st.collect(); v != 7 {
@@ -117,32 +118,5 @@ func TestLentParkerStorm(t *testing.T) {
 			n := runtime.Stack(buf, true)
 			t.Fatalf("round %d: hand-off wedged (lost wake-up)\n%s", round, buf[:n])
 		}
-	}
-}
-
-// TestStrayPermitIsSpurious: a late Unpark can reach a parker after its
-// borrower left and it went back to the free list. The next borrower then
-// wakes once for nothing and must re-validate: a timed take on an empty
-// queue still times out, and not before its deadline.
-func TestStrayPermitIsSpurious(t *testing.T) {
-	q := New[int](core.WaitConfig{Spins: -1})
-	p := q.lend()
-	p.Unpark()
-	q.giveBack(p)
-
-	const patience = 20 * time.Millisecond
-	start := time.Now()
-	_, st := q.TakeDeadline(start.Add(patience), nil)
-	if elapsed := time.Since(start); elapsed < patience {
-		t.Errorf("timed take returned after %v, before its %v deadline", elapsed, patience)
-	}
-	if st != core.Timeout {
-		t.Fatalf("timed take on an empty queue = %v, want Timeout", st)
-	}
-	if got := q.lend(); got != p {
-		t.Fatal("the borrower did not return the lent parker to the free list")
-	}
-	if p.TryPark() {
-		t.Error("the stray permit is still there: the take never borrowed the parker")
 	}
 }

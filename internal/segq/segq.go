@@ -38,8 +38,8 @@
 // spin-then-park; the second arrival resolves the cell with a single CAS
 // and then unparks whatever parker the waiter has published in the cell.
 // A cell carries no parker of its own: a waiter whose spin phase ends
-// borrows one from the queue's free list, stores it into the cell, and
-// re-reads the state before blocking (see cellWait.Arm), so a waiter that
+// borrows one from the queue's park.Lender, stores it into the cell, and
+// re-reads the state before blocking (see park.Waiter.Arm), so a waiter that
 // never parks never touches a parker at all. An aborting waiter
 // (timeout, cancel) CASes its own installed state to BROKEN — exactly one
 // of {resolver, aborter} wins, which is the linearization the paper's
@@ -89,10 +89,6 @@ const (
 	segMask = SegSize - 1
 	// spareCap bounds the free list of never-linked spare segments.
 	spareCap = 4
-	// parkerCap bounds the free list of lent parkers. It only has to cover
-	// the waiters that are parked at once in steady state; a burst beyond
-	// it allocates fresh parkers and drops the surplus on return.
-	parkerCap = 8
 )
 
 // Cell states. EMPTY must be zero: fresh segments are zeroed allocations.
@@ -112,7 +108,7 @@ const errClosedDemand = "synchq: queue closed"
 // cell is one hand-off rendezvous. w is the parker the installed waiter
 // borrowed for its slow path (nil until its spin phase ends); every
 // resolver makes its terminal CAS on state first and only then loads w,
-// the mirror of the waiter's store-w-then-reload-state (see cellWait.Arm).
+// the mirror of the waiter's store-w-then-reload-state (see park.Waiter.Arm).
 // The trailing pad makes the cell 32 bytes for word-sized payloads, so two
 // cells fill one cache line exactly (the layout test pins this down, and
 // segment.at keeps neighboring indexes on different lines).
@@ -175,14 +171,8 @@ type Queue[T any] struct {
 	cal *spin.Calibrator
 	m   *metrics.Handle
 	f   *fault.Injector
-
-	// parkers is the bounded free list of parkers lent to waiting cells:
-	// a nil slot is empty. Slots rather than a channel, because a channel
-	// takes its lock on every lend and return, and every parked wait
-	// makes both. The pad keeps those writes off the line of the fields
-	// above, which every operation reads.
-	_       [64]byte
-	parkers [parkerCap]atomic.Pointer[park.Parker]
+	// parkers lends waiting cells their parkers (see park.Lender).
+	parkers park.Lender
 }
 
 var _ core.Handoff[int] = (*Queue[int])(nil)
@@ -191,10 +181,11 @@ var _ core.Handoff[int] = (*Queue[int])(nil)
 // policy (use the zero WaitConfig for the paper's defaults).
 func New[T any](cfg core.WaitConfig) *Queue[T] {
 	q := &Queue[T]{
-		cal:   spin.NewCalibrator(cfg.Spins),
-		m:     cfg.Metrics,
-		f:     cfg.Fault,
-		spare: make(chan *segment[T], spareCap),
+		cal:     spin.NewCalibrator(cfg.Spins),
+		m:       cfg.Metrics,
+		f:       cfg.Fault,
+		spare:   make(chan *segment[T], spareCap),
+		parkers: park.Lender{M: cfg.Metrics, F: cfg.Fault},
 	}
 	first := &segment[T]{}
 	q.head.Store(first)
@@ -567,47 +558,11 @@ func (w cellWait[T]) Abort() bool {
 
 func (w cellWait[T]) SpinOK() bool { return w.committed }
 
-// Arm publishes a lent parker in the cell. park.Await re-reads Settled
-// before it first blocks, and every resolver CASes the state before it
-// loads w (cell.wake): with sequentially consistent atomics, either the
-// resolver sees the parker and unparks it, or the waiter sees the
-// terminal state and never blocks — the Dekker step the dual queue's
-// waiter field relies on too. Ticket.Await returns the parker.
-func (w cellWait[T]) Arm() *park.Parker {
-	p := w.q.lend()
-	w.c.w.Store(p)
-	return p
-}
-
-// lend hands a waiter a parker for its slow path, preferring the free
-// list. A parker is prepared with the queue's metrics and fault injector
-// once, when it is created, and never re-initialized: a late Unpark from a
-// previous borrower's resolver may still reach it, and re-initializing
-// would race that Unpark. The stray permit such an Unpark leaves costs the
-// next borrower one spurious wake-up, which park.Await re-validates like
-// any other.
-func (q *Queue[T]) lend() *park.Parker {
-	for i := range q.parkers {
-		if p := q.parkers[i].Load(); p != nil && q.parkers[i].CompareAndSwap(p, nil) {
-			return p
-		}
-	}
-	return park.NewFaulty(q.m, q.f)
-}
-
-// giveBack returns a lent parker to the free list once its borrower's wait
-// is over, dropping it when the list is full.
-func (q *Queue[T]) giveBack(p *park.Parker) {
-	for i := range q.parkers {
-		if q.parkers[i].Load() == nil && q.parkers[i].CompareAndSwap(nil, p) {
-			return
-		}
-	}
-}
+func (w cellWait[T]) Arm(p *park.Parker) { w.c.w.Store(p) }
 
 // wake unparks the cell's waiter, if it has published a parker. The
 // caller must have made the cell terminal with its own CAS first (see
-// cellWait.Arm); a waiter that has not armed yet will see that state
+// park.Waiter.Arm); a waiter that has not armed yet will see that state
 // before it blocks.
 func (c *cell[T]) wake() {
 	if p := c.w.Load(); p != nil {
