@@ -44,9 +44,12 @@ bench-overhead:
 # hand-off allocates more than its measured steady state (one per pair on
 # the queues, two on the stack and the exchanger — an escaping waiter in
 # the shared wait loop shows up here) or more heap bytes than its nodes
-# (32 per pair on the queues, 128 on the stack, 64 on the exchanger), the
+# (24 per pair on the queues, 96 on the stack, 48 on the exchanger), the
 # layout pins fail if a node, cell or segment changes size or a contended
-# word moves onto a shared line, the segmented budget test fails if
+# word moves onto a shared line, the parker-table tests fail if an index
+# stops mapping back to its parker, is lent to two borrowers at once, or
+# the table issues more parkers than its peak of concurrent borrowers,
+# the segmented budget test fails if
 # a segq transfer stops amortizing its segment allocation or a batch
 # grows per-item bookkeeping on the heap, the fabric budget test fails if
 # a hand-off through the shard fabric (one shard or self-scaling, over
@@ -58,7 +61,8 @@ bench-overhead:
 # regressions.
 bench-smoke:
 	go test -run TestHandoffAllocBudget -count 1 ./internal/core/
-	go test -run 'Layout|HalfLine' -count 1 ./internal/core/ ./internal/segq/ ./internal/exchanger/
+	go test -run 'Layout|QuarterLine' -count 1 ./internal/core/ ./internal/segq/ ./internal/exchanger/
+	go test -run 'Table' -count 1 ./internal/park/
 	go test -run TestSegmentedAllocBudget -count 1 ./internal/segq/
 	go test -run TestFabricAllocBudget -count 1 ./internal/shard/
 	go test -run 'TestEnvelopeSize|TestHandoffAllocBudget' -count 1 -v ./pool/

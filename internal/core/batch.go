@@ -203,9 +203,7 @@ func (q *DualQueue[T]) PutAllAsync(items []T) (int, Status) {
 		q.m.Inc(metrics.Fulfillments)
 		q.f.Preempt(fault.QFulfillPause)
 		q.advanceHead(h, m)
-		if p := m.waiter.Load(); p != nil {
-			p.Unpark()
-		}
+		q.parkers.Wake(m.waiter.Load())
 		box = nil
 		idx++
 		if idx == len(items) {

@@ -21,20 +21,20 @@ import (
 //	data node:    item: &v ──taken──▶ nil        or ──canceled/closed──▶ sentinel
 //	request node: item: nil ──filled──▶ &v       or ──canceled/closed──▶ sentinel
 //
-// waiter holds the parker the waiting goroutine borrowed from the queue's
-// lender when its spin phase ended (nil until then): like the paper's
-// node, which references its waiting thread, the node carries no permit of
-// its own, and so stays at 32 bytes — two to a cache line, none straddling
-// one. A node that has been linked into the list is reclaimed only by the
-// garbage collector — never pooled — because stale traversers (losing
-// fulfillers, helpers, cleaners, the close sweep) may still hold its
-// address for head/next CASes, and address reuse would reintroduce exactly
-// the ABA those CASes rely on pointer identity to avoid (see DESIGN.md
-// "Node and parker lifecycle").
+// waiter names the parker the waiting goroutine borrowed from the queue's
+// parker table when its spin phase ended: index+1, 0 until then. Like the
+// paper's node, which references its waiting thread, the node carries no
+// permit of its own, and a 32-bit index instead of a pointer shares a word
+// with the flags, so the node is 24 bytes. A node that has been linked
+// into the list is reclaimed only by the garbage collector — never pooled
+// — because stale traversers (losing fulfillers, helpers, cleaners, the
+// close sweep) may still hold its address for head/next CASes, and
+// address reuse would reintroduce exactly the ABA those CASes rely on
+// pointer identity to avoid (see DESIGN.md "Node and parker lifecycle").
 type qnode[T any] struct {
 	next   atomic.Pointer[qnode[T]]
 	item   atomic.Pointer[qitem[T]]
-	waiter atomic.Pointer[park.Parker]
+	waiter atomic.Uint32
 	isData bool
 	// async marks a data node deposited without a waiting producer (the
 	// TransferQueue extension). Close leaves async nodes in place so
@@ -102,15 +102,15 @@ type DualQueue[T any] struct {
 	m *metrics.Handle
 	// f injects deterministic faults at the labeled sites; nil disables.
 	f *fault.Injector
-	// parkers lends waiters their parkers (see park.Lender).
-	parkers park.Lender
+	// parkers lends waiters their parkers (see park.Table).
+	parkers park.Table
 }
 
 // NewDualQueue returns an empty fair synchronous queue with the given wait
 // policy (use the zero WaitConfig for the paper's defaults).
 func NewDualQueue[T any](cfg WaitConfig) *DualQueue[T] {
 	q := &DualQueue[T]{canceled: new(qitem[T]), closedSent: new(qitem[T]), cal: spin.NewCalibrator(cfg.Spins), m: cfg.Metrics, f: cfg.Fault,
-		parkers: park.Lender{M: cfg.Metrics, F: cfg.Fault}}
+		parkers: park.Table{M: cfg.Metrics, F: cfg.Fault}}
 	dummy := &qnode[T]{}
 	q.head.Store(dummy)
 	q.tail.Store(dummy)
@@ -354,9 +354,7 @@ func (q *DualQueue[T]) engage(e *qitem[T], deadline time.Time, async bool) (imm 
 		q.m.Inc(metrics.Fulfillments)
 		q.f.Preempt(fault.QFulfillPause)
 		q.advanceHead(h, m)
-		if p := m.waiter.Load(); p != nil {
-			p.Unpark()
-		}
+		q.parkers.Wake(m.waiter.Load())
 		if s != nil {
 			// The spare built for the enqueue arm was never linked
 			// (its insertion CAS failed or was never attempted):
@@ -380,7 +378,7 @@ func (q *DualQueue[T]) finish(s, pred *qnode[T], x *qitem[T]) {
 		if x != nil {
 			s.item.Store(q.canceled)
 		}
-		s.waiter.Store(nil)
+		s.waiter.Store(0)
 	}
 }
 
@@ -412,7 +410,7 @@ func (w qwait[T]) Abort() bool { return w.s.item.CompareAndSwap(w.e, w.q.cancele
 
 func (w qwait[T]) SpinOK() bool { return w.front }
 
-func (w qwait[T]) Arm(p *park.Parker) { w.s.waiter.Store(p) }
+func (w qwait[T]) Arm(idx uint32) { w.s.waiter.Store(idx + 1) }
 
 // clean unlinks the canceled node s with predecessor pred. A canceled node
 // at the tail cannot be unlinked (its predecessor's next pointer is the
@@ -421,7 +419,7 @@ func (w qwait[T]) Arm(p *park.Parker) { w.s.waiter.Store(p) }
 // bounds garbage to one canceled node per queue rather than letting
 // high-rate/low-patience workloads accumulate them.
 func (q *DualQueue[T]) clean(pred, s *qnode[T]) {
-	s.waiter.Store(nil)
+	s.waiter.Store(0)
 
 	for pred.next.Load() == s { // early exit if already unlinked
 		h := q.head.Load()
@@ -527,9 +525,7 @@ func (q *DualQueue[T]) Close() {
 				if !n.item.CompareAndSwap(x, q.closedSent) {
 					continue // item changed under us: re-examine this node
 				}
-				if p := n.waiter.Load(); p != nil {
-					p.Unpark()
-				}
+				q.parkers.Wake(n.waiter.Load())
 			}
 			n = n.next.Load()
 		}

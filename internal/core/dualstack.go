@@ -29,36 +29,33 @@ const (
 // unlike the queue's circulating boxes, a stack node's datum rides in the
 // node's own embedded box, stored into item before the publishing push.
 //
-// waiter holds the parker the waiting goroutine borrowed from the stack's
-// lender when its spin phase ended (nil until then), and box is the
-// embedded item box, so a push-and-wait allocates only the node itself.
-// A node that has been linked into the stack (its push CAS succeeded) is
-// reclaimed only by the garbage collector — never pooled — because stale
-// traversers (helpers, cleaners, losing fulfillers, the close sweep) may
-// still hold its address for head/next/match CASes, and address reuse would
-// reintroduce exactly the ABA those CASes rely on pointer identity to avoid
-// (see DESIGN.md "Node and parker lifecycle").
+// waiter names the parker the waiting goroutine borrowed from the stack's
+// parker table when its spin phase ended (index+1, 0 until then), and box
+// is the embedded item box, so a push-and-wait allocates only the node
+// itself. A node that has been linked into the stack (its push CAS
+// succeeded) is reclaimed only by the garbage collector — never pooled —
+// because stale traversers (helpers, cleaners, losing fulfillers, the
+// close sweep) may still hold its address for head/next/match CASes, and
+// address reuse would reintroduce exactly the ABA those CASes rely on
+// pointer identity to avoid (see DESIGN.md "Node and parker lifecycle").
 type snode[T any] struct {
 	next   atomic.Pointer[snode[T]]
 	match  atomic.Pointer[snode[T]]
-	waiter atomic.Pointer[park.Parker]
 	item   atomic.Pointer[qitem[T]]
-	box    qitem[T]
-	mode   uint8
-	// Pad to one cache line (49 → 64 bytes for word-sized T), the size
-	// class the allocator rounds the node up to anyway; the layout test
-	// pins it, so any field added later fails there, not in a benchmark.
-	_ [15]byte
+	waiter atomic.Uint32
+	// mode shares the waiter's word, so for word-sized T the node is 48
+	// bytes, a size class of its own; the layout test pins it, so any
+	// field added later fails there, not in a benchmark.
+	mode uint8
+	box  qitem[T]
 }
 
 // tryMatch attempts to match node m with fulfiller f, waking m's waiter on
 // success. It also returns true if m was already matched with f by a
 // helping thread.
-func tryMatch[T any](m, f *snode[T]) bool {
+func (q *DualStack[T]) tryMatch(m, f *snode[T]) bool {
 	if m.match.CompareAndSwap(nil, f) {
-		if p := m.waiter.Load(); p != nil {
-			p.Unpark()
-		}
+		q.parkers.Wake(m.waiter.Load())
 		return true
 	}
 	return m.match.Load() == f
@@ -101,15 +98,15 @@ type DualStack[T any] struct {
 	m *metrics.Handle
 	// f injects deterministic faults at the labeled sites; nil disables.
 	f *fault.Injector
-	// parkers lends waiters their parkers (see park.Lender).
-	parkers park.Lender
+	// parkers lends waiters their parkers (see park.Table).
+	parkers park.Table
 }
 
 // NewDualStack returns an empty unfair synchronous queue with the given
 // wait policy (use the zero WaitConfig for the paper's defaults).
 func NewDualStack[T any](cfg WaitConfig) *DualStack[T] {
 	return &DualStack[T]{closedMark: &snode[T]{}, cal: spin.NewCalibrator(cfg.Spins), m: cfg.Metrics, f: cfg.Fault,
-		parkers: park.Lender{M: cfg.Metrics, F: cfg.Fault}}
+		parkers: park.Table{M: cfg.Metrics, F: cfg.Fault}}
 }
 
 // Metrics returns the stack's instrumentation handle (nil when disabled).
@@ -299,7 +296,7 @@ func (q *DualStack[T]) engageWait(v T, mode uint8, deadline time.Time) (T, *snod
 					break
 				}
 				mn := m.next.Load()
-				if tryMatch(m, f) {
+				if q.tryMatch(m, f) {
 					q.m.Inc(metrics.Fulfillments)
 					q.head.CompareAndSwap(f, mn) // pop both
 					q.putSpare(s)                // push spare, never linked
@@ -332,7 +329,7 @@ func (q *DualStack[T]) engageWait(v T, mode uint8, deadline time.Time) (T, *snod
 				q.head.CompareAndSwap(h, nil)
 			} else {
 				mn := m.next.Load()
-				if tryMatch(m, h) {
+				if q.tryMatch(m, h) {
 					q.head.CompareAndSwap(h, mn)
 				} else {
 					h.casNext(m, mn)
@@ -349,7 +346,7 @@ func (q *DualStack[T]) finishMatch(s *snode[T]) {
 	if h := q.head.Load(); h != nil && h.next.Load() == s {
 		q.head.CompareAndSwap(h, s.next.Load())
 	}
-	s.waiter.Store(nil)
+	s.waiter.Store(0)
 }
 
 // swait is a pushed node's wait as park.Await drives it: the node is
@@ -381,7 +378,7 @@ func (w swait[T]) SpinOK() bool {
 	return h == w.s || h == nil || h.mode&modeFulfilling != 0
 }
 
-func (w swait[T]) Arm(p *park.Parker) { w.s.waiter.Store(p) }
+func (w swait[T]) Arm(idx uint32) { w.s.waiter.Store(idx + 1) }
 
 // clean unlinks the canceled node s from the stack. Unlike the queue there
 // is no tail obstruction: we simply sweep from the top down to s's
@@ -390,7 +387,7 @@ func (w swait[T]) Arm(p *park.Parker) { w.s.waiter.Store(p) }
 // threads push above us.
 func (q *DualStack[T]) clean(s *snode[T]) {
 	s.item.Store(nil)
-	s.waiter.Store(nil)
+	s.waiter.Store(0)
 	// Scrub the abandoned datum so the dead node, which may linger linked
 	// until a later sweep, does not pin the caller's value. Safe because
 	// the self-match (or eviction) CAS already won: no fulfiller will
@@ -448,9 +445,7 @@ func (q *DualStack[T]) Close() {
 			continue // an in-flight fulfiller; its own thread completes or retries
 		}
 		if n.match.CompareAndSwap(nil, q.closedMark) {
-			if p := n.waiter.Load(); p != nil {
-				p.Unpark()
-			}
+			q.parkers.Wake(n.waiter.Load())
 		}
 	}
 }

@@ -140,7 +140,7 @@ func (t *QueueTicket[T]) Await(deadline time.Time, cancel <-chan struct{}) (T, S
 	// resolved, so this is sampled once rather than re-read from the
 	// contended head on every spin.
 	w.front = t.q.head.Load().next.Load() == t.node
-	if o, why := park.Await(w, park.Policy{Cal: t.q.cal, M: t.q.m, Lender: &t.q.parkers}, deadline, cancel, t.t0); o != park.Fulfilled {
+	if o, why := park.Await(w, park.Policy{Cal: t.q.cal, M: t.q.m, Parkers: &t.q.parkers}, deadline, cancel, t.t0); o != park.Fulfilled {
 		t.drop()
 		var zero T
 		return zero, StatusOf(o, why)
@@ -245,7 +245,7 @@ func (t *StackTicket[T]) Await(deadline time.Time, cancel <-chan struct{}) (T, S
 		panic("core: await on a spent ticket")
 	}
 	t.done = true
-	if o, why := park.Await(t.waiter(), park.Policy{Cal: t.q.cal, M: t.q.m, Lender: &t.q.parkers}, deadline, cancel, t.t0); o != park.Fulfilled {
+	if o, why := park.Await(t.waiter(), park.Policy{Cal: t.q.cal, M: t.q.m, Parkers: &t.q.parkers}, deadline, cancel, t.t0); o != park.Fulfilled {
 		t.q.clean(t.node)
 		var zero T
 		return zero, StatusOf(o, why)

@@ -195,7 +195,7 @@ func TestFinishForgetsReferences(t *testing.T) {
 		t.Fatalf("Take = %d", got)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for node.waiter.Load() != nil {
+	for node.waiter.Load() != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("fulfilled node still holds its waiter reference")
 		}
@@ -298,16 +298,17 @@ func TestStackTryMatchHelpedSemantics(t *testing.T) {
 	// tryMatch must report success when the match was already made with
 	// the same fulfiller (the helped case) and failure for a different
 	// one.
+	q := NewDualStack[int](WaitConfig{})
 	m := stackDataNode(1)
 	f := &snode[int]{mode: modeRequest | modeFulfilling}
-	if !tryMatch(m, f) {
+	if !q.tryMatch(m, f) {
 		t.Fatal("tryMatch failed on an unmatched node")
 	}
-	if !tryMatch(m, f) {
+	if !q.tryMatch(m, f) {
 		t.Fatal("tryMatch (helped case) did not report success")
 	}
 	other := &snode[int]{mode: modeRequest | modeFulfilling}
-	if tryMatch(m, other) {
+	if q.tryMatch(m, other) {
 		t.Fatal("tryMatch succeeded with a different fulfiller")
 	}
 }

@@ -40,12 +40,13 @@ const (
 // xnode is one party waiting in an arena slot: mine is the value it brings
 // (nil for a pure consumer in elimination mode), hole receives the
 // partner's value or a sentinel (canceled / taken-by-pure-consumer), and
-// waiter the parker the party borrowed from the exchanger's lender when
-// its spin phase ended (nil until then) — 32 bytes in all.
+// waiter names the parker the party borrowed from the exchanger's parker
+// table when its spin phase ended (index+1, 0 until then) — 24 bytes in
+// all.
 type xnode[T any] struct {
 	mine   *xbox[T]
 	hole   atomic.Pointer[xbox[T]]
-	waiter atomic.Pointer[park.Parker]
+	waiter atomic.Uint32
 	isData bool
 }
 
@@ -103,8 +104,8 @@ type Exchanger[T any] struct {
 	m *metrics.Handle
 	// f injects deterministic faults at the CAS sites; nil disables.
 	f *fault.Injector
-	// parkers lends waiting parties their parkers (see park.Lender).
-	parkers park.Lender
+	// parkers lends waiting parties their parkers (see park.Table).
+	parkers park.Table
 }
 
 // SetMetrics attaches an instrumentation handle (nil disables) and returns
@@ -271,7 +272,7 @@ func (e *Exchanger[T]) exchangeCounting(v *xbox[T], isData bool, deadline time.T
 				continue
 			}
 			if s.n.CompareAndSwap(nil, me) {
-				return e.await(me, s, park.Policy{Cal: e.cal, M: e.m, Lender: &e.parkers, SpinPhaseOnly: true}, deadline, cancel, t0)
+				return e.await(me, s, park.Policy{Cal: e.cal, M: e.m, Parkers: &e.parkers, SpinPhaseOnly: true}, deadline, cancel, t0)
 			}
 			// Collision on the main slot: brief excursion. The pause
 			// site holds this window — collision observed, excursion
@@ -285,7 +286,7 @@ func (e *Exchanger[T]) exchangeCounting(v *xbox[T], isData bool, deadline time.T
 				// An excursion never parks: its deadline has passed on
 				// arrival, so its whole patience is the grace an unspent
 				// spin budget gets.
-				if x, st := e.await(me, s, park.Policy{Cal: e.brief, M: e.m, Lender: &e.parkers, Grace: true}, time.Unix(0, 1), nil, 0); st == OK {
+				if x, st := e.await(me, s, park.Policy{Cal: e.brief, M: e.m, Parkers: &e.parkers, Grace: true}, time.Unix(0, 1), nil, 0); st == OK {
 					return x, OK
 				}
 				// Withdrew; the node's hole is poisoned, so
@@ -309,9 +310,7 @@ func (e *Exchanger[T]) exchangeCounting(v *xbox[T], isData bool, deadline time.T
 				e.f.Preempt(fault.XFulfillPause)
 				if cur.hole.CompareAndSwap(nil, e.fulfillValue(v)) {
 					e.m.Inc(metrics.Fulfillments)
-					if p := cur.waiter.Load(); p != nil {
-						p.Unpark()
-					}
+					e.parkers.Wake(cur.waiter.Load())
 					return cur.mine, OK
 				}
 				// Partner canceled between claim and
@@ -402,4 +401,4 @@ func (w xwait[T]) Abort() bool { return w.me.hole.CompareAndSwap(nil, w.e.cancel
 
 func (w xwait[T]) SpinOK() bool { return true }
 
-func (w xwait[T]) Arm(p *park.Parker) { w.me.waiter.Store(p) }
+func (w xwait[T]) Arm(idx uint32) { w.me.waiter.Store(idx + 1) }

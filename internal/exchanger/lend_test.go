@@ -15,9 +15,9 @@ import (
 
 // Regression tests for lent parkers on the exchanger: a waiting party's
 // node carries no parker of its own, so the party borrows one from the
-// exchanger's lender when its spin phase ends and publishes it in the
-// node's waiter word, and a partner makes its hole CAS before it loads
-// that word. The lender itself is tested in internal/park.
+// exchanger's parker table when its spin phase ends and publishes its
+// index in the node's waiter word, and a partner makes its hole CAS before
+// it loads that word. The table itself is tested in internal/park.
 
 // armHook is a party's wait with a hook run just before the wait publishes
 // its parker — the window between the party's slot claim and its Arm.
@@ -26,16 +26,16 @@ type armHook[T any] struct {
 	before func()
 }
 
-func (w armHook[T]) Arm(p *park.Parker) {
+func (w armHook[T]) Arm(idx uint32) {
 	w.before()
-	w.xwait.Arm(p)
+	w.xwait.Arm(idx)
 }
 
 // TestResolveBeforeArm: a partner that fills a waiting party's hole after
 // the party claimed the slot but before it published a parker finds no
 // parker to unpark, and the party's re-check after Arm sees the exchange
 // instead of blocking. Nothing is lost, nothing is unparked, and the
-// parker goes back to the lender without a permit.
+// parker goes back to the table without a permit.
 func TestResolveBeforeArm(t *testing.T) {
 	h := metrics.New()
 	e := NewSize[int](1).SetMetrics(h)
@@ -43,22 +43,23 @@ func TestResolveBeforeArm(t *testing.T) {
 	e.arena[0].n.Store(me)
 	got := make(chan int, 1)
 	w := armHook[int]{xwait: xwait[int]{e: e, me: me}, before: func() { got <- e.Exchange(8) }}
-	o, _ := park.Await(w, park.Policy{Cal: spin.NewCalibrator(-1), M: h, Lender: &e.parkers}, time.Time{}, nil, 0)
+	o, _ := park.Await(w, park.Policy{Cal: spin.NewCalibrator(-1), M: h, Parkers: &e.parkers}, time.Time{}, nil, 0)
 	if o != park.Fulfilled {
 		t.Fatalf("wait resolved %v, want Fulfilled", o)
 	}
 	if v, p := me.hole.Load().v, <-got; v != 8 || p != 7 {
 		t.Fatalf("exchanged (%d, %d), want (8, 7)", v, p)
 	}
-	p := me.waiter.Load()
-	if p == nil {
+	w1 := me.waiter.Load()
+	if w1 == 0 {
 		t.Fatal("the wait never published a parker")
 	}
+	p := e.parkers.At(w1 - 1)
 	if n := h.Load(metrics.Unparks); n != 0 {
 		t.Errorf("Unparks = %d: the partner unparked a party that had not armed", n)
 	}
-	if q := e.parkers.Lend(); q != p {
-		t.Error("the wait did not return its parker to the lender")
+	if i, q := e.parkers.Lend(); i != w1-1 || q != p {
+		t.Error("the wait did not return its parker to the table")
 	}
 	if p.TryPark() {
 		t.Error("the lent parker holds a permit nobody delivered on purpose")
@@ -76,7 +77,11 @@ func TestLentParkerStorm(t *testing.T) {
 	prev := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(prev)
 
-	rounds, per := 200, 512
+	// A lost wake-up needs a partner that loaded the waiter word before
+	// its CAS to be descheduled in the few nanoseconds between the two,
+	// so catching one takes many hand-offs: 800 rounds catch it in most
+	// runs.
+	rounds, per := 800, 512
 	if testing.Short() {
 		rounds, per = 20, 200
 	}

@@ -38,9 +38,10 @@ type Waiter interface {
 	// the wait — the paper's rule that only the waiter next in line spins.
 	// It grants the spin budget and is re-checked on every spin.
 	SpinOK() bool
-	// Arm publishes p, the parker lent to the wait when its spin phase
-	// ended, in the wait's waiter word (see Lender). It is called once.
-	Arm(p *Parker)
+	// Arm publishes idx, the index of the parker lent to the wait when its
+	// spin phase ended, as idx+1 in the wait's waiter word (see Table). It
+	// is called once.
+	Arm(idx uint32)
 }
 
 // Policy is the structure-wide half of a wait.
@@ -49,9 +50,9 @@ type Policy struct {
 	Cal *spin.Calibrator
 	// M receives the wait's counters and latency samples; nil disables.
 	M *metrics.Handle
-	// Lender lends the wait its parker when the spin phase ends and takes
+	// Parkers lends the wait its parker when the spin phase ends and takes
 	// it back when the wait is over.
-	Lender *Lender
+	Parkers *Table
 	// Grace lets an unspent spin budget outlast the deadline. The
 	// segmented core sets it: its attempt-first arrival installs even a
 	// zero-patience operation when a counterpart has committed to the same
@@ -67,7 +68,7 @@ type Policy struct {
 
 // Await is the spin-then-park wait of every hand-off core (§Pragmatics): a
 // waiter next in line spins for its calibrated budget — about a quarter of
-// a context switch — then borrows a parker from the policy's Lender, arms
+// a context switch — then borrows a parker from the policy's Table, arms
 // it and blocks, watching its deadline (zero: none) and cancel channel
 // (nil: none) throughout and aborting the wait when either fires. It
 // returns how the wait resolved and, for an Aborted wait, why:
@@ -88,6 +89,7 @@ func Await[W Waiter](w W, p Policy, deadline time.Time, cancel <-chan struct{}, 
 		}
 	}
 	var pk *Parker  // set when the spin phase ends
+	var pi uint32   // pk's index in the table
 	parked := false // entered at least one slow-path wait
 	why := DeadlineExceeded
 	spun := 0
@@ -111,7 +113,7 @@ func Await[W Waiter](w W, p Policy, deadline time.Time, cancel <-chan struct{}, 
 				}
 			}
 			if pk != nil {
-				p.Lender.Return(pk) // a late Unpark is a stray permit (see Lender)
+				p.Parkers.Return(pi) // a late Unpark is a stray permit (see Table)
 			}
 			switch {
 			case o == Fulfilled:
@@ -156,8 +158,8 @@ func Await[W Waiter](w W, p Policy, deadline time.Time, cancel <-chan struct{}, 
 		}
 		if pk == nil {
 			p.M.Since(metrics.SpinNs, t0) // budget spent: the busy phase ends here
-			pk = p.Lender.Lend()
-			w.Arm(pk)
+			pi, pk = p.Parkers.Lend()
+			w.Arm(pi)
 			continue // re-check before the first park
 		}
 		parked = true

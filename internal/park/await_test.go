@@ -16,9 +16,9 @@ import (
 type fakeWait struct{ f *fake }
 
 type fake struct {
-	st      atomic.Uint32          // an Outcome
-	w       atomic.Pointer[Parker] // the waiter word Arm publishes in
-	l       Lender
+	st      atomic.Uint32 // an Outcome
+	w       atomic.Uint32 // the waiter word Arm publishes in: index+1
+	l       Table
 	spinOK  bool
 	onSpin  func(call int) // runs inside SpinOK; call counts from 1
 	onAbort func()         // runs inside Abort, before its CAS
@@ -43,25 +43,23 @@ func (w fakeWait) SpinOK() bool {
 	return w.f.spinOK
 }
 
-func (w fakeWait) Arm(p *Parker) {
+func (w fakeWait) Arm(idx uint32) {
 	w.f.arms++
-	w.f.w.Store(p)
+	w.f.w.Store(idx + 1)
 }
 
 // resolve settles the wait from outside, as a fulfiller or Close would:
 // terminal CAS first, then unpark whatever parker the waiter published.
 func (f *fake) resolve(o Outcome) {
 	if f.st.CompareAndSwap(uint32(Pending), uint32(o)) {
-		if p := f.w.Load(); p != nil {
-			p.Unpark()
-		}
+		f.l.Wake(f.w.Load())
 	}
 }
 
 // parked reports whether the waiter is blocked in its lent parker.
 func (f *fake) parked() bool {
-	p := f.w.Load()
-	return p != nil && p.state.Load() == pParked
+	w := f.w.Load()
+	return w != 0 && f.l.At(w-1).state.Load() == pParked
 }
 
 // resolveWhenParked settles the wait from another goroutine once the
@@ -97,7 +95,7 @@ func TestAwaitOutcomes(t *testing.T) {
 			setup(f)
 		}
 		cal := spin.NewCalibrator(spins)
-		o, why := Await(fakeWait{f}, Policy{Cal: cal, M: h, Lender: &f.l}, deadline, cancel, metrics.Nanos())
+		o, why := Await(fakeWait{f}, Policy{Cal: cal, M: h, Parkers: &f.l}, deadline, cancel, metrics.Nanos())
 		// Exactly one spin-phase sample and one outcome sample per wait.
 		hs := h.Histograms()
 		if n := hs.Get(metrics.SpinNs).Count(); n != 1 {
@@ -261,7 +259,7 @@ func TestAwaitGraceOutlastsDeadline(t *testing.T) {
 		h := metrics.New()
 		f := &fake{spinOK: true}
 		cal := spin.NewCalibrator(64) // timed budget 64>>4 = 4
-		o, _ := Await(fakeWait{f}, Policy{Cal: cal, M: h, Lender: &f.l, Grace: grace}, time.Unix(0, 1), nil, 0)
+		o, _ := Await(fakeWait{f}, Policy{Cal: cal, M: h, Parkers: &f.l, Grace: grace}, time.Unix(0, 1), nil, 0)
 		want := int64(0)
 		if grace {
 			want = 4

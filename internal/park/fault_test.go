@@ -12,7 +12,7 @@ import (
 // this safe; this test pins down the mechanism itself.
 func TestInjectedSpuriousWake(t *testing.T) {
 	inj := fault.New(fault.Config{Seed: 9, SpuriousWakeRate: 1, Budget: 1})
-	p := NewFaulty(nil, inj)
+	_, p := (&Table{F: inj}).Lend()
 
 	start := time.Now()
 	if r := p.Wait(time.Now().Add(time.Minute), nil); r != Unparked {
@@ -40,7 +40,7 @@ func TestInjectedSpuriousWake(t *testing.T) {
 func TestInjectedTimerSkew(t *testing.T) {
 	const maxSkew = 5 * time.Millisecond
 	inj := fault.New(fault.Config{Seed: 9, TimerSkewRate: 1, MaxTimerSkew: maxSkew})
-	p := NewFaulty(nil, inj)
+	_, p := (&Table{F: inj}).Lend()
 
 	deadline := 20 * time.Millisecond
 	start := time.Now()

@@ -16,7 +16,7 @@
 // hints ("look at the state word again"), so a stale token straying into a
 // recycled notifier is at worst a spurious wakeup, which every caller must
 // tolerate anyway (see Wait). This makes the steady Park/Unpark cycle
-// allocation-free, and lets a Lender recycle parkers that a late Unpark
+// allocation-free, and lets a Table recycle parkers that a late Unpark
 // may still reach.
 package park
 
@@ -56,35 +56,25 @@ var sigPool = sync.Pool{
 }
 
 // Parker blocks and unblocks a single goroutine with one-permit semantics.
-// A Parker must be created with New, NewMetered, or NewFaulty (a Lender
-// does so for hand-off waits) and must not be copied after first use.
+// A Parker must be created with New, or lent by a Table, whose parkers
+// carry the structure's metrics handle and fault injector, and must not be
+// copied after first use.
 // Park, ParkTimeout, and the other waiting methods may only be called by
 // one goroutine at a time (the owner); Unpark may be called by any
 // goroutine.
 type Parker struct {
 	state atomic.Uint32
-	sig   atomic.Pointer[notifier]
-	m     *metrics.Handle
-	f     *fault.Injector
+	// link is a Table's free-stack link; it fills the word of padding
+	// after state, so it costs a parker no size.
+	link atomic.Uint32
+	sig  atomic.Pointer[notifier]
+	m    *metrics.Handle
+	f    *fault.Injector
 }
 
 // New returns a Parker with no permit available.
 func New() *Parker {
 	return &Parker{}
-}
-
-// NewMetered returns a Parker that tallies slow-path parks and delivered
-// unparks on h. A nil h is valid and equivalent to New.
-func NewMetered(h *metrics.Handle) *Parker {
-	return &Parker{m: h}
-}
-
-// NewFaulty returns a metered Parker whose waiting methods are additionally
-// subject to fault injection: spurious unparks (a wait returns success
-// without a permit) and timer skew on deadline waits. Nil h and nil f are
-// both valid; NewFaulty(h, nil) is equivalent to NewMetered(h).
-func NewFaulty(h *metrics.Handle, f *fault.Injector) *Parker {
-	return &Parker{m: h, f: f}
 }
 
 // Unpark makes the permit available, unblocking a current or future Park.

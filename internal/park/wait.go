@@ -23,7 +23,7 @@ const (
 // deadline; a nil cancel channel never fires. Wait(zero, nil) is equivalent
 // to Park.
 //
-// Under fault injection (NewFaulty) Wait may also return Unparked without
+// Under fault injection (a Table's F) Wait may also return Unparked without
 // a permit (a spurious wakeup) or observe a skewed timer, so callers must
 // re-validate their wait condition on every Unparked return — which the
 // synchronous queue wait loops do anyway, since a real Unpark only signals

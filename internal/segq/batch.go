@@ -211,7 +211,7 @@ sweep:
 				q.resolveCell(s)
 				q.m.Inc(metrics.Fulfillments)
 				q.f.Preempt(fault.SegResolvePause)
-				c.wake()
+				q.parkers.Wake(c.w.Load())
 				delivered++
 				done[itemIdx] = true
 				itemIdx++

@@ -5,7 +5,7 @@ import (
 	"unsafe"
 )
 
-// Whitebox layout audit for the segmented core. Cells are packed two to a
+// Whitebox layout audit for the segmented core. Cells are packed four to a
 // cache line, so a segment is one small allocation; the remap in
 // segment.at keeps adjacent claimants — who touch their cells at the same
 // moment — on different lines, and the shared header must not share a
@@ -15,17 +15,17 @@ import (
 
 const cacheLine = 64
 
-func TestHalfLineCellsRemapped(t *testing.T) {
+func TestQuarterLineCellsRemapped(t *testing.T) {
 	var c cell[int64]
-	if got := unsafe.Sizeof(c); got != cacheLine/2 {
-		t.Fatalf("cell[int64] size = %d, want exactly %d: two cells must fill one line", got, cacheLine/2)
+	if got := unsafe.Sizeof(c); got != cacheLine/4 {
+		t.Fatalf("cell[int64] size = %d, want exactly %d: four cells must fill one line", got, cacheLine/4)
 	}
 	if off := unsafe.Offsetof(c.state); off != 0 {
 		t.Fatalf("cell.state offset = %d, want 0", off)
 	}
 	s := new(segment[int64])
-	if got := unsafe.Sizeof(*s); got != 576 {
-		t.Fatalf("segment[int64] size = %d, want 576: one size class, 36 bytes per transfer", got)
+	if got := unsafe.Sizeof(*s); got != 320 {
+		t.Fatalf("segment[int64] size = %d, want 320: one size class, 20 bytes per transfer", got)
 	}
 	line := func(i uint64) uintptr {
 		return (uintptr(unsafe.Pointer(s.at(i))) - uintptr(unsafe.Pointer(s))) / cacheLine
@@ -45,14 +45,14 @@ func TestHalfLineCellsRemapped(t *testing.T) {
 func TestSegmentHeaderIsolatedFromCells(t *testing.T) {
 	var s segment[int64]
 	if off := unsafe.Offsetof(s.cells); off%cacheLine != 0 {
-		t.Fatalf("segment.cells offset = %d, want a multiple of %d so cell pairs fill whole lines", off, cacheLine)
+		t.Fatalf("segment.cells offset = %d, want a multiple of %d so cell quads fill whole lines", off, cacheLine)
 	}
 	if off := unsafe.Offsetof(s.cells); off < cacheLine {
 		t.Fatalf("segment.cells offset = %d: header (next/prev/resolved, all CASed during unlink) shares a line with cells[0]", off)
 	}
 	want := unsafe.Offsetof(s.cells) + SegSize*unsafe.Sizeof(s.cells[0])
 	if got := unsafe.Sizeof(s); got != want {
-		t.Fatalf("segment size = %d, want %d (header padding + %d half-line cells)", got, want, SegSize)
+		t.Fatalf("segment size = %d, want %d (header padding + %d quarter-line cells)", got, want, SegSize)
 	}
 }
 

@@ -13,10 +13,10 @@ import (
 )
 
 // Regression tests for lent parkers: a cell carries no parker of its own,
-// so a waiter borrows one when its spin phase ends and publishes it in the
-// cell, and every resolver makes its terminal CAS before it looks for one
-// (see park.Waiter.Arm and cell.wake). The lender itself is tested in
-// internal/park.
+// so a waiter borrows one when its spin phase ends and publishes its index
+// in the cell's waiter word, and every resolver makes its terminal CAS
+// before it loads that word (see park.Waiter.Arm). The parker table itself
+// is tested in internal/park.
 
 // armHook is a cell's wait with a hook run just before the wait publishes
 // its parker — the window between a waiter's install and its Arm.
@@ -25,9 +25,9 @@ type armHook[T any] struct {
 	before func()
 }
 
-func (w armHook[T]) Arm(p *park.Parker) {
+func (w armHook[T]) Arm(idx uint32) {
 	w.before()
-	w.cellWait.Arm(p)
+	w.cellWait.Arm(idx)
 }
 
 // TestResolveBeforeArm: a counterpart that resolves the cell after the
@@ -43,16 +43,17 @@ func TestResolveBeforeArm(t *testing.T) {
 	}
 	st := tk.(*Ticket[int])
 	w := armHook[int]{cellWait: st.waiter(), before: func() { q.Put(7) }}
-	if o, _ := park.Await(w, park.Policy{Cal: q.cal, M: h, Lender: &q.parkers, Grace: true}, time.Time{}, nil, 0); o != park.Fulfilled {
+	if o, _ := park.Await(w, park.Policy{Cal: q.cal, M: h, Parkers: &q.parkers, Grace: true}, time.Time{}, nil, 0); o != park.Fulfilled {
 		t.Fatalf("wait resolved %v, want Fulfilled", o)
 	}
 	if v := st.collect(); v != 7 {
 		t.Fatalf("collected %d, want 7", v)
 	}
-	p := st.c.w.Load()
-	if p == nil {
+	w1 := st.c.w.Load()
+	if w1 == 0 {
 		t.Fatal("the wait never published a parker")
 	}
+	p := q.parkers.At(w1 - 1)
 	if n := h.Load(metrics.Unparks); n != 0 {
 		t.Errorf("Unparks = %d: the resolver unparked a waiter that had not armed", n)
 	}

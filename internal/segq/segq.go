@@ -15,12 +15,13 @@
 //
 // # Cell layout
 //
-// Cells are packed two to a cache line (32 bytes for word-sized payloads),
-// so a segment is one 576-byte allocation: 36 bytes per transfer. To keep
+// Cells are packed four to a cache line (16 bytes for word-sized
+// payloads: the state word, a 32-bit waiter word and the value), so a
+// segment is one 320-byte allocation: 20 bytes per transfer. To keep
 // neighboring claimants off each other's line anyway, the segment stores
-// logical cell j in slot (j&7)<<1 | j>>3 (SCQ's cache remap): consecutive
-// indexes always land on different lines, and the two cells that do share
-// a line are eight claims apart.
+// logical cell j in slot (j&3)<<2 | j>>2 (SCQ's cache remap): consecutive
+// indexes always land on different lines, and the four cells that do
+// share a line are four claims apart.
 //
 // # Cell state machine
 //
@@ -38,7 +39,7 @@
 // spin-then-park; the second arrival resolves the cell with a single CAS
 // and then unparks whatever parker the waiter has published in the cell.
 // A cell carries no parker of its own: a waiter whose spin phase ends
-// borrows one from the queue's park.Lender, stores it into the cell, and
+// borrows one from the queue's park.Table, stores its index in the cell, and
 // re-reads the state before blocking (see park.Waiter.Arm), so a waiter that
 // never parks never touches a parker at all. An aborting waiter
 // (timeout, cancel) CASes its own installed state to BROKEN — exactly one
@@ -105,18 +106,17 @@ const (
 // every closed-queue panic reads the same regardless of core.
 const errClosedDemand = "synchq: queue closed"
 
-// cell is one hand-off rendezvous. w is the parker the installed waiter
-// borrowed for its slow path (nil until its spin phase ends); every
-// resolver makes its terminal CAS on state first and only then loads w,
-// the mirror of the waiter's store-w-then-reload-state (see park.Waiter.Arm).
-// The trailing pad makes the cell 32 bytes for word-sized payloads, so two
+// cell is one hand-off rendezvous. w names the parker the installed
+// waiter borrowed for its slow path (index+1, 0 until its spin phase
+// ends); every resolver makes its terminal CAS on state first and only
+// then loads w, the mirror of the waiter's store-w-then-reload-state (see
+// park.Waiter.Arm). The cell is 16 bytes for word-sized payloads, so four
 // cells fill one cache line exactly (the layout test pins this down, and
 // segment.at keeps neighboring indexes on different lines).
 type cell[T any] struct {
 	state atomic.Uint32
-	w     atomic.Pointer[park.Parker]
+	w     atomic.Uint32
 	v     T
-	_     [8]byte
 }
 
 // segment is one fixed-size block of the infinite cell array. The header
@@ -132,11 +132,11 @@ type segment[T any] struct {
 }
 
 // at returns the cell for claim index i. Logical cell j lives in slot
-// (j&7)<<1 | j>>3: slots 2k and 2k+1 share a line, and they hold cells k
-// and k+8, so consecutive claimants never touch the same line.
+// (j&3)<<2 | j>>2: slots 4k to 4k+3 share a line, and they hold cells k,
+// k+4, k+8 and k+12, so consecutive claimants never touch the same line.
 func (s *segment[T]) at(i uint64) *cell[T] {
 	j := i & segMask
-	return &s.cells[(j&7)<<1|j>>3]
+	return &s.cells[(j&3)<<2|j>>2]
 }
 
 // removed reports whether every cell in s reached a terminal state — the
@@ -171,8 +171,8 @@ type Queue[T any] struct {
 	cal *spin.Calibrator
 	m   *metrics.Handle
 	f   *fault.Injector
-	// parkers lends waiting cells their parkers (see park.Lender).
-	parkers park.Lender
+	// parkers lends waiting cells their parkers (see park.Table).
+	parkers park.Table
 }
 
 var _ core.Handoff[int] = (*Queue[int])(nil)
@@ -185,7 +185,7 @@ func New[T any](cfg core.WaitConfig) *Queue[T] {
 		m:       cfg.Metrics,
 		f:       cfg.Fault,
 		spare:   make(chan *segment[T], spareCap),
-		parkers: park.Lender{M: cfg.Metrics, F: cfg.Fault},
+		parkers: park.Table{M: cfg.Metrics, F: cfg.Fault},
 	}
 	first := &segment[T]{}
 	q.head.Store(first)
@@ -483,7 +483,7 @@ func (q *Queue[T]) arriveAt(s *segment[T], c *cell[T], i uint64, isPut bool, v T
 			c.v = zero
 			q.m.Inc(metrics.Fulfillments)
 			q.f.Preempt(fault.SegResolvePause)
-			c.wake()
+			q.parkers.Wake(c.w.Load())
 			q.m.Since(metrics.HandoffNs, t0)
 			return val, Ticket[T]{}, core.OK, true
 
@@ -506,7 +506,7 @@ func (q *Queue[T]) arriveAt(s *segment[T], c *cell[T], i uint64, isPut bool, v T
 			q.resolveCell(s)
 			q.m.Inc(metrics.Fulfillments)
 			q.f.Preempt(fault.SegResolvePause)
-			c.wake()
+			q.parkers.Wake(c.w.Load())
 			q.m.Since(metrics.HandoffNs, t0)
 			return zero, Ticket[T]{}, core.OK, true
 
@@ -558,17 +558,7 @@ func (w cellWait[T]) Abort() bool {
 
 func (w cellWait[T]) SpinOK() bool { return w.committed }
 
-func (w cellWait[T]) Arm(p *park.Parker) { w.c.w.Store(p) }
-
-// wake unparks the cell's waiter, if it has published a parker. The
-// caller must have made the cell terminal with its own CAS first (see
-// park.Waiter.Arm); a waiter that has not armed yet will see that state
-// before it blocks.
-func (c *cell[T]) wake() {
-	if p := c.w.Load(); p != nil {
-		p.Unpark()
-	}
-}
+func (w cellWait[T]) Arm(idx uint32) { w.c.w.Store(idx + 1) }
 
 // ---- public operation surface ---------------------------------------------
 
@@ -682,7 +672,7 @@ func (q *Queue[T]) Close() {
 				}
 				if c.state.CompareAndSwap(st, cClosed) {
 					q.resolveCell(s)
-					c.wake()
+					q.parkers.Wake(c.w.Load())
 					break
 				}
 			}

@@ -89,7 +89,7 @@ func (t *Ticket[T]) Await(deadline time.Time, cancel <-chan struct{}) (T, Status
 	// counter only grows, so this is sampled once, when the wait begins.
 	_, other, _ := t.q.side(t.isPut)
 	w.committed = other.Load() > t.i
-	o, why := park.Await(w, park.Policy{Cal: t.q.cal, M: t.q.m, Lender: &t.q.parkers, Grace: true}, deadline, cancel, t.t0)
+	o, why := park.Await(w, park.Policy{Cal: t.q.cal, M: t.q.m, Parkers: &t.q.parkers, Grace: true}, deadline, cancel, t.t0)
 	if o == park.Fulfilled {
 		return t.collect(), core.OK
 	}

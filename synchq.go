@@ -165,13 +165,13 @@ func Fair(fair bool) Option {
 }
 
 // Segmented selects the segment-backed hand-off core: waiters live in
-// fixed-size segments of half-cache-line hand-off cells claimed by a
+// fixed-size segments of quarter-cache-line hand-off cells claimed by a
 // single fetch-and-add per side and resolved by a single CAS per cell,
 // instead of the dual structures' per-waiter linked nodes. Arrival order
 // still decides pairing — each side's counter is FIFO by construction —
 // so a segmented queue reports Fair() true; what changes is the memory
-// system's view: one 576-byte allocation amortizes over a whole segment
-// of 16 transfers (36 bytes each, against the dual queue's 64-byte node
+// system's view: one 320-byte allocation amortizes over a whole segment
+// of 16 transfers (20 bytes each, against the dual queue's 24-byte node
 // per waiter), hot-path pointer chasing disappears, and fully consumed or
 // aborted segments are unlinked so cancellation storms cannot grow the
 // structure (see DESIGN.md "Segmented core").
