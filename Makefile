@@ -62,7 +62,7 @@ bench-overhead:
 bench-smoke:
 	go test -run TestHandoffAllocBudget -count 1 ./internal/core/
 	go test -run 'Layout|QuarterLine' -count 1 ./internal/core/ ./internal/segq/ ./internal/exchanger/
-	go test -run 'Table' -count 1 ./internal/park/
+	go test -run 'Table' -count 1 ./internal/lend/ ./internal/park/
 	go test -run TestSegmentedAllocBudget -count 1 ./internal/segq/
 	go test -run TestFabricAllocBudget -count 1 ./internal/shard/
 	go test -run 'TestEnvelopeSize|TestHandoffAllocBudget' -count 1 -v ./pool/

@@ -7,9 +7,9 @@ import (
 	"synchq/internal/exchanger"
 )
 
-// This file pins the zero-allocation hand-off hot path: with pooled item
-// boxes, spare-node recycling, and parkers lent from a per-structure
-// table, a steady-state paired Put/Take costs one node allocation per pair
+// This file pins the zero-allocation hand-off hot path: with value boxes
+// and parkers lent by index from per-structure tables and spare-node
+// recycling, a steady-state paired Put/Take costs one node allocation per pair
 // on the queue (the waiter's linked node, which the ABA doctrine forbids
 // pooling) and two on the stack (waiter plus fulfilling node) — at most
 // one allocation per operation per side, where the seed implementation
@@ -96,25 +96,27 @@ func measurePairAllocs(t *testing.T, put func(int64), take func() int64) (allocs
 // fulfilling node) and at most two on the exchanger — so a wait that
 // started allocating, such as a waiter escaping through the shared wait
 // loop, fails here. The byte row pins the node sizes behind those counts:
-// 24 bytes per pair on the queues (one 24-byte node), 96 on the stack (two
-// 48-byte nodes) and 48 on the exchanger (two 24-byte nodes: each party
-// builds its node on arrival), so a regrown node fails here too — a
-// pointer-sized waiter word reads 32, 128 and 64. An enormous pinned spin
+// 16 bytes per pair on the queues (one 16-byte node), 64 on the stack (two
+// 32-byte nodes) and 48 on the exchanger (two 24-byte nodes: each party
+// builds its node on arrival), so a regrown node fails here too — a queue
+// node with a pointer to its value box reads 24, a stack node with an
+// embedded box 96. An enormous pinned spin
 // budget guarantees waits are fulfilled while spinning (AllocsPerRun pins
 // GOMAXPROCS to 1, but spin.Pause yields periodically, so the pair still
 // makes progress), which keeps parking and timer machinery out of the
 // measurement.
 func TestHandoffAllocBudget(t *testing.T) {
 	cfg := WaitConfig{Spins: 1 << 30}
-	// Under -race sync.Pool drops a quarter of Puts by design; with a pool
-	// round trip per pair that costs up to one extra allocation of up to
-	// a line, so the budgets widen there.
-	slack, byteSlack := 0.0, 0.0
-	if raceEnabled {
-		slack, byteSlack = 1, 64
-	}
-	budget := func(t *testing.T, what string, allocs, bytes, wantAllocs, wantBytes float64) {
+	// Under -race sync.Pool drops a quarter of Puts by design. Only the
+	// exchanger still makes a pool round trip per pair (its boxes), which
+	// then costs up to one extra allocation of up to a line, so only its
+	// budget widens there; the dual structures lend from their tables.
+	budget := func(t *testing.T, what string, allocs, bytes, wantAllocs, wantBytes float64, pooled bool) {
 		t.Helper()
+		slack, byteSlack := 0.0, 0.0
+		if pooled && raceEnabled {
+			slack, byteSlack = 1, 64
+		}
 		t.Logf("%s pair: %v allocs, %.1f B", what, allocs, bytes)
 		if allocs > wantAllocs+slack {
 			t.Errorf("allocs per %s pair = %v, want at most %v", what, allocs, wantAllocs+slack)
@@ -127,39 +129,38 @@ func TestHandoffAllocBudget(t *testing.T) {
 	t.Run("DualQueue", func(t *testing.T) {
 		q := NewDualQueue[int64](cfg)
 		allocs, bytes := measurePairAllocs(t, q.Put, q.Take)
-		budget(t, "put/take", allocs, bytes, 1, 24)
+		budget(t, "put/take", allocs, bytes, 1, 16, false)
 	})
 	t.Run("DualStack", func(t *testing.T) {
 		q := NewDualStack[int64](cfg)
 		allocs, bytes := measurePairAllocs(t, q.Put, q.Take)
-		budget(t, "put/take", allocs, bytes, 2, 96)
+		budget(t, "put/take", allocs, bytes, 2, 64, false)
 	})
 	t.Run("TransferQueue", func(t *testing.T) {
 		q := NewDualQueue[int64](cfg) // Transfer is the queue's Put
 		allocs, bytes := measurePairAllocs(t, q.Put, q.Take)
-		budget(t, "transfer/take", allocs, bytes, 1, 24)
+		budget(t, "transfer/take", allocs, bytes, 1, 16, false)
 	})
 	t.Run("Exchanger", func(t *testing.T) {
-		// The exchanger's boxes are pooled like the dual structures' item
-		// boxes, so a steady-state exchange pair recycles both sides' boxes
-		// and allocates at most the waiter node and the occasional pool
-		// refill.
+		// The exchanger's boxes are pooled, so a steady-state exchange
+		// pair recycles both sides' boxes and allocates at most the waiter
+		// node and the occasional pool refill.
 		e := exchanger.New[int64]()
 		allocs, bytes := measurePairAllocs(t,
 			func(v int64) { e.Exchange(v) },
 			func() int64 { return e.Exchange(0) })
-		budget(t, "exchange", allocs, bytes, 2, 48)
+		budget(t, "exchange", allocs, bytes, 2, 48, true)
 	})
 }
 
-// TestOfferPollMissesDoNotAllocate pins the other hot path the pools serve:
-// a missed offer or poll (zero patience, empty structure) gets its item box
-// from the pool and returns it, so probing an empty queue settles to zero
-// allocations.
+// TestOfferPollMissesDoNotAllocate pins the other hot path the tables and
+// pools serve: a missed offer or poll (zero patience, empty structure)
+// lends its value box and returns it, so probing an empty queue settles to
+// zero allocations.
 func TestOfferPollMissesDoNotAllocate(t *testing.T) {
 	t.Run("DualQueue", func(t *testing.T) {
 		q := NewDualQueue[int64](WaitConfig{})
-		for i := 0; i < 10; i++ { // prime the item pool
+		for i := 0; i < 10; i++ { // prime the box table
 			offer(q, 1)
 		}
 		if got := testing.AllocsPerRun(100, func() {

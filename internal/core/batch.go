@@ -114,15 +114,15 @@ func (q *DualQueue[T]) PutAllAsync(items []T) (int, Status) {
 	}
 	idx := 0
 	// first..last is the not-yet-published chain for items[idx:]; box is a
-	// peeled item box awaiting a direct fulfillment. All local until the
+	// peeled value box awaiting a direct fulfillment. All local until the
 	// splice CAS publishes the chain.
-	var first, last *qnode[T]
-	var box *qitem[T]
+	var first, last *qnode
+	box := noItem
 	for {
 		t := q.tail.Load()
 		h := q.head.Load()
 
-		if h == t || t.isData {
+		if h == t || t.isData() {
 			// Empty or data mode: splice the whole remainder at the tail.
 			tn := t.next.Load()
 			if t != q.tail.Load() {
@@ -137,12 +137,12 @@ func (q *DualQueue[T]) PutAllAsync(items []T) (int, Status) {
 				q.recycleChain(first, box)
 				return idx, Closed
 			}
-			if box != nil && first == nil && idx+1 < len(items) {
+			if box != noItem && first == nil && idx+1 < len(items) {
 				// box came from getBox in the fulfill arm, not from a
 				// peeled chain — items[idx+1:] have no nodes yet.
 				first, last = q.buildChain(items[idx+1:])
 			}
-			if box != nil {
+			if box != noItem {
 				// A box peeled for a consumer that vanished: re-head the
 				// chain with a fresh node so the splice carries it.
 				n := q.getNode(true, true)
@@ -151,7 +151,7 @@ func (q *DualQueue[T]) PutAllAsync(items []T) (int, Status) {
 				if first == nil {
 					last = n
 				}
-				first, box = n, nil
+				first, box = n, noItem
 			}
 			if first == nil {
 				first, last = q.buildChain(items[idx:])
@@ -176,7 +176,7 @@ func (q *DualQueue[T]) PutAllAsync(items []T) (int, Status) {
 			q.m.Inc(metrics.CASFailFulfill)
 			continue
 		}
-		if box == nil {
+		if box == noItem {
 			if first != nil {
 				// Peel the chain's head node: it was never published, so
 				// its box can fulfill directly and the node is a spare.
@@ -193,7 +193,7 @@ func (q *DualQueue[T]) PutAllAsync(items []T) (int, Status) {
 			}
 		}
 		x := m.item.Load()
-		if x != nil || q.isDead(x) || !m.item.CompareAndSwap(x, box) {
+		if x != noItem || !m.item.CompareAndSwap(x, box) {
 			// m was already fulfilled, canceled, or we lost the race:
 			// dequeue it and retry with the same box.
 			q.m.Inc(metrics.CASFailFulfill)
@@ -203,8 +203,8 @@ func (q *DualQueue[T]) PutAllAsync(items []T) (int, Status) {
 		q.m.Inc(metrics.Fulfillments)
 		q.f.Preempt(fault.QFulfillPause)
 		q.advanceHead(h, m)
-		q.parkers.Wake(m.waiter.Load())
-		box = nil
+		q.parkers.Wake(m.parker())
+		box = noItem
 		idx++
 		if idx == len(items) {
 			return idx, OK
@@ -216,7 +216,7 @@ func (q *DualQueue[T]) PutAllAsync(items []T) (int, Status) {
 // returning its head and tail. The chain is entirely local memory — no
 // other thread can observe it — until the caller's splice CAS publishes
 // the head.
-func (q *DualQueue[T]) buildChain(items []T) (first, last *qnode[T]) {
+func (q *DualQueue[T]) buildChain(items []T) (first, last *qnode) {
 	for _, v := range items {
 		n := q.getNode(true, true)
 		n.item.Store(q.getBox(v))
@@ -231,15 +231,15 @@ func (q *DualQueue[T]) buildChain(items []T) (first, last *qnode[T]) {
 }
 
 // recycleChain returns a never-published chain (and a peeled box, if any)
-// to the pools. Chain nodes were never linked into the queue, so reuse is
-// ABA-free; their next words are scrubbed before pooling because getNode
-// promises pristine links.
-func (q *DualQueue[T]) recycleChain(first *qnode[T], box *qitem[T]) {
-	q.putBox(box)
+// to the pools and the box table. Chain nodes were never linked into the
+// queue, so reuse is ABA-free; their next words are scrubbed before
+// pooling because getNode promises pristine links.
+func (q *DualQueue[T]) recycleChain(first *qnode, box uint32) {
+	q.unbox(box)
 	for n := first; n != nil; {
 		next := n.next.Load()
 		n.next.Store(nil)
-		q.putBox(n.item.Load())
+		q.unbox(n.item.Load())
 		q.putSpare(n)
 		n = next
 	}

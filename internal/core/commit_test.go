@@ -31,15 +31,15 @@ func commitCores() map[string]func() commitCore {
 		"queue": func() commitCore {
 			q := NewDualQueue[*int](WaitConfig{})
 			return commitCore{q, func() func() bool {
-				box := q.tail.Load().item.Load()
-				return func() bool { return box.v == nil }
+				box := q.boxes.At(q.tail.Load().item.Load() - 1)
+				return func() bool { return *box == nil }
 			}, func(v *int) { q.ReservePut(v) }}
 		},
 		"stack": func() commitCore {
 			q := NewDualStack[*int](WaitConfig{})
 			return commitCore{q, func() func() bool {
 				n := q.head.Load()
-				return func() bool { return n.box.v == nil }
+				return func() bool { return n.v == nil }
 			}, func(v *int) { q.ReservePut(v) }}
 		},
 	}

@@ -26,7 +26,8 @@
 // on a three-state atomic permit word (internal/park) instead of
 // LockSupport, every wait runs the shared spin-then-park loop park.Await,
 // and since Go generics preclude the JDK's "item == this" self-sentinels,
-// each structure carries typed sentinel pointers with identical roles.
+// the queue reserves two item-word values and the stack carries a typed
+// sentinel pointer with identical roles.
 package core
 
 import (

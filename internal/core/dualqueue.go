@@ -6,57 +6,75 @@ import (
 	"time"
 
 	"synchq/internal/fault"
+	"synchq/internal/lend"
 	"synchq/internal/metrics"
 	"synchq/internal/park"
 	"synchq/internal/spin"
 )
 
 // qnode is a node of the synchronous dual queue. The list holds either data
-// nodes (isData true, item initially non-nil) or reservation nodes (isData
-// false, item initially nil), never both at once; the node at head is always
-// a retired dummy.
+// nodes or reservation nodes, never both at once; the node at head is
+// always a retired dummy.
 //
-// Fulfillment, cancellation, and close are all CASes on item:
+// item names the node's value box by index+1 in the queue's box table
+// (see DualQueue.boxes), or holds one of the words below. Fulfillment,
+// cancellation, and close are all CASes on it:
 //
-//	data node:    item: &v ──taken──▶ nil        or ──canceled/closed──▶ sentinel
-//	request node: item: nil ──filled──▶ &v       or ──canceled/closed──▶ sentinel
+//	data node:    item: box ──taken──▶ none    or ──canceled/closed──▶ sentinel
+//	request node: item: none ──filled──▶ box   or ──canceled/closed──▶ sentinel
 //
 // waiter names the parker the waiting goroutine borrowed from the queue's
-// parker table when its spin phase ended: index+1, 0 until then. Like the
-// paper's node, which references its waiting thread, the node carries no
-// permit of its own, and a 32-bit index instead of a pointer shares a word
-// with the flags, so the node is 24 bytes. A node that has been linked
-// into the list is reclaimed only by the garbage collector — never pooled
-// — because stale traversers (losing fulfillers, helpers, cleaners, the
-// close sweep) may still hold its address for head/next CASes, and
-// address reuse would reintroduce exactly the ABA those CASes rely on
-// pointer identity to avoid (see DESIGN.md "Node and parker lifecycle").
-type qnode[T any] struct {
-	next   atomic.Pointer[qnode[T]]
-	item   atomic.Pointer[qitem[T]]
+// parker table when its spin phase ended (index+1 in its low 30 bits, 0
+// until then), and carries the node's immutable mode in its top two bits.
+// Like the paper's node, which references its item and its waiting
+// thread, the node holds neither, only two 32-bit indexes, so it is 16
+// bytes for every T. A node that has been linked into the list is
+// reclaimed only by the garbage collector — never pooled — because stale
+// traversers (losing fulfillers, helpers, cleaners, the close sweep) may
+// still hold its address for head/next CASes, and address reuse would
+// reintroduce exactly the ABA those CASes rely on pointer identity to
+// avoid (see DESIGN.md "Node and parker lifecycle").
+type qnode struct {
+	next   atomic.Pointer[qnode]
+	item   atomic.Uint32
 	waiter atomic.Uint32
-	isData bool
-	// async marks a data node deposited without a waiting producer (the
-	// TransferQueue extension). Close leaves async nodes in place so
-	// already-accepted data can still be drained.
-	async bool
 }
 
-// qitem boxes a transferred value. The pooled flag doubles as the padding
-// byte that guarantees every allocation a unique address even when T is
-// zero-sized (new(struct{}) aliases a single runtime address), so pointer
-// identity against the queue's cancellation sentinel is always meaningful.
-//
-// Boxes with pooled set circulate through the queue's item pool: unlike the
-// nodes, an item box is ABA-safe to recycle because item words only ever
-// move away from a box, never back to it (nil→&v→sentinel for requests,
-// &v→nil→sentinel for data), and only the single receiver that won the CAS
-// dereferences it. The sentinels and any caller-visible boxes are created
-// without the flag and are never pooled.
-type qitem[T any] struct {
-	v      T
-	pooled bool
-}
+// Item words besides a box's index+1, which never reaches them (see the
+// check below wParker).
+const (
+	noItem       uint32 = 0
+	itemClosed   uint32 = ^uint32(0) - 1 // evicted by Close
+	itemCanceled uint32 = ^uint32(0)     // aborted by its owner, or consumed
+)
+
+// Waiter-word bits. The mode flags are set once, before the node is
+// linked; only the node's owner writes the word afterwards (setParker),
+// and it keeps them.
+const (
+	// wData marks a data node (a waiting or deposited producer).
+	wData uint32 = 1 << 31
+	// wAsync marks a data node deposited without a waiting producer (the
+	// TransferQueue extension). Close leaves async nodes in place so
+	// already-accepted data can still be drained.
+	wAsync uint32 = 1 << 30
+	// wParker masks the lent parker's index+1.
+	wParker = wAsync - 1
+)
+
+// Every index+1 a lend.Table issues fits under the flag bits (and so
+// below the item-word sentinels); the constant overflows, failing the
+// build, if a larger table ever breaks that.
+const _ = wParker - (lend.MaxIndex + 1)
+
+func (n *qnode) isData() bool  { return n.waiter.Load()&wData != 0 }
+func (n *qnode) isAsync() bool { return n.waiter.Load()&wAsync != 0 }
+
+// parker returns the word naming the node's lent parker, for Wake.
+func (n *qnode) parker() uint32 { return n.waiter.Load() & wParker }
+
+// setParker publishes (or, with 0, forgets) the owner's lent parker.
+func (n *qnode) setParker(w uint32) { n.waiter.Store(n.waiter.Load()&^wParker | w) }
 
 // DualQueue is the paper's fair synchronous queue: a nonblocking,
 // contention-free dual queue derived from the Michael & Scott queue, in
@@ -66,34 +84,23 @@ type qitem[T any] struct {
 type DualQueue[T any] struct {
 	// head, tail, and cleanMe each own a cache line: consumers CAS head,
 	// producers CAS tail, and cancellation sweeps CAS cleanMe, so sharing
-	// a line would make every advance on one end invalidate the other —
-	// and the read-mostly sentinels below it.
-	head atomic.Pointer[qnode[T]]
+	// a line would make every advance on one end invalidate the other.
+	head atomic.Pointer[qnode]
 	_    [56]byte
-	tail atomic.Pointer[qnode[T]]
+	tail atomic.Pointer[qnode]
 	_    [56]byte
 	// cleanMe is the predecessor of the last canceled node that could not
 	// be unlinked immediately because it was the tail (the paper's — and
 	// Java 6's — lazy cleaning strategy).
-	cleanMe atomic.Pointer[qnode[T]]
+	cleanMe atomic.Pointer[qnode]
 	_       [56]byte
-	// canceled is this queue's cancellation sentinel: a canceled node's
-	// item points here. It stands in for the JDK's "item == this"
-	// self-marker, which Go's typed atomics cannot express.
-	canceled *qitem[T]
-	// closedSent is the shutdown sentinel: a waiter whose node's item is
-	// swung here was evicted by Close and reports the Closed status
-	// (distinct from canceled so close-time wakeups are not mistaken for
-	// timeouts or cancellations).
-	closedSent *qitem[T]
 	// closed is set by Close; the enqueue arm of engage refuses to add
 	// waiters once it is set.
 	closed atomic.Bool
 
-	// ipool recycles pooled item boxes (see qitem); npool recycles spare
-	// nodes that lost their insertion race and were never linked — the
-	// only nodes whose address provably reached no other thread.
-	ipool sync.Pool
+	// npool recycles spare nodes that lost their insertion race and were
+	// never linked — the only nodes whose address provably reached no
+	// other thread.
 	npool sync.Pool
 
 	// cal sets every wait's spin budget (WaitConfig.Spins).
@@ -104,14 +111,19 @@ type DualQueue[T any] struct {
 	f *fault.Injector
 	// parkers lends waiters their parkers (see park.Table).
 	parkers park.Table
+	// boxes holds the values in flight: a producer lends a box, stores
+	// its datum there and puts the box's index+1 in an item word; the
+	// side that reads the value out scrubs the box and returns the index
+	// (see unbox). The table keeps its peak number of values in flight.
+	boxes lend.Table[T]
 }
 
 // NewDualQueue returns an empty fair synchronous queue with the given wait
 // policy (use the zero WaitConfig for the paper's defaults).
 func NewDualQueue[T any](cfg WaitConfig) *DualQueue[T] {
-	q := &DualQueue[T]{canceled: new(qitem[T]), closedSent: new(qitem[T]), cal: spin.NewCalibrator(cfg.Spins), m: cfg.Metrics, f: cfg.Fault,
+	q := &DualQueue[T]{cal: spin.NewCalibrator(cfg.Spins), m: cfg.Metrics, f: cfg.Fault,
 		parkers: park.Table{M: cfg.Metrics, F: cfg.Fault}}
-	dummy := &qnode[T]{}
+	dummy := &qnode{}
 	q.head.Store(dummy)
 	q.tail.Store(dummy)
 	return q
@@ -120,42 +132,56 @@ func NewDualQueue[T any](cfg WaitConfig) *DualQueue[T] {
 // Metrics returns the queue's instrumentation handle (nil when disabled).
 func (q *DualQueue[T]) Metrics() *metrics.Handle { return q.m }
 
-// getBox returns an item box holding v, recycled from the item pool when
-// possible.
-func (q *DualQueue[T]) getBox(v T) *qitem[T] {
-	if x, _ := q.ipool.Get().(*qitem[T]); x != nil {
+// getBox lends a value box from the box table, stores v in it and returns
+// the item word naming it. A box taken from the free stack counts as a
+// reuse, a newly issued one as an allocation.
+func (q *DualQueue[T]) getBox(v T) uint32 {
+	idx, b, fresh := q.boxes.Lend()
+	if fresh {
+		q.m.Inc(metrics.NodeAllocs)
+	} else {
 		q.m.Inc(metrics.NodeReuses)
-		x.v = v
-		return x
 	}
-	q.m.Inc(metrics.NodeAllocs)
-	return &qitem[T]{v: v, pooled: true}
+	*b = v
+	return idx + 1
 }
 
-// putBox recycles an item box whose value has been consumed (or never
-// transferred). Only boxes the queue itself issued are pooled — the pooled
-// flag excludes the sentinels and embedded or caller-built boxes — and the
-// value is scrubbed first so the pool never retains user data.
-func (q *DualQueue[T]) putBox(x *qitem[T]) {
-	if x == nil || !x.pooled {
-		return
+// unbox reads the value out of the box the item word x names (the zero
+// value for noItem), scrubs the box so the table never pins user data, and
+// only then returns its index. Exactly one side unboxes each box: the
+// taker that won the CAS moving the box's node to or from it, or the
+// producer whose datum never transferred.
+func (q *DualQueue[T]) unbox(x uint32) (v T) {
+	if x == noItem {
+		return v
 	}
-	var zero T
-	x.v = zero
-	q.ipool.Put(x)
+	b := q.boxes.At(x - 1)
+	v = *b
+	*b = *new(T)
+	q.boxes.Return(x - 1)
+	return v
 }
 
-// getNode returns a fresh or recycled waiting node. Pooled nodes are spares
-// that were never linked (see putSpare), so their waiter and link words are
-// pristine.
-func (q *DualQueue[T]) getNode(isData, async bool) *qnode[T] {
-	if n, _ := q.npool.Get().(*qnode[T]); n != nil {
-		q.m.Inc(metrics.NodeReuses)
-		n.isData, n.async = isData, async
-		return n
+// getNode returns a fresh or recycled waiting node with the given mode.
+// Pooled nodes are spares that were never linked (see putSpare), so their
+// parker bits and link word are pristine.
+func (q *DualQueue[T]) getNode(isData, async bool) *qnode {
+	var w uint32
+	if isData {
+		w = wData
 	}
-	q.m.Inc(metrics.NodeAllocs)
-	return &qnode[T]{isData: isData, async: async}
+	if async {
+		w |= wAsync
+	}
+	n, _ := q.npool.Get().(*qnode)
+	if n != nil {
+		q.m.Inc(metrics.NodeReuses)
+	} else {
+		q.m.Inc(metrics.NodeAllocs)
+		n = new(qnode)
+	}
+	n.waiter.Store(w)
+	return n
 }
 
 // putSpare recycles a node that was NEVER linked into the list — the
@@ -163,22 +189,23 @@ func (q *DualQueue[T]) getNode(isData, async bool) *qnode[T] {
 // Such a node's address was never published (the insertion CAS that would
 // have published it failed), so no other thread can hold a stale pointer
 // to it and reuse is ABA-free; linked nodes must never come here. The item
-// word is scrubbed so the pool retains no reference to a value box.
-func (q *DualQueue[T]) putSpare(s *qnode[T]) {
-	s.item.Store(nil)
+// word is scrubbed so the pool retains no index of a box another node may
+// hold by then.
+func (q *DualQueue[T]) putSpare(s *qnode) {
+	s.item.Store(noItem)
 	q.npool.Put(s)
 }
 
-// isDead reports whether an observed item value is one of the two
+// isDead reports whether an observed item word is one of the two
 // abandonment sentinels (canceled or evicted by Close).
-func (q *DualQueue[T]) isDead(x *qitem[T]) bool { return x == q.canceled || x == q.closedSent }
+func isDead(x uint32) bool { return x == itemCanceled || x == itemClosed }
 
-func (q *DualQueue[T]) isCancelled(n *qnode[T]) bool { return q.isDead(n.item.Load()) }
+func isCancelled(n *qnode) bool { return isDead(n.item.Load()) }
 
 // advanceHead swings head from h to nh and self-links the retired node so
 // that isOffList observes it and the garbage collector can reclaim the
 // chain behind it.
-func (q *DualQueue[T]) advanceHead(h, nh *qnode[T]) bool {
+func (q *DualQueue[T]) advanceHead(h, nh *qnode) bool {
 	if h != nh && q.head.CompareAndSwap(h, nh) {
 		h.next.Store(h)
 		return true
@@ -188,7 +215,7 @@ func (q *DualQueue[T]) advanceHead(h, nh *qnode[T]) bool {
 
 // isOffList reports whether n has been unlinked from the queue (self-linked
 // by advanceHead).
-func isOffList[T any](n *qnode[T]) bool { return n.next.Load() == n }
+func isOffList(n *qnode) bool { return n.next.Load() == n }
 
 // transfer is the shared engine for put and take: isData true transfers v
 // in, isData false transfers a value out (the two operations are symmetric,
@@ -200,13 +227,13 @@ func isOffList[T any](n *qnode[T]) bool { return n.next.Load() == n }
 // that has to wait is a reservation awaited on the spot: arrive links it,
 // the commit step runs, and the ticket's wait completes it.
 //
-// Box ownership: a datum rides in a pooled item box obtained here. Whichever
-// side ends up reading the value out of a pooled box — the taker, for both
-// queue orientations — recycles it; a datum that never transferred (timeout,
-// cancel, close, withdrawal, refused engage) is reclaimed by its producer.
+// Box ownership: a datum rides in a value box lent here. Whichever side
+// ends up reading the value out of the box — the taker, for both queue
+// orientations — unboxes it; a datum that never transferred (timeout,
+// cancel, close, withdrawal, refused engage) is unboxed by its producer.
 func (q *DualQueue[T]) transfer(isData bool, v T, deadline time.Time, cancel <-chan struct{}, async bool, commit func() bool) (T, Status) {
 	t0 := q.m.Start() // arrival timestamp (zero — no clock read — when uninstrumented)
-	var e *qitem[T]
+	e := noItem
 	if isData {
 		e = q.getBox(v)
 	}
@@ -214,12 +241,11 @@ func (q *DualQueue[T]) transfer(isData bool, v T, deadline time.Time, cancel <-c
 	tk := q.arrive(t0, e, s, pred, st, async)
 	if tk.node == nil {
 		// Completed, or refused, at arrival: fulfilled a waiter, or async
-		// deposit. For a take, imm is the counterpart's box — consume and
-		// recycle it. For a put (and an async deposit) the box now belongs
-		// to its eventual taker.
+		// deposit. For a take, imm is the counterpart's box — unbox it.
+		// For a put (and an async deposit) the box now belongs to its
+		// eventual taker.
 		if st == OK && !isData {
-			v = imm.v
-			q.putBox(imm)
+			v = q.unbox(imm)
 		}
 		return v, st
 	}
@@ -239,10 +265,10 @@ func (q *DualQueue[T]) transfer(isData bool, v T, deadline time.Time, cancel <-c
 // that linked, the post-link close re-check. It returns the pending
 // reservation (tk.node non-nil) for the caller to await or hand out. A
 // refused arrival's box e is reclaimed here.
-func (q *DualQueue[T]) arrive(t0 int64, e *qitem[T], s, pred *qnode[T], st Status, async bool) (tk QueueTicket[T]) {
+func (q *DualQueue[T]) arrive(t0 int64, e uint32, s, pred *qnode, st Status, async bool) (tk QueueTicket[T]) {
 	switch {
 	case st != OK:
-		q.putBox(e) // the datum never entered the structure
+		q.unbox(e) // the datum never entered the structure
 		q.m.Since(metrics.WastedNs, t0)
 	case s == nil:
 		if !async {
@@ -254,7 +280,7 @@ func (q *DualQueue[T]) arrive(t0 int64, e *qitem[T], s, pred *qnode[T], st Statu
 			// sweep before our node was linked; self-evict so the waiter
 			// is never stranded. If a fulfiller got here first the CAS
 			// fails and the wait completes normally.
-			s.item.CompareAndSwap(e, q.closedSent)
+			s.item.CompareAndSwap(e, itemClosed)
 		}
 		tk = QueueTicket[T]{q: q, node: s, pred: pred, e: e, t0: t0}
 	}
@@ -263,21 +289,21 @@ func (q *DualQueue[T]) arrive(t0 int64, e *qitem[T], s, pred *qnode[T], st Statu
 
 // engage is the lock-free half of a transfer (the paper's request
 // linearization): it either fulfills a complementary waiter immediately
-// (returning the exchanged item with node nil), deposits an async data
-// node (node nil, item e), or enqueues a waiting node s with predecessor
+// (node nil; for a take, imm is the waiting producer's box), deposits an
+// async data node (node nil), or enqueues a waiting node s with predecessor
 // pred for the caller to await. The deadline (zero: none; an async
 // deposit never waits) is consulted at the moment enqueueing becomes
 // necessary; if it has passed, engage returns Timeout without touching
 // the queue.
-func (q *DualQueue[T]) engage(e *qitem[T], deadline time.Time, async bool) (imm *qitem[T], node, pred *qnode[T], st Status) {
-	var s *qnode[T]
-	isData := e != nil
+func (q *DualQueue[T]) engage(e uint32, deadline time.Time, async bool) (imm uint32, node, pred *qnode, st Status) {
+	var s *qnode
+	isData := e != noItem
 
 	for {
 		t := q.tail.Load()
 		h := q.head.Load()
 
-		if h == t || t.isData == isData {
+		if h == t || t.isData() == isData {
 			// Queue empty or holds same-mode nodes: enqueue and
 			// wait (Listing 5, lines 08–21).
 			tn := t.next.Load()
@@ -297,14 +323,14 @@ func (q *DualQueue[T]) engage(e *qitem[T], deadline time.Time, async bool) (imm 
 				if s != nil {
 					q.putSpare(s) // built on an earlier lap, never linked
 				}
-				return nil, nil, nil, Closed
+				return noItem, nil, nil, Closed
 			}
 			if !async && !deadline.IsZero() && !time.Now().Before(deadline) {
 				q.m.Inc(metrics.Timeouts)
 				if s != nil {
 					q.putSpare(s) // built on an earlier lap, never linked
 				}
-				return nil, nil, nil, Timeout // can't wait
+				return noItem, nil, nil, Timeout // can't wait
 			}
 			if s == nil {
 				s = q.getNode(isData, async)
@@ -322,9 +348,9 @@ func (q *DualQueue[T]) engage(e *qitem[T], deadline time.Time, async bool) (imm 
 			q.tail.CompareAndSwap(t, s)
 			if async {
 				q.m.Inc(metrics.AsyncDeposits)
-				return e, nil, nil, OK
+				return noItem, nil, nil, OK
 			}
-			return nil, s, t, OK
+			return noItem, s, t, OK
 
 		}
 
@@ -344,8 +370,8 @@ func (q *DualQueue[T]) engage(e *qitem[T], deadline time.Time, async bool) (imm 
 			continue
 		}
 		x := m.item.Load()
-		if isData == (x != nil) || // m already fulfilled
-			q.isDead(x) || // m canceled or evicted by Close
+		if isData == (x != noItem) || // m already fulfilled
+			isDead(x) || // m canceled or evicted by Close
 			!m.item.CompareAndSwap(x, e) { // lost fulfill race
 			q.m.Inc(metrics.CASFailFulfill)
 			q.advanceHead(h, m) // dequeue and retry
@@ -354,31 +380,29 @@ func (q *DualQueue[T]) engage(e *qitem[T], deadline time.Time, async bool) (imm 
 		q.m.Inc(metrics.Fulfillments)
 		q.f.Preempt(fault.QFulfillPause)
 		q.advanceHead(h, m)
-		q.parkers.Wake(m.waiter.Load())
+		q.parkers.Wake(m.parker())
 		if s != nil {
 			// The spare built for the enqueue arm was never linked
 			// (its insertion CAS failed or was never attempted):
 			// recycle it.
 			q.putSpare(s)
 		}
-		if x != nil {
-			return x, nil, nil, OK
-		}
-		return e, nil, nil, OK
+		return x, nil, nil, OK
 	}
 }
 
 // finish performs the post-fulfillment bookkeeping for a node we waited
 // on: help dequeue ourselves (Listing 5, lines 17–19) and forget
-// references so blocked threads don't pin garbage (§Pragmatics). x is the
-// item value observed at fulfillment.
-func (q *DualQueue[T]) finish(s, pred *qnode[T], x *qitem[T]) {
+// references (§Pragmatics): a filled request node gives up its box's
+// index before the caller unboxes it, so no node names a returned box. x
+// is the item word observed at fulfillment.
+func (q *DualQueue[T]) finish(s, pred *qnode, x uint32) {
 	if !isOffList(s) {
 		q.advanceHead(pred, s)
-		if x != nil {
-			s.item.Store(q.canceled)
+		if x != noItem {
+			s.item.Store(itemCanceled)
 		}
-		s.waiter.Store(0)
+		s.setParker(0)
 	}
 }
 
@@ -387,8 +411,8 @@ func (q *DualQueue[T]) finish(s, pred *qnode[T], x *qitem[T]) {
 // abort, or Close each resolve it with one CAS moving the word off e.
 type qwait[T any] struct {
 	q *DualQueue[T]
-	s *qnode[T]
-	e *qitem[T]
+	s *qnode
+	e uint32
 	// front records whether the node was next in line for fulfillment
 	// when the wait began (see QueueTicket.Await).
 	front bool
@@ -398,19 +422,19 @@ func (w qwait[T]) Settled() park.Outcome {
 	switch w.s.item.Load() {
 	case w.e:
 		return park.Pending
-	case w.q.canceled:
+	case itemCanceled:
 		return park.Aborted
-	case w.q.closedSent:
+	case itemClosed:
 		return park.Evicted
 	}
 	return park.Fulfilled
 }
 
-func (w qwait[T]) Abort() bool { return w.s.item.CompareAndSwap(w.e, w.q.canceled) }
+func (w qwait[T]) Abort() bool { return w.s.item.CompareAndSwap(w.e, itemCanceled) }
 
 func (w qwait[T]) SpinOK() bool { return w.front }
 
-func (w qwait[T]) Arm(idx uint32) { w.s.waiter.Store(idx + 1) }
+func (w qwait[T]) Arm(idx uint32) { w.s.setParker(idx + 1) }
 
 // clean unlinks the canceled node s with predecessor pred. A canceled node
 // at the tail cannot be unlinked (its predecessor's next pointer is the
@@ -418,13 +442,13 @@ func (w qwait[T]) Arm(idx uint32) { w.s.waiter.Store(idx + 1) }
 // removed by a later clean — the paper's deferred cleaning strategy, which
 // bounds garbage to one canceled node per queue rather than letting
 // high-rate/low-patience workloads accumulate them.
-func (q *DualQueue[T]) clean(pred, s *qnode[T]) {
-	s.waiter.Store(0)
+func (q *DualQueue[T]) clean(pred, s *qnode) {
+	s.setParker(0)
 
 	for pred.next.Load() == s { // early exit if already unlinked
 		h := q.head.Load()
 		hn := h.next.Load()
-		if hn != nil && q.isCancelled(hn) {
+		if hn != nil && isCancelled(hn) {
 			if q.advanceHead(h, hn) {
 				q.m.Inc(metrics.CleanSweeps)
 			}
@@ -464,7 +488,7 @@ func (q *DualQueue[T]) clean(pred, s *qnode[T]) {
 		if dp != nil {
 			d := dp.next.Load()
 			unlinked := false
-			if d == nil || d == dp || !q.isCancelled(d) {
+			if d == nil || d == dp || !isCancelled(d) {
 				unlinked = true // stale record
 			} else if d != t {
 				if dn := d.next.Load(); dn != nil && dn != d && dp.next.CompareAndSwap(d, dn) {
@@ -514,18 +538,18 @@ func (q *DualQueue[T]) Close() {
 				break
 			}
 			x := n.item.Load()
-			live := !q.isDead(x) && (n.isData == (x != nil))
-			if live && n.isData && n.async {
+			live := !isDead(x) && n.isData() == (x != noItem)
+			if live && n.isAsync() {
 				// Deposited data with no waiting producer:
 				// keep it for Drain.
 				n = n.next.Load()
 				continue
 			}
 			if live {
-				if !n.item.CompareAndSwap(x, q.closedSent) {
+				if !n.item.CompareAndSwap(x, itemClosed) {
 					continue // item changed under us: re-examine this node
 				}
-				q.parkers.Wake(n.waiter.Load())
+				q.parkers.Wake(n.parker())
 			}
 			n = n.next.Load()
 		}
@@ -615,8 +639,9 @@ func (q *DualQueue[T]) observe() (data, reservations bool) {
 		if n == h {
 			continue // h was retired under us: reread head
 		}
-		if !q.isCancelled(n) {
-			return t.isData, !t.isData
+		if !isCancelled(n) {
+			d := t.isData()
+			return d, !d
 		}
 		if q.advanceHead(h, n) {
 			q.m.Inc(metrics.CleanSweeps)
@@ -641,11 +666,10 @@ func (q *DualQueue[T]) Len() int {
 		if next == cur {
 			break // node raced off-list; snapshot ends here
 		}
-		if !q.isCancelled(cur) {
-			// A data node whose item was taken (nil) or a request
+		if !isCancelled(cur) {
+			// A data node whose item was taken (none) or a request
 			// node already filled is retired, not waiting.
-			x := cur.item.Load()
-			if (cur.isData && x != nil) || (!cur.isData && x == nil) {
+			if cur.isData() == (cur.item.Load() != noItem) {
 				n++
 			}
 		}

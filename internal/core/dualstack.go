@@ -24,30 +24,29 @@ const (
 // snode is a node of the synchronous dual stack. match is the annihilation
 // pointer: a fulfiller CASes it from nil to itself; a waiter that times out
 // CASes it from nil to the node itself (self-match means canceled), and a
-// close sweep CASes it from nil to the stack's closed sentinel. item is
-// boxed (qitem) so the ticket API can share value plumbing with the queue;
-// unlike the queue's circulating boxes, a stack node's datum rides in the
-// node's own embedded box, stored into item before the publishing push.
+// close sweep CASes it from nil to the stack's closed sentinel. A data or
+// fulfilling-data node carries its datum inline in v, written before the
+// push CAS that publishes the node; the waiter matched with it reads
+// match.Load().v.
 //
 // waiter names the parker the waiting goroutine borrowed from the stack's
-// parker table when its spin phase ended (index+1, 0 until then), and box
-// is the embedded item box, so a push-and-wait allocates only the node
-// itself. A node that has been linked into the stack (its push CAS
-// succeeded) is reclaimed only by the garbage collector — never pooled —
-// because stale traversers (helpers, cleaners, losing fulfillers, the
-// close sweep) may still hold its address for head/next/match CASes, and
-// address reuse would reintroduce exactly the ABA those CASes rely on
-// pointer identity to avoid (see DESIGN.md "Node and parker lifecycle").
+// parker table when its spin phase ended (index+1, 0 until then), so a
+// push-and-wait allocates only the node itself. A node that has been
+// linked into the stack (its push CAS succeeded) is reclaimed only by the
+// garbage collector — never pooled — because stale traversers (helpers,
+// cleaners, losing fulfillers, the close sweep) may still hold its
+// address for head/next/match CASes, and address reuse would reintroduce
+// exactly the ABA those CASes rely on pointer identity to avoid (see
+// DESIGN.md "Node and parker lifecycle").
 type snode[T any] struct {
 	next   atomic.Pointer[snode[T]]
 	match  atomic.Pointer[snode[T]]
-	item   atomic.Pointer[qitem[T]]
 	waiter atomic.Uint32
-	// mode shares the waiter's word, so for word-sized T the node is 48
-	// bytes, a size class of its own; the layout test pins it, so any
-	// field added later fails there, not in a benchmark.
+	// mode shares the waiter's word, so for word-sized T the node is 32
+	// bytes; the layout test pins it, so any field added later fails
+	// there, not in a benchmark.
 	mode uint8
-	box  qitem[T]
+	v    T
 }
 
 // tryMatch attempts to match node m with fulfiller f, waking m's waiter on
@@ -113,8 +112,8 @@ func NewDualStack[T any](cfg WaitConfig) *DualStack[T] {
 func (q *DualStack[T]) Metrics() *metrics.Handle { return q.m }
 
 // getNode returns a fresh or recycled node with the given mode, its datum
-// box empty. Pooled nodes are spares that were never linked (see putSpare),
-// so their match and waiter words are pristine.
+// the zero value. Pooled nodes are spares that were never linked (see
+// putSpare), so their match and waiter words are pristine.
 func (q *DualStack[T]) getNode(mode uint8) *snode[T] {
 	if n, _ := q.npool.Get().(*snode[T]); n != nil {
 		q.m.Inc(metrics.NodeReuses)
@@ -129,17 +128,15 @@ func (q *DualStack[T]) getNode(mode uint8) *snode[T] {
 // CAS failed, or the engage loop completed through another arm before
 // attempting it. Such a node's address was never published, so no other
 // thread can hold a stale pointer to it and reuse is ABA-free; linked nodes
-// must never come here. The link word and the embedded box are scrubbed so
-// the pool retains neither stack references nor user values. Nil-safe, so
+// must never come here. The link word and the datum are scrubbed so the
+// pool retains neither stack references nor user values. Nil-safe, so
 // call sites can hand over a maybe-built spare unconditionally.
 func (q *DualStack[T]) putSpare(s *snode[T]) {
 	if s == nil {
 		return
 	}
 	s.next.Store(nil)
-	s.item.Store(nil)
-	var zero T
-	s.box.v = zero
+	s.v = *new(T)
 	q.npool.Put(s)
 }
 
@@ -155,8 +152,8 @@ func (q *DualStack[T]) isDead(n *snode[T]) bool {
 // pushes the datum v, isData false pushes a request. A zero deadline waits
 // forever; an expired deadline makes the operation a pure offer/poll. On
 // success the returned value is the transferred datum for takes (the zero
-// value for puts). The datum rides in the waiting or fulfilling node's
-// embedded box, so no separate box circulates. commit, if non-nil, is the
+// value for puts). The datum rides inline in the waiting or fulfilling
+// node, so no separate box circulates. commit, if non-nil, is the
 // commit step (see Withdrawn). A transfer that has to wait is a
 // reservation awaited on the spot, as in the queue.
 func (q *DualStack[T]) transfer(isData bool, v T, deadline time.Time, cancel <-chan struct{}, commit func() bool) (T, Status) {
@@ -247,10 +244,7 @@ func (q *DualStack[T]) engageWait(v T, mode uint8, deadline time.Time) (T, *snod
 			}
 			if s == nil {
 				s = q.getNode(mode)
-				if mode == modeData {
-					s.box.v = v
-					s.item.Store(&s.box)
-				}
+				s.v = v
 			}
 			s.next.Store(h)
 			// The closed check above and the push CAS below bracket the
@@ -275,10 +269,7 @@ func (q *DualStack[T]) engageWait(v T, mode uint8, deadline time.Time) (T, *snod
 			}
 			if f == nil {
 				f = q.getNode(mode | modeFulfilling)
-				if mode == modeData {
-					f.box.v = v
-					f.item.Store(&f.box)
-				}
+				f.v = v
 			}
 			f.next.Store(h)
 			if q.f.FailCAS(fault.SFulfillCAS) || !q.head.CompareAndSwap(h, f) {
@@ -301,7 +292,7 @@ func (q *DualStack[T]) engageWait(v T, mode uint8, deadline time.Time) (T, *snod
 					q.head.CompareAndSwap(f, mn) // pop both
 					q.putSpare(s)                // push spare, never linked
 					if mode == modeRequest {
-						return m.item.Load().v, nil, OK
+						return m.v, nil, OK
 					}
 					return zero, nil, OK
 				}
@@ -386,14 +377,12 @@ func (w swait[T]) Arm(idx uint32) { w.s.waiter.Store(idx + 1) }
 // successor is recorded first so the sweep is bounded even while other
 // threads push above us.
 func (q *DualStack[T]) clean(s *snode[T]) {
-	s.item.Store(nil)
 	s.waiter.Store(0)
 	// Scrub the abandoned datum so the dead node, which may linger linked
 	// until a later sweep, does not pin the caller's value. Safe because
 	// the self-match (or eviction) CAS already won: no fulfiller will
-	// read this box.
-	var zero T
-	s.box.v = zero
+	// read it.
+	s.v = *new(T)
 
 	past := s.next.Load()
 	if past != nil && q.isDead(past) {

@@ -148,11 +148,11 @@ func expectCollected(t *testing.T, what string, collected chan struct{}) {
 }
 
 // TestDualQueuePoolsRetainNoUserValues proves the scrubbing half of the
-// recycling doctrine end to end: values that traveled through pooled item
-// boxes — a completed hand-off (the taker recycles the producer's box) and
-// an abandoned offer (the producer reclaims its own box) — must become
-// garbage once the operations finish, even though the boxes themselves stay
-// cached in the live queue's pool.
+// recycling doctrine end to end: values that traveled through lent value
+// boxes — a completed hand-off (the taker unboxes the producer's box) and
+// an abandoned offer (the producer unboxes its own) — must become garbage
+// once the operations finish, even though the boxes themselves stay in the
+// live queue's box table.
 func TestDualQueuePoolsRetainNoUserValues(t *testing.T) {
 	q := NewDualQueue[*[]byte](WaitConfig{})
 
@@ -176,7 +176,7 @@ func TestDualQueuePoolsRetainNoUserValues(t *testing.T) {
 }
 
 // TestDualStackDeadNodesRetainNoUserValues is the stack-side scrub proof:
-// an abandoned datum rides in its node's embedded box, and clean zeroes it,
+// an abandoned datum rides inline in its node, and clean zeroes it,
 // so the value is collectable even while the dead node itself lingers (it
 // may stay linked as debris until a later sweep, and Go's GC offers no
 // finalizer-like hook for when that happens).
@@ -204,47 +204,48 @@ func TestDualStackDeadNodesRetainNoUserValues(t *testing.T) {
 	offer(q, nil)
 }
 
-// TestPoolScrubbingWhitebox checks the scrub invariants at the pool
-// boundary directly: nothing enters a pool still referencing user data or
-// stack/queue links. These invariants are what make the close-sentinel and
-// cancellation logic sound across recycling — item words are compared
-// against sentinel pointers by identity, so a recycled box or spare that
-// leaked an old reference could alias a live comparison.
+// TestPoolScrubbingWhitebox checks the scrub invariants at the pool and
+// box-table boundary directly: nothing enters a pool or goes back to the
+// table still referencing user data, stack/queue links or a box index.
+// These invariants are what make the close-sentinel and cancellation logic
+// sound across recycling — item and match words are compared against
+// sentinels by identity, so a recycled spare that leaked an old reference
+// could alias a live comparison.
 func TestPoolScrubbingWhitebox(t *testing.T) {
 	v := new(int)
 
 	q := NewDualQueue[*int](WaitConfig{})
 	b := q.getBox(v)
-	q.putBox(b)
-	if b.v != nil {
-		t.Error("queue putBox left the user value in the pooled box")
+	if got := q.unbox(b); got != v {
+		t.Fatal("unbox did not return the boxed value")
+	}
+	if *q.boxes.At(b - 1) != nil {
+		t.Error("queue unbox left the user value in the returned box")
 	}
 	n := q.getNode(true, false)
 	n.item.Store(b)
 	q.putSpare(n)
-	if n.item.Load() != nil {
-		t.Error("queue putSpare left the item pointer in the pooled spare")
+	if n.item.Load() != noItem {
+		t.Error("queue putSpare left the item word in the pooled spare")
 	}
 
 	s := NewDualStack[*int](WaitConfig{})
 	sn := s.getNode(modeData)
-	sn.box.v = v
-	sn.item.Store(&sn.box)
+	sn.v = v
 	sn.next.Store(&snode[*int]{})
 	s.putSpare(sn)
-	if sn.box.v != nil || sn.item.Load() != nil || sn.next.Load() != nil {
+	if sn.v != nil || sn.next.Load() != nil {
 		t.Error("stack putSpare left value or links in the pooled spare")
 	}
 
-	// clean must scrub a dead node's embedded box even though the node
-	// itself is never pooled.
+	// clean must scrub a dead node's datum even though the node itself
+	// is never pooled.
 	dead := s.getNode(modeData)
-	dead.box.v = v
-	dead.item.Store(&dead.box)
+	dead.v = v
 	dead.match.Store(dead) // self-matched: canceled
 	s.clean(dead)
-	if dead.box.v != nil {
-		t.Error("stack clean left the user value in the dead node's box")
+	if dead.v != nil {
+		t.Error("stack clean left the user value in the dead node")
 	}
 }
 

@@ -67,7 +67,7 @@ func TestResolveBeforeArm(t *testing.T) {
 		qt := tk.(*QueueTicket[int])
 		w := armHook[qwait[int]]{w: qt.waiter(), before: func() { q.Put(7) }}
 		o, _ := park.Await(w, park.Policy{Cal: q.cal, M: h, Parkers: &q.parkers}, time.Time{}, nil, 0)
-		p := qt.node.waiter.Load() // before collect forgets it
+		p := qt.node.parker() // before collect forgets it
 		check(t, h, &q.parkers, p, o, qt.collect(qt.node.item.Load()))
 	})
 	t.Run("stack", func(t *testing.T) {

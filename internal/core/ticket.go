@@ -31,11 +31,11 @@ import (
 // (from ReservePut).
 type QueueTicket[T any] struct {
 	q    *DualQueue[T]
-	node *qnode[T]
-	pred *qnode[T]
-	e    *qitem[T] // the node's initial item state
-	t0   int64     // reservation arrival, for the latency histograms
-	done bool      // a follow-up already consumed the outcome
+	node *qnode
+	pred *qnode
+	e    uint32 // the node's initial item word
+	t0   int64  // reservation arrival, for the latency histograms
+	done bool   // a follow-up already consumed the outcome
 }
 
 // ReserveTake registers a request for a value (the request operation,
@@ -45,16 +45,14 @@ type QueueTicket[T any] struct {
 // panics if the queue is closed, like the demand operations.
 func (q *DualQueue[T]) ReserveTake() (T, Ticket[T], bool) {
 	t0 := q.m.Start()
-	imm, s, pred, st := q.engage(nil, time.Time{}, false)
-	tk := q.arrive(t0, nil, s, pred, st, false)
+	imm, s, pred, st := q.engage(noItem, time.Time{}, false)
+	tk := q.arrive(t0, noItem, s, pred, st, false)
 	if st == Closed {
 		panic(errClosedDemand)
 	}
 	if tk.node == nil {
-		// Consume the delivered value and recycle the fulfiller's box.
-		v := imm.v
-		q.putBox(imm)
-		return v, nil, true
+		// Consume the delivered value out of the producer's box.
+		return q.unbox(imm), nil, true
 	}
 	var zero T
 	t := tk // only a pending reservation pays for a heap ticket
@@ -84,23 +82,18 @@ func (q *DualQueue[T]) ReservePut(v T) (Ticket[T], bool) {
 func (t *QueueTicket[T]) waiter() qwait[T] { return qwait[T]{q: t.q, s: t.node, e: t.e} }
 
 // collect completes a fulfilled reservation whose item word reads x: help
-// dequeue the node, then — for a take — consume and recycle the producer's
-// box (a put's box belongs to its taker).
-func (t *QueueTicket[T]) collect(x *qitem[T]) T {
+// dequeue the node, then — for a take — unbox the producer's box (a put's
+// box belongs to its taker, and x is noItem).
+func (t *QueueTicket[T]) collect(x uint32) T {
 	t.q.finish(t.node, t.pred, x)
-	var v T
-	if x != nil {
-		v = x.v
-		t.q.putBox(x)
-	}
-	return v
+	return t.q.unbox(x)
 }
 
 // drop disposes of an abandoned reservation: unlink its dead node and
 // reclaim the datum, which never transferred.
 func (t *QueueTicket[T]) drop() {
 	t.q.clean(t.pred, t.node)
-	t.q.putBox(t.e)
+	t.q.unbox(t.e)
 }
 
 // TryFollowup checks, without blocking, whether the reservation has been
@@ -214,7 +207,7 @@ func (t *StackTicket[T]) collect() T {
 	t.q.finishMatch(t.node)
 	var v T
 	if t.node.mode == modeRequest {
-		v = t.node.match.Load().item.Load().v
+		v = t.node.match.Load().v
 	}
 	return v
 }

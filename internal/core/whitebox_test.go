@@ -10,7 +10,7 @@ import (
 // API because they depend on precise interleavings.
 
 // buildQueue links the given nodes behind the dummy and fixes up tail.
-func buildQueue(q *DualQueue[int], nodes ...*qnode[int]) {
+func buildQueue(q *DualQueue[int], nodes ...*qnode) {
 	cur := q.head.Load()
 	for _, n := range nodes {
 		cur.next.Store(n)
@@ -19,15 +19,15 @@ func buildQueue(q *DualQueue[int], nodes ...*qnode[int]) {
 	q.tail.Store(cur)
 }
 
-func dataNode(q *DualQueue[int], v int) *qnode[int] {
-	n := &qnode[int]{isData: true}
-	n.item.Store(&qitem[int]{v: v})
+func dataNode(q *DualQueue[int], v int) *qnode {
+	n := q.getNode(true, false)
+	n.item.Store(q.getBox(v))
 	return n
 }
 
-func canceledNode(q *DualQueue[int]) *qnode[int] {
-	n := &qnode[int]{isData: true}
-	n.item.Store(q.canceled)
+func canceledNode(q *DualQueue[int]) *qnode {
+	n := q.getNode(true, false)
+	n.item.Store(itemCanceled)
 	return n
 }
 
@@ -201,17 +201,15 @@ func TestFinishForgetsReferences(t *testing.T) {
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	if x := node.item.Load(); x != q.canceled {
-		t.Fatal("fulfilled request node still holds the data reference")
+	if x := node.item.Load(); x != itemCanceled {
+		t.Fatal("fulfilled request node still names the data's box")
 	}
 }
 
 // --- dual stack clean() branches ---
 
 func stackDataNode(v int) *snode[int] {
-	n := &snode[int]{mode: modeData}
-	n.item.Store(&qitem[int]{v: v})
-	return n
+	return &snode[int]{mode: modeData, v: v}
 }
 
 func stackCanceledNode() *snode[int] {

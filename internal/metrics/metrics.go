@@ -80,11 +80,12 @@ const (
 	// close themselves after racing an in-flight close sweep.
 	ClosedWakeups
 	// NodeAllocs counts hot-path allocations the recycling layer could
-	// not avoid: a waiter node or item box requested while its pool was
-	// empty.
+	// not avoid: a waiter node requested while its pool was empty, or a
+	// value box newly issued by the dual queue's box table.
 	NodeAllocs
-	// NodeReuses counts waiter nodes and item boxes served from a
-	// structure's recycling pool instead of the allocator.
+	// NodeReuses counts waiter nodes served from a structure's recycling
+	// pool instead of the allocator, and value boxes taken from the box
+	// table's free stack.
 	NodeReuses
 	// SpinBudget is a gauge, not a counter: the adaptive calibrator's
 	// current untimed spin budget (see internal/spin.Calibrator), written

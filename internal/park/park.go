@@ -64,12 +64,9 @@ var sigPool = sync.Pool{
 // goroutine.
 type Parker struct {
 	state atomic.Uint32
-	// link is a Table's free-stack link; it fills the word of padding
-	// after state, so it costs a parker no size.
-	link atomic.Uint32
-	sig  atomic.Pointer[notifier]
-	m    *metrics.Handle
-	f    *fault.Injector
+	sig   atomic.Pointer[notifier]
+	m     *metrics.Handle
+	f     *fault.Injector
 }
 
 // New returns a Parker with no permit available.

@@ -1,6 +1,7 @@
 package park
 
 import (
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -63,10 +64,8 @@ func TestTableRoundTripAcrossChunks(t *testing.T) {
 		seen[p] = true
 		lent[i] = p
 	}
-	for _, b := range []uint32{7, 8, 23, 24, 55, 56, 119, 120} {
-		if k, _ := locate(b); tb.dir.Load()[k].Load() == nil {
-			t.Fatalf("index %d: chunk %d was never created", b, k)
-		}
+	if got, want := tb.t.Cap(), 8+16+32+64+128; got != want {
+		t.Fatalf("table holds %d parkers after issuing %d indexes, want the first five chunks' %d", got, n, want)
 	}
 	for i, p := range lent {
 		if q := tb.At(uint32(i)); q != p {
@@ -82,7 +81,7 @@ func TestTableRoundTripAcrossChunks(t *testing.T) {
 			t.Fatalf("re-lent index %d does not map back to its parker", i)
 		}
 	}
-	if got := tb.issued.Load(); got != n {
+	if got := tb.t.Issued(); got != n {
 		t.Fatalf("issued %d indexes, want %d: re-lending issued new ones", got, n)
 	}
 }
@@ -109,13 +108,13 @@ func TestTableKeepsPeak(t *testing.T) {
 			t.Fatalf("lend %d of the second burst got a parker the first never issued", k)
 		}
 	}
-	if got := tb.issued.Load(); got != peak {
+	if got := tb.t.Issued(); got != peak {
 		t.Fatalf("issued %d indexes after two bursts of %d, want %d", got, peak, peak)
 	}
 	if _, p := tb.Lend(); first[p] {
 		t.Fatal("a lend beyond the peak got a parker that is still lent")
 	}
-	if got := tb.issued.Load(); got != peak+1 {
+	if got := tb.t.Issued(); got != peak+1 {
 		t.Fatalf("issued %d indexes after a burst of %d, want %d", got, peak+1, peak+1)
 	}
 }
@@ -167,7 +166,7 @@ func TestTableLendReturnStorm(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if issued, pk := int32(tb.issued.Load()), peak.Load(); issued > pk {
+	if issued, pk := int32(tb.t.Issued()), peak.Load(); issued > pk {
 		t.Fatalf("issued %d indexes with at most %d concurrent borrowers", issued, pk)
 	}
 }
@@ -176,18 +175,24 @@ func TestTableLendReturnStorm(t *testing.T) {
 // parked wait, while the fields an embedding structure places before the
 // table are read on every operation; a full line of offset keeps them
 // apart. Every structure embeds a table, so it stays within two lines,
-// and its directory and chunks wait for the first Lend.
+// and its directory and chunks wait for the first Lend. The free-stack
+// links live beside the parkers, not in them, so a parker stays 32 bytes.
 func TestTableFreeStackIsolated(t *testing.T) {
 	const cacheLine = 64
 	var tb Table
-	if off := unsafe.Offsetof(tb.free); off < cacheLine {
+	f, _ := reflect.TypeOf(&tb.t).Elem().FieldByName("free")
+	if off := unsafe.Offsetof(tb.t) + f.Offset; off < cacheLine {
 		t.Fatalf("Table.free offset = %d, want at least %d: its writes would share a line with the embedding structure's fields", off, cacheLine)
 	}
 	if got := unsafe.Sizeof(tb); got > 2*cacheLine {
 		t.Fatalf("Table size = %d, want at most %d", got, 2*cacheLine)
 	}
-	if tb.dir.Load() != nil {
-		t.Fatal("a fresh table already has a chunk directory")
+	if tb.t.Cap() != 0 {
+		t.Fatal("a fresh table already holds parkers")
+	}
+	var p Parker
+	if got := unsafe.Sizeof(p); got != 32 {
+		t.Fatalf("Parker size = %d, want 32", got)
 	}
 }
 

@@ -171,7 +171,7 @@ func Fair(fair bool) Option {
 // still decides pairing — each side's counter is FIFO by construction —
 // so a segmented queue reports Fair() true; what changes is the memory
 // system's view: one 320-byte allocation amortizes over a whole segment
-// of 16 transfers (20 bytes each, against the dual queue's 24-byte node
+// of 16 transfers (20 bytes each, against the dual queue's 16-byte node
 // per waiter), hot-path pointer chasing disappears, and fully consumed or
 // aborted segments are unlinked so cancellation storms cannot grow the
 // structure (see DESIGN.md "Segmented core").
