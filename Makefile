@@ -44,7 +44,7 @@ bench-overhead:
 # hand-off allocates more than its measured steady state (one per pair on
 # the queues, two on the stack and the exchanger — an escaping waiter in
 # the shared wait loop shows up here) or more heap bytes than its nodes
-# (24 per pair on the queues, 96 on the stack, 48 on the exchanger), the
+# (16 per pair on the queues, 64 on the stack, 48 on the exchanger), the
 # layout pins fail if a node, cell or segment changes size or a contended
 # word moves onto a shared line, the parker-table tests fail if an index
 # stops mapping back to its parker, is lent to two borrowers at once, or
@@ -54,10 +54,11 @@ bench-overhead:
 # grows per-item bookkeeping on the heap, the fabric budget test fails if
 # a hand-off through the shard fabric (one shard or self-scaling, over
 # each core) allocates anything beyond the bare core's budget, the pool
-# tests fail if the task envelope leaves the 48-byte class or an accepted
-# task on the executor's hand-off path costs more heap bytes than the
-# envelope, its dispatch wrapper and the worker's queue node, and the
-# short benchmark run prints the allocs/op figures for eyeballing
+# envelope tests fail if the recycled task envelope outgrows 64 bytes, a
+# shed task's still-buffered wrapper runs or lets its envelope be reused
+# early, or an accepted task on the executor's hand-off path costs more
+# heap bytes than the worker's 16-byte queue node plus refill slack (24),
+# and the short benchmark run prints the allocs/op figures for eyeballing
 # regressions.
 bench-smoke:
 	go test -run TestHandoffAllocBudget -count 1 ./internal/core/
@@ -65,7 +66,7 @@ bench-smoke:
 	go test -run 'Table' -count 1 ./internal/lend/ ./internal/park/
 	go test -run TestSegmentedAllocBudget -count 1 ./internal/segq/
 	go test -run TestFabricAllocBudget -count 1 ./internal/shard/
-	go test -run 'TestEnvelopeSize|TestHandoffAllocBudget' -count 1 -v ./pool/
+	go test -run 'Envelope|TestHandoffAllocBudget' -count 1 -v ./pool/
 	go test -run - -bench BenchmarkHandoffAllocs -benchtime 100x -benchmem ./internal/core/
 
 # Scaling smoke gate: a short producer×consumer sweep reduced (via -cores)

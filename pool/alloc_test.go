@@ -9,24 +9,24 @@ import (
 	"synchq"
 )
 
-// The envelope is the one allocation every accepted task pays for, so its
-// size class is part of the executor's per-task cost: 48 bytes, not the
-// 80-byte class a time.Time deadline would push it into.
+// Envelopes are recycled per pool, so the envelope's size is memory a
+// pool retains (at most maxFreeEnvs of them), not a per-task cost; the cap
+// keeps it within the 64-byte size class — the 80-byte class a time.Time
+// deadline would push it into fails here.
 func TestEnvelopeSize(t *testing.T) {
-	if got := unsafe.Sizeof(taskEnv{}); got != 48 {
-		t.Fatalf("taskEnv is %d bytes, want 48", got)
+	if got := unsafe.Sizeof(taskEnv{}); got > 64 {
+		t.Fatalf("taskEnv is %d bytes, want at most 64", got)
 	}
 }
 
 // TestHandoffAllocBudget measures heap bytes per accepted task on the
 // Submit fast path: an idle worker is already waiting in its poll, so the
-// task is handed straight to it. What may reach the heap is the 48-byte
-// envelope, the 24-byte dispatch wrapper, and the worker's 16-byte queue
-// node for its next poll — 88 bytes; the task rides in a value box and the
-// worker's parker is lent, both from the queue's index tables, not
-// allocated. The limit leaves 7 bytes for the occasional pool refill; a
-// queue node with a pointer to its value box (24 bytes) makes it 96
-// before those refills, and an envelope in the 80-byte class makes it 120.
+// task is handed straight to it. The envelope and its dispatch wrapper are
+// recycled, the task rides in a value box and the worker's parker is lent,
+// both from the queue's index tables, so what reaches the heap is the
+// worker's 16-byte queue node for its next poll. The limit leaves 8 bytes
+// for the occasional pool refill; an envelope allocated per task (48
+// bytes) plus its wrapper (24) reads ~89-93 and fails.
 func TestHandoffAllocBudget(t *testing.T) {
 	q := synchq.New[Task](synchq.Fair(true))
 	p := New(q, Config{KeepAlive: time.Minute, MaxWorkers: 1})
@@ -64,9 +64,9 @@ func TestHandoffAllocBudget(t *testing.T) {
 		t.Fatalf("%d of %d submissions were hand-offs, want all", h, rounds)
 	}
 	perTask := float64(m1.TotalAlloc-m0.TotalAlloc) / rounds
-	budget := 95.0
+	budget := 24.0
 	if raceEnabled {
-		budget += 64 // sync.Pool drops a quarter of Puts under -race
+		budget += 64 // see raceEnabled
 	}
 	t.Logf("%.1f B per accepted task", perTask)
 	if perTask > budget {

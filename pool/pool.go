@@ -209,6 +209,8 @@ type Pool struct {
 	pendMu   sync.Mutex
 	pendHead *taskEnv
 	pendTail *taskEnv
+	free     *taskEnv // recycled envelopes, guarded by pendMu
+	freeN    int      // length of the free list, at most maxFreeEnvs
 
 	// Crash-loop detection: consecutive panicking tasks trip the
 	// breaker, which disables pool growth until a task succeeds.
@@ -352,12 +354,12 @@ func (p *Pool) submit(ctx context.Context, t Task) error {
 		return err
 	}
 
-	env := &taskEnv{t: t}
+	var due int64
 	if !deadline.IsZero() {
 		// Positive: the deadline was checked unexpired above.
-		env.due = metrics.NanosAt(deadline)
+		due = metrics.NanosAt(deadline)
 	}
-	p.link(env)
+	env := p.link(t, due)
 	p.inj.Preempt(fault.PoolAdmitPause)
 
 	// Below the core size, spawn unconditionally (ThreadPoolExecutor
@@ -371,9 +373,12 @@ func (p *Pool) submit(ctx context.Context, t Task) error {
 
 	// Fast path: hand to the queue — for a synchronous queue this
 	// succeeds only if a worker is idle in a poll right now; a buffered
-	// queue accepts unconditionally.
-	wrapper := func() { p.dispatch(env) }
-	if p.q.Offer(wrapper) {
+	// queue accepts unconditionally. The envelope builds its wrapper once
+	// and reuses it for every later task it carries.
+	if env.run == nil {
+		env.run = func() { p.dispatch(env) }
+	}
+	if p.q.Offer(env.run) {
 		p.handoffs.Add(1)
 		p.accepted.Add(1)
 		return nil
@@ -397,13 +402,13 @@ func (p *Pool) submit(ctx context.Context, t Task) error {
 		p.accepted.Add(1)
 		return nil
 	case Wait:
-		return p.offerBlocking(env, wrapper, ctx, deadline, false)
+		return p.offerBlocking(env, ctx, deadline, false)
 	case BlockWithDeadline:
 		bound := time.Now().Add(p.patience)
 		if !deadline.IsZero() && deadline.Before(bound) {
 			bound = deadline
 		}
-		return p.offerBlocking(env, wrapper, ctx, bound, true)
+		return p.offerBlocking(env, ctx, bound, true)
 	case ShedOldest:
 		// A synchronous hand-off has no buffered backlog to evict in
 		// the queue itself; shedding the oldest pending submission
@@ -486,14 +491,14 @@ func (p *Pool) reserve(ctx context.Context, deadline time.Time) error {
 	}
 }
 
-// offerBlocking lands the wrapper with a real blocking offer: the queue's
+// offerBlocking lands env's wrapper with a real blocking offer: the queue's
 // cancelable OfferWait when available, otherwise a yielding retry loop
 // that still honors cancellation, shutdown, and the bound. A zero bound
 // means wait indefinitely (Wait policy without a submission deadline).
-func (p *Pool) offerBlocking(env *taskEnv, wrapper Task, ctx context.Context, bound time.Time, saturation bool) error {
+func (p *Pool) offerBlocking(env *taskEnv, ctx context.Context, bound time.Time, saturation bool) error {
 	if p.wq != nil {
 		cancel, stop := p.mergedCancel(ctx)
-		ok := p.wq.OfferWait(wrapper, bound, cancel)
+		ok := p.wq.OfferWait(env.run, bound, cancel)
 		stop()
 		if ok {
 			p.handoffs.Add(1)
@@ -502,7 +507,7 @@ func (p *Pool) offerBlocking(env *taskEnv, wrapper Task, ctx context.Context, bo
 		}
 	} else {
 		for backoff := time.Microsecond; ; {
-			if p.q.Offer(wrapper) {
+			if p.q.Offer(env.run) {
 				p.handoffs.Add(1)
 				p.accepted.Add(1)
 				return nil
@@ -567,7 +572,8 @@ func (p *Pool) refuse(expired bool) {
 // hand-off and returns err, tallying the refusal. If a concurrent shedder
 // or drain already claimed the envelope, the submission actually was
 // accepted — its fate (shed or returned) is already counted — so the
-// caller gets nil and no refusal is recorded.
+// caller gets nil and no refusal is recorded. Either way the submitter's
+// dispatch reference is dropped: env must not be touched afterwards.
 func (p *Pool) unwind(env *taskEnv, err error) error {
 	if env.claim(envAborted) {
 		p.settle(env)
@@ -576,6 +582,7 @@ func (p *Pool) unwind(env *taskEnv, err error) error {
 		}
 		return err
 	}
+	p.drop(env)
 	p.accepted.Add(1)
 	return nil
 }
@@ -676,19 +683,23 @@ func (p *Pool) worker(env *taskEnv) {
 // dispatch claims env and runs its task — unless the task's deadline
 // passed while it waited, in which case it is shed before execution. A
 // lost claim means a shedder or forced drain already settled the task.
+// The caller's dispatch reference is dropped either way, so env may be
+// reused by another submission as soon as dispatch has read its fields.
 func (p *Pool) dispatch(env *taskEnv) {
 	if !env.claim(envRunning) {
+		p.drop(env)
 		return
 	}
+	t, due, enq := env.t, env.due, env.enq
 	p.settle(env)
-	p.h.Since(metrics.QueueWaitNs, env.enq)
-	if env.due != 0 && metrics.Nanos() >= env.due {
+	p.h.Since(metrics.QueueWaitNs, enq)
+	if due != 0 && metrics.Nanos() >= due {
 		p.shedN.Add(1)
 		p.h.Inc(metrics.TasksShed)
 		return
 	}
 	p.active.Add(1)
-	p.execute(env.t)
+	p.execute(t)
 	p.active.Add(-1)
 }
 
