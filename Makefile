@@ -58,11 +58,18 @@ bench-overhead:
 # shed task's still-buffered wrapper runs or lets its envelope be reused
 # early, or an accepted task on the executor's hand-off path costs more
 # heap bytes than the worker's 16-byte queue node plus refill slack (24),
-# and the short benchmark run prints the allocs/op figures for eyeballing
+# the metrics handle layout test fails if an idle handle carries
+# histogram bytes (2000 bytes; all ten histograms would add 5040), the
+# instrumented core rows fail if a histogram is built more than once
+# rather than on its first record, the instrumented build test fails if
+# an instrumented AutoShard fair queue at GOMAXPROCS 2 allocates more than
+# 10 KB (8.6 KB measured; histograms built up front make it 27 KB), and
+# the short benchmark run prints the allocs/op figures for eyeballing
 # regressions.
 bench-smoke:
 	go test -run TestHandoffAllocBudget -count 1 ./internal/core/
-	go test -run 'Layout|QuarterLine' -count 1 ./internal/core/ ./internal/segq/ ./internal/exchanger/
+	go test -run 'Layout|QuarterLine' -count 1 ./internal/core/ ./internal/segq/ ./internal/exchanger/ ./internal/metrics/
+	go test -run TestInstrumentedBuildBytes -count 1 -v .
 	go test -run 'Table' -count 1 ./internal/lend/ ./internal/park/
 	go test -run TestSegmentedAllocBudget -count 1 ./internal/segq/
 	go test -run TestFabricAllocBudget -count 1 ./internal/shard/

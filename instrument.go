@@ -321,9 +321,10 @@ func (s Stats) Merge(o Stats) Stats {
 
 // LatencyRecorder exposes direct recording into one of m's histograms
 // under its stable name ("handoff", "spin", "park", "wasted", "steal",
-// "elim", "fallback"), for callers measuring phases the structures cannot
-// see (e.g. end-to-end application latency around a queue operation).
-// Unknown names return a no-op recorder.
+// "elim", "fallback", "queue-wait", "exec", "drain"), for callers
+// measuring phases the structures cannot see (e.g. end-to-end application
+// latency around a queue operation). Unknown names return a no-op
+// recorder.
 func (m *Metrics) LatencyRecorder(name string) func(time.Duration) {
 	if m == nil {
 		return func(time.Duration) {}

@@ -1,11 +1,13 @@
 package synchq_test
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"synchq"
+	"synchq/internal/metrics"
 )
 
 // pairN drives n put/take pairs through q from two goroutines.
@@ -215,4 +217,45 @@ func TestLatencyRecorder(t *testing.T) {
 	}
 	// Unknown names are a silent no-op, not a panic.
 	m.LatencyRecorder("no-such-histogram")(time.Second)
+}
+
+// TestLatencyRecorderNames checks that every histogram name yields a
+// recorder whose sample shows up under that name in Stats, so the names
+// documented on LatencyRecorder cover the whole inventory.
+func TestLatencyRecorderNames(t *testing.T) {
+	m := synchq.NewMetrics()
+	for _, name := range metrics.HistogramNames() {
+		m.LatencyRecorder(name)(time.Microsecond)
+	}
+	lat := m.Stats().Latency
+	for _, name := range metrics.HistogramNames() {
+		if got := lat[name].Count; got != 1 {
+			t.Errorf("Stats().Latency[%q].Count = %d, want 1", name, got)
+		}
+	}
+}
+
+// TestInstrumentedBuildBytes bounds the heap bytes of building an
+// instrumented AutoShard fair queue at GOMAXPROCS 2: a root metrics handle
+// and one per shard (2000 B each, histograms built on first record), the
+// shards' counter blocks and the cores. It measures 8.6 KB; handles that
+// built all ten histograms up front would make it 27.0 KB.
+func TestInstrumentedBuildBytes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const builds, limit = 32, 10 << 10
+	sink := make([]*synchq.SynchronousQueue[int64], builds)
+	best := uint64(1<<63 - 1)
+	for round := 0; round < 3; round++ { // the least-disturbed round counts
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := range sink {
+			sink[i] = synchq.New[int64](synchq.Fair(true), synchq.AutoShard(), synchq.Instrument(synchq.NewMetrics()))
+		}
+		runtime.ReadMemStats(&m1)
+		best = min(best, (m1.TotalAlloc-m0.TotalAlloc)/builds)
+	}
+	t.Logf("instrumented AutoShard fair queue: %d B per build", best)
+	if best > limit {
+		t.Errorf("building an instrumented AutoShard fair queue allocates %d B, want at most %d", best, limit)
+	}
 }

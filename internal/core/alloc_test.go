@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"synchq/internal/exchanger"
+	"synchq/internal/metrics"
 )
 
 // This file pins the zero-allocation hand-off hot path: with value boxes
@@ -133,6 +134,19 @@ func TestHandoffAllocBudget(t *testing.T) {
 	})
 	t.Run("DualStack", func(t *testing.T) {
 		q := NewDualStack[int64](cfg)
+		allocs, bytes := measurePairAllocs(t, q.Put, q.Take)
+		budget(t, "put/take", allocs, bytes, 2, 64, false)
+	})
+	// Instrumented rows: counters and sampled histograms on, same budgets.
+	// The first sampled record into each histogram builds it during
+	// warm-up; a histogram built once per sample would fail here.
+	t.Run("DualQueueInstrumented", func(t *testing.T) {
+		q := NewDualQueue[int64](WaitConfig{Metrics: metrics.New(), Spins: 1 << 30})
+		allocs, bytes := measurePairAllocs(t, q.Put, q.Take)
+		budget(t, "put/take", allocs, bytes, 1, 16, false)
+	})
+	t.Run("DualStackInstrumented", func(t *testing.T) {
+		q := NewDualStack[int64](WaitConfig{Metrics: metrics.New(), Spins: 1 << 30})
 		allocs, bytes := measurePairAllocs(t, q.Put, q.Take)
 		budget(t, "put/take", allocs, bytes, 2, 64, false)
 	})

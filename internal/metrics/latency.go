@@ -10,12 +10,13 @@ import (
 
 // This file is the latency layer of the instrumentation package: fixed-size
 // log₂-nanosecond histograms recorded with the same discipline as the
-// counters — lock-free, allocation-free, nil-safe, cache-line padded — so
-// that enabling them perturbs the hand-off paths by clock reads only, and
-// disabling them costs exactly one predictable branch. Log₂ buckets trade
-// resolution the paper's figures do not need (ns/transfer curves span four
-// decades) for a Record that is one bits.Len64 plus one atomic add, with no
-// search, no table, and no configuration.
+// counters — lock-free, nil-safe, and allocation-free once a histogram is
+// built by its first record — so that enabling them perturbs the hand-off
+// paths by clock reads only, and disabling them costs exactly one
+// predictable branch. Log₂ buckets trade resolution the paper's figures do
+// not need (ns/transfer curves span four decades) for a Record that is one
+// bits.Len64 plus one atomic add, with no search, no table, and no
+// configuration.
 
 // HistID names one latency histogram in a Handle's set.
 type HistID int
@@ -148,15 +149,16 @@ func BucketValue(i int) int64 {
 }
 
 // Histogram is one lock-free log₂-nanosecond histogram: 64 atomic
-// buckets. Unlike the Handle's counters the buckets are deliberately NOT
-// cache-line padded: a padded histogram set is ~28KB per handle, and the
-// resulting cache footprint taxes the instrumented hot path far more than
-// the occasional false share between adjacent buckets (under a steady
-// latency distribution only a handful of buckets are hot, and neighbors
-// are rarely hot together). The zero value is ready to use; it must not be
-// copied after first use. Unlike Handle it has no nil-receiver contract —
-// a standalone Histogram is always live; the nil-safe path goes through
-// Handle.Record/Handle.Since.
+// buckets, 512 bytes. Unlike the Handle's counters the buckets are
+// deliberately NOT cache-line padded: a padded histogram is 4 KB (40 KB
+// for a handle's ten), and the resulting cache footprint taxes the
+// instrumented hot path far more than the occasional false share between
+// adjacent buckets (under a steady latency distribution only a handful of
+// buckets are hot, and neighbors are rarely hot together). A Handle builds
+// each of its histograms on the first record into it. The zero value is
+// ready to use; it must not be copied after first use. Unlike Handle it
+// has no nil-receiver contract — a standalone Histogram is always live;
+// the nil-safe path goes through Handle.Record/Handle.Since.
 type Histogram struct {
 	b [HistBuckets]atomic.Int64
 }
@@ -334,10 +336,12 @@ func (h *Handle) Start() int64 {
 	return Nanos()
 }
 
-// Record adds one sample to the histogram. No-op on a nil handle.
+// Record adds one sample to the histogram, building the histogram on the
+// handle's first record into it (its only allocation). No-op on a nil
+// handle.
 func (h *Handle) Record(id HistID, d time.Duration) {
 	if h != nil {
-		h.hist[id].Record(d)
+		h.histogram(id).Record(d)
 	}
 }
 
@@ -346,28 +350,36 @@ func (h *Handle) Record(id HistID, d time.Duration) {
 // taken through a nil handle flows through unrecorded.
 func (h *Handle) Since(id HistID, t0 int64) {
 	if h != nil && t0 != 0 {
-		h.hist[id].Record(time.Duration(Nanos() - t0))
+		h.histogram(id).Record(time.Duration(Nanos() - t0))
 	}
 }
 
-// Hist returns the underlying histogram (nil on a nil handle), for callers
-// that record many samples in a loop and want to hoist the handle check.
-func (h *Handle) Hist(id HistID) *Histogram {
-	if h == nil {
-		return nil
+// histogram returns the handle's histogram for id, building it on the
+// first call. One CAS publishes it and a recorder that loses the race
+// adopts the winner's, so no sample lands in a discarded copy.
+func (h *Handle) histogram(id HistID) *Histogram {
+	slot := &h.hist[id]
+	if g := slot.Load(); g != nil {
+		return g
 	}
-	return &h.hist[id]
+	g := new(Histogram)
+	if slot.CompareAndSwap(nil, g) {
+		return g
+	}
+	return slot.Load()
 }
 
 // Histograms copies the current bucket counts of every histogram (all zero
-// on a nil handle).
+// on a nil handle, and for each histogram nothing has recorded into yet).
 func (h *Handle) Histograms() HistSnapshot {
 	var s HistSnapshot
 	if h == nil {
 		return s
 	}
 	for i := range h.hist {
-		s[i] = h.hist[i].Snapshot()
+		if g := h.hist[i].Load(); g != nil {
+			s[i] = g.Snapshot()
+		}
 	}
 	return s
 }

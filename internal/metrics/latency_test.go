@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -199,8 +200,8 @@ func TestNilHandleZeroOverhead(t *testing.T) {
 	if got := h.Histograms(); got != (HistSnapshot{}) {
 		t.Error("nil handle Histograms() not all-zero")
 	}
-	if h.Hist(HandoffNs) != nil {
-		t.Error("nil handle Hist() returned a live histogram")
+	if got := h.Histograms().Get(HandoffNs); got != (BucketCounts{}) {
+		t.Error("nil handle Histograms().Get(HandoffNs) not empty")
 	}
 
 	// A zero t0 produced through a nil handle must stay unrecorded even
@@ -213,9 +214,12 @@ func TestNilHandleZeroOverhead(t *testing.T) {
 }
 
 // TestLiveHandleRecordNoAlloc checks the enabled path is allocation-free
-// too — the histogram layer must not disturb TestHandoffAllocBudget.
+// once the histograms it records into are installed — the histogram layer
+// must not disturb TestHandoffAllocBudget.
 func TestLiveHandleRecordNoAlloc(t *testing.T) {
 	h := New()
+	h.Record(SpinNs, 0) // the first record into a histogram builds it
+	h.Record(HandoffNs, 0)
 	if n := testing.AllocsPerRun(100, func() {
 		t0 := h.Start()
 		h.Record(SpinNs, time.Microsecond)
@@ -243,5 +247,95 @@ func TestLatencyMapShape(t *testing.T) {
 	}
 	if entry["count"] != 1 {
 		t.Errorf("count = %d, want 1", entry["count"])
+	}
+}
+
+// TestLazyInstallRace records into every histogram of fresh handles from
+// many goroutines at once while others read them, and checks the install
+// protocol: no sample is lost to a histogram that lost the install race
+// (exact per-histogram counts), a slot never changes once set, and reads
+// of an untouched handle install nothing.
+func TestLazyInstallRace(t *testing.T) {
+	rounds, perG := 50, 200
+	if testing.Short() {
+		rounds, perG = 10, 100
+	}
+	const recorders, readers = 6, 2
+	for r := 0; r < rounds; r++ {
+		h := New()
+		h.Histograms()
+		h.Reset()
+		h.Snapshot()
+		for i := range h.hist {
+			if h.hist[i].Load() != nil {
+				t.Fatalf("reading an untouched handle installed %v", HistID(i))
+			}
+		}
+
+		var first [NumHistIDs]atomic.Pointer[Histogram]
+		var start, stop sync.WaitGroup
+		var done atomic.Bool
+		start.Add(1)
+		for g := 0; g < readers; g++ {
+			stop.Add(1)
+			go func() {
+				defer stop.Done()
+				start.Wait()
+				var last HistSnapshot
+				for !done.Load() {
+					for i := range h.hist {
+						cur := h.hist[i].Load()
+						if cur == nil {
+							continue
+						}
+						if !first[i].CompareAndSwap(nil, cur) && first[i].Load() != cur {
+							t.Errorf("%v was replaced after install", HistID(i))
+						}
+					}
+					s := h.Histograms()
+					for i := range s {
+						if s[i].Count() < last[i].Count() {
+							t.Errorf("%v count went back from %d to %d", HistID(i), last[i].Count(), s[i].Count())
+						}
+					}
+					last = s
+				}
+			}()
+		}
+		var rec sync.WaitGroup
+		for g := 0; g < recorders; g++ {
+			rec.Add(1)
+			go func() {
+				defer rec.Done()
+				start.Wait()
+				for i := 0; i < perG; i++ {
+					id := HistID(i % int(NumHistIDs))
+					if i&1 == 0 {
+						h.Record(id, time.Duration(i))
+					} else {
+						h.Since(id, Nanos())
+					}
+				}
+			}()
+		}
+		start.Done()
+		rec.Wait()
+		done.Store(true)
+		stop.Wait()
+
+		s := h.Histograms()
+		for i := HistID(0); i < NumHistIDs; i++ {
+			want := int64(perG / int(NumHistIDs))
+			if int(i) < perG%int(NumHistIDs) {
+				want++
+			}
+			want *= recorders
+			if c := s.Get(i).Count(); c != want {
+				t.Fatalf("round %d: %v count = %d, want %d", r, i, c, want)
+			}
+			if g := first[i].Load(); g != nil && g != h.hist[i].Load() {
+				t.Fatalf("round %d: %v was replaced after install", r, i)
+			}
+		}
 	}
 }

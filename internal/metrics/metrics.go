@@ -217,10 +217,16 @@ type counter struct {
 // a nil *Handle is valid and every method on it is a no-op, which is how
 // the disabled path stays at a single branch. A Handle must not be copied
 // after first use.
+//
+// The latency histograms are built on first record: each slot stays nil
+// until a Record or Since into it installs a Histogram with one CAS, and
+// an installed histogram is never replaced. Readers treat a nil slot as
+// an empty histogram, so a structure pays 512 bytes only for the
+// histograms it records into, not for all NumHistIDs of them.
 type Handle struct {
 	_    [64]byte // keep c[0] off whatever cache line precedes the allocation
 	c    [NumIDs]counter
-	hist [NumHistIDs]Histogram
+	hist [NumHistIDs]atomic.Pointer[Histogram]
 }
 
 // New returns a fresh, zeroed counter set.
@@ -271,7 +277,9 @@ func (h *Handle) Reset() {
 		h.c[i].v.Store(0)
 	}
 	for i := range h.hist {
-		h.hist[i].reset()
+		if g := h.hist[i].Load(); g != nil {
+			g.reset()
+		}
 	}
 }
 

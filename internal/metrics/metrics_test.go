@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestNilHandleIsSafe(t *testing.T) {
@@ -27,6 +28,22 @@ func TestNilHandleIsSafe(t *testing.T) {
 	}
 	if s.String() != "all-zero" {
 		t.Fatalf("nil snapshot String = %q", s.String())
+	}
+}
+
+// TestHandleLayout pins a handle's footprint: a 64-byte leading pad, one
+// padded line per counter, and one pointer per histogram, each nil until
+// its first record, so an idle handle carries no histogram bytes.
+func TestHandleLayout(t *testing.T) {
+	var h Handle
+	if off := unsafe.Offsetof(h.c); off != 64 {
+		t.Errorf("Handle.c offset = %d, want 64", off)
+	}
+	if off, want := unsafe.Offsetof(h.hist), 64+uintptr(NumIDs)*64; off != want {
+		t.Errorf("Handle.hist offset = %d, want %d (%d padded counters)", off, want, NumIDs)
+	}
+	if got := unsafe.Sizeof(h); got != 2000 {
+		t.Errorf("Handle size = %d, want exactly 2000: a 64-B pad, %d padded counters and %d histogram pointers", got, NumIDs, NumHistIDs)
 	}
 }
 

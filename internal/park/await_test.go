@@ -168,7 +168,7 @@ func TestAwaitOutcomes(t *testing.T) {
 		if r.f.arms != 0 || r.spins == 0 || r.spins >= pinned>>4 {
 			t.Errorf("arms=%d spins=%d, want an unarmed wait that spun part of its %d budget", r.f.arms, r.spins, pinned>>4)
 		}
-		if r.h.Load(metrics.Timeouts) != 1 || r.h.Hist(metrics.WastedNs).Snapshot().Count() != 1 {
+		if r.h.Load(metrics.Timeouts) != 1 || r.h.Histograms().Get(metrics.WastedNs).Count() != 1 {
 			t.Error("a timed-out wait must count one timeout and one wasted sample")
 		}
 	})
@@ -208,7 +208,7 @@ func TestAwaitOutcomes(t *testing.T) {
 		if r.o != Evicted || r.h.Load(metrics.ClosedWakeups) != 1 {
 			t.Fatalf("outcome = %v, closed wakeups = %d; want Evicted, 1", r.o, r.h.Load(metrics.ClosedWakeups))
 		}
-		if r.h.Hist(metrics.WastedNs).Snapshot().Count() != 1 {
+		if r.h.Histograms().Get(metrics.WastedNs).Count() != 1 {
 			t.Error("an evicted wait is wasted time")
 		}
 		fedOnlyIfFulfilled(t, r)
