@@ -59,17 +59,22 @@ bench-overhead:
 # early, or an accepted task on the executor's hand-off path costs more
 # heap bytes than the worker's 16-byte queue node plus refill slack (24),
 # the metrics handle layout test fails if an idle handle carries
-# histogram bytes (2000 bytes; all ten histograms would add 5040), the
+# histogram bytes or its counters stop sitting dense (376 bytes, the
+# 384-byte size class; a line per counter made it 2000), the
 # instrumented core rows fail if a histogram is built more than once
 # rather than on its first record, the instrumented build test fails if
-# an instrumented AutoShard fair queue at GOMAXPROCS 2 allocates more than
-# 10 KB (8.6 KB measured; histograms built up front make it 27 KB), and
-# the short benchmark run prints the allocs/op figures for eyeballing
-# regressions.
+# an instrumented AutoShard fair queue allocates more than its measured
+# bytes plus 512 (3832 at GOMAXPROCS 2, 11992 at GOMAXPROCS 8; padded
+# counters made them 8568 and 25944), the first-hand-off stack probe
+# fails if a fresh goroutine's first AutoShard put through its spin
+# phase, AutoShard take or put meeting a waiting counterpart, or fair
+# queue match copies its 2-KB starting stack below 256 B of caller frames
+# (it logs the ungated timed and parking rows), and the short benchmark
+# run prints the allocs/op figures for eyeballing regressions.
 bench-smoke:
 	go test -run TestHandoffAllocBudget -count 1 ./internal/core/
 	go test -run 'Layout|QuarterLine' -count 1 ./internal/core/ ./internal/segq/ ./internal/exchanger/ ./internal/metrics/
-	go test -run TestInstrumentedBuildBytes -count 1 -v .
+	go test -run 'TestInstrumentedBuildBytes|TestFirstHandoffStack' -count 1 -v .
 	go test -run 'Table' -count 1 ./internal/lend/ ./internal/park/
 	go test -run TestSegmentedAllocBudget -count 1 ./internal/segq/
 	go test -run TestFabricAllocBudget -count 1 ./internal/shard/

@@ -240,8 +240,9 @@ func statsOf(cs metrics.Snapshot, hs metrics.HistSnapshot) Stats {
 }
 
 // Stats returns the merged view of everything recorded into m: the root
-// handle plus, for sharded queues, every per-shard child. Safe to call at
-// any time; the snapshot is per-counter atomic.
+// handle plus, for sharded queues, every per-shard child. Counters add up;
+// the gauges (spin-budget, arena-width, fabric-width) read the largest
+// level. Safe to call at any time; the snapshot is per-counter atomic.
 func (m *Metrics) Stats() Stats {
 	if m == nil {
 		return Stats{Counters: map[string]int64{}, Latency: map[string]LatencyStats{}}
@@ -249,10 +250,7 @@ func (m *Metrics) Stats() Stats {
 	cs := m.root.Snapshot()
 	hs := m.root.Histograms()
 	for _, h := range m.shardHandles() {
-		shc := h.Snapshot()
-		for i := range cs {
-			cs[i] += shc[i]
-		}
+		cs = cs.Merge(h.Snapshot())
 		hs = hs.Add(h.Histograms())
 	}
 	return statsOf(cs, hs)
@@ -286,7 +284,8 @@ func (m *Metrics) Reset() {
 	}
 }
 
-// Merge returns the combination of two snapshots: counters summed, latency
+// Merge returns the combination of two snapshots: counters summed, gauges
+// (spin-budget, arena-width, fabric-width) at the larger level, latency
 // histograms merged bucket-wise with percentiles recomputed from the
 // merged buckets. Use it to aggregate Stats across queues or processes.
 func (s Stats) Merge(o Stats) Stats {
@@ -298,7 +297,11 @@ func (s Stats) Merge(o Stats) Stats {
 		out.Counters[k] = v
 	}
 	for k, v := range o.Counters {
-		out.Counters[k] += v
+		if id, ok := metrics.Lookup(k); ok {
+			out.Counters[k] = id.Merge(out.Counters[k], v)
+		} else {
+			out.Counters[k] += v
+		}
 	}
 	merge := func(k string, v LatencyStats) {
 		var c metrics.BucketCounts

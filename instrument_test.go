@@ -1,6 +1,7 @@
 package synchq_test
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -190,6 +191,56 @@ func TestStatsMerge(t *testing.T) {
 	}
 }
 
+// TestStatsMergeGauges checks that merging adds counters but keeps the
+// largest level of each gauge: a sharded queue's Stats over its shards,
+// and Stats.Merge across queues.
+func TestStatsMergeGauges(t *testing.T) {
+	gauges := []string{"spin-budget", "arena-width", "fabric-width"}
+	a := synchq.Stats{Counters: map[string]int64{"fulfillments": 3, "spin-budget": 40, "fabric-width": 2}}
+	b := synchq.Stats{Counters: map[string]int64{"fulfillments": 4, "spin-budget": 109, "arena-width": 8}}
+	got := a.Merge(b).Counters
+	want := map[string]int64{"fulfillments": 7, "spin-budget": 109, "arena-width": 8, "fabric-width": 2}
+	for k, w := range want {
+		if got[k] != w {
+			t.Errorf("Merge: %s = %d, want %d", k, got[k], w)
+		}
+	}
+
+	m := synchq.NewMetrics()
+	q := synchq.New[int](synchq.Fair(true), synchq.Sharded(4), synchq.Instrument(m))
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pairN(t, q, 2000)
+		}()
+	}
+	wg.Wait()
+	merged := m.Stats().Counters
+	var sum int64
+	for _, name := range gauges {
+		var top int64
+		for i, s := range m.ShardStats() {
+			v := s.Counters[name]
+			if name == "spin-budget" {
+				sum += v
+			}
+			if v > top {
+				top = v
+			}
+			t.Logf("shard %d %s = %d", i, name, v)
+		}
+		if merged[name] != top {
+			t.Errorf("Stats: %s = %d, want the shards' largest, %d", name, merged[name], top)
+		}
+	}
+	if merged["fulfillments"] != 4*2000 {
+		t.Errorf("Stats: fulfillments = %d, want %d", merged["fulfillments"], 4*2000)
+	}
+	t.Logf("spin-budget: merged %d, shard sum %d", merged["spin-budget"], sum)
+}
+
 func TestMetricsReset(t *testing.T) {
 	m := synchq.NewMetrics()
 	q := synchq.New[int](synchq.Sharded(2), synchq.Instrument(m))
@@ -236,26 +287,40 @@ func TestLatencyRecorderNames(t *testing.T) {
 }
 
 // TestInstrumentedBuildBytes bounds the heap bytes of building an
-// instrumented AutoShard fair queue at GOMAXPROCS 2: a root metrics handle
-// and one per shard (2000 B each, histograms built on first record), the
-// shards' counter blocks and the cores. It measures 8.6 KB; handles that
-// built all ten histograms up front would make it 27.0 KB.
+// instrumented AutoShard fair queue: a root metrics handle and one per
+// shard (376 B each in the 384-B size class: dense counters, histograms
+// built on first record), the shards' counter blocks, and the cores, each
+// with its first value-box chunk and a spare node built up front so that
+// a fresh goroutine's first hand-off allocates nothing. At GOMAXPROCS 2
+// (two shards) it measures 3832 B; at GOMAXPROCS 8 (eight shards) 11992 B.
+// Each limit is that figure plus 512 B of slack. Counters padded to a
+// line each made them 8568 and 25944 B.
 func TestInstrumentedBuildBytes(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	const builds, limit = 32, 10 << 10
-	sink := make([]*synchq.SynchronousQueue[int64], builds)
-	best := uint64(1<<63 - 1)
-	for round := 0; round < 3; round++ { // the least-disturbed round counts
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		for i := range sink {
-			sink[i] = synchq.New[int64](synchq.Fair(true), synchq.AutoShard(), synchq.Instrument(synchq.NewMetrics()))
-		}
-		runtime.ReadMemStats(&m1)
-		best = min(best, (m1.TotalAlloc-m0.TotalAlloc)/builds)
-	}
-	t.Logf("instrumented AutoShard fair queue: %d B per build", best)
-	if best > limit {
-		t.Errorf("building an instrumented AutoShard fair queue allocates %d B, want at most %d", best, limit)
+	for _, row := range []struct {
+		procs int
+		limit uint64
+	}{{2, 3832 + 512}, {8, 11992 + 512}} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", row.procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(row.procs))
+			const builds = 32
+			sink := make([]*synchq.SynchronousQueue[int64], builds)
+			best := uint64(1<<63 - 1)
+			for round := 0; round < 3; round++ { // the least-disturbed round counts
+				var m0, m1 runtime.MemStats
+				runtime.ReadMemStats(&m0)
+				for i := range sink {
+					sink[i] = synchq.New[int64](synchq.Fair(true), synchq.AutoShard(), synchq.Instrument(synchq.NewMetrics()))
+				}
+				runtime.ReadMemStats(&m1)
+				best = min(best, (m1.TotalAlloc-m0.TotalAlloc)/builds)
+			}
+			if got := sink[0].MaxShards(); got != row.procs {
+				t.Fatalf("MaxShards = %d, want %d", got, row.procs)
+			}
+			t.Logf("instrumented AutoShard fair queue, %d shards: %d B per build", row.procs, best)
+			if best > row.limit {
+				t.Errorf("building an instrumented AutoShard fair queue allocates %d B, want at most %d", best, row.limit)
+			}
+		})
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -98,10 +97,10 @@ type DualQueue[T any] struct {
 	// waiters once it is set.
 	closed atomic.Bool
 
-	// npool recycles spare nodes that lost their insertion race and were
-	// never linked — the only nodes whose address provably reached no
-	// other thread.
-	npool sync.Pool
+	// spare holds one node that was never linked — one that lost its
+	// insertion race, or the one New builds — the only nodes whose address
+	// provably reached no other thread (see putSpare).
+	spare atomic.Pointer[qnode]
 
 	// cal sets every wait's spin budget (WaitConfig.Spins).
 	cal *spin.Calibrator
@@ -123,6 +122,14 @@ type DualQueue[T any] struct {
 func NewDualQueue[T any](cfg WaitConfig) *DualQueue[T] {
 	q := &DualQueue[T]{cal: spin.NewCalibrator(cfg.Spins), m: cfg.Metrics, f: cfg.Fault,
 		parkers: park.Table{M: cfg.Metrics, F: cfg.Fault}}
+	// A fresh goroutine's first hand-off runs on its small starting stack,
+	// where an allocation at the bottom of the call chain can force a copy
+	// of the stack: the first box and the first waiting node are built
+	// here instead. The prebuilt spare's item word marks it (see getNode).
+	q.boxes.Reserve()
+	first := new(qnode)
+	first.item.Store(itemCanceled)
+	q.spare.Store(first)
 	dummy := &qnode{}
 	q.head.Store(dummy)
 	q.tail.Store(dummy)
@@ -162,9 +169,11 @@ func (q *DualQueue[T]) unbox(x uint32) (v T) {
 	return v
 }
 
-// getNode returns a fresh or recycled waiting node with the given mode.
-// Pooled nodes are spares that were never linked (see putSpare), so their
-// parker bits and link word are pristine.
+// getNode returns a waiting node with the given mode: the spare, if the
+// queue holds one, else a new node. A spare was never linked (see
+// putSpare), so its parker bits and link word are pristine. The spare New
+// builds counts as an allocation when it is first used: its item word
+// reads itemCanceled until then, where a recycled spare's reads noItem.
 func (q *DualQueue[T]) getNode(isData, async bool) *qnode {
 	var w uint32
 	if isData {
@@ -173,27 +182,33 @@ func (q *DualQueue[T]) getNode(isData, async bool) *qnode {
 	if async {
 		w |= wAsync
 	}
-	n, _ := q.npool.Get().(*qnode)
-	if n != nil {
-		q.m.Inc(metrics.NodeReuses)
-	} else {
-		q.m.Inc(metrics.NodeAllocs)
+	var n *qnode
+	if q.spare.Load() != nil { // writes the shared line only when a spare is there
+		n = q.spare.Swap(nil)
+	}
+	switch {
+	case n == nil:
 		n = new(qnode)
+		fallthrough
+	case n.item.Load() != noItem:
+		q.m.Inc(metrics.NodeAllocs)
+	default:
+		q.m.Inc(metrics.NodeReuses)
 	}
 	n.waiter.Store(w)
 	return n
 }
 
-// putSpare recycles a node that was NEVER linked into the list — the
-// engage loop built it, then completed through the fulfill arm instead.
-// Such a node's address was never published (the insertion CAS that would
-// have published it failed), so no other thread can hold a stale pointer
-// to it and reuse is ABA-free; linked nodes must never come here. The item
-// word is scrubbed so the pool retains no index of a box another node may
-// hold by then.
+// putSpare keeps a node that was NEVER linked into the list — the engage
+// loop built it, then completed through the fulfill arm instead — as the
+// queue's spare, replacing any spare already there. Such a node's address
+// was never published (the insertion CAS that would have published it
+// failed), so no other thread can hold a stale pointer to it and reuse is
+// ABA-free; linked nodes must never come here. The item word is scrubbed
+// so the spare names no box another node may hold by then.
 func (q *DualQueue[T]) putSpare(s *qnode) {
 	s.item.Store(noItem)
-	q.npool.Put(s)
+	q.spare.Store(s)
 }
 
 // isDead reports whether an observed item word is one of the two
@@ -224,78 +239,113 @@ func isOffList(n *qnode) bool { return n.next.Load() == n }
 // deposited without waiting for a consumer (the paper's TransferQueue
 // extension). On success the returned value is the transferred datum for
 // takes. commit, if non-nil, is the commit step (see Withdrawn). A transfer
-// that has to wait is a reservation awaited on the spot: arrive links it,
-// the commit step runs, and the ticket's wait completes it.
+// that has to wait is a reservation awaited on the spot (see await).
 //
 // Box ownership: a datum rides in a value box lent here. Whichever side
 // ends up reading the value out of the box — the taker, for both queue
 // orientations — unboxes it; a datum that never transferred (timeout,
 // cancel, close, withdrawal, refused engage) is unboxed by its producer.
-func (q *DualQueue[T]) transfer(isData bool, v T, deadline time.Time, cancel <-chan struct{}, async bool, commit func() bool) (T, Status) {
+//
+// A fresh goroutine's first hand-off runs on its 2-KB starting stack, so
+// this path keeps its frames few and small: transfer holds no ticket, the
+// deadline travels by pointer (a word instead of three in every frame
+// that passes it on), and the deepest call a fulfiller makes — unparking
+// a parked waiter — runs from here rather than from inside engage.
+func (q *DualQueue[T]) transfer(isData bool, v T, deadline *time.Time, cancel <-chan struct{}, async bool, commit func() bool) (T, Status) {
 	t0 := q.m.Start() // arrival timestamp (zero — no clock read — when uninstrumented)
 	e := noItem
 	if isData {
 		e = q.getBox(v)
 	}
-	imm, s, pred, st := q.engage(e, deadline, async)
-	tk := q.arrive(t0, e, s, pred, st, async)
-	if tk.node == nil {
-		// Completed, or refused, at arrival: fulfilled a waiter, or async
-		// deposit. For a take, imm is the counterpart's box — unbox it.
-		// For a put (and an async deposit) the box now belongs to its
-		// eventual taker.
-		if st == OK && !isData {
-			v = q.unbox(imm)
+	x, s, pred, st := q.engage(e, deadline, async)
+	if s != nil {
+		if commit != nil && !commit() && (qwait{s: s, e: e}).Abort() {
+			// Declined: withdraw as a reservation abort does. A lost CAS
+			// means a fulfiller or Close got here first, and the wait
+			// returns at once with that outcome.
+			q.drop(s, pred, e)
+			return *new(T), Withdrawn
 		}
-		return v, st
+		return q.await(s, pred, e, t0, deadline, cancel)
 	}
-	if commit != nil && !commit() && tk.waiter().Abort() {
-		// Declined: withdraw as a reservation abort does. A lost CAS
-		// means a fulfiller or Close got here first, and Await returns at
-		// once with that outcome.
-		tk.drop()
-		return *new(T), Withdrawn
+	// Completed, or refused, at arrival: fulfilled the waiter pred, or
+	// async deposit. Wake pred here, not through park.Table.Wake: unparking
+	// a parked waiter is the deepest call a fulfiller makes, and a frame
+	// less keeps it on a fresh goroutine's starting stack. For a take, x
+	// is the counterpart's box — unbox it. For a put (and an async
+	// deposit) the box now belongs to its eventual taker.
+	if pred != nil {
+		if w := pred.parker(); w != 0 {
+			q.parkers.At(w - 1).Unpark()
+		}
 	}
-	return tk.Await(deadline, cancel)
+	q.arrived(t0, e, st, async)
+	if st == OK && !isData {
+		v = q.unbox(x)
+	}
+	return v, st
 }
 
-// arrive completes an arrival once engage (run in the caller's frame, so
-// a fresh goroutine's deepest path — the node pool's first Get — stays
-// shallow) has played it: the arrival's latency accounting and, for a node
-// that linked, the post-link close re-check. It returns the pending
-// reservation (tk.node non-nil) for the caller to await or hand out. A
-// refused arrival's box e is reclaimed here.
-func (q *DualQueue[T]) arrive(t0 int64, e uint32, s, pred *qnode, st Status, async bool) (tk QueueTicket[T]) {
+// never is the zero deadline, waiting forever, for the callers of transfer
+// and engage that have no deadline of their own to point at. Nothing
+// writes it.
+var never time.Time
+
+// arrived completes an arrival that engage played to the end without
+// linking a node, once the caller has woken the waiter it fulfilled: it
+// records the arrival's latency and reclaims a refused arrival's box e.
+func (q *DualQueue[T]) arrived(t0 int64, e uint32, st Status, async bool) {
 	switch {
 	case st != OK:
 		q.unbox(e) // the datum never entered the structure
 		q.m.Since(metrics.WastedNs, t0)
-	case s == nil:
-		if !async {
-			q.m.Since(metrics.HandoffNs, t0) // a deposit is not a pairing
-		}
-	default:
-		if q.closed.Load() {
-			// Close may have raced our enqueue and finished its eviction
-			// sweep before our node was linked; self-evict so the waiter
-			// is never stranded. If a fulfiller got here first the CAS
-			// fails and the wait completes normally.
-			s.item.CompareAndSwap(e, itemClosed)
-		}
-		tk = QueueTicket[T]{q: q, node: s, pred: pred, e: e, t0: t0}
+	case !async:
+		q.m.Since(metrics.HandoffNs, t0) // a deposit is not a pairing
 	}
-	return tk
+}
+
+// await waits for node s, linked behind pred for item word e at arrival
+// stamp t0, to resolve — the wait of a transfer and of a reservation's
+// Await alike.
+func (q *DualQueue[T]) await(s, pred *qnode, e uint32, t0 int64, deadline *time.Time, cancel <-chan struct{}) (T, Status) {
+	w := qwait{s: s, e: e}
+	// Only the node next in line for fulfillment spins; deeper nodes park
+	// immediately (§Pragmatics). A node next in line stays so until it is
+	// resolved, so this is sampled once rather than re-read from the
+	// contended head on every spin.
+	w.front = q.head.Load().next.Load() == s
+	if o, why := park.Await(w, park.Policy{Cal: q.cal, M: q.m, Parkers: &q.parkers}, *deadline, cancel, t0); o != park.Fulfilled {
+		q.drop(s, pred, e)
+		return *new(T), StatusOf(o, why)
+	}
+	return q.collect(s, pred, s.item.Load()), OK
+}
+
+// collect completes a fulfilled wait on node s whose item word reads x:
+// help dequeue the node, then — for a take — unbox the producer's box (a
+// put's box belongs to its taker, and x is noItem).
+func (q *DualQueue[T]) collect(s, pred *qnode, x uint32) T {
+	q.finish(s, pred, x)
+	return q.unbox(x)
+}
+
+// drop disposes of an abandoned wait on node s: unlink the dead node and
+// reclaim the datum e, which never transferred.
+func (q *DualQueue[T]) drop(s, pred *qnode, e uint32) {
+	q.clean(pred, s)
+	q.unbox(e)
 }
 
 // engage is the lock-free half of a transfer (the paper's request
 // linearization): it either fulfills a complementary waiter immediately
-// (node nil; for a take, imm is the waiting producer's box), deposits an
-// async data node (node nil), or enqueues a waiting node s with predecessor
-// pred for the caller to await. The deadline (zero: none; an async
-// deposit never waits) is consulted at the moment enqueueing becomes
+// (node nil, pred the fulfilled waiter, which the caller wakes, a frame
+// shallower than engage; for a take, imm is the waiting producer's box),
+// deposits an async data node (node and pred nil), or enqueues a waiting
+// node s with predecessor pred for the caller to await. The deadline (zero: none; an
+// async deposit never waits) is consulted at the moment enqueueing becomes
 // necessary; if it has passed, engage returns Timeout without touching
 // the queue.
-func (q *DualQueue[T]) engage(e uint32, deadline time.Time, async bool) (imm uint32, node, pred *qnode, st Status) {
+func (q *DualQueue[T]) engage(e uint32, deadline *time.Time, async bool) (imm uint32, node, pred *qnode, st Status) {
 	var s *qnode
 	isData := e != noItem
 
@@ -325,7 +375,7 @@ func (q *DualQueue[T]) engage(e uint32, deadline time.Time, async bool) (imm uin
 				}
 				return noItem, nil, nil, Closed
 			}
-			if !async && !deadline.IsZero() && !time.Now().Before(deadline) {
+			if !async && !deadline.IsZero() && !time.Now().Before(*deadline) {
 				q.m.Inc(metrics.Timeouts)
 				if s != nil {
 					q.putSpare(s) // built on an earlier lap, never linked
@@ -349,6 +399,13 @@ func (q *DualQueue[T]) engage(e uint32, deadline time.Time, async bool) (imm uin
 			if async {
 				q.m.Inc(metrics.AsyncDeposits)
 				return noItem, nil, nil, OK
+			}
+			if q.closed.Load() {
+				// Close may have raced our enqueue and finished its
+				// eviction sweep before s was linked; self-evict so the
+				// waiter is never stranded. If a fulfiller got here
+				// first the CAS fails and the wait completes normally.
+				s.item.CompareAndSwap(e, itemClosed)
 			}
 			return noItem, s, t, OK
 
@@ -380,14 +437,13 @@ func (q *DualQueue[T]) engage(e uint32, deadline time.Time, async bool) (imm uin
 		q.m.Inc(metrics.Fulfillments)
 		q.f.Preempt(fault.QFulfillPause)
 		q.advanceHead(h, m)
-		q.parkers.Wake(m.parker())
 		if s != nil {
 			// The spare built for the enqueue arm was never linked
 			// (its insertion CAS failed or was never attempted):
 			// recycle it.
 			q.putSpare(s)
 		}
-		return x, nil, nil, OK
+		return x, nil, m, OK
 	}
 }
 
@@ -409,16 +465,15 @@ func (q *DualQueue[T]) finish(s, pred *qnode, x uint32) {
 // qwait is a linked node's wait as park.Await drives it: the node is
 // pending while its item word still holds e, and a fulfiller, the owner's
 // abort, or Close each resolve it with one CAS moving the word off e.
-type qwait[T any] struct {
-	q *DualQueue[T]
+type qwait struct {
 	s *qnode
 	e uint32
 	// front records whether the node was next in line for fulfillment
-	// when the wait began (see QueueTicket.Await).
+	// when the wait began (see await).
 	front bool
 }
 
-func (w qwait[T]) Settled() park.Outcome {
+func (w qwait) Settled() park.Outcome {
 	switch w.s.item.Load() {
 	case w.e:
 		return park.Pending
@@ -430,11 +485,11 @@ func (w qwait[T]) Settled() park.Outcome {
 	return park.Fulfilled
 }
 
-func (w qwait[T]) Abort() bool { return w.s.item.CompareAndSwap(w.e, itemCanceled) }
+func (w qwait) Abort() bool { return w.s.item.CompareAndSwap(w.e, itemCanceled) }
 
-func (w qwait[T]) SpinOK() bool { return w.front }
+func (w qwait) SpinOK() bool { return w.front }
 
-func (w qwait[T]) Arm(idx uint32) { w.s.setParker(idx + 1) }
+func (w qwait) Arm(idx uint32) { w.s.setParker(idx + 1) }
 
 // clean unlinks the canceled node s with predecessor pred. A canceled node
 // at the tail cannot be unlinked (its predecessor's next pointer is the
@@ -566,7 +621,7 @@ func (q *DualQueue[T]) Closed() bool { return q.closed.Load() }
 // arrive. Put panics if the queue is closed while waiting (or was already
 // closed), since it has no status channel to report Closed through.
 func (q *DualQueue[T]) Put(v T) {
-	if _, st := q.transfer(true, v, time.Time{}, nil, false, nil); st == Closed {
+	if _, st := q.transfer(true, v, &never, nil, false, nil); st == Closed {
 		panic(errClosedDemand)
 	}
 }
@@ -574,14 +629,14 @@ func (q *DualQueue[T]) Put(v T) {
 // PutDeadline transfers v to a consumer, giving up at the deadline (zero
 // means never) or when cancel fires (nil means never).
 func (q *DualQueue[T]) PutDeadline(v T, deadline time.Time, cancel <-chan struct{}) Status {
-	_, st := q.transfer(true, v, deadline, cancel, false, nil)
+	_, st := q.transfer(true, v, &deadline, cancel, false, nil)
 	return st
 }
 
 // PutCommit is PutDeadline with a commit step run once the producer has
 // linked (see Withdrawn).
 func (q *DualQueue[T]) PutCommit(v T, deadline time.Time, cancel <-chan struct{}, commit func() bool) Status {
-	_, st := q.transfer(true, v, deadline, cancel, false, commit)
+	_, st := q.transfer(true, v, &deadline, cancel, false, commit)
 	return st
 }
 
@@ -590,7 +645,7 @@ func (q *DualQueue[T]) PutCommit(v T, deadline time.Time, cancel <-chan struct{}
 // It reports OK, or Closed when the queue has been shut down (the deposit
 // is refused so closed queues cannot accumulate unreachable data).
 func (q *DualQueue[T]) PutAsync(v T) Status {
-	_, st := q.transfer(true, v, time.Time{}, nil, true, nil)
+	_, st := q.transfer(true, v, &never, nil, true, nil)
 	return st
 }
 
@@ -598,7 +653,7 @@ func (q *DualQueue[T]) PutAsync(v T) Status {
 // one to arrive. Take panics if the queue is closed while waiting (or was
 // already closed), rather than inventing a zero value.
 func (q *DualQueue[T]) Take() T {
-	v, st := q.transfer(false, *new(T), time.Time{}, nil, false, nil)
+	v, st := q.transfer(false, *new(T), &never, nil, false, nil)
 	if st == Closed {
 		panic(errClosedDemand)
 	}
@@ -607,14 +662,14 @@ func (q *DualQueue[T]) Take() T {
 
 // TakeDeadline receives a value, giving up at the deadline (zero means
 // never) or when cancel fires (nil means never).
-func (q *DualQueue[T]) TakeDeadline(deadline time.Time, cancel <-chan struct{}) (T, Status) {
-	return q.transfer(false, *new(T), deadline, cancel, false, nil)
+func (q *DualQueue[T]) TakeDeadline(deadline time.Time, cancel <-chan struct{}) (v T, st Status) {
+	return q.transfer(false, v, &deadline, cancel, false, nil)
 }
 
 // TakeCommit is TakeDeadline with a commit step run once the consumer has
 // linked (see Withdrawn).
-func (q *DualQueue[T]) TakeCommit(deadline time.Time, cancel <-chan struct{}, commit func() bool) (T, Status) {
-	return q.transfer(false, *new(T), deadline, cancel, false, commit)
+func (q *DualQueue[T]) TakeCommit(deadline time.Time, cancel <-chan struct{}, commit func() bool) (v T, st Status) {
+	return q.transfer(false, v, &deadline, cancel, false, commit)
 }
 
 // observe classifies the queue's current content. The answer may be stale

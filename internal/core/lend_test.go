@@ -65,10 +65,10 @@ func TestResolveBeforeArm(t *testing.T) {
 			t.Fatal("ReserveTake on an empty queue completed at once")
 		}
 		qt := tk.(*QueueTicket[int])
-		w := armHook[qwait[int]]{w: qt.waiter(), before: func() { q.Put(7) }}
+		w := armHook[qwait]{w: qt.waiter(), before: func() { q.Put(7) }}
 		o, _ := park.Await(w, park.Policy{Cal: q.cal, M: h, Parkers: &q.parkers}, time.Time{}, nil, 0)
 		p := qt.node.parker() // before collect forgets it
-		check(t, h, &q.parkers, p, o, qt.collect(qt.node.item.Load()))
+		check(t, h, &q.parkers, p, o, q.collect(qt.node, qt.pred, qt.node.item.Load()))
 	})
 	t.Run("stack", func(t *testing.T) {
 		h := metrics.New()

@@ -45,18 +45,20 @@ type QueueTicket[T any] struct {
 // panics if the queue is closed, like the demand operations.
 func (q *DualQueue[T]) ReserveTake() (T, Ticket[T], bool) {
 	t0 := q.m.Start()
-	imm, s, pred, st := q.engage(noItem, time.Time{}, false)
-	tk := q.arrive(t0, noItem, s, pred, st, false)
-	if st == Closed {
-		panic(errClosedDemand)
-	}
-	if tk.node == nil {
+	imm, s, pred, st := q.engage(noItem, &never, false)
+	if s == nil {
+		if pred != nil {
+			q.parkers.Wake(pred.parker())
+		}
+		q.arrived(t0, noItem, st, false)
+		if st == Closed {
+			panic(errClosedDemand)
+		}
 		// Consume the delivered value out of the producer's box.
 		return q.unbox(imm), nil, true
 	}
 	var zero T
-	t := tk // only a pending reservation pays for a heap ticket
-	return zero, &t, false
+	return zero, &QueueTicket[T]{q: q, node: s, pred: pred, e: noItem, t0: t0}, false
 }
 
 // ReservePut offers v to a future consumer (the request operation). If a
@@ -66,35 +68,22 @@ func (q *DualQueue[T]) ReserveTake() (T, Ticket[T], bool) {
 func (q *DualQueue[T]) ReservePut(v T) (Ticket[T], bool) {
 	t0 := q.m.Start()
 	e := q.getBox(v)
-	_, s, pred, st := q.engage(e, time.Time{}, false)
-	tk := q.arrive(t0, e, s, pred, st, false)
-	if st == Closed {
-		panic(errClosedDemand)
-	}
-	if tk.node == nil {
+	_, s, pred, st := q.engage(e, &never, false)
+	if s == nil {
+		if pred != nil {
+			q.parkers.Wake(pred.parker())
+		}
+		q.arrived(t0, e, st, false)
+		if st == Closed {
+			panic(errClosedDemand)
+		}
 		return nil, true
 	}
-	t := tk
-	return &t, false
+	return &QueueTicket[T]{q: q, node: s, pred: pred, e: e, t0: t0}, false
 }
 
 // waiter is the reservation's node as the shared wait loop sees it.
-func (t *QueueTicket[T]) waiter() qwait[T] { return qwait[T]{q: t.q, s: t.node, e: t.e} }
-
-// collect completes a fulfilled reservation whose item word reads x: help
-// dequeue the node, then — for a take — unbox the producer's box (a put's
-// box belongs to its taker, and x is noItem).
-func (t *QueueTicket[T]) collect(x uint32) T {
-	t.q.finish(t.node, t.pred, x)
-	return t.q.unbox(x)
-}
-
-// drop disposes of an abandoned reservation: unlink its dead node and
-// reclaim the datum, which never transferred.
-func (t *QueueTicket[T]) drop() {
-	t.q.clean(t.pred, t.node)
-	t.q.unbox(t.e)
-}
+func (t *QueueTicket[T]) waiter() qwait { return qwait{s: t.node, e: t.e} }
 
 // TryFollowup checks, without blocking, whether the reservation has been
 // fulfilled. For a take ticket the fulfilled value is returned; for a put
@@ -115,7 +104,7 @@ func (t *QueueTicket[T]) TryFollowup() (T, bool) {
 	}
 	t.done = true
 	t.q.m.Since(metrics.HandoffNs, t.t0)
-	return t.collect(t.node.item.Load()), true
+	return t.q.collect(t.node, t.pred, t.node.item.Load()), true
 }
 
 // Await blocks until the reservation is fulfilled, the deadline passes
@@ -127,18 +116,7 @@ func (t *QueueTicket[T]) Await(deadline time.Time, cancel <-chan struct{}) (T, S
 		panic("core: await on a spent ticket")
 	}
 	t.done = true
-	w := t.waiter()
-	// Only the node next in line for fulfillment spins; deeper nodes park
-	// immediately (§Pragmatics). A node next in line stays so until it is
-	// resolved, so this is sampled once rather than re-read from the
-	// contended head on every spin.
-	w.front = t.q.head.Load().next.Load() == t.node
-	if o, why := park.Await(w, park.Policy{Cal: t.q.cal, M: t.q.m, Parkers: &t.q.parkers}, deadline, cancel, t.t0); o != park.Fulfilled {
-		t.drop()
-		var zero T
-		return zero, StatusOf(o, why)
-	}
-	return t.collect(t.node.item.Load()), OK
+	return t.q.await(t.node, t.pred, t.e, t.t0, &deadline, cancel)
 }
 
 // Abort attempts to cancel the reservation. It returns true if the
@@ -153,7 +131,7 @@ func (t *QueueTicket[T]) Abort() bool {
 	}
 	if w := t.waiter(); w.Abort() || w.Settled() == park.Evicted {
 		t.done = true
-		t.drop()
+		t.q.drop(t.node, t.pred, t.e)
 		return true
 	}
 	return false

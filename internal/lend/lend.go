@@ -62,9 +62,12 @@ type Table[E any] struct {
 	// issued counts the indexes ever handed out; index issued-1 is the
 	// highest in use.
 	issued atomic.Uint32
-	// dir holds the chunks, allocated with the first chunk on the first
-	// Lend so a structure that never lends pays for neither.
-	dir atomic.Pointer[[maxChunks]atomic.Pointer[chunk[E]]]
+	// first is chunk 0, allocated on the first Lend (or Reserve); dir holds
+	// chunks 1 and up, allocated with chunk 1. A structure that never
+	// lends pays for neither, and one that never has more than the first
+	// chunk's eight elements lent at once pays for no directory.
+	first atomic.Pointer[chunk[E]]
+	dir   atomic.Pointer[[maxChunks - 1]atomic.Pointer[chunk[E]]]
 }
 
 // locate maps an index to its chunk and its offset there.
@@ -78,7 +81,21 @@ func locate(idx uint32) (k, off uint64) {
 // index's offset there.
 func (t *Table[E]) slot(idx uint32) (*chunk[E], uint64) {
 	k, off := locate(idx)
-	return t.dir.Load()[k].Load(), off
+	return t.chunk(k).Load(), off
+}
+
+// chunk returns the pointer to chunk k, building the directory for k > 0
+// if nobody has yet.
+func (t *Table[E]) chunk(k uint64) *atomic.Pointer[chunk[E]] {
+	if k == 0 {
+		return &t.first
+	}
+	dir := t.dir.Load()
+	if dir == nil {
+		t.dir.CompareAndSwap(nil, new([maxChunks - 1]atomic.Pointer[chunk[E]]))
+		dir = t.dir.Load()
+	}
+	return &dir[k-1]
 }
 
 // At returns the element with index idx, which Lend has issued.
@@ -105,6 +122,13 @@ func (t *Table[E]) Lend() (idx uint32, e *E, fresh bool) {
 	return idx, t.grow(idx), true
 }
 
+// Reserve builds the first chunk now, if nobody has, so that the first
+// Lend allocates nothing. A structure whose first loan sits
+// at the bottom of a fresh goroutine's first call chain reserves when it
+// is built: an allocation down there can outgrow the goroutine's starting
+// stack and force a copy of it.
+func (t *Table[E]) Reserve() { t.grow(0) }
+
 // Return puts a lent index back on the free stack once its borrower is
 // done with the element.
 func (t *Table[E]) Return(idx uint32) {
@@ -124,36 +148,33 @@ func (t *Table[E]) Issued() uint32 { return t.issued.Load() }
 
 // Cap returns the number of elements the table's chunks hold.
 func (t *Table[E]) Cap() int {
-	dir := t.dir.Load()
-	if dir == nil {
-		return 0
-	}
 	n := 0
-	for k := range dir {
-		if c := dir[k].Load(); c != nil {
-			n += len(c.elem)
+	if c := t.first.Load(); c != nil {
+		n += len(c.elem)
+	}
+	if dir := t.dir.Load(); dir != nil {
+		for k := range dir {
+			if c := dir[k].Load(); c != nil {
+				n += len(c.elem)
+			}
 		}
 	}
 	return n
 }
 
 // grow returns the element for a newly issued index, creating the
-// directory and the index's chunk if nobody has yet.
+// index's chunk (and, past the first, the directory) if nobody has yet.
 func (t *Table[E]) grow(idx uint32) *E {
 	if idx > MaxIndex {
 		panic("lend: table full")
 	}
 	k, off := locate(idx)
-	dir := t.dir.Load()
-	if dir == nil {
-		t.dir.CompareAndSwap(nil, new([maxChunks]atomic.Pointer[chunk[E]]))
-		dir = t.dir.Load()
-	}
-	c := dir[k].Load()
+	p := t.chunk(k)
+	c := p.Load()
 	if c == nil {
 		n := 1 << (k + chunkLog0)
-		dir[k].CompareAndSwap(nil, &chunk[E]{elem: make([]E, n), link: make([]atomic.Uint32, n)})
-		c = dir[k].Load()
+		p.CompareAndSwap(nil, &chunk[E]{elem: make([]E, n), link: make([]atomic.Uint32, n)})
+		c = p.Load()
 	}
 	return &c.elem[off]
 }

@@ -31,7 +31,7 @@ func TestTableRoundTripAcrossChunks(t *testing.T) {
 		lent[i] = e
 	}
 	for _, b := range []uint32{7, 8, 23, 24, 55, 56, 119, 120} {
-		if k, _ := locate(b); tb.dir.Load()[k].Load() == nil {
+		if k, _ := locate(b); tb.chunk(k).Load() == nil {
 			t.Fatalf("index %d: chunk %d was never created", b, k)
 		}
 	}
@@ -86,7 +86,7 @@ func TestTableFreeStackIsolated(t *testing.T) {
 	if got := unsafe.Sizeof(tb); got > 2*cacheLine {
 		t.Fatalf("Table size = %d, want at most %d", got, 2*cacheLine)
 	}
-	if tb.dir.Load() != nil || tb.Cap() != 0 {
-		t.Fatal("a fresh table already has a chunk directory")
+	if tb.first.Load() != nil || tb.dir.Load() != nil || tb.Cap() != 0 {
+		t.Fatal("a fresh table already has a chunk or a chunk directory")
 	}
 }

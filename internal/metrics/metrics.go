@@ -7,9 +7,9 @@
 // that performance work on the hot paths can be judged by what the
 // algorithm did, not only by wall time.
 //
-// A Handle is a per-queue set of cache-line-padded atomic counters. All
-// methods are safe on a nil *Handle and do nothing, so instrumented code
-// carries exactly one predictable branch when metrics are disabled:
+// A Handle is a per-queue set of dense atomic counters. All methods are
+// safe on a nil *Handle and do nothing, so instrumented code carries
+// exactly one predictable branch when metrics are disabled:
 //
 //	q.m.Inc(metrics.Parks) // no-op (one nil check) when q.m == nil
 //
@@ -196,6 +196,35 @@ func (id ID) String() string {
 	return names[id]
 }
 
+// gauges marks the IDs written with Set: levels such as a spin budget or
+// a width, not event counts. This is the one place that says which IDs
+// are gauges; Merge reads it.
+var gauges = [NumIDs]bool{SpinBudget: true, ArenaWidth: true, FabricWidth: true}
+
+// Gauge reports whether id is a level written with Set rather than a
+// monotone count.
+func (id ID) Gauge() bool { return id >= 0 && id < NumIDs && gauges[id] }
+
+// Merge combines two handles' values of id: counts add, while gauges take
+// the larger level — four shards at spin budget 40 have a budget of 40,
+// not 160.
+func (id ID) Merge(a, b int64) int64 {
+	if id.Gauge() {
+		return max(a, b)
+	}
+	return a + b
+}
+
+// Lookup returns the ID with the given name (see String).
+func Lookup(name string) (ID, bool) {
+	for i, n := range names {
+		if n == name {
+			return ID(i), true
+		}
+	}
+	return 0, false
+}
+
 // Names returns all counter names in ID order.
 func Names() []string {
 	out := make([]string, NumIDs)
@@ -205,18 +234,18 @@ func Names() []string {
 	return out
 }
 
-// counter is one cache-line-padded counter: the trailing pad keeps
-// neighbors in the Handle's array on distinct 64-byte lines so that
-// threads hammering different counters do not false-share.
-type counter struct {
-	v atomic.Int64
-	_ [56]byte
-}
-
 // Handle is a per-queue counter set. The zero value is ready to use;
 // a nil *Handle is valid and every method on it is a no-op, which is how
 // the disabled path stays at a single branch. A Handle must not be copied
 // after first use.
+//
+// The counters sit dense, eight to a cache line, so a handle fits the
+// 384-byte size class instead of 2000 bytes: a structure builds one handle
+// per shard, so a per-counter pad multiplied every instance's fixed cost.
+// One hand-off's counter writes (node reuse, fulfillment, spins) come from
+// the same goroutine in sequence, so packing them costs it one line
+// instead of several; the sharded fabric stripes them across its per-shard
+// handles (see DESIGN.md "Instrumentation layer").
 //
 // The latency histograms are built on first record: each slot stays nil
 // until a Record or Since into it installs a Histogram with one CAS, and
@@ -225,7 +254,7 @@ type counter struct {
 // histograms it records into, not for all NumHistIDs of them.
 type Handle struct {
 	_    [64]byte // keep c[0] off whatever cache line precedes the allocation
-	c    [NumIDs]counter
+	c    [NumIDs]atomic.Int64
 	hist [NumHistIDs]atomic.Pointer[Histogram]
 }
 
@@ -238,14 +267,14 @@ func (h *Handle) Enabled() bool { return h != nil }
 // Inc adds one to the counter. No-op on a nil handle.
 func (h *Handle) Inc(id ID) {
 	if h != nil {
-		h.c[id].v.Add(1)
+		h.c[id].Add(1)
 	}
 }
 
 // Add adds n to the counter. No-op on a nil handle or zero n.
 func (h *Handle) Add(id ID, n int64) {
 	if h != nil && n != 0 {
-		h.c[id].v.Add(n)
+		h.c[id].Add(n)
 	}
 }
 
@@ -254,7 +283,7 @@ func (h *Handle) Add(id ID, n int64) {
 // a nil handle.
 func (h *Handle) Set(id ID, v int64) {
 	if h != nil {
-		h.c[id].v.Store(v)
+		h.c[id].Store(v)
 	}
 }
 
@@ -263,7 +292,7 @@ func (h *Handle) Load(id ID) int64 {
 	if h == nil {
 		return 0
 	}
-	return h.c[id].v.Load()
+	return h.c[id].Load()
 }
 
 // Reset zeroes every counter. Counters written concurrently with Reset
@@ -274,7 +303,7 @@ func (h *Handle) Reset() {
 		return
 	}
 	for i := range h.c {
-		h.c[i].v.Store(0)
+		h.c[i].Store(0)
 	}
 	for i := range h.hist {
 		if g := h.hist[i].Load(); g != nil {
@@ -295,7 +324,16 @@ func (h *Handle) Snapshot() Snapshot {
 		return s
 	}
 	for i := range h.c {
-		s[i] = h.c[i].v.Load()
+		s[i] = h.c[i].Load()
+	}
+	return s
+}
+
+// Merge returns the per-ID combination of two handles' snapshots (see
+// ID.Merge).
+func (s Snapshot) Merge(o Snapshot) Snapshot {
+	for i := range s {
+		s[i] = ID(i).Merge(s[i], o[i])
 	}
 	return s
 }

@@ -3,6 +3,7 @@ package metrics
 import (
 	"encoding/json"
 	"expvar"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -31,19 +32,31 @@ func TestNilHandleIsSafe(t *testing.T) {
 	}
 }
 
-// TestHandleLayout pins a handle's footprint: a 64-byte leading pad, one
-// padded line per counter, and one pointer per histogram, each nil until
-// its first record, so an idle handle carries no histogram bytes.
+// TestHandleLayout pins a handle's footprint: a 64-byte leading pad, the
+// counters dense at eight bytes each, and one pointer per histogram, each
+// nil until its first record, so an idle handle carries no histogram
+// bytes and one allocation fits the 384-byte size class.
 func TestHandleLayout(t *testing.T) {
 	var h Handle
 	if off := unsafe.Offsetof(h.c); off != 64 {
 		t.Errorf("Handle.c offset = %d, want 64", off)
 	}
-	if off, want := unsafe.Offsetof(h.hist), 64+uintptr(NumIDs)*64; off != want {
-		t.Errorf("Handle.hist offset = %d, want %d (%d padded counters)", off, want, NumIDs)
+	if off, want := unsafe.Offsetof(h.hist), 64+uintptr(NumIDs)*8; off != want {
+		t.Errorf("Handle.hist offset = %d, want %d (%d dense counters)", off, want, NumIDs)
 	}
-	if got := unsafe.Sizeof(h); got != 2000 {
-		t.Errorf("Handle size = %d, want exactly 2000: a 64-B pad, %d padded counters and %d histogram pointers", got, NumIDs, NumHistIDs)
+	if got, want := unsafe.Sizeof(h), 64+uintptr(NumIDs)*8+uintptr(NumHistIDs)*8; got != want {
+		t.Errorf("Handle size = %d, want exactly %d: a 64-B pad, %d dense counters and %d histogram pointers", got, want, NumIDs, NumHistIDs)
+	}
+	const n = 64
+	sink := make([]*Handle, n)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := range sink {
+		sink[i] = New()
+	}
+	runtime.ReadMemStats(&m1)
+	if got := (m1.TotalAlloc - m0.TotalAlloc) / n; got > 384 {
+		t.Errorf("New allocates %d B per handle, want at most 384", got)
 	}
 }
 
@@ -88,6 +101,37 @@ func TestSnapshotDeltaReset(t *testing.T) {
 		if got := h.Load(i); got != 0 {
 			t.Fatalf("after Reset, %s = %d, want 0", i, got)
 		}
+	}
+}
+
+func TestSnapshotMergeGauges(t *testing.T) {
+	a, b := New(), New()
+	a.Add(Fulfillments, 3)
+	b.Add(Fulfillments, 4)
+	a.Set(SpinBudget, 40)
+	b.Set(SpinBudget, 109)
+	b.Set(FabricWidth, 2)
+	s := a.Snapshot().Merge(b.Snapshot())
+	if got := s.Get(Fulfillments); got != 7 {
+		t.Errorf("merged fulfillments = %d, want 7", got)
+	}
+	if got := s.Get(SpinBudget); got != 109 {
+		t.Errorf("merged spin-budget = %d, want the larger level, 109", got)
+	}
+	if got := s.Get(FabricWidth); got != 2 {
+		t.Errorf("merged fabric-width = %d, want 2", got)
+	}
+	for id := ID(0); id < NumIDs; id++ {
+		want := id == SpinBudget || id == ArenaWidth || id == FabricWidth
+		if id.Gauge() != want {
+			t.Errorf("%s.Gauge() = %v, want %v", id, id.Gauge(), want)
+		}
+		if got, ok := Lookup(id.String()); !ok || got != id {
+			t.Errorf("Lookup(%q) = %v, %v", id.String(), got, ok)
+		}
+	}
+	if _, ok := Lookup("no-such-counter"); ok {
+		t.Error("Lookup found an unknown name")
 	}
 }
 

@@ -83,7 +83,8 @@ import (
 const (
 	segShift = 4
 	// SegSize is the number of hand-off cells per segment. Sixteen keeps
-	// a segment around 1 KiB for word-sized payloads — big enough to
+	// a segment at 320 bytes for word-sized payloads (a one-line header
+	// and sixteen 16-byte cells; see "Cell layout") — big enough to
 	// amortize allocation and small enough that a cancellation storm's
 	// partially-broken tail segment wastes little.
 	SegSize = 1 << segShift

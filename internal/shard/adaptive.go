@@ -132,11 +132,12 @@ type widthCtl struct {
 }
 
 // sweepStat accumulates one operation's contention evidence across its
-// sweeps and commit attempts; the wrappers hand it to observe once when
-// the operation completes.
+// sweeps and commit attempts; the engines hand it to observe once when
+// the operation completes. It is one word: the demand engines hold it in
+// their frame.
 type sweepStat struct {
-	fails int  // probe and Dekker races lost
-	stole bool // completed on a non-home shard
+	fails int32 // probe and Dekker races lost
+	stole bool  // completed on a non-home shard
 }
 
 // NewAuto returns a self-scaling fabric of up to max shards (0 or

@@ -4,8 +4,6 @@ import (
 	"time"
 
 	"synchq/internal/core"
-	"synchq/internal/fault"
-	"synchq/internal/metrics"
 )
 
 // Batched operations over the fabric route each burst home-first with
@@ -15,7 +13,9 @@ import (
 // (re-drawing a home, re-loading the summary) per item. Only the items the
 // burst sweep cannot pair fall back to the blocking single-item engines,
 // which is unavoidable: a synchronous hand-off with no counterpart must
-// wait, and each waiting item needs its own linked waiter.
+// wait, and each waiting item needs its own linked waiter. The controller
+// observes each such item as the single-item operation it is, and the
+// bursts as one operation.
 //
 // The fabric's ordering contract ("per-shard FIFO, globally none") extends
 // to batches: items of one burst delivered to the same shard keep their
@@ -42,7 +42,7 @@ func (f *Fabric[T]) PutBatch(items []T, deadline time.Time, cancel <-chan struct
 		if n == len(items) {
 			break
 		}
-		if st := f.putEngine(items[n], deadline, cancel, &ss); st != core.OK {
+		if st := f.PutDeadline(items[n], deadline, cancel); st != core.OK {
 			return n, st
 		}
 		n++
@@ -51,7 +51,7 @@ func (f *Fabric[T]) PutBatch(items []T, deadline time.Time, cancel <-chan struct
 }
 
 // TakeBatch appends up to max values to buf: the first take waits under the
-// deadline through the single-item engine, the fill burst-sweeps flagged
+// deadline as a single-item TakeDeadline, the fill burst-sweeps flagged
 // shards for producers already committed. See the core TakeBatch contract:
 // OK on a normal end, Timeout/Canceled only when the first wait aborted
 // empty-handed, Closed with already-taken values kept in buf.
@@ -62,12 +62,12 @@ func (f *Fabric[T]) TakeBatch(buf []T, max int, deadline time.Time, cancel <-cha
 	if f.closedStatus() {
 		return buf, core.Closed
 	}
-	var ss sweepStat
-	defer f.observe(&ss)
-	v, st := f.takeEngine(deadline, cancel, &ss)
+	v, st := f.TakeDeadline(deadline, cancel)
 	if st != core.OK {
 		return buf, st
 	}
+	var ss sweepStat
+	defer f.observe(&ss)
 	buf = append(buf, v)
 	taken := 1
 	t0 := f.m.Start()
@@ -83,45 +83,22 @@ func (f *Fabric[T]) TakeBatch(buf []T, max int, deadline time.Time, cancel <-cha
 }
 
 // sweepPutBurst is sweepPut's batched form: the same home-first flagged
-// walk with the stale-bit clear/re-check/restore repair, except a shard
-// that accepts keeps receiving items until it refuses — one summary load
-// and one occupancy check amortized over however many consumers the shard
-// holds. It returns the number of items delivered. Burst sweeps are never
-// the commit protocol's critical reload, so the steal-race injection
-// applies to every foreign probe.
+// walk, except a shard that accepts keeps receiving items until it refuses
+// — one summary load and one occupancy check amortized over however many
+// consumers the shard holds. It returns the number of items delivered.
+// Burst sweeps are never the commit protocol's critical reload, so the
+// steal-race injection applies to every foreign probe.
 func (f *Fabric[T]) sweepPutBurst(home int, items []T, t0 int64, ss *sweepStat) int {
 	n := 0
-	avail := f.cons.Load()
-	for avail != 0 && n < len(items) {
-		i := nearestBit(avail, home)
-		avail &^= 1 << uint(i)
-		if i != home {
-			if f.skipProbe(i, &f.st[i].emptyCons) {
-				continue
-			}
-			if f.f.FailCAS(fault.ShardStealCAS) {
-				continue
-			}
+	c := f.sweep(home, false, false)
+	for n < len(items) {
+		i := f.next(&c)
+		if i < 0 {
+			break
 		}
-		if f.shards[i].HasWaitingConsumer() {
-			resetStreak(&f.st[i].emptyCons)
-			for n < len(items) && f.probePut(i, items[n]) {
-				if i != home {
-					f.st[i].steals.Add(1)
-					ss.stole = true
-					f.m.Inc(metrics.ShardSteals)
-					f.m.Since(metrics.StealNs, t0)
-				}
-				n++
-			}
-		} else {
-			f.noteProbeEmpty(i, &f.st[i].emptyCons)
-			clearBit(&f.cons, 1<<uint(i))
-			if f.shards[i].HasWaitingConsumer() {
-				resetStreak(&f.st[i].emptyCons)
-				setBit(&f.cons, 1<<uint(i))
-				avail |= 1 << uint(i)
-			}
+		for n < len(items) && f.probePut(i, items[n]) {
+			f.stole(i, home, t0, ss)
+			n++
 		}
 	}
 	return n
@@ -132,42 +109,20 @@ func (f *Fabric[T]) sweepPutBurst(home int, items []T, t0 int64, ss *sweepStat) 
 // and returns the count taken.
 func (f *Fabric[T]) sweepTakeBurst(home int, buf *[]T, max int, t0 int64, ss *sweepStat) int {
 	n := 0
-	avail := f.prod.Load()
-	for avail != 0 && n < max {
-		i := nearestBit(avail, home)
-		avail &^= 1 << uint(i)
-		if i != home {
-			if f.skipProbe(i, &f.st[i].emptyProd) {
-				continue
-			}
-			if f.f.FailCAS(fault.ShardStealCAS) {
-				continue
-			}
+	c := f.sweep(home, false, true)
+	for n < max {
+		i := f.next(&c)
+		if i < 0 {
+			break
 		}
-		if f.shards[i].HasWaitingProducer() {
-			resetStreak(&f.st[i].emptyProd)
-			for n < max {
-				v, ok := f.probeTake(i)
-				if !ok {
-					break
-				}
-				if i != home {
-					f.st[i].steals.Add(1)
-					ss.stole = true
-					f.m.Inc(metrics.ShardSteals)
-					f.m.Since(metrics.StealNs, t0)
-				}
-				*buf = append(*buf, v)
-				n++
+		for n < max {
+			v, ok := f.probeTake(i)
+			if !ok {
+				break
 			}
-		} else {
-			f.noteProbeEmpty(i, &f.st[i].emptyProd)
-			clearBit(&f.prod, 1<<uint(i))
-			if f.shards[i].HasWaitingProducer() {
-				resetStreak(&f.st[i].emptyProd)
-				setBit(&f.prod, 1<<uint(i))
-				avail |= 1 << uint(i)
-			}
+			f.stole(i, home, t0, ss)
+			*buf = append(*buf, v)
+			n++
 		}
 	}
 	return n

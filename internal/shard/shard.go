@@ -216,116 +216,126 @@ func (f *Fabric[T]) home() int {
 	return int(rand.Uint64()) & m
 }
 
-// sweepPut probes the shards the cons summary flags as holding a waiting
-// consumer, starting at home. Probes that find a flagged shard actually
-// empty clear its stale bit, keeping the summary tight. A critical sweep
-// is exempt from fault injection: it is the reload of the commit
-// protocol's announce-then-recheck handshake, whose probes are what make
-// cross-shard stranding impossible, so an injected "lost race" there would
-// manufacture a deadlock no real execution can produce.
-// t0 is the fabric operation's arrival timestamp (zero when the fabric is
-// uninstrumented); a probe that completes on a non-home shard records the
-// arrival-to-steal latency separately from the shards' own hand-off
-// histograms. ss accumulates the operation's contention evidence (lost
-// probe races, completed-as-a-steal) for the width controller.
+// cursor is one sweep: a walk over the shards the prod (or cons) summary
+// flags as holding a waiting producer (or consumer), starting at home (see
+// next). A critical sweep is exempt from skipping and fault injection: it
+// is the reload of the commit protocol's announce-then-recheck handshake,
+// whose probes are what make cross-shard stranding impossible, so an
+// injected "lost race" there would manufacture a deadlock no real
+// execution can produce.
+type cursor struct {
+	avail    uint64 // flagged shards not yet visited
+	home     int32  // not int: the demand engines hold a cursor in their frame
+	critical bool
+	prod     bool // the walk looks for waiting producers (a take's sweep)
+}
+
+// sweep starts a walk over the shards flagged for the wanted side.
+func (f *Fabric[T]) sweep(home int, critical, prod bool) cursor {
+	w := &f.cons
+	if prod {
+		w = &f.prod
+	}
+	return cursor{avail: w.Load(), home: int32(home), critical: critical, prod: prod}
+}
+
+// next returns the next shard of c's walk that holds a waiter on the
+// wanted side, for the caller to probe, or -1 once the walk is done.
+// Flagged shards are checked for occupancy before they are returned: a
+// stale hint costs one load here instead of a full failed hand-off
+// attempt, and the hint is cleared so the summary stays tight. A linked
+// reservation is visible to the occupancy check the instant it is
+// enqueued, so the critical sweep's no-stranding guarantee survives the
+// shortcut.
 //
-// Non-critical sweeps are steal-weighted: a foreign shard observed empty
+// Non-critical walks are steal-weighted: a foreign shard observed empty
 // on probeSkipAfter consecutive probes is passed over without probing
 // (with a periodic re-probe), so drained shards stop costing two loads on
-// every sweep of every operation. Critical sweeps never skip — they carry
-// the commit protocol's no-stranding guarantee — and the home shard is
-// never skipped, since it is where the operation would commit anyway.
+// every sweep of every operation. The home shard is never skipped, since
+// it is where the operation would commit anyway.
+func (f *Fabric[T]) next(c *cursor) int {
+	w := &f.cons
+	if c.prod {
+		w = &f.prod
+	}
+	for c.avail != 0 {
+		i := nearestBit(c.avail, int(c.home))
+		bit := uint64(1) << uint(i)
+		c.avail &^= bit
+		streak := &f.st[i].emptyCons
+		if c.prod {
+			streak = &f.st[i].emptyProd
+		}
+		if !c.critical && i != int(c.home) &&
+			(f.skipProbe(i, streak) || f.f.FailCAS(fault.ShardStealCAS)) {
+			continue // drained shard skipped, or an injected lost steal race
+		}
+		if f.waiting(i, c.prod) {
+			resetStreak(streak)
+			return i
+		}
+		f.noteProbeEmpty(i, streak)
+		clearBit(w, bit)
+		// The staleness check and the clear are two steps: a waiter may
+		// link and announce between them, and its announce can be a no-op
+		// when the bit was already set, so the clear would erase a live
+		// hint for good. Re-check and restore — a set bit with a waiter
+		// behind it must stay durable, or the commit protocol's Dekker
+		// reload can miss the waiter forever.
+		if f.waiting(i, c.prod) {
+			resetStreak(streak)
+			setBit(w, bit)
+			c.avail |= bit
+		}
+	}
+	return -1
+}
+
+// sweepPut probes the shards flagged as holding a waiting consumer,
+// starting at home, and reports whether v was delivered. t0 is the fabric
+// operation's arrival timestamp (zero when the fabric is uninstrumented);
+// a probe that completes on a non-home shard records the arrival-to-steal
+// latency separately from the shards' own hand-off histograms. ss
+// accumulates the operation's contention evidence (lost probe races,
+// completed-as-a-steal) for the width controller.
 func (f *Fabric[T]) sweepPut(home int, v T, critical bool, t0 int64, ss *sweepStat) bool {
-	avail := f.cons.Load()
-	for avail != 0 {
-		i := nearestBit(avail, home)
-		avail &^= 1 << uint(i)
-		if !critical && i != home {
-			if f.skipProbe(i, &f.st[i].emptyCons) {
-				continue // steal-weighting: shard repeatedly seen drained
-			}
-			if f.f.FailCAS(fault.ShardStealCAS) {
-				continue // injected lost steal race: move to the next shard
-			}
+	c := f.sweep(home, critical, false)
+	for i := f.next(&c); i >= 0; i = f.next(&c) {
+		if f.probePut(i, v) {
+			f.stole(i, home, t0, ss)
+			return true
 		}
-		// Check occupancy before probing: a stale hint costs one load here
-		// instead of a full failed hand-off attempt. A linked reservation is
-		// visible to HasWaitingConsumer the instant it is enqueued, so the
-		// critical sweep's no-stranding guarantee survives the shortcut.
-		if f.shards[i].HasWaitingConsumer() {
-			resetStreak(&f.st[i].emptyCons)
-			if f.probePut(i, v) {
-				if i != home {
-					f.st[i].steals.Add(1)
-					ss.stole = true
-					f.m.Inc(metrics.ShardSteals)
-					f.m.Since(metrics.StealNs, t0)
-				}
-				return true
-			}
-			// A waiter was there and another operation claimed it first: a
-			// lost probe race, the contention evidence the width follows.
-			ss.fails++
-		} else {
-			f.noteProbeEmpty(i, &f.st[i].emptyCons)
-			clearBit(&f.cons, 1<<uint(i))
-			// The staleness check and the clear are two steps: a consumer
-			// may link and announce between them, and its announce can be a
-			// no-op when the bit was already set, so the clear would erase a
-			// live hint for good. Re-check and restore — a set bit with a
-			// waiter behind it must stay durable, or the commit protocol's
-			// Dekker reload can miss the waiter forever.
-			if f.shards[i].HasWaitingConsumer() {
-				f.st[i].emptyCons.Store(0)
-				setBit(&f.cons, 1<<uint(i))
-				avail |= 1 << uint(i)
-			}
-		}
+		// A waiter was there and another operation claimed it first: a
+		// lost probe race, the contention evidence the width follows.
+		ss.fails++
 	}
 	return false
 }
 
-// sweepTake probes the shards the prod summary flags as holding a waiting
-// producer, starting at home.
+// sweepTake probes the shards flagged as holding a waiting producer,
+// starting at home.
 func (f *Fabric[T]) sweepTake(home int, critical bool, t0 int64, ss *sweepStat) (T, bool) {
-	avail := f.prod.Load()
-	for avail != 0 {
-		i := nearestBit(avail, home)
-		avail &^= 1 << uint(i)
-		if !critical && i != home {
-			if f.skipProbe(i, &f.st[i].emptyProd) {
-				continue
-			}
-			if f.f.FailCAS(fault.ShardStealCAS) {
-				continue
-			}
+	c := f.sweep(home, critical, true)
+	for i := f.next(&c); i >= 0; i = f.next(&c) {
+		if v, ok := f.probeTake(i); ok {
+			f.stole(i, home, t0, ss)
+			return v, true
 		}
-		if f.shards[i].HasWaitingProducer() {
-			resetStreak(&f.st[i].emptyProd)
-			if v, ok := f.probeTake(i); ok {
-				if i != home {
-					f.st[i].steals.Add(1)
-					ss.stole = true
-					f.m.Inc(metrics.ShardSteals)
-					f.m.Since(metrics.StealNs, t0)
-				}
-				return v, true
-			}
-			ss.fails++
-		} else {
-			f.noteProbeEmpty(i, &f.st[i].emptyProd)
-			clearBit(&f.prod, 1<<uint(i))
-			// Same check-then-clear repair as sweepPut: restore the hint if
-			// a producer linked between the staleness check and the clear.
-			if f.shards[i].HasWaitingProducer() {
-				f.st[i].emptyProd.Store(0)
-				setBit(&f.prod, 1<<uint(i))
-				avail |= 1 << uint(i)
-			}
-		}
+		ss.fails++
 	}
 	var zero T
 	return zero, false
+}
+
+// stole accounts a hand-off a probe completed on shard i for an operation
+// homed on home: a steal when the two differ.
+func (f *Fabric[T]) stole(i, home int, t0 int64, ss *sweepStat) {
+	if i != home {
+		f.st[i].steals.Add(1)
+		ss.stole = true
+		f.m.Inc(metrics.ShardSteals)
+		f.m.Since(metrics.StealNs, t0)
+	}
 }
 
 // probePut and probeTake are the sweeps' probes of shard i: the contract's
@@ -406,87 +416,95 @@ func commitStep(own, opp *atomic.Uint64, bit uint64, streak *atomic.Int32) bool 
 //     so the steady state costs one node and one park, with no timer and
 //     no periodic rescue wakeups.
 func (f *Fabric[T]) PutDeadline(v T, deadline time.Time, cancel <-chan struct{}) core.Status {
+	// One frame runs the whole engine, sweep included (sweepPut's loop,
+	// spelled out): a fresh goroutine's first hand-off runs on its 2-KB
+	// starting stack, and each frame between the facade and the shard
+	// brings a stack copy closer (see TestFirstHandoffStack).
 	if f.closedStatus() {
 		return core.Closed
 	}
 	var ss sweepStat
-	st := f.putEngine(v, deadline, cancel, &ss)
-	f.observe(&ss)
-	return st
-}
-
-func (f *Fabric[T]) putEngine(v T, deadline time.Time, cancel <-chan struct{}, ss *sweepStat) core.Status {
 	t0 := f.m.Start()
 	home := f.home()
-	critical := false
-	for {
-		if f.sweepPut(home, v, critical, t0, ss) {
-			return core.OK
+	st := core.OK
+engine:
+	for critical := false; ; critical = true {
+		c := f.sweep(home, critical, false)
+		for i := f.next(&c); i >= 0; i = f.next(&c) {
+			if f.probePut(i, v) {
+				f.stole(i, home, t0, &ss)
+				st = core.OK
+				break engine
+			}
+			ss.fails++
 		}
 		if !deadline.IsZero() && !time.Now().Before(deadline) {
 			// No counterpart and the caller's patience is spent (or was
 			// zero to begin with: a pure Offer).
-			return core.Timeout
+			st = core.Timeout
+			break
 		}
 		f.st[home].depth.Add(1)
-		st := f.shards[home].PutCommit(v, deadline, cancel, f.putStep[home])
+		st = f.shards[home].PutCommit(v, deadline, cancel, f.putStep[home])
 		f.st[home].depth.Add(-1)
 		if st == core.OK {
-			return st
+			break
 		}
 		// Our bit may now be stale; drop it so sweeps stay tight.
 		f.retireBit(home, true)
 		if st != core.Withdrawn {
-			return st
+			break
 		}
 		// The Dekker reload flagged a consumer somewhere: retry through
 		// the sweep, critical from here on — these probes carry the
 		// no-stranding guarantee. Losing the commit to a cross-shard race
 		// is contention evidence just like a lost probe.
 		ss.fails++
-		critical = true
 	}
+	f.observe(&ss)
+	return st
 }
 
 // TakeDeadline receives a value, giving up at the deadline (zero: never)
 // or when cancel fires (nil: never): the consumer engine, symmetric to
 // PutDeadline.
-func (f *Fabric[T]) TakeDeadline(deadline time.Time, cancel <-chan struct{}) (T, core.Status) {
+func (f *Fabric[T]) TakeDeadline(deadline time.Time, cancel <-chan struct{}) (v T, st core.Status) {
 	if f.closedStatus() {
-		var zero T
-		return zero, core.Closed
+		return v, core.Closed
 	}
 	var ss sweepStat
-	v, st := f.takeEngine(deadline, cancel, &ss)
-	f.observe(&ss)
-	return v, st
-}
-
-func (f *Fabric[T]) takeEngine(deadline time.Time, cancel <-chan struct{}, ss *sweepStat) (T, core.Status) {
 	t0 := f.m.Start()
 	home := f.home()
-	critical := false
-	for {
-		if v, ok := f.sweepTake(home, critical, t0, ss); ok {
-			return v, core.OK
+engine:
+	for critical := false; ; critical = true {
+		c := f.sweep(home, critical, true)
+		for i := f.next(&c); i >= 0; i = f.next(&c) {
+			var ok bool
+			if v, ok = f.probeTake(i); ok {
+				f.stole(i, home, t0, &ss)
+				st = core.OK
+				break engine
+			}
+			ss.fails++
 		}
 		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			var zero T
-			return zero, core.Timeout
+			st = core.Timeout
+			break
 		}
 		f.st[home].depth.Add(1)
-		v, st := f.shards[home].TakeCommit(deadline, cancel, f.takeStep[home])
+		v, st = f.shards[home].TakeCommit(deadline, cancel, f.takeStep[home])
 		f.st[home].depth.Add(-1)
 		if st == core.OK {
-			return v, st
+			break
 		}
 		f.retireBit(home, false)
 		if st != core.Withdrawn {
-			return v, st
+			break
 		}
 		ss.fails++
-		critical = true
 	}
+	f.observe(&ss)
+	return v, st
 }
 
 // retireBit drops shard i's bit from the prod (or cons) summary once the
