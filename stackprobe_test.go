@@ -156,6 +156,12 @@ var probeRows = []probeRow{
 // probeTrials is the number of fresh goroutines each probe row runs.
 const probeTrials = 20
 
+// spinPhase reports whether waits spin at all: the spin budget is zero
+// when GOMAXPROCS is 1 at process start (internal/spin samples it then),
+// and a wait with no spin phase borrows its parker — the parker table's
+// first chunk, an allocation — as soon as it links.
+var spinPhase = runtime.GOMAXPROCS(0) > 1
+
 // TestFirstHandoffStack gates the stack depth of a fresh goroutine's first
 // hand-off below 256 B of caller frames: an AutoShard put through its spin
 // phase, an AutoShard take or put meeting a waiting counterpart, and the
@@ -188,6 +194,8 @@ func TestFirstHandoffStack(t *testing.T) {
 		switch {
 		case r.why != "":
 			t.Logf("%s — not gated: %s", row, r.why)
+		case !r.meets && !r.parks && !spinPhase:
+			t.Logf("%s — not gated: GOMAXPROCS was 1 at start, so waits do not spin", row)
 		case counted == 0:
 			t.Errorf("%s: no trial counted", row)
 		case moves > 0:
