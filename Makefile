@@ -1,6 +1,6 @@
 # Tier-1 gate: everything `make check` runs must pass before a change
 # lands. CI and the pre-merge driver run exactly this target.
-.PHONY: check lint vet fmt build test sqperf race bench-overhead bench-smoke bench-all bench-scaling bench-batch bench-latency bench-executor stress soak soak-short
+.PHONY: check lint vet fmt build test sqperf race bench-overhead bench-smoke bench-all bench-scaling bench-batch bench-latency bench-executor stress soak soak-short frames
 
 check: lint build test sqperf race bench-smoke bench-scaling bench-batch bench-latency bench-executor soak-short
 
@@ -67,9 +67,14 @@ bench-overhead:
 # bytes plus 512 (3832 at GOMAXPROCS 2, 11992 at GOMAXPROCS 8; padded
 # counters made them 8568 and 25944), the first-hand-off stack probe
 # fails if a fresh goroutine's first AutoShard put through its spin
-# phase, AutoShard take or put meeting a waiting counterpart, or fair
-# queue match copies its 2-KB starting stack below 256 B of caller frames
-# (it logs the ungated timed and parking rows), and the short benchmark
+# phase, AutoShard take or put meeting a waiting counterpart, fair queue
+# match, segmented-queue PutAll that parks ("seg PutAll parks") or
+# segmented-queue TakeBatchContext meeting that parked PutAll ("seg
+# TakeBatchContext meets a parked PutAll") copies its 2-KB starting stack
+# below 256 B of caller frames (it logs the ungated rows with their
+# reasons: the timed facades, parked waits on the AutoShard, fair and
+# unfair queues, the segmented queue's single-item and consumer-parks-
+# first rows, and the unfair queue's match rows), and the short benchmark
 # run prints the allocs/op figures for eyeballing regressions.
 bench-smoke:
 	go test -run TestHandoffAllocBudget -count 1 ./internal/core/
@@ -80,6 +85,23 @@ bench-smoke:
 	go test -run TestFabricAllocBudget -count 1 ./internal/shard/
 	go test -run 'Envelope|TestHandoffAllocBudget' -count 1 -v ./pool/
 	go test -run - -bench BenchmarkHandoffAllocs -benchtime 100x -benchmem ./internal/core/
+
+# Frame report, not a gate: the stack frame (locals= from a -gcflags=-S
+# build of the root test binary, plus 8 for the return address) of each
+# function on the chains TestFirstHandoffStack probes, at the int64 shape
+# the probe uses. A fresh goroutine can use about 1.1 KB of its 2-KB
+# starting stack, so a frame that grows here shows where a first hand-off
+# will start to copy its stack, without a probe run.
+FRAMES_RE = firstOp$$|SynchronousQueue\[go\.shape\.int64\]\)\.(Put|Take|PutAll|TakeBatchContext|OfferTimeout|PollTimeout)$$|Fabric\[go\.shape\.int64\]\)\.(Put|Take)Deadline$$|(DualQueue|DualStack)\[go\.shape\.int64\]\)\.(PutDeadline|TakeDeadline|transfer|engage|engageWait|arrive|await)$$|segq\.\(\*Queue\[(go\.shape\.)?int64\]\)\.(PutBatch|TakeBatch|PutDeadline|TakeDeadline|putBatch|putRun|takeBatch|fill|transfer|claim|findSeg)$$|segq\.\(\*Ticket\[go\.shape\.int64\]\)\.(arrive|Await)$$|park\.Await\[(.*int64|go\.shape\.struct \{ synchq/internal/core\.s )|park\.\(\*Parker\)\.(block|wait|Unpark)$$|park\.\(\*Table\)\.(Wake|Lend)$$
+
+frames:
+	@go test -c -o /dev/null -gcflags='synchq/...=-S' . 2>&1 | awk ' \
+		function hex(s, i, n) { n = 0; s = tolower(substr(s, 3)); \
+			for (i = 1; i <= length(s); i++) n = n * 16 + index("0123456789abcdef", substr(s, i, 1)) - 1; return n } \
+		/ STEXT / { name = substr($$0, 1, index($$0, " STEXT") - 1); \
+			for (i = 2; i <= NF; i++) if ($$i ~ /^locals=/) { split($$i, a, "="); print hex(a[2]) + 8 "\t" name } }' | \
+		grep -E '$(FRAMES_RE)' | sed -E 's#synchq/internal/##g; s#go\.shape\.struct \{ ([a-z]+\.[a-z]+) [^}]*\}#\1 …#' | \
+		sort -t '	' -k2 -u | sort -t '	' -k2
 
 # Scaling smoke gate: a short producer×consumer sweep reduced (via -cores)
 # to the three headline series — plain fair queue, sharded+adaptive fair

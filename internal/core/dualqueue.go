@@ -102,8 +102,9 @@ type DualQueue[T any] struct {
 	// provably reached no other thread (see putSpare).
 	spare atomic.Pointer[qnode]
 
-	// cal sets every wait's spin budget (WaitConfig.Spins).
-	cal *spin.Calibrator
+	// pol is every wait's policy: its calibrator sets the spin budget
+	// (WaitConfig.Spins), and it lends from parkers.
+	pol park.Policy
 	// m receives the instrumentation counters; nil disables them.
 	m *metrics.Handle
 	// f injects deterministic faults at the labeled sites; nil disables.
@@ -120,8 +121,8 @@ type DualQueue[T any] struct {
 // NewDualQueue returns an empty fair synchronous queue with the given wait
 // policy (use the zero WaitConfig for the paper's defaults).
 func NewDualQueue[T any](cfg WaitConfig) *DualQueue[T] {
-	q := &DualQueue[T]{cal: spin.NewCalibrator(cfg.Spins), m: cfg.Metrics, f: cfg.Fault,
-		parkers: park.Table{M: cfg.Metrics, F: cfg.Fault}}
+	q := &DualQueue[T]{m: cfg.Metrics, f: cfg.Fault, parkers: park.Table{M: cfg.Metrics, F: cfg.Fault}}
+	q.pol = park.Policy{Cal: spin.NewCalibrator(cfg.Spins), M: cfg.Metrics, Parkers: &q.parkers}
 	// A fresh goroutine's first hand-off runs on its small starting stack,
 	// where an allocation at the bottom of the call chain can force a copy
 	// of the stack: the first box and the first waiting node are built
@@ -314,7 +315,7 @@ func (q *DualQueue[T]) await(s, pred *qnode, e uint32, t0 int64, deadline *time.
 	// resolved, so this is sampled once rather than re-read from the
 	// contended head on every spin.
 	w.front = q.head.Load().next.Load() == s
-	if o, why := park.Await(w, park.Policy{Cal: q.cal, M: q.m, Parkers: &q.parkers}, *deadline, cancel, t0); o != park.Fulfilled {
+	if o, why := park.Await(w, &q.pol, deadline, cancel, t0); o != park.Fulfilled {
 		q.drop(s, pred, e)
 		return *new(T), StatusOf(o, why)
 	}

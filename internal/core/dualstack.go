@@ -91,8 +91,9 @@ type DualStack[T any] struct {
 	// thread.
 	npool sync.Pool
 
-	// cal sets every wait's spin budget (WaitConfig.Spins).
-	cal *spin.Calibrator
+	// pol is every wait's policy: its calibrator sets the spin budget
+	// (WaitConfig.Spins), and it lends from parkers.
+	pol park.Policy
 	// m receives the instrumentation counters; nil disables them.
 	m *metrics.Handle
 	// f injects deterministic faults at the labeled sites; nil disables.
@@ -104,8 +105,9 @@ type DualStack[T any] struct {
 // NewDualStack returns an empty unfair synchronous queue with the given
 // wait policy (use the zero WaitConfig for the paper's defaults).
 func NewDualStack[T any](cfg WaitConfig) *DualStack[T] {
-	return &DualStack[T]{closedMark: &snode[T]{}, cal: spin.NewCalibrator(cfg.Spins), m: cfg.Metrics, f: cfg.Fault,
-		parkers: park.Table{M: cfg.Metrics, F: cfg.Fault}}
+	q := &DualStack[T]{closedMark: &snode[T]{}, m: cfg.Metrics, f: cfg.Fault, parkers: park.Table{M: cfg.Metrics, F: cfg.Fault}}
+	q.pol = park.Policy{Cal: spin.NewCalibrator(cfg.Spins), M: cfg.Metrics, Parkers: &q.parkers}
+	return q
 }
 
 // Metrics returns the stack's instrumentation handle (nil when disabled).

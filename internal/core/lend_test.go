@@ -66,7 +66,7 @@ func TestResolveBeforeArm(t *testing.T) {
 		}
 		qt := tk.(*QueueTicket[int])
 		w := armHook[qwait]{w: qt.waiter(), before: func() { q.Put(7) }}
-		o, _ := park.Await(w, park.Policy{Cal: q.cal, M: h, Parkers: &q.parkers}, time.Time{}, nil, 0)
+		o, _ := park.Await(w, &park.Policy{Cal: q.pol.Cal, M: h, Parkers: &q.parkers}, &time.Time{}, nil, 0)
 		p := qt.node.parker() // before collect forgets it
 		check(t, h, &q.parkers, p, o, q.collect(qt.node, qt.pred, qt.node.item.Load()))
 	})
@@ -79,7 +79,7 @@ func TestResolveBeforeArm(t *testing.T) {
 		}
 		st := tk.(*StackTicket[int])
 		w := armHook[swait[int]]{w: st.waiter(), before: func() { q.Put(7) }}
-		o, _ := park.Await(w, park.Policy{Cal: q.cal, M: h, Parkers: &q.parkers}, time.Time{}, nil, 0)
+		o, _ := park.Await(w, &park.Policy{Cal: q.pol.Cal, M: h, Parkers: &q.parkers}, &time.Time{}, nil, 0)
 		p := st.node.waiter.Load() // before collect forgets it
 		check(t, h, &q.parkers, p, o, st.collect())
 	})

@@ -152,7 +152,7 @@ func TestQuickWaitConfigSpins(t *testing.T) {
 		if n == 0 {
 			return true // adaptive: checked below
 		}
-		c := NewDualQueue[int](WaitConfig{Spins: int(n)}).cal
+		c := NewDualQueue[int](WaitConfig{Spins: int(n)}).pol.Cal
 		want := max(int(n), 0)
 		for i := 0; i < 32; i++ {
 			if c.Untimed() != want || c.Timed() != want>>4 {
@@ -166,7 +166,7 @@ func TestQuickWaitConfigSpins(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c := NewDualStack[int](WaitConfig{}).cal
+	c := NewDualStack[int](WaitConfig{}).pol.Cal
 	if !spin.Multicore() {
 		if c.Untimed() != 0 || c.Timed() != 0 {
 			t.Fatalf("uniprocessor default budgets = (%d, %d), want (0, 0)", c.Untimed(), c.Timed())

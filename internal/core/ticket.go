@@ -216,7 +216,7 @@ func (t *StackTicket[T]) Await(deadline time.Time, cancel <-chan struct{}) (T, S
 		panic("core: await on a spent ticket")
 	}
 	t.done = true
-	if o, why := park.Await(t.waiter(), park.Policy{Cal: t.q.cal, M: t.q.m, Parkers: &t.q.parkers}, deadline, cancel, t.t0); o != park.Fulfilled {
+	if o, why := park.Await(t.waiter(), &t.q.pol, &deadline, cancel, t.t0); o != park.Fulfilled {
 		t.q.clean(t.node)
 		var zero T
 		return zero, StatusOf(o, why)

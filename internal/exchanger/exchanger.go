@@ -93,11 +93,11 @@ type Exchanger[T any] struct {
 	// patience to observed contention (see adaptor); nil pins the static
 	// full-width policy.
 	ad *adaptor
-	// cal sets the main-slot wait's spin budget, pinned at the platform
-	// defaults (MaxUntimedSpins untimed, MaxTimedSpins timed; none on a
-	// uniprocessor). brief pins an outer-slot excursion, which is timed,
-	// at MaxUntimedSpins spins on any host.
-	cal, brief *spin.Calibrator
+	// wait is the main-slot wait's policy, its spin budget pinned at the
+	// platform defaults (MaxUntimedSpins untimed, MaxTimedSpins timed; none
+	// on a uniprocessor). brief is an outer-slot excursion's, which is
+	// timed, pinned at MaxUntimedSpins spins on any host.
+	wait, brief park.Policy
 	// bpool recycles pooled value boxes (see xbox).
 	bpool sync.Pool
 	// m receives the instrumentation counters; nil disables them.
@@ -111,7 +111,7 @@ type Exchanger[T any] struct {
 // SetMetrics attaches an instrumentation handle (nil disables) and returns
 // e for chaining. Call before the exchanger is shared between goroutines.
 func (e *Exchanger[T]) SetMetrics(h *metrics.Handle) *Exchanger[T] {
-	e.m, e.parkers.M = h, h
+	e.m, e.parkers.M, e.wait.M, e.brief.M = h, h, h, h
 	if e.ad != nil {
 		h.Set(metrics.ArenaWidth, int64(e.ad.Width()))
 	}
@@ -151,7 +151,10 @@ func NewSize[T any](slots int) *Exchanger[T] {
 	if slots < 1 {
 		slots = 1
 	}
-	return &Exchanger[T]{arena: make([]slot[T], slots), canceled: new(xbox[T]), taken: new(xbox[T]), cal: spin.NewCalibrator(spin.UntimedSpins()), brief: spin.NewCalibrator(spin.MaxUntimedSpins << 4)}
+	e := &Exchanger[T]{arena: make([]slot[T], slots), canceled: new(xbox[T]), taken: new(xbox[T])}
+	e.wait = park.Policy{Cal: spin.NewCalibrator(spin.UntimedSpins()), Parkers: &e.parkers, SpinPhaseOnly: true}
+	e.brief = park.Policy{Cal: spin.NewCalibrator(spin.MaxUntimedSpins << 4), Parkers: &e.parkers, Grace: true}
+	return e
 }
 
 // getBox returns a value box holding v, recycled from the box pool when
@@ -272,7 +275,7 @@ func (e *Exchanger[T]) exchangeCounting(v *xbox[T], isData bool, deadline time.T
 				continue
 			}
 			if s.n.CompareAndSwap(nil, me) {
-				return e.await(me, s, park.Policy{Cal: e.cal, M: e.m, Parkers: &e.parkers, SpinPhaseOnly: true}, deadline, cancel, t0)
+				return e.await(me, s, &e.wait, deadline, cancel, t0)
 			}
 			// Collision on the main slot: brief excursion. The pause
 			// site holds this window — collision observed, excursion
@@ -286,7 +289,7 @@ func (e *Exchanger[T]) exchangeCounting(v *xbox[T], isData bool, deadline time.T
 				// An excursion never parks: its deadline has passed on
 				// arrival, so its whole patience is the grace an unspent
 				// spin budget gets.
-				if x, st := e.await(me, s, park.Policy{Cal: e.brief, M: e.m, Parkers: &e.parkers, Grace: true}, time.Unix(0, 1), nil, 0); st == OK {
+				if x, st := e.await(me, s, &e.brief, time.Unix(0, 1), nil, 0); st == OK {
 					return x, OK
 				}
 				// Withdrew; the node's hole is poisoned, so
@@ -364,8 +367,8 @@ func (e *Exchanger[T]) fulfillValue(v *xbox[T]) *xbox[T] {
 // slot so later arrivals do not claim a dead node. t0 is the exchange's
 // arrival timestamp for the spin-vs-park breakdown (zero when
 // uninstrumented); the end-to-end outcome is recorded by exchange.
-func (e *Exchanger[T]) await(me *xnode[T], s *slot[T], p park.Policy, deadline time.Time, cancel <-chan struct{}, t0 int64) (*xbox[T], Status) {
-	o, why := park.Await(xwait[T]{e: e, me: me}, p, deadline, cancel, t0)
+func (e *Exchanger[T]) await(me *xnode[T], s *slot[T], p *park.Policy, deadline time.Time, cancel <-chan struct{}, t0 int64) (*xbox[T], Status) {
+	o, why := park.Await(xwait[T]{e: e, me: me}, p, &deadline, cancel, t0)
 	if o != park.Fulfilled {
 		s.n.CompareAndSwap(me, nil) // withdraw
 		if why == park.Canceled {

@@ -43,7 +43,7 @@ func TestResolveBeforeArm(t *testing.T) {
 	e.arena[0].n.Store(me)
 	got := make(chan int, 1)
 	w := armHook[int]{xwait: xwait[int]{e: e, me: me}, before: func() { got <- e.Exchange(8) }}
-	o, _ := park.Await(w, park.Policy{Cal: spin.NewCalibrator(-1), M: h, Parkers: &e.parkers}, time.Time{}, nil, 0)
+	o, _ := park.Await(w, &park.Policy{Cal: spin.NewCalibrator(-1), M: h, Parkers: &e.parkers}, &time.Time{}, nil, 0)
 	if o != park.Fulfilled {
 		t.Fatalf("wait resolved %v, want Fulfilled", o)
 	}
@@ -92,7 +92,7 @@ func TestLentParkerStorm(t *testing.T) {
 		// the node and its hole CAS.
 		inj := fault.New(fault.Config{Seed: uint64(round), FailCASRate: 0.2, Sites: []fault.Site{fault.XFulfillCAS}})
 		e := New[int64]().SetFault(inj)
-		e.cal = spin.NewCalibrator(-1)
+		e.wait.Cal = spin.NewCalibrator(-1)
 		// Parties draw exchanges from one even pool rather than a fixed
 		// count each, so no goroutine is left with exchanges but nobody
 		// to meet.

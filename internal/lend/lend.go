@@ -98,8 +98,19 @@ func (t *Table[E]) chunk(k uint64) *atomic.Pointer[chunk[E]] {
 	return &dir[k-1]
 }
 
-// At returns the element with index idx, which Lend has issued.
+// At returns the element with index idx, which Lend has issued. Its fast
+// path, the first chunk's indexes, inlines: a resolver's wake-up runs at
+// the bottom of a fresh goroutine's first call chain, on its small
+// starting stack, and a table rarely lends more than eight at once.
 func (t *Table[E]) At(idx uint32) *E {
+	if idx < 1<<chunkLog0 {
+		return &t.first.Load().elem[idx]
+	}
+	return t.at(idx)
+}
+
+// at is At past the first chunk.
+func (t *Table[E]) at(idx uint32) *E {
 	c, off := t.slot(idx)
 	return &c.elem[off]
 }

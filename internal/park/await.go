@@ -44,7 +44,10 @@ type Waiter interface {
 	Arm(idx uint32)
 }
 
-// Policy is the structure-wide half of a wait.
+// Policy is the structure-wide half of a wait. Each structure owns its
+// policies and passes them by pointer: a pointer is one register, where
+// the struct would push the wait's other arguments onto the stack of a
+// call chain that a fresh goroutine runs on its small starting stack.
 type Policy struct {
 	// Cal sets the spin budget and learns from fulfilled waits.
 	Cal *spin.Calibrator
@@ -79,7 +82,7 @@ type Policy struct {
 // and — when t0, the operation's arrival stamp from metrics.Handle.Start,
 // is nonzero — the spin-phase and hand-off/wasted histograms, split from
 // one clock read at exit. Only fulfilled waits feed the calibrator.
-func Await[W Waiter](w W, p Policy, deadline time.Time, cancel <-chan struct{}, t0 int64) (Outcome, WaitResult) {
+func Await[W Waiter](w W, p *Policy, deadline *time.Time, cancel <-chan struct{}, t0 int64) (Outcome, WaitResult) {
 	spins := 0
 	if w.SpinOK() {
 		if deadline.IsZero() {
@@ -129,7 +132,7 @@ func Await[W Waiter](w W, p Policy, deadline time.Time, cancel <-chan struct{}, 
 			}
 			return o, why
 		}
-		if !deadline.IsZero() && (spins <= 0 || !p.Grace) && !time.Now().Before(deadline) {
+		if !deadline.IsZero() && (spins <= 0 || !p.Grace) && !time.Now().Before(*deadline) {
 			why = DeadlineExceeded
 			w.Abort()
 			continue // reload: the abort may have lost to a fulfiller
@@ -163,10 +166,20 @@ func Await[W Waiter](w W, p Policy, deadline time.Time, cancel <-chan struct{}, 
 			continue // re-check before the first park
 		}
 		parked = true
-		// wait rather than Wait keeps this path a frame shallower: a fresh
-		// goroutine's first hand-off runs on its small initial stack, and
-		// a deeper hand-off path forces a stack copy into every set-up.
-		if r := pk.wait(deadline, cancel, true); r != Unparked {
+		// An untimed, uncancelable wait blocks in a plain receive, from
+		// this frame: select's runtime frames are ~300 B deeper, and a
+		// fresh goroutine's first park runs on its small starting stack,
+		// where a deeper path forces a stack copy into every set-up. wait
+		// rather than Wait keeps the other path a frame shallower for the
+		// same reason.
+		if deadline.IsZero() && cancel == nil {
+			if n, pt := pk.attach(); n != nil {
+				for !pk.consume(n) {
+					<-n.ch
+				}
+				pk.detach(n, pt, Unparked)
+			}
+		} else if r := pk.wait(deadline, cancel, true); r != Unparked {
 			why = r
 			w.Abort()
 		}

@@ -95,7 +95,7 @@ func TestAwaitOutcomes(t *testing.T) {
 			setup(f)
 		}
 		cal := spin.NewCalibrator(spins)
-		o, why := Await(fakeWait{f}, Policy{Cal: cal, M: h, Parkers: &f.l}, deadline, cancel, metrics.Nanos())
+		o, why := Await(fakeWait{f}, &Policy{Cal: cal, M: h, Parkers: &f.l}, &deadline, cancel, metrics.Nanos())
 		// Exactly one spin-phase sample and one outcome sample per wait.
 		hs := h.Histograms()
 		if n := hs.Get(metrics.SpinNs).Count(); n != 1 {
@@ -259,7 +259,8 @@ func TestAwaitGraceOutlastsDeadline(t *testing.T) {
 		h := metrics.New()
 		f := &fake{spinOK: true}
 		cal := spin.NewCalibrator(64) // timed budget 64>>4 = 4
-		o, _ := Await(fakeWait{f}, Policy{Cal: cal, M: h, Parkers: &f.l, Grace: grace}, time.Unix(0, 1), nil, 0)
+		expired := time.Unix(0, 1)
+		o, _ := Await(fakeWait{f}, &Policy{Cal: cal, M: h, Parkers: &f.l, Grace: grace}, &expired, nil, 0)
 		want := int64(0)
 		if grace {
 			want = 4

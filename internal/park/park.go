@@ -76,32 +76,22 @@ func New() *Parker {
 
 // Unpark makes the permit available, unblocking a current or future Park.
 // Multiple Unparks coalesce into a single permit; only the Unpark that
-// deposits the permit counts as a delivery.
+// deposits the permit counts as a delivery. It inlines into Table.Wake, so
+// a resolver's wake-up costs one frame above the runtime's channel send: a
+// fresh goroutine's first hand-off runs on its small starting stack.
 func (p *Parker) Unpark() {
-	for {
-		switch p.state.Load() {
-		case pPermit:
-			return // coalesce
-		case pEmpty:
-			if p.state.CompareAndSwap(pEmpty, pPermit) {
-				p.m.Inc(metrics.Unparks)
-				return
-			}
-		case pParked:
-			if p.state.CompareAndSwap(pParked, pPermit) {
-				p.m.Inc(metrics.Unparks)
-				// The owner attached its notifier before moving to
-				// parked, so a non-nil load here is the channel it is
-				// blocked on (or about to detach — then the token is a
-				// harmless stray). Non-blocking: capacity 1 and tokens
-				// coalesce like permits.
-				if n := p.sig.Load(); n != nil {
-					select {
-					case n.ch <- struct{}{}:
-					default:
-					}
-				}
-				return
+	// One swap covers every transition: empty→permit, parked→permit, and
+	// permit→permit, which coalesces.
+	if s := p.state.Swap(pPermit); s != pPermit {
+		p.m.Inc(metrics.Unparks)
+		// The owner attached its notifier before moving to parked, so a
+		// non-nil load here is the channel it is blocked on (or about to
+		// detach — then the token is a harmless stray). Non-blocking:
+		// capacity 1 and tokens coalesce like permits.
+		if n := p.sig.Load(); s == pParked && n != nil {
+			select {
+			case n.ch <- struct{}{}:
+			default:
 			}
 		}
 	}
@@ -111,7 +101,7 @@ func (p *Parker) Unpark() {
 // timed and cancelable waits, Park is exact even under fault injection: a
 // return always consumed a real permit.
 func (p *Parker) Park() {
-	for p.wait(time.Time{}, nil, false) != Unparked {
+	for p.wait(&time.Time{}, nil, false) != Unparked {
 	}
 }
 
@@ -143,7 +133,8 @@ func (p *Parker) ParkTimeout(d time.Duration) bool {
 	if d <= 0 {
 		return p.TryPark()
 	}
-	return p.wait(time.Now().Add(d), nil, true) == Unparked
+	deadline := time.Now().Add(d)
+	return p.wait(&deadline, nil, true) == Unparked
 }
 
 // ParkDeadline blocks until the permit is available or the deadline passes.
@@ -154,5 +145,5 @@ func (p *Parker) ParkDeadline(deadline time.Time) bool {
 		p.Park()
 		return true
 	}
-	return p.wait(deadline, nil, true) == Unparked
+	return p.wait(&deadline, nil, true) == Unparked
 }

@@ -46,6 +46,10 @@ func (t *Table) Lend() (uint32, *Parker) {
 	return idx, p
 }
 
+// Reserve builds the table's first chunk now, so that the first Lend
+// allocates nothing (see lend.Table.Reserve).
+func (t *Table) Reserve() { t.t.Reserve() }
+
 // Return puts a lent index back on the free stack once its borrower's wait
 // is over.
 func (t *Table) Return(idx uint32) { t.t.Return(idx) }

@@ -209,7 +209,8 @@ func TestStrayPermitIsSpurious(t *testing.T) {
 
 	const patience = 20 * time.Millisecond
 	start := time.Now()
-	o, why := Await(fakeWait{f}, Policy{Cal: spin.NewCalibrator(-1), Parkers: &f.l}, start.Add(patience), nil, 0)
+	deadline := start.Add(patience)
+	o, why := Await(fakeWait{f}, &Policy{Cal: spin.NewCalibrator(-1), Parkers: &f.l}, &deadline, nil, 0)
 	if elapsed := time.Since(start); elapsed < patience {
 		t.Errorf("timed wait returned after %v, before its %v deadline", elapsed, patience)
 	}

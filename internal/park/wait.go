@@ -29,19 +29,20 @@ const (
 // synchronous queue wait loops do anyway, since a real Unpark only signals
 // "look again".
 func (p *Parker) Wait(deadline time.Time, cancel <-chan struct{}) WaitResult {
-	return p.wait(deadline, cancel, true)
+	return p.wait(&deadline, cancel, true)
 }
 
 // wait is the shared slow path behind every waiting method. faulty selects
 // whether the injector's spurious-unpark and timer-skew sites apply (Park's
-// exact contract opts out).
+// exact contract opts out). The deadline travels by pointer, one word
+// where time.Time is three, as in park.Await.
 //
 // The protocol: consume an available permit; otherwise attach a pooled
 // notifier, publish the parked state, and block on notifier/timer/cancel.
 // The state word is the truth — a notifier token only means "re-examine the
 // state word", so stale tokens (from a previous wait, or from an unparker
 // racing the detach) cause one extra loop iteration, never a wrong result.
-func (p *Parker) wait(deadline time.Time, cancel <-chan struct{}, faulty bool) WaitResult {
+func (p *Parker) wait(deadline *time.Time, cancel <-chan struct{}, faulty bool) WaitResult {
 	// Fast path: permit already available.
 	if p.state.CompareAndSwap(pPermit, pEmpty) {
 		return Unparked
@@ -55,7 +56,7 @@ func (p *Parker) wait(deadline time.Time, cancel <-chan struct{}, faulty bool) W
 	var timerC <-chan time.Time
 	var due time.Time // when our own timer fires; earlier ticks are stale
 	if !deadline.IsZero() {
-		d0 := time.Until(deadline)
+		d0 := time.Until(*deadline)
 		d := d0
 		if faulty {
 			d = p.f.SkewTimer(d)
@@ -136,6 +137,56 @@ func (p *Parker) wait(deadline time.Time, cancel <-chan struct{}, faulty bool) W
 			p.state.CompareAndSwap(pParked, pEmpty)
 			return p.detach(n, t0, Canceled)
 		}
+	}
+}
+
+// attach and consume are wait for an untimed, uncancelable wait, which
+// park.Await runs with a plain receive on the notifier in its own frame,
+// rather than a select, whose runtime frames are about 300 B deeper:
+//
+//	if n, t0 := p.attach(); n != nil {
+//		for !p.consume(n) {
+//			<-n.ch
+//		}
+//		p.detach(n, t0, Unparked)
+//	}
+//
+// They keep wait's faulty contract: under fault injection the wait may
+// end without a permit (a spurious wakeup), and the caller re-validates
+// either way. attach returns a nil notifier when the wait is already over
+// — a permit was available, or a spurious wakeup fired — and otherwise
+// attaches a notifier, counts the park and returns the blocked interval's
+// start.
+func (p *Parker) attach() (*notifier, int64) {
+	if p.state.CompareAndSwap(pPermit, pEmpty) || p.f.SpuriousWake() {
+		return nil, 0
+	}
+	n := sigPool.Get().(*notifier)
+	select {
+	case <-n.ch: // a stale token (see wait)
+	default:
+	}
+	p.sig.Store(n)
+	p.m.Inc(metrics.Parks)
+	return n, p.m.Start()
+}
+
+// consume reports whether the owner holds the permit now, consuming it;
+// otherwise it publishes the parked state, so the owner may block on n.
+// A token that brought no permit is stale: consume disarms back to empty
+// and publishes parked again.
+func (p *Parker) consume(n *notifier) bool {
+	for {
+		if p.state.CompareAndSwap(pPermit, pEmpty) {
+			return true
+		}
+		if p.state.CompareAndSwap(pEmpty, pParked) {
+			return false
+		}
+		// Still parked after a wake-up: the token was stale. Disarm, and
+		// publish parked again (a disarm lost to an unparker leaves the
+		// permit for the next pass).
+		p.state.CompareAndSwap(pParked, pEmpty)
 	}
 }
 

@@ -1,12 +1,14 @@
 package segq
 
 import (
+	"math/bits"
 	"slices"
 	"time"
 
 	"synchq/internal/core"
 	"synchq/internal/fault"
 	"synchq/internal/metrics"
+	"synchq/internal/park"
 )
 
 // This file is the segmented core's native batch layer: the multi-cell
@@ -35,19 +37,6 @@ import (
 // bounded, and a batch that dies mid-run strands at most one segment's
 // worth of poisoned cells for the unlinker to reap.
 
-// pendingInstall records one cell this batch installed an ITEM into and
-// has not yet seen resolved. A run installs at most SegSize of these, so
-// putRun keeps them in a fixed array in its own stack frame — batch
-// bookkeeping is local memory; only the cells themselves are shared.
-type pendingInstall[T any] struct {
-	s *segment[T]
-	c *cell[T]
-	i uint64
-	// idx is the chunk position of the installed item, for the partial-fill
-	// compaction (see putRun's return path).
-	idx int
-}
-
 // PutBatch transfers items in order, claiming contiguous cell runs with
 // one F&A per SegSize items. It returns the number of items actually
 // delivered to consumers and OK when that is all of them; on
@@ -58,78 +47,159 @@ type pendingInstall[T any] struct {
 // holds exactly the undelivered items in their original relative order,
 // and items[:n] is unspecified. A consumer can outrun the unwind at a
 // later run index while an earlier install aborts, so the delivered
-// subset is not always a slice prefix; putRun compacts the undelivered
-// values back into the chunk's tail so the caller's retry ("resend
+// subset is not always a slice prefix; compactTail moves the undelivered
+// values back into each chunk's tail so the caller's retry ("resend
 // items[n:]") stays exact anyway.
+//
+// PutBatch inlines into its interface wrapper, and putBatch passes the
+// deadline down by pointer: a producer's first batch parks at the bottom of
+// this chain, which a fresh goroutine runs on its small starting stack.
 func (q *Queue[T]) PutBatch(items []T, deadline time.Time, cancel <-chan struct{}) (int, Status) {
+	return q.putBatch(items, &deadline, cancel)
+}
+
+func (q *Queue[T]) putBatch(items []T, deadline *time.Time, cancel <-chan struct{}) (int, Status) {
 	if len(items) == 0 {
 		return 0, core.OK
 	}
 	if q.closed.Load() {
 		return 0, core.Closed
 	}
+	var r run[T]
 	delivered, off := 0, 0
 	for off < len(items) {
-		end := min(off+SegSize, len(items))
-		d, consumed, st := q.putRun(items[off:end], deadline, cancel)
+		chunk := items[off:min(off+SegSize, len(items))]
+		q.claimRun(&r, len(chunk))
+		// Phase 1 (putRun) pauses after each waiting consumer it fulfills,
+		// so the consumer is woken from this shallower frame.
+		st := core.OK
+		for more := true; more; {
+			var w uint32
+			w, st, more = q.putRun(&r, chunk, deadline)
+			q.parkers.Wake(w)
+		}
+		consumed := int(r.n)
+		// Phase 2: one wait phase for every install putRun made, each
+		// pending cell waited on in index order with park.Await called
+		// straight from here, as a reservation's Await would (a put's spins
+		// are granted once a consumer has committed an index past the
+		// cell). If a wait aborts (deadline/cancel/close), or the run
+		// already ended in the expired-poison arm, the remaining pending
+		// installs are unwound with the installer's own ITEM→BROKEN abort
+		// arm, reclaiming their values; a pending cell a consumer resolved
+		// first stays delivered and is counted. A run that met Close still
+		// waits for the installs it made before.
+		closedHit := st == core.Closed
+		if closedHit {
+			st = core.OK
+		}
+		for k := uint8(0); k < r.np; k++ {
+			p := r.pend[k]
+			c, s := r.cell(p)
+			if st == core.OK {
+				w := cellWait[T]{c: c, mode: waitMode(cItem, r.base+uint64(p>>segShift), q.takec.Load())}
+				o, why := park.Await(w, &q.pol, deadline, cancel, 0)
+				if o == park.Fulfilled {
+					r.done |= 1 << (p & segMask)
+					continue
+				}
+				if o == park.Aborted {
+					q.resolveCell(s) // our own abort broke the cell
+				}
+				c.v = *new(T) // never delivered: reclaim it
+				st = core.StatusOf(o, why)
+				continue
+			}
+			if q.unwind(c, s, st) {
+				r.done |= 1 << (p & segMask)
+			}
+		}
+		if closedHit && st == core.OK {
+			st = core.Closed
+		}
+		d := bits.OnesCount16(r.done)
+		if d < consumed {
+			compactTail(chunk[:consumed], r.done)
+		}
 		delivered += d
 		off += consumed
-		if st != core.OK {
-			return delivered, st
-		}
 		// st OK with consumed < len(chunk) means dead indexes (poisoned or
 		// unlinked cells) swallowed part of the run; re-claim for the rest.
 		// A fully dead run makes no progress and never reaches putRun's
 		// per-cell deadline arm (there is no EMPTY cell to check at), so
 		// the abort conditions must be re-checked here or an expired batch
 		// would claim-and-skip fresh runs forever.
-		if consumed == 0 {
-			select {
-			case <-cancel:
-				return delivered, core.Canceled
-			default:
-			}
-			if !deadline.IsZero() && !time.Now().Before(deadline) {
-				return delivered, core.Timeout
-			}
+		if st == core.OK && consumed == 0 {
+			st = aborted(deadline, cancel)
+		}
+		if st != core.OK {
+			return delivered, st
 		}
 	}
 	return delivered, core.OK
 }
 
-// putRun reserves len(chunk) contiguous indexes with a single F&A and
-// resolves them in ascending order. It returns the items delivered, the
-// items consumed from chunk (delivered plus aborted installs), and the
-// terminating status.
+// aborted reports Canceled or Timeout when a batch's cancel channel has
+// fired or its deadline passed, else OK. It is out of line so its select
+// and clock read cost putBatch no frame.
 //
-// The sweep is two-phase. Phase 1 walks the run without blocking: a cell
-// with a waiting consumer is fulfilled immediately; an EMPTY cell gets
-// this batch's next item installed (recorded as pending); BROKEN and
-// unlinked cells are skipped. Phase 2 awaits the pending installs in index
-// order — one wait phase for the whole run. If a wait aborts
-// (deadline/cancel/close), the remaining pending installs are unwound with
-// the installer's own ITEM→BROKEN abort arm, reclaiming their values; a
-// pending cell a consumer resolved first stays delivered and is counted.
-func (q *Queue[T]) putRun(chunk []T, deadline time.Time, cancel <-chan struct{}) (delivered, consumed int, st Status) {
-	var zero T
-	k := uint64(len(chunk))
-	base := q.putc.Add(k) - k
+//go:noinline
+func aborted(deadline *time.Time, cancel <-chan struct{}) Status {
+	select {
+	case <-cancel:
+		return core.Canceled
+	default:
+	}
+	if !deadline.IsZero() && !time.Now().Before(*deadline) {
+		return core.Timeout
+	}
+	return core.OK
+}
+
+// run is one claimed producer run's bookkeeping. Runs are capped at
+// SegSize, so it packs into a few words of putBatch's frame — a first
+// batch runs on a fresh goroutine's small starting stack: base is the
+// run's first index; j is the next run offset phase 1 resolves, and n the
+// chunk items it has consumed; pend lists the np pending installs, one
+// byte each (the run offset in the high nibble, the item's chunk position
+// in the low one); segs holds the segments the run spans (at most two,
+// indexed by segment id less the first's); done marks the delivered chunk
+// positions.
+type run[T any] struct {
+	base     uint64
+	segs     [2]*segment[T]
+	pend     [SegSize]uint8
+	j, n, np uint8
+	done     uint16
+}
+
+// cell returns the cell and segment of pending install p.
+func (r *run[T]) cell(p uint8) (*cell[T], *segment[T]) {
+	i := r.base + uint64(p>>segShift)
+	s := r.segs[i>>segShift-r.base>>segShift]
+	return s.at(i), s
+}
+
+// claimRun reserves k contiguous indexes for r with a single F&A.
+func (q *Queue[T]) claimRun(r *run[T], k int) {
+	r.base = q.putc.Add(uint64(k)) - uint64(k)
+	r.j, r.n, r.np, r.done = 0, 0, 0, 0
 	q.f.Preempt(fault.SegBatchPause)
+}
 
-	// Runs are capped at SegSize, so fixed arrays keep the bookkeeping on
-	// the stack: pendBuf backs the run's pending installs, and done marks
-	// which chunk positions were delivered, for the partial-fill
-	// compaction below.
-	var pendBuf [SegSize]pendingInstall[T]
-	pending := pendBuf[:0]
-	var done [SegSize]bool
-	itemIdx := 0
-	closedHit := false
-	timedOut := false
-
-sweep:
-	for j := uint64(0); j < k && itemIdx < len(chunk); j++ {
-		i := base + j
+// putRun resolves run r's cells in ascending order, placing chunk's items,
+// without blocking — phase 1 of a run. A cell with a waiting consumer is
+// fulfilled immediately; an EMPTY cell gets this batch's next item
+// installed (recorded in r as pending); BROKEN and unlinked cells are
+// skipped. putBatch then awaits the pending installs, phase 2. putRun
+// returns after each consumer it fulfills, with more set and the
+// consumer's waiter word w for the caller to wake; it resumes at r.j. It
+// returns with more clear when the sweep is over: st is Timeout when the
+// run ended in the expired-poison arm, Closed when it met Close, else OK.
+func (q *Queue[T]) putRun(r *run[T], chunk []T, deadline *time.Time) (w uint32, st Status, more bool) {
+	var zero T
+	for ; int(r.j) < len(chunk); r.j++ {
+		i := r.base + uint64(r.j)
 		s := q.findSeg(&q.putSeg, i>>segShift)
 		if s.id != i>>segShift {
 			// The run strayed into unlinked territory: every cell up to s
@@ -152,10 +222,9 @@ sweep:
 						continue
 					}
 					q.resolveCell(s)
-					closedHit = true
-					break sweep
+					return 0, core.Closed, false
 				}
-				expired := !deadline.IsZero() && !time.Now().Before(deadline)
+				expired := !deadline.IsZero() && !time.Now().Before(*deadline)
 				if expired && q.takec.Load() <= i {
 					// Attempt-first poison, as in the single-item engine: no
 					// consumer has committed an index that reaches this
@@ -171,10 +240,9 @@ sweep:
 					}
 					q.resolveCell(s)
 					q.m.Inc(metrics.Timeouts)
-					timedOut = true
-					break sweep
+					return 0, core.Timeout, false
 				}
-				c.v = chunk[itemIdx]
+				c.v = chunk[r.n]
 				q.f.Preempt(fault.SegCloseRacePause)
 				if q.f.FailCAS(fault.SegInstallCAS) || !c.state.CompareAndSwap(cEmpty, cItem) {
 					q.m.Inc(metrics.CASFailEnqueue)
@@ -188,19 +256,20 @@ sweep:
 						q.resolveCell(s)
 						c.v = zero
 						q.m.Inc(metrics.ClosedWakeups)
-						itemIdx++ // consumed but not delivered
-						closedHit = true
-						break sweep
+						r.n++ // consumed but not delivered
+						return 0, core.Closed, false
 					}
 				}
-				pending = append(pending, pendingInstall[T]{s: s, c: c, i: i, idx: itemIdx})
-				itemIdx++
+				r.segs[i>>segShift-r.base>>segShift] = s
+				r.pend[r.np] = r.j<<segShift | r.n
+				r.np++
+				r.n++
 				break cell
 
 			case cWaiter:
 				// A consumer already waits at this index: deliver the
 				// batch's next item on the spot.
-				c.v = chunk[itemIdx]
+				c.v = chunk[r.n]
 				if q.f.FailCAS(fault.SegResolveCAS) || !c.state.CompareAndSwap(cWaiter, cDone) {
 					q.m.Inc(metrics.CASFailFulfill)
 					if st := c.state.Load(); st == cBroken || st == cClosed {
@@ -211,11 +280,10 @@ sweep:
 				q.resolveCell(s)
 				q.m.Inc(metrics.Fulfillments)
 				q.f.Preempt(fault.SegResolvePause)
-				q.parkers.Wake(c.w.Load())
-				delivered++
-				done[itemIdx] = true
-				itemIdx++
-				break cell
+				r.done |= 1 << r.n
+				r.n++
+				r.j++
+				return c.w.Load(), core.OK, true
 
 			case cBroken:
 				break cell // counterpart poisoned or aborted: dead index
@@ -226,92 +294,86 @@ sweep:
 				panic("segq: cell resolved twice")
 
 			default: // cClosed: the close sweep evicted this index's waiter
-				closedHit = true
-				break sweep
+				return 0, core.Closed, false
 			}
 		}
 	}
+	return 0, core.OK, false
+}
 
-	// Phase 2: one wait phase for every install the run made. A run that
-	// ended in the expired-poison arm is already over: its pendings go
-	// straight to the unwind (a consumer that beat the unwind to one of
-	// them still counts as a delivery).
-	st = core.OK
-	if timedOut {
-		st = core.Timeout
-	}
-	for _, p := range pending {
-		if st == core.OK {
-			tk := Ticket[T]{q: q, s: p.s, c: p.c, i: p.i, installed: cItem, isPut: true}
-			if _, st2 := tk.Await(deadline, cancel); st2 == core.OK {
-				delivered++
-				done[p.idx] = true
-			} else {
-				st = st2
-			}
-			continue
+// unwind aborts pending install c of segment s once its batch is over
+// with status st (the cell still advertises an item): only the installer
+// may abort it, reclaiming the value if the abort wins. It reports whether
+// a consumer won first, delivering the item.
+func (q *Queue[T]) unwind(c *cell[T], s *segment[T], st Status) bool {
+	if c.state.CompareAndSwap(cItem, cBroken) {
+		q.resolveCell(s)
+		c.v = *new(T)
+		if st == core.Canceled {
+			q.m.Inc(metrics.Cancellations)
+		} else {
+			q.m.Inc(metrics.Timeouts)
 		}
-		// Unwind: the batch is over, but this cell still advertises an
-		// item. Only the installer may abort it; reclaim the value if the
-		// abort wins, count the delivery if a consumer won first.
-		if p.c.state.CompareAndSwap(cItem, cBroken) {
-			q.resolveCell(p.s)
-			p.c.v = zero
-			if st == core.Canceled {
-				q.m.Inc(metrics.Cancellations)
-			} else {
-				q.m.Inc(metrics.Timeouts)
-			}
-			continue
-		}
-		switch p.c.state.Load() {
-		case cDone:
-			delivered++
-			done[p.idx] = true
-		case cClosed:
-			p.c.v = zero
-			q.m.Inc(metrics.ClosedWakeups)
+		return false
+	}
+	switch c.state.Load() {
+	case cDone:
+		return true
+	case cClosed:
+		c.v = *new(T)
+		q.m.Inc(metrics.ClosedWakeups)
+	}
+	return false
+}
+
+// compactTail moves the items of chunk whose positions done does not mark
+// into chunk's tail, in their original order, so that with n positions
+// marked, chunk[n:] holds exactly the undelivered items: the partial-fill
+// contract's retry slice. The delivered positions need not be a prefix (a
+// consumer can resolve a later pending install while an earlier one
+// aborts). It works in place, back to front: an undelivered item only ever
+// moves toward the tail, onto a position already read.
+func compactTail[T any](chunk []T, done uint16) {
+	w := len(chunk)
+	for j := len(chunk) - 1; j >= 0; j-- {
+		if done&(1<<j) == 0 {
+			w--
+			chunk[w] = chunk[j]
 		}
 	}
-	if closedHit && st == core.OK {
-		st = core.Closed
-	}
-	if delivered < itemIdx {
-		// Partial fill: the delivered positions need not be a prefix (a
-		// consumer can resolve a later pending install while an earlier one
-		// aborts), but the caller's contract is "items[n:] is what did not
-		// go through". Compact the undelivered values into the chunk's tail,
-		// order preserved.
-		var und [SegSize]T
-		u := 0
-		for j := 0; j < itemIdx; j++ {
-			if !done[j] {
-				und[u] = chunk[j]
-				u++
-			}
-		}
-		copy(chunk[delivered:itemIdx], und[:u])
-	}
-	return delivered, itemIdx, st
 }
 
 // TakeBatch appends up to max values to buf: the first take waits under
 // the deadline through the single-item engine, then the fill claims
-// already-committed producer runs with one F&A each and resolves them
-// non-blocking. The status contract matches the other cores' TakeBatch:
-// OK when the batch ended normally, Timeout/Canceled when the first wait
-// aborted with nothing taken, Closed when the queue shut down (values
-// already taken stay in buf).
+// already-committed producer runs with one F&A each (takeRun) and resolves
+// them non-blocking. The status contract matches the other cores'
+// TakeBatch: OK when the batch ended normally, Timeout/Canceled when the
+// first wait aborted with nothing taken, Closed when the queue shut down
+// (values already taken stay in buf).
 //
 // Once the first take succeeds, buf is grown once to hold that value plus
 // the committed-producer surplus (capped at max-1) the fill will claim, so
 // a nil buf costs one allocation rather than a doubling per item; only
 // producers that commit during the fill can grow it again.
+//
+// A fresh goroutine's first batch runs on its small starting stack, so
+// every cell resolves in this frame: the first take calls arrive itself
+// rather than transfer, the fill's cells go straight to arriveAt, and the
+// producers met are woken from here.
 func (q *Queue[T]) TakeBatch(buf []T, max int, deadline time.Time, cancel <-chan struct{}) ([]T, Status) {
+	return q.takeBatch(buf, max, &deadline, cancel)
+}
+
+func (q *Queue[T]) takeBatch(buf []T, max int, deadline *time.Time, cancel <-chan struct{}) ([]T, Status) {
 	if max <= 0 {
 		return buf, core.OK
 	}
-	v, st := q.transfer(false, *new(T), deadline, cancel, nil)
+	tk := Ticket[T]{q: q}
+	v, st, w := tk.arrive(*new(T), deadline)
+	q.parkers.Wake(w)
+	if tk.c != nil {
+		v, st = tk.Await(*deadline, cancel)
+	}
 	if st != core.OK {
 		return buf, st
 	}
@@ -322,67 +384,75 @@ func (q *Queue[T]) TakeBatch(buf []T, max int, deadline time.Time, cancel <-chan
 	if room < 0 {
 		room = 0
 	}
-	buf = slices.Grow(buf, 1+int(room))
-	buf = append(buf, v)
-	taken := 1
-	for taken < max {
-		n, st := q.takeRun(&buf, max-taken)
-		taken += n
+	if buf == nil {
+		buf = make([]T, 0, 1+room) // makeslice runs shallower than Grow's growslice
+	} else {
+		buf = slices.Grow(buf, 1+int(room))
+	}
+	return q.fill(append(buf, v), max-1, &tk)
+}
+
+// fill is the rest of a TakeBatch: it takes up to max more values from
+// already-committed producers, arriving at each cell with tk, the first
+// take's spent ticket.
+func (q *Queue[T]) fill(buf []T, max int, tk *Ticket[T]) ([]T, Status) {
+	for taken := 0; taken < max; {
+		base, k, st := q.takeRun(max - taken)
 		if st == core.Closed {
 			return buf, core.Closed
+		}
+		// Each cell of the run resolves with an expired deadline: the
+		// per-cell semantics of a poll (attempt-first: an installed
+		// producer en route to a claimed cell still gets a bounded spin to
+		// arrive).
+		n := 0
+		for i := base; i < base+k; i++ {
+			s := q.findSeg(&q.takeSeg, i>>segShift)
+			if s.id != i>>segShift {
+				q.m.Inc(metrics.CleanSweeps)
+				continue // unlinked: dead index
+			}
+			tk.s, tk.i, tk.t0 = s, i, 0
+			v, st, w := tk.arrive(*new(T), &core.Expired)
+			q.parkers.Wake(w)
+			if tk.c != nil {
+				v, st = tk.Await(core.Expired, nil)
+			}
+			switch st {
+			case core.OK:
+				buf = append(buf, v)
+				n++
+			case core.Closed:
+				return buf, core.Closed
+			}
+			// Timeout: the cell was dead on arrival, we poisoned it, or our
+			// brief install aborted — a miss, not a batch failure.
 		}
 		if n == 0 {
 			break
 		}
+		taken += n
 	}
 	return buf, core.OK
 }
 
 // takeRun claims up to max already-committed producer indexes with one F&A
-// and resolves each cell through arriveAt with an expired deadline —
-// the per-cell semantics of a poll (attempt-first: an installed producer en
-// route to a claimed cell still gets a bounded spin to arrive). The claim
-// is bounded by the committed-producer surplus read just before the F&A,
-// so a drain overshoots by at most the racing claims of that window, and
-// capped at SegSize like the producer runs. It returns the values taken
-// and Closed when the queue was observed shut down.
-func (q *Queue[T]) takeRun(buf *[]T, max int) (int, Status) {
+// and returns the run [base, base+k) for TakeBatch's fill to resolve; k is
+// 0 when no producer has committed past the consumers. The claim is
+// bounded by the committed-producer surplus read just before the F&A, so a
+// drain overshoots by at most the racing claims of that window, and capped
+// at SegSize like the producer runs. It returns Closed when the queue was
+// observed shut down.
+func (q *Queue[T]) takeRun(max int) (base, k uint64, st Status) {
 	if q.closed.Load() {
-		return 0, core.Closed
+		return 0, 0, core.Closed
 	}
 	avail := int64(q.putc.Load() - q.takec.Load())
 	if avail <= 0 {
-		return 0, core.OK
+		return 0, 0, core.OK
 	}
-	k := min(int64(max), avail, int64(SegSize))
-	base := q.takec.Add(uint64(k)) - uint64(k)
+	k = uint64(min(int64(max), avail, int64(SegSize)))
+	base = q.takec.Add(k) - k
 	q.f.Preempt(fault.SegBatchPause)
-
-	var zero T
-	taken := 0
-	for j := int64(0); j < k; j++ {
-		i := base + uint64(j)
-		s := q.findSeg(&q.takeSeg, i>>segShift)
-		if s.id != i>>segShift {
-			q.m.Inc(metrics.CleanSweeps)
-			continue // unlinked: dead index
-		}
-		v, tk, st, ok := q.arriveAt(s, s.at(i), i, false, zero, core.Expired, 0, &q.putc)
-		if !ok {
-			continue // BROKEN on arrival: dead index
-		}
-		if tk.c != nil {
-			v, st = tk.Await(core.Expired, nil)
-		}
-		switch st {
-		case core.OK:
-			*buf = append(*buf, v)
-			taken++
-		case core.Closed:
-			return taken, core.Closed
-		}
-		// Timeout: the cell was poisoned (or our brief install aborted) —
-		// a miss, not a batch failure.
-	}
-	return taken, core.OK
+	return base, k, core.OK
 }

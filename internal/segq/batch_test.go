@@ -1,6 +1,9 @@
 package segq
 
 import (
+	"math/bits"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -81,6 +84,56 @@ func TestPutBatchPartialFillOnTimeout(t *testing.T) {
 	q.Put(42)
 	if got := <-done; got != 42 {
 		t.Fatalf("post-batch handoff = %d, want 42", got)
+	}
+}
+
+// TestCompactTail checks the partial-fill compaction against a reference
+// for every done mask of runs of 1 to 8 items: with n positions marked
+// delivered, items[n:] must hold exactly the unmarked items, in order.
+func TestCompactTail(t *testing.T) {
+	for k := 1; k <= 8; k++ {
+		for done := uint16(0); done < 1<<k; done++ {
+			items := make([]int, k)
+			var want []int
+			for j := range items {
+				items[j] = 100 + j
+				if done&(1<<j) == 0 {
+					want = append(want, items[j])
+				}
+			}
+			compactTail(items, done)
+			if n := bits.OnesCount16(done); !slices.Equal(items[n:], want) {
+				t.Fatalf("k=%d done=%0*b: items[%d:] = %v, want %v", k, k, done, n, items[n:], want)
+			}
+		}
+	}
+}
+
+// TestPutBatchPartialFillNotPrefix covers the partial fill whose delivered
+// positions are not a prefix: a consumer takes the run's second install
+// while the first, whose consumer never arrives, times out. items[1:] must
+// still be the one undelivered item.
+func TestPutBatchPartialFillNotPrefix(t *testing.T) {
+	q := New[int](core.WaitConfig{})
+	q.takec.Add(1) // a consumer claimed index 0 and never arrives
+	taken := make(chan int, 1)
+	go func() {
+		for q.head.Load().at(1).state.Load() != cItem {
+			runtime.Gosched()
+		}
+		v, _ := q.TakeDeadline(time.Now().Add(10*time.Second), nil) // claims index 1
+		taken <- v
+	}()
+	items := []int{1, 2}
+	d, st := q.PutBatch(items, time.Now().Add(100*time.Millisecond), nil)
+	if d != 1 || st != core.Timeout {
+		t.Fatalf("PutBatch = (%d, %v), want (1, Timeout)", d, st)
+	}
+	if v := <-taken; v != 2 {
+		t.Fatalf("consumer at index 1 got %d, want the second item", v)
+	}
+	if items[1] != 1 {
+		t.Fatalf("items[1:] = %v, want [1]: the undelivered first item compacted into the tail", items[1:])
 	}
 }
 

@@ -43,7 +43,7 @@ func TestResolveBeforeArm(t *testing.T) {
 	}
 	st := tk.(*Ticket[int])
 	w := armHook[int]{cellWait: st.waiter(), before: func() { q.Put(7) }}
-	if o, _ := park.Await(w, park.Policy{Cal: q.cal, M: h, Parkers: &q.parkers, Grace: true}, time.Time{}, nil, 0); o != park.Fulfilled {
+	if o, _ := park.Await(w, &park.Policy{Cal: q.pol.Cal, M: h, Parkers: &q.parkers, Grace: true}, &time.Time{}, nil, 0); o != park.Fulfilled {
 		t.Fatalf("wait resolved %v, want Fulfilled", o)
 	}
 	if v := st.collect(); v != 7 {

@@ -65,8 +65,8 @@
 // parker lifecycle"), segments whose address ever reached another thread
 // are never pooled — a stale walker may still hold them, and reusing
 // their identity would let an id-based skip jump over live cells. The
-// bounded free list recycles only never-linked spares: segments that lost
-// the tail-append race before becoming reachable.
+// one-segment spare slot recycles only a never-linked spare: a segment
+// that lost the tail-append race before becoming reachable.
 package segq
 
 import (
@@ -89,8 +89,6 @@ const (
 	// partially-broken tail segment wastes little.
 	SegSize = 1 << segShift
 	segMask = SegSize - 1
-	// spareCap bounds the free list of never-linked spare segments.
-	spareCap = 4
 )
 
 // Cell states. EMPTY must be zero: fresh segments are zeroed allocations.
@@ -165,13 +163,15 @@ type Queue[T any] struct {
 	head   atomic.Pointer[segment[T]]
 	closed atomic.Bool
 
-	// spare is the bounded free list of never-linked spare segments
-	// (append-race losers) — see the package comment's recycling rules.
-	spare chan *segment[T]
+	// spare holds one never-linked segment, an append-race loser — see the
+	// package comment's recycling rules.
+	spare atomic.Pointer[segment[T]]
 
-	cal *spin.Calibrator
-	m   *metrics.Handle
-	f   *fault.Injector
+	m *metrics.Handle
+	f *fault.Injector
+	// pol is every wait's policy: its calibrator sets the spin budget
+	// (WaitConfig.Spins), and it lends from parkers.
+	pol park.Policy
 	// parkers lends waiting cells their parkers (see park.Table).
 	parkers park.Table
 }
@@ -181,13 +181,15 @@ var _ core.Handoff[int] = (*Queue[int])(nil)
 // New returns an empty segmented synchronous queue with the given wait
 // policy (use the zero WaitConfig for the paper's defaults).
 func New[T any](cfg core.WaitConfig) *Queue[T] {
-	q := &Queue[T]{
-		cal:     spin.NewCalibrator(cfg.Spins),
-		m:       cfg.Metrics,
-		f:       cfg.Fault,
-		spare:   make(chan *segment[T], spareCap),
-		parkers: park.Table{M: cfg.Metrics, F: cfg.Fault},
-	}
+	q := &Queue[T]{m: cfg.Metrics, f: cfg.Fault, parkers: park.Table{M: cfg.Metrics, F: cfg.Fault}}
+	q.pol = park.Policy{Cal: spin.NewCalibrator(cfg.Spins), M: cfg.Metrics, Parkers: &q.parkers, Grace: true}
+	// A producer's first batch parks, and appends the second segment, at
+	// the bottom of a deep call chain, which a fresh goroutine runs on its
+	// small starting stack; an allocation down there can force a copy of
+	// that stack. The parkers' first chunk and a spare segment are built
+	// here instead.
+	q.parkers.Reserve()
+	q.spare.Store(&segment[T]{})
 	first := &segment[T]{}
 	q.head.Store(first)
 	q.putSeg.Store(first)
@@ -201,29 +203,33 @@ func (q *Queue[T]) Metrics() *metrics.Handle { return q.m }
 
 // ---- segment list maintenance ---------------------------------------------
 
-// getSegment serves a fresh segment for id, preferring the spare list.
-// A recycled spare was never linked, so its cells are still zero.
+// getSegment serves a fresh segment for id, preferring the spare. A
+// spare was never linked, so its cells are still zero.
 func (q *Queue[T]) getSegment(id uint64) *segment[T] {
-	select {
-	case s := <-q.spare:
-		q.m.Inc(metrics.NodeReuses)
-		s.id = id
-		return s
-	default:
+	if q.spare.Load() != nil { // writes the shared slot only when a spare is there
+		if s := q.spare.Swap(nil); s != nil {
+			// New's prebuilt spare (id 0) stands in for an allocation; an
+			// append-race loser (id ≥ 1) is a reuse.
+			if s.id == 0 {
+				q.m.Inc(metrics.NodeAllocs)
+			} else {
+				q.m.Inc(metrics.NodeReuses)
+			}
+			s.id = id
+			return s
+		}
 	}
 	q.m.Inc(metrics.NodeAllocs)
 	return &segment[T]{id: id}
 }
 
-// putSpare recycles a segment that lost its append race. Only such
-// never-linked segments may enter the free list: their address provably
-// reached no other thread, so reuse cannot confuse an id-based walker.
+// putSpare recycles a segment that lost its append race, replacing any
+// spare already there. Only such never-linked segments may enter the
+// slot: their address provably reached no other thread, so reuse cannot
+// confuse an id-based walker.
 func (q *Queue[T]) putSpare(s *segment[T]) {
 	s.prev.Store(nil)
-	select {
-	case q.spare <- s:
-	default:
-	}
+	q.spare.Store(s)
 }
 
 // appendSegment links a successor of t (which must be the current tail)
@@ -293,12 +299,19 @@ func (q *Queue[T]) skipTo(ctr *atomic.Uint64, idx uint64) {
 
 // resolveCell accounts one cell of s reaching a terminal state; the caller
 // must be the thread whose CAS made it terminal, so each cell is counted
-// exactly once. The counter hitting SegSize triggers the unlink.
+// exactly once. The counter hitting SegSize triggers the unlink. It
+// inlines, so the unlink runs a frame shallower: a batch fill resolves
+// cells on a fresh goroutine's small starting stack.
 func (q *Queue[T]) resolveCell(s *segment[T]) {
 	if s.resolved.Add(1) == SegSize {
-		q.m.Inc(metrics.SegUnlinks)
-		q.unlink(s)
+		q.unlinkResolved(s)
 	}
+}
+
+// unlinkResolved counts and unlinks a segment whose last cell resolved.
+func (q *Queue[T]) unlinkResolved(s *segment[T]) {
+	q.m.Inc(metrics.SegUnlinks)
+	q.unlink(s)
 }
 
 // aliveNext returns the first non-removed segment right of s, or the
@@ -371,12 +384,18 @@ func (q *Queue[T]) advanceHead(to *segment[T]) {
 
 // ---- the transfer engine --------------------------------------------------
 
+// never is the zero deadline, for the callers of arrive that have no
+// deadline of their own to point at. Nothing writes it.
+var never time.Time
+
 // transfer is the shared engine behind every public operation: arrive at
 // a cell, then — if the operation installed itself — run the commit step
 // (see core.Withdrawn) and wait exactly as a reservation's Await does.
 func (q *Queue[T]) transfer(isPut bool, v T, deadline time.Time, cancel <-chan struct{}, commit func() bool) (T, Status) {
-	v, tk, st := q.arrive(isPut, v, deadline)
+	tk := Ticket[T]{q: q, isPut: isPut}
+	v, st, w := tk.arrive(v, &deadline)
 	if tk.c == nil {
+		q.parkers.Wake(w)
 		return v, st // completed, or refused, at arrival
 	}
 	if commit != nil && !commit() && tk.withdraw() {
@@ -387,54 +406,71 @@ func (q *Queue[T]) transfer(isPut bool, v T, deadline time.Time, cancel <-chan s
 	return tk.Await(deadline, cancel)
 }
 
-// arrive claims an index and plays its cell through the state machine in
-// the package comment until the operation has either completed or
-// installed itself; an installed operation gets back the pending
-// reservation (tk.c non-nil). A cell found BROKEN (the counterpart
-// poisoned it or aborted) sends it round for a fresh index.
-func (q *Queue[T]) arrive(isPut bool, v T, deadline time.Time) (T, Ticket[T], Status) {
-	t0 := q.m.Start()
-	if q.closed.Load() {
-		return *new(T), Ticket[T]{}, core.Closed
+// claim takes the next index of t's side into t.i, with its segment in
+// t.s. An index whose segment was unlinked before we arrived — every cell
+// in it was already terminal — is skipped with the whole dead run.
+func (q *Queue[T]) claim(t *Ticket[T]) {
+	ctr, hint := &q.putc, &q.putSeg
+	if !t.isPut {
+		ctr, hint = &q.takec, &q.takeSeg
 	}
-	ctr, other, hint := q.side(isPut)
 	for {
-		i := ctr.Add(1) - 1
-		s := q.findSeg(hint, i>>segShift)
-		if s.id != i>>segShift {
-			// Our segment was unlinked before we arrived — every cell
-			// in it was already terminal — so skip the whole dead run.
-			q.m.Inc(metrics.CleanSweeps)
-			q.skipTo(ctr, s.id<<segShift)
-			continue
+		t.i = ctr.Add(1) - 1
+		if t.s = q.findSeg(hint, t.i>>segShift); t.s.id == t.i>>segShift {
+			return
 		}
-		if v2, tk, st, ok := q.arriveAt(s, s.at(i), i, isPut, v, deadline, t0, other); ok {
-			return v2, tk, st
-		}
+		q.m.Inc(metrics.CleanSweeps)
+		q.skipTo(ctr, t.s.id<<segShift)
 	}
 }
 
-func (q *Queue[T]) side(isPut bool) (ctr, other *atomic.Uint64, hint *atomic.Pointer[segment[T]]) {
+// other returns the claim counter of the side opposite isPut's.
+func (q *Queue[T]) other(isPut bool) *atomic.Uint64 {
 	if isPut {
-		return &q.putc, &q.takec, &q.putSeg
+		return &q.takec
 	}
-	return &q.takec, &q.putc, &q.takeSeg
+	return &q.putc
 }
 
-// arriveAt resolves this operation's claimed cell i. The wait-vs-poison
-// decision at an EMPTY cell is attempt-first: expired patience (a zero
-// deadline never expires) poisons only when no counterpart has committed
-// an index ≥ ours (other ≤ i); a committed counterpart is on its way to
-// this very cell, so even a zero-patience operation installs, and the
-// wait's spin budget is that counterpart's window to arrive. ok is false
-// only for the BROKEN-on-arrival case, which retries with a fresh index.
-func (q *Queue[T]) arriveAt(s *segment[T], c *cell[T], i uint64, isPut bool, v T, deadline time.Time, t0 int64, other *atomic.Uint64) (T, Ticket[T], Status, bool) {
+// arrive plays the arrival t describes — t.q's side t.isPut, with value v
+// for a put — through the state machine in the package comment until it
+// has either completed or installed itself. With a nil t.s it stamps the
+// arrival and claims its own index; otherwise it resolves cell t.i of
+// segment t.s, which a batch fill claimed. An installed arrival fills in t,
+// its pending reservation (t.c non-nil). An arrival that completes at a
+// waiting counterpart's cell returns that waiter's word, w: the caller
+// wakes it (park.Table.Wake) once arrive has returned, so the wake-up's
+// runtime frames stack on the caller's frame, not on this deeper one — a
+// fresh goroutine's first hand-off runs on its small starting stack. For
+// the same reason the arrival travels as one pointer, and the deadline as
+// another.
+//
+// The wait-vs-poison decision at an EMPTY cell is attempt-first: expired
+// patience (a zero deadline never expires) poisons only when no
+// counterpart has committed an index ≥ ours; a committed counterpart is on
+// its way to this very cell, so even a zero-patience operation installs,
+// and the wait's spin budget is that counterpart's window to arrive. A
+// cell found BROKEN (the counterpart poisoned it or aborted) sends an
+// arrival that claimed its own index round for a fresh one; at a given
+// cell it reports Timeout, a dead index.
+func (t *Ticket[T]) arrive(v T, deadline *time.Time) (_ T, _ Status, w uint32) {
 	var zero T
+	q := t.q
+	t.c = nil
+	claimed := t.s == nil
+	if claimed {
+		t.t0 = q.m.Start()
+		if q.closed.Load() {
+			return zero, core.Closed, 0
+		}
+		q.claim(t)
+	}
+	s, i, c := t.s, t.i, t.s.at(t.i)
 	for {
 		switch st := c.state.Load(); st {
 		case cEmpty:
-			expired := !deadline.IsZero() && !time.Now().Before(deadline)
-			if expired && other.Load() <= i {
+			expired := !deadline.IsZero() && !time.Now().Before(*deadline)
+			if expired && q.other(t.isPut).Load() <= i {
 				// No committed counterpart: poison the cell so a later
 				// counterpart claim skips it, and report the miss.
 				if q.f.FailCAS(fault.SegInstallCAS) || !c.state.CompareAndSwap(cEmpty, cBroken) {
@@ -443,13 +479,13 @@ func (q *Queue[T]) arriveAt(s *segment[T], c *cell[T], i uint64, isPut bool, v T
 				}
 				q.resolveCell(s)
 				q.m.Inc(metrics.Timeouts)
-				q.m.Since(metrics.WastedNs, t0)
-				return zero, Ticket[T]{}, core.Timeout, true
+				q.m.Since(metrics.WastedNs, t.t0)
+				return zero, core.Timeout, 0
 			}
 			// Install: value first — the counterpart reads it after
 			// acquiring our state CAS.
 			installed := cWaiter
-			if isPut {
+			if t.isPut {
 				c.v = v
 				installed = cItem
 			}
@@ -463,16 +499,17 @@ func (q *Queue[T]) arriveAt(s *segment[T], c *cell[T], i uint64, isPut bool, v T
 				// was visible; only we can evict it now. The wait reports
 				// the eviction.
 				q.resolveCell(s)
-				if isPut {
+				if t.isPut {
 					c.v = zero
 				}
 			}
-			return zero, Ticket[T]{q: q, s: s, c: c, i: i, installed: installed, isPut: isPut, t0: t0}, core.OK, true
+			t.c, t.installed, t.done = c, installed, false
+			return zero, core.OK, 0
 
 		case cItem:
 			// A producer deposited and waits: claim the cell, then read
 			// the value (safe after winning the CAS — the aborter lost).
-			if isPut {
+			if t.isPut {
 				panic("segq: producer cell claimed twice")
 			}
 			if q.f.FailCAS(fault.SegResolveCAS) || !c.state.CompareAndSwap(cItem, cDone) {
@@ -484,13 +521,12 @@ func (q *Queue[T]) arriveAt(s *segment[T], c *cell[T], i uint64, isPut bool, v T
 			c.v = zero
 			q.m.Inc(metrics.Fulfillments)
 			q.f.Preempt(fault.SegResolvePause)
-			q.parkers.Wake(c.w.Load())
-			q.m.Since(metrics.HandoffNs, t0)
-			return val, Ticket[T]{}, core.OK, true
+			q.m.Since(metrics.HandoffNs, t.t0)
+			return val, core.OK, c.w.Load()
 
 		case cWaiter:
-			// A consumer waits: deposit, publish with the CAS, unpark.
-			if !isPut {
+			// A consumer waits: deposit, publish with the CAS.
+			if !t.isPut {
 				panic("segq: consumer cell claimed twice")
 			}
 			c.v = v
@@ -507,39 +543,58 @@ func (q *Queue[T]) arriveAt(s *segment[T], c *cell[T], i uint64, isPut bool, v T
 			q.resolveCell(s)
 			q.m.Inc(metrics.Fulfillments)
 			q.f.Preempt(fault.SegResolvePause)
-			q.parkers.Wake(c.w.Load())
-			q.m.Since(metrics.HandoffNs, t0)
-			return zero, Ticket[T]{}, core.OK, true
+			q.m.Since(metrics.HandoffNs, t.t0)
+			return zero, core.OK, c.w.Load()
 
 		case cBroken:
-			return zero, Ticket[T]{}, core.Timeout, false
+			if !claimed {
+				return zero, core.Timeout, 0
+			}
+			q.claim(t)
+			s, i, c = t.s, t.i, t.s.at(t.i)
 
 		case cDone:
 			panic("segq: cell resolved twice")
 
 		default: // cClosed
-			q.m.Since(metrics.WastedNs, t0)
-			return zero, Ticket[T]{}, core.Closed, true
+			q.m.Since(metrics.WastedNs, t.t0)
+			return zero, core.Closed, 0
 		}
 	}
 }
 
 // cellWait is an installed cell's wait as park.Await drives it: the cell
 // is pending while it holds the installed state; the counterpart resolves
-// it DONE, the installer's own abort BROKEN, and Close CLOSED.
+// it DONE, the installer's own abort BROKEN, and Close CLOSED. Abort only
+// CASes: a wait that ends Aborted leaves the cell for its installer to
+// account (resolveCell), so the waiter needs neither the queue nor the
+// segment. Two words keep small every frame that calls park.Await, where
+// the waiter and Await's other arguments are spilled — a first park runs
+// on a fresh goroutine's small starting stack.
 type cellWait[T any] struct {
-	q         *Queue[T]
-	s         *segment[T]
-	c         *cell[T]
-	installed uint32
-	// committed records whether the counterpart had committed an index
-	// past ours when the wait began (see Ticket.Await).
-	committed bool
+	c *cell[T]
+	// mode is the installed state, cItem or cWaiter, with waitSpin set
+	// when the counterpart had committed an index past ours as the wait
+	// began (see Ticket.Await).
+	mode uint32
+}
+
+// waitSpin is cellWait.mode's spin grant.
+const waitSpin = 1 << 31
+
+// waitMode returns the cellWait mode of a wait on installed state
+// installed at index i, whose counterpart side has committed other
+// indexes.
+func waitMode(installed uint32, i, other uint64) uint32 {
+	if other > i {
+		return installed | waitSpin
+	}
+	return installed
 }
 
 func (w cellWait[T]) Settled() park.Outcome {
 	switch w.c.state.Load() {
-	case w.installed:
+	case w.mode &^ waitSpin:
 		return park.Pending
 	case cDone:
 		return park.Fulfilled
@@ -549,15 +604,9 @@ func (w cellWait[T]) Settled() park.Outcome {
 	return park.Evicted
 }
 
-func (w cellWait[T]) Abort() bool {
-	if !w.c.state.CompareAndSwap(w.installed, cBroken) {
-		return false
-	}
-	w.q.resolveCell(w.s)
-	return true
-}
+func (w cellWait[T]) Abort() bool { return w.c.state.CompareAndSwap(w.mode&^waitSpin, cBroken) }
 
-func (w cellWait[T]) SpinOK() bool { return w.committed }
+func (w cellWait[T]) SpinOK() bool { return w.mode&waitSpin != 0 }
 
 func (w cellWait[T]) Arm(idx uint32) { w.c.w.Store(idx + 1) }
 

@@ -429,11 +429,84 @@ func TestZeroPatienceOfferWaitsForCommittedConsumer(t *testing.T) {
 		}
 	}
 	// Arrive as the consumer that committed index 0.
-	v, tk, st, ok := q.arriveAt(s, c, 0, false, 0, time.Time{}, 0, &q.putc)
-	if !ok || st != core.OK || tk.c != nil || v != 7 {
-		t.Fatalf("consumer arrival = (%d, pending=%v, %v, %v), want (7, false, OK, true)", v, tk.c != nil, st, ok)
+	tk := Ticket[int]{q: q, s: s, i: 0}
+	v, st, w := tk.arrive(0, &never)
+	q.parkers.Wake(w)
+	if st != core.OK || tk.c != nil || v != 7 {
+		t.Fatalf("consumer arrival = (%d, pending=%v, %v), want (7, false, OK)", v, tk.c != nil, st)
 	}
 	if !<-offered {
 		t.Fatal("Offer reported a miss although its committed consumer took the value")
+	}
+}
+
+// TestSpareSlot pins the one-segment spare. New's prebuilt spare stands in
+// for the first appended segment and counts as the allocation it saves;
+// an append-race loser put back in the slot is reused exactly once, and
+// counts as a reuse; and no segment that was ever linked enters the slot.
+func TestSpareSlot(t *testing.T) {
+	h := metrics.New()
+	q := New[int](core.WaitConfig{Metrics: h})
+	counts := func() (allocs, reuses int64) { return h.Load(metrics.NodeAllocs), h.Load(metrics.NodeReuses) }
+
+	pre := q.spare.Load()
+	if pre == nil {
+		t.Fatal("New built no spare segment")
+	}
+	s1 := q.appendSegment(q.head.Load())
+	if a, r := counts(); s1 != pre || s1.id != 1 || a != 1 || r != 0 {
+		t.Fatalf("first append: got the prebuilt spare %v (id %d), allocs %d, reuses %d; want true, 1, 1, 0", s1 == pre, s1.id, a, r)
+	}
+
+	// An append-race loser: built for the tail, then put back when another
+	// appender linked first (appendSegment's lost-CAS arm).
+	loser := q.getSegment(s1.id + 1)
+	q.putSpare(loser)
+	s2 := q.appendSegment(s1)
+	if a, r := counts(); s2 != loser || a != 2 || r != 1 {
+		t.Fatalf("append after a lost race: reused the loser %v, allocs %d, reuses %d; want true, 2, 1", s2 == loser, a, r)
+	}
+	if q.spare.Load() != nil {
+		t.Fatal("the slot still holds the reused loser")
+	}
+	if s3 := q.appendSegment(s2); s3 == loser || s3 == pre {
+		t.Fatal("a linked segment came back out of the spare slot")
+	}
+	if a, r := counts(); a != 3 || r != 1 {
+		t.Fatalf("third append: allocs %d, reuses %d, want 3, 1 (the loser is reused once)", a, r)
+	}
+
+	// Under racing appends, whatever sits in the slot was never linked.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	q = New[int](core.WaitConfig{Metrics: h})
+	const pairs, each = 4, 2000
+	var wg sync.WaitGroup
+	for p := 0; p < pairs; p++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				q.Put(i)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				q.Take()
+			}
+		}()
+	}
+	wg.Wait()
+	sp := q.spare.Load()
+	if sp == nil {
+		return
+	}
+	if sp.next.Load() != nil || sp.prev.Load() != nil {
+		t.Fatal("the spare segment carries list links")
+	}
+	for s := q.head.Load(); s != nil; s = s.next.Load() {
+		if s == sp {
+			t.Fatal("the spare segment is linked into the list")
+		}
 	}
 }

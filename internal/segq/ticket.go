@@ -17,15 +17,16 @@ import (
 // of waiting: arrive hands the ticket out, and a transfer that has to wait
 // awaits the very same ticket on the spot.
 
-// Ticket tracks one pending reservation on a segmented queue.
+// Ticket tracks one pending reservation on a segmented queue; before
+// that, it describes the arrival that installs it (see arrive).
 type Ticket[T any] struct {
 	q         *Queue[T]
 	s         *segment[T]
 	c         *cell[T]
 	i         uint64
+	t0        int64
 	installed uint32
 	isPut     bool
-	t0        int64
 	done      bool
 }
 
@@ -33,7 +34,9 @@ type Ticket[T any] struct {
 // waiting. Unlike transfer it never poisons: a reservation's patience is
 // decided later, by Await or Abort.
 func (q *Queue[T]) reserve(isPut bool, v T) (T, *Ticket[T], bool, Status) {
-	v, tk, st := q.arrive(isPut, v, time.Time{})
+	tk := Ticket[T]{q: q, isPut: isPut}
+	v, st, w := tk.arrive(v, &never)
+	q.parkers.Wake(w)
 	if st != core.OK {
 		return v, nil, false, st
 	}
@@ -46,7 +49,7 @@ func (q *Queue[T]) reserve(isPut bool, v T) (T, *Ticket[T], bool, Status) {
 
 // waiter is the reservation's cell as the shared wait loop sees it.
 func (t *Ticket[T]) waiter() cellWait[T] {
-	return cellWait[T]{q: t.q, s: t.s, c: t.c, installed: t.installed}
+	return cellWait[T]{c: t.c, mode: t.installed}
 }
 
 // collect takes the delivered value out of a fulfilled take reservation's
@@ -87,11 +90,13 @@ func (t *Ticket[T]) Await(deadline time.Time, cancel <-chan struct{}) (T, Status
 	// past ours — it is on its way to this very cell; deeper waiters park
 	// immediately, mirroring the paper's "spin only at the head" rule. The
 	// counter only grows, so this is sampled once, when the wait begins.
-	_, other, _ := t.q.side(t.isPut)
-	w.committed = other.Load() > t.i
-	o, why := park.Await(w, park.Policy{Cal: t.q.cal, M: t.q.m, Parkers: &t.q.parkers, Grace: true}, deadline, cancel, t.t0)
-	if o == park.Fulfilled {
+	w.mode = waitMode(t.installed, t.i, t.q.other(t.isPut).Load())
+	o, why := park.Await(w, &t.q.pol, &deadline, cancel, t.t0)
+	switch o {
+	case park.Fulfilled:
 		return t.collect(), core.OK
+	case park.Aborted:
+		t.q.resolveCell(t.s) // our own abort broke the cell
 	}
 	var zero T
 	if t.isPut {
@@ -124,6 +129,7 @@ func (t *Ticket[T]) withdraw() bool {
 	if !t.waiter().Abort() {
 		return false
 	}
+	t.q.resolveCell(t.s)
 	if t.isPut {
 		t.c.v = *new(T)
 	}

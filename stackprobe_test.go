@@ -1,8 +1,15 @@
 package synchq_test
 
 import (
+	"context"
 	"fmt"
+	"os"
+	"os/exec"
 	"runtime"
+	"runtime/debug"
+	"runtime/metrics"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 	"unsafe"
@@ -25,18 +32,32 @@ const (
 	opTake
 	opOffer
 	opPoll
+	opPutAll    // PutAll of probeBatch items
+	opTakeBatch // TakeBatchContext(probeCtx, probeBatch)
+)
+
+// probeBatch is a batch row's PutAll length and TakeBatch limit, as in
+// sqperf's batch workload: two runs of segq.SegSize cells.
+const probeBatch = 32
+
+// probeItems is what a batch probe puts; probeCtx is the cancelable
+// context its TakeBatchContext waits under, as a load generator's is. Both
+// live outside firstOp so its frame stays the same size for every op.
+var (
+	probeItems  = make([]int64, probeBatch)
+	probeCtx, _ = context.WithCancel(context.Background())
 )
 
 // firstOp is a probe goroutine's body: it makes op on q and reports on
-// moved whether its stack moved meanwhile. Its 128-byte local sizes the
+// moved whether its stack moved meanwhile. Its 112-byte local sizes the
 // caller frames above the facade call at 256 B on linux/amd64 — goexit
 // (8 B), the go statement's wrapper (40 B) and firstOp's own frame
-// (208 B; check with -gcflags=-S) — a load generator's goroutine holds
+// (208 B; check with make frames) — a load generator's goroutine holds
 // about that much.
 //
 //go:noinline
 func firstOp(q *synchq.SynchronousQueue[int64], op probeOp, moved chan<- bool) {
-	var frame [128]byte
+	var frame [112]byte
 	before := uintptr(unsafe.Pointer(&frame))
 	switch op {
 	case opPut:
@@ -47,23 +68,49 @@ func firstOp(q *synchq.SynchronousQueue[int64], op probeOp, moved chan<- bool) {
 		q.OfferTimeout(1, time.Second)
 	case opPoll:
 		q.PollTimeout(time.Second)
+	case opPutAll:
+		q.PutAll(probeItems)
+	case opTakeBatch:
+		q.TakeBatchContext(probeCtx, probeBatch)
 	}
 	moved <- uintptr(unsafe.Pointer(&frame)) != before
 }
 
 // probeOutcome is what a trial observed around its first operation.
 type probeOutcome struct {
-	moved   bool
-	parked  bool // the queue's parks counter moved
-	sampled bool // the operation timed itself (see synchq.SampleRate)
+	moved    bool
+	parked   bool // the queue's parks counter moved
+	sampled  bool // the operation timed itself (see synchq.SampleRate)
+	refilled bool // the heap's allocation count moved (see heapAllocs)
 }
+
+// heapAllocs reads the runtime's count of heap allocations. The count
+// moves only when a P's allocation cache refills a span (or on a large
+// allocation, or a GC's cache flush), not on each small allocation: the
+// allocations that run several hundred bytes of runtime frames, more than
+// a first hand-off can ever leave free.
+func heapAllocs() uint64 {
+	s := []metrics.Sample{{Name: "/gc/heap/allocs:objects"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
+}
+
+// probeCore names the queue a probe row builds.
+type probeCore int
+
+const (
+	coreFair   probeCore = iota // Fair(true): the dual queue
+	coreAuto                    // an instrumented AutoShard fair queue
+	coreSeg                     // Segmented(): the segmented core
+	coreUnfair                  // Fair(false): the dual stack
+)
 
 // probeRow is one first operation against a fresh queue per trial, as each
 // benchmark set-up builds one, so the operation also meets the queue's
 // first node and box.
 type probeRow struct {
 	name string
-	auto bool // an instrumented AutoShard fair queue; else a plain fair queue
+	core probeCore
 	op   probeOp
 	// meets starts a partner that waits with partnerOp before the probe's
 	// operation starts; otherwise the partner waits for the probe's
@@ -73,20 +120,35 @@ type probeRow struct {
 	// parks selects the trials that count: those whose wait parked, or
 	// (false) those whose wait ended in its spin phase.
 	parks bool
+	// allocates marks an operation that allocates at the bottom of its
+	// chain by design — a batch's result slice, the parker table's first
+	// chunk: a move in a trial whose allocations refilled a span is
+	// excused, and the row first runs one trial uncounted, because a P's
+	// first allocation in a size class fills an empty cache, which the
+	// allocation count does not show.
+	allocates bool
 	// why is set on rows that are logged, not gated.
 	why string
 }
 
 func (r probeRow) queue(m *synchq.Metrics) *synchq.SynchronousQueue[int64] {
-	if r.auto {
+	switch r.core {
+	case coreAuto:
 		return synchq.New[int64](synchq.Fair(true), synchq.AutoShard(), synchq.Instrument(m))
+	case coreSeg:
+		return synchq.New[int64](synchq.Segmented(), synchq.Instrument(m))
+	case coreUnfair:
+		return synchq.New[int64](synchq.Fair(false), synchq.Instrument(m))
 	}
 	return synchq.New[int64](synchq.Fair(true), synchq.Instrument(m))
 }
 
 func (r probeRow) trial() probeOutcome {
-	var m *synchq.Metrics // a plain fair queue runs uninstrumented, as in pair
-	if r.auto || r.parks {
+	done, moved := make(chan struct{}), make(chan bool)
+	// Plain queues run uninstrumented, as in pair and batch, unless the
+	// row counts parks.
+	var m *synchq.Metrics
+	if r.core == coreAuto || r.parks {
 		m = synchq.NewMetrics()
 	}
 	q := r.queue(m)
@@ -96,21 +158,43 @@ func (r probeRow) trial() probeOutcome {
 			q.Put(2)
 		case opTake:
 			q.Take()
+		case opPutAll:
+			q.PutAll(make([]int64, probeBatch))
+		case opTakeBatch:
+			// TakeBatch waits for one value only: loop until the probe's
+			// whole PutAll went through.
+			for n := 0; n < probeBatch; {
+				n += len(q.TakeBatch(probeBatch))
+			}
 		}
+	}
+	// drain takes what a batch partner put beyond the probe's
+	// TakeBatchContext, which returns once it holds one run's values.
+	drain := func() {
+		for r.partnerOp == opPutAll {
+			select {
+			case <-done:
+				return
+			default:
+				q.DrainTo(nil, probeBatch)
+				runtime.Gosched()
+			}
+		}
+		<-done
 	}
 	linked := func() bool { return q.HasWaitingProducer() || q.HasWaitingConsumer() }
 	parks := func() int64 { return m.Stats().Counters["parks"] }
-	done, moved := make(chan struct{}), make(chan bool)
 	if r.meets {
 		go func() { partner(); close(done) }()
 		for !linked() {
 			runtime.Gosched()
 		}
 		time.Sleep(100 * time.Microsecond) // let the partner park and announce itself
-		p0 := parks()
+		p0, a0 := parks(), heapAllocs()
 		go firstOp(q, r.op, moved)
-		out := probeOutcome{moved: <-moved, parked: parks() != p0}
-		<-done
+		out := probeOutcome{moved: <-moved}
+		out.refilled, out.parked = heapAllocs() != a0, parks() != p0
+		drain()
 		out.sampled = len(m.Stats().Latency) > 0
 		return out
 	}
@@ -125,32 +209,68 @@ func (r probeRow) trial() probeOutcome {
 		partner()
 		close(done)
 	}()
+	a0 := heapAllocs()
 	go firstOp(q, r.op, moved)
 	out := probeOutcome{moved: <-moved}
-	<-done
+	out.refilled = heapAllocs() != a0
+	drain()
 	out.parked = parks() != 0
 	out.sampled = len(m.Stats().Latency) > 0
 	return out
 }
 
+// run runs the row's trials and counts those whose stack moved, those
+// that count, and the moves it excuses.
+func (r probeRow) run() (moves, counted, excused int) {
+	for range probeTrials {
+		out := r.trial()
+		switch {
+		case out.parked != r.parks:
+		case out.moved && (out.sampled || r.allocates && out.refilled):
+			excused++
+		default:
+			counted++
+			if out.moved {
+				moves++
+			}
+		}
+	}
+	return moves, counted, excused
+}
+
 // probeRows lists the first operations the gate covers and the ones it
 // only logs.
 var probeRows = []probeRow{
-	{name: "autoshard Put, spin phase", auto: true, op: opPut, partnerOp: opTake},
-	{name: "autoshard Take meets a waiting Put", auto: true, op: opTake, meets: true, partnerOp: opPut},
-	{name: "autoshard Put meets a waiting Take", auto: true, op: opPut, meets: true, partnerOp: opTake},
+	{name: "autoshard Put, spin phase", core: coreAuto, op: opPut, partnerOp: opTake},
+	{name: "autoshard Take meets a waiting Put", core: coreAuto, op: opTake, meets: true, partnerOp: opPut},
+	{name: "autoshard Put meets a waiting Take", core: coreAuto, op: opPut, meets: true, partnerOp: opTake},
 	{name: "fair Take meets a waiting Put", op: opTake, meets: true, partnerOp: opPut},
 	{name: "fair Put meets a waiting Take", op: opPut, meets: true, partnerOp: opTake},
-	{name: "autoshard OfferTimeout, spin phase", auto: true, op: opOffer, partnerOp: opTake,
-		why: "the timed facade is a frame of its own; this path fits with tens of bytes to spare"},
-	{name: "autoshard PollTimeout meets a waiting Put", auto: true, op: opPoll, meets: true, partnerOp: opPut,
-		why: "the timed facade is a frame of its own; about 40 B short"},
-	{name: "autoshard OfferTimeout meets a waiting Take", auto: true, op: opOffer, meets: true, partnerOp: opTake,
-		why: "the timed facade is a frame of its own; about 40 B short"},
-	{name: "autoshard Take parks", auto: true, op: opTake, partnerOp: opPut, parks: true,
-		why: "a parked wait runs the parker's select"},
-	{name: "fair Take parks", op: opTake, partnerOp: opPut, parks: true,
-		why: "a parked wait runs the parker's select"},
+	{name: "seg PutAll parks", core: coreSeg, op: opPutAll, partnerOp: opTakeBatch, parks: true},
+	{name: "seg TakeBatchContext meets a parked PutAll", core: coreSeg, op: opTakeBatch, meets: true, partnerOp: opPutAll, allocates: true},
+	{name: "fair Take parks", op: opTake, partnerOp: opPut, parks: true, allocates: true},
+	{name: "autoshard OfferTimeout, spin phase", core: coreAuto, op: opOffer, partnerOp: opTake,
+		why: "the timed facade is a frame of its own; this path fits with under 32 B to spare"},
+	{name: "autoshard PollTimeout meets a waiting Put", core: coreAuto, op: opPoll, meets: true, partnerOp: opPut,
+		why: "the timed facade is a frame of its own; this path fits with under 32 B to spare"},
+	{name: "autoshard OfferTimeout meets a waiting Take", core: coreAuto, op: opOffer, meets: true, partnerOp: opTake,
+		why: "the timed facade is a frame of its own; this path fits with under 32 B to spare"},
+	{name: "autoshard Take parks", core: coreAuto, op: opTake, partnerOp: opPut, parks: true,
+		why: "the fabric's frames put the park more than 96 B short"},
+	{name: "seg TakeBatchContext parks", core: coreSeg, op: opTakeBatch, partnerOp: opPutAll, parks: true, allocates: true,
+		why: "the context makes the wait cancelable, so it parks in the parker's select, more than 96 B short"},
+	{name: "seg Take meets a waiting Put", core: coreSeg, op: opTake, meets: true, partnerOp: opPut,
+		why: "fits with more than 96 B to spare; no benchmark workload runs single-item segmented hand-offs"},
+	{name: "seg Put meets a waiting Take", core: coreSeg, op: opPut, meets: true, partnerOp: opTake,
+		why: "fits with more than 96 B to spare; no benchmark workload runs single-item segmented hand-offs"},
+	{name: "seg Take parks", core: coreSeg, op: opTake, partnerOp: opPut, parks: true,
+		why: "fits with 64 to 95 B to spare; no benchmark workload runs single-item segmented hand-offs"},
+	{name: "unfair Take meets a waiting Put", core: coreUnfair, op: opTake, meets: true, partnerOp: opPut,
+		why: "the dual stack's frames put it 65 to 96 B short"},
+	{name: "unfair Put meets a waiting Take", core: coreUnfair, op: opPut, meets: true, partnerOp: opTake,
+		why: "the dual stack's frames put it up to 32 B short"},
+	{name: "unfair Take parks", core: coreUnfair, op: opTake, partnerOp: opPut, parks: true,
+		why: "the dual stack's frames put the park about 96 B short"},
 }
 
 // probeTrials is the number of fresh goroutines each probe row runs.
@@ -162,35 +282,85 @@ const probeTrials = 20
 // first chunk, an allocation — as soon as it links.
 var spinPhase = runtime.GOMAXPROCS(0) > 1
 
+// warmSudogs parks n goroutines on a channel and wakes them, so the
+// runtime's caches of channel-wait records (sudogs) hold plenty on every
+// P, as a warm process's do: a first park that found them empty would
+// allocate one at the bottom of its chain. With the collector off, which
+// would empty the caches, they stay filled.
+func warmSudogs(n int) {
+	var wg sync.WaitGroup
+	ch := make(chan struct{})
+	for range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-ch
+		}()
+	}
+	for runtime.NumGoroutine() < n {
+		runtime.Gosched()
+	}
+	time.Sleep(time.Millisecond) // let the last ones block
+	close(ch)
+	wg.Wait()
+}
+
+// fixedStart turns off the runtime's adaptive stack start, which sizes a
+// new goroutine's stack from the average it scanned at the last GC: once a
+// GC has met the probes' grown stacks, fresh goroutines start on 4 KB and
+// every row reads 0 moved, whatever the chain's depth.
+const fixedStart = "adaptivestackstart=0"
+
 // TestFirstHandoffStack gates the stack depth of a fresh goroutine's first
 // hand-off below 256 B of caller frames: an AutoShard put through its spin
-// phase, an AutoShard take or put meeting a waiting counterpart, and the
-// fair queue's match path must all run within the starting stack. A move
-// in a trial that recorded a latency sample is excused: the first sample
-// builds its 512-B histogram at the bottom of the call chain (one
-// operation in synchq.SampleRate is sampled). The rows with a reason are
+// phase, an AutoShard take or put meeting a waiting counterpart, the fair
+// queue's match path and first parked take, and a segmented queue's first
+// PutAll that parks and first TakeBatchContext meeting it — a batch
+// set-up's two first hand-offs — must all run within the starting stack. A move in a trial
+// that recorded a latency sample is excused: the first sample builds its
+// 512-B histogram at the bottom of the call chain (one operation in
+// synchq.SampleRate is sampled). So is one in a trial of a row marked
+// allocates whose allocations refilled a span. A gated row that moved is
+// run once more, and fails if it moves again. The rows with a reason are
 // logged, not gated.
 func TestFirstHandoffStack(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("needs unshortened runs without race instrumentation, which grows every frame")
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
-	for _, r := range probeRows {
-		moves, counted, excused := 0, 0, 0
-		for range probeTrials {
-			out := r.trial()
-			switch {
-			case out.parked != r.parks:
-			case out.moved && out.sampled:
-				excused++
-			default:
-				counted++
-				if out.moved {
-					moves++
-				}
-			}
+	if !strings.Contains(os.Getenv("GODEBUG"), fixedStart) {
+		// Re-run this test alone in a child with the adaptive start off.
+		cmd := exec.Command(os.Args[0], "-test.run=^TestFirstHandoffStack$", "-test.v", "-test.count=1")
+		cmd.Env = append(os.Environ(), "GODEBUG="+strings.Trim(os.Getenv("GODEBUG")+","+fixedStart, ","))
+		out, err := cmd.CombinedOutput()
+		t.Logf("GODEBUG=%s run:\n%s", fixedStart, out)
+		if err != nil {
+			t.Fatalf("GODEBUG=%s run: %v", fixedStart, err)
 		}
-		row := fmt.Sprintf("%s: %d/%d moved (%d moves excused by a latency sample)", r.name, moves, counted, excused)
+		return
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	// A GC that an allocation starts, and the mark assists it then asks of
+	// allocating goroutines, run on the allocating goroutine's stack,
+	// whatever the depth of the hand-off; the rows run without the
+	// collector (they allocate a few megabytes).
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	warmSudogs(64)
+	for _, r := range probeRows {
+		if r.allocates {
+			r.trial()
+		}
+		moves, counted, excused := r.run()
+		retried := ""
+		if moves > 0 && r.why == "" {
+			// A chain that outgrows the stack moves in every trial; the
+			// runtime's own slow paths at the bottom of a chain — a sudog
+			// cache handed over under a contended lock, an allocation the
+			// count does not show — move about one trial in several
+			// hundred. A gated row gets one more run of fresh trials.
+			moves, counted, excused = r.run()
+			retried = ", on a second run"
+		}
+		row := fmt.Sprintf("%s: %d/%d moved (%d moves excused by a latency sample or a span refill)%s", r.name, moves, counted, excused, retried)
 		switch {
 		case r.why != "":
 			t.Logf("%s — not gated: %s", row, r.why)
