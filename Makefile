@@ -68,14 +68,16 @@ bench-overhead:
 # counters made them 8568 and 25944), the first-hand-off stack probe
 # fails if a fresh goroutine's first AutoShard put through its spin
 # phase, AutoShard take or put meeting a waiting counterpart, fair queue
-# match, segmented-queue PutAll that parks ("seg PutAll parks") or
-# segmented-queue TakeBatchContext meeting that parked PutAll ("seg
-# TakeBatchContext meets a parked PutAll") copies its 2-KB starting stack
-# below 256 B of caller frames (it logs the ungated rows with their
-# reasons: the timed facades, parked waits on the AutoShard, fair and
-# unfair queues, the segmented queue's single-item and consumer-parks-
-# first rows, and the unfair queue's match rows), and the short benchmark
-# run prints the allocs/op figures for eyeballing regressions.
+# match, fair queue take that parks ("fair Take parks"), segmented-queue
+# PutAll that parks ("seg PutAll parks") or segmented-queue
+# TakeBatchContext meeting that parked PutAll ("seg TakeBatchContext
+# meets a parked PutAll") copies its 2-KB starting stack below 256 B of
+# caller frames, or if those caller frames are no longer 256 B (it logs
+# the ungated rows with their reasons: the timed facades, parked waits on
+# the AutoShard and unfair queues, the segmented queue's single-item and
+# consumer-parks-first rows, and the unfair queue's match rows), and
+# the short benchmark run prints the allocs/op figures for eyeballing
+# regressions.
 bench-smoke:
 	go test -run TestHandoffAllocBudget -count 1 ./internal/core/
 	go test -run 'Layout|QuarterLine' -count 1 ./internal/core/ ./internal/segq/ ./internal/exchanger/ ./internal/metrics/

@@ -166,15 +166,16 @@ func Await[W Waiter](w W, p *Policy, deadline *time.Time, cancel <-chan struct{}
 			continue // re-check before the first park
 		}
 		parked = true
-		// An untimed, uncancelable wait blocks in a plain receive, from
-		// this frame: select's runtime frames are ~300 B deeper, and a
-		// fresh goroutine's first park runs on its small starting stack,
-		// where a deeper path forces a stack copy into every set-up. wait
-		// rather than Wait keeps the other path a frame shallower for the
-		// same reason.
+		// An untimed, uncancelable wait blocks in a plain receive, as
+		// Parker.block does, but from this frame: select's runtime frames
+		// are ~300 B deeper, block's own frame would cost the fair queue's
+		// first parked Take the stack it lacks, and a fresh goroutine's
+		// first park runs on its small starting stack, where a deeper path
+		// forces a stack copy into every set-up.
 		if deadline.IsZero() && cancel == nil {
-			if n, pt := pk.attach(); n != nil {
-				for !pk.consume(n) {
+			if !pk.ready(true) {
+				n, pt := pk.attach()
+				for !pk.consume() {
 					<-n.ch
 				}
 				pk.detach(n, pt, Unparked)

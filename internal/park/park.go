@@ -101,8 +101,7 @@ func (p *Parker) Unpark() {
 // timed and cancelable waits, Park is exact even under fault injection: a
 // return always consumed a real permit.
 func (p *Parker) Park() {
-	for p.wait(&time.Time{}, nil, false) != Unparked {
-	}
+	p.block(false)
 }
 
 // TryPark consumes the permit if one is immediately available and reports

@@ -29,26 +29,29 @@ const (
 // synchronous queue wait loops do anyway, since a real Unpark only signals
 // "look again".
 func (p *Parker) Wait(deadline time.Time, cancel <-chan struct{}) WaitResult {
+	if deadline.IsZero() && cancel == nil {
+		p.block(true)
+		return Unparked
+	}
 	return p.wait(&deadline, cancel, true)
 }
 
-// wait is the shared slow path behind every waiting method. faulty selects
+// wait is the slow path behind every timed or cancelable wait. faulty selects
 // whether the injector's spurious-unpark and timer-skew sites apply (Park's
 // exact contract opts out). The deadline travels by pointer, one word
 // where time.Time is three, as in park.Await.
 //
-// The protocol: consume an available permit; otherwise attach a pooled
-// notifier, publish the parked state, and block on notifier/timer/cancel.
-// The state word is the truth — a notifier token only means "re-examine the
-// state word", so stale tokens (from a previous wait, or from an unparker
-// racing the detach) cause one extra loop iteration, never a wrong result.
+// The protocol: consume an available permit (ready); otherwise attach a
+// pooled notifier (attach), publish the parked state (consume), and block
+// on the notifier, in a select that also watches the timer and the cancel
+// channel. An untimed, uncancelable wait runs the same protocol with a
+// plain receive instead (block; Park, Wait(zero, nil) and park.Await take
+// it), and keeps wait's frame out of its chain. The state word is the
+// truth — a notifier token only means "re-examine the state word", so
+// stale tokens (from a previous wait, or from an unparker racing the
+// detach) cause one extra loop iteration, never a wrong result.
 func (p *Parker) wait(deadline *time.Time, cancel <-chan struct{}, faulty bool) WaitResult {
-	// Fast path: permit already available.
-	if p.state.CompareAndSwap(pPermit, pEmpty) {
-		return Unparked
-	}
-
-	if faulty && p.f.SpuriousWake() {
+	if p.ready(faulty) {
 		return Unparked
 	}
 
@@ -79,52 +82,21 @@ func (p *Parker) wait(deadline *time.Time, cancel <-chan struct{}, faulty bool) 
 		timerC = t.C
 	}
 
-	// Attach a notifier for this wait. It may carry a stale token from a
-	// previous life; drain it so we don't wake instantly for nothing (a
-	// token arriving after the drain is indistinguishable from a spurious
-	// unpark and equally harmless).
-	n := sigPool.Get().(*notifier)
-	select {
-	case <-n.ch:
-	default:
-	}
-	p.sig.Store(n)
-
-	p.m.Inc(metrics.Parks)
-	// The blocked interval starts here: everything before this point was
-	// nonblocking permit negotiation. detach records the interval into the
-	// park-time histogram, covering re-parks after stale tokens too.
-	t0 := p.m.Start()
-	for {
-		if !p.state.CompareAndSwap(pEmpty, pParked) {
-			// Not empty: a permit arrived between the fast path and
-			// here (or a stale-token loop already disarmed us).
-			if p.state.CompareAndSwap(pPermit, pEmpty) {
-				return p.detach(n, t0, Unparked)
-			}
-			continue
-		}
+	n, t0 := p.attach()
+	for !p.consume() {
 		select {
 		case <-n.ch:
-			// Woken by a token. The state word decides whether it was
-			// a real permit delivery.
-			if p.state.CompareAndSwap(pPermit, pEmpty) {
-				return p.detach(n, t0, Unparked)
-			}
-			// Stale token: disarm back to empty and loop to re-park.
-			// If the disarm loses, a real unparker just won and the
-			// next iteration consumes the permit.
-			p.state.CompareAndSwap(pParked, pEmpty)
+			// Woken by a token; consume decides whether it was a real
+			// permit delivery.
 		case <-timerC:
 			if now := time.Now(); now.Before(due) {
 				// A stale tick: a recycled timer's previous fire can land
 				// in its channel after that owner's Stop-and-drain (the
 				// pre-1.23 timer channel semantics this module runs
 				// under), and Reset does not discard it. Re-arm for the
-				// remainder, disarm, and re-park; a disarm lost to an
-				// unparker is consumed as a permit on the next iteration.
+				// remainder and re-park; an unparker that wins meanwhile
+				// leaves its permit for consume.
 				t.Reset(due.Sub(now))
-				p.state.CompareAndSwap(pParked, pEmpty)
 				continue
 			}
 			// Disarm. If the disarm loses, an unparker delivered a
@@ -138,32 +110,46 @@ func (p *Parker) wait(deadline *time.Time, cancel <-chan struct{}, faulty bool) 
 			return p.detach(n, t0, Canceled)
 		}
 	}
+	return p.detach(n, t0, Unparked)
 }
 
-// attach and consume are wait for an untimed, uncancelable wait, which
-// park.Await runs with a plain receive on the notifier in its own frame,
-// rather than a select, whose runtime frames are about 300 B deeper:
-//
-//	if n, t0 := p.attach(); n != nil {
-//		for !p.consume(n) {
-//			<-n.ch
-//		}
-//		p.detach(n, t0, Unparked)
-//	}
-//
-// They keep wait's faulty contract: under fault injection the wait may
-// end without a permit (a spurious wakeup), and the caller re-validates
-// either way. attach returns a nil notifier when the wait is already over
-// — a permit was available, or a spurious wakeup fired — and otherwise
-// attaches a notifier, counts the park and returns the blocked interval's
-// start.
-func (p *Parker) attach() (*notifier, int64) {
-	if p.state.CompareAndSwap(pPermit, pEmpty) || p.f.SpuriousWake() {
-		return nil, 0
+// block is the untimed, uncancelable wait: a plain receive on the
+// notifier rather than a select, whose runtime frames are about 300 B
+// deeper. park.Await runs the same five lines in its own frame (see
+// there). With faulty set it keeps wait's contract: under fault injection
+// it may return without a permit (a spurious wakeup), and the caller
+// re-validates either way; with faulty clear it returns only once it
+// consumed a permit.
+func (p *Parker) block(faulty bool) {
+	if p.ready(faulty) {
+		return
 	}
+	n, t0 := p.attach()
+	for !p.consume() {
+		<-n.ch
+	}
+	p.detach(n, t0, Unparked)
+}
+
+// ready reports whether a wait is over before it attaches: it consumes an
+// available permit, or — with faulty set — fires the injector's spurious
+// wakeup.
+func (p *Parker) ready(faulty bool) bool {
+	return p.state.CompareAndSwap(pPermit, pEmpty) || faulty && p.f.SpuriousWake()
+}
+
+// attach hooks a pooled notifier for this wait, counts the park and
+// returns the blocked interval's start: everything before it was
+// nonblocking permit negotiation, and detach records the interval into
+// the park-time histogram, re-parks after stale tokens included. The
+// notifier may carry a stale token from a previous life; attach drains it
+// so the wait does not wake at once for nothing (a token arriving after
+// the drain is indistinguishable from a spurious unpark and equally
+// harmless).
+func (p *Parker) attach() (*notifier, int64) {
 	n := sigPool.Get().(*notifier)
 	select {
-	case <-n.ch: // a stale token (see wait)
+	case <-n.ch:
 	default:
 	}
 	p.sig.Store(n)
@@ -172,10 +158,11 @@ func (p *Parker) attach() (*notifier, int64) {
 }
 
 // consume reports whether the owner holds the permit now, consuming it;
-// otherwise it publishes the parked state, so the owner may block on n.
-// A token that brought no permit is stale: consume disarms back to empty
-// and publishes parked again.
-func (p *Parker) consume(n *notifier) bool {
+// otherwise it publishes the parked state, so the owner may block on its
+// notifier. A token that brought no permit is stale: consume disarms back
+// to empty and publishes parked again (a disarm lost to an unparker leaves
+// the permit for the next pass).
+func (p *Parker) consume() bool {
 	for {
 		if p.state.CompareAndSwap(pPermit, pEmpty) {
 			return true
@@ -184,8 +171,7 @@ func (p *Parker) consume(n *notifier) bool {
 			return false
 		}
 		// Still parked after a wake-up: the token was stale. Disarm, and
-		// publish parked again (a disarm lost to an unparker leaves the
-		// permit for the next pass).
+		// publish parked again.
 		p.state.CompareAndSwap(pParked, pEmpty)
 	}
 }

@@ -173,6 +173,14 @@ type run[T any] struct {
 	done     uint16
 }
 
+// The packing holds while a run offset and a chunk position each fit a
+// nibble of a pend byte and done has a bit per cell: a larger SegSize
+// fails to compile here instead of losing or repeating items.
+const (
+	_ uint8  = (SegSize-1)<<segShift | (SegSize - 1)
+	_ uint16 = 1<<SegSize - 1
+)
+
 // cell returns the cell and segment of pending install p.
 func (r *run[T]) cell(p uint8) (*cell[T], *segment[T]) {
 	i := r.base + uint64(p>>segShift)
@@ -358,7 +366,7 @@ func compactTail[T any](chunk []T, done uint16) {
 //
 // A fresh goroutine's first batch runs on its small starting stack, so
 // every cell resolves in this frame: the first take calls arrive itself
-// rather than transfer, the fill's cells go straight to arriveAt, and the
+// rather than transfer, the fill's cells go straight to arrive, and the
 // producers met are woken from here.
 func (q *Queue[T]) TakeBatch(buf []T, max int, deadline time.Time, cancel <-chan struct{}) ([]T, Status) {
 	return q.takeBatch(buf, max, &deadline, cancel)
@@ -369,7 +377,7 @@ func (q *Queue[T]) takeBatch(buf []T, max int, deadline *time.Time, cancel <-cha
 		return buf, core.OK
 	}
 	tk := Ticket[T]{q: q}
-	v, st, w := tk.arrive(*new(T), deadline)
+	v, st, w := tk.arrive(*new(T), deadline, true)
 	q.parkers.Wake(w)
 	if tk.c != nil {
 		v, st = tk.Await(*deadline, cancel)
@@ -413,7 +421,7 @@ func (q *Queue[T]) fill(buf []T, max int, tk *Ticket[T]) ([]T, Status) {
 				continue // unlinked: dead index
 			}
 			tk.s, tk.i, tk.t0 = s, i, 0
-			v, st, w := tk.arrive(*new(T), &core.Expired)
+			v, st, w := tk.arrive(*new(T), &core.Expired, false)
 			q.parkers.Wake(w)
 			if tk.c != nil {
 				v, st = tk.Await(core.Expired, nil)

@@ -393,7 +393,7 @@ var never time.Time
 // (see core.Withdrawn) and wait exactly as a reservation's Await does.
 func (q *Queue[T]) transfer(isPut bool, v T, deadline time.Time, cancel <-chan struct{}, commit func() bool) (T, Status) {
 	tk := Ticket[T]{q: q, isPut: isPut}
-	v, st, w := tk.arrive(v, &deadline)
+	v, st, w := tk.arrive(v, &deadline, true)
 	if tk.c == nil {
 		q.parkers.Wake(w)
 		return v, st // completed, or refused, at arrival
@@ -434,7 +434,7 @@ func (q *Queue[T]) other(isPut bool) *atomic.Uint64 {
 
 // arrive plays the arrival t describes — t.q's side t.isPut, with value v
 // for a put — through the state machine in the package comment until it
-// has either completed or installed itself. With a nil t.s it stamps the
+// has either completed or installed itself. With claim set it stamps the
 // arrival and claims its own index; otherwise it resolves cell t.i of
 // segment t.s, which a batch fill claimed. An installed arrival fills in t,
 // its pending reservation (t.c non-nil). An arrival that completes at a
@@ -451,14 +451,13 @@ func (q *Queue[T]) other(isPut bool) *atomic.Uint64 {
 // its way to this very cell, so even a zero-patience operation installs,
 // and the wait's spin budget is that counterpart's window to arrive. A
 // cell found BROKEN (the counterpart poisoned it or aborted) sends an
-// arrival that claimed its own index round for a fresh one; at a given
+// arrival that claims its own index round for a fresh one; at a given
 // cell it reports Timeout, a dead index.
-func (t *Ticket[T]) arrive(v T, deadline *time.Time) (_ T, _ Status, w uint32) {
+func (t *Ticket[T]) arrive(v T, deadline *time.Time, claim bool) (_ T, _ Status, w uint32) {
 	var zero T
 	q := t.q
 	t.c = nil
-	claimed := t.s == nil
-	if claimed {
+	if claim {
 		t.t0 = q.m.Start()
 		if q.closed.Load() {
 			return zero, core.Closed, 0
@@ -547,7 +546,7 @@ func (t *Ticket[T]) arrive(v T, deadline *time.Time) (_ T, _ Status, w uint32) {
 			return zero, core.OK, c.w.Load()
 
 		case cBroken:
-			if !claimed {
+			if !claim {
 				return zero, core.Timeout, 0
 			}
 			q.claim(t)

@@ -430,7 +430,7 @@ func TestZeroPatienceOfferWaitsForCommittedConsumer(t *testing.T) {
 	}
 	// Arrive as the consumer that committed index 0.
 	tk := Ticket[int]{q: q, s: s, i: 0}
-	v, st, w := tk.arrive(0, &never)
+	v, st, w := tk.arrive(0, &never, false)
 	q.parkers.Wake(w)
 	if st != core.OK || tk.c != nil || v != 7 {
 		t.Fatalf("consumer arrival = (%d, pending=%v, %v), want (7, false, OK)", v, tk.c != nil, st)

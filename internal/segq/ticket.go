@@ -18,7 +18,12 @@ import (
 // awaits the very same ticket on the spot.
 
 // Ticket tracks one pending reservation on a segmented queue; before
-// that, it describes the arrival that installs it (see arrive).
+// that, it describes the arrival that installs it (see arrive). An
+// arrival that claims its own index needs only q and isPut set. One at a
+// cell its caller claimed reads s and i, the cell, and t0, the arrival
+// stamp (zero: untimed), so TakeBatch's fill sets those three before each
+// cell and may reuse a spent ticket; arrive resets c itself, and an
+// install sets installed and done.
 type Ticket[T any] struct {
 	q         *Queue[T]
 	s         *segment[T]
@@ -35,7 +40,7 @@ type Ticket[T any] struct {
 // decided later, by Await or Abort.
 func (q *Queue[T]) reserve(isPut bool, v T) (T, *Ticket[T], bool, Status) {
 	tk := Ticket[T]{q: q, isPut: isPut}
-	v, st, w := tk.arrive(v, &never)
+	v, st, w := tk.arrive(v, &never, true)
 	q.parkers.Wake(w)
 	if st != core.OK {
 		return v, nil, false, st

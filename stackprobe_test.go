@@ -1,13 +1,18 @@
 package synchq_test
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"regexp"
 	"runtime"
 	"runtime/debug"
 	"runtime/metrics"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +20,7 @@ import (
 	"unsafe"
 
 	"synchq"
+	"synchq/internal/spin"
 )
 
 // A goroutine starts on a 2-KB stack, and a call chain that outgrows it
@@ -52,8 +58,8 @@ var (
 // moved whether its stack moved meanwhile. Its 112-byte local sizes the
 // caller frames above the facade call at 256 B on linux/amd64 — goexit
 // (8 B), the go statement's wrapper (40 B) and firstOp's own frame
-// (208 B; check with make frames) — a load generator's goroutine holds
-// about that much.
+// (208 B) — a load generator's goroutine holds about that much;
+// checkCallerFrames pins the sum.
 //
 //go:noinline
 func firstOp(q *synchq.SynchronousQueue[int64], op probeOp, moved chan<- bool) {
@@ -82,6 +88,10 @@ type probeOutcome struct {
 	parked   bool // the queue's parks counter moved
 	sampled  bool // the operation timed itself (see synchq.SampleRate)
 	refilled bool // the heap's allocation count moved (see heapAllocs)
+	// spent: the wait spun its whole budget, so it went on to borrow a
+	// parker (building the parker table's first chunk) even if it never
+	// parked. Read on instrumented queues only.
+	spent bool
 }
 
 // heapAllocs reads the runtime's count of heap allocations. The count
@@ -117,8 +127,8 @@ type probeRow struct {
 	// operation to link and then completes it with partnerOp.
 	meets     bool
 	partnerOp probeOp
-	// parks selects the trials that count: those whose wait parked, or
-	// (false) those whose wait ended in its spin phase.
+	// parks selects the trials that count (see counts): those whose wait
+	// parked, or (false) those whose wait ended in its spin phase.
 	parks bool
 	// allocates marks an operation that allocates at the bottom of its
 	// chain by design — a batch's result slice, the parker table's first
@@ -198,6 +208,11 @@ func (r probeRow) trial() probeOutcome {
 		out.sampled = len(m.Stats().Latency) > 0
 		return out
 	}
+	// A fresh queue's wait spins the ceiling of its calibrated budget.
+	budget := int64(spin.MaxUntimedSpins)
+	if r.op == opOffer || r.op == opPoll {
+		budget = spin.MaxTimedSpins
+	}
 	go func() {
 		for !linked() {
 		}
@@ -215,8 +230,19 @@ func (r probeRow) trial() probeOutcome {
 	out.refilled = heapAllocs() != a0
 	drain()
 	out.parked = parks() != 0
+	out.spent = m != nil && budget > 0 && m.Stats().Counters["spins"] >= budget
 	out.sampled = len(m.Stats().Latency) > 0
 	return out
+}
+
+// counts reports whether a trial is one the row measures: a wait that
+// parked for a parks row; for a spin-phase row, one that neither parked
+// nor spent its spin budget.
+func (r probeRow) counts(out probeOutcome) bool {
+	if r.parks || r.meets {
+		return out.parked == r.parks
+	}
+	return !out.parked && !out.spent
 }
 
 // run runs the row's trials and counts those whose stack moved, those
@@ -225,7 +251,7 @@ func (r probeRow) run() (moves, counted, excused int) {
 	for range probeTrials {
 		out := r.trial()
 		switch {
-		case out.parked != r.parks:
+		case !r.counts(out):
 		case out.moved && (out.sampled || r.allocates && out.refilled):
 			excused++
 		default:
@@ -282,26 +308,30 @@ const probeTrials = 20
 // first chunk, an allocation — as soon as it links.
 var spinPhase = runtime.GOMAXPROCS(0) > 1
 
-// warmSudogs parks n goroutines on a channel and wakes them, so the
-// runtime's caches of channel-wait records (sudogs) hold plenty on every
-// P, as a warm process's do: a first park that found them empty would
-// allocate one at the bottom of its chain. With the collector off, which
-// would empty the caches, they stay filled.
-func warmSudogs(n int) {
+// warmWaits parks n goroutines in Take on a fair queue and wakes them, so
+// the runtime's caches of channel-wait records (sudogs) and the pool of
+// parker notifiers hold plenty on every P, as a warm process's do. A first
+// park that found the sudog cache empty would allocate a sudog at the
+// bottom of its chain, and a notifier pool whose per-P ring is full grows
+// it on the wake-up's way out; the n waits size both once. With the
+// collector off, which would empty them, they stay filled.
+func warmWaits(n int) {
+	m := synchq.NewMetrics()
+	q := synchq.New[int64](synchq.Fair(true), synchq.Instrument(m))
 	var wg sync.WaitGroup
-	ch := make(chan struct{})
 	for range n {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			<-ch
+			q.Take()
 		}()
 	}
-	for runtime.NumGoroutine() < n {
-		runtime.Gosched()
+	for m.Stats().Counters["parks"] < int64(n) {
+		time.Sleep(100 * time.Microsecond)
 	}
-	time.Sleep(time.Millisecond) // let the last ones block
-	close(ch)
+	for range n {
+		q.Put(0)
+	}
 	wg.Wait()
 }
 
@@ -311,23 +341,98 @@ func warmSudogs(n int) {
 // every row reads 0 moved, whatever the chain's depth.
 const fixedStart = "adaptivestackstart=0"
 
+// callerFrames is the stack a probe goroutine holds above its facade
+// call: goexit's return address, the go statement's wrapper and firstOp.
+const callerFrames = 256
+
+// stextFrame matches a function's header line in a -gcflags=-S listing;
+// its locals count the frame pointer, not the return address.
+var stextFrame = regexp.MustCompile(`^synchq_test\.(firstOp|probeRow\.trial\.gowrap\d+) STEXT .* locals=0x([0-9a-f]+) `)
+
+// checkCallerFrames compiles this test package with -S and checks that
+// goexit (8 B), each wrapper of a go firstOp statement and firstOp itself
+// still add up to callerFrames on linux/amd64: a firstOp that shrank
+// would let every row's chain grow by the difference unnoticed.
+func checkCallerFrames(t *testing.T) {
+	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
+		t.Logf("caller frames not checked: sized for linux/amd64, not %s/%s", runtime.GOOS, runtime.GOARCH)
+		return
+	}
+	// The toolchain that built this binary, so the listing's frames are
+	// the ones the rows run; PATH's go otherwise.
+	goTool := filepath.Join(runtime.GOROOT(), "bin", "go")
+	if _, err := os.Stat(goTool); err != nil {
+		if goTool, err = exec.LookPath("go"); err != nil {
+			t.Fatalf("no go command to compile the -S listing: %v", err)
+		}
+	}
+	// The listing, on the go command's stderr, runs to tens of megabytes:
+	// keep the matching lines and the compiler's diagnostics only.
+	cmd := exec.Command(goTool, "test", "-c", "-o", os.DevNull, "-gcflags=synchq=-S", ".")
+	listing, err := cmd.StderrPipe()
+	if err == nil {
+		err = cmd.Start()
+	}
+	if err != nil {
+		t.Fatalf("go test -c -gcflags=synchq=-S: %v", err)
+	}
+	frames := map[string]int64{}
+	var diags strings.Builder
+	sc := bufio.NewScanner(listing)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		line := sc.Bytes()
+		if m := stextFrame.FindSubmatch(line); m != nil {
+			n, _ := strconv.ParseInt(string(m[2]), 16, 64)
+			frames[string(m[1])] = n + 8
+		} else if bytes.HasPrefix(line, []byte("#")) || bytes.HasPrefix(line, []byte("./")) {
+			fmt.Fprintf(&diags, "%s\n", line)
+		}
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("go test -c -gcflags=synchq=-S: %v\n%s", err, diags.String())
+	}
+	wrappers := 0
+	for name, size := range frames {
+		if name == "firstOp" {
+			continue
+		}
+		wrappers++
+		if got := 8 + size + frames["firstOp"]; got != callerFrames {
+			t.Errorf("caller frames = 8 (goexit) + %d (%s) + %d (firstOp) = %d B, want %d: resize firstOp's local",
+				size, name, frames["firstOp"], got, callerFrames)
+		}
+	}
+	if frames["firstOp"] == 0 || wrappers == 0 {
+		t.Fatalf("no firstOp frame or go wrapper in the -S listing")
+	}
+	t.Logf("caller frames: goexit 8 B, firstOp %d B, go wrappers %d of them", frames["firstOp"], wrappers)
+}
+
 // TestFirstHandoffStack gates the stack depth of a fresh goroutine's first
-// hand-off below 256 B of caller frames: an AutoShard put through its spin
-// phase, an AutoShard take or put meeting a waiting counterpart, the fair
-// queue's match path and first parked take, and a segmented queue's first
-// PutAll that parks and first TakeBatchContext meeting it — a batch
-// set-up's two first hand-offs — must all run within the starting stack. A move in a trial
-// that recorded a latency sample is excused: the first sample builds its
-// 512-B histogram at the bottom of the call chain (one operation in
-// synchq.SampleRate is sampled). So is one in a trial of a row marked
-// allocates whose allocations refilled a span. A gated row that moved is
-// run once more, and fails if it moves again. The rows with a reason are
-// logged, not gated.
+// hand-off below callerFrames: an AutoShard put through its spin phase, an
+// AutoShard take or put meeting a waiting counterpart, the fair queue's
+// match path and first parked take, and a segmented queue's first PutAll
+// that parks and first TakeBatchContext meeting it — a batch set-up's two
+// first hand-offs — must all run within the starting stack.
+//
+// A move in a trial that recorded a latency sample is excused: the first
+// sample builds its 512-B histogram at the bottom of the call chain (one
+// operation in synchq.SampleRate is sampled). So is one in a trial of a
+// row marked allocates whose allocations refilled a span. A row that
+// neither parks nor allocates fails on any move. A row that parks or
+// allocates by design runs once more if it moved, and fails if it moves
+// again: at the bottom of those chains the runtime's slow paths run in
+// some trials only — sync.Pool's steal or New for the parker's notifier,
+// an allocation the count does not show — while a chain that outgrew the
+// stack moves in every trial. The rows with a reason are logged, not
+// gated.
 func TestFirstHandoffStack(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("needs unshortened runs without race instrumentation, which grows every frame")
 	}
 	if !strings.Contains(os.Getenv("GODEBUG"), fixedStart) {
+		checkCallerFrames(t)
 		// Re-run this test alone in a child with the adaptive start off.
 		cmd := exec.Command(os.Args[0], "-test.run=^TestFirstHandoffStack$", "-test.v", "-test.count=1")
 		cmd.Env = append(os.Environ(), "GODEBUG="+strings.Trim(os.Getenv("GODEBUG")+","+fixedStart, ","))
@@ -344,19 +449,14 @@ func TestFirstHandoffStack(t *testing.T) {
 	// whatever the depth of the hand-off; the rows run without the
 	// collector (they allocate a few megabytes).
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	warmSudogs(64)
+	warmWaits(64)
 	for _, r := range probeRows {
 		if r.allocates {
 			r.trial()
 		}
 		moves, counted, excused := r.run()
 		retried := ""
-		if moves > 0 && r.why == "" {
-			// A chain that outgrows the stack moves in every trial; the
-			// runtime's own slow paths at the bottom of a chain — a sudog
-			// cache handed over under a contended lock, an allocation the
-			// count does not show — move about one trial in several
-			// hundred. A gated row gets one more run of fresh trials.
+		if moves > 0 && r.why == "" && (r.parks || r.allocates) {
 			moves, counted, excused = r.run()
 			retried = ", on a second run"
 		}
