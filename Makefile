@@ -64,8 +64,9 @@ bench-overhead:
 # instrumented core rows fail if a histogram is built more than once
 # rather than on its first record, the instrumented build test fails if
 # an instrumented AutoShard fair queue allocates more than its measured
-# bytes plus 512 (3832 at GOMAXPROCS 2, 11992 at GOMAXPROCS 8; padded
-# counters made them 8568 and 25944), the first-hand-off stack probe
+# bytes plus 512 (2416 at GOMAXPROCS 2, 2464 at GOMAXPROCS 8: lane 0 and
+# a header; building every lane up front made them 3832 and 11992) or
+# makes more than 20 allocations (17 measured), the first-hand-off stack probe
 # fails if a fresh goroutine's first AutoShard put through its spin
 # phase, AutoShard take or put meeting a waiting counterpart, fair queue
 # match, fair queue take that parks ("fair Take parks"), segmented-queue
@@ -76,7 +77,8 @@ bench-overhead:
 # the ungated rows with their reasons: the timed facades, parked waits on
 # the AutoShard and unfair queues, the segmented queue's single-item and
 # consumer-parks-first rows, and the unfair queue's match rows), and
-# the short benchmark run prints the allocs/op figures for eyeballing
+# the short benchmark runs print the allocs/op figures of a pair hand-off
+# and of building each queue configuration (BenchmarkNew) for eyeballing
 # regressions.
 bench-smoke:
 	go test -run TestHandoffAllocBudget -count 1 ./internal/core/
@@ -87,6 +89,7 @@ bench-smoke:
 	go test -run TestFabricAllocBudget -count 1 ./internal/shard/
 	go test -run 'Envelope|TestHandoffAllocBudget' -count 1 -v ./pool/
 	go test -run - -bench BenchmarkHandoffAllocs -benchtime 100x -benchmem ./internal/core/
+	go test -run - -bench BenchmarkNew -benchtime 1000x -benchmem .
 
 # Frame report, not a gate: the stack frame (locals= from a -gcflags=-S
 # build of the root test binary, plus 8 for the return address) of each

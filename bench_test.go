@@ -158,3 +158,32 @@ func BenchmarkUncontendedRoundTrip(b *testing.B) {
 		})
 	}
 }
+
+// sinkQueue keeps BenchmarkNew's queues reachable so the builds stay on
+// the heap, as they are in a program that uses them.
+var sinkQueue *synchq.SynchronousQueue[int64]
+
+// BenchmarkNew reports the cost of building a queue — ns/op, and with
+// -benchmem B/op and allocs/op — for each configuration the benchmark's
+// workloads and the sharding options build: the fair pair queue, the
+// instrumented AutoShard queue (with its NewMetrics), the segmented core
+// and a fixed four-shard stripe. A cost that grows shows here first.
+func BenchmarkNew(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		opts func() []synchq.Option
+	}{
+		{"pair", func() []synchq.Option { return []synchq.Option{synchq.Fair(true)} }},
+		{"AutoShard+Instrument", func() []synchq.Option {
+			return []synchq.Option{synchq.Fair(true), synchq.AutoShard(), synchq.Instrument(synchq.NewMetrics())}
+		}},
+		{"Segmented", func() []synchq.Option { return []synchq.Option{synchq.Segmented()} }},
+		{"Sharded4", func() []synchq.Option { return []synchq.Option{synchq.Fair(true), synchq.Sharded(4)} }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sinkQueue = synchq.New[int64](bc.opts()...)
+			}
+		})
+	}
+}

@@ -25,8 +25,9 @@ type Metrics struct {
 	root *metrics.Handle
 
 	mu     sync.Mutex
-	shards []*metrics.Handle // per-shard children of a Sharded queue
-	fabric *fabricHooks      // introspection of the sharded queue built with this Metrics
+	shards []*metrics.Handle  // per-shard children of a Sharded queue, one per built shard
+	shard0 [1]*metrics.Handle // backs shards until a second shard is built
+	fabric fabric             // introspection of the sharded queue built with this Metrics
 }
 
 // NewMetrics returns an empty metrics set, ready to be attached with
@@ -68,6 +69,9 @@ func (m *Metrics) RawHandle() *metrics.Handle { return m.handle() }
 func (m *Metrics) shardHandle(i int) *metrics.Handle {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.shards == nil {
+		m.shards = m.shard0[:0]
+	}
 	for len(m.shards) <= i {
 		m.shards = append(m.shards, metrics.New())
 	}
@@ -81,11 +85,11 @@ func (m *Metrics) shardHandles() []*metrics.Handle {
 	return append([]*metrics.Handle(nil), m.shards...)
 }
 
-// setFabric records the sharded queue's introspection hooks so
-// FabricStats is reachable from the Metrics side as well as the queue's.
-// When one Metrics instruments several sharded queues (their counters
-// aggregate), the hooks of the most recently built one win.
-func (m *Metrics) setFabric(h *fabricHooks) {
+// setFabric records the sharded queue's fabric so FabricStats is
+// reachable from the Metrics side as well as the queue's. When one
+// Metrics instruments several sharded queues (their counters aggregate),
+// the most recently built one wins.
+func (m *Metrics) setFabric(h fabric) {
 	m.mu.Lock()
 	m.fabric = h
 	m.mu.Unlock()
@@ -105,7 +109,7 @@ func (m *Metrics) FabricStats() (FabricStats, bool) {
 	if h == nil {
 		return FabricStats{}, false
 	}
-	return h.stats(), true
+	return fabricStatsFrom(h.Stats()), true
 }
 
 // FabricShardStats is one shard's slice of FabricStats.
@@ -130,7 +134,8 @@ type FabricShardStats struct {
 // transition count, and the per-shard depth/steal breakdown. Field names
 // (JSON tags) are stable in the same way the metrics counter names are.
 type FabricStats struct {
-	// MaxShards is the constructed shard count — the width ceiling.
+	// MaxShards is the width ceiling. A self-scaling fabric builds a
+	// shard only when its width first reaches it.
 	MaxShards int `json:"max_shards"`
 	// Width is the current effective width (Shards()).
 	Width int `json:"width"`
@@ -145,7 +150,8 @@ type FabricStats struct {
 	Steals      int64 `json:"steals"`
 	ProbeMisses int64 `json:"probe_misses"`
 	ProbeSkips  int64 `json:"probe_skips"`
-	// Shards is the per-shard breakdown, MaxShards entries in index order.
+	// Shards is the per-shard breakdown, MaxShards entries in index order;
+	// a shard not built yet reads as idle.
 	Shards []FabricShardStats `json:"shards"`
 }
 
@@ -257,13 +263,20 @@ func (m *Metrics) Stats() Stats {
 }
 
 // ShardStats returns one Stats per shard of a Sharded queue built with
-// this Metrics (empty for unsharded structures). Fabric-level events —
-// steal counts and steal latency — live on the merged view, not here.
+// this Metrics, up to its MaxShards (empty for unsharded structures); a
+// shard not built yet reads as idle. Fabric-level events — steal counts
+// and steal latency — live on the merged view, not here.
 func (m *Metrics) ShardStats() []Stats {
 	if m == nil {
 		return nil
 	}
 	hs := m.shardHandles()
+	m.mu.Lock()
+	if f := m.fabric; f != nil && f.MaxShards() > len(hs) {
+		// Shards not built yet have no handle: nil reads as idle.
+		hs = append(hs, make([]*metrics.Handle, f.MaxShards()-len(hs))...)
+	}
+	m.mu.Unlock()
 	out := make([]Stats, len(hs))
 	for i, h := range hs {
 		out[i] = statsOf(h.Snapshot(), h.Histograms())

@@ -286,25 +286,60 @@ func TestLatencyRecorderNames(t *testing.T) {
 	}
 }
 
-// TestInstrumentedBuildBytes bounds the heap bytes of building an
-// instrumented AutoShard fair queue: a root metrics handle and one per
-// shard (376 B each in the 384-B size class: dense counters, histograms
-// built on first record), the shards' counter blocks, and the cores, each
-// with its first value-box chunk and a spare node built up front so that
-// a fresh goroutine's first hand-off allocates nothing. At GOMAXPROCS 2
-// (two shards) it measures 3832 B; at GOMAXPROCS 8 (eight shards) 11992 B.
-// Each limit is that figure plus 512 B of slack. Counters padded to a
-// line each made them 8568 and 25944 B.
+// TestAutoShardUnbuiltShardsReadIdle: an AutoShard queue that stays at
+// width 1 builds only shard 0, yet ShardStats and FabricStats list every
+// shard up to MaxShards, the ones not built yet idle.
+func TestAutoShardUnbuiltShardsReadIdle(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	m := synchq.NewMetrics()
+	q := synchq.New[int](synchq.Fair(true), synchq.AutoShard(), synchq.Instrument(m))
+	pairN(t, q, 400)
+	if w := q.Shards(); w != 1 {
+		t.Skipf("a quiet pair widened the queue to %d; the unbuilt shards are gone", w)
+	}
+	ss := m.ShardStats()
+	fs, _ := q.FabricStats()
+	if len(ss) != 8 || len(fs.Shards) != 8 {
+		t.Fatalf("ShardStats has %d entries and FabricStats %d, want MaxShards = 8", len(ss), len(fs.Shards))
+	}
+	if got := ss[0].Counters["fulfillments"]; got != 400 {
+		t.Errorf("shard 0 fulfillments = %d, want 400", got)
+	}
+	for i := 1; i < 8; i++ {
+		if got := ss[i].Counters["fulfillments"]; got != 0 {
+			t.Errorf("unbuilt shard %d reads %d fulfillments, want 0", i, got)
+		}
+		if sh := fs.Shards[i]; sh != (synchq.FabricShardStats{Index: i}) {
+			t.Errorf("unbuilt shard %d reads %+v, want idle", i, sh)
+		}
+	}
+}
+
+// TestInstrumentedBuildBytes bounds the heap cost of building an
+// instrumented AutoShard fair queue: a root metrics handle and a fabric
+// holding lane 0 inline — its two commit steps, its metrics handle (376 B
+// in the 384-B size class: dense counters, histograms built on first
+// record) and its core, with the first value-box chunk and a spare node
+// built up front so that a fresh goroutine's first hand-off allocates
+// nothing. The other lanes are built when the width first grows, so the
+// cost does not depend on GOMAXPROCS: 17 allocations and 2416 B at
+// GOMAXPROCS 2, 17 and 2464 B at 8 (the lane-pointer slice grows with the
+// ceiling). The byte limits are those figures plus 512 B of slack, the
+// allocation limit is 17 plus 3. With every lane built up front it was 36
+// allocations / 3832 B at 2 and 98 / 11992 B at 8. The count is read from
+// the same MemStats as the bytes, because testing.AllocsPerRun pins
+// GOMAXPROCS to 1, which would build a one-shard ceiling.
 func TestInstrumentedBuildBytes(t *testing.T) {
+	const allocLimit = 17 + 3
 	for _, row := range []struct {
 		procs int
 		limit uint64
-	}{{2, 3832 + 512}, {8, 11992 + 512}} {
+	}{{2, 2416 + 512}, {8, 2464 + 512}} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", row.procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(row.procs))
 			const builds = 32
 			sink := make([]*synchq.SynchronousQueue[int64], builds)
-			best := uint64(1<<63 - 1)
+			best, allocs := uint64(1<<63-1), uint64(1<<63-1)
 			for round := 0; round < 3; round++ { // the least-disturbed round counts
 				var m0, m1 runtime.MemStats
 				runtime.ReadMemStats(&m0)
@@ -313,13 +348,17 @@ func TestInstrumentedBuildBytes(t *testing.T) {
 				}
 				runtime.ReadMemStats(&m1)
 				best = min(best, (m1.TotalAlloc-m0.TotalAlloc)/builds)
+				allocs = min(allocs, (m1.Mallocs-m0.Mallocs)/builds)
 			}
 			if got := sink[0].MaxShards(); got != row.procs {
 				t.Fatalf("MaxShards = %d, want %d", got, row.procs)
 			}
-			t.Logf("instrumented AutoShard fair queue, %d shards: %d B per build", row.procs, best)
+			t.Logf("instrumented AutoShard fair queue, ceiling %d shards: %d allocations, %d B per build", row.procs, allocs, best)
 			if best > row.limit {
 				t.Errorf("building an instrumented AutoShard fair queue allocates %d B, want at most %d", best, row.limit)
+			}
+			if allocs > allocLimit {
+				t.Errorf("building an instrumented AutoShard fair queue makes %d allocations, want at most %d", allocs, allocLimit)
 			}
 		})
 	}

@@ -47,16 +47,23 @@ func TestHandleLayout(t *testing.T) {
 	if got, want := unsafe.Sizeof(h), 64+uintptr(NumIDs)*8+uintptr(NumHistIDs)*8; got != want {
 		t.Errorf("Handle size = %d, want exactly %d: a 64-B pad, %d dense counters and %d histogram pointers", got, want, NumIDs, NumHistIDs)
 	}
+	// A background allocation (the race detector's, a test runner's) can
+	// land in one round's TotalAlloc window; the least-disturbed of three
+	// rounds counts.
 	const n = 64
 	sink := make([]*Handle, n)
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for i := range sink {
-		sink[i] = New()
+	best := uint64(1<<63 - 1)
+	for round := 0; round < 3; round++ {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := range sink {
+			sink[i] = New()
+		}
+		runtime.ReadMemStats(&m1)
+		best = min(best, (m1.TotalAlloc-m0.TotalAlloc)/n)
 	}
-	runtime.ReadMemStats(&m1)
-	if got := (m1.TotalAlloc - m0.TotalAlloc) / n; got > 384 {
-		t.Errorf("New allocates %d B per handle, want at most 384", got)
+	if best > 384 {
+		t.Errorf("New allocates %d B per handle, want at most 384", best)
 	}
 }
 

@@ -19,14 +19,18 @@ package shard
 //   - home() consults the width only to place new arrivals; every sweep
 //     and every Dekker reload scans the FULL 64-bit presence summaries,
 //     so a waiter committed to a shard above the current width is exactly
-//     as visible as one below it.
+//     as visible as one below it. A bit can only name a built lane.
 //   - presence bits are cleared only by probes that re-check occupancy
 //     and restore the bit when a waiter is present, so deactivation
 //     cannot strand a bit: nothing about a width change touches the
 //     summaries' durability invariant.
-//   - Close() closes every constructed shard regardless of width, so the
+//   - Close() closes every built shard regardless of width, so the
 //     closed total order (no transfer completes after Closed() is
 //     observed true) is width-independent.
+//
+// The grow arm builds lanes the width reaches for the first time, under
+// the mutex Close holds too, before it stores the wider mask. Lanes are
+// never freed: a narrower width only stops routing to them.
 //
 // Deactivation is still an active protocol, not just a smaller mask: the
 // controller publishes the narrower mask first (no new arrival routes to
@@ -112,7 +116,7 @@ type shardState struct {
 
 // widthCtl is the fabric-level half of the controller, present only on
 // self-scaling fabrics (nil ctl = fixed width, controller code fully
-// skipped).
+// skipped; the storage, Fabric.ctlState, is there either way).
 type widthCtl struct {
 	_ [64]byte
 	// contend smooths lost probe races per operation: the per-shard
@@ -142,13 +146,14 @@ type sweepStat struct {
 
 // NewAuto returns a self-scaling fabric of up to max shards (0 or
 // negative: DefaultShards; other values round up to a power of two,
-// capped at 64). The fabric starts collapsed at effective width 1 and
-// re-picks its width from observed contention; Shards() reports the
-// current effective width, MaxShards the ceiling.
+// capped at 64). The fabric starts collapsed at effective width 1, with
+// only shard 0 built, and re-picks its width from observed contention; mk
+// builds each further shard when the width first reaches it. Shards()
+// reports the current effective width, MaxShards the ceiling.
 func NewAuto[T any](max int, mk func(i int) Dual[T]) *Fabric[T] {
-	f := New(max, mk)
-	f.ctl = &widthCtl{}
-	f.wmask.Store(0)
+	f := newFabric(max, mk)
+	f.ctl = &f.ctlState
+	f.build(1)
 	return f
 }
 
@@ -219,7 +224,7 @@ func (f *Fabric[T]) evalWidth() {
 	c := f.ctl
 	cur := int(f.wmask.Load()) + 1
 	desired := ceilPow2(1 + int(c.contend.Value()))
-	if n := len(f.shards); desired > n {
+	if n := len(f.lanes); desired > n {
 		desired = n
 	}
 	switch {
@@ -249,13 +254,19 @@ func (f *Fabric[T]) evalWidth() {
 // benignly: the mask is a single word, the repair sweep is idempotent,
 // and a stale transition is corrected by the next evaluation.
 func (f *Fabric[T]) setWidth(to, from int) {
-	if to < 1 || to > len(f.shards) || to == from {
+	if to < 1 || to > len(f.lanes) || to == from {
 		return
 	}
 	if to > from {
 		// Activate window: between the decision and the wider mask
 		// becoming visible, arrivals still pile onto the old shards.
 		f.f.Preempt(fault.ShardGrowPause)
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		if f.closed.Load() {
+			return // Close has run: build nothing it has not closed
+		}
+		f.build(to)
 		f.wmask.Store(int32(to - 1))
 	} else {
 		// Drain window: narrow the routing mask first — from here on no
@@ -267,13 +278,13 @@ func (f *Fabric[T]) setWidth(to, from int) {
 		f.wmask.Store(int32(to - 1))
 		f.f.Preempt(fault.ShardDrainPause)
 		for i := to; i < from; i++ {
-			st := &f.st[i]
-			st.emptyProd.Store(0)
-			st.emptyCons.Store(0)
-			if f.shards[i].HasWaitingProducer() {
+			l := f.lanes[i]
+			l.emptyProd.Store(0)
+			l.emptyCons.Store(0)
+			if l.HasWaitingProducer() {
 				setBit(&f.prod, 1<<uint(i))
 			}
-			if f.shards[i].HasWaitingConsumer() {
+			if l.HasWaitingConsumer() {
 				setBit(&f.cons, 1<<uint(i))
 			}
 		}
@@ -309,15 +320,15 @@ func (f *Fabric[T]) DriveWidth(contended bool) {
 // empty on probeSkipAfter consecutive probes is passed over, except for
 // the periodic re-probe. streak is the side-specific empty counter of the
 // shard under consideration.
-func (f *Fabric[T]) skipProbe(i int, streak *atomic.Int32) bool {
+func (s *shardState) skipProbe(streak *atomic.Int32, m *metrics.Handle) bool {
 	if streak.Load() < probeSkipAfter {
 		return false
 	}
-	if f.st[i].reprobe.Add(1)%probeReprobeEvery == 0 {
+	if s.reprobe.Add(1)%probeReprobeEvery == 0 {
 		return false
 	}
-	f.st[i].skips.Add(1)
-	f.m.Inc(metrics.ShardProbeSkips)
+	s.skips.Add(1)
+	m.Inc(metrics.ShardProbeSkips)
 	return true
 }
 
@@ -332,10 +343,10 @@ func resetStreak(streak *atomic.Int32) {
 
 // noteProbeEmpty records a probe that found a flagged shard empty on the
 // probed side.
-func (f *Fabric[T]) noteProbeEmpty(i int, streak *atomic.Int32) {
+func (s *shardState) noteProbeEmpty(streak *atomic.Int32, m *metrics.Handle) {
 	streak.Add(1)
-	f.st[i].misses.Add(1)
-	f.m.Inc(metrics.ShardProbeMisses)
+	s.misses.Add(1)
+	m.Inc(metrics.ShardProbeMisses)
 }
 
 // ShardStats is one shard's slice of Stats.
@@ -362,28 +373,26 @@ type Stats struct {
 }
 
 // Stats snapshots the fabric. Counters are read without mutual exclusion;
-// the snapshot is consistent per word, like a metrics.Snapshot.
+// the snapshot is consistent per word, like a metrics.Snapshot. A shard
+// not built yet reads as idle.
 func (f *Fabric[T]) Stats() Stats {
 	width := int(f.wmask.Load()) + 1
 	s := Stats{
-		MaxShards:    len(f.shards),
+		MaxShards:    len(f.lanes),
 		Width:        width,
 		Adaptive:     f.ctl != nil,
 		WidthChanges: f.WidthChanges(),
-		Shards:       make([]ShardStats, len(f.shards)),
+		Shards:       make([]ShardStats, len(f.lanes)),
 	}
-	for i := range f.st {
-		st := &f.st[i]
-		steals := st.steals.Load()
+	for i := range s.Shards {
+		s.Shards[i] = ShardStats{Index: i, Active: i < width}
+	}
+	for i, l := range f.built() {
+		steals := l.steals.Load()
 		s.Steals += steals
-		s.ProbeMisses += st.misses.Load()
-		s.ProbeSkips += st.skips.Load()
-		s.Shards[i] = ShardStats{
-			Index:  i,
-			Active: i < width,
-			Depth:  st.depth.Load(),
-			Steals: steals,
-		}
+		s.ProbeMisses += l.misses.Load()
+		s.ProbeSkips += l.skips.Load()
+		s.Shards[i].Depth, s.Shards[i].Steals = l.depth.Load(), steals
 	}
 	return s
 }

@@ -67,18 +67,18 @@ func TestStealWeightingLiveness(t *testing.T) {
 		setBit(&f.prod, 1<<3)
 		f.sweepTake(0, false, 0, &ss)
 	}
-	if f.st[3].emptyProd.Load() < probeSkipAfter {
-		t.Fatalf("streak = %d, want >= %d", f.st[3].emptyProd.Load(), probeSkipAfter)
+	if f.lanes[3].emptyProd.Load() < probeSkipAfter {
+		t.Fatalf("streak = %d, want >= %d", f.lanes[3].emptyProd.Load(), probeSkipAfter)
 	}
 
 	// A real producer parks on shard 3 (directly on the shard: simulates a
 	// waiter whose announce was not observed, the worst case for skipping).
 	done := make(chan struct{})
 	go func() {
-		put(f.shards[3], 42)
+		put(f.lanes[3], 42)
 		close(done)
 	}()
-	for !f.shards[3].HasWaitingProducer() {
+	for !f.lanes[3].HasWaitingProducer() {
 		runtime.Gosched()
 	}
 
@@ -92,8 +92,8 @@ func TestStealWeightingLiveness(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("producer did not unpark after critical-sweep hand-off")
 	}
-	if f.st[3].emptyProd.Load() != 0 {
-		t.Errorf("successful probe left streak at %d, want 0", f.st[3].emptyProd.Load())
+	if f.lanes[3].emptyProd.Load() != 0 {
+		t.Errorf("successful probe left streak at %d, want 0", f.lanes[3].emptyProd.Load())
 	}
 
 	// And the periodic re-probe bounds how long a non-critical sweep can
@@ -103,8 +103,8 @@ func TestStealWeightingLiveness(t *testing.T) {
 		setBit(&f.prod, 1<<3)
 		f.sweepTake(0, false, 0, &ss)
 	}
-	go func() { put(f.shards[3], 7) }()
-	for !f.shards[3].HasWaitingProducer() {
+	go func() { put(f.lanes[3], 7) }()
+	for !f.lanes[3].HasWaitingProducer() {
 		runtime.Gosched()
 	}
 	found := false
@@ -212,8 +212,8 @@ func TestShrinkDrainsParkedWaiters(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		n := 0
-		for i := range f.shards {
-			if f.shards[i].HasWaitingConsumer() {
+		for _, l := range f.built() {
+			if l.HasWaitingConsumer() {
 				n++
 			}
 		}

@@ -183,7 +183,7 @@ func stealScriptEvents(t *testing.T, seed uint64) []fault.Site {
 			t.Fatalf("op %d: immediate fulfillment on an empty shard", i)
 		}
 		setBit(&f.prod, 1<<uint(shard))
-		home := (shard + 1 + i%3) & f.mask
+		home := (shard + 1 + i%3) & (f.MaxShards() - 1)
 		v, ok := f.sweepTake(home, false, 0, &sweepStat{})
 		if ok {
 			if v != int64(i) {

@@ -33,8 +33,8 @@
 // every transfer still happens inside one shard's linearized hand-off,
 // which the history-bridge tests verify end to end.
 //
-// Close composes per shard: Close closes every shard, each shard's own
-// eviction sweep wakes its waiters with the Closed status, and the
+// Close composes per shard: Close closes every built shard, each shard's
+// own eviction sweep wakes its waiters with the Closed status, and the
 // fabric's waiting paths return it unchanged. Fault injection composes
 // the same way — the shards share the fabric's injector, and the fabric
 // adds its own site (fault.ShardStealCAS) that makes an opportunistic
@@ -48,6 +48,7 @@ import (
 	"math/bits"
 	"math/rand/v2"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -68,19 +69,27 @@ type Dual[T any] interface {
 
 var _ core.Handoff[int] = (*Fabric[int])(nil)
 
+// lane is one shard: its core, its commit step for each side (see
+// commitStep; built with the lane, so a committed wait allocates nothing
+// in the fabric) and its controller state line (see adaptive.go).
+type lane[T any] struct {
+	Dual[T]
+	putStep, takeStep func() bool
+	_                 [32]byte // keep the read-only words off the state's line
+	shardState
+}
+
 // Fabric composes n power-of-two shards behind the synchronous queue
-// surface. Create one with New; a Fabric must not be copied after first
-// use.
+// surface. Create one with New or NewAuto; a Fabric must not be copied
+// after first use.
 type Fabric[T any] struct {
-	shards []Dual[T]
-	mask   int
-	// st is the per-shard controller state (probe-skip streaks, depth and
-	// steal gauges), one padded cache line per shard; see adaptive.go.
-	st []shardState
-	// putStep[i] and takeStep[i] are shard i's commit steps for each side
-	// (see commitStep), built once in New so a committed wait allocates
-	// nothing in the fabric.
-	putStep, takeStep []func() bool
+	// lanes has a slot per shard up to the ceiling; [0, nbuilt) are built,
+	// each stored under mu before nbuilt, wmask or a presence bit (set only
+	// by an operation that reached the lane) can name it, never freed.
+	lanes  []*lane[T]
+	nbuilt atomic.Int32
+	mk     func(i int) Dual[T] // builds lane i's core
+	mu     sync.Mutex          // orders building against Close
 	// ctl is the self-scaling width controller; nil on fixed-width
 	// fabrics, which then never touch a controller word.
 	ctl *widthCtl
@@ -91,10 +100,10 @@ type Fabric[T any] struct {
 	// width controller's grow/drain windows; nil disables.
 	f *fault.Injector
 	// wmask is the effective routing mask: home() draws from
-	// [0, wmask+1). On a fixed-width fabric it equals mask forever; on a
-	// self-scaling one the controller republishes it. Width is a routing
-	// hint only — sweeps, Dekker reloads and Close always cover all
-	// mask+1 shards, which is what makes width changes safe (see
+	// [0, wmask+1). On a fixed-width fabric it names every shard forever;
+	// on a self-scaling one the controller republishes it. Width is a
+	// routing hint only — sweeps, Dekker reloads and Close always cover
+	// every built lane, which is what makes width changes safe (see
 	// adaptive.go).
 	wmask atomic.Int32
 	// closed is published by Close only after every shard has shut down,
@@ -119,11 +128,13 @@ type Fabric[T any] struct {
 	// different shards, at least one's reload observes the other's bit and
 	// probes it, shrinking the mutual-stranding window from a rescue round
 	// to the enqueue latency.
-	_    [64]byte // keep the hot summaries off the shards header's line
+	_    [64]byte // keep the hot summaries off the lanes header's line
 	prod atomic.Uint64
 	_    [56]byte // producers RMW prod, consumers RMW cons: split the lines
 	cons atomic.Uint64
-	_    [64]byte
+	// ctlState (a line of padding first) and lane0 back ctl and lane 0.
+	ctlState widthCtl
+	lane0    lane[T]
 }
 
 // DefaultShards returns the platform shard count: GOMAXPROCS rounded up to
@@ -150,27 +161,43 @@ func ceilPow2(n int) int {
 // inside mk — sharing one handle across shards keeps the counter set
 // aggregated, which is how the -metrics tables expect it.
 func New[T any](n int, mk func(i int) Dual[T]) *Fabric[T] {
+	f := newFabric(n, mk)
+	f.build(len(f.lanes))
+	f.wmask.Store(int32(len(f.lanes) - 1))
+	return f
+}
+
+// newFabric returns a fabric with room for n shards (rounded as New
+// documents) and no lane built yet.
+func newFabric[T any](n int, mk func(i int) Dual[T]) *Fabric[T] {
 	if n <= 0 {
 		n = DefaultShards()
 	} else {
 		n = ceilPow2(n)
 	}
-	f := &Fabric[T]{
-		shards:   make([]Dual[T], n),
-		mask:     n - 1,
-		st:       make([]shardState, n),
-		putStep:  make([]func() bool, n),
-		takeStep: make([]func() bool, n),
-	}
-	f.wmask.Store(int32(n - 1))
-	for i := range f.shards {
-		f.shards[i] = mk(i)
-		bit, st := uint64(1)<<uint(i), &f.st[i]
-		f.putStep[i] = func() bool { return commitStep(&f.prod, &f.cons, bit, &st.emptyProd) }
-		f.takeStep[i] = func() bool { return commitStep(&f.cons, &f.prod, bit, &st.emptyCons) }
-	}
-	return f
+	return &Fabric[T]{lanes: make([]*lane[T], n), mk: mk}
 }
+
+// build builds lanes [nbuilt, to), then publishes the count. The caller
+// holds mu or, in a constructor, owns the fabric alone.
+func (f *Fabric[T]) build(to int) {
+	from := int(f.nbuilt.Load())
+	for i := from; i < to; i++ {
+		l := &f.lane0
+		if i > 0 {
+			l = new(lane[T])
+		}
+		l.Dual = f.mk(i)
+		bit := uint64(1) << uint(i)
+		l.putStep = func() bool { return commitStep(&f.prod, &f.cons, bit, &l.emptyProd) }
+		l.takeStep = func() bool { return commitStep(&f.cons, &f.prod, bit, &l.emptyCons) }
+		f.lanes[i] = l
+	}
+	f.nbuilt.Store(int32(max(from, to)))
+}
+
+// built returns the lanes built so far.
+func (f *Fabric[T]) built() []*lane[T] { return f.lanes[:f.nbuilt.Load()] }
 
 // SetMetrics attaches an instrumentation handle for the fabric-level
 // counters (nil disables) and returns f for chaining. Call before the
@@ -197,13 +224,13 @@ func (f *Fabric[T]) Metrics() *metrics.Handle { return f.m }
 // contention, between 1 and MaxShards.
 func (f *Fabric[T]) Shards() int { return int(f.wmask.Load()) + 1 }
 
-// MaxShards returns the number of constructed shards — the self-scaling
-// controller's width ceiling, and the count sweeps and Close always
-// cover.
-func (f *Fabric[T]) MaxShards() int { return len(f.shards) }
+// MaxShards returns the width ceiling: the most shards the fabric can
+// route to. A fixed-width fabric builds them all in New; a self-scaling
+// one builds each when its width first reaches it.
+func (f *Fabric[T]) MaxShards() int { return len(f.lanes) }
 
-// Shard returns shard i (for tests and monitoring).
-func (f *Fabric[T]) Shard(i int) Dual[T] { return f.shards[i] }
+// Shard returns shard i, which must be built (for tests and monitoring).
+func (f *Fabric[T]) Shard(i int) Dual[T] { return f.lanes[i].Dual }
 
 // home draws a random home shard within the effective width.
 // math/rand/v2's global generator is per-P, so striping itself introduces
@@ -262,19 +289,20 @@ func (f *Fabric[T]) next(c *cursor) int {
 		i := nearestBit(c.avail, int(c.home))
 		bit := uint64(1) << uint(i)
 		c.avail &^= bit
-		streak := &f.st[i].emptyCons
+		l := f.lanes[i]
+		streak := &l.emptyCons
 		if c.prod {
-			streak = &f.st[i].emptyProd
+			streak = &l.emptyProd
 		}
 		if !c.critical && i != int(c.home) &&
-			(f.skipProbe(i, streak) || f.f.FailCAS(fault.ShardStealCAS)) {
+			(l.skipProbe(streak, f.m) || f.f.FailCAS(fault.ShardStealCAS)) {
 			continue // drained shard skipped, or an injected lost steal race
 		}
 		if f.waiting(i, c.prod) {
 			resetStreak(streak)
 			return i
 		}
-		f.noteProbeEmpty(i, streak)
+		l.noteProbeEmpty(streak, f.m)
 		clearBit(w, bit)
 		// The staleness check and the clear are two steps: a waiter may
 		// link and announce between them, and its announce can be a no-op
@@ -331,7 +359,7 @@ func (f *Fabric[T]) sweepTake(home int, critical bool, t0 int64, ss *sweepStat) 
 // homed on home: a steal when the two differ.
 func (f *Fabric[T]) stole(i, home int, t0 int64, ss *sweepStat) {
 	if i != home {
-		f.st[i].steals.Add(1)
+		f.lanes[i].steals.Add(1)
 		ss.stole = true
 		f.m.Inc(metrics.ShardSteals)
 		f.m.Since(metrics.StealNs, t0)
@@ -342,11 +370,11 @@ func (f *Fabric[T]) stole(i, home int, t0 int64, ss *sweepStat) {
 // transfers at zero patience, which only a waiter already linked there
 // can pair with.
 func (f *Fabric[T]) probePut(i int, v T) bool {
-	return f.shards[i].PutDeadline(v, core.Expired, nil) == core.OK
+	return f.lanes[i].PutDeadline(v, core.Expired, nil) == core.OK
 }
 
 func (f *Fabric[T]) probeTake(i int) (T, bool) {
-	v, st := f.shards[i].TakeDeadline(core.Expired, nil)
+	v, st := f.lanes[i].TakeDeadline(core.Expired, nil)
 	return v, st == core.OK
 }
 
@@ -444,9 +472,10 @@ engine:
 			st = core.Timeout
 			break
 		}
-		f.st[home].depth.Add(1)
-		st = f.shards[home].PutCommit(v, deadline, cancel, f.putStep[home])
-		f.st[home].depth.Add(-1)
+		l := f.lanes[home]
+		l.depth.Add(1)
+		st = l.PutCommit(v, deadline, cancel, l.putStep)
+		l.depth.Add(-1)
 		if st == core.OK {
 			break
 		}
@@ -491,9 +520,10 @@ engine:
 			st = core.Timeout
 			break
 		}
-		f.st[home].depth.Add(1)
-		v, st = f.shards[home].TakeCommit(deadline, cancel, f.takeStep[home])
-		f.st[home].depth.Add(-1)
+		l := f.lanes[home]
+		l.depth.Add(1)
+		v, st = l.TakeCommit(deadline, cancel, l.takeStep)
+		l.depth.Add(-1)
 		if st == core.OK {
 			break
 		}
@@ -529,9 +559,9 @@ func (f *Fabric[T]) retireBit(i int, prod bool) {
 // waiting reports whether shard i holds a waiting producer (or consumer).
 func (f *Fabric[T]) waiting(i int, prod bool) bool {
 	if prod {
-		return f.shards[i].HasWaitingProducer()
+		return f.lanes[i].HasWaitingProducer()
 	}
-	return f.shards[i].HasWaitingConsumer()
+	return f.lanes[i].HasWaitingConsumer()
 }
 
 // closedStatus reports Closed for operations that must refuse a shut-down
@@ -558,7 +588,7 @@ func (f *Fabric[T]) ReserveTake() (T, core.Ticket[T], bool) {
 	t0 := f.m.Start()
 	var zero T
 	home := f.home()
-	bit := uint64(1) << uint(home)
+	l, bit := f.lanes[home], uint64(1)<<uint(home)
 	critical := false
 	for {
 		if v, ok := f.sweepTake(home, critical, t0, &ss); ok {
@@ -571,8 +601,8 @@ func (f *Fabric[T]) ReserveTake() (T, core.Ticket[T], bool) {
 		// waiter and may clear it, which is why the bit is re-established
 		// below once the reservation has actually linked.
 		setBit(&f.cons, bit)
-		resetStreak(&f.st[home].emptyCons)
-		v, tkt, ok := f.shards[home].ReserveTake()
+		resetStreak(&l.emptyCons)
+		v, tkt, ok := l.ReserveTake()
 		if ok {
 			// Paired immediately; drop our announce if it is now stale.
 			f.retireBit(home, false)
@@ -583,7 +613,7 @@ func (f *Fabric[T]) ReserveTake() (T, core.Ticket[T], bool) {
 		// window — from here on announced implies linked, so the pinned
 		// reservation is durably visible to every producer's sweep (the
 		// sweeps restore a set bit they clear while a waiter is present).
-		if !f.takeStep[home]() {
+		if !l.takeStep() {
 			// Dekker reload flags a producer somewhere: it may have
 			// committed to waiting before our announce was visible, so no
 			// rescue would find either of us. Abort and retry through the
@@ -607,7 +637,7 @@ func (f *Fabric[T]) ReservePut(v T) (core.Ticket[T], bool) {
 	defer f.observe(&ss)
 	t0 := f.m.Start()
 	home := f.home()
-	bit := uint64(1) << uint(home)
+	l, bit := f.lanes[home], uint64(1)<<uint(home)
 	critical := false
 	for {
 		if f.sweepPut(home, v, critical, t0, &ss) {
@@ -615,15 +645,15 @@ func (f *Fabric[T]) ReservePut(v T) (core.Ticket[T], bool) {
 		}
 		// Early hint; see ReserveTake for the announce/link protocol.
 		setBit(&f.prod, bit)
-		resetStreak(&f.st[home].emptyProd)
-		tkt, ok := f.shards[home].ReservePut(v)
+		resetStreak(&l.emptyProd)
+		tkt, ok := l.ReservePut(v)
 		if ok {
 			f.retireBit(home, true)
 			return nil, true
 		}
 		// Linked: the commit step re-establishes the bit so a clear that
 		// raced the pre-link window cannot leave the reservation invisible.
-		if !f.putStep[home]() {
+		if !l.putStep() {
 			if !tkt.Abort() {
 				tkt.TryFollowup()
 				return nil, true
@@ -636,13 +666,15 @@ func (f *Fabric[T]) ReservePut(v T) (core.Ticket[T], bool) {
 	}
 }
 
-// Close shuts every shard down. Each shard's eviction sweep wakes its own
-// waiters with the Closed status; waiters inside a rescue round observe
-// Closed on their next bounded wait. Close is idempotent and safe to call
-// concurrently with any operation.
+// Close shuts every built shard down, under mu, so a lane is built before
+// Close and closed by it or never built. Each shard's eviction sweep wakes
+// its own waiters with the Closed status. Close is idempotent and safe to
+// call concurrently with any operation.
 func (f *Fabric[T]) Close() {
-	for _, s := range f.shards {
-		s.Close()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, l := range f.built() {
+		l.Close()
 	}
 	f.closed.Store(true)
 }
@@ -653,8 +685,8 @@ func (f *Fabric[T]) Closed() bool { return f.closedStatus() }
 // HasWaitingConsumer reports whether a consumer was observed waiting on
 // any shard.
 func (f *Fabric[T]) HasWaitingConsumer() bool {
-	for _, s := range f.shards {
-		if s.HasWaitingConsumer() {
+	for _, l := range f.built() {
+		if l.HasWaitingConsumer() {
 			return true
 		}
 	}
@@ -664,8 +696,8 @@ func (f *Fabric[T]) HasWaitingConsumer() bool {
 // HasWaitingProducer reports whether a producer was observed waiting on
 // any shard.
 func (f *Fabric[T]) HasWaitingProducer() bool {
-	for _, s := range f.shards {
-		if s.HasWaitingProducer() {
+	for _, l := range f.built() {
+		if l.HasWaitingProducer() {
 			return true
 		}
 	}

@@ -299,7 +299,7 @@ func TestStealIsCountedAndPairs(t *testing.T) {
 	}
 	setBit(&f.prod, 1<<shard)
 
-	home := (shard + 1) & f.mask
+	home := (shard + 1) & (f.MaxShards() - 1)
 	v, ok := f.sweepTake(home, false, 0, &sweepStat{})
 	if !ok || v != 33 {
 		t.Fatalf("sweepTake(home=%d) = (%d,%v), want (33,true)", home, v, ok)

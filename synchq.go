@@ -115,18 +115,17 @@ type SynchronousQueue[T any] struct {
 	impl core.Handoff[T]
 	fair bool
 	// fab is the sharding introspection surface, nil on unsharded queues.
-	// The hooks close over the fabric without making SynchronousQueue
-	// depend on its element type parameterization.
-	fab  *fabricHooks
+	fab  fabric
 	inst *Metrics
 }
 
-// fabricHooks adapts a shard fabric's introspection surface (effective
-// width, ceiling, stats snapshot) for the queue and Metrics accessors.
-type fabricHooks struct {
-	width func() int
-	max   func() int
-	stats func() FabricStats
+// fabric is a shard fabric's introspection surface (effective width,
+// ceiling, stats snapshot) for the queue and Metrics accessors, free of
+// the fabric's element type.
+type fabric interface {
+	Shards() int
+	MaxShards() int
+	Stats() shard.Stats
 }
 
 var (
@@ -258,14 +257,9 @@ func newFromConfig[T any](c config) *SynchronousQueue[T] {
 		// changes — go to the root handle, not to any one shard.
 		fab.SetMetrics(c.wait.Metrics)
 		fab.SetFault(c.wait.Fault)
-		q.impl = fab
-		q.fab = &fabricHooks{
-			width: fab.Shards,
-			max:   fab.MaxShards,
-			stats: func() FabricStats { return fabricStatsFrom(fab.Stats()) },
-		}
+		q.impl, q.fab = fab, fab
 		if c.inst != nil {
-			c.inst.setFabric(q.fab)
+			c.inst.setFabric(fab)
 		}
 	case c.segmented:
 		q.impl = segq.New[T](c.wait)
@@ -293,18 +287,18 @@ func (q *SynchronousQueue[T]) Shards() int {
 	if q.fab == nil {
 		return 1
 	}
-	return q.fab.width()
+	return q.fab.Shards()
 }
 
-// MaxShards returns the width ceiling: the number of constructed shards
-// (1 for an unsharded queue). For a fixed-width queue MaxShards equals
-// Shards forever; for a self-scaling one it is the largest width the
-// controller may activate.
+// MaxShards returns the width ceiling (1 for an unsharded queue). For a
+// fixed-width queue MaxShards equals Shards forever; for a self-scaling
+// one it is the largest width the controller may activate, and a shard
+// is built only when the width first reaches it.
 func (q *SynchronousQueue[T]) MaxShards() int {
 	if q.fab == nil {
 		return 1
 	}
-	return q.fab.max()
+	return q.fab.MaxShards()
 }
 
 // FabricStats snapshots the sharded fabric's introspection surface —
@@ -316,7 +310,7 @@ func (q *SynchronousQueue[T]) FabricStats() (FabricStats, bool) {
 	if q.fab == nil {
 		return FabricStats{}, false
 	}
-	return q.fab.stats(), true
+	return fabricStatsFrom(q.fab.Stats()), true
 }
 
 // Metrics returns the instrumentation set attached with the Instrument
