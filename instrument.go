@@ -272,11 +272,12 @@ func (m *Metrics) ShardStats() []Stats {
 	}
 	hs := m.shardHandles()
 	m.mu.Lock()
-	if f := m.fabric; f != nil && f.MaxShards() > len(hs) {
+	f := m.fabric
+	m.mu.Unlock()
+	if f != nil && f.MaxShards() > len(hs) {
 		// Shards not built yet have no handle: nil reads as idle.
 		hs = append(hs, make([]*metrics.Handle, f.MaxShards()-len(hs))...)
 	}
-	m.mu.Unlock()
 	out := make([]Stats, len(hs))
 	for i, h := range hs {
 		out[i] = statsOf(h.Snapshot(), h.Histograms())

@@ -148,7 +148,8 @@ type sweepStat struct {
 // negative: DefaultShards; other values round up to a power of two,
 // capped at 64). The fabric starts collapsed at effective width 1, with
 // only shard 0 built, and re-picks its width from observed contention; mk
-// builds each further shard when the width first reaches it. Shards()
+// builds each further shard when the width first reaches it, under the
+// fabric's mutex, so it must not call back into the fabric. Shards()
 // reports the current effective width, MaxShards the ceiling.
 func NewAuto[T any](max int, mk func(i int) Dual[T]) *Fabric[T] {
 	f := newFabric(max, mk)
