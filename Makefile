@@ -1,8 +1,8 @@
 # Tier-1 gate: everything `make check` runs must pass before a change
 # lands. CI and the pre-merge driver run exactly this target.
-.PHONY: check lint vet fmt build test sqperf race bench-overhead bench-smoke bench-all bench-scaling bench-batch bench-latency bench-executor stress soak soak-short frames
+.PHONY: check lint vet fmt build test sqperf race synctest bench-overhead bench-smoke bench-all bench-scaling bench-batch bench-latency bench-executor stress soak soak-short frames
 
-check: lint build test sqperf race bench-smoke bench-scaling bench-batch bench-latency bench-executor soak-short
+check: lint build test sqperf race synctest bench-smoke bench-scaling bench-batch bench-latency bench-executor soak-short
 
 # Static tier: vet plus a gofmt cleanliness check (gofmt -l prints the
 # offending files; grep inverts that into a pass/fail).
@@ -31,10 +31,18 @@ sqperf:
 # the executor tier: the root package owns the derived forms and the
 # elimination front-end, the stress-to-verify bridge, cancel storms, and
 # metrics integration tests all shrink their iteration counts under -short
-# so the race detector finishes fast, and the pool's race-tagged budgets
-# (pool/race_test.go) run here.
+# so the race detector finishes fast. The park, segq and pool allocation
+# budgets hold here as without -race, since parkers own their channels and
+# timers; core's and shard's widen for the sync.Pools of the exchanger's
+# boxes and the dual stack's nodes, which drop Puts under -race.
 race:
 	go test -race -short . ./internal/... ./pool/
+
+# testing/synctest tests, built only with GOEXPERIMENT=synctest: takers
+# parked inside a bubble must leave no bubbled channel behind for a queue
+# outside it.
+synctest:
+	GOEXPERIMENT=synctest go test -run 'TestBubbledParksStayInTheirQueue' -count 1 .
 
 # Paired-handoff cost of the instrumentation layer, disabled vs enabled.
 bench-overhead:

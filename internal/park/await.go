@@ -178,7 +178,7 @@ func Await[W Waiter](w W, p *Policy, deadline *time.Time, cancel <-chan struct{}
 				for !pk.consume() {
 					<-n.ch
 				}
-				pk.detach(n, pt, Unparked)
+				pk.unblock(pt, Unparked)
 			}
 		} else if r := pk.wait(deadline, cancel, true); r != Unparked {
 			why = r

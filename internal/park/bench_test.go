@@ -34,8 +34,9 @@ func BenchmarkPingPong(b *testing.B) {
 	}
 }
 
-// BenchmarkParkTimeoutMiss measures a timed wait that expires — the pooled
-// timer path taken by every failed timed offer/poll.
+// BenchmarkParkTimeoutMiss measures a timed wait that expires — the
+// parker's own timer, re-armed, on the path every failed timed offer/poll
+// takes.
 func BenchmarkParkTimeoutMiss(b *testing.B) {
 	p := New()
 	b.ResetTimer()

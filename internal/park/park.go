@@ -10,18 +10,18 @@
 // and the waiter actually blocking.
 //
 // The permit lives in a futex-style state word (empty → permit | parked) on
-// an atomic.Uint32; the channel a parked goroutine actually blocks on is a
-// pooled, resettable notifier attached only for the duration of a slow-path
-// wait. The state word is the single source of truth: notifier tokens are
-// hints ("look at the state word again"), so a stale token straying into a
-// recycled notifier is at worst a spurious wakeup, which every caller must
-// tolerate anyway (see Wait). This makes the steady Park/Unpark cycle
-// allocation-free, and lets a Table recycle parkers that a late Unpark
-// may still reach.
+// an atomic.Uint32. The channel a parked goroutine actually blocks on, and
+// the timer of a timed wait, belong to the Parker, as LockSupport's
+// blocking state belongs to the thread: both are made on the first wait
+// that needs them and reused by every later one. The state word is the
+// single source of truth: notifier tokens are hints ("look at the state
+// word again"), so a stale token left by a late Unpark is at worst a
+// spurious wakeup, which every caller must tolerate anyway (see Wait).
+// This makes the steady Park/Unpark cycle allocation-free, and lets a
+// Table re-lend parkers that a late Unpark may still reach.
 package park
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -37,22 +37,12 @@ const (
 	pParked               // the owner is blocked (or committing to block)
 )
 
-// notifier is a pooled wake-up channel. It is boxed in a struct so the
-// Parker can hold it in an atomic.Pointer (Go has no atomic channel type):
-// the owner attaches it before publishing the parked state and detaches it
-// after the wait, and unparkers load it only after winning the
-// parked→permit transition, so the pointer itself needs no further
-// synchronization discipline from callers.
+// notifier is a Parker's wake-up channel (capacity 1: tokens coalesce
+// like permits) and the timer of its timed waits. The owner makes it on
+// its first slow-path wait and the timer on its first timed one.
 type notifier struct {
 	ch chan struct{}
-}
-
-// sigPool recycles notifiers across all Parkers. A notifier fetched from
-// the pool may carry a stale token from a previous life (an unparker may
-// send after the owner has already detached and recycled the notifier);
-// Get-side draining plus state-word revalidation makes that harmless.
-var sigPool = sync.Pool{
-	New: func() any { return &notifier{ch: make(chan struct{}, 1)} },
+	t  *time.Timer
 }
 
 // Parker blocks and unblocks a single goroutine with one-permit semantics.
@@ -64,7 +54,7 @@ var sigPool = sync.Pool{
 // goroutine.
 type Parker struct {
 	state atomic.Uint32
-	sig   atomic.Pointer[notifier]
+	n     *notifier // made by the owner before its first move to parked
 	m     *metrics.Handle
 	f     *fault.Injector
 }
@@ -84,13 +74,13 @@ func (p *Parker) Unpark() {
 	// permit→permit, which coalesces.
 	if s := p.state.Swap(pPermit); s != pPermit {
 		p.m.Inc(metrics.Unparks)
-		// The owner attached its notifier before moving to parked, so a
-		// non-nil load here is the channel it is blocked on (or about to
-		// detach — then the token is a harmless stray). Non-blocking:
-		// capacity 1 and tokens coalesce like permits.
-		if n := p.sig.Load(); s == pParked && n != nil {
+		// The owner made its notifier before it first moved to parked,
+		// and the Swap saw parked, so the load of n is ordered after that
+		// write. If the owner has stopped waiting meanwhile, the token is
+		// a harmless stray.
+		if s == pParked {
 			select {
-			case n.ch <- struct{}{}:
+			case p.n.ch <- struct{}{}:
 			default:
 			}
 		}
@@ -108,19 +98,6 @@ func (p *Parker) Park() {
 // whether it did.
 func (p *Parker) TryPark() bool {
 	return p.state.CompareAndSwap(pPermit, pEmpty)
-}
-
-// timerPool recycles timers across timed waits. Timed waits are on the hot
-// path of poll/offer with patience, so avoiding a timer allocation per wait
-// matters.
-var timerPool = sync.Pool{
-	New: func() any {
-		t := time.NewTimer(time.Hour)
-		if !t.Stop() {
-			<-t.C
-		}
-		return t
-	},
 }
 
 // ParkTimeout blocks until the permit is available or d elapses. It returns

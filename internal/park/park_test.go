@@ -203,8 +203,8 @@ func TestConcurrentUnparkersSingleParker(t *testing.T) {
 
 func TestParkUnparkCycleDoesNotAllocate(t *testing.T) {
 	// The permit fast path (Unpark then Park) must be allocation-free,
-	// and a slow-path wait must only touch pooled notifiers/timers. The
-	// fast path is deterministic, so pin it to exactly zero.
+	// and a slow-path wait must only reuse the parker's own notifier and
+	// timer. The fast path is deterministic, so pin it to exactly zero.
 	p := New()
 	if n := testing.AllocsPerRun(1000, func() {
 		p.Unpark()
@@ -212,12 +212,9 @@ func TestParkUnparkCycleDoesNotAllocate(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("Unpark+Park fast path allocated %v allocs/op, want 0", n)
 	}
-	// Slow path: warm the pools, then require steady-state zero. The
-	// partner goroutine only spins on the state word, so its loop does
-	// not allocate either.
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts under -race, so the pooled notifier path cannot be held to zero allocations")
-	}
+	// Slow path: let the first waits make the notifier and timer, then
+	// require steady-state zero. The partner goroutine only spins on the
+	// state word, so its loop does not allocate either.
 	stop := make(chan struct{})
 	go func() {
 		for {
@@ -240,15 +237,15 @@ func TestParkUnparkCycleDoesNotAllocate(t *testing.T) {
 	close(stop)
 }
 
-// TestWaitIgnoresStaleTimerTick: a pooled timer can carry a tick from its
-// previous owner (a fire that raced that owner's Stop-and-drain). A wait
-// that recycles it must not report its own deadline as exceeded early.
+// TestWaitIgnoresStaleTimerTick: a parker's timer can carry a tick from an
+// earlier wait (a fire that raced that wait's Stop-and-drain), which Reset
+// does not discard under pre-1.23 timer channels. A wait that re-arms it
+// must not report its own deadline as exceeded early.
 func TestWaitIgnoresStaleTimerTick(t *testing.T) {
 	stale := time.NewTimer(0)
 	time.Sleep(5 * time.Millisecond) // fired; the tick sits undrained in C
-	timerPool.Put(stale)
-
 	p := New()
+	p.n = &notifier{ch: make(chan struct{}, 1), t: stale}
 	const d = 50 * time.Millisecond
 	t0 := time.Now()
 	if r := p.Wait(t0.Add(d), nil); r != DeadlineExceeded {

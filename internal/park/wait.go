@@ -41,26 +41,25 @@ func (p *Parker) Wait(deadline time.Time, cancel <-chan struct{}) WaitResult {
 // exact contract opts out). The deadline travels by pointer, one word
 // where time.Time is three, as in park.Await.
 //
-// The protocol: consume an available permit (ready); otherwise attach a
-// pooled notifier (attach), publish the parked state (consume), and block
-// on the notifier, in a select that also watches the timer and the cancel
-// channel. An untimed, uncancelable wait runs the same protocol with a
-// plain receive instead (block; Park, Wait(zero, nil) and park.Await take
-// it), and keeps wait's frame out of its chain. The state word is the
-// truth — a notifier token only means "re-examine the state word", so
-// stale tokens (from a previous wait, or from an unparker racing the
-// detach) cause one extra loop iteration, never a wrong result.
+// The protocol: consume an available permit (ready); otherwise attach the
+// parker's notifier (attach), publish the parked state (consume), and
+// block on the notifier, in a select that also watches the timer and the
+// cancel channel. An untimed, uncancelable wait runs the same protocol
+// with a plain receive instead (block; Park, Wait(zero, nil) and
+// park.Await take it), and keeps wait's frame out of its chain. The state
+// word is the truth — a notifier token only means "re-examine the state
+// word", so stale tokens (from a previous wait, or from an unparker racing
+// the wait's end) cause one extra loop iteration, never a wrong result.
 func (p *Parker) wait(deadline *time.Time, cancel <-chan struct{}, faulty bool) WaitResult {
 	if p.ready(faulty) {
 		return Unparked
 	}
 
-	var t *time.Timer
-	var timerC <-chan time.Time
+	var d time.Duration
 	var due time.Time // when our own timer fires; earlier ticks are stale
 	if !deadline.IsZero() {
 		d0 := time.Until(*deadline)
-		d := d0
+		d = d0
 		if faulty {
 			d = p.f.SkewTimer(d)
 		}
@@ -68,21 +67,26 @@ func (p *Parker) wait(deadline *time.Time, cancel <-chan struct{}, faulty bool) 
 			return DeadlineExceeded
 		}
 		due = deadline.Add(d - d0)
-		t = timerPool.Get().(*time.Timer)
-		t.Reset(d)
-		defer func() {
-			if !t.Stop() {
-				select {
-				case <-t.C:
-				default:
-				}
-			}
-			timerPool.Put(t)
-		}()
-		timerC = t.C
 	}
 
 	n, t0 := p.attach()
+	var timerC <-chan time.Time
+	if d > 0 {
+		if n.t == nil {
+			n.t = time.NewTimer(d)
+		} else {
+			n.t.Reset(d)
+		}
+		defer func() {
+			if !n.t.Stop() {
+				select {
+				case <-n.t.C:
+				default:
+				}
+			}
+		}()
+		timerC = n.t.C
+	}
 	for !p.consume() {
 		select {
 		case <-n.ch:
@@ -90,13 +94,13 @@ func (p *Parker) wait(deadline *time.Time, cancel <-chan struct{}, faulty bool) 
 			// permit delivery.
 		case <-timerC:
 			if now := time.Now(); now.Before(due) {
-				// A stale tick: a recycled timer's previous fire can land
-				// in its channel after that owner's Stop-and-drain (the
-				// pre-1.23 timer channel semantics this module runs
-				// under), and Reset does not discard it. Re-arm for the
-				// remainder and re-park; an unparker that wins meanwhile
-				// leaves its permit for consume.
-				t.Reset(due.Sub(now))
+				// A stale tick: the timer's fire for an earlier wait can
+				// land in its channel after that wait's Stop-and-drain
+				// (the pre-1.23 timer channel semantics of a main module
+				// below go 1.23), and Reset does not discard it. Re-arm
+				// for the remainder and re-park; an unparker that wins
+				// meanwhile leaves its permit for consume.
+				n.t.Reset(due.Sub(now))
 				continue
 			}
 			// Disarm. If the disarm loses, an unparker delivered a
@@ -104,13 +108,13 @@ func (p *Parker) wait(deadline *time.Time, cancel <-chan struct{}, faulty bool) 
 			// the owner's next wait (the same outcome the old
 			// channel-based Parker had when the timer won the select).
 			p.state.CompareAndSwap(pParked, pEmpty)
-			return p.detach(n, t0, DeadlineExceeded)
+			return p.unblock(t0, DeadlineExceeded)
 		case <-cancel:
 			p.state.CompareAndSwap(pParked, pEmpty)
-			return p.detach(n, t0, Canceled)
+			return p.unblock(t0, Canceled)
 		}
 	}
-	return p.detach(n, t0, Unparked)
+	return p.unblock(t0, Unparked)
 }
 
 // block is the untimed, uncancelable wait: a plain receive on the
@@ -128,7 +132,7 @@ func (p *Parker) block(faulty bool) {
 	for !p.consume() {
 		<-n.ch
 	}
-	p.detach(n, t0, Unparked)
+	p.unblock(t0, Unparked)
 }
 
 // ready reports whether a wait is over before it attaches: it consumes an
@@ -138,21 +142,24 @@ func (p *Parker) ready(faulty bool) bool {
 	return p.state.CompareAndSwap(pPermit, pEmpty) || faulty && p.f.SpuriousWake()
 }
 
-// attach hooks a pooled notifier for this wait, counts the park and
-// returns the blocked interval's start: everything before it was
-// nonblocking permit negotiation, and detach records the interval into
-// the park-time histogram, re-parks after stale tokens included. The
-// notifier may carry a stale token from a previous life; attach drains it
-// so the wait does not wake at once for nothing (a token arriving after
-// the drain is indistinguishable from a spurious unpark and equally
-// harmless).
+// attach readies the parker's notifier for this wait, making it on the
+// parker's first slow-path wait, counts the park and returns the blocked
+// interval's start: everything before it was nonblocking permit
+// negotiation, and unblock records the interval into the park-time
+// histogram, re-parks after stale tokens included. A late Unpark of an
+// earlier wait may have left a stray token; attach drains it so the wait
+// does not wake at once for nothing (a token arriving after the drain is
+// indistinguishable from a spurious unpark and equally harmless).
 func (p *Parker) attach() (*notifier, int64) {
-	n := sigPool.Get().(*notifier)
+	n := p.n
+	if n == nil {
+		n = &notifier{ch: make(chan struct{}, 1)}
+		p.n = n
+	}
 	select {
 	case <-n.ch:
 	default:
 	}
-	p.sig.Store(n)
 	p.m.Inc(metrics.Parks)
 	return n, p.m.Start()
 }
@@ -176,19 +183,10 @@ func (p *Parker) consume() bool {
 	}
 }
 
-// detach unhooks the notifier after a slow-path wait and recycles it. An
-// unparker that already loaded the pointer may still send one token into
-// the recycled notifier; the Get-side drain and the hint-only token
-// contract make that benign. t0 is the blocked interval's start, recorded
-// into the park-time histogram regardless of how the wait ended — a
+// unblock ends a slow-path wait with r. t0 is the blocked interval's
+// start, recorded into the park-time histogram however the wait ended — a
 // timed-out park was still time spent blocked.
-func (p *Parker) detach(n *notifier, t0 int64, r WaitResult) WaitResult {
+func (p *Parker) unblock(t0 int64, r WaitResult) WaitResult {
 	p.m.Since(metrics.ParkNs, t0)
-	p.sig.Store(nil)
-	select {
-	case <-n.ch:
-	default:
-	}
-	sigPool.Put(n)
 	return r
 }

@@ -64,10 +64,7 @@ func TestHandoffAllocBudget(t *testing.T) {
 		t.Fatalf("%d of %d submissions were hand-offs, want all", h, rounds)
 	}
 	perTask := float64(m1.TotalAlloc-m0.TotalAlloc) / rounds
-	budget := 24.0
-	if raceEnabled {
-		budget += 64 // see raceEnabled
-	}
+	const budget = 24.0
 	t.Logf("%.1f B per accepted task", perTask)
 	if perTask > budget {
 		t.Fatalf("hand-off path allocates %.1f B per accepted task, want at most %.0f", perTask, budget)

@@ -132,10 +132,11 @@ type probeRow struct {
 	parks bool
 	// allocates marks an operation that allocates at the bottom of its
 	// chain by design — a batch's result slice, the parker table's first
-	// chunk: a move in a trial whose allocations refilled a span is
-	// excused, and the row first runs one trial uncounted, because a P's
-	// first allocation in a size class fills an empty cache, which the
-	// allocation count does not show.
+	// chunk, a fresh parker's notifier on its first park: a move in a
+	// trial whose allocations refilled a span is excused, and the row
+	// first runs one trial uncounted, because a P's first allocation in a
+	// size class fills an empty cache, which the allocation count does
+	// not show.
 	allocates bool
 	// why is set on rows that are logged, not gated.
 	why string
@@ -272,7 +273,7 @@ var probeRows = []probeRow{
 	{name: "autoshard Put meets a waiting Take", core: coreAuto, op: opPut, meets: true, partnerOp: opTake},
 	{name: "fair Take meets a waiting Put", op: opTake, meets: true, partnerOp: opPut},
 	{name: "fair Put meets a waiting Take", op: opPut, meets: true, partnerOp: opTake},
-	{name: "seg PutAll parks", core: coreSeg, op: opPutAll, partnerOp: opTakeBatch, parks: true},
+	{name: "seg PutAll parks", core: coreSeg, op: opPutAll, partnerOp: opTakeBatch, parks: true, allocates: true},
 	{name: "seg TakeBatchContext meets a parked PutAll", core: coreSeg, op: opTakeBatch, meets: true, partnerOp: opPutAll, allocates: true},
 	{name: "fair Take parks", op: opTake, partnerOp: opPut, parks: true, allocates: true},
 	{name: "autoshard OfferTimeout, spin phase", core: coreAuto, op: opOffer, partnerOp: opTake,
@@ -309,12 +310,11 @@ const probeTrials = 20
 var spinPhase = runtime.GOMAXPROCS(0) > 1
 
 // warmWaits parks n goroutines in Take on a fair queue and wakes them, so
-// the runtime's caches of channel-wait records (sudogs) and the pool of
-// parker notifiers hold plenty on every P, as a warm process's do. A first
-// park that found the sudog cache empty would allocate a sudog at the
-// bottom of its chain, and a notifier pool whose per-P ring is full grows
-// it on the wake-up's way out; the n waits size both once. With the
-// collector off, which would empty them, they stay filled.
+// the runtime's caches of channel-wait records (sudogs) hold plenty on
+// every P, as a warm process's do. A first park that found the sudog cache
+// empty would allocate a sudog at the bottom of its chain; the n waits
+// fill the caches once. With the collector off, which would empty them,
+// they stay filled.
 func warmWaits(n int) {
 	m := synchq.NewMetrics()
 	q := synchq.New[int64](synchq.Fair(true), synchq.Instrument(m))
@@ -423,10 +423,9 @@ func checkCallerFrames(t *testing.T) {
 // neither parks nor allocates fails on any move. A row that parks or
 // allocates by design runs once more if it moved, and fails if it moves
 // again: at the bottom of those chains the runtime's slow paths run in
-// some trials only — sync.Pool's steal or New for the parker's notifier,
-// an allocation the count does not show — while a chain that outgrew the
-// stack moves in every trial. The rows with a reason are logged, not
-// gated.
+// some trials only — an allocation the count does not show, for one —
+// while a chain that outgrew the stack moves in every trial. The rows
+// with a reason are logged, not gated.
 func TestFirstHandoffStack(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("needs unshortened runs without race instrumentation, which grows every frame")
