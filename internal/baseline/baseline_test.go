@@ -267,3 +267,19 @@ func TestHansonSixSynchronizationEvents(t *testing.T) {
 			q.sync.Permits(), q.recv.Permits())
 	}
 }
+
+// TestJava5TimedWaitReusesParker checks that a PollTimeout that waits out
+// its deadline allocates only its node and wait-list element: the node's
+// parker, with its channel and timer, is lent by the queue's parker table
+// and serves the next wait again.
+func TestJava5TimedWaitReusesParker(t *testing.T) {
+	q := NewJava5[int](false)
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, ok := q.PollTimeout(100 * time.Microsecond); ok {
+			t.Fatal("PollTimeout succeeded with no producer")
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("a timed-out PollTimeout makes %.1f allocations, want at most 2 (its node and wait-list element)", allocs)
+	}
+}

@@ -86,6 +86,11 @@ type Java5[T any] struct {
 	waitingConsumers waitList[T]
 	fair             bool
 	canceledSentinel *T // placeholder; reserved for parity with core sentinels
+	// parkers lends each waiting node its parker for the wait, as a Java
+	// thread brings its own permit to LockSupport.park. A node's parker
+	// gets one Unpark at most, from the fulfiller that won its state CAS,
+	// and await consumes it before the parker goes back.
+	parkers park.Table
 }
 
 // NewJava5 returns an empty Java 5-style synchronous queue; fair selects
@@ -133,10 +138,13 @@ func (q *Java5[T]) put(v T, deadline time.Time) bool {
 		q.lock.Unlock()
 		return false
 	}
-	node := &j5node[T]{item: &v, p: park.New()}
+	idx, p := q.parkers.Lend()
+	node := &j5node[T]{item: &v, p: p}
 	q.waitingProducers.push(node)
 	q.lock.Unlock()
-	return q.await(node, &q.waitingProducers, deadline)
+	ok := q.await(node, &q.waitingProducers, deadline)
+	q.parkers.Return(idx)
+	return ok
 }
 
 // Take receives a value, waiting for a producer (Listing 4, lines 15–28).
@@ -171,10 +179,13 @@ func (q *Java5[T]) take(deadline time.Time) (T, bool) {
 		q.lock.Unlock()
 		return zero, false
 	}
-	node := &j5node[T]{p: park.New()}
+	idx, p := q.parkers.Lend()
+	node := &j5node[T]{p: p}
 	q.waitingConsumers.push(node)
 	q.lock.Unlock()
-	if !q.await(node, &q.waitingConsumers, deadline) {
+	ok := q.await(node, &q.waitingConsumers, deadline)
+	q.parkers.Return(idx)
+	if !ok {
 		return zero, false
 	}
 	return *node.item, true

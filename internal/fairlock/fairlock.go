@@ -7,6 +7,10 @@
 // Go's sync.Mutex is deliberately not strictly fair (it admits barging), so
 // reproducing the Java 5 fair queue's performance profile requires this
 // substrate.
+//
+// A queued goroutine waits on a parker lent by the mutex's park.Table, as
+// a Java thread brings its own permit to LockSupport.park, and returns it
+// once Unlock's Unpark, the only one sent to it, has woken it.
 package fairlock
 
 import (
@@ -24,6 +28,7 @@ type Mutex struct {
 	mu      sync.Mutex
 	locked  bool
 	waiters list.List // of *park.Parker
+	parkers park.Table
 }
 
 // Lock acquires the lock, queueing behind all earlier arrivals.
@@ -34,12 +39,13 @@ func (m *Mutex) Lock() {
 		m.mu.Unlock()
 		return
 	}
-	p := park.New()
+	idx, p := m.parkers.Lend()
 	m.waiters.PushBack(p)
 	m.mu.Unlock()
 	// Ownership is transferred directly by Unlock; when Park returns we
 	// hold the lock.
 	p.Park()
+	m.parkers.Return(idx)
 }
 
 // TryLock acquires the lock only if it is free and no goroutine is queued.

@@ -134,11 +134,12 @@ func (t *Table[E]) Lend() (idx uint32, e *E, fresh bool) {
 }
 
 // Reserve builds the first chunk now, if nobody has, so that the first
-// Lend allocates nothing. A structure whose first loan sits
-// at the bottom of a fresh goroutine's first call chain reserves when it
-// is built: an allocation down there can outgrow the goroutine's starting
-// stack and force a copy of it.
-func (t *Table[E]) Reserve() { t.grow(0) }
+// Lend allocates nothing, and returns the element with index 0, which a
+// table reserved before its first Lend issues first. A structure whose
+// first loan sits at the bottom of a fresh goroutine's first call chain
+// reserves when it is built: an allocation down there can outgrow the
+// goroutine's starting stack and force a copy of it.
+func (t *Table[E]) Reserve() *E { return t.grow(0) }
 
 // Return puts a lent index back on the free stack once its borrower is
 // done with the element.

@@ -54,7 +54,7 @@ type notifier struct {
 // goroutine.
 type Parker struct {
 	state atomic.Uint32
-	n     *notifier // made by the owner before its first move to parked
+	n     *notifier // made before the first move to parked (see Table.Reserve)
 	m     *metrics.Handle
 	f     *fault.Injector
 }

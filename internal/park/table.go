@@ -46,9 +46,10 @@ func (t *Table) Lend() (uint32, *Parker) {
 	return idx, p
 }
 
-// Reserve builds the table's first chunk now, so that the first Lend
-// allocates nothing (see lend.Table.Reserve).
-func (t *Table) Reserve() { t.t.Reserve() }
+// Reserve builds the table's first chunk and its first parker's notifier
+// now, before the structure is shared, so that neither the first Lend nor
+// that parker's first park allocates (see lend.Table.Reserve).
+func (t *Table) Reserve() { t.t.Reserve().n = &notifier{ch: make(chan struct{}, 1)} }
 
 // Return puts a lent index back on the free stack once its borrower's wait
 // is over.

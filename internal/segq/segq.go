@@ -186,8 +186,8 @@ func New[T any](cfg core.WaitConfig) *Queue[T] {
 	// A producer's first batch parks, and appends the second segment, at
 	// the bottom of a deep call chain, which a fresh goroutine runs on its
 	// small starting stack; an allocation down there can force a copy of
-	// that stack. The parkers' first chunk and a spare segment are built
-	// here instead.
+	// that stack. The parkers' first chunk, the first parker's notifier
+	// and a spare segment are built here instead.
 	q.parkers.Reserve()
 	q.spare.Store(&segment[T]{})
 	first := &segment[T]{}

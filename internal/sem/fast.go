@@ -27,11 +27,8 @@ import (
 type Fast struct {
 	state   atomic.Int64
 	mu      sync.Mutex
-	waiters list.List // of *fastWaiter
-}
-
-type fastWaiter struct {
-	p *park.Parker
+	waiters list.List // of *park.Parker
+	parkers park.Table
 }
 
 // NewFast returns a fast-path semaphore with the given permits.
@@ -48,11 +45,12 @@ func (f *Fast) Acquire() {
 	}
 	// Slow path: register and park. Release has already (or will have)
 	// committed one wake-up for us.
-	w := &fastWaiter{p: park.New()}
+	idx, p := f.parkers.Lend()
 	f.mu.Lock()
-	f.waiters.PushBack(w)
+	f.waiters.PushBack(p)
 	f.mu.Unlock()
-	w.p.Park()
+	p.Park()
+	f.parkers.Return(idx)
 }
 
 // TryAcquire obtains a permit only if one is immediately available.
@@ -78,9 +76,9 @@ func (f *Fast) Release() {
 	for i := 0; ; i++ {
 		f.mu.Lock()
 		if e := f.waiters.Front(); e != nil {
-			w := f.waiters.Remove(e).(*fastWaiter)
+			p := f.waiters.Remove(e).(*park.Parker)
 			f.mu.Unlock()
-			w.p.Unpark()
+			p.Unpark()
 			return
 		}
 		f.mu.Unlock()

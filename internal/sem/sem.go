@@ -11,6 +11,13 @@
 // (like a Java fair Semaphore); BargingSemaphore allows a releasing thread's
 // permit to be seized by a newly arriving acquirer (like Java's default
 // nonfair Semaphore), which trades fairness for throughput.
+//
+// A blocked acquirer waits on a parker lent by its semaphore's park.Table
+// and returns it once its wait is over, as a Java thread brings its own
+// permit to LockSupport.park: the steady blocking path allocates only its
+// wait-list element. Every Unpark a semaphore sends is consumed by the
+// wait it was sent to before that wait returns its parker, so no stray
+// permit reaches the parker's next borrower.
 package sem
 
 import (
@@ -28,6 +35,7 @@ type Semaphore struct {
 	mu      sync.Mutex
 	permits int
 	waiters list.List // of *park.Parker
+	parkers park.Table
 }
 
 // New returns a semaphore initialized with the given number of permits.
@@ -46,11 +54,11 @@ func (s *Semaphore) Acquire() {
 		s.mu.Unlock()
 		return
 	}
-	p := park.New()
-	elem := s.waiters.PushBack(p)
+	idx, p := s.parkers.Lend()
+	s.waiters.PushBack(p)
 	s.mu.Unlock()
 	p.Park()
-	_ = elem
+	s.parkers.Return(idx)
 }
 
 // TryAcquire obtains one permit only if one is immediately available and no
@@ -79,7 +87,8 @@ func (s *Semaphore) AcquireTimeout(d time.Duration) bool {
 		s.mu.Unlock()
 		return false
 	}
-	p := park.New()
+	idx, p := s.parkers.Lend()
+	defer s.parkers.Return(idx)
 	elem := s.waiters.PushBack(p)
 	s.mu.Unlock()
 
@@ -141,6 +150,7 @@ type BargingSemaphore struct {
 	mu      sync.Mutex
 	permits int
 	waiters list.List // of *bsWaiter
+	parkers park.Table
 }
 
 type bsWaiter struct {
@@ -162,7 +172,8 @@ func (s *BargingSemaphore) Acquire() {
 		s.mu.Unlock()
 		return
 	}
-	w := &bsWaiter{p: park.New()}
+	idx, p := s.parkers.Lend()
+	w := &bsWaiter{p: p}
 	elem := s.waiters.PushBack(w)
 	s.mu.Unlock()
 	for {
@@ -171,6 +182,7 @@ func (s *BargingSemaphore) Acquire() {
 		if w.taken {
 			s.waiters.Remove(elem)
 			s.mu.Unlock()
+			s.parkers.Return(idx)
 			return
 		}
 		// Spurious wake relative to permit assignment cannot happen

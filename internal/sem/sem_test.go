@@ -1,6 +1,7 @@
 package sem
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -212,5 +213,39 @@ func TestBargingSemaphoreAsMutex(t *testing.T) {
 	wg.Wait()
 	if counter != workers*rounds {
 		t.Fatalf("counter = %d, want %d", counter, workers*rounds)
+	}
+}
+
+// TestBlockedAcquireReusesItsParker checks that a blocked Acquire borrows
+// its parker from the semaphore and gives it back: once the first wait has
+// made the parker's channel, a round of blocking and release allocates only
+// the wait-list element, where a parker made for each wait would add its
+// slot, and its notifier and channel.
+func TestBlockedAcquireReusesItsParker(t *testing.T) {
+	const rounds = 200
+	s := New(0)
+	done := make(chan struct{})
+	go func() {
+		for range rounds + 1 {
+			s.Acquire()
+		}
+		close(done)
+	}()
+	round := func() {
+		for s.Waiters() == 0 {
+			runtime.Gosched()
+		}
+		s.Release()
+	}
+	round()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for range rounds {
+		round()
+	}
+	runtime.ReadMemStats(&m1)
+	<-done
+	if got := float64(m1.Mallocs-m0.Mallocs) / rounds; got > 1.5 {
+		t.Errorf("a blocked Acquire and its Release make %.2f allocations, want at most 1.5 (the wait-list element)", got)
 	}
 }

@@ -132,11 +132,10 @@ type probeRow struct {
 	parks bool
 	// allocates marks an operation that allocates at the bottom of its
 	// chain by design — a batch's result slice, the parker table's first
-	// chunk, a fresh parker's notifier on its first park: a move in a
-	// trial whose allocations refilled a span is excused, and the row
-	// first runs one trial uncounted, because a P's first allocation in a
-	// size class fills an empty cache, which the allocation count does
-	// not show.
+	// chunk: a move in a trial whose allocations refilled a span is
+	// excused, and the row first runs one trial uncounted, because a P's
+	// first allocation in a size class fills an empty cache, which the
+	// allocation count does not show.
 	allocates bool
 	// why is set on rows that are logged, not gated.
 	why string
@@ -273,7 +272,7 @@ var probeRows = []probeRow{
 	{name: "autoshard Put meets a waiting Take", core: coreAuto, op: opPut, meets: true, partnerOp: opTake},
 	{name: "fair Take meets a waiting Put", op: opTake, meets: true, partnerOp: opPut},
 	{name: "fair Put meets a waiting Take", op: opPut, meets: true, partnerOp: opTake},
-	{name: "seg PutAll parks", core: coreSeg, op: opPutAll, partnerOp: opTakeBatch, parks: true, allocates: true},
+	{name: "seg PutAll parks", core: coreSeg, op: opPutAll, partnerOp: opTakeBatch, parks: true},
 	{name: "seg TakeBatchContext meets a parked PutAll", core: coreSeg, op: opTakeBatch, meets: true, partnerOp: opPutAll, allocates: true},
 	{name: "fair Take parks", op: opTake, partnerOp: opPut, parks: true, allocates: true},
 	{name: "autoshard OfferTimeout, spin phase", core: coreAuto, op: opOffer, partnerOp: opTake,
@@ -420,12 +419,13 @@ func checkCallerFrames(t *testing.T) {
 // sample builds its 512-B histogram at the bottom of the call chain (one
 // operation in synchq.SampleRate is sampled). So is one in a trial of a
 // row marked allocates whose allocations refilled a span. A row that
-// neither parks nor allocates fails on any move. A row that parks or
-// allocates by design runs once more if it moved, and fails if it moves
-// again: at the bottom of those chains the runtime's slow paths run in
-// some trials only — an allocation the count does not show, for one —
-// while a chain that outgrew the stack moves in every trial. The rows
-// with a reason are logged, not gated.
+// does not allocate fails on any move, parked rows included: a parker
+// owns its channel, and the segmented core makes its first parker's with
+// the queue. A row that allocates by design runs once more if it moved,
+// and fails if it moves again: at the bottom of those chains the
+// runtime's slow paths run in some trials only — an allocation the count
+// does not show, for one — while a chain that outgrew the stack moves in
+// every trial. The rows with a reason are logged, not gated.
 func TestFirstHandoffStack(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("needs unshortened runs without race instrumentation, which grows every frame")
@@ -455,7 +455,7 @@ func TestFirstHandoffStack(t *testing.T) {
 		}
 		moves, counted, excused := r.run()
 		retried := ""
-		if moves > 0 && r.why == "" && (r.parks || r.allocates) {
+		if moves > 0 && r.why == "" && r.allocates {
 			moves, counted, excused = r.run()
 			retried = ", on a second run"
 		}
