@@ -1,12 +1,12 @@
 # Tier-1 gate: everything `make check` runs must pass before a change
 # lands. CI and the pre-merge driver run exactly this target.
-.PHONY: check lint vet fmt build test sqperf race synctest bench-overhead bench-smoke bench-all bench-scaling bench-batch bench-latency bench-executor stress soak soak-short frames
+.PHONY: check lint vet fmt nopool build test sqperf race synctest bench-overhead bench-smoke bench-all bench-scaling bench-batch bench-latency bench-executor stress soak soak-short frames
 
 check: lint build test sqperf race synctest bench-smoke bench-scaling bench-batch bench-latency bench-executor soak-short
 
-# Static tier: vet plus a gofmt cleanliness check (gofmt -l prints the
-# offending files; grep inverts that into a pass/fail).
-lint: vet fmt
+# Static tier: vet, a gofmt cleanliness check (gofmt -l prints the
+# offending files; grep inverts that into a pass/fail), and nopool.
+lint: vet fmt nopool
 
 vet:
 	go vet ./...
@@ -14,6 +14,13 @@ vet:
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt: files need formatting:"; echo "$$out"; exit 1; fi
+
+# No sync.Pool in non-test Go outside cmd/: the hand-off structures keep
+# only what is live (spare slots, index tables, GC-only nodes), and a pool
+# drops Puts under -race, which would widen the allocation budgets there.
+nopool:
+	@out=$$(grep -rl --include='*.go' --exclude='*_test.go' 'sync\.Pool' . | grep -v '^\./cmd/'); \
+		if [ -n "$$out" ]; then echo "nopool: sync.Pool in non-test code:"; echo "$$out"; exit 1; fi
 
 build:
 	go build ./...
@@ -31,10 +38,9 @@ sqperf:
 # the executor tier: the root package owns the derived forms and the
 # elimination front-end, the stress-to-verify bridge, cancel storms, and
 # metrics integration tests all shrink their iteration counts under -short
-# so the race detector finishes fast. The park, segq and pool allocation
-# budgets hold here as without -race, since parkers own their channels and
-# timers; core's and shard's widen for the sync.Pools of the exchanger's
-# boxes and the dual stack's nodes, which drop Puts under -race.
+# so the race detector finishes fast. Every allocation budget holds here
+# as without -race: nothing on the hand-off path recycles through a
+# sync.Pool, which would drop Puts under -race (make nopool).
 race:
 	go test -race -short . ./internal/... ./pool/
 
@@ -52,7 +58,8 @@ bench-overhead:
 # hand-off allocates more than its measured steady state (one per pair on
 # the queues, two on the stack and the exchanger — an escaping waiter in
 # the shared wait loop shows up here) or more heap bytes than its nodes
-# (16 per pair on the queues, 64 on the stack, 48 on the exchanger), the
+# (16 per pair on the queues, 64 on the stack, 48 on the exchanger, whose
+# values ride in its two nodes; the same under -race), the
 # layout pins fail if a node, cell or segment changes size or a contended
 # word moves onto a shared line, the parker-table tests fail if an index
 # stops mapping back to its parker, is lent to two borrowers at once, or

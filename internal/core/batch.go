@@ -231,9 +231,9 @@ func (q *DualQueue[T]) buildChain(items []T) (first, last *qnode) {
 }
 
 // recycleChain returns a never-published chain (and a peeled box, if any)
-// to the pools and the box table. Chain nodes were never linked into the
-// queue, so reuse is ABA-free; their next words are scrubbed before
-// pooling because getNode promises pristine links.
+// to the spare slot and the box table. Chain nodes were never linked into
+// the queue, so reuse is ABA-free; their next words are scrubbed first
+// because getNode promises pristine links.
 func (q *DualQueue[T]) recycleChain(first *qnode, box uint32) {
 	q.unbox(box)
 	for n := first; n != nil; {

@@ -125,7 +125,7 @@ func TestBoxBacklogKeepsPeak(t *testing.T) {
 
 // TestBoxReuseCountsAsNodeReuse: core.node_reuse_ratio keeps its meaning
 // under the box table — a newly issued box counts as an allocation, a box
-// taken from the free stack as a reuse, like the node pool's spares.
+// taken from the free stack as a reuse, like a node drawn from the spare slot.
 func TestBoxReuseCountsAsNodeReuse(t *testing.T) {
 	h := metrics.New()
 	q := NewDualQueue[int64](WaitConfig{Metrics: h})

@@ -28,11 +28,11 @@ import (
 // Like the paper's node, which references its item and its waiting
 // thread, the node holds neither, only two 32-bit indexes, so it is 16
 // bytes for every T. A node that has been linked into the list is
-// reclaimed only by the garbage collector — never pooled — because stale
-// traversers (losing fulfillers, helpers, cleaners, the close sweep) may
-// still hold its address for head/next CASes, and address reuse would
-// reintroduce exactly the ABA those CASes rely on pointer identity to
-// avoid (see DESIGN.md "Node and parker lifecycle").
+// reclaimed only by the garbage collector — never kept as the spare —
+// because stale traversers (losing fulfillers, helpers, cleaners, the
+// close sweep) may still hold its address for head/next CASes, and
+// address reuse would reintroduce exactly the ABA those CASes rely on
+// pointer identity to avoid (see DESIGN.md "Node and parker lifecycle").
 type qnode struct {
 	next   atomic.Pointer[qnode]
 	item   atomic.Uint32

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -33,11 +32,11 @@ const (
 // parker table when its spin phase ended (index+1, 0 until then), so a
 // push-and-wait allocates only the node itself. A node that has been
 // linked into the stack (its push CAS succeeded) is reclaimed only by the
-// garbage collector — never pooled — because stale traversers (helpers,
-// cleaners, losing fulfillers, the close sweep) may still hold its
-// address for head/next/match CASes, and address reuse would reintroduce
-// exactly the ABA those CASes rely on pointer identity to avoid (see
-// DESIGN.md "Node and parker lifecycle").
+// garbage collector — never kept as the spare — because stale traversers
+// (helpers, cleaners, losing fulfillers, the close sweep) may still hold
+// its address for head/next/match CASes, and address reuse would
+// reintroduce exactly the ABA those CASes rely on pointer identity to
+// avoid (see DESIGN.md "Node and parker lifecycle").
 type snode[T any] struct {
 	next   atomic.Pointer[snode[T]]
 	match  atomic.Pointer[snode[T]]
@@ -86,10 +85,9 @@ type DualStack[T any] struct {
 	// waiters once it is set.
 	closed atomic.Bool
 
-	// npool recycles spare nodes that lost their push race and were never
-	// linked — the only nodes whose address provably reached no other
-	// thread.
-	npool sync.Pool
+	// spare holds one node that was never linked, the only kind whose
+	// address provably reached no other thread (see putSpare).
+	spare atomic.Pointer[snode[T]]
 
 	// pol is every wait's policy: its calibrator sets the spin budget
 	// (WaitConfig.Spins), and it lends from parkers.
@@ -113,33 +111,38 @@ func NewDualStack[T any](cfg WaitConfig) *DualStack[T] {
 // Metrics returns the stack's instrumentation handle (nil when disabled).
 func (q *DualStack[T]) Metrics() *metrics.Handle { return q.m }
 
-// getNode returns a fresh or recycled node with the given mode, its datum
-// the zero value. Pooled nodes are spares that were never linked (see
-// putSpare), so their match and waiter words are pristine.
+// getNode returns a node with the given mode, its datum the zero value:
+// the spare, if the stack holds one, else a new node. A spare was never
+// linked (see putSpare), so its match and waiter words are pristine.
 func (q *DualStack[T]) getNode(mode uint8) *snode[T] {
-	if n, _ := q.npool.Get().(*snode[T]); n != nil {
-		q.m.Inc(metrics.NodeReuses)
-		n.mode = mode
-		return n
+	var n *snode[T]
+	if q.spare.Load() != nil { // writes the shared slot only when a spare is there
+		n = q.spare.Swap(nil)
 	}
-	q.m.Inc(metrics.NodeAllocs)
-	return &snode[T]{mode: mode}
+	if n == nil {
+		q.m.Inc(metrics.NodeAllocs)
+		return &snode[T]{mode: mode}
+	}
+	q.m.Inc(metrics.NodeReuses)
+	n.mode = mode
+	return n
 }
 
-// putSpare recycles a node that was NEVER linked into the stack — its push
+// putSpare keeps a node that was NEVER linked into the stack — its push
 // CAS failed, or the engage loop completed through another arm before
-// attempting it. Such a node's address was never published, so no other
-// thread can hold a stale pointer to it and reuse is ABA-free; linked nodes
-// must never come here. The link word and the datum are scrubbed so the
-// pool retains neither stack references nor user values. Nil-safe, so
-// call sites can hand over a maybe-built spare unconditionally.
+// attempting it — as the stack's spare, replacing any spare already there.
+// Such a node's address was never published, so no other thread can hold
+// a stale pointer to it and reuse is ABA-free; linked nodes must never
+// come here. The link word and the datum are scrubbed so the spare
+// retains neither stack references nor user values. Nil-safe, so call
+// sites can hand over a maybe-built spare unconditionally.
 func (q *DualStack[T]) putSpare(s *snode[T]) {
 	if s == nil {
 		return
 	}
 	s.next.Store(nil)
 	s.v = *new(T)
-	q.npool.Put(s)
+	q.spare.Store(s)
 }
 
 // isDead reports whether node n has been abandoned — canceled
@@ -209,8 +212,8 @@ func (q *DualStack[T]) arrive(v T, mode uint8, deadline time.Time) (imm T, tk St
 // becomes necessary.
 //
 // The waiting node s and the fulfilling node f are each built at most once
-// and carried across retry laps. Either may be recycled through the spare
-// pool at any exit where it was never linked; f, however, is abandoned to
+// and carried across retry laps. Either may become the stack's spare at
+// any exit where it was never linked; f, however, is abandoned to
 // the garbage collector the moment its push succeeds — helpers observed its
 // address, so reusing it could match a later wait against a stale helper's
 // CAS (the same position ABA the queue's doctrine forbids).

@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"synchq/internal/exchanger"
 )
 
 // expectGoroutinesBelow polls until the live goroutine count drops to at
@@ -132,8 +134,8 @@ func leakProbe() (*[]byte, chan struct{}) {
 }
 
 // expectCollected GCs until the probe's finalizer runs, failing if the value
-// stays reachable — which, with the structure still alive, means a pool (or
-// lingering node) retained the user's value.
+// stays reachable — which, with the structure still alive, means a spare,
+// a table slot (or a lingering node) retained the user's value.
 func expectCollected(t *testing.T, what string, collected chan struct{}) {
 	t.Helper()
 	for i := 0; i < 50; i++ {
@@ -144,7 +146,7 @@ func expectCollected(t *testing.T, what string, collected chan struct{}) {
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
-	t.Fatalf("%s still reachable after GC: a pool or dead node retains the user value", what)
+	t.Fatalf("%s still reachable after GC: a spare, table slot or dead node retains the user value", what)
 }
 
 // TestDualQueuePoolsRetainNoUserValues proves the scrubbing half of the
@@ -204,9 +206,45 @@ func TestDualStackDeadNodesRetainNoUserValues(t *testing.T) {
 	offer(q, nil)
 }
 
-// TestPoolScrubbingWhitebox checks the scrub invariants at the pool and
-// box-table boundary directly: nothing enters a pool or goes back to the
-// table still referencing user data, stack/queue links or a box index.
+// TestExchangerRetainsNoUserValues: the exchanger keeps no node once its
+// parties return — an exchanged value rides only in its party's node, a
+// party that gives up withdraws its node from the slot — so a value that
+// was exchanged, one whose exchange timed out, and one an arena give
+// missed with are garbage afterwards while the exchanger and the arena
+// stay live.
+func TestExchangerRetainsNoUserValues(t *testing.T) {
+	e := exchanger.New[*[]byte]()
+	mine, c1 := leakProbe()
+	theirs, c2 := leakProbe()
+	done := make(chan bool)
+	go func() { done <- e.Exchange(theirs) == mine }()
+	if e.Exchange(mine) != theirs || !<-done {
+		t.Fatal("Exchange did not swap the two values")
+	}
+
+	timedOut, c3 := leakProbe()
+	if _, st := e.ExchangeDeadline(timedOut, time.Now().Add(time.Millisecond), nil); st != exchanger.Timeout {
+		t.Fatalf("ExchangeDeadline with no partner = %v, want Timeout", st)
+	}
+
+	a := exchanger.NewArena[*[]byte](1)
+	missed, c4 := leakProbe()
+	if a.TryGive(missed, time.Millisecond) {
+		t.Fatal("TryGive matched on an arena with no taker")
+	}
+
+	mine, theirs, timedOut, missed = nil, nil, nil, nil
+	expectCollected(t, "exchanged value", c1)
+	expectCollected(t, "partner's exchanged value", c2)
+	expectCollected(t, "timed-out exchange's value", c3)
+	expectCollected(t, "missed arena give's value", c4)
+	runtime.KeepAlive(e)
+	runtime.KeepAlive(a)
+}
+
+// TestPoolScrubbingWhitebox checks the scrub invariants at the spare-slot
+// and box-table boundary directly: nothing becomes a spare or goes back to
+// the table still referencing user data, stack/queue links or a box index.
 // These invariants are what make the close-sentinel and cancellation logic
 // sound across recycling — item and match words are compared against
 // sentinels by identity, so a recycled spare that leaked an old reference
@@ -226,7 +264,7 @@ func TestPoolScrubbingWhitebox(t *testing.T) {
 	n.item.Store(b)
 	q.putSpare(n)
 	if n.item.Load() != noItem {
-		t.Error("queue putSpare left the item word in the pooled spare")
+		t.Error("queue putSpare left the item word in the spare")
 	}
 
 	s := NewDualStack[*int](WaitConfig{})
@@ -235,11 +273,11 @@ func TestPoolScrubbingWhitebox(t *testing.T) {
 	sn.next.Store(&snode[*int]{})
 	s.putSpare(sn)
 	if sn.v != nil || sn.next.Load() != nil {
-		t.Error("stack putSpare left value or links in the pooled spare")
+		t.Error("stack putSpare left value or links in the spare")
 	}
 
 	// clean must scrub a dead node's datum even though the node itself
-	// is never pooled.
+	// never becomes a spare.
 	dead := s.getNode(modeData)
 	dead.v = v
 	dead.match.Store(dead) // self-matched: canceled

@@ -2,18 +2,17 @@ package core
 
 import (
 	"sync/atomic"
-
 	"testing"
 
 	"synchq/internal/fault"
 	"synchq/internal/metrics"
 )
 
-// churnConfig is the wait policy for the pooling stress: instrumented, and
-// with a high deterministic CAS-failure rate so insertion races — the only
-// way a spare node enters a pool — fire constantly even at modest
+// churnConfig is the wait policy for the recycling stress: instrumented,
+// and with a high deterministic CAS-failure rate so insertion races — the
+// only way a node becomes a spare — fire constantly even at modest
 // goroutine counts. This doubles as the proof that the fault sites still
-// fire on the pooled paths.
+// fire on the recycling paths.
 func churnConfig(h *metrics.Handle) WaitConfig {
 	return WaitConfig{
 		Metrics: h,
@@ -24,25 +23,48 @@ func churnConfig(h *metrics.Handle) WaitConfig {
 // This file stresses the node/box recycling layer specifically: the
 // history-verified bridge mix (timed offers, canceled puts, timed polls,
 // canceled takes) is rerun on instrumented structures and, afterwards, the
-// recycling counters are required to show that the pools actually cycled
-// during the verified run. Churning the pools while the history checker
-// watches for lost, duplicated, or invented values is the direct test of
-// the ABA and scrubbing doctrine: a box recycled while still reachable, or
-// a spare pooled after being linked, surfaces here as a conservation or
-// synchrony violation (and, under -race, as a data race on the reused
-// memory).
+// recycling counters are required to show that the spare slots and box
+// tables actually cycled during the verified run. Churning them while the
+// history checker watches for lost, duplicated, or invented values is the
+// direct test of the ABA and scrubbing doctrine: a box returned while
+// still reachable, or a spare kept after being linked, surfaces here as a
+// conservation or synchrony violation (and, under -race, as a data race
+// on the reused memory).
 
-// assertPoolCycled fails unless the run both allocated and reused pooled
-// objects — reuse without allocation (or vice versa) would mean the mix
-// never actually exercised the recycling layer.
+// assertPoolCycled fails unless the run both allocated and reused
+// recycled objects — reuse without allocation (or vice versa) would mean
+// the mix never actually exercised the recycling layer.
 func assertPoolCycled(t *testing.T, h *metrics.Handle) {
 	t.Helper()
 	s := h.Snapshot()
 	if s.Get(metrics.NodeReuses) == 0 {
-		t.Error("pooling stress completed without a single pool reuse; the mix did not exercise recycling")
+		t.Error("recycling stress completed without a single reuse; the mix did not exercise recycling")
 	}
 	if s.Get(metrics.NodeAllocs) == 0 {
-		t.Error("pooling stress recorded reuses but no allocations; counters are wired wrong")
+		t.Error("recycling stress recorded reuses but no allocations; counters are wired wrong")
+	}
+}
+
+// checkSpareUnlinked fails if the stack's spare node is reachable from its
+// head. Only a node whose push never succeeded may be kept as the spare:
+// a linked one would be handed to a second operation while stale
+// traversers still CAS against it. Call it only while no operation is
+// between its arrival and its push or fulfillment.
+func checkSpareUnlinked[T any](t *testing.T, q *DualStack[T]) {
+	t.Helper()
+	sp := q.spare.Load()
+	if sp == nil {
+		return
+	}
+	n := q.head.Load()
+	for depth := 0; n != nil; depth++ {
+		if n == sp {
+			t.Fatalf("the stack's spare node is linked, %d nodes below the head", depth)
+		}
+		if depth > 1<<16 {
+			t.Fatal("the stack's links cycle")
+		}
+		n = n.next.Load()
 	}
 }
 
@@ -60,40 +82,26 @@ func TestPoolingChurnHistoryDualStack(t *testing.T) {
 	q := NewDualStack[int64](churnConfig(h))
 	runHistoryBridge(t, contractOps(q), p, c, n)
 	// The stack's datum rides in its node, so no item boxes circulate, and
-	// a spare node is pooled only when an engage switches arms after a lost
-	// push — too interleaving-dependent to demand from a randomized run.
-	// TestDualStackSparePooling forces that window deterministically; here
-	// we only require that the counters are wired.
+	// a node becomes the spare only when an engage switches arms after a
+	// lost push — too interleaving-dependent to demand from a randomized
+	// run. TestDualStackSparePooling forces that window deterministically;
+	// here we require that the counters are wired and that the spare left
+	// behind is not linked.
 	if h.Snapshot().Get(metrics.NodeAllocs) == 0 {
 		t.Error("stack bridge run recorded no node allocations; counters are wired wrong")
 	}
+	checkSpareUnlinked(t, q)
 }
 
-// TestDualStackSparePooling forces the one window in which the stack pools
-// a node — a waiter built for the push arm loses its push CAS, then the
-// operation completes through the fulfill arm — and verifies the spare is
-// recycled into a later node. The lost push is staged with the injector's
-// preempt gate at the push-CAS site: the victim consumer is held between
-// building its node and the CAS while the stack's top is swapped from a
-// request to a datum under it.
-//
-// The choreography is deterministic, but under -race sync.Pool drops a
-// quarter of Puts on the floor by design, so a single forced cycle can
-// legitimately pool nothing; retry until a reuse is observed.
+// TestDualStackSparePooling forces the one window in which the stack keeps
+// a spare node — a waiter built for the push arm loses its push CAS, then
+// the operation completes through the fulfill arm — and verifies the
+// spare becomes a later waiter's node. The lost push is staged with the
+// injector's preempt gate at the push-CAS site: the victim consumer is
+// held between building its node and the CAS while the stack's top is
+// swapped from a request to a datum under it. Between the steps, with no
+// operation mid-engage, the spare must not be linked.
 func TestDualStackSparePooling(t *testing.T) {
-	attempts := 1
-	if raceEnabled {
-		attempts = 10
-	}
-	for i := 0; i < attempts; i++ {
-		if dualStackSparePoolingCycle(t) {
-			return
-		}
-	}
-	t.Error("forced push-then-fulfill completion pooled no spare node")
-}
-
-func dualStackSparePoolingCycle(t *testing.T) bool {
 	gate := make(chan struct{})
 	release := make(chan struct{})
 	var pushes atomic.Int32
@@ -117,12 +125,14 @@ func dualStackSparePoolingCycle(t *testing.T) bool {
 	r1 := make(chan int)
 	go func() { r1 <- q.Take() }()
 	waitLen[int](t, q, 1)
+	checkSpareUnlinked(t, q)
 
 	// Push 2: victim consumer C builds its node, then blocks at the gate
 	// with the old head (R1) captured for its push CAS.
 	c := make(chan int)
 	go func() { c <- q.Take() }()
 	<-gate
+	checkSpareUnlinked(t, q)
 
 	// Swap the top under C: fulfill R1 (pops it), then park a datum D.
 	q.Put(100)
@@ -132,25 +142,37 @@ func dualStackSparePoolingCycle(t *testing.T) bool {
 	p2 := make(chan struct{})
 	go func() { q.Put(200); close(p2) }() // push 3: datum D
 	waitLen[int](t, q, 1)
+	checkSpareUnlinked(t, q)
 
 	// Release C: its push CAS fails (head is D, not R1), and the retry lap
 	// finds a complementary top — the fulfill arm completes the take and
-	// the never-linked node C built for the push arm goes to the pool.
+	// the never-linked node C built for the push arm becomes the spare.
 	close(release)
 	if got := <-c; got != 200 {
 		t.Fatalf("C took %d, want 200", got)
 	}
 	<-p2
+	sp := q.spare.Load()
+	if sp == nil {
+		t.Fatal("forced push-then-fulfill completion kept no spare node")
+	}
+	checkSpareUnlinked(t, q)
 
-	// Push 4 draws from the pool: the recycled spare becomes R2's node.
+	// Push 4 draws the spare: it becomes R2's node.
 	r2 := make(chan int)
 	go func() { r2 <- q.Take() }()
 	waitLen[int](t, q, 1)
+	if q.head.Load() != sp {
+		t.Error("R2 waits on a new node, not the spare")
+	}
 	q.Put(300)
 	if got := <-r2; got != 300 {
 		t.Fatalf("R2 took %d, want 300", got)
 	}
-	return h.Snapshot().Get(metrics.NodeReuses) > 0
+	if got := h.Snapshot().Get(metrics.NodeReuses); got != 1 {
+		t.Errorf("NodeReuses = %d, want 1 (the spare, drawn once)", got)
+	}
+	checkSpareUnlinked(t, q)
 }
 
 func TestPoolingChurnHistoryTransferQueue(t *testing.T) {

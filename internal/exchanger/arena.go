@@ -95,10 +95,7 @@ func (a *Arena[T]) Patience() time.Duration {
 // TryGive attempts to hand v to a consumer via the arena, waiting at most
 // patience. It reports whether the hand-off happened.
 func (a *Arena[T]) TryGive(v T, patience time.Duration) bool {
-	b := a.e.getBox(v)
-	_, st := a.e.exchange(b, true, time.Now().Add(patience), nil)
-	if st != OK {
-		a.e.putBox(b) // the datum never transferred; the box is still ours
+	if _, st := a.e.exchange(v, true, time.Now().Add(patience), nil); st != OK {
 		a.e.m.Inc(metrics.ElimMisses)
 		return false
 	}
@@ -109,14 +106,11 @@ func (a *Arena[T]) TryGive(v T, patience time.Duration) bool {
 // TryTake attempts to receive a value from a producer via the arena,
 // waiting at most patience.
 func (a *Arena[T]) TryTake(patience time.Duration) (T, bool) {
-	x, st := a.e.exchange(nil, false, time.Now().Add(patience), nil)
-	if st != OK || x == nil {
-		var zero T
+	v, st := a.e.exchange(*new(T), false, time.Now().Add(patience), nil)
+	if st != OK {
 		a.e.m.Inc(metrics.ElimMisses)
-		return zero, false
+		return v, false
 	}
-	v := x.v
-	a.e.putBox(x) // sole reader of the producer's box: consume and recycle
 	a.e.m.Inc(metrics.ElimHits)
 	return v, true
 }

@@ -15,7 +15,6 @@ package exchanger
 import (
 	"math/rand/v2"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -37,17 +36,24 @@ const (
 	Canceled
 )
 
-// xnode is one party waiting in an arena slot: mine is the value it brings
-// (nil for a pure consumer in elimination mode), hole receives the
-// partner's value or a sentinel (canceled / taken-by-pure-consumer), and
-// waiter names the parker the party borrowed from the exchanger's parker
-// table when its spin phase ended (index+1, 0 until then) — 24 bytes in
-// all.
+// xnode is one party at an arena slot: mine is the value it brings (the
+// zero value for a pure consumer in elimination mode), hole receives the
+// fulfilling partner's own node, whose mine is the partner's value, or
+// the canceled sentinel, and waiter names the parker the party borrowed
+// from the exchanger's parker table when its spin phase ended (index+1, 0
+// until then) — 24 bytes for word-sized T.
+//
+// Nodes are reclaimed only by the garbage collector. A slot word is CASed
+// against a node's address, so an address must not come back while a
+// stale claimant may hold it; a hole is CASed only from nil, so the node
+// a fulfiller deposits needs no scrub (see DESIGN.md "Node and parker
+// lifecycle"). The deposited node is never in a slot at that moment: a
+// party that withdrew from an excursion slot continues with a fresh node.
 type xnode[T any] struct {
-	mine   *xbox[T]
-	hole   atomic.Pointer[xbox[T]]
+	hole   atomic.Pointer[xnode[T]]
 	waiter atomic.Uint32
 	isData bool
+	mine   T
 }
 
 // slot is a padded arena cell, spacing the CAS targets so threads meeting
@@ -59,33 +65,13 @@ type slot[T any] struct {
 	_ [64]byte
 }
 
-// xbox boxes an exchanged value. The pooled flag doubles as the padding
-// byte that guarantees every allocation a unique address even when T is
-// zero-sized, so pointer identity against the hole sentinels is always
-// meaningful.
-//
-// Boxes with pooled set circulate through the exchanger's box pool under
-// the scrub-before-pool doctrine: a box is recycled only by the single
-// party that read its value (ownership transfers at the hole CAS, and the
-// winner of that CAS is the only reader), or by its owner when the value
-// never transferred (the owner's hole was poisoned first, so no fulfiller
-// can reach the box). Hole CASes always compare against nil, never against
-// a box address, so recycling boxes cannot reintroduce ABA; the waiter
-// nodes, whose addresses ARE CAS compare values in the slot words, stay
-// GC-only (see DESIGN.md "Node and parker lifecycle").
-type xbox[T any] struct {
-	v      T
-	pooled bool
-}
-
 // Exchanger lets pairs of goroutines swap values: each party presents a
 // value and receives its partner's. Meetings are spread over an arena
 // sized to the machine. Use New to create one; an Exchanger must not be
 // copied after first use.
 type Exchanger[T any] struct {
 	arena    []slot[T]
-	canceled *xbox[T] // hole sentinel: party canceled
-	taken    *xbox[T] // hole sentinel: matched by a pure consumer
+	canceled *xnode[T] // hole sentinel: party canceled
 	// asArena restricts meetings to complementary parties (data with
 	// request); a standalone exchanger lets any two parties meet.
 	asArena bool
@@ -98,8 +84,6 @@ type Exchanger[T any] struct {
 	// on a uniprocessor). brief is an outer-slot excursion's, which is
 	// timed, pinned at MaxUntimedSpins spins on any host.
 	wait, brief park.Policy
-	// bpool recycles pooled value boxes (see xbox).
-	bpool sync.Pool
 	// m receives the instrumentation counters; nil disables them.
 	m *metrics.Handle
 	// f injects deterministic faults at the CAS sites; nil disables.
@@ -151,62 +135,25 @@ func NewSize[T any](slots int) *Exchanger[T] {
 	if slots < 1 {
 		slots = 1
 	}
-	e := &Exchanger[T]{arena: make([]slot[T], slots), canceled: new(xbox[T]), taken: new(xbox[T])}
+	e := &Exchanger[T]{arena: make([]slot[T], slots), canceled: new(xnode[T])}
 	e.wait = park.Policy{Cal: spin.NewCalibrator(spin.UntimedSpins()), Parkers: &e.parkers, SpinPhaseOnly: true}
 	e.brief = park.Policy{Cal: spin.NewCalibrator(spin.MaxUntimedSpins << 4), Parkers: &e.parkers, Grace: true}
 	return e
 }
 
-// getBox returns a value box holding v, recycled from the box pool when
-// possible.
-func (e *Exchanger[T]) getBox(v T) *xbox[T] {
-	if x, _ := e.bpool.Get().(*xbox[T]); x != nil {
-		e.m.Inc(metrics.NodeReuses)
-		x.v = v
-		return x
-	}
-	e.m.Inc(metrics.NodeAllocs)
-	return &xbox[T]{v: v, pooled: true}
-}
-
-// putBox recycles a box whose value has been consumed (or never
-// transferred). Only boxes the exchanger itself issued are pooled — the
-// pooled flag excludes the sentinels and caller-built boxes — and the
-// value is scrubbed first so the pool never retains user data.
-func (e *Exchanger[T]) putBox(x *xbox[T]) {
-	if x == nil || !x.pooled {
-		return
-	}
-	var zero T
-	x.v = zero
-	e.bpool.Put(x)
-}
-
 // Exchange presents v and blocks until a partner presents its own value,
 // then returns the partner's value.
 func (e *Exchanger[T]) Exchange(v T) T {
-	x, _ := e.exchange(e.getBox(v), true, time.Time{}, nil)
-	out := x.v
-	e.putBox(x) // we are the box's sole reader: consume and recycle
-	return out
+	x, _ := e.exchange(v, true, time.Time{}, nil)
+	return x
 }
 
 // ExchangeDeadline is Exchange abandoned when the deadline passes (zero:
 // no deadline) or cancel fires (nil: never), whichever comes first. The
-// status says which ended an unsuccessful wait.
+// status says which ended an unsuccessful wait, and the value is then the
+// zero value.
 func (e *Exchanger[T]) ExchangeDeadline(v T, deadline time.Time, cancel <-chan struct{}) (T, Status) {
-	b := e.getBox(v)
-	x, st := e.exchange(b, true, deadline, cancel)
-	if st != OK {
-		// The hole was poisoned before any fulfiller could deposit, so
-		// our datum never transferred and the box is still ours.
-		e.putBox(b)
-		var zero T
-		return zero, st
-	}
-	out := x.v
-	e.putBox(x)
-	return out, OK
+	return e.exchange(v, true, deadline, cancel)
 }
 
 // exchange is the engine shared by the standalone Exchanger and the Arena.
@@ -219,7 +166,7 @@ func (e *Exchanger[T]) ExchangeDeadline(v T, deadline time.Time, cancel <-chan s
 // When an adaptor is attached, every attempt reports its outcome and how
 // many CAS races it lost, feeding the contention EWMA that reshapes the
 // active slot range and the arena patience.
-func (e *Exchanger[T]) exchange(v *xbox[T], isData bool, deadline time.Time, cancel <-chan struct{}) (*xbox[T], Status) {
+func (e *Exchanger[T]) exchange(v T, isData bool, deadline time.Time, cancel <-chan struct{}) (T, Status) {
 	t0 := e.m.Start()
 	fails := 0
 	x, st := e.exchangeCounting(v, isData, deadline, cancel, &fails, t0)
@@ -245,19 +192,20 @@ func (e *Exchanger[T]) exchange(v *xbox[T], isData bool, deadline time.Time, can
 	return x, st
 }
 
-func (e *Exchanger[T]) exchangeCounting(v *xbox[T], isData bool, deadline time.Time, cancel <-chan struct{}, fails *int, t0 int64) (*xbox[T], Status) {
+func (e *Exchanger[T]) exchangeCounting(v T, isData bool, deadline time.Time, cancel <-chan struct{}, fails *int, t0 int64) (T, Status) {
+	var zero T
 	me := &xnode[T]{mine: v, isData: isData}
 	idx := 0
 	for {
 		if !deadline.IsZero() && !time.Now().Before(deadline) {
 			e.m.Inc(metrics.Timeouts)
-			return nil, Timeout
+			return zero, Timeout
 		}
 		if cancel != nil {
 			select {
 			case <-cancel:
 				e.m.Inc(metrics.Cancellations)
-				return nil, Canceled
+				return zero, Canceled
 			default:
 			}
 		}
@@ -311,7 +259,7 @@ func (e *Exchanger[T]) exchangeCounting(v *xbox[T], isData bool, deadline time.T
 			}
 			if s.n.CompareAndSwap(cur, nil) {
 				e.f.Preempt(fault.XFulfillPause)
-				if cur.hole.CompareAndSwap(nil, e.fulfillValue(v)) {
+				if cur.hole.CompareAndSwap(nil, me) {
 					e.m.Inc(metrics.Fulfillments)
 					e.parkers.Wake(cur.waiter.Load())
 					return cur.mine, OK
@@ -352,34 +300,25 @@ func (e *Exchanger[T]) outerSlot() int {
 	return 1 + rand.IntN(w-1)
 }
 
-// fulfillValue is what we deposit into the partner's hole: our value, or —
-// for a pure consumer bringing no value — the "taken" sentinel.
-func (e *Exchanger[T]) fulfillValue(v *xbox[T]) *xbox[T] {
-	if v != nil {
-		return v
-	}
-	return e.taken
-}
-
 // await waits for our hole to be filled through the shared spin-then-park
 // loop, under the main slot's or an excursion's policy, cancelling on
 // deadline/cancel. On cancellation it also withdraws the node from its
 // slot so later arrivals do not claim a dead node. t0 is the exchange's
 // arrival timestamp for the spin-vs-park breakdown (zero when
 // uninstrumented); the end-to-end outcome is recorded by exchange.
-func (e *Exchanger[T]) await(me *xnode[T], s *slot[T], p *park.Policy, deadline time.Time, cancel <-chan struct{}, t0 int64) (*xbox[T], Status) {
+func (e *Exchanger[T]) await(me *xnode[T], s *slot[T], p *park.Policy, deadline time.Time, cancel <-chan struct{}, t0 int64) (T, Status) {
 	o, why := park.Await(xwait[T]{e: e, me: me}, p, &deadline, cancel, t0)
 	if o != park.Fulfilled {
 		s.n.CompareAndSwap(me, nil) // withdraw
+		var zero T
 		if why == park.Canceled {
-			return nil, Canceled
+			return zero, Canceled
 		}
-		return nil, Timeout
+		return zero, Timeout
 	}
-	if x := me.hole.Load(); x != e.taken {
-		return x, OK
-	}
-	return nil, OK // matched by a pure consumer
+	// The partner's value; a pure consumer's node brings the zero value,
+	// which the producer it matched ignores.
+	return me.hole.Load().mine, OK
 }
 
 // xwait is a main-slot party's wait as park.Await drives it: pending while

@@ -39,7 +39,7 @@ func (w armHook[T]) Arm(idx uint32) {
 func TestResolveBeforeArm(t *testing.T) {
 	h := metrics.New()
 	e := NewSize[int](1).SetMetrics(h)
-	me := &xnode[int]{mine: &xbox[int]{v: 7}, isData: true}
+	me := &xnode[int]{mine: 7, isData: true}
 	e.arena[0].n.Store(me)
 	got := make(chan int, 1)
 	w := armHook[int]{xwait: xwait[int]{e: e, me: me}, before: func() { got <- e.Exchange(8) }}
@@ -47,7 +47,7 @@ func TestResolveBeforeArm(t *testing.T) {
 	if o != park.Fulfilled {
 		t.Fatalf("wait resolved %v, want Fulfilled", o)
 	}
-	if v, p := me.hole.Load().v, <-got; v != 8 || p != 7 {
+	if v, p := me.hole.Load().mine, <-got; v != 8 || p != 7 {
 		t.Fatalf("exchanged (%d, %d), want (8, 7)", v, p)
 	}
 	w1 := me.waiter.Load()

@@ -80,12 +80,14 @@ const (
 	// close themselves after racing an in-flight close sweep.
 	ClosedWakeups
 	// NodeAllocs counts hot-path allocations the recycling layer could
-	// not avoid: a waiter node requested while its pool was empty, or a
-	// value box newly issued by the dual queue's box table.
+	// not avoid: a dual queue or dual stack node, or a segq segment,
+	// requested while the structure's spare slot was empty, or a value
+	// box newly issued by the dual queue's box table. The exchanger
+	// recycles nothing and counts neither.
 	NodeAllocs
-	// NodeReuses counts waiter nodes served from a structure's recycling
-	// pool instead of the allocator, and value boxes taken from the box
-	// table's free stack.
+	// NodeReuses counts dual queue and dual stack nodes and segq segments
+	// served from the structure's spare slot instead of the allocator,
+	// and value boxes taken from the dual queue's box table's free stack.
 	NodeReuses
 	// SpinBudget is a gauge, not a counter: the adaptive calibrator's
 	// current untimed spin budget (see internal/spin.Calibrator), written

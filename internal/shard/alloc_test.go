@@ -16,8 +16,9 @@ import (
 
 // measurePairAllocs reports the steady-state allocations per paired
 // put/take (testing.AllocsPerRun counts both sides and truncates to a whole
-// number). The structure is warmed first so the pools are primed; -1 is the
-// partner's stop sentinel and must not be used as a payload.
+// number). The structure is warmed first so the tables and spare slots are
+// primed; -1 is the partner's stop sentinel and must not be used as a
+// payload.
 func measurePairAllocs(t *testing.T, put func(int64), take func() int64) float64 {
 	t.Helper()
 	done := make(chan struct{})
@@ -83,23 +84,17 @@ func TestFabricAllocBudget(t *testing.T) {
 		{"New1", func(mk func(int) Dual[int64]) *Fabric[int64] { return New(1, mk) }},
 		{"Auto", func(mk func(int) Dual[int64]) *Fabric[int64] { return NewAuto(0, mk) }},
 	}
-	// Under -race, sync.Pool drops a quarter of Puts, so pooled boxes and
-	// spare nodes are occasionally re-allocated on either side.
-	slack := 0.0
-	if raceEnabled {
-		slack = 1
-	}
 	for _, c := range cores {
 		for _, fb := range fabrics {
 			t.Run(c.name+"/"+fb.name, func(t *testing.T) {
 				untimed, timed := measureModes(t, func() *Fabric[int64] {
 					return fb.mk(func(int) Dual[int64] { return c.mk() })
 				})
-				if untimed > c.budget+slack {
-					t.Errorf("allocs per Put/Take pair = %v, want at most %v", untimed, c.budget+slack)
+				if untimed > c.budget {
+					t.Errorf("allocs per Put/Take pair = %v, want at most %v", untimed, c.budget)
 				}
-				if timed > c.budget+slack {
-					t.Errorf("allocs per OfferTimeout/PollTimeout pair = %v, want at most %v", timed, c.budget+slack)
+				if timed > c.budget {
+					t.Errorf("allocs per OfferTimeout/PollTimeout pair = %v, want at most %v", timed, c.budget)
 				}
 			})
 		}

@@ -2,7 +2,6 @@
 
 package shard
 
-// raceEnabled reports whether the race detector is on. Under -race,
-// sync.Pool deliberately drops a quarter of Puts (see sync/pool.go), so the
-// allocation budgets widen.
+// raceEnabled reports whether the race detector is on, so that
+// TestLaneBuildCloseStorm can run fewer rounds under its slowdown.
 const raceEnabled = true
