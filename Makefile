@@ -65,8 +65,11 @@ bench-overhead:
 # stops mapping back to its parker, is lent to two borrowers at once, or
 # the table issues more parkers than its peak of concurrent borrowers,
 # the segmented budget test fails if
-# a segq transfer stops amortizing its segment allocation or a batch
-# grows per-item bookkeeping on the heap, the fabric budget test fails if
+# a segq transfer stops amortizing its segment allocation (18 B per
+# transfer: 64 cells in the 1152-byte size class) or a batch grows
+# per-item bookkeeping on the heap or a second result slice, the
+# segmented build test fails if a Segmented() queue's build outgrows 10
+# allocations or 2.5 KB (a prebuilt spare segment would), the fabric budget test fails if
 # a hand-off through the shard fabric (one shard or self-scaling, over
 # each core) allocates anything beyond the bare core's budget, the pool
 # envelope tests fail if the recycled task envelope outgrows 64 bytes, a
@@ -98,7 +101,7 @@ bench-overhead:
 bench-smoke:
 	go test -run TestHandoffAllocBudget -count 1 ./internal/core/
 	go test -run 'Layout|QuarterLine' -count 1 ./internal/core/ ./internal/segq/ ./internal/exchanger/ ./internal/metrics/
-	go test -run 'TestInstrumentedBuildBytes|TestFirstHandoffStack' -count 1 -v .
+	go test -run 'TestInstrumentedBuildBytes|TestSegmentedBuildBytes|TestFirstHandoffStack' -count 1 -v .
 	go test -run 'Table' -count 1 ./internal/lend/ ./internal/park/
 	go test -run TestSegmentedAllocBudget -count 1 ./internal/segq/
 	go test -run TestFabricAllocBudget -count 1 ./internal/shard/

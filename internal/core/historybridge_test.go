@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand/v2"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -108,21 +109,35 @@ func runHistoryBridge(t *testing.T, ops bridgeOps, producers, consumers, perProd
 		}(int64(c))
 	}
 
-	wg.Wait()
-	close(stop)
-	cg.Wait()
+	// The run, drain included, ends under a watchdog: a wedged operation
+	// (a lost wake-up, a node linked to itself) fails with every
+	// goroutine's stack rather than hanging until the package's timeout.
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		wg.Wait()
+		close(stop)
+		cg.Wait()
 
-	// A synchronous queue cannot buffer, but drain anyway: if an
-	// implementation bug made a value stick, the drain converts it into
-	// a conservation error instead of a silent leak.
-	drainLog := rec.NewThread()
-	for {
-		inv := drainLog.Begin()
-		v, ok := ops.pollTimeout(10 * time.Millisecond)
-		drainLog.End(verify.Take, v, inv, ok)
-		if !ok {
-			break
+		// A synchronous queue cannot buffer, but drain anyway: if an
+		// implementation bug made a value stick, the drain converts it into
+		// a conservation error instead of a silent leak.
+		drainLog := rec.NewThread()
+		for {
+			inv := drainLog.Begin()
+			v, ok := ops.pollTimeout(10 * time.Millisecond)
+			drainLog.End(verify.Take, v, inv, ok)
+			if !ok {
+				break
+			}
 		}
+	}()
+	select {
+	case <-finished:
+	case <-time.After(bridgeWatchdog):
+		buf := make([]byte, 1<<20)
+		n := runtime.Stack(buf, true)
+		t.Fatalf("bridge run wedged: no verdict after %v\n%s", bridgeWatchdog, buf[:n])
 	}
 
 	res := verify.Check(rec.History(), true)
@@ -133,6 +148,10 @@ func runHistoryBridge(t *testing.T, ops bridgeOps, producers, consumers, perProd
 		t.Fatal("bridge run completed zero transfers; the mix exercised nothing")
 	}
 }
+
+// bridgeWatchdog bounds one bridge run; a healthy run takes well under
+// a tenth of a second, under -race too.
+const bridgeWatchdog = 5 * time.Second
 
 func bridgeSizes(t *testing.T) (producers, consumers, perProducer int) {
 	if testing.Short() {

@@ -17,8 +17,8 @@ import (
 // one counter.Add(k) reserves the contiguous cell run [base, base+k), and
 // the claimant then resolves each cell of the run through the ordinary
 // CQS-style state machine — no per-item claim, at most two segment lookups
-// per sixteen cells, and (on the producer side) a single wait phase for
-// the whole run instead of k spin-then-park episodes.
+// per run, and (on the producer side) a single wait phase for the whole
+// run instead of k spin-then-park episodes.
 //
 // A reserved run is a snapshot of a moving structure: while it is being
 // resolved, counterpart claims land inside it, waiters abort, segments
@@ -32,13 +32,14 @@ import (
 // and consumers claim indexes in FIFO order, so in-batch FIFO holds even
 // when dead cells punch holes in the run.
 //
-// Runs are capped at SegSize indexes so a reservation spans at most two
-// segments: the claim window (fault.SegBatchPause) and the unwind are both
-// bounded, and a batch that dies mid-run strands at most one segment's
-// worth of poisoned cells for the unlinker to reap.
+// Producer runs are capped at runMax (16) indexes and consumer runs at
+// SegSize, so a reservation spans at most two segments: the claim window
+// (fault.SegBatchPause) and the unwind are both bounded, and a batch that
+// dies mid-run strands at most one run's worth of poisoned cells for the
+// unlinker to reap.
 
 // PutBatch transfers items in order, claiming contiguous cell runs with
-// one F&A per SegSize items. It returns the number of items actually
+// one F&A per runMax items. It returns the number of items actually
 // delivered to consumers and OK when that is all of them; on
 // Timeout/Canceled/Closed the count is the partial fill (items the unwind
 // could not hand off were reclaimed and never leave a waiter behind).
@@ -68,7 +69,7 @@ func (q *Queue[T]) putBatch(items []T, deadline *time.Time, cancel <-chan struct
 	var r run[T]
 	delivered, off := 0, 0
 	for off < len(items) {
-		chunk := items[off:min(off+SegSize, len(items))]
+		chunk := items[off:min(off+runMax, len(items))]
 		q.claimRun(&r, len(chunk))
 		// Phase 1 (putRun) pauses after each waiting consumer it fulfills,
 		// so the consumer is woken from this shallower frame.
@@ -97,10 +98,10 @@ func (q *Queue[T]) putBatch(items []T, deadline *time.Time, cancel <-chan struct
 			p := r.pend[k]
 			c, s := r.cell(p)
 			if st == core.OK {
-				w := cellWait[T]{c: c, mode: waitMode(cItem, r.base+uint64(p>>segShift), q.takec.Load())}
+				w := cellWait[T]{c: c, mode: waitMode(cItem, r.base+uint64(p>>runShift), q.takec.Load())}
 				o, why := park.Await(w, &q.pol, deadline, cancel, 0)
 				if o == park.Fulfilled {
-					r.done |= 1 << (p & segMask)
+					r.done |= 1 << (p & runMask)
 					continue
 				}
 				if o == park.Aborted {
@@ -111,7 +112,7 @@ func (q *Queue[T]) putBatch(items []T, deadline *time.Time, cancel <-chan struct
 				continue
 			}
 			if q.unwind(c, s, st) {
-				r.done |= 1 << (p & segMask)
+				r.done |= 1 << (p & runMask)
 			}
 		}
 		if closedHit && st == core.OK {
@@ -156,8 +157,17 @@ func aborted(deadline *time.Time, cancel <-chan struct{}) Status {
 	return core.OK
 }
 
+// A producer run claims at most runMax indexes. The run size follows the
+// run's bookkeeping, not the segment: sixteen cells fit the packing below,
+// and any run no longer than a segment spans at most two segments.
+const (
+	runShift = 4
+	runMax   = 1 << runShift
+	runMask  = runMax - 1
+)
+
 // run is one claimed producer run's bookkeeping. Runs are capped at
-// SegSize, so it packs into a few words of putBatch's frame — a first
+// runMax, so it packs into a few words of putBatch's frame — a first
 // batch runs on a fresh goroutine's small starting stack: base is the
 // run's first index; j is the next run offset phase 1 resolves, and n the
 // chunk items it has consumed; pend lists the np pending installs, one
@@ -168,22 +178,24 @@ func aborted(deadline *time.Time, cancel <-chan struct{}) Status {
 type run[T any] struct {
 	base     uint64
 	segs     [2]*segment[T]
-	pend     [SegSize]uint8
+	pend     [runMax]uint8
 	j, n, np uint8
 	done     uint16
 }
 
 // The packing holds while a run offset and a chunk position each fit a
-// nibble of a pend byte and done has a bit per cell: a larger SegSize
+// nibble of a pend byte, done has a bit per run cell, and segs covers the
+// segments a run spans: a larger runMax, or a segment shorter than a run,
 // fails to compile here instead of losing or repeating items.
 const (
-	_ uint8  = (SegSize-1)<<segShift | (SegSize - 1)
-	_ uint16 = 1<<SegSize - 1
+	_ uint8  = runMask<<runShift | runMask
+	_ uint16 = 1<<runMax - 1
+	_ uint   = SegSize - runMax
 )
 
 // cell returns the cell and segment of pending install p.
 func (r *run[T]) cell(p uint8) (*cell[T], *segment[T]) {
-	i := r.base + uint64(p>>segShift)
+	i := r.base + uint64(p>>runShift)
 	s := r.segs[i>>segShift-r.base>>segShift]
 	return s.at(i), s
 }
@@ -269,7 +281,7 @@ func (q *Queue[T]) putRun(r *run[T], chunk []T, deadline *time.Time) (w uint32, 
 					}
 				}
 				r.segs[i>>segShift-r.base>>segShift] = s
-				r.pend[r.np] = r.j<<segShift | r.n
+				r.pend[r.np] = r.j<<runShift | r.n
 				r.np++
 				r.n++
 				break cell
@@ -359,10 +371,11 @@ func compactTail[T any](chunk []T, done uint16) {
 // first wait aborted with nothing taken, Closed when the queue shut down
 // (values already taken stay in buf).
 //
-// Once the first take succeeds, buf is grown once to hold that value plus
-// the committed-producer surplus (capped at max-1) the fill will claim, so
-// a nil buf costs one allocation rather than a doubling per item; only
-// producers that commit during the fill can grow it again.
+// Once the first take succeeds, TakeBatch claims the fill's first run
+// (takeRun) and only then grows buf, once, to hold that value plus the
+// run's indexes: a nil buf costs one allocation sized by what this call
+// owns, which a racing consumer cannot shrink. Only runs claimed later in
+// the fill grow it again, each by its own size.
 //
 // A fresh goroutine's first batch runs on its small starting stack, so
 // every cell resolves in this frame: the first take calls arrive itself
@@ -385,30 +398,27 @@ func (q *Queue[T]) takeBatch(buf []T, max int, deadline *time.Time, cancel <-cha
 	if st != core.OK {
 		return buf, st
 	}
-	room := int64(max - 1)
-	if avail := int64(q.putc.Load() - q.takec.Load()); avail < room {
-		room = avail
-	}
-	if room < 0 {
-		room = 0
+	var base, k uint64
+	if max > 1 {
+		base, k, st = q.takeRun(max - 1)
 	}
 	if buf == nil {
-		buf = make([]T, 0, 1+room) // makeslice runs shallower than Grow's growslice
+		buf = make([]T, 0, 1+k) // makeslice runs shallower than Grow's growslice
 	} else {
-		buf = slices.Grow(buf, 1+int(room))
+		buf = slices.Grow(buf, 1+int(k))
 	}
-	return q.fill(append(buf, v), max-1, &tk)
+	if buf = append(buf, v); st != core.OK {
+		return buf, st
+	}
+	return q.fill(buf, max-1, base, k, &tk)
 }
 
 // fill is the rest of a TakeBatch: it takes up to max more values from
-// already-committed producers, arriving at each cell with tk, the first
-// take's spent ticket.
-func (q *Queue[T]) fill(buf []T, max int, tk *Ticket[T]) ([]T, Status) {
-	for taken := 0; taken < max; {
-		base, k, st := q.takeRun(max - taken)
-		if st == core.Closed {
-			return buf, core.Closed
-		}
+// already-committed producers — first the claimed run [base, base+k),
+// then any runs it claims itself, growing buf to fit each — arriving at
+// each cell with tk, the first take's spent ticket.
+func (q *Queue[T]) fill(buf []T, max int, base, k uint64, tk *Ticket[T]) ([]T, Status) {
+	for taken := 0; ; {
 		// Each cell of the run resolves with an expired deadline: the
 		// per-cell semantics of a poll (attempt-first: an installed
 		// producer en route to a claimed cell still gets a bounded spin to
@@ -436,12 +446,27 @@ func (q *Queue[T]) fill(buf []T, max int, tk *Ticket[T]) ([]T, Status) {
 			// Timeout: the cell was dead on arrival, we poisoned it, or our
 			// brief install aborted — a miss, not a batch failure.
 		}
-		if n == 0 {
-			break
+		if taken += n; n == 0 || taken >= max {
+			return buf, core.OK
 		}
-		taken += n
+		var st Status
+		if base, k, st = q.takeRun(max - taken); st != core.OK {
+			return buf, st
+		}
+		buf = grow(buf, int(k))
 	}
-	return buf, core.OK
+}
+
+// grow returns buf with room for k more values, growing it by exactly the
+// k a later fill run claimed rather than by append's doubling. It is out
+// of line so the copy costs fill no frame.
+//
+//go:noinline
+func grow[T any](buf []T, k int) []T {
+	if len(buf)+k <= cap(buf) {
+		return buf
+	}
+	return append(make([]T, 0, len(buf)+k), buf...)
 }
 
 // takeRun claims up to max already-committed producer indexes with one F&A
@@ -449,8 +474,8 @@ func (q *Queue[T]) fill(buf []T, max int, tk *Ticket[T]) ([]T, Status) {
 // 0 when no producer has committed past the consumers. The claim is
 // bounded by the committed-producer surplus read just before the F&A, so a
 // drain overshoots by at most the racing claims of that window, and capped
-// at SegSize like the producer runs. It returns Closed when the queue was
-// observed shut down.
+// at SegSize, so a run spans at most two segments. It returns Closed when
+// the queue was observed shut down.
 func (q *Queue[T]) takeRun(max int) (base, k uint64, st Status) {
 	if q.closed.Load() {
 		return 0, 0, core.Closed

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"synchq/internal/core"
+	"synchq/internal/fault"
 )
 
 func TestPutBatchDeliversToWaiters(t *testing.T) {
@@ -230,7 +231,7 @@ func TestBatchFIFOWithinBatch(t *testing.T) {
 	// order: the multi-cell claim assigns items to run indexes in ascending
 	// order and consumer indexes are FIFO by construction.
 	q := New[int](core.WaitConfig{})
-	const n = 40 // spans multiple runs (SegSize chunks) and segments
+	const n = SegSize + 24 // spans multiple runs (runMax chunks) and segments
 	items := make([]int, n)
 	for i := range items {
 		items[i] = i
@@ -298,5 +299,107 @@ func TestBatchConcurrentConservation(t *testing.T) {
 	}
 	if !isEmpty(q) {
 		t.Fatal("queue not empty after balanced batch run")
+	}
+}
+
+// TestTakeBatchResultSizedByClaim runs the batch workload's shape — two
+// producers of 32-item PutBatch calls against two consumers of
+// TakeBatch(nil, 32) — and bounds the result slices' unused capacity.
+// A result sized by the run its taker has already claimed, and grown by
+// each later run's claim, is short only by those runs' misses, under 1%
+// of the items here; one sized by the committed-producer surplus read
+// before the claim also loses whatever part of that surplus the other
+// consumer claims in between, about 2%.
+func TestTakeBatchResultSizedByClaim(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's slowdown makes misses, not sizing, the slack (see raceEnabled)")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const producers, consumers, rounds, batch = 2, 2, 2000, 32
+	q := New[int64](core.WaitConfig{})
+	var slack, items atomic.Int64
+	var pw, cw sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		pw.Add(1)
+		go func() {
+			defer pw.Done()
+			buf := make([]int64, batch)
+			for r := 0; r < rounds; r++ {
+				if n, st := q.PutBatch(buf, time.Time{}, nil); n != batch || st != core.OK {
+					t.Errorf("PutBatch = (%d, %v), want (%d, OK)", n, st, batch)
+					return
+				}
+			}
+		}()
+	}
+	for c := 0; c < consumers; c++ {
+		cw.Add(1)
+		go func() {
+			defer cw.Done()
+			for {
+				got, st := q.TakeBatch(nil, batch, time.Time{}, nil)
+				slack.Add(int64(cap(got) - len(got)))
+				items.Add(int64(len(got)))
+				if st != core.OK {
+					return
+				}
+			}
+		}()
+	}
+	pw.Wait()
+	q.Close()
+	cw.Wait()
+	if want := int64(producers * rounds * batch); items.Load() != want {
+		t.Fatalf("consumers took %d items, want %d", items.Load(), want)
+	}
+	share := float64(slack.Load()) / float64(items.Load())
+	t.Logf("unused result capacity: %d slots, %.2f%% of %d items", slack.Load(), 100*share, items.Load())
+	if share > 0.02 {
+		t.Errorf("unused result capacity is %.1f%% of the items taken, want <= 2%%: TakeBatch sized its result before claiming", 100*share)
+	}
+}
+
+// TestTakeBatchSizesAfterItsClaim freezes a TakeBatch between its first
+// take and its claim, with seven more producer indexes committed, and
+// closes the queue meanwhile: the claim then owns nothing, so the result
+// must hold just the value taken. A result sized from the committed
+// surplus before the claim would carry room for seven values the call
+// never owned.
+func TestTakeBatchSizesAfterItsClaim(t *testing.T) {
+	hold, entered := make(chan struct{}), make(chan struct{})
+	inj := fault.New(fault.Config{
+		PreemptRate: 1,
+		Budget:      1,
+		Sites:       []fault.Site{fault.SegResolvePause},
+		PreemptFunc: func(fault.Site) { close(entered); <-hold },
+	})
+	q := New[int](core.WaitConfig{Fault: inj})
+	put := make(chan int)
+	go func() {
+		n, _ := q.PutBatch([]int{1, 2, 3, 4, 5, 6, 7, 8}, time.Time{}, nil)
+		put <- n
+	}()
+	waitCond(t, func() bool { return q.Len() == 8 })
+	type result struct {
+		got []int
+		st  core.Status
+	}
+	took := make(chan result)
+	go func() {
+		got, st := q.TakeBatch(nil, 8, time.Time{}, nil)
+		took <- result{got, st}
+	}()
+	<-entered // the first take resolved cell 0 and has not claimed yet
+	q.Close()
+	close(hold)
+	r := <-took
+	if r.st != core.Closed || len(r.got) != 1 || r.got[0] != 1 {
+		t.Fatalf("TakeBatch = (%v, %v), want ([1], Closed)", r.got, r.st)
+	}
+	if c := cap(r.got); c != 1 {
+		t.Errorf("result capacity %d, want 1: sized for indexes the call never claimed", c)
+	}
+	if n := <-put; n != 1 {
+		t.Errorf("PutBatch delivered %d, want 1", n)
 	}
 }

@@ -24,8 +24,8 @@ func TestQuarterLineCellsRemapped(t *testing.T) {
 		t.Fatalf("cell.state offset = %d, want 0", off)
 	}
 	s := new(segment[int64])
-	if got := unsafe.Sizeof(*s); got != 320 {
-		t.Fatalf("segment[int64] size = %d, want 320: one size class, 20 bytes per transfer", got)
+	if got := unsafe.Sizeof(*s); got != 1088 {
+		t.Fatalf("segment[int64] size = %d, want 1088: with its 8-B malloc header the 1152-B size class, 18 bytes per transfer", got)
 	}
 	line := func(i uint64) uintptr {
 		return (uintptr(unsafe.Pointer(s.at(i))) - uintptr(unsafe.Pointer(s))) / cacheLine
@@ -38,6 +38,9 @@ func TestQuarterLineCellsRemapped(t *testing.T) {
 		seen[s.at(j)] = true
 		if a, b := line(j), line(j+1); a == b {
 			t.Errorf("at(%d) and at(%d) share cache line %d: neighboring claimants would false-share", j, j+1, a)
+		}
+		if k := j % (SegSize / 4); line(j) != line(k) {
+			t.Errorf("at(%d) is on line %d, want at(%d)'s line %d: the cells sharing a line are SegSize/4 claims apart", j, line(j), k, line(k))
 		}
 	}
 }

@@ -17,11 +17,15 @@
 //
 // Cells are packed four to a cache line (16 bytes for word-sized
 // payloads: the state word, a 32-bit waiter word and the value), so a
-// segment is one 320-byte allocation: 20 bytes per transfer. To keep
-// neighboring claimants off each other's line anyway, the segment stores
-// logical cell j in slot (j&3)<<2 | j>>2 (SCQ's cache remap): consecutive
+// segment of 64 cells is one 1088-byte allocation. A pointerful object
+// larger than 512 bytes carries Go's 8-byte malloc header, which puts it
+// in the allocator's 1152-byte size class: 18 bytes per transfer (a
+// 32-cell segment, 576 bytes plus the header, would land in the 640-byte
+// class and save nothing over 16 cells' 320). To keep neighboring
+// claimants off each other's line anyway, the segment stores logical
+// cell j in slot (j&15)<<2 | j>>4 (SCQ's cache remap): consecutive
 // indexes always land on different lines, and the four cells that do
-// share a line are four claims apart.
+// share a line are sixteen claims apart.
 //
 // # Cell state machine
 //
@@ -81,12 +85,14 @@ import (
 )
 
 const (
-	segShift = 4
-	// SegSize is the number of hand-off cells per segment. Sixteen keeps
-	// a segment at 320 bytes for word-sized payloads (a one-line header
-	// and sixteen 16-byte cells; see "Cell layout") — big enough to
+	segShift = 6
+	// SegSize is the number of hand-off cells per segment. Sixty-four
+	// makes a segment 1088 bytes for word-sized payloads (a one-line
+	// header and sixty-four 16-byte cells; see "Cell layout"), which with
+	// its malloc header fills the 1152-byte size class — big enough to
 	// amortize allocation and small enough that a cancellation storm's
-	// partially-broken tail segment wastes little.
+	// partially-broken tail segment wastes little. Batch runs are sized
+	// separately (runMax in batch.go).
 	SegSize = 1 << segShift
 	segMask = SegSize - 1
 )
@@ -131,11 +137,12 @@ type segment[T any] struct {
 }
 
 // at returns the cell for claim index i. Logical cell j lives in slot
-// (j&3)<<2 | j>>2: slots 4k to 4k+3 share a line, and they hold cells k,
-// k+4, k+8 and k+12, so consecutive claimants never touch the same line.
+// (j&(SegSize/4-1))<<2 | j>>(segShift-2): slots 4k to 4k+3 share a line,
+// and they hold cells k, k+SegSize/4, k+SegSize/2 and k+3·SegSize/4, so
+// consecutive claimants never touch the same line.
 func (s *segment[T]) at(i uint64) *cell[T] {
 	j := i & segMask
-	return &s.cells[(j&3)<<2|j>>2]
+	return &s.cells[(j&(SegSize/4-1))<<2|j>>(segShift-2)]
 }
 
 // removed reports whether every cell in s reached a terminal state — the
@@ -183,13 +190,13 @@ var _ core.Handoff[int] = (*Queue[int])(nil)
 func New[T any](cfg core.WaitConfig) *Queue[T] {
 	q := &Queue[T]{m: cfg.Metrics, f: cfg.Fault, parkers: park.Table{M: cfg.Metrics, F: cfg.Fault}}
 	q.pol = park.Policy{Cal: spin.NewCalibrator(cfg.Spins), M: cfg.Metrics, Parkers: &q.parkers, Grace: true}
-	// A producer's first batch parks, and appends the second segment, at
-	// the bottom of a deep call chain, which a fresh goroutine runs on its
-	// small starting stack; an allocation down there can force a copy of
-	// that stack. The parkers' first chunk, the first parker's notifier
-	// and a spare segment are built here instead.
+	// A producer's first batch parks at the bottom of a deep call chain,
+	// which a fresh goroutine runs on its small starting stack; an
+	// allocation down there can force a copy of that stack. The parkers'
+	// first chunk and the first parker's notifier are built here instead.
+	// The first segment holds a fresh queue's first round of batches, so
+	// the first append comes later, off that chain.
 	q.parkers.Reserve()
-	q.spare.Store(&segment[T]{})
 	first := &segment[T]{}
 	q.head.Store(first)
 	q.putSeg.Store(first)
@@ -208,13 +215,7 @@ func (q *Queue[T]) Metrics() *metrics.Handle { return q.m }
 func (q *Queue[T]) getSegment(id uint64) *segment[T] {
 	if q.spare.Load() != nil { // writes the shared slot only when a spare is there
 		if s := q.spare.Swap(nil); s != nil {
-			// New's prebuilt spare (id 0) stands in for an allocation; an
-			// append-race loser (id ≥ 1) is a reuse.
-			if s.id == 0 {
-				q.m.Inc(metrics.NodeAllocs)
-			} else {
-				q.m.Inc(metrics.NodeReuses)
-			}
+			q.m.Inc(metrics.NodeReuses)
 			s.id = id
 			return s
 		}

@@ -267,8 +267,11 @@ func TestTicketClosedWhileWaiting(t *testing.T) {
 // segment amortizes its allocation across SegSize hand-offs, so a
 // steady-state transfer allocates well under one object per operation,
 // and a batch adds no per-item bookkeeping on top of its segments. The
-// byte limits pin the cell size: a 320-byte segment is 20 bytes per
-// transfer, where 32-byte cells with a pointer-sized waiter word cost 36.
+// byte limits pin the cell size and the segment's size class: a 64-cell
+// segment is 1088 bytes, which Go's 8-byte malloc header for pointerful
+// objects over 512 bytes puts in the 1152-byte class, 18 bytes per
+// transfer, where a 16-cell segment (320 bytes) costs 20 and a 32-cell
+// one, in the 640-byte class, costs 20 as well.
 func TestSegmentedAllocBudget(t *testing.T) {
 	const batch = 32
 	for _, tc := range []struct {
@@ -282,9 +285,9 @@ func TestSegmentedAllocBudget(t *testing.T) {
 		why    string
 		// items is the number of transfers per round; maxBytes bounds
 		// heap bytes per transferred item (TotalAlloc delta / items),
-		// consumer side included. Each limit sits halfway between the
-		// 20-byte cost of 16-byte cells and the former 36 of 32-byte
-		// ones (plus 8 bytes of result slice per batch item).
+		// consumer side included. Each limit sits a byte above the
+		// 18-byte segment cost (plus 8 bytes of result slice per batch
+		// item), below the 20 of a 320-byte segment.
 		items    int
 		maxBytes float64
 	}{
@@ -301,14 +304,15 @@ func TestSegmentedAllocBudget(t *testing.T) {
 			budget:   0.75,
 			why:      "want amortized < 0.75",
 			items:    1,
-			maxBytes: 28,
+			maxBytes: 19,
 		},
 		{
 			// A 32-item PutBatch against TakeBatch(nil, 32): the
-			// segments the items pass through (two per round) and one
-			// result slice per TakeBatch call are all that may reach
-			// the heap. Growing putRun's pending installs or the result
-			// by doubling costs about five objects per 16-cell run.
+			// segments the items pass through (half a segment per
+			// round) and one result slice per TakeBatch call are all
+			// that may reach the heap. Growing putRun's pending
+			// installs or the result by doubling costs about five
+			// objects per 16-cell run.
 			name: "batch",
 			take: func(q *Queue[int64]) core.Status {
 				_, st := q.TakeBatch(nil, batch, time.Now().Add(time.Second), nil)
@@ -319,10 +323,10 @@ func TestSegmentedAllocBudget(t *testing.T) {
 					panic("PutBatch did not deliver the whole batch")
 				}
 			},
-			budget:   6,
-			why:      "want the segments plus one result slice per take, not a doubling per item",
+			budget:   3,
+			why:      "want the segments plus one result slice per take, not a regrown or doubled result",
 			items:    batch,
-			maxBytes: 36,
+			maxBytes: 27,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -358,7 +362,7 @@ func TestSegmentedAllocBudget(t *testing.T) {
 				t.Fatalf("%s allocates %.2f objects/round, %s (budget %.2f)", tc.name, allocs, tc.why, tc.budget)
 			}
 			if bytes > tc.maxBytes {
-				t.Errorf("%s allocates %.1f bytes/item, want <= %.0f: the segment no longer packs four cells per cache line", tc.name, bytes, tc.maxBytes)
+				t.Errorf("%s allocates %.1f bytes/item, want <= %.0f: the segment no longer packs four cells per cache line in its size class", tc.name, bytes, tc.maxBytes)
 			}
 			t.Logf("%s: %.2f objects/round, %.1f bytes/item", tc.name, allocs, bytes)
 		})
@@ -430,22 +434,21 @@ func TestZeroPatienceOfferWaitsForCommittedConsumer(t *testing.T) {
 	}
 }
 
-// TestSpareSlot pins the one-segment spare. New's prebuilt spare stands in
-// for the first appended segment and counts as the allocation it saves;
-// an append-race loser put back in the slot is reused exactly once, and
-// counts as a reuse; and no segment that was ever linked enters the slot.
+// TestSpareSlot pins the one-segment spare. New builds no spare, so the
+// first append allocates; an append-race loser put back in the slot is
+// reused exactly once, and counts as a reuse; and no segment that was ever
+// linked enters the slot.
 func TestSpareSlot(t *testing.T) {
 	h := metrics.New()
 	q := New[int](core.WaitConfig{Metrics: h})
 	counts := func() (allocs, reuses int64) { return h.Load(metrics.NodeAllocs), h.Load(metrics.NodeReuses) }
 
-	pre := q.spare.Load()
-	if pre == nil {
-		t.Fatal("New built no spare segment")
+	if q.spare.Load() != nil {
+		t.Fatal("New built a spare segment")
 	}
 	s1 := q.appendSegment(q.head.Load())
-	if a, r := counts(); s1 != pre || s1.id != 1 || a != 1 || r != 0 {
-		t.Fatalf("first append: got the prebuilt spare %v (id %d), allocs %d, reuses %d; want true, 1, 1, 0", s1 == pre, s1.id, a, r)
+	if a, r := counts(); s1.id != 1 || a != 1 || r != 0 {
+		t.Fatalf("first append: id %d, allocs %d, reuses %d; want 1, 1, 0", s1.id, a, r)
 	}
 
 	// An append-race loser: built for the tail, then put back when another
@@ -459,7 +462,7 @@ func TestSpareSlot(t *testing.T) {
 	if q.spare.Load() != nil {
 		t.Fatal("the slot still holds the reused loser")
 	}
-	if s3 := q.appendSegment(s2); s3 == loser || s3 == pre {
+	if s3 := q.appendSegment(s2); s3 == loser || s3 == s1 {
 		t.Fatal("a linked segment came back out of the spare slot")
 	}
 	if a, r := counts(); a != 3 || r != 1 {

@@ -3,6 +3,7 @@ package synchq_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -128,5 +129,36 @@ func TestSegmentedContextAndClose(t *testing.T) {
 	}
 	if err := q.PutContext(context.Background(), 2); !errors.Is(err, synchq.ErrClosed) {
 		t.Fatalf("PutContext on closed queue = %v, want ErrClosed", err)
+	}
+}
+
+// TestSegmentedBuildBytes pins what building a Segmented() queue costs: the
+// queue, its first 64-cell segment, and the parker table's first chunk and
+// notifier, which the first parked wait would otherwise build at the
+// bottom of a fresh goroutine's call chain: 10 allocations and 2320 B
+// (BenchmarkNew/Segmented counts its option slice too, 11 and 2328). A
+// spare segment built up front as well would cost an eleventh allocation
+// and 1152 B more.
+func TestSegmentedBuildBytes(t *testing.T) {
+	const allocLimit, byteLimit = 10, 2560
+	const builds = 32
+	sink := make([]*synchq.SynchronousQueue[int64], builds)
+	best, allocs := uint64(1<<63-1), uint64(1<<63-1)
+	for round := 0; round < 3; round++ { // the least-disturbed round counts
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := range sink {
+			sink[i] = synchq.New[int64](synchq.Segmented())
+		}
+		runtime.ReadMemStats(&m1)
+		best = min(best, (m1.TotalAlloc-m0.TotalAlloc)/builds)
+		allocs = min(allocs, (m1.Mallocs-m0.Mallocs)/builds)
+	}
+	t.Logf("Segmented() queue: %d allocations, %d B per build", allocs, best)
+	if best > byteLimit {
+		t.Errorf("building a Segmented() queue allocates %d B, want at most %d", best, byteLimit)
+	}
+	if allocs > allocLimit {
+		t.Errorf("building a Segmented() queue makes %d allocations, want at most %d", allocs, allocLimit)
 	}
 }

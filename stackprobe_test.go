@@ -43,7 +43,8 @@ const (
 )
 
 // probeBatch is a batch row's PutAll length and TakeBatch limit, as in
-// sqperf's batch workload: two runs of segq.SegSize cells.
+// sqperf's batch workload: two 16-cell producer runs, half of a
+// segq.SegSize segment.
 const probeBatch = 32
 
 // probeItems is what a batch probe puts; probeCtx is the cancelable

@@ -169,11 +169,12 @@ func Fair(fair bool) Option {
 // instead of the dual structures' per-waiter linked nodes. Arrival order
 // still decides pairing — each side's counter is FIFO by construction —
 // so a segmented queue reports Fair() true; what changes is the memory
-// system's view: one 320-byte allocation amortizes over a whole segment
-// of 16 transfers (20 bytes each, against the dual queue's 16-byte node
-// per waiter), hot-path pointer chasing disappears, and fully consumed or
-// aborted segments are unlinked so cancellation storms cannot grow the
-// structure (see DESIGN.md "Segmented core").
+// system's view: one 1088-byte allocation (the 1152-byte size class)
+// amortizes over a whole segment of 64 transfers (18 bytes each, against
+// the dual queue's 16-byte node per waiter), hot-path pointer chasing
+// disappears, and fully consumed or aborted segments are unlinked so
+// cancellation storms cannot grow the structure (see DESIGN.md
+// "Segmented core").
 //
 // Segmented composes with Sharded (each shard becomes a segmented core)
 // and Instrument; it overrides Fair's choice of implementation.
