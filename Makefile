@@ -1,8 +1,8 @@
 # Tier-1 gate: everything `make check` runs must pass before a change
 # lands. CI and the pre-merge driver run exactly this target.
-.PHONY: check lint vet fmt nopool build test sqperf race synctest bench-overhead bench-smoke bench-all bench-scaling bench-batch bench-latency bench-executor stress soak soak-short frames
+.PHONY: check lint vet fmt nopool build test sqperf race synctest mutants bench-overhead bench-smoke bench-all bench-scaling bench-batch bench-latency bench-executor stress soak soak-short frames
 
-check: lint build test sqperf race synctest bench-smoke bench-scaling bench-batch bench-latency bench-executor soak-short
+check: lint build test sqperf race synctest mutants bench-smoke bench-scaling bench-batch bench-latency bench-executor soak-short
 
 # Static tier: vet, a gofmt cleanliness check (gofmt -l prints the
 # offending files; grep inverts that into a pass/fail), and nopool.
@@ -50,6 +50,16 @@ race:
 synctest:
 	GOEXPERIMENT=synctest go test -run 'TestBubbledParksStayInTheirQueue' -count 1 .
 
+# Reverted-fix mutant gate (internal/mutants): each catalogued mutant
+# re-introduces a bug a past fix removed, compiled through `go test
+# -overlay` with the tree untouched, and the named tests must fail in at
+# least one of its runs. A mutant that does not compile counts as broken,
+# not killed; a snippet that no longer matches its file fails the run
+# before anything is built (and TestCatalogSnippetsApply fails in `make
+# test`). About 50 s on a 2-CPU host with a warm build cache.
+mutants:
+	go run ./internal/mutants
+
 # Paired-handoff cost of the instrumentation layer, disabled vs enabled.
 bench-overhead:
 	go test -run - -bench MetricsOverhead -count 5 ./internal/core/
@@ -65,11 +75,11 @@ bench-overhead:
 # stops mapping back to its parker, is lent to two borrowers at once, or
 # the table issues more parkers than its peak of concurrent borrowers,
 # the segmented budget test fails if
-# a segq transfer stops amortizing its segment allocation (18 B per
-# transfer: 64 cells in the 1152-byte size class) or a batch grows
+# a segq transfer stops amortizing its segment allocation (14 B per
+# transfer: 64 one-word cells in the 896-byte size class) or a batch grows
 # per-item bookkeeping on the heap or a second result slice, the
 # segmented build test fails if a Segmented() queue's build outgrows 10
-# allocations or 2.5 KB (a prebuilt spare segment would), the fabric budget test fails if
+# allocations or 2100 B (a prebuilt spare segment would), the fabric budget test fails if
 # a hand-off through the shard fabric (one shard or self-scaling, over
 # each core) allocates anything beyond the bare core's budget, the pool
 # envelope tests fail if the recycled task envelope outgrows 64 bytes, a
@@ -115,7 +125,7 @@ bench-smoke:
 # the probe uses. A fresh goroutine can use about 1.1 KB of its 2-KB
 # starting stack, so a frame that grows here shows where a first hand-off
 # will start to copy its stack, without a probe run.
-FRAMES_RE = firstOp$$|SynchronousQueue\[go\.shape\.int64\]\)\.(Put|Take|PutAll|TakeBatchContext|OfferTimeout|PollTimeout)$$|Fabric\[go\.shape\.int64\]\)\.(Put|Take)Deadline$$|(DualQueue|DualStack)\[go\.shape\.int64\]\)\.(PutDeadline|TakeDeadline|transfer|engage|engageWait|arrive|await)$$|segq\.\(\*Queue\[(go\.shape\.)?int64\]\)\.(PutBatch|TakeBatch|PutDeadline|TakeDeadline|putBatch|putRun|takeBatch|fill|transfer|claim|findSeg)$$|segq\.\(\*Ticket\[go\.shape\.int64\]\)\.(arrive|Await)$$|park\.Await\[(.*int64|go\.shape\.struct \{ synchq/internal/core\.s )|park\.\(\*Parker\)\.(block|wait|Unpark)$$|park\.\(\*Table\)\.(Wake|Lend)$$
+FRAMES_RE = firstOp$$|SynchronousQueue\[go\.shape\.int64\]\)\.(Put|Take|PutAll|TakeBatchContext|OfferTimeout|PollTimeout)$$|Fabric\[go\.shape\.int64\]\)\.(Put|Take)Deadline$$|(DualQueue|DualStack)\[go\.shape\.int64\]\)\.(PutDeadline|TakeDeadline|transfer|engage|engageWait|arrive|await)$$|segq\.\(\*Queue\[(go\.shape\.)?int64\]\)\.(PutBatch|TakeBatch|PutDeadline|TakeDeadline|putBatch|putRun|takeBatch|fill|transfer|claim|findSeg)$$|segq\.\(\*Ticket\[go\.shape\.int64\]\)\.(arrive|Await)$$|park\.Await\[(.*int64|go\.shape\.struct \{ synchq/internal/(core\.s|segq\.c) )|park\.\(\*Parker\)\.(block|wait|Unpark)$$|park\.\(\*Table\)\.(Wake|Lend)$$
 
 frames:
 	@go test -c -o /dev/null -gcflags='synchq/...=-S' . 2>&1 | awk ' \

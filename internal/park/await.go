@@ -40,7 +40,10 @@ type Waiter interface {
 	SpinOK() bool
 	// Arm publishes idx, the index of the parker lent to the wait when its
 	// spin phase ended, as idx+1 in the wait's waiter word (see Table). It
-	// is called once.
+	// is called once. Where the waiter word is the wait's state word (the
+	// segmented core's cells), Arm is a CAS that may lose to a resolution
+	// or Close; the wait's re-check right after Arm then sees it, and the
+	// parker goes back unused.
 	Arm(idx uint32)
 }
 

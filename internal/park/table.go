@@ -11,10 +11,15 @@ import (
 // waiter word naming one (index+1; 0 names none) — as the paper's node
 // references its waiting thread, whose permit lives with the thread.
 // Await borrows a parker when a wait's spin phase ends, the Waiter
-// publishes its index (Arm), and Await returns it when the wait is over;
-// every resolver makes its terminal CAS before it loads the waiter word
-// and only then unparks At(index), so either it finds the parker or the
-// waiter, re-checking before it blocks, sees the resolution.
+// publishes its index (Arm), and Await returns it when the wait is over.
+// Either the resolver finds the parker or the waiter, re-checking before
+// it blocks, sees the resolution. Where the waiter word stands beside the
+// state word (the dual queue, the dual stack, the exchanger), every
+// resolver makes its terminal CAS before it loads the waiter word and only
+// then unparks At(index). Where the index is packed into the state word
+// itself (segq's cells), Arm is a CAS from the bare installed word and may
+// lose to a resolution, and the resolver unparks the index held in the
+// word its own CAS replaced.
 //
 // The parkers live in a lend.Table, the index table the dual queue's
 // value boxes share: never-moved chunks of doubling size and a free stack
@@ -56,7 +61,8 @@ func (t *Table) Reserve() { t.t.Reserve().n = &notifier{ch: make(chan struct{}, 
 func (t *Table) Return(idx uint32) { t.t.Return(idx) }
 
 // Wake unparks the parker a waiter word names (its index+1), if any. A
-// resolver loads the word only after its terminal CAS (see Table).
+// resolver reads the word no earlier than its terminal CAS: in the very
+// word that CAS replaced, or by a load after it (see Table).
 func (t *Table) Wake(w uint32) {
 	if w != 0 {
 		t.At(w - 1).Unpark()

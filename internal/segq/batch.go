@@ -96,9 +96,9 @@ func (q *Queue[T]) putBatch(items []T, deadline *time.Time, cancel <-chan struct
 		}
 		for k := uint8(0); k < r.np; k++ {
 			p := r.pend[k]
-			c, s := r.cell(p)
+			s, i := r.cell(p)
 			if st == core.OK {
-				w := cellWait[T]{c: c, mode: waitMode(cItem, r.base+uint64(p>>runShift), q.takec.Load())}
+				w := cellWait{c: s.at(i), mode: waitMode(cItem, i, q.takec.Load())}
 				o, why := park.Await(w, &q.pol, deadline, cancel, 0)
 				if o == park.Fulfilled {
 					r.done |= 1 << (p & runMask)
@@ -107,11 +107,11 @@ func (q *Queue[T]) putBatch(items []T, deadline *time.Time, cancel <-chan struct
 				if o == park.Aborted {
 					q.resolveCell(s) // our own abort broke the cell
 				}
-				c.v = *new(T) // never delivered: reclaim it
+				*s.val(i) = *new(T) // never delivered: reclaim it
 				st = core.StatusOf(o, why)
 				continue
 			}
-			if q.unwind(c, s, st) {
+			if q.unwind(s, i, st) {
 				r.done |= 1 << (p & runMask)
 			}
 		}
@@ -193,11 +193,10 @@ const (
 	_ uint   = SegSize - runMax
 )
 
-// cell returns the cell and segment of pending install p.
-func (r *run[T]) cell(p uint8) (*cell[T], *segment[T]) {
+// cell returns the segment and claim index of pending install p.
+func (r *run[T]) cell(p uint8) (*segment[T], uint64) {
 	i := r.base + uint64(p>>runShift)
-	s := r.segs[i>>segShift-r.base>>segShift]
-	return s.at(i), s
+	return r.segs[i>>segShift-r.base>>segShift], i
 }
 
 // claimRun reserves k contiguous indexes for r with a single F&A.
@@ -212,10 +211,11 @@ func (q *Queue[T]) claimRun(r *run[T], k int) {
 // fulfilled immediately; an EMPTY cell gets this batch's next item
 // installed (recorded in r as pending); BROKEN and unlinked cells are
 // skipped. putBatch then awaits the pending installs, phase 2. putRun
-// returns after each consumer it fulfills, with more set and the
-// consumer's waiter word w for the caller to wake; it resumes at r.j. It
-// returns with more clear when the sweep is over: st is Timeout when the
-// run ended in the expired-poison arm, Closed when it met Close, else OK.
+// returns after each consumer it fulfills, with more set and w, the
+// parker index+1 the consumer had armed (0: none), for the caller to
+// wake; it resumes at r.j. It returns with more clear when the sweep is
+// over: st is Timeout when the run ended in the expired-poison arm,
+// Closed when it met Close, else OK.
 func (q *Queue[T]) putRun(r *run[T], chunk []T, deadline *time.Time) (w uint32, st Status, more bool) {
 	var zero T
 	for ; int(r.j) < len(chunk); r.j++ {
@@ -228,16 +228,17 @@ func (q *Queue[T]) putRun(r *run[T], chunk []T, deadline *time.Time) (w uint32, 
 			q.m.Inc(metrics.CleanSweeps)
 			continue
 		}
-		c := s.at(i)
+		c, v := s.at(i), s.val(i)
 	cell:
 		for {
-			switch c.state.Load() {
+			st := c.Load()
+			switch kind(st) {
 			case cEmpty:
 				if q.closed.Load() {
 					// No consumer can claim this index anymore; poison it
 					// so a mid-flight counterpart retries and sees the
 					// close, then stop placing items.
-					if q.f.FailCAS(fault.SegInstallCAS) || !c.state.CompareAndSwap(cEmpty, cBroken) {
+					if q.f.FailCAS(fault.SegInstallCAS) || !c.CompareAndSwap(cEmpty, cBroken) {
 						q.m.Inc(metrics.CASFailEnqueue)
 						continue
 					}
@@ -254,7 +255,7 @@ func (q *Queue[T]) putRun(r *run[T], chunk []T, deadline *time.Time) (w uint32, 
 					// over: poison this cell and report the timeout rather
 					// than sweeping on, or a dead run would read as OK and
 					// send the caller straight back into a fresh claim.
-					if q.f.FailCAS(fault.SegInstallCAS) || !c.state.CompareAndSwap(cEmpty, cBroken) {
+					if q.f.FailCAS(fault.SegInstallCAS) || !c.CompareAndSwap(cEmpty, cBroken) {
 						q.m.Inc(metrics.CASFailEnqueue)
 						continue
 					}
@@ -262,9 +263,9 @@ func (q *Queue[T]) putRun(r *run[T], chunk []T, deadline *time.Time) (w uint32, 
 					q.m.Inc(metrics.Timeouts)
 					return 0, core.Timeout, false
 				}
-				c.v = chunk[r.n]
+				*v = chunk[r.n]
 				q.f.Preempt(fault.SegCloseRacePause)
-				if q.f.FailCAS(fault.SegInstallCAS) || !c.state.CompareAndSwap(cEmpty, cItem) {
+				if q.f.FailCAS(fault.SegInstallCAS) || !c.CompareAndSwap(cEmpty, cItem) {
 					q.m.Inc(metrics.CASFailEnqueue)
 					continue
 				}
@@ -272,9 +273,9 @@ func (q *Queue[T]) putRun(r *run[T], chunk []T, deadline *time.Time) (w uint32, 
 					// Close may have swept past before our install was
 					// visible; only we can evict it now (the single-item
 					// post-install re-check, per cell of the run).
-					if c.state.CompareAndSwap(cItem, cClosed) {
+					if c.CompareAndSwap(cItem, cClosed) {
 						q.resolveCell(s)
-						c.v = zero
+						*v = zero
 						q.m.Inc(metrics.ClosedWakeups)
 						r.n++ // consumed but not delivered
 						return 0, core.Closed, false
@@ -289,11 +290,11 @@ func (q *Queue[T]) putRun(r *run[T], chunk []T, deadline *time.Time) (w uint32, 
 			case cWaiter:
 				// A consumer already waits at this index: deliver the
 				// batch's next item on the spot.
-				c.v = chunk[r.n]
-				if q.f.FailCAS(fault.SegResolveCAS) || !c.state.CompareAndSwap(cWaiter, cDone) {
+				*v = chunk[r.n]
+				if q.f.FailCAS(fault.SegResolveCAS) || !c.CompareAndSwap(st, cDone) {
 					q.m.Inc(metrics.CASFailFulfill)
-					if st := c.state.Load(); st == cBroken || st == cClosed {
-						c.v = zero
+					if st := c.Load(); st == cBroken || st == cClosed {
+						*v = zero
 					}
 					continue
 				}
@@ -303,16 +304,16 @@ func (q *Queue[T]) putRun(r *run[T], chunk []T, deadline *time.Time) (w uint32, 
 				r.done |= 1 << r.n
 				r.n++
 				r.j++
-				return c.w.Load(), core.OK, true
-
-			case cBroken:
-				break cell // counterpart poisoned or aborted: dead index
+				return parkerOf(st), core.OK, true
 
 			case cItem:
 				panic("segq: producer cell claimed twice")
+			}
+			switch st {
+			case cBroken:
+				break cell // counterpart poisoned or aborted: dead index
 			case cDone:
 				panic("segq: cell resolved twice")
-
 			default: // cClosed: the close sweep evicted this index's waiter
 				return 0, core.Closed, false
 			}
@@ -321,14 +322,16 @@ func (q *Queue[T]) putRun(r *run[T], chunk []T, deadline *time.Time) (w uint32, 
 	return 0, core.OK, false
 }
 
-// unwind aborts pending install c of segment s once its batch is over
-// with status st (the cell still advertises an item): only the installer
-// may abort it, reclaiming the value if the abort wins. It reports whether
-// a consumer won first, delivering the item.
-func (q *Queue[T]) unwind(c *cell[T], s *segment[T], st Status) bool {
-	if c.state.CompareAndSwap(cItem, cBroken) {
+// unwind aborts pending install i of segment s once its batch is over
+// with status st (the cell still advertises an item, never armed: no wait
+// ran on it): only the installer may abort it, reclaiming the value if the
+// abort wins. It reports whether a consumer won first, delivering the
+// item.
+func (q *Queue[T]) unwind(s *segment[T], i uint64, st Status) bool {
+	c := s.at(i)
+	if c.CompareAndSwap(cItem, cBroken) {
 		q.resolveCell(s)
-		c.v = *new(T)
+		*s.val(i) = *new(T)
 		if st == core.Canceled {
 			q.m.Inc(metrics.Cancellations)
 		} else {
@@ -336,11 +339,11 @@ func (q *Queue[T]) unwind(c *cell[T], s *segment[T], st Status) bool {
 		}
 		return false
 	}
-	switch c.state.Load() {
+	switch c.Load() {
 	case cDone:
 		return true
 	case cClosed:
-		c.v = *new(T)
+		*s.val(i) = *new(T)
 		q.m.Inc(metrics.ClosedWakeups)
 	}
 	return false

@@ -119,7 +119,7 @@ func TestPutBatchPartialFillNotPrefix(t *testing.T) {
 	q.takec.Add(1) // a consumer claimed index 0 and never arrives
 	taken := make(chan int, 1)
 	go func() {
-		for q.head.Load().at(1).state.Load() != cItem {
+		for kind(q.head.Load().at(1).Load()) != cItem {
 			runtime.Gosched()
 		}
 		v, _ := q.TakeDeadline(time.Now().Add(10*time.Second), nil) // claims index 1

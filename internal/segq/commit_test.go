@@ -16,11 +16,8 @@ import (
 func TestCommitDeclineWithdraws(t *testing.T) {
 	t.Run("put", func(t *testing.T) {
 		q := New[*int](core.WaitConfig{})
-		var c *cell[*int]
-		st := q.PutCommit(new(int), time.Time{}, nil, func() bool {
-			c = q.head.Load().at(0)
-			return false
-		})
+		s := q.head.Load()
+		st := q.PutCommit(new(int), time.Time{}, nil, func() bool { return false })
 		if st != core.Withdrawn {
 			t.Fatalf("PutCommit = %v, want Withdrawn", st)
 		}
@@ -30,8 +27,8 @@ func TestCommitDeclineWithdraws(t *testing.T) {
 		if _, ok := poll(q); ok {
 			t.Error("withdrawn datum delivered to a later Poll")
 		}
-		if c.state.Load() != cBroken || c.v != nil {
-			t.Errorf("withdrawn cell: state %d, value %p; want BROKEN and scrubbed", c.state.Load(), c.v)
+		if w, v := s.at(0).Load(), *s.val(0); w != cBroken || v != nil {
+			t.Errorf("withdrawn cell: word %#x, value %p; want BROKEN and scrubbed", w, v)
 		}
 	})
 	t.Run("take", func(t *testing.T) {

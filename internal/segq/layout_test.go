@@ -5,9 +5,10 @@ import (
 	"unsafe"
 )
 
-// Whitebox layout audit for the segmented core. Cells are packed four to a
-// cache line, so a segment is one small allocation; the remap in
-// segment.at keeps adjacent claimants — who touch their cells at the same
+// Whitebox layout audit for the segmented core. A cell is one 32-bit
+// state word, and a segment keeps the words and the values in two arrays,
+// so a segment is one small allocation; the remaps in segment.at and
+// segment.val keep adjacent claimants — who touch their cells at the same
 // moment — on different lines, and the shared header must not share a
 // line with the cells. These assertions check that layout rather than
 // assume it; a field added without re-padding fails here, not in a
@@ -16,46 +17,46 @@ import (
 const cacheLine = 64
 
 func TestQuarterLineCellsRemapped(t *testing.T) {
-	var c cell[int64]
-	if got := unsafe.Sizeof(c); got != cacheLine/4 {
-		t.Fatalf("cell[int64] size = %d, want exactly %d: four cells must fill one line", got, cacheLine/4)
-	}
-	if off := unsafe.Offsetof(c.state); off != 0 {
-		t.Fatalf("cell.state offset = %d, want 0", off)
-	}
 	s := new(segment[int64])
-	if got := unsafe.Sizeof(*s); got != 1088 {
-		t.Fatalf("segment[int64] size = %d, want 1088: with its 8-B malloc header the 1152-B size class, 18 bytes per transfer", got)
+	if got := unsafe.Sizeof(s.states[0]); got != 4 {
+		t.Fatalf("state word size = %d, want 4: one 32-bit word per cell", got)
 	}
-	line := func(i uint64) uintptr {
-		return (uintptr(unsafe.Pointer(s.at(i))) - uintptr(unsafe.Pointer(s))) / cacheLine
+	if got := unsafe.Sizeof(*s); got != 832 {
+		t.Fatalf("segment[int64] size = %d, want 832: with its 8-B malloc header the 896-B size class, 14 bytes per transfer", got)
 	}
-	seen := make(map[*cell[int64]]bool, SegSize)
-	for j := uint64(0); j < SegSize; j++ {
-		if seen[s.at(j)] {
-			t.Fatalf("at(%d) maps onto a cell already used by a lower index", j)
-		}
-		seen[s.at(j)] = true
-		if a, b := line(j), line(j+1); a == b {
-			t.Errorf("at(%d) and at(%d) share cache line %d: neighboring claimants would false-share", j, j+1, a)
-		}
-		if k := j % (SegSize / 4); line(j) != line(k) {
-			t.Errorf("at(%d) is on line %d, want at(%d)'s line %d: the cells sharing a line are SegSize/4 claims apart", j, line(j), k, line(k))
+	// Sixteen state words share a line, four claims apart; eight values
+	// share a line, eight claims apart.
+	check := func(what string, addr func(uint64) unsafe.Pointer, apart uint64) {
+		line := func(j uint64) uintptr { return (uintptr(addr(j)) - uintptr(unsafe.Pointer(s))) / cacheLine }
+		seen := make(map[unsafe.Pointer]bool, SegSize)
+		for j := uint64(0); j < SegSize; j++ {
+			if seen[addr(j)] {
+				t.Fatalf("%s(%d) maps onto a slot already used by a lower index", what, j)
+			}
+			seen[addr(j)] = true
+			if a, b := line(j), line(j+1); a == b {
+				t.Errorf("%s(%d) and %s(%d) share cache line %d: neighboring claimants would false-share", what, j, what, j+1, a)
+			}
+			if k := j % apart; line(j) != line(k) {
+				t.Errorf("%s(%d) is on line %d, want %s(%d)'s line %d: the slots sharing a line are %d claims apart", what, j, line(j), what, k, line(k), apart)
+			}
 		}
 	}
+	check("at", func(i uint64) unsafe.Pointer { return unsafe.Pointer(s.at(i)) }, 4)
+	check("val", func(i uint64) unsafe.Pointer { return unsafe.Pointer(s.val(i)) }, 8)
 }
 
 func TestSegmentHeaderIsolatedFromCells(t *testing.T) {
 	var s segment[int64]
-	if off := unsafe.Offsetof(s.cells); off%cacheLine != 0 {
-		t.Fatalf("segment.cells offset = %d, want a multiple of %d so cell quads fill whole lines", off, cacheLine)
+	states, vals := unsafe.Offsetof(s.states), unsafe.Offsetof(s.vals)
+	if states != cacheLine {
+		t.Fatalf("segment.states offset = %d, want %d: the header (next/prev/resolved, all CASed during unlink) fills one line and the state words start the next", states, cacheLine)
 	}
-	if off := unsafe.Offsetof(s.cells); off < cacheLine {
-		t.Fatalf("segment.cells offset = %d: header (next/prev/resolved, all CASed during unlink) shares a line with cells[0]", off)
+	if want := states + SegSize*unsafe.Sizeof(s.states[0]); vals != want || vals%cacheLine != 0 {
+		t.Fatalf("segment.vals offset = %d, want %d, a whole line past the state words", vals, want)
 	}
-	want := unsafe.Offsetof(s.cells) + SegSize*unsafe.Sizeof(s.cells[0])
-	if got := unsafe.Sizeof(s); got != want {
-		t.Fatalf("segment size = %d, want %d (header padding + %d quarter-line cells)", got, want, SegSize)
+	if want := vals + SegSize*unsafe.Sizeof(s.vals[0]); unsafe.Sizeof(s) != want {
+		t.Fatalf("segment size = %d, want %d (header line, %d state words, %d values)", unsafe.Sizeof(s), want, SegSize, SegSize)
 	}
 }
 

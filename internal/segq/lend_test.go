@@ -12,28 +12,35 @@ import (
 	"synchq/internal/park"
 )
 
-// Regression tests for lent parkers: a cell carries no parker of its own,
-// so a waiter borrows one when its spin phase ends and publishes its index
-// in the cell's waiter word, and every resolver makes its terminal CAS
-// before it loads that word (see park.Waiter.Arm). The parker table itself
-// is tested in internal/park.
+// Regression tests for lent parkers and the one-word handshake: a cell
+// carries no parker of its own, so a waiter borrows one when its spin
+// phase ends and arms it with one CAS that packs the index into the
+// cell's word, and every resolver (and Close) wakes the index held in the
+// word its own CAS replaced (see park.Waiter.Arm). The parker table
+// itself is tested in internal/park.
 
-// armHook is a cell's wait with a hook run just before the wait publishes
-// its parker — the window between a waiter's install and its Arm.
-type armHook[T any] struct {
-	cellWait[T]
+// armHook is a cell's wait with a gate run just before the wait arms its
+// parker — the window between a waiter's install and its Arm. It records
+// the index it was lent.
+type armHook struct {
+	cellWait
 	before func()
+	idx    *uint32
 }
 
-func (w armHook[T]) Arm(idx uint32) {
+func (w armHook) Arm(idx uint32) {
+	*w.idx = idx
 	w.before()
 	w.cellWait.Arm(idx)
 }
 
 // TestResolveBeforeArm: a counterpart that resolves the cell after the
-// waiter installed but before it published a parker finds no parker to
-// unpark, and the waiter's re-check after Arm sees the resolution instead
-// of blocking. Nothing is lost and nothing is unparked.
+// waiter installed but before it armed a parker replaces a word naming no
+// parker, so it wakes no one; the waiter's arming CAS then loses to the
+// resolution, and its re-check returns Fulfilled without blocking. The
+// parker goes back to the table with no permit, so its next borrower does
+// not wake for nothing. An arm that overwrote the resolution would leave
+// the cell pending, and the wait would run into its deadline instead.
 func TestResolveBeforeArm(t *testing.T) {
 	h := metrics.New()
 	q := New[int](core.WaitConfig{Metrics: h, Spins: -1})
@@ -42,23 +49,69 @@ func TestResolveBeforeArm(t *testing.T) {
 		t.Fatal("ReserveTake on an empty queue completed at once")
 	}
 	st := tk.(*Ticket[int])
-	w := armHook[int]{cellWait: st.waiter(), before: func() { q.Put(7) }}
-	if o, _ := park.Await(w, &park.Policy{Cal: q.pol.Cal, M: h, Parkers: &q.parkers, Grace: true}, &time.Time{}, nil, 0); o != park.Fulfilled {
+	idx := ^uint32(0)
+	w := armHook{cellWait: st.waiter(), before: func() { q.Put(7) }, idx: &idx}
+	deadline := time.Now().Add(time.Second)
+	if o, _ := park.Await(w, &park.Policy{Cal: q.pol.Cal, M: h, Parkers: &q.parkers, Grace: true}, &deadline, nil, 0); o != park.Fulfilled {
 		t.Fatalf("wait resolved %v, want Fulfilled", o)
 	}
 	if v := st.collect(); v != 7 {
 		t.Fatalf("collected %d, want 7", v)
 	}
-	w1 := st.c.w.Load()
-	if w1 == 0 {
-		t.Fatal("the wait never published a parker")
+	if idx == ^uint32(0) {
+		t.Fatal("the wait never armed a parker")
 	}
-	p := q.parkers.At(w1 - 1)
+	if word := st.c.Load(); word != cDone {
+		t.Fatalf("cell word %#x after the wait, want DONE %#x: the arm overwrote the resolution", word, cDone)
+	}
 	if n := h.Load(metrics.Unparks); n != 0 {
 		t.Errorf("Unparks = %d: the resolver unparked a waiter that had not armed", n)
 	}
+	next, p := q.parkers.Lend()
+	if next != idx {
+		t.Fatalf("next borrower got parker %d, want the returned %d", next, idx)
+	}
 	if p.TryPark() {
-		t.Error("the lent parker holds a permit nobody delivered on purpose")
+		t.Error("the returned parker holds a permit nobody delivered on purpose")
+	}
+}
+
+// TestCloseWakesArmedWaiter: Close evicts a cell whose waiter armed its
+// parker and parked, and wakes exactly that parker — the index packed in
+// the word its CAS replaced. A parker lent to nobody's cell gets nothing.
+func TestCloseWakesArmedWaiter(t *testing.T) {
+	h := metrics.New()
+	q := New[int](core.WaitConfig{Metrics: h, Spins: -1})
+	res := make(chan core.Status, 1)
+	go func() {
+		_, st := q.TakeDeadline(time.Time{}, nil)
+		res <- st
+	}()
+	c := q.head.Load().at(0)
+	waitCond(t, func() bool { return parkerOf(c.Load()) != 0 })
+	armed := parkerOf(c.Load()) - 1
+	waitCond(t, func() bool { return h.Load(metrics.Parks) == 1 })
+	idle, bystander := q.parkers.Lend()
+	if idle == armed {
+		t.Fatalf("the table lent the armed parker %d twice", armed)
+	}
+	q.Close()
+	select {
+	case st := <-res:
+		if st != core.Closed {
+			t.Fatalf("evicted Take = %v, want Closed", st)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not wake the armed waiter")
+	}
+	if w := c.Load(); w != cClosed {
+		t.Errorf("cell word %#x after Close, want CLOSED %#x", w, cClosed)
+	}
+	if n := h.Load(metrics.Unparks); n != 1 {
+		t.Errorf("Unparks = %d, want 1: Close wakes the one armed parker", n)
+	}
+	if bystander.TryPark() {
+		t.Error("Close delivered a permit to a parker no cell named")
 	}
 }
 

@@ -15,21 +15,24 @@
 //
 // # Cell layout
 //
-// Cells are packed four to a cache line (16 bytes for word-sized
-// payloads: the state word, a 32-bit waiter word and the value), so a
-// segment of 64 cells is one 1088-byte allocation. A pointerful object
-// larger than 512 bytes carries Go's 8-byte malloc header, which puts it
-// in the allocator's 1152-byte size class: 18 bytes per transfer (a
-// 32-cell segment, 576 bytes plus the header, would land in the 640-byte
-// class and save nothing over 16 cells' 320). To keep neighboring
-// claimants off each other's line anyway, the segment stores logical
-// cell j in slot (j&15)<<2 | j>>4 (SCQ's cache remap): consecutive
-// indexes always land on different lines, and the four cells that do
-// share a line are sixteen claims apart.
+// A cell is one 32-bit state word, and a segment keeps its cells' words
+// and values in two arrays: 64 state words fill four cache lines, and 64
+// word-sized values eight, so a segment of 64 cells is one 832-byte
+// allocation (a one-line header, 256 bytes of states, 512 of values). A
+// pointerful object larger than 512 bytes carries Go's 8-byte malloc
+// header, which puts it in the allocator's 896-byte size class: 14 bytes
+// per transfer. To keep neighboring claimants off each other's lines, the
+// segment stores logical cell j's state word in slot (j&3)<<4 | j>>2 and
+// its value in slot (j&7)<<3 | j>>3 (SCQ's cache remap, once per array):
+// consecutive indexes always land on different lines, and the state words
+// that share a line are four claims apart, the values eight. A hand-off
+// touches one state line and one value line.
 //
 // # Cell state machine
 //
-// Every cell resolves through a CQS-style single-word state machine:
+// Every cell resolves through a CQS-style single-word state machine. The
+// word's top two bits give its kind and its low 30 bits the index+1 of
+// the parker an installed waiter has armed (0: none yet):
 //
 //	          ┌── producer installs ──▶ ITEM ──┬─ consumer claims ──▶ DONE
 //	          │                                └─ producer aborts ──▶ BROKEN
@@ -38,19 +41,24 @@
 //	          ├── zero-patience poison ───────────────────────────▶ BROKEN
 //	          └ (Close evicts installed cells: ITEM/WAITER ───────▶ CLOSED)
 //
-// DONE, BROKEN, and CLOSED are terminal. The first arrival installs
-// itself (depositing its value first, for the producer) and waits
+// EMPTY is the zero word, so fresh segments need no initialization. ITEM
+// and WAITER may carry a parker index. DONE, BROKEN, and CLOSED are
+// terminal: words of a fourth kind that carry no index. The first arrival
+// installs itself (depositing its value first, for the producer) and waits
 // spin-then-park; the second arrival resolves the cell with a single CAS
-// and then unparks whatever parker the waiter has published in the cell.
-// A cell carries no parker of its own: a waiter whose spin phase ends
-// borrows one from the queue's park.Table, stores its index in the cell, and
-// re-reads the state before blocking (see park.Waiter.Arm), so a waiter that
-// never parks never touches a parker at all. An aborting waiter
-// (timeout, cancel) CASes its own installed state to BROKEN — exactly one
-// of {resolver, aborter} wins, which is the linearization the paper's
-// timed operations need. A party that arrives at an already-BROKEN cell
-// (its counterpart poisoned or aborted first) takes a fresh index and
-// retries.
+// from the word it loaded to DONE, and then unparks the parker that word
+// named. A cell carries no parker of its own: a waiter whose spin phase
+// ends borrows one from the queue's park.Table and arms it with one CAS,
+// from its bare installed word to the same kind with the index (see
+// park.Waiter.Arm). The two CASes order every race: an arm that loses
+// finds the cell resolved, and Await's re-check returns without blocking;
+// a resolution that comes after the arm replaces the armed word, so the
+// resolver wakes the index it replaced. A waiter that never parks never
+// touches a parker at all. An aborting waiter (timeout, cancel) CASes its
+// own installed word, armed or not, to BROKEN — exactly one of {resolver,
+// aborter} wins, which is the linearization the paper's timed operations
+// need. A party that arrives at an already-BROKEN cell (its counterpart
+// poisoned or aborted first) takes a fresh index and retries.
 //
 // # Memory bound and recycling
 //
@@ -79,6 +87,7 @@ import (
 
 	"synchq/internal/core"
 	"synchq/internal/fault"
+	"synchq/internal/lend"
 	"synchq/internal/metrics"
 	"synchq/internal/park"
 	"synchq/internal/spin"
@@ -87,62 +96,84 @@ import (
 const (
 	segShift = 6
 	// SegSize is the number of hand-off cells per segment. Sixty-four
-	// makes a segment 1088 bytes for word-sized payloads (a one-line
-	// header and sixty-four 16-byte cells; see "Cell layout"), which with
-	// its malloc header fills the 1152-byte size class — big enough to
-	// amortize allocation and small enough that a cancellation storm's
-	// partially-broken tail segment wastes little. Batch runs are sized
-	// separately (runMax in batch.go).
+	// makes a segment 832 bytes for word-sized payloads (a one-line
+	// header, sixty-four 4-byte state words and sixty-four values; see
+	// "Cell layout"), which with its malloc header fits the 896-byte size
+	// class — big enough to amortize allocation and small enough that a
+	// cancellation storm's partially-broken tail segment wastes little.
+	// Batch runs are sized separately (runMax in batch.go).
 	SegSize = 1 << segShift
 	segMask = SegSize - 1
 )
 
-// Cell states. EMPTY must be zero: fresh segments are zeroed allocations.
+// Cell words (see "Cell state machine"): the top two bits are the kind,
+// the low 30 bits an installed waiter's parker index+1. EMPTY must be
+// zero: fresh segments are zeroed allocations.
 const (
-	cEmpty uint32 = iota
-	cItem
-	cWaiter
-	cDone
-	cBroken
-	cClosed
+	kindShift        = 30
+	idxMask          = 1<<kindShift - 1
+	cEmpty    uint32 = 0
+	cItem     uint32 = 1 << kindShift
+	cWaiter   uint32 = 2 << kindShift
+	// cTerm is the terminal kind; its words carry no index.
+	cTerm   uint32 = 3 << kindShift
+	cDone          = cTerm | 1
+	cBroken        = cTerm | 2
+	cClosed        = cTerm | 3
 )
+
+// Every index+1 a parker table issues fits a word's index bits: a table
+// that could issue more fails to compile here instead of corrupting kinds.
+const _ uint32 = idxMask - (lend.MaxIndex + 1)
+
+// kind returns the kind bits of cell word w.
+func kind(w uint32) uint32 { return w &^ idxMask }
+
+// parkerOf returns the parker a resolved cell's previous word w names,
+// index+1 (0: none), for park.Table.Wake: every resolver wakes the waiter
+// armed in the very word its CAS replaced.
+func parkerOf(w uint32) uint32 { return w & idxMask }
 
 // errClosedDemand matches the core package's closed-demand panic text so
 // every closed-queue panic reads the same regardless of core.
 const errClosedDemand = "synchq: queue closed"
 
-// cell is one hand-off rendezvous. w names the parker the installed
-// waiter borrowed for its slow path (index+1, 0 until its spin phase
-// ends); every resolver makes its terminal CAS on state first and only
-// then loads w, the mirror of the waiter's store-w-then-reload-state (see
-// park.Waiter.Arm). The cell is 16 bytes for word-sized payloads, so four
-// cells fill one cache line exactly (the layout test pins this down, and
-// segment.at keeps neighboring indexes on different lines).
-type cell[T any] struct {
-	state atomic.Uint32
-	w     atomic.Uint32
-	v     T
-}
+// The remap of "Cell layout": 16 state words and (for word-sized
+// payloads) 8 values share a cache line, so the states fill 1<<stateLog
+// lines and the values 1<<valLog.
+const (
+	stateLog = segShift - 4
+	valLog   = segShift - 3
+)
 
-// segment is one fixed-size block of the infinite cell array. The header
+// segment is one fixed-size block of the infinite cell array: the state
+// words of its cells in one array and their values in another. The header
 // is padded to a cache line so the resolved counter's contended Add does
-// not false-share with cells[0].
+// not false-share with the state words.
 type segment[T any] struct {
 	id       uint64
 	next     atomic.Pointer[segment[T]]
 	prev     atomic.Pointer[segment[T]]
 	resolved atomic.Int32
 	_        [64 - 3*8 - 4]byte
-	cells    [SegSize]cell[T]
+	states   [SegSize]atomic.Uint32
+	vals     [SegSize]T
 }
 
-// at returns the cell for claim index i. Logical cell j lives in slot
-// (j&(SegSize/4-1))<<2 | j>>(segShift-2): slots 4k to 4k+3 share a line,
-// and they hold cells k, k+SegSize/4, k+SegSize/2 and k+3·SegSize/4, so
-// consecutive claimants never touch the same line.
-func (s *segment[T]) at(i uint64) *cell[T] {
+// at returns the state word of the cell for claim index i. Logical cell j
+// has state slot (j&3)<<4 | j>>2: slots 16k to 16k+15 share a line and
+// hold cells k, k+4, k+8, …, so consecutive claimants never touch the
+// same line.
+func (s *segment[T]) at(i uint64) *atomic.Uint32 {
 	j := i & segMask
-	return &s.cells[(j&(SegSize/4-1))<<2|j>>(segShift-2)]
+	return &s.states[(j&(1<<stateLog-1))<<(segShift-stateLog)|j>>stateLog]
+}
+
+// val returns the value slot of the cell for claim index i: value slot
+// (j&7)<<3 | j>>3, so the values sharing a line are eight claims apart.
+func (s *segment[T]) val(i uint64) *T {
+	j := i & segMask
+	return &s.vals[(j&(1<<valLog-1))<<(segShift-valLog)|j>>valLog]
 }
 
 // removed reports whether every cell in s reached a terminal state — the
@@ -439,7 +470,8 @@ func (q *Queue[T]) other(isPut bool) *atomic.Uint64 {
 // arrival and claims its own index; otherwise it resolves cell t.i of
 // segment t.s, which a batch fill claimed. An installed arrival fills in t,
 // its pending reservation (t.c non-nil). An arrival that completes at a
-// waiting counterpart's cell returns that waiter's word, w: the caller
+// waiting counterpart's cell returns w, the parker index+1 the waiter had
+// armed in the word its resolving CAS replaced (0: none): the caller
 // wakes it (park.Table.Wake) once arrive has returned, so the wake-up's
 // runtime frames stack on the caller's frame, not on this deeper one — a
 // fresh goroutine's first hand-off runs on its small starting stack. For
@@ -467,13 +499,14 @@ func (t *Ticket[T]) arrive(v T, deadline *time.Time, claim bool) (_ T, _ Status,
 	}
 	s, i, c := t.s, t.i, t.s.at(t.i)
 	for {
-		switch st := c.state.Load(); st {
+		st := c.Load()
+		switch kind(st) {
 		case cEmpty:
 			expired := !deadline.IsZero() && !time.Now().Before(*deadline)
 			if expired && q.other(t.isPut).Load() <= i {
 				// No committed counterpart: poison the cell so a later
 				// counterpart claim skips it, and report the miss.
-				if q.f.FailCAS(fault.SegInstallCAS) || !c.state.CompareAndSwap(cEmpty, cBroken) {
+				if q.f.FailCAS(fault.SegInstallCAS) || !c.CompareAndSwap(cEmpty, cBroken) {
 					q.m.Inc(metrics.CASFailEnqueue)
 					continue
 				}
@@ -486,21 +519,21 @@ func (t *Ticket[T]) arrive(v T, deadline *time.Time, claim bool) (_ T, _ Status,
 			// acquiring our state CAS.
 			installed := cWaiter
 			if t.isPut {
-				c.v = v
+				*s.val(i) = v
 				installed = cItem
 			}
 			q.f.Preempt(fault.SegCloseRacePause)
-			if q.f.FailCAS(fault.SegInstallCAS) || !c.state.CompareAndSwap(cEmpty, installed) {
+			if q.f.FailCAS(fault.SegInstallCAS) || !c.CompareAndSwap(cEmpty, installed) {
 				q.m.Inc(metrics.CASFailEnqueue)
 				continue
 			}
-			if q.closed.Load() && c.state.CompareAndSwap(installed, cClosed) {
+			if q.closed.Load() && c.CompareAndSwap(installed, cClosed) {
 				// Close may have swept past this cell before our install
 				// was visible; only we can evict it now. The wait reports
 				// the eviction.
 				q.resolveCell(s)
 				if t.isPut {
-					c.v = zero
+					*s.val(i) = zero
 				}
 			}
 			t.c, t.installed, t.done = c, installed, false
@@ -512,40 +545,48 @@ func (t *Ticket[T]) arrive(v T, deadline *time.Time, claim bool) (_ T, _ Status,
 			if t.isPut {
 				panic("segq: producer cell claimed twice")
 			}
-			if q.f.FailCAS(fault.SegResolveCAS) || !c.state.CompareAndSwap(cItem, cDone) {
+			if q.f.FailCAS(fault.SegResolveCAS) || !c.CompareAndSwap(st, cDone) {
 				q.m.Inc(metrics.CASFailFulfill)
 				continue
 			}
 			q.resolveCell(s)
-			val := c.v
-			c.v = zero
+			p := s.val(i)
+			val := *p
+			*p = zero
 			q.m.Inc(metrics.Fulfillments)
 			q.f.Preempt(fault.SegResolvePause)
 			q.m.Since(metrics.HandoffNs, t.t0)
-			return val, core.OK, c.w.Load()
+			return val, core.OK, parkerOf(st)
 
 		case cWaiter:
-			// A consumer waits: deposit, publish with the CAS.
+			// A consumer waits: deposit, publish with the CAS. The
+			// injector is asked before the deposit, so the value slot's
+			// address is not held across its call, which would take a
+			// word of this frame (see "Stack budget" in DESIGN.md).
 			if !t.isPut {
 				panic("segq: consumer cell claimed twice")
 			}
-			c.v = v
-			if q.f.FailCAS(fault.SegResolveCAS) || !c.state.CompareAndSwap(cWaiter, cDone) {
+			if q.f.FailCAS(fault.SegResolveCAS) {
 				q.m.Inc(metrics.CASFailFulfill)
+				continue
+			}
+			if *s.val(i) = v; !c.CompareAndSwap(st, cDone) {
 				// If the waiter aborted (or Close evicted it) between
 				// our deposit and the CAS, reclaim the orphaned copy —
 				// nobody will read a dead cell's value.
-				if st := c.state.Load(); st == cBroken || st == cClosed {
-					c.v = zero
+				if st := c.Load(); st == cBroken || st == cClosed {
+					*s.val(i) = zero
 				}
+				q.m.Inc(metrics.CASFailFulfill)
 				continue
 			}
 			q.resolveCell(s)
 			q.m.Inc(metrics.Fulfillments)
 			q.f.Preempt(fault.SegResolvePause)
 			q.m.Since(metrics.HandoffNs, t.t0)
-			return zero, core.OK, c.w.Load()
-
+			return zero, core.OK, parkerOf(st)
+		}
+		switch st {
 		case cBroken:
 			if !claim {
 				return zero, core.Timeout, 0
@@ -564,23 +605,24 @@ func (t *Ticket[T]) arrive(v T, deadline *time.Time, claim bool) (_ T, _ Status,
 }
 
 // cellWait is an installed cell's wait as park.Await drives it: the cell
-// is pending while it holds the installed state; the counterpart resolves
-// it DONE, the installer's own abort BROKEN, and Close CLOSED. Abort only
-// CASes: a wait that ends Aborted leaves the cell for its installer to
-// account (resolveCell), so the waiter needs neither the queue nor the
-// segment. Two words keep small every frame that calls park.Await, where
-// the waiter and Await's other arguments are spilled — a first park runs
-// on a fresh goroutine's small starting stack.
-type cellWait[T any] struct {
-	c *cell[T]
-	// mode is the installed state, cItem or cWaiter, with waitSpin set
+// is pending while its word holds the installed kind, armed or not; the
+// counterpart resolves it DONE, the installer's own abort BROKEN, and
+// Close CLOSED. Abort only CASes: a wait that ends Aborted leaves the cell
+// for its installer to account (resolveCell), so the waiter needs neither
+// the queue nor the segment. Two words keep small every frame that calls
+// park.Await, where the waiter and Await's other arguments are spilled — a
+// first park runs on a fresh goroutine's small starting stack.
+type cellWait struct {
+	c *atomic.Uint32
+	// mode is the installed kind, cItem or cWaiter, with waitSpin set
 	// when the counterpart had committed an index past ours as the wait
 	// began (see Ticket.Await).
 	mode uint32
 }
 
-// waitSpin is cellWait.mode's spin grant.
-const waitSpin = 1 << 31
+// waitSpin is cellWait.mode's spin grant, in the index bits a kind leaves
+// clear.
+const waitSpin = 1
 
 // waitMode returns the cellWait mode of a wait on installed state
 // installed at index i, whose counterpart side has committed other
@@ -592,23 +634,34 @@ func waitMode(installed uint32, i, other uint64) uint32 {
 	return installed
 }
 
-func (w cellWait[T]) Settled() park.Outcome {
-	switch w.c.state.Load() {
-	case w.mode &^ waitSpin:
+func (w cellWait) Settled() park.Outcome {
+	switch st := w.c.Load(); {
+	case kind(st) == w.mode&^waitSpin:
 		return park.Pending
-	case cDone:
+	case st == cDone:
 		return park.Fulfilled
-	case cBroken:
+	case st == cBroken:
 		return park.Aborted // only the installer breaks its own cell
 	}
 	return park.Evicted
 }
 
-func (w cellWait[T]) Abort() bool { return w.c.state.CompareAndSwap(w.mode&^waitSpin, cBroken) }
+// Abort breaks the cell from whatever installed word it holds: only the
+// waiter itself arms it, so a lost CAS means a resolver or Close won.
+func (w cellWait) Abort() bool {
+	st := w.c.Load()
+	return kind(st) == w.mode&^waitSpin && w.c.CompareAndSwap(st, cBroken)
+}
 
-func (w cellWait[T]) SpinOK() bool { return w.mode&waitSpin != 0 }
+func (w cellWait) SpinOK() bool { return w.mode&waitSpin != 0 }
 
-func (w cellWait[T]) Arm(idx uint32) { w.c.w.Store(idx + 1) }
+// Arm packs the lent parker's index+1 into the bare installed word. The
+// CAS loses only to a resolution or Close, whose word Await's re-check
+// then sees; a blind store would overwrite that resolution.
+func (w cellWait) Arm(idx uint32) {
+	installed := w.mode &^ waitSpin
+	w.c.CompareAndSwap(installed, installed|(idx+1))
+}
 
 // ---- public operation surface ---------------------------------------------
 
@@ -664,8 +717,8 @@ func (q *Queue[T]) TakeCommit(deadline time.Time, cancel <-chan struct{}, commit
 // observe helpers.
 func (q *Queue[T]) scan(want uint32) bool {
 	for s := q.head.Load(); s != nil; s = s.next.Load() {
-		for j := range s.cells {
-			if s.cells[j].state.Load() == want {
+		for j := range s.states {
+			if kind(s.states[j].Load()) == want {
 				return true
 			}
 		}
@@ -684,8 +737,8 @@ func (q *Queue[T]) HasWaitingConsumer() bool { return q.scan(cWaiter) }
 func (q *Queue[T]) Len() int {
 	n := 0
 	for s := q.head.Load(); s != nil; s = s.next.Load() {
-		for j := range s.cells {
-			if st := s.cells[j].state.Load(); st == cItem || st == cWaiter {
+		for j := range s.states {
+			if k := kind(s.states[j].Load()); k == cItem || k == cWaiter {
 				n++
 			}
 		}
@@ -713,16 +766,16 @@ func (q *Queue[T]) LiveSegments() int {
 func (q *Queue[T]) Close() {
 	q.closed.Store(true)
 	for s := q.head.Load(); s != nil; s = s.next.Load() {
-		for j := range s.cells {
-			c := &s.cells[j]
+		for j := range s.states {
+			c := &s.states[j]
 			for {
-				st := c.state.Load()
-				if st != cItem && st != cWaiter {
+				st := c.Load()
+				if k := kind(st); k != cItem && k != cWaiter {
 					break
 				}
-				if c.state.CompareAndSwap(st, cClosed) {
+				if c.CompareAndSwap(st, cClosed) {
 					q.resolveCell(s)
-					q.parkers.Wake(c.w.Load())
+					q.parkers.Wake(parkerOf(st))
 					break
 				}
 			}

@@ -268,10 +268,11 @@ func TestTicketClosedWhileWaiting(t *testing.T) {
 // steady-state transfer allocates well under one object per operation,
 // and a batch adds no per-item bookkeeping on top of its segments. The
 // byte limits pin the cell size and the segment's size class: a 64-cell
-// segment is 1088 bytes, which Go's 8-byte malloc header for pointerful
-// objects over 512 bytes puts in the 1152-byte class, 18 bytes per
-// transfer, where a 16-cell segment (320 bytes) costs 20 and a 32-cell
-// one, in the 640-byte class, costs 20 as well.
+// segment of one-word cells is 832 bytes (a header line, 256 bytes of
+// state words, 512 of values), which Go's 8-byte malloc header for
+// pointerful objects over 512 bytes puts in the 896-byte class, 14 bytes
+// per transfer, where cells of two words (1088 bytes, the 1152-byte
+// class) cost 18.
 func TestSegmentedAllocBudget(t *testing.T) {
 	const batch = 32
 	for _, tc := range []struct {
@@ -286,8 +287,8 @@ func TestSegmentedAllocBudget(t *testing.T) {
 		// items is the number of transfers per round; maxBytes bounds
 		// heap bytes per transferred item (TotalAlloc delta / items),
 		// consumer side included. Each limit sits a byte above the
-		// 18-byte segment cost (plus 8 bytes of result slice per batch
-		// item), below the 20 of a 320-byte segment.
+		// 14-byte segment cost (plus 8 bytes of result slice per batch
+		// item), below the 18 of two-word cells.
 		items    int
 		maxBytes float64
 	}{
@@ -304,7 +305,7 @@ func TestSegmentedAllocBudget(t *testing.T) {
 			budget:   0.75,
 			why:      "want amortized < 0.75",
 			items:    1,
-			maxBytes: 19,
+			maxBytes: 15,
 		},
 		{
 			// A 32-item PutBatch against TakeBatch(nil, 32): the
@@ -326,7 +327,7 @@ func TestSegmentedAllocBudget(t *testing.T) {
 			budget:   3,
 			why:      "want the segments plus one result slice per take, not a regrown or doubled result",
 			items:    batch,
-			maxBytes: 27,
+			maxBytes: 23,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -362,7 +363,7 @@ func TestSegmentedAllocBudget(t *testing.T) {
 				t.Fatalf("%s allocates %.2f objects/round, %s (budget %.2f)", tc.name, allocs, tc.why, tc.budget)
 			}
 			if bytes > tc.maxBytes {
-				t.Errorf("%s allocates %.1f bytes/item, want <= %.0f: the segment no longer packs four cells per cache line in its size class", tc.name, bytes, tc.maxBytes)
+				t.Errorf("%s allocates %.1f bytes/item, want <= %.0f: the segment no longer packs one-word cells into its size class", tc.name, bytes, tc.maxBytes)
 			}
 			t.Logf("%s: %.2f objects/round, %.1f bytes/item", tc.name, allocs, bytes)
 		})
@@ -414,11 +415,11 @@ func TestZeroPatienceOfferWaitsForCommittedConsumer(t *testing.T) {
 	c := s.at(0)
 	offered := make(chan bool)
 	go func() { offered <- offer(q, 7) }()
-	for c.state.Load() == cEmpty {
+	for c.Load() == cEmpty {
 		runtime.Gosched()
 	}
 	for end := time.Now().Add(2 * time.Millisecond); time.Now().Before(end); runtime.Gosched() {
-		if st := c.state.Load(); st != cItem {
+		if st := c.Load(); kind(st) != cItem {
 			t.Fatalf("cell state %d while the committed consumer was still on its way; the Offer gave up its cell", st)
 		}
 	}

@@ -1,6 +1,7 @@
 package segq
 
 import (
+	"sync/atomic"
 	"time"
 
 	"synchq/internal/core"
@@ -22,12 +23,12 @@ import (
 // arrival that claims its own index needs only q and isPut set. One at a
 // cell its caller claimed reads s and i, the cell, and t0, the arrival
 // stamp (zero: untimed), so TakeBatch's fill sets those three before each
-// cell and may reuse a spent ticket; arrive resets c itself, and an
-// install sets installed and done.
+// cell and may reuse a spent ticket; arrive resets c, the installed
+// cell's state word, itself, and an install sets installed and done.
 type Ticket[T any] struct {
 	q         *Queue[T]
 	s         *segment[T]
-	c         *cell[T]
+	c         *atomic.Uint32
 	i         uint64
 	t0        int64
 	installed uint32
@@ -53,8 +54,8 @@ func (q *Queue[T]) reserve(isPut bool, v T) (T, *Ticket[T], bool, Status) {
 }
 
 // waiter is the reservation's cell as the shared wait loop sees it.
-func (t *Ticket[T]) waiter() cellWait[T] {
-	return cellWait[T]{c: t.c, mode: t.installed}
+func (t *Ticket[T]) waiter() cellWait {
+	return cellWait{c: t.c, mode: t.installed}
 }
 
 // collect takes the delivered value out of a fulfilled take reservation's
@@ -62,8 +63,9 @@ func (t *Ticket[T]) waiter() cellWait[T] {
 func (t *Ticket[T]) collect() T {
 	var v T
 	if !t.isPut {
-		v = t.c.v
-		t.c.v = *new(T)
+		p := t.s.val(t.i)
+		v = *p
+		*p = *new(T)
 	}
 	return v
 }
@@ -75,7 +77,7 @@ func (t *Ticket[T]) TryFollowup() (T, bool) {
 	if t.done {
 		panic("segq: follow-up on a spent ticket")
 	}
-	if t.c.state.Load() != cDone {
+	if t.c.Load() != cDone {
 		return *new(T), false
 	}
 	t.done = true
@@ -105,7 +107,7 @@ func (t *Ticket[T]) Await(deadline time.Time, cancel <-chan struct{}) (T, Status
 	}
 	var zero T
 	if t.isPut {
-		t.c.v = zero // the value was never delivered: reclaim it
+		*t.s.val(t.i) = zero // the value was never delivered: reclaim it
 	}
 	return zero, core.StatusOf(o, why)
 }
@@ -119,7 +121,7 @@ func (t *Ticket[T]) Abort() bool {
 	}
 	// Only the owner breaks its own cell, so a lost withdrawal means the
 	// cell is DONE (fulfilled first) or CLOSED (evicted: nothing to collect).
-	if t.withdraw() || t.c.state.Load() == cClosed {
+	if t.withdraw() || t.c.Load() == cClosed {
 		t.done = true
 		return true
 	}
@@ -136,7 +138,7 @@ func (t *Ticket[T]) withdraw() bool {
 	}
 	t.q.resolveCell(t.s)
 	if t.isPut {
-		t.c.v = *new(T)
+		*t.s.val(t.i) = *new(T)
 	}
 	t.q.m.Inc(metrics.Cancellations)
 	return true

@@ -133,14 +133,14 @@ func TestSegmentedContextAndClose(t *testing.T) {
 }
 
 // TestSegmentedBuildBytes pins what building a Segmented() queue costs: the
-// queue, its first 64-cell segment, and the parker table's first chunk and
-// notifier, which the first parked wait would otherwise build at the
-// bottom of a fresh goroutine's call chain: 10 allocations and 2320 B
-// (BenchmarkNew/Segmented counts its option slice too, 11 and 2328). A
-// spare segment built up front as well would cost an eleventh allocation
-// and 1152 B more.
+// queue, its first 64-cell segment (896 B), and the parker table's first
+// chunk and notifier, which the first parked wait would otherwise build
+// at the bottom of a fresh goroutine's call chain: 10 allocations and
+// 2064 B (BenchmarkNew/Segmented counts its option slice too, 11 and
+// 2072). A spare segment built up front as well would cost an eleventh
+// allocation and 896 B more; two-word cells, 256 B more.
 func TestSegmentedBuildBytes(t *testing.T) {
-	const allocLimit, byteLimit = 10, 2560
+	const allocLimit, byteLimit = 10, 2100
 	const builds = 32
 	sink := make([]*synchq.SynchronousQueue[int64], builds)
 	best, allocs := uint64(1<<63-1), uint64(1<<63-1)
