@@ -56,7 +56,8 @@ synctest:
 # least one of its runs. A mutant that does not compile counts as broken,
 # not killed; a snippet that no longer matches its file fails the run
 # before anything is built (and TestCatalogSnippetsApply fails in `make
-# test`). About 50 s on a 2-CPU host with a warm build cache.
+# test`). About 70 s on a 2-CPU host with a warm build cache (each
+# root-package mutant rebuilds the root test binary, about 6 s).
 mutants:
 	go run ./internal/mutants
 
@@ -94,24 +95,25 @@ bench-overhead:
 # an instrumented AutoShard fair queue allocates more than its measured
 # bytes plus 512 (2416 at GOMAXPROCS 2, 2464 at GOMAXPROCS 8: lane 0 and
 # a header; building every lane up front made them 3832 and 11992) or
-# makes more than 20 allocations (17 measured), the first-hand-off stack probe
+# makes more than 20 allocations (17 measured), the first-hand-off budget
 # fails if a fresh goroutine's first AutoShard put through its spin
 # phase, AutoShard take or put meeting a waiting counterpart, fair queue
-# match, fair queue take that parks ("fair Take parks"), segmented-queue
-# PutAll that parks ("seg PutAll parks") or segmented-queue
-# TakeBatchContext meeting that parked PutAll ("seg TakeBatchContext
-# meets a parked PutAll") copies its 2-KB starting stack below 256 B of
-# caller frames, or if those caller frames are no longer 256 B (it logs
-# the ungated rows with their reasons: the timed facades, parked waits on
-# the AutoShard and unfair queues, the segmented queue's single-item and
-# consumer-parks-first rows, and the unfair queue's match rows), and
+# match, fair queue take that parks, segmented-queue PutAll that parks or
+# segmented-queue TakeBatchContext meeting that parked PutAll would copy
+# its 2-KB starting stack below 256 B of caller frames (its frames, the
+# runtime's included, read from the test binary's disassembly), if a
+# declared call chain no longer matches the binary, or if one of those
+# first operations makes other than its pinned allocations (it logs the
+# ungated rows' margins: the timed facades, parked waits on the AutoShard
+# and unfair queues, the segmented queue's single-item and cancelable
+# rows, and the unfair and eliminating queues' match rows), and
 # the short benchmark runs print the allocs/op figures of a pair hand-off
 # and of building each queue configuration (BenchmarkNew) for eyeballing
 # regressions.
 bench-smoke:
 	go test -run TestHandoffAllocBudget -count 1 ./internal/core/
 	go test -run 'Layout|QuarterLine' -count 1 ./internal/core/ ./internal/segq/ ./internal/exchanger/ ./internal/metrics/
-	go test -run 'TestInstrumentedBuildBytes|TestSegmentedBuildBytes|TestFirstHandoffStack' -count 1 -v .
+	go test -run 'TestInstrumentedBuildBytes|TestSegmentedBuildBytes|TestFirstHandoffBudget' -count 1 -v .
 	go test -run 'Table' -count 1 ./internal/lend/ ./internal/park/
 	go test -run TestSegmentedAllocBudget -count 1 ./internal/segq/
 	go test -run TestFabricAllocBudget -count 1 ./internal/shard/
@@ -119,22 +121,11 @@ bench-smoke:
 	go test -run - -bench BenchmarkHandoffAllocs -benchtime 100x -benchmem ./internal/core/
 	go test -run - -bench BenchmarkNew -benchtime 1000x -benchmem .
 
-# Frame report, not a gate: the stack frame (locals= from a -gcflags=-S
-# build of the root test binary, plus 8 for the return address) of each
-# function on the chains TestFirstHandoffStack probes, at the int64 shape
-# the probe uses. A fresh goroutine can use about 1.1 KB of its 2-KB
-# starting stack, so a frame that grows here shows where a first hand-off
-# will start to copy its stack, without a probe run.
-FRAMES_RE = firstOp$$|SynchronousQueue\[go\.shape\.int64\]\)\.(Put|Take|PutAll|TakeBatchContext|OfferTimeout|PollTimeout)$$|Fabric\[go\.shape\.int64\]\)\.(Put|Take)Deadline$$|(DualQueue|DualStack)\[go\.shape\.int64\]\)\.(PutDeadline|TakeDeadline|transfer|engage|engageWait|arrive|await)$$|segq\.\(\*Queue\[(go\.shape\.)?int64\]\)\.(PutBatch|TakeBatch|PutDeadline|TakeDeadline|putBatch|putRun|takeBatch|fill|transfer|claim|findSeg)$$|segq\.\(\*Ticket\[go\.shape\.int64\]\)\.(arrive|Await)$$|park\.Await\[(.*int64|go\.shape\.struct \{ synchq/internal/(core\.s|segq\.c) )|park\.\(\*Parker\)\.(block|wait|Unpark)$$|park\.\(\*Table\)\.(Wake|Lend)$$
-
+# Frame report, not a gate: TestFirstHandoffBudget's per-row margins, the
+# bytes each first hand-off's deepest split check has to spare on a fresh
+# goroutine's 2-KB stack, read from the test binary's own disassembly.
 frames:
-	@go test -c -o /dev/null -gcflags='synchq/...=-S' . 2>&1 | awk ' \
-		function hex(s, i, n) { n = 0; s = tolower(substr(s, 3)); \
-			for (i = 1; i <= length(s); i++) n = n * 16 + index("0123456789abcdef", substr(s, i, 1)) - 1; return n } \
-		/ STEXT / { name = substr($$0, 1, index($$0, " STEXT") - 1); \
-			for (i = 2; i <= NF; i++) if ($$i ~ /^locals=/) { split($$i, a, "="); print hex(a[2]) + 8 "\t" name } }' | \
-		grep -E '$(FRAMES_RE)' | sed -E 's#synchq/internal/##g; s#go\.shape\.struct \{ ([a-z]+\.[a-z]+) [^}]*\}#\1 …#' | \
-		sort -t '	' -k2 -u | sort -t '	' -k2
+	go test -run 'TestFirstHandoffBudget$$' -v -count 1 .
 
 # Scaling smoke gate: a short producer×consumer sweep reduced (via -cores)
 # to the three headline series — plain fair queue, sharded+adaptive fair

@@ -218,6 +218,56 @@ var catalog = []Mutant{
 		Run:     "TestTicketClosedWhileWaiting$",
 		Runs:    2,
 	},
+	{
+		Name:    "retireBit without its re-check",
+		Reverts: "a presence bit cleared under a late announce is restored",
+		File:    "internal/shard/shard.go",
+		Snippet: "\tclearBit(w, bit)\n\tif f.waiting(i, prod) {\n\t\tsetBit(w, bit)\n\t}\n",
+		Replace: "\tclearBit(w, bit)\n",
+		Pkg:     "./internal/shard",
+		Run:     "TestRetireBitKeepsALateAnnounce$",
+		Runs:    1,
+	},
+	{
+		Name:    "dead run without abort check",
+		Reverts: "an expired batch whose run was all dead indexes stops",
+		File:    "internal/segq/batch.go",
+		Snippet: "\t\tif st == core.OK && consumed == 0 {\n\t\t\tst = aborted(deadline, cancel)\n\t\t}\n",
+		Replace: "",
+		Pkg:     "./internal/segq",
+		Run:     "TestExpiredBatchStopsAfterADeadRun$",
+		Runs:    1,
+	},
+	{
+		Name:    "96-B local on a chain",
+		Reverts: "a fresh goroutine's first hand-off fits its starting stack",
+		File:    "internal/core/dualqueue.go",
+		Snippet: "\tt0 := q.m.Start() // arrival timestamp (zero — no clock read — when uninstrumented)\n\te := noItem\n",
+		Replace: "\tt0 := q.m.Start()\n\tvar pad [96]byte\n\tpad[t0&63] = 1\n\te := noItem + uint32(pad[(t0+1)&63])\n",
+		Pkg:     ".",
+		Run:     "TestFirstHandoffBudget$",
+		Runs:    1,
+	},
+	{
+		Name:    "Await parks through block",
+		Reverts: "park.Await blocks from its own frame, not through Parker.block",
+		File:    "internal/park/await.go",
+		Snippet: "\t\t\tif !pk.ready(true) {\n\t\t\t\tn, pt := pk.attach()\n\t\t\t\tfor !pk.consume() {\n\t\t\t\t\t<-n.ch\n\t\t\t\t}\n\t\t\t\tpk.unblock(pt, Unparked)\n\t\t\t}\n",
+		Replace: "\t\t\tpk.block(true)\n",
+		Pkg:     ".",
+		Run:     "TestFirstHandoffBudget$",
+		Runs:    1,
+	},
+	{
+		Name:    "Reserve without the first notifier",
+		Reverts: "park.Table.Reserve makes its first parker's notifier with the table",
+		File:    "internal/park/table.go",
+		Snippet: "func (t *Table) Reserve() { t.t.Reserve().n = &notifier{ch: make(chan struct{}, 1)} }\n",
+		Replace: "func (t *Table) Reserve() { t.t.Reserve() }\n",
+		Pkg:     ".",
+		Run:     "TestFirstHandoffBudget$",
+		Runs:    1,
+	},
 }
 
 // retired lists mutants the current code cannot express.
@@ -225,5 +275,9 @@ var retired = []Retired{
 	{
 		Name: "segq waiter word before CAS",
 		Why:  "a segq cell is one word: a resolver wakes the index held in the word its own CAS replaced, and there is no second word to load early",
+	},
+	{
+		Name: "semaphore late permit kept",
+		Why:  "Semaphore.AcquireTimeout, whose timed-out wait absorbed a late permit before re-releasing it, is deleted: no caller waits with a timeout",
 	},
 }

@@ -403,3 +403,25 @@ func TestTakeBatchSizesAfterItsClaim(t *testing.T) {
 		t.Errorf("PutBatch delivered %d, want 1", n)
 	}
 }
+
+// TestExpiredBatchStopsAfterADeadRun: an expired PutBatch whose run lands
+// only on dead indexes — cells expired takes already poisoned — places
+// nothing, and no cell of that run reaches putRun's deadline arm. The
+// batch must re-check its deadline there and stop, not claim run after
+// fresh run: with poisoners keeping ahead of it, that would never end.
+func TestExpiredBatchStopsAfterADeadRun(t *testing.T) {
+	q := New[int](core.WaitConfig{})
+	const dead = 4 * runMax
+	for range dead {
+		if _, st := q.TakeDeadline(core.Expired, nil); st != core.Timeout {
+			t.Fatalf("poll of an empty queue: %v, want Timeout", st)
+		}
+	}
+	n, st := q.PutBatch(make([]int, runMax), core.Expired, nil)
+	if n != 0 || st != core.Timeout {
+		t.Fatalf("expired batch over dead cells = %d, %v; want 0, Timeout", n, st)
+	}
+	if got := q.putc.Load(); got != runMax {
+		t.Fatalf("expired batch claimed %d indexes, want one dead run of %d", got, runMax)
+	}
+}

@@ -8,18 +8,10 @@ import (
 // The uncontended acquire/release round trip, per semaphore variant. This
 // quantifies the fast-path streamlining the paper's §3.1 attributes to
 // dl.util.concurrent: Fast should be several times cheaper than the
-// queue-based variants when no blocking occurs.
+// queue-based Semaphore when no blocking occurs.
 func BenchmarkUncontendedAcquireRelease(b *testing.B) {
 	b.Run("fifo", func(b *testing.B) {
 		s := New(1)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.Acquire()
-			s.Release()
-		}
-	})
-	b.Run("barging", func(b *testing.B) {
-		s := NewBarging(1)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			s.Acquire()
@@ -60,6 +52,5 @@ func BenchmarkContendedMutex(b *testing.B) {
 		wg.Wait()
 	}
 	b.Run("fifo", func(b *testing.B) { run(b, New(1)) })
-	b.Run("barging", func(b *testing.B) { run(b, NewBarging(1)) })
 	b.Run("fast", func(b *testing.B) { run(b, NewFast(1)) })
 }

@@ -8,9 +8,9 @@
 // semaphore is a non-synchronous concurrent queue transferring null.
 //
 // Two variants are provided. Semaphore wakes waiters in strict FIFO order
-// (like a Java fair Semaphore); BargingSemaphore allows a releasing thread's
-// permit to be seized by a newly arriving acquirer (like Java's default
-// nonfair Semaphore), which trades fairness for throughput.
+// (like a Java fair Semaphore); Fast (fast.go) acquires and releases an
+// uncontended permit with one atomic add, the dl.util.concurrent
+// streamlining the paper's §3.1 describes.
 //
 // A blocked acquirer waits on a parker lent by its semaphore's park.Table
 // and returns it once its wait is over, as a Java thread brings its own
@@ -23,7 +23,6 @@ package sem
 import (
 	"container/list"
 	"sync"
-	"time"
 
 	"synchq/internal/park"
 )
@@ -73,47 +72,6 @@ func (s *Semaphore) TryAcquire() bool {
 	return false
 }
 
-// AcquireTimeout obtains one permit, waiting at most d. It reports whether
-// the permit was obtained. On timeout the waiter removes itself from the
-// queue; a permit handed to it in the race window is returned to the pool.
-func (s *Semaphore) AcquireTimeout(d time.Duration) bool {
-	s.mu.Lock()
-	if s.permits > 0 && s.waiters.Len() == 0 {
-		s.permits--
-		s.mu.Unlock()
-		return true
-	}
-	if d <= 0 {
-		s.mu.Unlock()
-		return false
-	}
-	idx, p := s.parkers.Lend()
-	defer s.parkers.Return(idx)
-	elem := s.waiters.PushBack(p)
-	s.mu.Unlock()
-
-	if p.ParkTimeout(d) {
-		return true
-	}
-	// Timed out. Remove ourselves; if Release already granted us the
-	// permit (removed our element and unparked), consume that late permit
-	// and hand it onward instead of losing it.
-	s.mu.Lock()
-	for e := s.waiters.Front(); e != nil; e = e.Next() {
-		if e == elem {
-			s.waiters.Remove(e)
-			s.mu.Unlock()
-			return false
-		}
-	}
-	// Already dequeued by Release: the unpark is in flight (or landed
-	// between our timeout and taking the lock). Absorb it and re-release.
-	s.mu.Unlock()
-	p.Park() // cannot block long: permit is committed to us
-	s.Release()
-	return false
-}
-
 // Release returns one permit, unblocking the longest-waiting acquirer if any.
 func (s *Semaphore) Release() {
 	s.mu.Lock()
@@ -140,88 +98,4 @@ func (s *Semaphore) Waiters() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.waiters.Len()
-}
-
-// BargingSemaphore is an unfair counting semaphore: a permit released while
-// acquirers race may be taken by a thread that never queued. This matches
-// the default (nonfair) mode of Java's Semaphore and is the variant Hanson's
-// algorithm was measured with.
-type BargingSemaphore struct {
-	mu      sync.Mutex
-	permits int
-	waiters list.List // of *bsWaiter
-	parkers park.Table
-}
-
-type bsWaiter struct {
-	p     *park.Parker
-	taken bool // set under mu when a permit is assigned
-}
-
-// NewBarging returns an unfair semaphore with the given permits.
-func NewBarging(permits int) *BargingSemaphore {
-	return &BargingSemaphore{permits: permits}
-}
-
-// Acquire obtains one permit, blocking until available. Arriving threads may
-// barge ahead of queued waiters when a permit is free.
-func (s *BargingSemaphore) Acquire() {
-	s.mu.Lock()
-	if s.permits > 0 {
-		s.permits--
-		s.mu.Unlock()
-		return
-	}
-	idx, p := s.parkers.Lend()
-	w := &bsWaiter{p: p}
-	elem := s.waiters.PushBack(w)
-	s.mu.Unlock()
-	for {
-		w.p.Park()
-		s.mu.Lock()
-		if w.taken {
-			s.waiters.Remove(elem)
-			s.mu.Unlock()
-			s.parkers.Return(idx)
-			return
-		}
-		// Spurious wake relative to permit assignment cannot happen
-		// with this parker, but retry defensively.
-		s.mu.Unlock()
-	}
-}
-
-// TryAcquire obtains a permit only if immediately available.
-func (s *BargingSemaphore) TryAcquire() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.permits > 0 {
-		s.permits--
-		return true
-	}
-	return false
-}
-
-// Release returns one permit. If waiters are queued, the front waiter is
-// granted the permit directly (it cannot be barged once granted).
-func (s *BargingSemaphore) Release() {
-	s.mu.Lock()
-	for e := s.waiters.Front(); e != nil; e = e.Next() {
-		w := e.Value.(*bsWaiter)
-		if !w.taken {
-			w.taken = true
-			s.mu.Unlock()
-			w.p.Unpark()
-			return
-		}
-	}
-	s.permits++
-	s.mu.Unlock()
-}
-
-// Permits returns the number of available permits (tests/monitoring).
-func (s *BargingSemaphore) Permits() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.permits
 }

@@ -70,47 +70,6 @@ func TestSemaphoreFIFOWakeupOrder(t *testing.T) {
 	}
 }
 
-func TestSemaphoreAcquireTimeout(t *testing.T) {
-	s := New(0)
-	t0 := time.Now()
-	if s.AcquireTimeout(20 * time.Millisecond) {
-		t.Fatal("AcquireTimeout succeeded with zero permits")
-	}
-	if time.Since(t0) < 15*time.Millisecond {
-		t.Fatal("AcquireTimeout returned early")
-	}
-	if s.Waiters() != 0 {
-		t.Fatal("timed-out waiter still queued")
-	}
-	s.Release()
-	if !s.AcquireTimeout(time.Second) {
-		t.Fatal("AcquireTimeout failed with a permit available")
-	}
-	// Zero/negative patience polls.
-	if s.AcquireTimeout(0) {
-		t.Fatal("zero-patience acquire succeeded with no permit")
-	}
-}
-
-func TestSemaphoreTimeoutRaceDoesNotLeakPermit(t *testing.T) {
-	// Release racing with timeout: either the waiter gets the permit or
-	// the permit must remain available afterwards.
-	for i := 0; i < 200; i++ {
-		s := New(0)
-		got := make(chan bool)
-		go func() { got <- s.AcquireTimeout(time.Duration(i%3) * time.Millisecond) }()
-		time.Sleep(time.Duration(i%5) * 200 * time.Microsecond)
-		s.Release()
-		if !<-got {
-			// Waiter timed out: the released permit must not be
-			// lost.
-			if !s.AcquireTimeout(time.Second) {
-				t.Fatalf("iteration %d: permit leaked on timeout race", i)
-			}
-		}
-	}
-}
-
 func TestSemaphoreAsMutex(t *testing.T) {
 	s := New(1)
 	var counter int
@@ -153,66 +112,6 @@ func TestSemaphoreCountingInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBargingSemaphoreBasic(t *testing.T) {
-	s := NewBarging(1)
-	if !s.TryAcquire() {
-		t.Fatal("TryAcquire failed with a permit")
-	}
-	if s.TryAcquire() {
-		t.Fatal("TryAcquire succeeded with no permits")
-	}
-	s.Release()
-	if s.Permits() != 1 {
-		t.Fatalf("Permits = %d, want 1", s.Permits())
-	}
-}
-
-func TestBargingSemaphoreUnblocks(t *testing.T) {
-	s := NewBarging(0)
-	const n = 5
-	var done sync.WaitGroup
-	done.Add(n)
-	for i := 0; i < n; i++ {
-		go func() {
-			s.Acquire()
-			done.Done()
-		}()
-	}
-	time.Sleep(10 * time.Millisecond)
-	for i := 0; i < n; i++ {
-		s.Release()
-	}
-	ok := make(chan struct{})
-	go func() { done.Wait(); close(ok) }()
-	select {
-	case <-ok:
-	case <-time.After(5 * time.Second):
-		t.Fatal("releases did not unblock all waiters")
-	}
-}
-
-func TestBargingSemaphoreAsMutex(t *testing.T) {
-	s := NewBarging(1)
-	var counter int
-	var wg sync.WaitGroup
-	const workers, rounds = 8, 1000
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < rounds; j++ {
-				s.Acquire()
-				counter++
-				s.Release()
-			}
-		}()
-	}
-	wg.Wait()
-	if counter != workers*rounds {
-		t.Fatalf("counter = %d, want %d", counter, workers*rounds)
 	}
 }
 

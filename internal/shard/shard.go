@@ -447,7 +447,7 @@ func (f *Fabric[T]) PutDeadline(v T, deadline time.Time, cancel <-chan struct{})
 	// One frame runs the whole engine, sweep included (sweepPut's loop,
 	// spelled out): a fresh goroutine's first hand-off runs on its 2-KB
 	// starting stack, and each frame between the facade and the shard
-	// brings a stack copy closer (see TestFirstHandoffStack).
+	// brings a stack copy closer (see TestFirstHandoffBudget).
 	if f.closedStatus() {
 		return core.Closed
 	}

@@ -1,5 +1,5 @@
 //go:build !race
 
-package synchq_test
+package synchq
 
 const raceEnabled = false

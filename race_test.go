@@ -1,7 +1,7 @@
 //go:build race
 
-package synchq_test
+package synchq
 
 // raceEnabled reports whether the race detector is on; its instrumentation
-// grows every frame, so the stack-depth probe does not apply.
+// grows every frame, so the first-hand-off stack budget does not apply.
 const raceEnabled = true

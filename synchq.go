@@ -164,16 +164,16 @@ func Fair(fair bool) Option {
 }
 
 // Segmented selects the segment-backed hand-off core: waiters live in
-// fixed-size segments of quarter-cache-line hand-off cells claimed by a
-// single fetch-and-add per side and resolved by a single CAS per cell,
-// instead of the dual structures' per-waiter linked nodes. Arrival order
-// still decides pairing — each side's counter is FIFO by construction —
-// so a segmented queue reports Fair() true; what changes is the memory
-// system's view: one 1088-byte allocation (the 1152-byte size class)
-// amortizes over a whole segment of 64 transfers (18 bytes each, against
-// the dual queue's 16-byte node per waiter), hot-path pointer chasing
-// disappears, and fully consumed or aborted segments are unlinked so
-// cancellation storms cannot grow the structure (see DESIGN.md
+// fixed-size segments of hand-off cells, each one 32-bit state word,
+// claimed by a single fetch-and-add per side and resolved by a single CAS
+// per cell, instead of the dual structures' per-waiter linked nodes.
+// Arrival order still decides pairing — each side's counter is FIFO by
+// construction — so a segmented queue reports Fair() true; what changes
+// is the memory system's view: one 832-byte allocation (the 896-byte size
+// class) amortizes over a whole segment of 64 transfers (14 bytes each,
+// against the dual queue's 16-byte node per waiter), hot-path pointer
+// chasing disappears, and fully consumed or aborted segments are unlinked
+// so cancellation storms cannot grow the structure (see DESIGN.md
 // "Segmented core").
 //
 // Segmented composes with Sharded (each shard becomes a segmented core)
